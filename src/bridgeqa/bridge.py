@@ -35,13 +35,15 @@ from .numcore import (
     max_pool_over_time,
     reshape,
     run_bidirectional,
+    slice_rows,
     take_row,
 )
 from .span_model import (
     EmbeddingTable,
     SpanModel,
     biattention,
-    encode,
+    encode,  # noqa: F401 - bench/layers.py traces bridge.encode
+    encode_packed,
     init_span_model,
     self_attention,
 )
@@ -166,6 +168,38 @@ def init_bridge_model(
     return BridgeModel(span=span, lstm_hidden=lstm_hidden, abstract_max_tokens=abstract_max_tokens)
 
 
+def encode_abstracts(
+    model: BridgeModel,
+    passages: list[Passage | None],
+    *,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> list[tuple[Tensor, bool]]:
+    """Max-pooled bi-LSTM encodings of target passages' abstracts, all present
+    abstracts in one packed pass; one (vector, missing) pair per passage.
+
+    A missing or empty abstract falls back to the trained sentinel vector and
+    is flagged, so anchor coverage is never silently reduced. Dropout is
+    drawn in passage order over the present abstracts.
+    """
+    sentinel = (model.store["abstract/missing"], True)
+    present = [i for i, p in enumerate(passages) if p is not None and len(p.tokens) > 0]
+    results = [sentinel] * len(passages)
+    if not present:
+        return results
+    token_lists = [passages[i].tokens.tokens[: model.abstract_max_tokens] for i in present]
+    lengths = [len(toks) for toks in token_lists]
+    flat = [tok for toks in token_lists for tok in toks]
+    emb = gather_rows(model.table.matrix, model.table.indices(flat), model.table.row_mask)
+    states = run_bidirectional("lstm", emb, model.store, "abstract/", model.lstm_hidden, lengths=lengths)
+    states = dropout(states, model.span.dropout, training=training, rng=rng)
+    start = 0
+    for i, n in zip(present, lengths):
+        results[i] = (max_pool_over_time(slice_rows(states, start, start + n)), False)
+        start += n
+    return results
+
+
 def encode_abstract(
     model: BridgeModel,
     passage: Passage | None,
@@ -173,18 +207,9 @@ def encode_abstract(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, bool]:
-    """Max-pooled bi-LSTM encoding of a target passage's abstract.
-
-    A missing or empty abstract falls back to the trained sentinel vector and
-    is flagged, so anchor coverage is never silently reduced.
-    """
-    if passage is None or len(passage.tokens) == 0:
-        return model.store["abstract/missing"], True
-    tokens = passage.tokens.tokens[: model.abstract_max_tokens]
-    emb = gather_rows(model.table.matrix, model.table.indices(tokens), model.table.row_mask)
-    states = run_bidirectional("lstm", emb, model.store, "abstract/", model.lstm_hidden)
-    states = dropout(states, model.span.dropout, training=training, rng=rng)
-    return max_pool_over_time(states), False
+    """Max-pooled bi-LSTM encoding of one target passage's abstract (see
+    encode_abstracts)."""
+    return encode_abstracts(model, [passage], training=training, rng=rng)[0]
 
 
 def score_bridges(
@@ -216,13 +241,20 @@ def score_bridges(
     context_vecs: dict[int, Tensor] = {}
     wide = 8 * model.span.hidden
     if use_context:
-        q_enc = encode(question, model.table, store, model.span.hidden, model.span.prefix, **kw)
         passage_by_id = {p.id: p for p in start_passages}
-        for pid, cand_indices in by_passage.items():
-            passage = passage_by_id.get(pid)
-            if passage is None:
+        for pid in by_passage:
+            if pid not in passage_by_id:
                 raise ValidationError(f"candidate references passage {pid!r} not in the start set")
-            c_enc = encode(passage.tokens, model.table, store, model.span.hidden, model.span.prefix, **kw)
+        # the question and every start passage in one encoder pass
+        q_enc, *c_encs = encode_packed(
+            [question] + [passage_by_id[pid].tokens for pid in by_passage],
+            model.table,
+            store,
+            model.span.hidden,
+            model.span.prefix,
+            **kw,
+        )
+        for (pid, cand_indices), c_enc in zip(by_passage.items(), c_encs):
             final = self_attention(biattention(c_enc, q_enc, store, model.span.prefix), store, model.span.prefix)
             for i in cand_indices:
                 token_start = candidates[i].mention.token_start
@@ -232,10 +264,11 @@ def score_bridges(
 
     content_vecs: dict[str, tuple[Tensor, bool]] = {}
     if use_content:
-        for title in sorted({c.target_title for c in candidates}):
-            content_vecs[title] = encode_abstract(
-                model, corpus.by_title.get(title), training=training, rng=rng
-            )
+        titles = sorted({c.target_title for c in candidates})
+        encoded = encode_abstracts(
+            model, [corpus.by_title.get(t) for t in titles], training=training, rng=rng
+        )
+        content_vecs = dict(zip(titles, encoded))
 
     zero_context = constant(np.zeros((1, wide)))
     zero_content = constant(np.zeros((1, 2 * model.lstm_hidden)))

@@ -39,10 +39,6 @@ def append_manifest(output_dir: str | Path, entry: dict) -> None:
     )
 
 
-def stage_completed(output_dir: str | Path, stage: str) -> bool:
-    return any(e.get("stage") == stage for e in read_manifest(output_dir))
-
-
 def verify_fold_hygiene(output_dir: str | Path) -> list[str]:
     """Check, from run artifacts alone, that no reader training example's
     passages were predicted by the reasoner fold trained on that example.

@@ -1,4 +1,4 @@
-"""GRU and LSTM recurrent cells and sequence runners.
+"""GRU and LSTM sequence runners over packed batches.
 
 Gate convention (GRU): z = sigmoid(Wz [x; h] + bz), r = sigmoid(Wr [x; h] + br),
 hbar = tanh(Wh [x; r*h] + bh), h' = z*h + (1 - z)*hbar. The z/r projections
@@ -6,6 +6,17 @@ share one fused weight matrix (columns [0:H] are z, [H:2H] are r).
 
 LSTM is the standard 4-gate cell; the fused projection's column blocks are
 input, forget, output, candidate in that order.
+
+Every weight matrix stacks an input part (the first D rows) over a recurrent
+part (the last H rows). The runner applies the input part to all steps of all
+sequences in one matmul before the time loop (the input-projection hoist of
+Appleyard et al. 2016), so each step only multiplies the (B, H) states by the
+recurrent part. Backward stacks the per-step gate gradients and builds the
+input, weight and bias gradients from one matmul each.
+
+Sigmoid gates use the form of tensor.sigmoid_array, 0.5 * (1 + tanh(a / 2)).
+The runner halves the sigmoid gates' weight columns before the loop, which is
+exact in binary floating point, so the kernels apply tanh to them directly.
 """
 
 from __future__ import annotations
@@ -14,19 +25,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from .params import ParamStore, glorot
-from .tensor import (
-    Tensor,
-    accumulate,
-    add,
-    concat,
-    matmul,
-    mul,
-    scale,
-    shift,
-    sigmoid,
-    slice_cols,
-    tanh,
-)
+from .tensor import Tensor, accumulate, concat
 
 
 def init_gru(store: ParamStore, prefix: str, input_dim: int, hidden: int, rng: np.random.Generator) -> None:
@@ -41,192 +40,234 @@ def init_lstm(store: ParamStore, prefix: str, input_dim: int, hidden: int, rng: 
     store.add(f"{prefix}b", np.zeros(4 * hidden))
 
 
-def gru_cell(x: Tensor, h: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    hidden = h.data.shape[1]
-    xh = concat([x, h], axis=1)
-    zr = sigmoid(add(matmul(xh, store[f"{prefix}W_zr"]), store[f"{prefix}b_zr"]))
-    z = slice_cols(zr, 0, hidden)
-    r = slice_cols(zr, hidden, 2 * hidden)
-    xrh = concat([x, mul(r, h)], axis=1)
-    hbar = tanh(add(matmul(xrh, store[f"{prefix}W_h"]), store[f"{prefix}b_h"]))
-    one_minus_z = shift(scale(z, -1.0), 1.0)
-    return add(mul(z, h), mul(one_minus_z, hbar))
+def _gru_forward(A, W_rec, H):
+    """A: (T, B, 3H) hoisted input projections (z, r, candidate), the z/r
+    columns halved like W_zr. Returns the states (T+1, B, H), with row 0 the
+    zero initial state, and the cache."""
+    T, B, _ = A.shape
+    W_zr, W_h = W_rec
+    A_zr = np.ascontiguousarray(A[:, :, : 2 * H])
+    A_h = np.ascontiguousarray(A[:, :, 2 * H :])
+    Hs = np.zeros((T + 1, B, H))
+    ZR = np.empty((T, B, 2 * H))
+    HB = np.empty((T, B, H))
+    for s in range(T):
+        h = Hs[s]
+        a = np.dot(h, W_zr)
+        a += A_zr[s]
+        zr = np.tanh(a, out=ZR[s])
+        zr += 1.0
+        zr *= 0.5
+        m = np.dot(zr[:, H:] * h, W_h)
+        m += A_h[s]
+        hb = np.tanh(m, out=HB[s])
+        step = h - hb
+        step *= zr[:, :H]
+        np.add(hb, step, out=Hs[s + 1])
+    return Hs, (ZR, HB)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, store: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
-    hidden = h.data.shape[1]
-    xh = concat([x, h], axis=1)
-    gates = add(matmul(xh, store[f"{prefix}W"]), store[f"{prefix}b"])
-    i = sigmoid(slice_cols(gates, 0, hidden))
-    f = sigmoid(slice_cols(gates, hidden, 2 * hidden))
-    o = sigmoid(slice_cols(gates, 2 * hidden, 3 * hidden))
-    g = tanh(slice_cols(gates, 3 * hidden, 4 * hidden))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
+def _gru_backward(Gs, Hs, cache, W_rec, H):
+    """Gs: (T, B, H) output gradients. Returns the gradients of the gate
+    pre-activations (T, B, 3H) and of the recurrent weight parts."""
+    ZR, HB = cache
+    W_zr, W_h = W_rec
+    T, B, _ = Gs.shape
+    Hprev = Hs[:-1]
+    Z = np.ascontiguousarray(ZR[:, :, :H])
+    R = np.ascontiguousarray(ZR[:, :, H:])
+    P_z = (Hprev - HB) * Z * (1.0 - Z)
+    P_h = (1.0 - Z) * (1.0 - HB * HB)
+    P_r = Hprev * R * (1.0 - R)
+    dZ, dR, dH = np.empty((T, B, H)), np.empty((T, B, H)), np.empty((T, B, H))
+    Wz_T = np.ascontiguousarray(W_zr[:, :H].T)
+    Wr_T = np.ascontiguousarray(W_zr[:, H:].T)
+    Wh_T = np.ascontiguousarray(W_h.T)
+    carry = np.zeros((B, H))
+    for s in range(T - 1, -1, -1):
+        g = Gs[s] + carry
+        da_h = np.multiply(g, P_h[s], out=dH[s])
+        drh = np.dot(da_h, Wh_T)
+        da_z = np.multiply(g, P_z[s], out=dZ[s])
+        da_r = np.multiply(drh, P_r[s], out=dR[s])
+        carry = g * Z[s]
+        drh *= R[s]
+        carry += drh
+        carry += np.dot(da_z, Wz_T)
+        carry += np.dot(da_r, Wr_T)
+    dA = np.concatenate([dZ, dR, dH], axis=2)
+    dW_zr = Hprev.reshape(-1, H).T @ dA.reshape(-1, 3 * H)[:, : 2 * H]
+    dW_h = (R * Hprev).reshape(-1, H).T @ dH.reshape(-1, H)
+    return dA, (dW_zr, dW_h)
 
 
-def recurrent_cell(kind: str, x: Tensor, state, store: ParamStore, prefix: str):
-    """One step of the named cell. GRU state is h; LSTM state is (h, c)."""
-    if kind == "gru":
-        return gru_cell(x, state, store, prefix)
-    if kind == "lstm":
-        h, c = state
-        return lstm_cell(x, h, c, store, prefix)
-    raise ShapeError(f"recurrent_cell: unknown kind {kind!r}")
+def _lstm_forward(A, W_rec, H):
+    """A: (T, B, 4H) hoisted input projections, the i/f/o columns halved like
+    W. Returns the states (T+1, B, H) and the cache."""
+    T, B, _ = A.shape
+    (W,) = W_rec
+    Hs = np.zeros((T + 1, B, H))
+    Cs = np.zeros((T + 1, B, H))
+    IFO = np.empty((T, B, 3 * H))
+    TA = np.empty((T, B, 4 * H))
+    TC = np.empty((T, B, H))
+    for s in range(T):
+        a = np.dot(Hs[s], W)
+        a += A[s]
+        ta = np.tanh(a, out=TA[s])  # i/f/o halved, so one tanh serves all four gates
+        ifo = np.add(ta[:, : 3 * H], 1.0, out=IFO[s])
+        ifo *= 0.5
+        c = np.multiply(ifo[:, H : 2 * H], Cs[s], out=Cs[s + 1])
+        c += ifo[:, :H] * ta[:, 3 * H :]
+        tc = np.tanh(c, out=TC[s])
+        np.multiply(ifo[:, 2 * H :], tc, out=Hs[s + 1])
+    return Hs, (Cs, IFO, np.ascontiguousarray(TA[:, :, 3 * H :]), TC)
 
 
-def _sigmoid_stable(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+def _lstm_backward(Gs, Hs, cache, W_rec, H):
+    """Gs: (T, B, H) output gradients. Returns the gradients of the gate
+    pre-activations (T, B, 4H) and of the recurrent weight part."""
+    Cs, IFO, Gc, TC = cache
+    (W,) = W_rec
+    T, B, _ = Gs.shape
+    I, F, O = IFO[:, :, :H], IFO[:, :, H : 2 * H], IFO[:, :, 2 * H :]
+    dsig = IFO * (1.0 - IFO)
+    # per-gate factor multiplying dc (the output gate's block multiplies dh)
+    Q = np.empty((T, B, 4, H))
+    Q[:, :, 0] = Gc * dsig[:, :, :H]
+    Q[:, :, 1] = Cs[:-1] * dsig[:, :, H : 2 * H]
+    Q[:, :, 2] = TC * dsig[:, :, 2 * H :]
+    Q[:, :, 3] = I * (1.0 - Gc * Gc)
+    P_c = O * (1.0 - TC * TC)
+    F = np.ascontiguousarray(F)
+    dA = np.empty((T, B, 4, H))
+    W_T = np.ascontiguousarray(W.T)
+    dh = np.zeros((B, H))
+    dc = np.zeros((B, H))
+    for s in range(T - 1, -1, -1):
+        gh = Gs[s] + dh
+        dc += gh * P_c[s]
+        np.multiply(Q[s], dc[:, None, :], out=dA[s])
+        np.multiply(gh, Q[s, :, 2], out=dA[s, :, 2])
+        dc *= F[s]
+        dh = np.dot(dA[s].reshape(B, 4 * H), W_T)
+    flat = dA.reshape(-1, 4 * H)
+    dW = Hs[:-1].reshape(-1, H).T @ flat
+    return dA.reshape(T, B, 4 * H), (dW,)
 
 
-def _run_gru_fused(xs: Tensor, store: ParamStore, prefix: str, hidden: int, order) -> Tensor:
-    """Whole unrolled GRU as one tape node: forward caches per-step gates, the
-    backward closure runs hand-derived backpropagation through time. Same math
-    as gru_cell, two orders of magnitude fewer tape nodes."""
+# kind -> (weight/bias parameter suffixes, sigmoid gates leading the fused
+# columns, forward kernel, backward kernel)
+_KINDS = {
+    "gru": ((("W_zr", "b_zr"), ("W_h", "b_h")), 2, _gru_forward, _gru_backward),
+    "lstm": ((("W", "b"),), 3, _lstm_forward, _lstm_backward),
+}
+
+
+def _check_lengths(lengths, n_rows: int) -> np.ndarray:
+    if lengths is None:
+        return np.array([n_rows])
+    lens = np.asarray(lengths)
+    if lens.ndim != 1 or lens.size == 0 or not np.issubdtype(lens.dtype, np.integer):
+        raise ShapeError(f"run_recurrent: lengths must be a non-empty 1-d integer sequence, got {lengths!r}")
+    if lens.min() < 1:
+        raise ShapeError(f"run_recurrent: every sequence needs at least one row, got lengths {lens.tolist()}")
+    if int(lens.sum()) != n_rows:
+        raise ShapeError(f"run_recurrent: lengths sum to {int(lens.sum())}, input has {n_rows} rows")
+    return lens
+
+
+def _batch_layout(lens: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """Place packed rows in a time-major, right-padded (Tmax, B) batch in
+    processing order: step s of sequence b reads its row s, or row len-1-s
+    when reversed. Returns (rows, slots, Tmax): slots are the flat (s, b)
+    positions of real steps and rows the packed row each one reads."""
+    starts = np.cumsum(lens) - lens
+    T = int(lens.max())
+    s = np.arange(T)[:, None]
+    offset = lens - 1 - s if reverse else np.broadcast_to(s, (T, lens.size))
+    slots = np.flatnonzero(s < lens)
+    return (starts + offset).ravel()[slots], slots, T
+
+
+def run_recurrent(
+    kind: str,
+    xs: Tensor,
+    store: ParamStore,
+    prefix: str,
+    hidden: int,
+    *,
+    reverse: bool = False,
+    lengths=None,
+) -> Tensor:
+    """Run a cell over the rows of xs: (N, D) -> (N, hidden).
+
+    xs packs one or more sequences row-wise; lengths gives their row counts
+    in order, and None means xs is a single sequence. Each sequence starts
+    from a zero state. Output row t always corresponds to input row t, also
+    when reverse=True. The whole run is one tape node.
+    """
+    if kind not in _KINDS:
+        raise ShapeError(f"run_recurrent: unknown kind {kind!r}")
     X = xs.data
-    T, d = X.shape
-    W_zr_t, b_zr_t = store[f"{prefix}W_zr"], store[f"{prefix}b_zr"]
-    W_h_t, b_h_t = store[f"{prefix}W_h"], store[f"{prefix}b_h"]
-    W_zr, b_zr, W_h, b_h = W_zr_t.data, b_zr_t.data, W_h_t.data, b_h_t.data
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ShapeError(f"run_recurrent: expected non-empty (T, D) input, got {X.shape}")
+    N, d = X.shape
     H = hidden
-    out = np.empty((T, H))
-    cache = []
-    h = np.zeros(H)
-    for t in order:
-        xh = np.concatenate([X[t], h])
-        zr = _sigmoid_stable(xh @ W_zr + b_zr)
-        z, r = zr[:H], zr[H:]
-        xrh = np.concatenate([X[t], r * h])
-        hbar = np.tanh(xrh @ W_h + b_h)
-        h_new = z * h + (1.0 - z) * hbar
-        cache.append((t, xh, z, r, xrh, hbar, h))
-        h = h_new
-        out[t] = h_new
-    node = Tensor(out, (xs, W_zr_t, b_zr_t, W_h_t, b_h_t))
+    lens = _check_lengths(lengths, N)
+    names, n_sigmoid, fwd_kernel, bwd_kernel = _KINDS[kind]
+    params = [(store[f"{prefix}{w}"], store[f"{prefix}{b}"]) for w, b in names]
+    for W_t, _ in params:
+        if W_t.data.shape[0] != d + H:
+            raise ShapeError(f"run_recurrent: {prefix} expects {W_t.data.shape[0]} = D + hidden, got D={d}, hidden={H}")
+    widths = [W_t.data.shape[1] for W_t, _ in params]
+    W_x = np.concatenate([W_t.data[:d] for W_t, _ in params], axis=1)
+    bias = np.concatenate([b_t.data for _, b_t in params])
+    W_rec = [W_t.data[d:] for W_t, _ in params]
+    G = W_x.shape[1]
+    # the sigmoid gates lead the fused columns; the kernels get them halved
+    half = np.ones(G)
+    half[: n_sigmoid * H] = 0.5
+    halves = np.split(half, np.cumsum(widths)[:-1])
+    W_rec_half = [W * h for W, h in zip(W_rec, halves)]
 
-    def bwd(G):
-        dX = np.zeros_like(X)
-        dW_zr = np.zeros_like(W_zr)
-        db_zr = np.zeros_like(b_zr)
-        dW_h = np.zeros_like(W_h)
-        db_h = np.zeros_like(b_h)
-        carry = np.zeros(H)
-        for t, xh, z, r, xrh, hbar, h_prev in reversed(cache):
-            g = G[t] + carry
-            dz = g * (h_prev - hbar)
-            da_z = dz * z * (1.0 - z)
-            dhb = g * (1.0 - z)
-            da_h = dhb * (1.0 - hbar * hbar)
-            dxrh = W_h @ da_h
-            dr = dxrh[d:] * h_prev
-            da_r = dr * r * (1.0 - r)
-            da_zr = np.concatenate([da_z, da_r])
-            dxh = W_zr @ da_zr
-            dX[t] += dxrh[:d] + dxh[:d]
-            carry = g * z + dxrh[d:] * r + dxh[d:]
-            dW_zr += np.outer(xh, da_zr)
-            db_zr += da_zr
-            dW_h += np.outer(xrh, da_h)
-            db_h += da_h
-        accumulate(xs, dX)
-        accumulate(W_zr_t, dW_zr)
-        accumulate(b_zr_t, db_zr)
-        accumulate(W_h_t, dW_h)
-        accumulate(b_h_t, db_h)
+    rows, slots, T = _batch_layout(lens, reverse)
+    B = lens.size
+    A = np.zeros((T * B, G))
+    A[slots] = ((X @ W_x + bias) * half)[rows]
+    Hs, cache = fwd_kernel(A.reshape(T, B, G), W_rec_half, H)
+    out = np.empty((N, H))
+    out[rows] = Hs[1:].reshape(-1, H)[slots]
+    node = Tensor(out, (xs, *[t for pair in params for t in pair]))
+
+    def bwd(grad):
+        Gs = np.zeros((T * B, H))
+        Gs[slots] = grad[rows]
+        dA, dW_rec = bwd_kernel(Gs.reshape(T, B, H), Hs, cache, W_rec, H)
+        # padding steps carry exactly zero gate gradient
+        dA_rows = np.empty((N, G))
+        dA_rows[rows] = dA.reshape(-1, G)[slots]
+        accumulate(xs, dA_rows @ W_x.T)
+        dW_x = X.T @ dA_rows
+        db = dA_rows.sum(axis=0)
+        col = 0
+        for (W_t, b_t), width, dW_r in zip(params, widths, dW_rec):
+            accumulate(W_t, np.concatenate([dW_x[:, col : col + width], dW_r]))
+            accumulate(b_t, db[col : col + width])
+            col += width
 
     node.bwd = bwd
     return node
 
 
-def _run_lstm_fused(xs: Tensor, store: ParamStore, prefix: str, hidden: int, order) -> Tensor:
-    X = xs.data
-    T, d = X.shape
-    W_t, b_t = store[f"{prefix}W"], store[f"{prefix}b"]
-    W, b = W_t.data, b_t.data
-    H = hidden
-    out = np.empty((T, H))
-    cache = []
-    h = np.zeros(H)
-    c = np.zeros(H)
-    for t in order:
-        xh = np.concatenate([X[t], h])
-        a = xh @ W + b
-        i = _sigmoid_stable(a[:H])
-        f = _sigmoid_stable(a[H : 2 * H])
-        o = _sigmoid_stable(a[2 * H : 3 * H])
-        g = np.tanh(a[3 * H :])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        cache.append((t, xh, i, f, o, g, c, tc))
-        h, c = h_new, c_new
-        out[t] = h_new
-    node = Tensor(out, (xs, W_t, b_t))
+def run_bidirectional(kind: str, xs: Tensor, store: ParamStore, prefix: str, hidden: int, *, lengths=None) -> Tensor:
+    """Forward and backward passes concatenated per position: (N, D) -> (N, 2*hidden).
 
-    def bwd(G):
-        dX = np.zeros_like(X)
-        dW = np.zeros_like(W)
-        db = np.zeros_like(b)
-        dh_carry = np.zeros(H)
-        dc_carry = np.zeros(H)
-        for t, xh, i, f, o, g, c_prev, tc in reversed(cache):
-            gh = G[t] + dh_carry
-            do = gh * tc
-            dc = dc_carry + gh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_carry = dc * f
-            da = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    do * o * (1.0 - o),
-                    dg * (1.0 - g * g),
-                ]
-            )
-            dxh = W @ da
-            dX[t] += dxh[:d]
-            dh_carry = dxh[d:]
-            dW += np.outer(xh, da)
-            db += da
-        accumulate(xs, dX)
-        accumulate(W_t, dW)
-        accumulate(b_t, db)
-
-    node.bwd = bwd
-    return node
-
-
-def run_recurrent(kind: str, xs: Tensor, store: ParamStore, prefix: str, hidden: int, *, reverse: bool = False) -> Tensor:
-    """Run a cell over the rows of xs: (T, D) -> (T, hidden).
-
-    Output row t always corresponds to input row t, also when reverse=True.
+    Parameters live under {prefix}fwd/ and {prefix}bwd/. lengths packs
+    several sequences as in run_recurrent.
     """
-    if xs.data.ndim != 2 or xs.data.shape[0] < 1:
-        raise ShapeError(f"run_recurrent: expected non-empty (T, D) input, got {xs.data.shape}")
-    T = xs.data.shape[0]
-    order = list(range(T - 1, -1, -1) if reverse else range(T))
-    if kind == "gru":
-        return _run_gru_fused(xs, store, prefix, hidden, order)
-    if kind == "lstm":
-        return _run_lstm_fused(xs, store, prefix, hidden, order)
-    raise ShapeError(f"run_recurrent: unknown kind {kind!r}")
-
-
-def run_bidirectional(kind: str, xs: Tensor, store: ParamStore, prefix: str, hidden: int) -> Tensor:
-    """Forward and backward passes concatenated per position: (T, D) -> (T, 2*hidden).
-
-    Parameters live under {prefix}fwd/ and {prefix}bwd/.
-    """
-    fwd = run_recurrent(kind, xs, store, f"{prefix}fwd/", hidden)
-    bwd = run_recurrent(kind, xs, store, f"{prefix}bwd/", hidden, reverse=True)
+    fwd = run_recurrent(kind, xs, store, f"{prefix}fwd/", hidden, lengths=lengths)
+    bwd = run_recurrent(kind, xs, store, f"{prefix}bwd/", hidden, reverse=True, lengths=lengths)
     return concat([fwd, bwd], axis=1)
 
 

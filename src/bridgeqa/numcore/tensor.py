@@ -187,13 +187,14 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def sigmoid_array(a: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, written through tanh so that no input
+    overflows."""
+    return 0.5 * (1.0 + np.tanh(0.5 * a))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = sigmoid_array(x.data)
     out = Tensor(y, (x,))
     out.bwd = lambda g: accumulate(x, g * y * (1.0 - y))
     return out
@@ -291,6 +292,21 @@ def take_row(x: Tensor, i: int) -> Tensor:
     def bwd(g):
         gx = np.zeros_like(x.data)
         gx[i] = g[0]
+        accumulate(x, gx)
+
+    out.bwd = bwd
+    return out
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows [start:stop] of a 2-d tensor, e.g. one sequence of a packed batch."""
+    if x.data.ndim != 2 or not (0 <= start < stop <= x.data.shape[0]):
+        raise ShapeError(f"slice_rows: [{start}:{stop}] invalid for shape {x.data.shape}")
+    out = Tensor(x.data[start:stop], (x,))
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
         accumulate(x, gx)
 
     out.bwd = bwd

@@ -32,7 +32,7 @@ from .bridge import (
 from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
 from .config import PipelineConfig, config_to_dict
 from .corpus import Corpus, QARecord, load_corpus, load_questions, save_corpus, save_questions, tokenize
-from .errors import ConfigError, MissingPrerequisiteError
+from .errors import ConfigError, MissingPrerequisiteError, ValidationError
 from .manifest import append_manifest, file_sha256
 from .reader import (
     ReaderExample,
@@ -568,14 +568,24 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     pred_path = out / "predictions.jsonl"
     if not pred_path.exists():
         raise MissingPrerequisiteError("predictions not found; run predict")
-    detail_path = out / "predict_detail.jsonl"
+    detail_path = _require(out / "predict_detail.jsonl", "predict")
     details = {}
-    if detail_path.exists():
-        with open(detail_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
+    skipped = []
+    modes = set()
+    with open(detail_path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                rec = json.loads(line)
+                modes.add(rec["mode"])
+                if "skipped" in rec:
+                    skipped.append({"qid": rec["qid"], "reason": rec["skipped"]})
+                else:
                     details[rec["qid"]] = rec
+    if len(modes) > 1:
+        raise ValidationError(f"{detail_path} mixes predictions of modes {sorted(modes)}; rerun predict")
+    # the report describes the mode the predictions were made under; an
+    # empty question set leaves nothing to read it from
+    mode = modes.pop() if modes else cfg.mode
     from .reader import Prediction
 
     predictions = []
@@ -595,7 +605,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
                 )
     label_list, _ = derive_bridge_labels(dev, corpus, cfg.seed)
     labels = {lbl.question_id: lbl.gold_title for lbl in label_list}
-    report = score_predictions(predictions, dev, cfg.mode, labels)
+    report = score_predictions(predictions, dev, mode, labels, skipped)
     (out / "report.json").write_text(
         json.dumps(report.aggregates(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -604,7 +614,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     entry = {
         "stage": "evaluate",
-        "mode": cfg.mode,
+        "mode": mode,
         "aggregates": report.aggregates(),
         "artifacts": ["report.json", "report_detail.jsonl"],
     }

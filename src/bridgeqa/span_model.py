@@ -33,6 +33,7 @@ from .numcore import (
     reshape,
     row_max,
     run_bidirectional,
+    slice_rows,
     softmax_rows,
     transpose,
 )
@@ -188,6 +189,10 @@ def init_span_params(
     store.add(f"{prefix}heads/end_b", np.zeros(1))
 
 
+def _token_list(tokens) -> list[str]:
+    return tokens.tokens if isinstance(tokens, TokenSeq) else list(tokens)
+
+
 def encode(
     tokens,
     table: EmbeddingTable,
@@ -195,19 +200,52 @@ def encode(
     hidden: int,
     prefix: str = "span/",
     *,
+    lengths=None,
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> EncodedSeq:
-    """Embed and run the shared bidirectional GRU: tokens -> (T, 2*hidden)."""
-    token_list = tokens.tokens if isinstance(tokens, TokenSeq) else list(tokens)
+    """Embed and run the shared bidirectional GRU: tokens -> (T, 2*hidden).
+
+    With lengths, tokens holds several sequences back to back and each is
+    encoded from its own zero state, all in one pass; encode_packed splits
+    the result.
+    """
+    token_list = _token_list(tokens)
     if len(token_list) == 0:
         raise ValidationError("encode: empty token sequence")
     idx = table.indices(token_list)
     emb = gather_rows(table.matrix, idx, table.row_mask)
-    states = run_bidirectional("gru", emb, store, f"{prefix}enc/", hidden)
+    states = run_bidirectional("gru", emb, store, f"{prefix}enc/", hidden, lengths=lengths)
     states = dropout(states, dropout_rate, training=training, rng=rng)
     return EncodedSeq(states=states, mask=np.ones(len(token_list), dtype=bool))
+
+
+def encode_packed(
+    sequences,
+    table: EmbeddingTable,
+    store: ParamStore,
+    hidden: int,
+    prefix: str = "span/",
+    **kw,
+) -> list[EncodedSeq]:
+    """Encode several token sequences in one bidirectional GRU pass; one
+    EncodedSeq per sequence, equal to encoding each on its own. Dropout is
+    drawn over the packed rows, in the same rng order as encoding them one
+    after another."""
+    token_lists = [_token_list(seq) for seq in sequences]
+    if any(len(toks) == 0 for toks in token_lists):
+        raise ValidationError("encode: empty token sequence")
+    lengths = [len(toks) for toks in token_lists]
+    flat = [tok for toks in token_lists for tok in toks]
+    packed = encode(flat, table, store, hidden, prefix, lengths=lengths, **kw)
+    parts = []
+    start = 0
+    for n in lengths:
+        states = slice_rows(packed.states, start, start + n)
+        parts.append(EncodedSeq(states=states, mask=packed.mask[start : start + n]))
+        start += n
+    return parts
 
 
 def _ones(n: int, m: int) -> Tensor:
@@ -353,9 +391,16 @@ def run_span_model(
 ) -> tuple[EncodedSeq, SpanScores]:
     """Full forward pass; returns the final per-token representations (the
     self-attention output) and the span scores."""
-    kw = dict(dropout_rate=model.dropout, training=training, rng=rng)
-    q = encode(question_tokens, model.table, model.store, model.hidden, model.prefix, **kw)
-    c = encode(context_tokens, model.table, model.store, model.hidden, model.prefix, **kw)
+    q, c = encode_packed(
+        [question_tokens, context_tokens],
+        model.table,
+        model.store,
+        model.hidden,
+        model.prefix,
+        dropout_rate=model.dropout,
+        training=training,
+        rng=rng,
+    )
     attended = biattention(c, q, model.store, model.prefix)
     final = self_attention(attended, model.store, model.prefix)
     return final, span_heads(final, model.store, model.prefix)

@@ -376,3 +376,37 @@ def test_expand_linker_failure_degrades_to_empty(caplog):
         extras = expand_with_entity_linking("anything", Exploding(), corpus, [], top_n=2)
     assert extras == []
     assert any("linker" in rec.message for rec in caplog.records)
+
+
+def test_score_bridges_all_starts_match_each_start_alone():
+    # one packed pass over the question and every start passage (and one over
+    # every abstract) scores each candidate as scoring its start passage alone
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    for name, param in model.store.items():
+        if "/b" in name:
+            param.data[:] = np.random.default_rng(1).normal(scale=0.3, size=param.data.shape)
+    q = tokenize("which target?")
+    starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
+    together = score_bridges(model, q, starts, collect_candidates(starts, corpus), corpus)
+    alone = []
+    for start in starts:
+        alone += score_bridges(model, q, [start], collect_candidates([start], corpus), corpus)
+    assert [c.target_title for c in together] == [c.target_title for c in alone]
+    for a, b in zip(together, alone):
+        assert abs(a.fused_score - b.fused_score) < 1e-12
+
+
+def test_encode_abstracts_matches_one_at_a_time_with_dropout():
+    from bridgeqa.bridge import encode_abstract, encode_abstracts
+
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus)
+    model.span.dropout = 0.4
+    passages = [corpus.by_id["p3"], None, corpus.by_id["p1"], corpus.by_id["p4"]]
+    packed = encode_abstracts(model, passages, training=True, rng=np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for p, (vec, missing) in zip(passages, packed):
+        want, want_missing = encode_abstract(model, p, training=True, rng=rng)
+        assert missing == want_missing == (p is None)
+        assert np.max(np.abs(vec.data - want.data)) < 1e-12

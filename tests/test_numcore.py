@@ -15,14 +15,11 @@ from bridgeqa.numcore import (
     cross_entropy_from_logits,
     dropout,
     gather_rows,
-    gru_cell,
     init_gru,
     init_lstm,
-    lstm_cell,
     matmul,
     max_pool_over_time,
     mul,
-    recurrent_cell,
     relu,
     reshape,
     row_max,
@@ -32,12 +29,14 @@ from bridgeqa.numcore import (
     shift,
     sigmoid,
     slice_cols,
+    slice_rows,
     softmax_rows,
     sum_all,
     take_row,
     tanh,
     transpose,
 )
+from stepwise_cells import gru_cell, lstm_cell, recurrent_cell
 
 
 def finite_diff(f, x, eps=1e-6):
@@ -224,6 +223,15 @@ def test_gradients_structural_ops():
     check_op_gradient(lambda t: reshape(t, (12,)), rng.normal(size=(3, 4)))
     check_op_gradient(lambda t: take_row(t, 1), rng.normal(size=(4, 3)))
     check_op_gradient(lambda t: slice_cols(t, 1, 3), rng.normal(size=(4, 5)))
+
+
+def test_slice_rows_gradient_and_bounds():
+    rng = np.random.default_rng(37)
+    check_op_gradient(lambda t: slice_rows(t, 1, 3), rng.normal(size=(4, 3)))
+    x = Tensor(np.zeros((4, 3)))
+    for start, stop in ((2, 2), (-1, 2), (1, 5)):
+        with pytest.raises(ShapeError):
+            slice_rows(x, start, stop)
 
 
 def test_gradients_reductions():
@@ -449,6 +457,126 @@ def test_run_recurrent_gradients_against_finite_differences():
             got = param.grad
             assert got is not None
             assert np.max(np.abs(got - num)) < 1e-6, f"{kind} reverse={reverse} {name}"
+
+
+PACKED_LENGTHS = [7, 1, 22, 13]
+
+
+def _packed_case(kind, seed, d=3, hidden=4, lengths=PACKED_LENGTHS):
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    (init_gru if kind == "gru" else init_lstm)(store, "c/", d, hidden, rng)
+    for name, param in store.items():
+        if "/b" in name:  # nonzero biases, so padding would show if it leaked
+            param.data[:] = rng.normal(scale=0.5, size=param.data.shape)
+    xs = rng.normal(size=(sum(lengths), d))
+    w = rng.normal(size=(sum(lengths), hidden))
+    return store, xs, w
+
+
+def _run_and_grads(kind, store, xs, w, hidden, reverse, lengths):
+    store.zero_grad()
+    x_t = Tensor(xs.copy())
+    out = run_recurrent(kind, x_t, store, "c/", hidden, reverse=reverse, lengths=lengths)
+    backward(sum_all(mul(out, constant(w))))
+    return out.data, x_t.grad, {name: p.grad.copy() for name, p in store.items()}
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_run_recurrent_packed_matches_separate_runs(kind, reverse):
+    store, xs, w = _packed_case(kind, 31)
+    out, dx, grads = _run_and_grads(kind, store, xs, w, 4, reverse, PACKED_LENGTHS)
+    ref_out, ref_dx = [], []
+    ref_grads = {name: np.zeros_like(p.data) for name, p in store.items()}
+    start = 0
+    for n in PACKED_LENGTHS:
+        rows = slice(start, start + n)
+        o, g_x, g = _run_and_grads(kind, store, xs[rows], w[rows], 4, reverse, None)
+        ref_out.append(o)
+        ref_dx.append(g_x)
+        for name in ref_grads:
+            ref_grads[name] += g[name]
+        start += n
+    assert np.max(np.abs(out - np.concatenate(ref_out))) < 1e-12
+    assert np.max(np.abs(dx - np.concatenate(ref_dx))) < 1e-12
+    for name, g in grads.items():
+        assert np.max(np.abs(g - ref_grads[name])) < 1e-12, name
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_run_recurrent_packed_gradients_against_finite_differences(kind, reverse):
+    lengths = [3, 1, 2]
+    store, xs, w = _packed_case(kind, 32, d=2, hidden=2, lengths=lengths)
+
+    def run_value():
+        out = run_recurrent(kind, Tensor(xs), store, "c/", 2, reverse=reverse, lengths=lengths)
+        return float((out.data * w).sum())
+
+    _, dx, grads = _run_and_grads(kind, store, xs, w, 2, reverse, lengths)
+    for name, target, got in [(n, store[n].data, g) for n, g in grads.items()] + [("x", xs, dx)]:
+        num = finite_diff(run_value, target)
+        assert np.max(np.abs(got - num)) < 1e-6, f"{kind} reverse={reverse} {name}"
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_run_recurrent_padding_gets_zero_gradient(kind, reverse):
+    # a loss on the length-1 sequence alone: the padded steps that follow it
+    # in the batch must pass back exactly nothing, so every other row's input
+    # gradient is exactly zero and the weight gradients equal its own run's
+    store, xs, w = _packed_case(kind, 33)
+    only = np.zeros_like(w)
+    only[7] = w[7]
+    _, dx, grads = _run_and_grads(kind, store, xs, only, 4, reverse, PACKED_LENGTHS)
+    assert np.all(np.delete(dx, 7, axis=0) == 0.0)
+    _, dx_alone, alone = _run_and_grads(kind, store, xs[7:8], w[7:8], 4, reverse, None)
+    assert np.max(np.abs(dx[7] - dx_alone[0])) < 1e-12
+    for name, g in grads.items():
+        assert np.max(np.abs(g - alone[name])) < 1e-12, name
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_recurrent_kernels_leave_padding_slots_at_zero(kind):
+    from bridgeqa.numcore.cells import _KINDS, _batch_layout
+
+    H, d = 3, 2
+    lens = np.array(PACKED_LENGTHS)
+    store, xs, _ = _packed_case(kind, 34, d=d, hidden=H)
+    names, _, forward, backward_kernel = _KINDS[kind]
+    W = np.concatenate([store[f"c/{n}"].data for n, _ in names], axis=1)
+    W_rec = [store[f"c/{n}"].data[d:] for n, _ in names]
+    rows, slots, T = _batch_layout(lens, reverse=False)
+    A = np.zeros((T * lens.size, W.shape[1]))
+    A[slots] = (xs @ W[:d])[rows]
+    Hs, cache = forward(A.reshape(T, lens.size, -1), W_rec, H)
+    Gs = np.zeros((T * lens.size, H))
+    Gs[slots] = 1.0
+    dA, _ = backward_kernel(Gs.reshape(T, lens.size, H), Hs, cache, W_rec, H)
+    padding = np.setdiff1d(np.arange(T * lens.size), slots)
+    assert padding.size == T * lens.size - lens.sum()
+    assert np.all(dA.reshape(T * lens.size, -1)[padding] == 0.0)
+
+
+@pytest.mark.parametrize("lengths", [[7, 1, 22], [7, 1, 22, 14], [7, 0, 22, 13], [], [[43]], [7.0, 1.0, 22.0, 13.0]])
+def test_run_recurrent_rejects_bad_lengths(lengths):
+    store, xs, _ = _packed_case("gru", 35)
+    with pytest.raises(ShapeError):
+        run_recurrent("gru", Tensor(xs), store, "c/", 4, lengths=lengths)
+
+
+def test_run_bidirectional_passes_lengths_through():
+    rng = np.random.default_rng(36)
+    store = ParamStore()
+    from bridgeqa.numcore import init_bidirectional
+
+    init_bidirectional("gru", store, "b/", 2, 3, rng)
+    xs = rng.normal(size=(5, 2))
+    packed = run_bidirectional("gru", Tensor(xs), store, "b/", 3, lengths=[2, 3])
+    first = run_bidirectional("gru", Tensor(xs[:2]), store, "b/", 3)
+    second = run_bidirectional("gru", Tensor(xs[2:]), store, "b/", 3)
+    assert np.allclose(packed.data, np.concatenate([first.data, second.data]), atol=1e-14)
 
 
 def test_run_bidirectional_width():

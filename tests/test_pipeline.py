@@ -315,3 +315,56 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
     starts = start_passages_for(state, bridge[0], use_entity_linking=True)
     reachable = {c.target_title for c in collect_candidates(starts, state.corpus)}
     assert set(pred.ranked_titles) <= reachable
+
+
+def _run_copy(mini_run, tmp_path, **overrides):
+    """The mini run's artifacts in a private directory, so stages rerun on it
+    leave the shared run untouched."""
+    import shutil
+    from dataclasses import replace as dc_replace
+
+    copy = tmp_path / "run_copy"
+    shutil.copytree(mini_run.output_dir, copy)
+    return dc_replace(mini_run, output_dir=str(copy), **overrides)
+
+
+def test_evaluate_reports_the_mode_predictions_were_made_under(mini_run, tmp_path):
+    from dataclasses import replace as dc_replace
+
+    cfg = _run_copy(mini_run, tmp_path, mode="oracle_gold_passage")
+    run_stage("predict", cfg)
+    entry = run_stage("evaluate", dc_replace(cfg, mode="full"))
+    report = json.loads((Path(cfg.output_dir) / "report.json").read_text())
+    assert report["mode"] == "oracle_gold_passage"
+    assert entry["mode"] == "oracle_gold_passage"
+
+
+def test_evaluate_counts_predict_skips(mini_run, tmp_path, monkeypatch):
+    from bridgeqa import pipeline
+
+    real_predict = pipeline.predict_questions
+
+    def predict_skipping_first(state, questions, mode, labels):
+        predictions, skipped = real_predict(state, questions, mode, labels)
+        first = predictions.pop(0)
+        return predictions, skipped + [{"qid": first.qid, "reason": "test skip"}]
+
+    monkeypatch.setattr(pipeline, "predict_questions", predict_skipping_first)
+    cfg = _run_copy(mini_run, tmp_path)
+    n_skipped = run_stage("predict", cfg)["n_skipped"]
+    assert n_skipped >= 1
+    run_stage("evaluate", cfg)
+    report = json.loads((Path(cfg.output_dir) / "report.json").read_text())
+    assert report["n_skipped"] == n_skipped
+
+
+def test_evaluate_refuses_mixed_prediction_modes(mini_run, tmp_path):
+    from bridgeqa.errors import ValidationError
+
+    cfg = _run_copy(mini_run, tmp_path)
+    detail = Path(cfg.output_dir) / "predict_detail.jsonl"
+    rows = [json.loads(line) for line in detail.read_text().splitlines() if line]
+    rows[0]["mode"] = "no_el"
+    detail.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+    with pytest.raises(ValidationError, match="mixes"):
+        run_stage("evaluate", cfg)

@@ -350,3 +350,27 @@ def test_frozen_table_trains_only_unk_row():
     grad = table.matrix.grad
     assert np.any(grad[table.unk_index] != 0)
     assert np.all(grad[VOCAB["kiss"]] == 0)
+
+
+def test_encode_packed_matches_separate_encodes_with_dropout():
+    from bridgeqa.span_model import encode_packed
+
+    m = tiny_model(seed=14, dropout=0.3)
+    seqs = [tokenize("who stars"), ["kiss"], tokenize("kiss and tell stars temple")]
+    kw = dict(dropout_rate=0.3, training=True)
+    packed = encode_packed(seqs, m.table, m.store, HID, rng=np.random.default_rng(5), **kw)
+    rng = np.random.default_rng(5)
+    # one dropout draw over the packed rows consumes the rng as the separate
+    # draws, in sequence order, do
+    separate = [encode(s, m.table, m.store, HID, rng=rng, **kw) for s in seqs]
+    for got, want in zip(packed, separate):
+        assert len(got) == len(want)
+        assert np.max(np.abs(got.states.data - want.states.data)) < 1e-12
+
+
+def test_encode_packed_rejects_an_empty_sequence():
+    from bridgeqa.span_model import encode_packed
+
+    m = tiny_model()
+    with pytest.raises(ValidationError):
+        encode_packed([["kiss"], []], m.table, m.store, HID)
