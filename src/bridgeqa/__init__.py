@@ -47,7 +47,6 @@ from .reader import (
     ReaderExample,
     best_span,
     build_reader_context,
-    build_reader_training_set,
     decode_answer,
     locate_answer_span,
     reader_loss,

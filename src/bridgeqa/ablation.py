@@ -1,4 +1,5 @@
-"""End-to-end answering and the ablation harness.
+"""End-to-end answering and the ablation harness, plus the start-set and
+answer-passage builders the pipeline stages share with answering.
 
 Bridge questions are read from the reasoner's top ranked answer passages;
 comparison questions are read directly from the retrieved start passages.
@@ -32,7 +33,8 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class PipelineState:
-    """Trained components plus the shared read-only corpus and index."""
+    """The shared read-only corpus, index and linker, plus the trained
+    components once loaded (the training stages use it without them)."""
 
     corpus: Corpus
     index: InvertedIndex
@@ -43,9 +45,22 @@ class PipelineState:
     linker: object | None = None
 
 
+def _with_linked(
+    state: PipelineState, record: QARecord, passages: list[Passage], use_entity_linking: bool
+) -> list[Passage]:
+    """The passages plus the linker's extras for the question, when linking is on."""
+    if use_entity_linking and state.linker is not None:
+        passages = passages + expand_with_entity_linking(
+            record.question, state.linker, state.corpus, passages, top_n=state.cfg.top_n_el
+        )
+    return passages
+
+
 def start_passages_for(
     state: PipelineState, record: QARecord, *, use_entity_linking: bool
 ) -> list[Passage]:
+    """The question's start set: its top-k retrieved passages plus the
+    entity-linked extras."""
     results = retrieve_start_passages(
         state.index,
         tokenize(record.question),
@@ -55,11 +70,16 @@ def start_passages_for(
         title_weight=state.cfg.title_weight,
     )
     passages = [state.corpus.by_id[r.passage_id] for r in results]
-    if use_entity_linking and state.linker is not None:
-        passages = passages + expand_with_entity_linking(
-            record.question, state.linker, state.corpus, passages, top_n=state.cfg.top_n_el
-        )
-    return passages
+    return _with_linked(state, record, passages, use_entity_linking)
+
+
+def answer_passages_for(
+    state: PipelineState, record: QARecord, titles: list[str], *, use_entity_linking: bool
+) -> list[Passage]:
+    """The reader's input for ranked answer titles: their passages (titles
+    missing from the corpus are dropped) plus the entity-linked extras."""
+    passages = [state.corpus.by_title[t] for t in titles if t in state.corpus.by_title]
+    return _with_linked(state, record, passages, use_entity_linking)
 
 
 def _reader_for_mode(state: PipelineState, mode: str) -> SpanModel:
@@ -127,15 +147,10 @@ def predict_one(
             )
             ranked = rank_answer_passages(scored, k=state.cfg.reader_max_passages)
         if ranked:
-            context_passages = [state.corpus.by_title[t] for t, _ in ranked]
             ranked_titles = [t for t, _ in ranked]
             ranked_scored = list(ranked)
             # the entity-linked abstracts also join the reader input
-            if use_el and state.linker is not None:
-                context_passages = context_passages + expand_with_entity_linking(
-                    record.question, state.linker, state.corpus, context_passages,
-                    top_n=state.cfg.top_n_el,
-                )
+            context_passages = answer_passages_for(state, record, ranked_titles, use_entity_linking=use_el)
         else:
             log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
             context_passages = starts[: state.cfg.reader_max_passages]

@@ -10,7 +10,6 @@ contains the answer string.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,9 +20,9 @@ from .metrics import normalize_answer
 from .numcore import (
     ParamStore,
     Tensor,
-    adam_step,
+    adam_step,  # noqa: F401 - bench/layers.py traces bridge.adam_step
     add,
-    backward,
+    backward,  # noqa: F401 - bench/layers.py traces bridge.backward
     concat,
     constant,
     cross_entropy_from_logits,
@@ -38,6 +37,7 @@ from .numcore import (
     slice_rows,
     take_row,
 )
+from .reader import fit
 from .span_model import (
     EmbeddingTable,
     SpanModel,
@@ -350,18 +350,6 @@ class TitleTokenLinker:
         return hits
 
 
-class CallableLinker:
-    """Adapter for an external linking service: wraps any callable that maps a
-    question string to ranked (title, score) pairs. Disabled by default in the
-    pipeline; failures degrade to no expansion."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def link(self, question: str) -> list[tuple[str, float]]:
-        return list(self._fn(question))
-
-
 def expand_with_entity_linking(
     question_text: str,
     linker,
@@ -407,8 +395,6 @@ class BridgeTrainConfig:
     batch_size: int = 1
     seed: int = 13
     early_stop_hits1: float = 0.95
-    use_context: bool = True
-    use_content: bool = True
 
 
 @dataclass
@@ -454,69 +440,38 @@ def train_bridge_reasoner(
     """Adam training over per-question marginal NLL. Questions whose gold is
     absent from the candidate pool are skipped and counted. Stops early once
     the running train Hits@1 reaches the configured threshold."""
-    rng = np.random.default_rng([cfg.seed, 7])
     trainable = [qi for qi in inputs if qi.label is not None]
-    history: list[dict] = []
-    started = time.monotonic()
     gold_missing = sum(
         1
         for qi in trainable
         if not gold_mention_indices(qi.candidates, qi.label.gold_title)
     )
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(trainable))
-        losses: list[float] = []
-        hits = 0
-        judged = 0
-        batch: list[Tensor] = []
-        for pos, idx in enumerate(order):
-            qi = trainable[int(idx)]
-            if not qi.candidates:
-                continue
-            scored = score_bridges(
-                model,
-                qi.question_tokens,
-                qi.start_passages,
-                qi.candidates,
-                corpus,
-                use_context=cfg.use_context,
-                use_content=cfg.use_content,
-                training=True,
-                rng=rng,
-            )
-            ranked = rank_answer_passages(scored, k=1)
-            judged += 1
-            if ranked and ranked[0][0] == qi.label.gold_title:
-                hits += 1
-            if gold_mention_indices(scored, qi.label.gold_title):
-                loss = bridge_loss(scored, qi.label)
-                losses.append(loss.item())
-                batch.append(loss)
-            if batch and (len(batch) >= cfg.batch_size or pos == len(order) - 1):
-                total = batch[0]
-                for extra in batch[1:]:
-                    total = add(total, extra)
-                backward(total)
-                adam_step(model.store, model.store.gradients(), lr=cfg.lr)
-                model.store.zero_grad()
-                batch = []
-        train_hits1 = hits / judged if judged else 0.0
-        history.append(
-            {
-                "epoch": epoch,
-                "mean_loss": float(np.mean(losses)) if losses else None,
-                "train_hits1": train_hits1,
-            }
+
+    def step(qi: QuestionInputs, rng: np.random.Generator) -> tuple[Tensor | None, bool | None]:
+        if not qi.candidates:
+            return None, None
+        scored = score_bridges(
+            model, qi.question_tokens, qi.start_passages, qi.candidates, corpus, training=True, rng=rng
         )
-        if train_hits1 >= cfg.early_stop_hits1:
-            break
-    return {
-        "epochs_run": len(history),
-        "history": history,
-        "train_seconds": time.monotonic() - started,
-        "n_train_questions": len(trainable),
-        "n_gold_missing": gold_missing,
-    }
+        ranked = rank_answer_passages(scored, k=1)
+        hit = bool(ranked) and ranked[0][0] == qi.label.gold_title
+        if not gold_mention_indices(scored, qi.label.gold_title):
+            return None, hit
+        return bridge_loss(scored, qi.label), hit
+
+    stats = fit(
+        model.store,
+        trainable,
+        step,
+        lr=cfg.lr,
+        epochs=cfg.epochs,
+        batch_size=cfg.batch_size,
+        rng=np.random.default_rng([cfg.seed, 7]),
+        early_stop=cfg.early_stop_hits1,
+        metric="train_hits1",
+    )
+    stats.update(n_train_questions=len(trainable), n_gold_missing=gold_missing)
+    return stats
 
 
 def evaluate_hits(
@@ -524,9 +479,6 @@ def evaluate_hits(
     inputs: list[QuestionInputs],
     corpus: Corpus,
     k: int = 1,
-    *,
-    use_context: bool = True,
-    use_content: bool = True,
 ) -> float:
     """Inference-mode Hits@k of the reasoner over labeled questions."""
     hits = 0
@@ -537,15 +489,7 @@ def evaluate_hits(
         judged += 1
         if not qi.candidates:
             continue
-        scored = score_bridges(
-            model,
-            qi.question_tokens,
-            qi.start_passages,
-            qi.candidates,
-            corpus,
-            use_context=use_context,
-            use_content=use_content,
-        )
+        scored = score_bridges(model, qi.question_tokens, qi.start_passages, qi.candidates, corpus)
         ranked = rank_answer_passages(scored, k=k)
         if any(title == qi.label.gold_title for title, _ in ranked):
             hits += 1

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 MANIFEST_FILE = "manifest.json"
@@ -18,6 +20,22 @@ def file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@contextmanager
+def atomic_write(path: str | Path):
+    """Open a text file for writing through a temporary file beside it, moved
+    over `path` with os.replace on success. On failure the temporary file is
+    removed and the previous file, if any, stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_manifest(output_dir: str | Path) -> list[dict]:
@@ -34,9 +52,8 @@ def append_manifest(output_dir: str | Path, entry: dict) -> None:
     entry = dict(entry)
     entry.setdefault("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()))
     entries.append(entry)
-    (output_dir / MANIFEST_FILE).write_text(
-        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(output_dir / MANIFEST_FILE) as fh:
+        fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
 
 
 def verify_fold_hygiene(output_dir: str | Path) -> list[str]:

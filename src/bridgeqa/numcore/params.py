@@ -45,9 +45,6 @@ class ParamStore:
     def gradients(self) -> dict[str, np.ndarray]:
         return {name: t.grad for name, t in self._tensors.items() if t.grad is not None}
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._tensors.items()}
-
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, arr in arrays.items():
             if name not in self._tensors:

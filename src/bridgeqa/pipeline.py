@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ablation import PipelineState, predict_questions, score_predictions
+from .ablation import (
+    PipelineState,
+    answer_passages_for,
+    predict_questions,
+    score_predictions,
+    start_passages_for,
+)
 from .bridge import (
     BridgeLabel,
     BridgeModel,
@@ -23,7 +29,7 @@ from .bridge import (
     TitleTokenLinker,
     derive_bridge_labels,
     evaluate_hits,
-    expand_with_entity_linking,
+    expand_with_entity_linking,  # noqa: F401 - bench/layers.py traces pipeline.expand_with_entity_linking
     init_bridge_model,
     predict_ranked_titles,
     prepare_question_inputs,
@@ -31,9 +37,9 @@ from .bridge import (
 )
 from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
 from .config import PipelineConfig, config_to_dict
-from .corpus import Corpus, QARecord, load_corpus, load_questions, save_corpus, save_questions, tokenize
+from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions, tokenize
 from .errors import ConfigError, MissingPrerequisiteError, ValidationError
-from .manifest import append_manifest, file_sha256
+from .manifest import append_manifest, atomic_write, file_sha256
 from .reader import (
     ReaderExample,
     ReaderTrainConfig,
@@ -41,7 +47,13 @@ from .reader import (
     train_reader,
     two_fold_split,
 )
-from .retrieval import InvertedIndex, build_index, index_from_dict, index_to_dict, retrieve_start_passages
+from .retrieval import (
+    InvertedIndex,
+    build_index,
+    index_from_dict,
+    index_to_dict,
+    retrieve_start_passages,  # noqa: F401 - bench/layers.py traces pipeline.retrieve_start_passages
+)
 from .span_model import SpanModel, build_vocab, init_span_model, load_embedding_text
 
 log = logging.getLogger(__name__)
@@ -70,6 +82,22 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
+def _read_jsonl(path: Path) -> list[dict]:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def _write_json(path: Path, obj, indent: int | None = None) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, indent=indent, sort_keys=True) + "\n")
+
+
 def _load_ingested(cfg: PipelineConfig) -> tuple[Corpus, list[QARecord], list[QARecord]]:
     out = _out(cfg)
     corpus = load_corpus(_require(out / "corpus.jsonl", "ingest"))
@@ -84,16 +112,17 @@ def _load_index(cfg: PipelineConfig) -> InvertedIndex:
     return index_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
+def _load_state(cfg: PipelineConfig) -> tuple[PipelineState, list[QARecord], list[QARecord]]:
+    """The corpus, index and linker as a model-less state, plus the train and
+    dev questions."""
+    corpus, train, dev = _load_ingested(cfg)
+    linker = TitleTokenLinker(corpus) if cfg.entity_linking else None
+    return PipelineState(corpus, _load_index(cfg), cfg, linker=linker), train, dev
+
+
 def _load_labels(cfg: PipelineConfig) -> list[BridgeLabel]:
-    out = _out(cfg)
-    path = _require(out / "bridge_labels.jsonl", "derive-labels")
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                labels.append(BridgeLabel(rec["qid"], rec["gold_title"]))
-    return labels
+    path = _require(_out(cfg) / "bridge_labels.jsonl", "derive-labels")
+    return [BridgeLabel(rec["qid"], rec["gold_title"]) for rec in _read_jsonl(path)]
 
 
 def _vocab_for(cfg: PipelineConfig, corpus: Corpus, questions: list[QARecord]) -> dict[str, int]:
@@ -104,11 +133,15 @@ def _vocab_for(cfg: PipelineConfig, corpus: Corpus, questions: list[QARecord]) -
     return build_vocab(sources)
 
 
-def _frozen_embeddings(cfg: PipelineConfig, vocab: dict[str, int]) -> tuple[dict[str, int], np.ndarray, int] | None:
-    """When a pre-trained vector file is configured, restrict the vocabulary to
-    covered tokens (others map to unk) and freeze the table."""
+def _frozen_embeddings(
+    cfg: PipelineConfig, vocab: dict[str, int]
+) -> tuple[dict[str, int], np.ndarray | None, int]:
+    """(vocabulary, frozen table, width) of the embedding layer. When a
+    pre-trained vector file is configured, the vocabulary is restricted to
+    covered tokens (others map to unk) and the table is frozen; otherwise the
+    vocabulary stays, the table is trained and no matrix is given."""
     if cfg.embeddings_path is None:
-        return None
+        return vocab, None, cfg.embed_dim
     tokens, matrix = load_embedding_text(cfg.embeddings_path)
     dim = matrix.shape[1]
     by_token = {}
@@ -125,35 +158,22 @@ def _frozen_embeddings(cfg: PipelineConfig, vocab: dict[str, int]) -> tuple[dict
 
 def _new_bridge_model(cfg: PipelineConfig, vocab: dict[str, int], seed_tag: int) -> BridgeModel:
     rng = np.random.default_rng([cfg.seed, 100 + seed_tag])
-    frozen = _frozen_embeddings(cfg, vocab)
-    if frozen is not None:
-        vocab, matrix, dim = frozen
-        return init_bridge_model(
-            vocab, dim, cfg.gru_hidden, cfg.lstm_hidden, cfg.dropout, rng,
-            frozen_embeddings=matrix, abstract_max_tokens=cfg.abstract_max_tokens,
-        )
+    vocab, matrix, dim = _frozen_embeddings(cfg, vocab)
     return init_bridge_model(
-        vocab, cfg.embed_dim, cfg.gru_hidden, cfg.lstm_hidden, cfg.dropout, rng,
-        abstract_max_tokens=cfg.abstract_max_tokens,
+        vocab, dim, cfg.gru_hidden, cfg.lstm_hidden, cfg.dropout, rng,
+        frozen_embeddings=matrix, abstract_max_tokens=cfg.abstract_max_tokens,
     )
 
 
 def _new_reader_model(cfg: PipelineConfig, vocab: dict[str, int], seed_tag: int) -> SpanModel:
     rng = np.random.default_rng([cfg.seed, 200 + seed_tag])
-    frozen = _frozen_embeddings(cfg, vocab)
-    if frozen is not None:
-        vocab, matrix, dim = frozen
-        return init_span_model(vocab, dim, cfg.gru_hidden, cfg.dropout, rng, frozen_embeddings=matrix)
-    return init_span_model(vocab, cfg.embed_dim, cfg.gru_hidden, cfg.dropout, rng)
+    vocab, matrix, dim = _frozen_embeddings(cfg, vocab)
+    return init_span_model(vocab, dim, cfg.gru_hidden, cfg.dropout, rng, frozen_embeddings=matrix)
 
 
-def _save_model(store, vocab: dict[str, int], directory: Path, extra: dict | None = None) -> str:
+def _save_model(store, vocab: dict[str, int], directory: Path) -> str:
     save_checkpoint(store, directory)
-    meta = {"vocab": vocab}
-    meta.update(extra or {})
-    (directory / "vocab.json").write_text(
-        json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(directory / "vocab.json", {"vocab": vocab})
     return checkpoint_digest(directory)
 
 
@@ -162,25 +182,27 @@ def _load_vocab(directory: Path) -> dict[str, int]:
     return {tok: int(i) for tok, i in meta["vocab"].items()}
 
 
-def _start_sets(
-    cfg: PipelineConfig,
-    corpus: Corpus,
-    index: InvertedIndex,
-    questions: list[QARecord],
-    linker,
-) -> dict[str, list]:
-    sets = {}
-    for q in questions:
-        results = retrieve_start_passages(
-            index, tokenize(q.question), cfg.k, k1=cfg.k1, b=cfg.b, title_weight=cfg.title_weight
-        )
-        passages = [corpus.by_id[r.passage_id] for r in results]
-        if cfg.entity_linking and linker is not None:
-            passages = passages + expand_with_entity_linking(
-                q.question, linker, corpus, passages, top_n=cfg.top_n_el
-            )
-        sets[q.id] = passages
-    return sets
+def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int):
+    model = new_model(cfg, _load_vocab(directory), seed_tag=seed_tag)
+    load_checkpoint(model.store, directory)
+    return model
+
+
+def _start_sets(state: PipelineState, questions: list[QARecord]) -> dict[str, list[Passage]]:
+    return {
+        q.id: start_passages_for(state, q, use_entity_linking=state.cfg.entity_linking)
+        for q in questions
+    }
+
+
+def _bridge_train_config(cfg: PipelineConfig) -> BridgeTrainConfig:
+    return BridgeTrainConfig(
+        lr=cfg.lr,
+        epochs=cfg.bridge_epochs,
+        batch_size=cfg.batch_size,
+        seed=cfg.seed,
+        early_stop_hits1=cfg.bridge_early_stop_hits1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +239,7 @@ def stage_build_index(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     corpus, _, _ = _load_ingested(cfg)
     index = build_index(corpus)
-    (out / "index.json").write_text(
-        json.dumps(index_to_dict(index), sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "index.json", index_to_dict(index))
     entry = {
         "stage": "build-index",
         "n_documents": index.N,
@@ -234,12 +254,11 @@ def stage_derive_labels(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     corpus, train, _ = _load_ingested(cfg)
     labels, skipped = derive_bridge_labels(train, corpus, cfg.seed)
-    with open(out / "bridge_labels.jsonl", "w", encoding="utf-8") as fh:
-        for lbl in labels:
-            fh.write(json.dumps({"qid": lbl.question_id, "gold_title": lbl.gold_title}, sort_keys=True) + "\n")
-    with open(out / "label_skips.jsonl", "w", encoding="utf-8") as fh:
-        for rec in skipped:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_jsonl(
+        out / "bridge_labels.jsonl",
+        ({"qid": lbl.question_id, "gold_title": lbl.gold_title} for lbl in labels),
+    )
+    _write_jsonl(out / "label_skips.jsonl", skipped)
     entry = {
         "stage": "derive-labels",
         "n_labels": len(labels),
@@ -252,32 +271,16 @@ def stage_derive_labels(cfg: PipelineConfig) -> dict:
 
 def stage_train_bridge(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
-    corpus, train, dev = _load_ingested(cfg)
-    index = _load_index(cfg)
+    state, train, dev = _load_state(cfg)
     labels = _load_labels(cfg)
-    linker = TitleTokenLinker(corpus) if cfg.entity_linking else None
-    vocab = _vocab_for(cfg, corpus, train + dev)
-    model = _new_bridge_model(cfg, vocab, seed_tag=0)
+    corpus = state.corpus
+    model = _new_bridge_model(cfg, _vocab_for(cfg, corpus, train + dev), seed_tag=0)
     bridge_questions = [q for q in train if q.qtype == "bridge"]
-    start_sets = _start_sets(cfg, corpus, index, bridge_questions, linker)
-    inputs = prepare_question_inputs(bridge_questions, labels, start_sets, corpus)
-    stats = train_bridge_reasoner(
-        model,
-        inputs,
-        corpus,
-        BridgeTrainConfig(
-            lr=cfg.lr,
-            epochs=cfg.bridge_epochs,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-            early_stop_hits1=cfg.bridge_early_stop_hits1,
-        ),
-    )
+    inputs = prepare_question_inputs(bridge_questions, labels, _start_sets(state, bridge_questions), corpus)
+    stats = train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
     stats["final_train_hits1"] = evaluate_hits(model, inputs, corpus, k=1)
     digest = _save_model(model.store, model.table.vocab, out / "checkpoints" / "bridge")
-    (out / "bridge_train_log.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "bridge_train_log.json", stats, indent=2)
     entry = {
         "stage": "train-bridge",
         "checkpoint": "checkpoints/bridge",
@@ -292,17 +295,16 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
 
 def stage_cross_predict(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
-    corpus, train, dev = _load_ingested(cfg)
-    index = _load_index(cfg)
+    state, train, dev = _load_state(cfg)
     labels = _load_labels(cfg)
-    linker = TitleTokenLinker(corpus) if cfg.entity_linking else None
+    corpus = state.corpus
     vocab = _vocab_for(cfg, corpus, train + dev)
     labeled_ids = {lbl.question_id for lbl in labels}
     bridge_questions = [q for q in train if q.qtype == "bridge" and q.id in labeled_ids]
     fold_a, fold_b = two_fold_split([q.id for q in bridge_questions], cfg.seed)
     folds = {"A": fold_a, "B": fold_b}
     by_qid = {q.id: q for q in bridge_questions}
-    start_sets = _start_sets(cfg, corpus, index, bridge_questions, linker)
+    start_sets = _start_sets(state, bridge_questions)
 
     predictions: dict[str, dict] = {}
     digests = {}
@@ -310,18 +312,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         fold_questions = [by_qid[qid] for qid in folds[fold_name]]
         inputs = prepare_question_inputs(fold_questions, labels, start_sets, corpus)
         model = _new_bridge_model(cfg, vocab, seed_tag=1 if fold_name == "A" else 2)
-        train_bridge_reasoner(
-            model,
-            inputs,
-            corpus,
-            BridgeTrainConfig(
-                lr=cfg.lr,
-                epochs=cfg.bridge_epochs,
-                batch_size=cfg.batch_size,
-                seed=cfg.seed,
-                early_stop_hits1=cfg.bridge_early_stop_hits1,
-            ),
-        )
+        train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
         digests[fold_name] = _save_model(
             model.store, model.table.vocab, out / "checkpoints" / f"bridge_fold_{fold_name.lower()}"
         )
@@ -336,10 +327,8 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
                 "titles": [t for t, _ in ranked],
             }
 
-    (out / "folds.json").write_text(json.dumps(folds, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with open(out / "cross_predictions.jsonl", "w", encoding="utf-8") as fh:
-        for qid in sorted(predictions):
-            fh.write(json.dumps(predictions[qid], sort_keys=True) + "\n")
+    _write_json(out / "folds.json", folds, indent=2)
+    _write_jsonl(out / "cross_predictions.jsonl", (predictions[qid] for qid in sorted(predictions)))
     entry = {
         "stage": "cross-predict",
         "folds": folds,
@@ -356,13 +345,11 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
 
 
 def _build_reader_examples(
-    cfg: PipelineConfig,
-    corpus: Corpus,
-    index: InvertedIndex,
+    state: PipelineState,
     train: list[QARecord],
     cross_preds: dict[str, dict],
-    linker,
 ) -> tuple[list[ReaderExample], list[dict]]:
+    cfg = state.cfg
     examples: list[ReaderExample] = []
     skips: list[dict] = []
     for q in train:
@@ -371,21 +358,10 @@ def _build_reader_examples(
             if pred is None:
                 skips.append({"qid": q.id, "reason": "no cross-prediction (unlabeled question)"})
                 continue
-            passages = [corpus.by_title[t] for t in pred["titles"] if t in corpus.by_title]
-            if cfg.entity_linking and linker is not None:
-                passages = passages + expand_with_entity_linking(
-                    q.question, linker, corpus, passages, top_n=cfg.top_n_el
-                )
+            passages = answer_passages_for(state, q, pred["titles"], use_entity_linking=cfg.entity_linking)
             fold = pred["predicted_by_fold"]
         else:
-            results = retrieve_start_passages(
-                index, tokenize(q.question), cfg.k, k1=cfg.k1, b=cfg.b, title_weight=cfg.title_weight
-            )
-            passages = [corpus.by_id[r.passage_id] for r in results]
-            if cfg.entity_linking and linker is not None:
-                passages = passages + expand_with_entity_linking(
-                    q.question, linker, corpus, passages, top_n=cfg.top_n_el
-                )
+            passages = start_passages_for(state, q, use_entity_linking=cfg.entity_linking)
             passages = passages[: cfg.reader_max_passages]
             fold = None
         example, reason = make_reader_example(
@@ -404,38 +380,26 @@ def _build_reader_examples(
 
 def stage_train_reader(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
-    corpus, train, dev = _load_ingested(cfg)
-    index = _load_index(cfg)
-    _require(out / "cross_predictions.jsonl", "cross-predict")
-    cross_preds = {}
-    with open(out / "cross_predictions.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                cross_preds[rec["qid"]] = rec
-    linker = TitleTokenLinker(corpus) if cfg.entity_linking else None
-    examples, skips = _build_reader_examples(cfg, corpus, index, train, cross_preds, linker)
+    state, train, dev = _load_state(cfg)
+    cross_path = _require(out / "cross_predictions.jsonl", "cross-predict")
+    cross_preds = {rec["qid"]: rec for rec in _read_jsonl(cross_path)}
+    examples, skips = _build_reader_examples(state, train, cross_preds)
+    _write_jsonl(
+        out / "reader_examples.jsonl",
+        (
+            {
+                "qid": ex.question_id,
+                "predicted_by_fold": ex.predicted_by_fold,
+                "titles": ex.context.titles,
+                "answer_span": list(ex.answer_span) if ex.answer_span else None,
+                "title_span": list(ex.title_span) if ex.title_span else None,
+            }
+            for ex in examples
+        ),
+    )
+    _write_jsonl(out / "reader_example_skips.jsonl", skips)
 
-    with open(out / "reader_examples.jsonl", "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "qid": ex.question_id,
-                        "predicted_by_fold": ex.predicted_by_fold,
-                        "titles": ex.context.titles,
-                        "answer_span": list(ex.answer_span) if ex.answer_span else None,
-                        "title_span": list(ex.title_span) if ex.title_span else None,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(out / "reader_example_skips.jsonl", "w", encoding="utf-8") as fh:
-        for rec in skips:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    vocab = _vocab_for(cfg, corpus, train + dev)
+    vocab = _vocab_for(cfg, state.corpus, train + dev)
     reader_cfg = ReaderTrainConfig(
         lr=cfg.reader_lr if cfg.reader_lr is not None else cfg.lr,
         epochs=cfg.reader_epochs,
@@ -456,9 +420,7 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
         logs["reader_no_multitask"] = train_reader(nomt, examples, nomt_cfg)
         _save_model(nomt.store, nomt.table.vocab, out / "checkpoints" / "reader_no_multitask")
 
-    (out / "reader_train_log.json").write_text(
-        json.dumps(logs, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "reader_train_log.json", logs, indent=2)
     entry = {
         "stage": "train-reader",
         "checkpoint": "checkpoints/reader",
@@ -475,82 +437,45 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
 
 def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
     """Assemble trained components from the output directory's checkpoints."""
-    out = _out(cfg)
-    corpus, _, _ = _load_ingested(cfg)
-    index = _load_index(cfg)
-    linker = TitleTokenLinker(corpus) if cfg.entity_linking else None
-
-    bridge_dir = out / "checkpoints" / "bridge"
-    _require(bridge_dir / "manifest.json", "train-bridge")
-    bridge_vocab = _load_vocab(bridge_dir)
-    bridge = _new_bridge_model(cfg, bridge_vocab, seed_tag=0)
-    load_checkpoint(bridge.store, bridge_dir)
-
-    reader_dir = out / "checkpoints" / "reader"
-    _require(reader_dir / "manifest.json", "train-reader")
-    reader_vocab = _load_vocab(reader_dir)
-    reader = _new_reader_model(cfg, reader_vocab, seed_tag=0)
-    load_checkpoint(reader.store, reader_dir)
-
-    reader_nomt = None
-    nomt_dir = out / "checkpoints" / "reader_no_multitask"
+    checkpoints = _out(cfg) / "checkpoints"
+    state, _, _ = _load_state(cfg)
+    _require(checkpoints / "bridge" / "manifest.json", "train-bridge")
+    state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", seed_tag=0)
+    _require(checkpoints / "reader" / "manifest.json", "train-reader")
+    state.reader = _load_model(_new_reader_model, cfg, checkpoints / "reader", seed_tag=0)
+    nomt_dir = checkpoints / "reader_no_multitask"
     if (nomt_dir / "manifest.json").exists():
-        reader_nomt = _new_reader_model(cfg, _load_vocab(nomt_dir), seed_tag=1)
-        load_checkpoint(reader_nomt.store, nomt_dir)
-
-    return PipelineState(
-        corpus=corpus,
-        index=index,
-        cfg=cfg,
-        bridge=bridge,
-        reader=reader,
-        reader_no_multitask=reader_nomt,
-        linker=linker,
-    )
+        state.reader_no_multitask = _load_model(_new_reader_model, cfg, nomt_dir, seed_tag=1)
+    return state
 
 
 def stage_predict(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     state = load_pipeline_state(cfg)
-    _, _, dev = _load_ingested(cfg)
+    dev = load_questions(_require(out / "questions_dev.jsonl", "ingest"))
     label_list, _ = derive_bridge_labels(dev, state.corpus, cfg.seed)
     labels = {lbl.question_id: lbl.gold_title for lbl in label_list}
     predictions, skipped = predict_questions(state, dev, cfg.mode, labels)
-    with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for p in predictions:
-            fh.write(
-                json.dumps({"qid": p.qid, "answer": p.answer, "passages": p.passages}, sort_keys=True)
-                + "\n"
-            )
-    with open(out / "predict_detail.jsonl", "w", encoding="utf-8") as fh:
-        for p in predictions:
-            fh.write(
-                json.dumps(
-                    {
-                        "qid": p.qid,
-                        "ranked_titles": p.ranked_titles,
-                        "fallback": p.fallback,
-                        "mode": cfg.mode,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        for rec in skipped:
-            fh.write(json.dumps({"qid": rec["qid"], "skipped": rec["reason"], "mode": cfg.mode}, sort_keys=True) + "\n")
-    with open(out / "candidates.jsonl", "w", encoding="utf-8") as fh:
-        for p in predictions:
-            if p.ranked_scored:
-                fh.write(
-                    json.dumps(
-                        {
-                            "qid": p.qid,
-                            "candidates": [{"title": t, "score": s} for t, s in p.ranked_scored],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    _write_jsonl(
+        out / "predictions.jsonl",
+        ({"qid": p.qid, "answer": p.answer, "passages": p.passages} for p in predictions),
+    )
+    _write_jsonl(
+        out / "predict_detail.jsonl",
+        [
+            {"qid": p.qid, "ranked_titles": p.ranked_titles, "fallback": p.fallback, "mode": cfg.mode}
+            for p in predictions
+        ]
+        + [{"qid": rec["qid"], "skipped": rec["reason"], "mode": cfg.mode} for rec in skipped],
+    )
+    _write_jsonl(
+        out / "candidates.jsonl",
+        (
+            {"qid": p.qid, "candidates": [{"title": t, "score": s} for t, s in p.ranked_scored]}
+            for p in predictions
+            if p.ranked_scored
+        ),
+    )
     entry = {
         "stage": "predict",
         "mode": cfg.mode,
@@ -572,15 +497,12 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     details = {}
     skipped = []
     modes = set()
-    with open(detail_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                modes.add(rec["mode"])
-                if "skipped" in rec:
-                    skipped.append({"qid": rec["qid"], "reason": rec["skipped"]})
-                else:
-                    details[rec["qid"]] = rec
+    for rec in _read_jsonl(detail_path):
+        modes.add(rec["mode"])
+        if "skipped" in rec:
+            skipped.append({"qid": rec["qid"], "reason": rec["skipped"]})
+        else:
+            details[rec["qid"]] = rec
     if len(modes) > 1:
         raise ValidationError(f"{detail_path} mixes predictions of modes {sorted(modes)}; rerun predict")
     # the report describes the mode the predictions were made under; an
@@ -589,29 +511,22 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     from .reader import Prediction
 
     predictions = []
-    with open(pred_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                det = details.get(rec["qid"], {})
-                predictions.append(
-                    Prediction(
-                        qid=rec["qid"],
-                        answer=rec["answer"],
-                        passages=rec["passages"],
-                        ranked_titles=det.get("ranked_titles", rec["passages"]),
-                        fallback=det.get("fallback", False),
-                    )
-                )
+    for rec in _read_jsonl(pred_path):
+        det = details.get(rec["qid"], {})
+        predictions.append(
+            Prediction(
+                qid=rec["qid"],
+                answer=rec["answer"],
+                passages=rec["passages"],
+                ranked_titles=det.get("ranked_titles", rec["passages"]),
+                fallback=det.get("fallback", False),
+            )
+        )
     label_list, _ = derive_bridge_labels(dev, corpus, cfg.seed)
     labels = {lbl.question_id: lbl.gold_title for lbl in label_list}
     report = score_predictions(predictions, dev, mode, labels, skipped)
-    (out / "report.json").write_text(
-        json.dumps(report.aggregates(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    with open(out / "report_detail.jsonl", "w", encoding="utf-8") as fh:
-        for row in report.to_dict()["per_question"]:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_json(out / "report.json", report.aggregates(), indent=2)
+    _write_jsonl(out / "report_detail.jsonl", report.to_dict()["per_question"])
     entry = {
         "stage": "evaluate",
         "mode": mode,

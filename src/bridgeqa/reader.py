@@ -2,23 +2,27 @@
 context (title blocks included, "yes"/"no" sentinels prefixed), train with an
 answer-span loss plus an auxiliary title-span loss, and decode answer spans.
 
-Reader training passages come from two-fold cross-prediction: a reasoner
-trained on one half of the questions predicts passages for the other half,
-so the reader never trains on passages predicted by a model that saw that
-question's label.
+Reader training passages come from two-fold cross-prediction (the
+cross-predict stage): a reasoner trained on one half of the questions
+predicts passages for the other half, so the reader never trains on passages
+predicted by a model that saw that question's label.
+
+fit() is the minibatch Adam loop that trains both the reader and the bridge
+reasoner.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .corpus import Passage, QARecord, TokenSeq, tokenize
 from .errors import ValidationError
 from .metrics import em_f1, normalize_answer
-from .numcore import Tensor, adam_step, add, backward, scale
+from .numcore import ParamStore, Tensor, adam_step, add, backward, scale
 from .span_model import SpanModel, SpanScores, run_span_model, span_nll_loss
 
 SENTINELS = ("yes", "no")
@@ -161,104 +165,6 @@ def two_fold_split(question_ids: list[str], seed: int) -> tuple[list[str], list[
     return sorted(shuffled[:half]), sorted(shuffled[half:])
 
 
-def build_reader_training_set(questions, corpus, index, cfg, seed: int, linker=None):
-    """Assemble reader training examples by two-fold cross-prediction.
-
-    Bridge questions are split into two deterministic folds; a reasoner
-    trained on each fold predicts answer passages for the other, so no
-    example's context comes from a model that saw its label. Comparison
-    questions get retriever-built contexts. Returns (examples, skips,
-    fold_assignments).
-
-    This is the in-memory form; the cross-predict and train-reader pipeline
-    stages run the same procedure with on-disk artifacts between stages.
-    """
-    from .bridge import (
-        BridgeTrainConfig,
-        derive_bridge_labels,
-        expand_with_entity_linking,
-        init_bridge_model,
-        predict_ranked_titles,
-        prepare_question_inputs,
-        train_bridge_reasoner,
-    )
-    from .retrieval import retrieve_start_passages
-    from .span_model import build_vocab
-
-    labels, label_skips = derive_bridge_labels(questions, corpus, seed)
-    labeled = {lbl.question_id for lbl in labels}
-    bridge_questions = [q for q in questions if q.qtype == "bridge" and q.id in labeled]
-    by_qid = {q.id: q for q in bridge_questions}
-
-    def starts_for(record):
-        results = retrieve_start_passages(
-            index, tokenize(record.question), cfg.k, k1=cfg.k1, b=cfg.b,
-            title_weight=cfg.title_weight,
-        )
-        passages = [corpus.by_id[r.passage_id] for r in results]
-        if cfg.entity_linking and linker is not None:
-            passages = passages + expand_with_entity_linking(
-                record.question, linker, corpus, passages, top_n=cfg.top_n_el
-            )
-        return passages
-
-    start_sets = {q.id: starts_for(q) for q in bridge_questions}
-    fold_a, fold_b = two_fold_split(list(by_qid), seed)
-    folds = {"A": fold_a, "B": fold_b}
-    cross: dict[str, tuple[str, list[str]]] = {}
-    for fold_name, other in (("A", "B"), ("B", "A")):
-        fold_questions = [by_qid[qid] for qid in folds[fold_name]]
-        inputs = prepare_question_inputs(fold_questions, labels, start_sets, corpus)
-        model = init_bridge_model(
-            build_vocab(
-                [p.tokens.tokens for p in corpus.passages]
-                + [tokenize(p.title).tokens for p in corpus.passages]
-                + [tokenize(q.question).tokens for q in questions]
-                + [SENTINELS]
-            ),
-            cfg.embed_dim, cfg.gru_hidden, cfg.lstm_hidden, cfg.dropout,
-            np.random.default_rng([seed, 300 if fold_name == "A" else 301]),
-            abstract_max_tokens=cfg.abstract_max_tokens,
-        )
-        train_bridge_reasoner(
-            model, inputs, corpus,
-            BridgeTrainConfig(lr=cfg.lr, epochs=cfg.bridge_epochs, batch_size=cfg.batch_size,
-                              seed=seed, early_stop_hits1=cfg.bridge_early_stop_hits1),
-        )
-        for qid in folds[other]:
-            ranked = predict_ranked_titles(
-                model, by_qid[qid], start_sets[qid], corpus, k=cfg.reader_max_passages
-            )
-            cross[qid] = (fold_name, [t for t, _ in ranked])
-
-    examples: list[ReaderExample] = []
-    skips: list[dict] = list(label_skips)
-    for q in questions:
-        if q.qtype == "bridge":
-            if q.id not in cross:
-                if q.id in labeled:
-                    skips.append({"qid": q.id, "reason": "no cross-prediction"})
-                continue
-            fold, titles = cross[q.id]
-            passages = [corpus.by_title[t] for t in titles if t in corpus.by_title]
-            if cfg.entity_linking and linker is not None:
-                passages = passages + expand_with_entity_linking(
-                    q.question, linker, corpus, passages, top_n=cfg.top_n_el
-                )
-        else:
-            fold = None
-            passages = starts_for(q)[: cfg.reader_max_passages]
-        example, reason = make_reader_example(
-            q, passages, max_tokens=cfg.reader_context_cap,
-            max_answer_len=cfg.max_answer_len, predicted_by_fold=fold,
-        )
-        if example is None:
-            skips.append({"qid": q.id, "reason": reason})
-        else:
-            examples.append(example)
-    return examples, skips, folds
-
-
 # ---------------------------------------------------------------------------
 # loss and decoding
 
@@ -352,47 +258,88 @@ class ReaderTrainConfig:
     max_answer_len: int = DEFAULT_MAX_ANSWER_LEN
 
 
-def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: ReaderTrainConfig) -> dict:
-    """Adam training over the joint span loss, early-stopped on running train EM."""
-    rng = np.random.default_rng([cfg.seed, 11])
+def fit(
+    store: ParamStore,
+    items: list,
+    step: Callable[[object, np.random.Generator], tuple[Tensor | None, float | None]],
+    *,
+    lr: float,
+    epochs: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    early_stop: float,
+    metric: str,
+) -> dict:
+    """Minibatch Adam over the items, in a fresh permutation of rng each epoch.
+
+    step(item, rng) runs one item and returns its loss (None: nothing to
+    learn from) and its hit (None: the item is not judged). A batch is summed
+    and applied once it holds batch_size losses or the epoch ends; the epoch's
+    mean hit is logged under `metric`, and training stops once it reaches
+    early_stop.
+    """
     history: list[dict] = []
     started = time.monotonic()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(examples))
+    for epoch in range(epochs):
+        order = rng.permutation(len(items))
         losses: list[float] = []
-        em_sum = 0
+        hits = 0
+        judged = 0
         batch: list[Tensor] = []
         for pos, idx in enumerate(order):
-            ex = examples[int(idx)]
-            loss, scores = reader_loss(model, ex, cfg.aux_weight, training=True, rng=rng)
-            losses.append(loss.item())
-            predicted = decode_answer(scores, ex.context, cfg.max_answer_len)
-            em_sum += em_f1(predicted, ex.answer)[0]
-            batch.append(loss)
-            if len(batch) >= cfg.batch_size or pos == len(order) - 1:
+            loss, hit = step(items[int(idx)], rng)
+            if hit is not None:
+                judged += 1
+                hits += hit
+            if loss is not None:
+                losses.append(loss.item())
+                batch.append(loss)
+            if batch and (len(batch) >= batch_size or pos == len(order) - 1):
                 total = batch[0]
                 for extra in batch[1:]:
                     total = add(total, extra)
                 backward(total)
-                adam_step(model.store, model.store.gradients(), lr=cfg.lr)
-                model.store.zero_grad()
+                adam_step(store, store.gradients(), lr=lr)
+                store.zero_grad()
                 batch = []
-        train_em = em_sum / len(examples) if examples else 0.0
+        score = hits / judged if judged else 0.0
         history.append(
             {
                 "epoch": epoch,
                 "mean_loss": float(np.mean(losses)) if losses else None,
-                "train_em": train_em,
+                metric: score,
             }
         )
-        if train_em >= cfg.early_stop_em:
+        if score >= early_stop:
             break
     return {
         "epochs_run": len(history),
         "history": history,
         "train_seconds": time.monotonic() - started,
-        "n_examples": len(examples),
     }
+
+
+def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: ReaderTrainConfig) -> dict:
+    """Adam training over the joint span loss, early-stopped on running train EM."""
+
+    def step(ex: ReaderExample, rng: np.random.Generator) -> tuple[Tensor, int]:
+        loss, scores = reader_loss(model, ex, cfg.aux_weight, training=True, rng=rng)
+        predicted = decode_answer(scores, ex.context, cfg.max_answer_len)
+        return loss, em_f1(predicted, ex.answer)[0]
+
+    stats = fit(
+        model.store,
+        examples,
+        step,
+        lr=cfg.lr,
+        epochs=cfg.epochs,
+        batch_size=cfg.batch_size,
+        rng=np.random.default_rng([cfg.seed, 11]),
+        early_stop=cfg.early_stop_em,
+        metric="train_em",
+    )
+    stats["n_examples"] = len(examples)
+    return stats
 
 
 # ---------------------------------------------------------------------------

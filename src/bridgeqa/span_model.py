@@ -128,20 +128,6 @@ def load_embedding_text(path) -> tuple[list[str], np.ndarray]:
     return tokens, np.stack(vectors)
 
 
-def embedding_table_from_file(store: ParamStore, path, *, frozen: bool = True, name: str = "embed/matrix") -> EmbeddingTable:
-    """Build a table from a pre-trained vector file; the unk row is the mean vector."""
-    tokens, matrix = load_embedding_text(path)
-    vocab = {UNK_TOKEN: 0}
-    rows = [matrix.mean(axis=0)]
-    for tok, vec in zip(tokens, matrix):
-        if tok in vocab:
-            continue
-        vocab[tok] = len(rows)
-        rows.append(vec)
-    tensor = store.add(name, np.stack(rows))
-    return EmbeddingTable(vocab=vocab, matrix=tensor, unk_index=0, frozen=frozen)
-
-
 @dataclass
 class EncodedSeq:
     states: Tensor  # (T, width)

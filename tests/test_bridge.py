@@ -410,3 +410,25 @@ def test_encode_abstracts_matches_one_at_a_time_with_dropout():
         want, want_missing = encode_abstract(model, p, training=True, rng=rng)
         assert missing == want_missing == (p is None)
         assert np.max(np.abs(vec.data - want.data)) < 1e-12
+
+
+def test_train_bridge_applies_last_batch_when_last_question_has_no_candidates():
+    from bridgeqa.bridge import BridgeTrainConfig, prepare_question_inputs, train_bridge_reasoner
+
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    questions = [
+        QARecord(id="q1", question="which target?", answer="one", qtype="bridge"),
+        QARecord(id="q2", question="which target?", answer="two", qtype="bridge"),
+    ]
+    labels = [BridgeLabel("q1", "Target One"), BridgeLabel("q2", "Target Two")]
+    # q2 has an empty start set; at seed 0 the epoch's order is q1, q2
+    inputs = prepare_question_inputs(questions, labels, {"q1": [corpus.by_id["p1"]], "q2": []}, corpus)
+    before = model.store["fuse/w"].data.copy()
+    stats = train_bridge_reasoner(
+        model, inputs, corpus, BridgeTrainConfig(epochs=1, batch_size=2, seed=0, early_stop_hits1=2.0)
+    )
+    assert stats["history"][0]["mean_loss"] is not None
+    # q1's loss is applied in one Adam step, although q2 closes the epoch unscored
+    assert model.store.moments["fuse/w"]["t"] == 1
+    assert not np.array_equal(model.store["fuse/w"].data, before)

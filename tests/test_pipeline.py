@@ -368,3 +368,72 @@ def test_evaluate_refuses_mixed_prediction_modes(mini_run, tmp_path):
     detail.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     with pytest.raises(ValidationError, match="mixes"):
         run_stage("evaluate", cfg)
+
+
+def test_frozen_embeddings_pipeline(tmp_path, fixture_dir):
+    import numpy as np
+
+    from bridgeqa.pipeline import _frozen_embeddings, _vocab_for
+
+    corpus = load_corpus(fixture_dir / "corpus.jsonl")
+    corpus_tokens = sorted({tok for p in corpus.passages for tok in p.tokens.tokens})
+    covered, uncovered = corpus_tokens[::2], corpus_tokens[1::2]
+    rng = np.random.default_rng(5)
+    vectors = {tok: rng.normal(size=5).round(4) for tok in covered}
+    path = tmp_path / "vectors.txt"
+    path.write_text(
+        "".join(f"{tok} {' '.join(str(v) for v in vectors[tok])}\n" for tok in reversed(covered)),
+        encoding="utf-8",
+    )
+    cfg = load_config(
+        None,
+        fixture_config(
+            fixture_dir, tmp_path / "run", embeddings_path=str(path), bridge_epochs=1, reader_epochs=1
+        ),
+    )
+    for stage in ("ingest", "build-index", "derive-labels", "train-bridge", "cross-predict", "train-reader"):
+        run_stage(stage, cfg)
+
+    _, train, dev = _load_ingested(cfg)
+    vocab, matrix, dim = _frozen_embeddings(cfg, _vocab_for(cfg, corpus, train + dev))
+    assert list(vocab) == ["<unk>"] + covered
+    assert dim == 5
+    assert np.array_equal(matrix[0], np.mean([vectors[t] for t in reversed(covered)], axis=0))
+    assert np.array_equal(matrix[1:], [vectors[t] for t in covered])
+
+    state = load_pipeline_state(cfg)
+    out = Path(cfg.output_dir) / "checkpoints"
+    for model, directory in ((state.bridge, "bridge"), (state.reader, "reader")):
+        assert model.table.frozen
+        assert model.table.vocab == vocab
+        assert list(model.table.indices([uncovered[0], covered[0]])) == [0, 1]
+        saved = load_checkpoint_arrays(out / directory)
+        assert set(saved) == set(model.store.names())
+        for name, array in saved.items():
+            assert np.array_equal(model.store[name].data, array)
+        # only the unk row trains; the others keep the file's vectors (at f32)
+        assert np.allclose(model.store["embed/matrix"].data[1:], matrix[1:], atol=1e-6)
+
+
+def test_failed_artifact_writes_keep_the_previous_file(tmp_path):
+    from bridgeqa.manifest import append_manifest
+    from bridgeqa.pipeline import _read_jsonl, _write_jsonl
+
+    path = tmp_path / "rows.jsonl"
+    _write_jsonl(path, [{"row": 1}])
+
+    def rows():
+        yield {"row": 2}
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _write_jsonl(path, rows())
+    assert _read_jsonl(path) == [{"row": 1}]
+
+    append_manifest(tmp_path, {"stage": "ingest"})
+    before = (tmp_path / "manifest.json").read_bytes()
+    with pytest.raises(TypeError):
+        append_manifest(tmp_path, {"stage": "build-index", "unserializable": object()})
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    # no temporary file is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "rows.jsonl"]

@@ -235,27 +235,6 @@ def test_reader_loss_composition_of_two_span_losses():
     assert loss.item() == pytest.approx(expected)
 
 
-def test_build_reader_training_set_in_memory(fixture_dir):
-    from bridgeqa.config import load_config
-    from bridgeqa.corpus import load_corpus, load_questions
-    from bridgeqa.reader import build_reader_training_set
-    from bridgeqa.retrieval import build_index
-    from bridgeqa.tinywiki import fixture_config
-
-    corpus = load_corpus(fixture_dir / "corpus.jsonl")
-    questions = load_questions(fixture_dir / "train_questions.jsonl")[:8]
-    index = build_index(corpus)
-    cfg = load_config(None, fixture_config(fixture_dir, "/tmp/unused", bridge_epochs=1))
-    examples, skips, folds = build_reader_training_set(questions, corpus, index, cfg, seed=3)
-    bridge_ids = {q.id for q in questions if q.qtype == "bridge"}
-    assert set(folds["A"]) | set(folds["B"]) == bridge_ids
-    assert set(folds["A"]) & set(folds["B"]) == set()
-    for ex in examples:
-        if ex.predicted_by_fold is not None:
-            assert ex.question_id not in folds[ex.predicted_by_fold]
-            assert ex.answer_span is not None
-
-
 def test_train_reader_overfits_tiny_example():
     model, example = reader_fixture()
     stats = train_reader(
