@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
+from .manifest import atomic_write
 from .numcore import ParamStore
 
 MANIFEST_NAME = "manifest.json"
@@ -26,6 +27,9 @@ def _sha256(data: bytes) -> str:
 
 
 def save_checkpoint(store: ParamStore, directory: str | Path) -> dict:
+    """Write the tensor files, then commit them by moving the manifest into
+    place; a failed save leaves the previous manifest, whose hashes reject
+    any tensor file the save overwrote."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -44,9 +48,8 @@ def save_checkpoint(store: ParamStore, directory: str | Path) -> dict:
             }
         )
     manifest = {"format": "raw-f32-le", "tensors": entries}
-    (directory / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(directory / MANIFEST_NAME) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import AlignmentError, ValidationError
+from .manifest import atomic_write
 
 QUESTION_TYPES = ("bridge", "comparison")
 
@@ -179,7 +180,7 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus back in the load_corpus line format (round-trip safe)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in corpus.passages:
             obj = {
                 "id": p.id,
@@ -239,7 +240,7 @@ def load_questions(path: str | Path) -> list[QARecord]:
 
 
 def save_questions(records: list[QARecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for r in records:
             obj: dict = {"id": r.id, "question": r.question, "answer": r.answer, "type": r.qtype}
             if r.supporting_titles is not None:

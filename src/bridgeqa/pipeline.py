@@ -35,7 +35,7 @@ from .bridge import (
     prepare_question_inputs,
     train_bridge_reasoner,
 )
-from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_digest, load_checkpoint, load_checkpoint_arrays, save_checkpoint
 from .config import PipelineConfig, config_to_dict
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions, tokenize
 from .errors import ConfigError, MissingPrerequisiteError, ValidationError
@@ -156,18 +156,18 @@ def _frozen_embeddings(
     return new_vocab, np.stack(rows), dim
 
 
-def _new_bridge_model(cfg: PipelineConfig, vocab: dict[str, int], seed_tag: int) -> BridgeModel:
+def _new_bridge_model(cfg: PipelineConfig, embedding: tuple, seed_tag: int) -> BridgeModel:
     rng = np.random.default_rng([cfg.seed, 100 + seed_tag])
-    vocab, matrix, dim = _frozen_embeddings(cfg, vocab)
+    vocab, matrix, dim = embedding
     return init_bridge_model(
         vocab, dim, cfg.gru_hidden, cfg.lstm_hidden, cfg.dropout, rng,
         frozen_embeddings=matrix, abstract_max_tokens=cfg.abstract_max_tokens,
     )
 
 
-def _new_reader_model(cfg: PipelineConfig, vocab: dict[str, int], seed_tag: int) -> SpanModel:
+def _new_reader_model(cfg: PipelineConfig, embedding: tuple, seed_tag: int) -> SpanModel:
     rng = np.random.default_rng([cfg.seed, 200 + seed_tag])
-    vocab, matrix, dim = _frozen_embeddings(cfg, vocab)
+    vocab, matrix, dim = embedding
     return init_span_model(vocab, dim, cfg.gru_hidden, cfg.dropout, rng, frozen_embeddings=matrix)
 
 
@@ -183,7 +183,13 @@ def _load_vocab(directory: Path) -> dict[str, int]:
 
 
 def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int):
-    model = new_model(cfg, _load_vocab(directory), seed_tag=seed_tag)
+    # vocab.json holds the restricted vocabulary and the checkpoint the frozen
+    # table, so the vector file is not read again
+    matrix, dim = None, cfg.embed_dim
+    if cfg.embeddings_path is not None:
+        matrix = load_checkpoint_arrays(directory)["embed/matrix"]
+        dim = matrix.shape[1]
+    model = new_model(cfg, (_load_vocab(directory), matrix, dim), seed_tag=seed_tag)
     load_checkpoint(model.store, directory)
     return model
 
@@ -274,7 +280,7 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
     state, train, dev = _load_state(cfg)
     labels = _load_labels(cfg)
     corpus = state.corpus
-    model = _new_bridge_model(cfg, _vocab_for(cfg, corpus, train + dev), seed_tag=0)
+    model = _new_bridge_model(cfg, _frozen_embeddings(cfg, _vocab_for(cfg, corpus, train + dev)), seed_tag=0)
     bridge_questions = [q for q in train if q.qtype == "bridge"]
     inputs = prepare_question_inputs(bridge_questions, labels, _start_sets(state, bridge_questions), corpus)
     stats = train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
@@ -298,7 +304,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
     state, train, dev = _load_state(cfg)
     labels = _load_labels(cfg)
     corpus = state.corpus
-    vocab = _vocab_for(cfg, corpus, train + dev)
+    embedding = _frozen_embeddings(cfg, _vocab_for(cfg, corpus, train + dev))
     labeled_ids = {lbl.question_id for lbl in labels}
     bridge_questions = [q for q in train if q.qtype == "bridge" and q.id in labeled_ids]
     fold_a, fold_b = two_fold_split([q.id for q in bridge_questions], cfg.seed)
@@ -311,7 +317,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
     for fold_name, other_name in (("A", "B"), ("B", "A")):
         fold_questions = [by_qid[qid] for qid in folds[fold_name]]
         inputs = prepare_question_inputs(fold_questions, labels, start_sets, corpus)
-        model = _new_bridge_model(cfg, vocab, seed_tag=1 if fold_name == "A" else 2)
+        model = _new_bridge_model(cfg, embedding, seed_tag=1 if fold_name == "A" else 2)
         train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
         digests[fold_name] = _save_model(
             model.store, model.table.vocab, out / "checkpoints" / f"bridge_fold_{fold_name.lower()}"
@@ -399,7 +405,7 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
     )
     _write_jsonl(out / "reader_example_skips.jsonl", skips)
 
-    vocab = _vocab_for(cfg, state.corpus, train + dev)
+    embedding = _frozen_embeddings(cfg, _vocab_for(cfg, state.corpus, train + dev))
     reader_cfg = ReaderTrainConfig(
         lr=cfg.reader_lr if cfg.reader_lr is not None else cfg.lr,
         epochs=cfg.reader_epochs,
@@ -409,14 +415,14 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
         early_stop_em=cfg.reader_early_stop_em,
         max_answer_len=cfg.max_answer_len,
     )
-    model = _new_reader_model(cfg, vocab, seed_tag=0)
+    model = _new_reader_model(cfg, embedding, seed_tag=0)
     stats = train_reader(model, examples, reader_cfg)
     digest = _save_model(model.store, model.table.vocab, out / "checkpoints" / "reader")
     logs = {"reader": stats}
 
     if cfg.train_no_multitask_reader:
         nomt_cfg = ReaderTrainConfig(**{**reader_cfg.__dict__, "aux_weight": 0.0})
-        nomt = _new_reader_model(cfg, vocab, seed_tag=1)
+        nomt = _new_reader_model(cfg, embedding, seed_tag=1)
         logs["reader_no_multitask"] = train_reader(nomt, examples, nomt_cfg)
         _save_model(nomt.store, nomt.table.vocab, out / "checkpoints" / "reader_no_multitask")
 

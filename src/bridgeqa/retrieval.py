@@ -1,13 +1,15 @@
 """Inverted index and hybrid lexical retrieval of start passages.
 
 Scoring is BM25 over passage bodies plus a weighted tf-idf cosine over
-title tokens. The index is immutable after build; concurrent scoring over
+title tokens, both accumulated term at a time from one postings map per
+field. The index is immutable after build; concurrent scoring over
 questions is safe.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Corpus, TokenSeq, tokenize
@@ -20,14 +22,15 @@ DEFAULT_TITLE_WEIGHT = 1.0
 
 @dataclass(frozen=True)
 class FieldIndex:
-    """Postings and statistics for one indexed field (body or title)."""
+    """Postings of one indexed field (body or title) and the statistics
+    derived from them."""
 
-    postings: dict[str, list[tuple[str, int]]]  # term -> [(passage_id, tf)]
+    postings: dict[str, dict[str, int]]  # term -> passage_id -> tf
     doc_len: dict[str, int]
     avg_doc_len: float
     N: int
     df: dict[str, int]
-    tf: dict[str, dict[str, int]]  # term -> passage_id -> tf, for O(1) scoring
+    norm: dict[str, float]  # passage_id -> length of its tf-idf vector, absent if empty
 
 
 @dataclass(frozen=True)
@@ -47,22 +50,40 @@ class RetrievalResult:
     rank: int
 
 
+def bm25_idf(N: int, df: int) -> float:
+    return math.log((N - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def _smooth_idf(N: int, df: int) -> float:
+    # smoothed positive idf for the tf-idf title channel
+    return math.log((1.0 + N) / (1.0 + df)) + 1.0
+
+
+def _field(postings: dict[str, dict[str, int]], doc_len: dict[str, int]) -> FieldIndex:
+    """Derive df, N, the average length and the tf-idf vector norms from the
+    postings, for a built and a loaded index alike (a file's stored statistics
+    are not read). Each norm sums its squares in the postings' term order."""
+    N = len(doc_len)
+    df = {term: len(per_doc) for term, per_doc in postings.items()}
+    squares: dict[str, float] = {}
+    for term, per_doc in postings.items():
+        idf = _smooth_idf(N, df[term])
+        for pid, tf in per_doc.items():
+            w = tf * idf
+            squares[pid] = squares.get(pid, 0.0) + w * w
+    norm = {pid: math.sqrt(s) for pid, s in squares.items()}
+    avg = sum(doc_len.values()) / N if N else 0.0
+    return FieldIndex(postings, doc_len, avg, N, df, norm)
+
+
 def _build_field(texts: dict[str, TokenSeq]) -> FieldIndex:
-    postings: dict[str, list[tuple[str, int]]] = {}
-    tf_map: dict[str, dict[str, int]] = {}
+    postings: dict[str, dict[str, int]] = {}
     doc_len: dict[str, int] = {}
     for pid, toks in texts.items():
         doc_len[pid] = len(toks)
-        counts: dict[str, int] = {}
-        for t in toks.tokens:
-            counts[t] = counts.get(t, 0) + 1
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append((pid, tf))
-            tf_map.setdefault(term, {})[pid] = tf
-    N = len(texts)
-    df = {term: len(plist) for term, plist in postings.items()}
-    avg = sum(doc_len.values()) / N if N else 0.0
-    return FieldIndex(postings, doc_len, avg, N, df, tf_map)
+        for term, tf in Counter(toks.tokens).items():
+            postings.setdefault(term, {})[pid] = tf
+    return _field(postings, doc_len)
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -73,44 +94,44 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     return InvertedIndex(body, title)
 
 
-def bm25_idf(N: int, df: int) -> float:
-    return math.log((N - df + 0.5) / (df + 0.5) + 1.0)
+def hybrid_scores(
+    index: InvertedIndex,
+    question: TokenSeq,
+    *,
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
+    title_weight: float = DEFAULT_TITLE_WEIGHT,
+) -> dict[str, float]:
+    """BM25 over the passage body plus title_weight * tf-idf cosine over the
+    title, for every passage sharing a term with the question (others score 0),
+    accumulated term at a time from the postings of the question's terms.
 
-
-def _bm25(field: FieldIndex, question: TokenSeq, passage_id: str, k1: float, b: float) -> float:
-    dl = field.doc_len[passage_id]
-    score = 0.0
+    BM25 sums over question token occurrences, in question order, with
+    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1); the title channel sums over
+    distinct question terms in first-occurrence order.
+    """
+    body = index.body
+    scores: dict[str, float] = {}
     for term in question.tokens:
-        tf = field.tf.get(term, {}).get(passage_id)
-        if not tf:
-            continue
-        idf = bm25_idf(field.N, field.df[term])
-        denom = tf + k1 * (1.0 - b + b * dl / field.avg_doc_len)
-        score += idf * tf * (k1 + 1.0) / denom
-    return score
-
-
-def _smooth_idf(N: int, df: int) -> float:
-    # smoothed positive idf for the tf-idf title channel
-    return math.log((1.0 + N) / (1.0 + df)) + 1.0
-
-
-def _tfidf_cosine(field: FieldIndex, question: TokenSeq, passage_id: str) -> float:
-    q_counts: dict[str, int] = {}
-    for t in question.tokens:
-        q_counts[t] = q_counts.get(t, 0) + 1
-    q_vec = {t: c * _smooth_idf(field.N, field.df.get(t, 0)) for t, c in q_counts.items()}
-    d_vec = {}
-    for term, per_doc in field.tf.items():
-        tf = per_doc.get(passage_id)
-        if tf:
-            d_vec[term] = tf * _smooth_idf(field.N, field.df[term])
-    dot = sum(w * d_vec[t] for t, w in q_vec.items() if t in d_vec)
-    if dot == 0.0:
-        return 0.0
-    qn = math.sqrt(sum(w * w for w in q_vec.values()))
-    dn = math.sqrt(sum(w * w for w in d_vec.values()))
-    return dot / (qn * dn)
+        idf = bm25_idf(body.N, body.df.get(term, 0))
+        for pid, tf in body.postings.get(term, {}).items():
+            denom = tf + k1 * (1.0 - b + b * body.doc_len[pid] / body.avg_doc_len)
+            scores[pid] = scores.get(pid, 0.0) + idf * tf * (k1 + 1.0) / denom
+    if title_weight == 0.0:
+        return scores
+    title = index.title
+    dots: dict[str, float] = {}
+    q_squares = 0.0
+    for term, count in Counter(question.tokens).items():
+        idf = _smooth_idf(title.N, title.df.get(term, 0))
+        w = count * idf
+        q_squares += w * w
+        for pid, tf in title.postings.get(term, {}).items():
+            dots[pid] = dots.get(pid, 0.0) + w * (tf * idf)
+    qn = math.sqrt(q_squares)
+    for pid, dot in dots.items():
+        scores[pid] = scores.get(pid, 0.0) + title_weight * (dot / (qn * title.norm[pid]))
+    return scores
 
 
 def hybrid_score(
@@ -122,22 +143,15 @@ def hybrid_score(
     b: float = DEFAULT_B,
     title_weight: float = DEFAULT_TITLE_WEIGHT,
 ) -> float:
-    """BM25 over the passage body plus title_weight * tf-idf cosine over the title.
-
-    BM25 sums over question token occurrences with
-    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1).
-    """
+    """One passage's entry of hybrid_scores."""
     if passage_id not in index.body.doc_len:
         raise KeyError(f"unknown passage id {passage_id!r}")
-    score = _bm25(index.body, question, passage_id, k1, b)
-    if title_weight != 0.0:
-        score += title_weight * _tfidf_cosine(index.title, question, passage_id)
-    return score
+    return hybrid_scores(index, question, k1=k1, b=b, title_weight=title_weight).get(passage_id, 0.0)
 
 
 def _field_to_dict(field: FieldIndex) -> dict:
     return {
-        "postings": {t: [[pid, tf] for pid, tf in plist] for t, plist in field.postings.items()},
+        "postings": {t: [[pid, tf] for pid, tf in per_doc.items()] for t, per_doc in field.postings.items()},
         "doc_len": field.doc_len,
         "avg_doc_len": field.avg_doc_len,
         "N": field.N,
@@ -146,27 +160,12 @@ def _field_to_dict(field: FieldIndex) -> dict:
 
 
 def _field_from_dict(d: dict) -> FieldIndex:
-    postings = {t: [(pid, int(tf)) for pid, tf in plist] for t, plist in d["postings"].items()}
-    tf_map: dict[str, dict[str, int]] = {}
-    for term, plist in postings.items():
-        tf_map[term] = {pid: tf for pid, tf in plist}
-    return FieldIndex(
-        postings=postings,
-        doc_len={pid: int(v) for pid, v in d["doc_len"].items()},
-        avg_doc_len=float(d["avg_doc_len"]),
-        N=int(d["N"]),
-        df={t: int(v) for t, v in d["df"].items()},
-        tf=tf_map,
-    )
+    postings = {t: {pid: int(tf) for pid, tf in plist} for t, plist in d["postings"].items()}
+    return _field(postings, {pid: int(v) for pid, v in d["doc_len"].items()})
 
 
 def index_to_dict(index: InvertedIndex) -> dict:
     return {"body": _field_to_dict(index.body), "title": _field_to_dict(index.title)}
-
-
-def results_record(qid: str, results: list["RetrievalResult"]) -> dict:
-    """One line of the retrieval dump format: {"qid", "passages": [{"id", "score"}]}."""
-    return {"qid": qid, "passages": [{"id": r.passage_id, "score": r.score} for r in results]}
 
 
 def index_from_dict(d: dict) -> InvertedIndex:
@@ -189,20 +188,9 @@ def retrieve_start_passages(
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    candidates: set[str] = set()
-    for term in set(question.tokens):
-        for pid, _ in index.body.postings.get(term, ()):
-            candidates.add(pid)
-        if title_weight != 0.0:
-            for pid, _ in index.title.postings.get(term, ()):
-                candidates.add(pid)
-    scored = []
-    for pid in candidates:
-        s = hybrid_score(index, question, pid, k1=k1, b=b, title_weight=title_weight)
-        if s > 0.0:
-            scored.append((pid, s))
-    scored.sort(key=lambda item: (-item[1], item[0]))
+    scores = hybrid_scores(index, question, k1=k1, b=b, title_weight=title_weight)
+    ranked = sorted((item for item in scores.items() if item[1] > 0.0), key=lambda item: (-item[1], item[0]))
     return [
         RetrievalResult(passage_id=pid, score=s, rank=i + 1)
-        for i, (pid, s) in enumerate(scored[:k])
+        for i, (pid, s) in enumerate(ranked[:k])
     ]

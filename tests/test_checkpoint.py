@@ -85,3 +85,26 @@ def test_missing_parameter_rejected(tmp_path):
     bigger.add("extra/w", np.zeros(2))
     with pytest.raises(CheckpointError, match="extra/w"):
         load_checkpoint(bigger, tmp_path / "ckpt")
+
+
+def test_failed_save_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    import os
+
+    save_checkpoint(store_fixture(), tmp_path / "ckpt")
+    before = (tmp_path / "ckpt" / "manifest.json").read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    # the save fails when it commits its manifest, after every tensor file is written
+    monkeypatch.setattr(os, "replace", fail)
+    for directory in (tmp_path / "ckpt", tmp_path / "fresh"):
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(store_fixture(seed=1), directory)
+        assert not [p.name for p in directory.iterdir() if p.name.endswith(".tmp")]
+    assert (tmp_path / "ckpt" / "manifest.json").read_bytes() == before
+    # the previous manifest rejects the overwritten tensors; a first save commits nothing
+    with pytest.raises(CheckpointError, match="hash mismatch"):
+        load_checkpoint_arrays(tmp_path / "ckpt")
+    with pytest.raises(CheckpointError, match="no checkpoint manifest"):
+        load_checkpoint_arrays(tmp_path / "fresh")

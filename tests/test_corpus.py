@@ -1,15 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bridgeqa.corpus import (
     AnchorMention,
+    Corpus,
     Passage,
     align_anchor,
     load_corpus,
     load_questions,
     save_corpus,
+    save_questions,
     tokenize,
 )
 from bridgeqa.errors import AlignmentError, ValidationError
@@ -167,6 +170,23 @@ def test_corpus_round_trip(tmp_path):
     save_corpus(corpus, tmp_path / "copy.jsonl")
     again = load_corpus(tmp_path / "copy.jsonl")
     assert again.passages == corpus.passages
+
+
+def test_failed_corpus_writes_keep_the_previous_file(tmp_path):
+    corpus = load_corpus(write_lines(tmp_path / "c.jsonl", corpus_objs()))
+    records = load_questions(write_lines(tmp_path / "q.jsonl", question_objs()))
+    save_corpus(corpus, tmp_path / "copy.jsonl")
+    save_questions(records, tmp_path / "questions.jsonl")
+    before = {name: (tmp_path / name).read_bytes() for name in ("copy.jsonl", "questions.jsonl")}
+
+    # the second row fails to serialize after the first is written
+    bad_passage = replace(corpus.passages[0], title=object())
+    with pytest.raises(TypeError):
+        save_corpus(Corpus((corpus.passages[0], bad_passage), {}, {}), tmp_path / "copy.jsonl")
+    with pytest.raises(TypeError):
+        save_questions([records[0], replace(records[0], question=object())], tmp_path / "questions.jsonl")
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 def question_objs():

@@ -203,19 +203,6 @@ def test_candidate_dump_schema(mini_run):
             assert set(cand) == {"title", "score"}
 
 
-def test_retrieval_results_record_schema(mini_run):
-    from bridgeqa.corpus import tokenize
-    from bridgeqa.pipeline import _load_index
-    from bridgeqa.retrieval import results_record, retrieve_start_passages
-
-    index = _load_index(mini_run)
-    results = retrieve_start_passages(index, tokenize("government position"), 5)
-    record = results_record("q1", results)
-    assert set(record) == {"qid", "passages"}
-    assert all(set(p) == {"id", "score"} for p in record["passages"])
-    json.dumps(record)
-
-
 def test_corrupt_checkpoint_is_detected(mini_run, tmp_path):
     out = Path(mini_run.output_dir)
     import shutil
@@ -370,9 +357,10 @@ def test_evaluate_refuses_mixed_prediction_modes(mini_run, tmp_path):
         run_stage("evaluate", cfg)
 
 
-def test_frozen_embeddings_pipeline(tmp_path, fixture_dir):
+def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
     import numpy as np
 
+    from bridgeqa import pipeline
     from bridgeqa.pipeline import _frozen_embeddings, _vocab_for
 
     corpus = load_corpus(fixture_dir / "corpus.jsonl")
@@ -388,11 +376,21 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir):
     cfg = load_config(
         None,
         fixture_config(
-            fixture_dir, tmp_path / "run", embeddings_path=str(path), bridge_epochs=1, reader_epochs=1
+            fixture_dir, tmp_path / "run", embeddings_path=str(path), bridge_epochs=1, reader_epochs=1,
+            train_no_multitask_reader=True,
         ),
     )
+    parsed = []
+    load_embedding_text = pipeline.load_embedding_text
+    monkeypatch.setattr(pipeline, "load_embedding_text", lambda p: parsed.append(p) or load_embedding_text(p))
+    parses = {}
     for stage in ("ingest", "build-index", "derive-labels", "train-bridge", "cross-predict", "train-reader"):
+        parsed.clear()
         run_stage(stage, cfg)
+        parses[stage] = len(parsed)
+    # at most once per stage, however many models the stage builds
+    assert parses == {"ingest": 0, "build-index": 0, "derive-labels": 0,
+                      "train-bridge": 1, "cross-predict": 1, "train-reader": 1}
 
     _, train, dev = _load_ingested(cfg)
     vocab, matrix, dim = _frozen_embeddings(cfg, _vocab_for(cfg, corpus, train + dev))
@@ -401,9 +399,15 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir):
     assert np.array_equal(matrix[0], np.mean([vectors[t] for t in reversed(covered)], axis=0))
     assert np.array_equal(matrix[1:], [vectors[t] for t in covered])
 
+    # the checkpoints and vocab.json carry everything; the vector file is not needed
+    path.unlink()
+    parsed.clear()
     state = load_pipeline_state(cfg)
+    assert parsed == []
     out = Path(cfg.output_dir) / "checkpoints"
-    for model, directory in ((state.bridge, "bridge"), (state.reader, "reader")):
+    for model, directory in (
+        (state.bridge, "bridge"), (state.reader, "reader"), (state.reader_no_multitask, "reader_no_multitask")
+    ):
         assert model.table.frozen
         assert model.table.vocab == vocab
         assert list(model.table.indices([uncovered[0], covered[0]])) == [0, 1]

@@ -43,6 +43,28 @@ def bm25_reference(question_tokens, docs, k1=1.2, b=0.75):
     return scores
 
 
+def title_cosine_reference(question_tokens, titles):
+    """titles: {doc_id: [tokens]}. Smoothed tf-idf cosine between the question
+    and each title, idf(t) = ln((1 + N) / (1 + df)) + 1. Returns {doc_id: cosine}."""
+    N = len(titles)
+
+    def weights(tokens):
+        out = {}
+        for term in set(tokens):
+            df = sum(1 for other in titles.values() if term in other)
+            out[term] = tokens.count(term) * (math.log((1 + N) / (1 + df)) + 1)
+        return out
+
+    q = weights(list(question_tokens))
+    q_norm = math.sqrt(sum(w * w for w in q.values()))
+    scores = {}
+    for doc_id, toks in titles.items():
+        d = weights(toks)
+        dot = sum(w * d.get(term, 0.0) for term, w in q.items())
+        scores[doc_id] = dot / (q_norm * math.sqrt(sum(w * w for w in d.values()))) if dot else 0.0
+    return scores
+
+
 def random_corpus(rng, n_docs):
     words = ["red", "blue", "green", "fish", "river", "stone", "lamp", "archer", "tell", "kiss"]
     texts = []
@@ -136,6 +158,31 @@ def test_bm25_reference_agreement_randomized():
             assert hybrid_score(index, q, pid, title_weight=0.0) == pytest.approx(
                 ref[pid], abs=1e-9
             )
+
+
+@pytest.mark.parametrize("title_weight", [0.5, 1.0, 2.0])
+def test_hybrid_score_title_channel_matches_brute_force(title_weight):
+    words = ["red", "blue", "green", "fish", "river", "stone", "lamp", "archer", "tell", "kiss"]
+    rng = np.random.default_rng(29)
+    for _ in range(25):
+        n_docs = int(rng.integers(2, 15))
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(2, 12)))) for _ in range(n_docs)]
+        # titles draw from the body vocabulary, so both channels share terms
+        titles = [" ".join(rng.choice(words, size=int(rng.integers(1, 4)))) for _ in range(n_docs)]
+        corpus = make_corpus(texts, titles)
+        index = build_index(corpus)
+        q = tokenize(" ".join(rng.choice(words[:6] + ["zebra"], size=int(rng.integers(1, 5)))))
+        bm25 = bm25_reference(q.tokens, {p.id: list(p.tokens.tokens) for p in corpus.passages})
+        cosine = title_cosine_reference(
+            q.tokens, {p.id: list(tokenize(p.title).tokens) for p in corpus.passages}
+        )
+        scores = {}
+        for p in corpus.passages:
+            scores[p.id] = hybrid_score(index, q, p.id, title_weight=title_weight)
+            assert scores[p.id] == pytest.approx(bm25[p.id] + title_weight * cosine[p.id], abs=1e-9)
+        ranked = sorted((item for item in scores.items() if item[1] > 0), key=lambda item: (-item[1], item[0]))
+        results = retrieve_start_passages(index, q, n_docs + 1, title_weight=title_weight)
+        assert [(r.passage_id, r.score) for r in results] == ranked
 
 
 def test_bm25_monotone_in_term_frequency():
