@@ -136,7 +136,7 @@ def predict_one(
         candidates = collect_candidates(starts, state.corpus)
         ranked: list[tuple[str, float]] = []
         if candidates:
-            scored = score_bridges(
+            scored, _ = score_bridges(
                 state.bridge,
                 tokenize(record.question),
                 starts,

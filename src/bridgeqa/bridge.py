@@ -35,7 +35,6 @@ from .numcore import (
     reshape,
     run_bidirectional,
     slice_rows,
-    take_row,
 )
 from .reader import fit
 from .span_model import (
@@ -62,10 +61,7 @@ class BridgeCandidate:
     mention: AnchorMention
     source_passage_id: str
     target_title: str
-    h_context: Tensor | None = None
-    h_content: Tensor | None = None
     fused_score: float | None = None
-    score_node: Tensor | None = None
     content_missing: bool = False
 
 
@@ -212,6 +208,43 @@ def encode_abstract(
     return encode_abstracts(model, [passage], training=training, rng=rng)[0]
 
 
+def _context_rows(
+    model: BridgeModel,
+    question: TokenSeq,
+    start_passages: list[Passage],
+    candidates: list[BridgeCandidate],
+    *,
+    training: bool,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """(n, 8h) local context evidence: each candidate's anchor start-token row
+    of its start passage's self-attention output, in candidate order."""
+    store, prefix = model.store, model.span.prefix
+    passage_by_id = {p.id: p for p in start_passages}
+    for cand in candidates:
+        pid = cand.source_passage_id
+        if pid not in passage_by_id:
+            raise ValidationError(f"candidate references passage {pid!r} not in the start set")
+        if cand.mention.token_start is None:
+            raise ValidationError("candidate anchor is not token-aligned")
+    passage_ids = list(dict.fromkeys(c.source_passage_id for c in candidates))
+    # the question and every start passage in one encoder pass
+    q_enc, *c_encs = encode_packed(
+        [question] + [passage_by_id[pid].tokens for pid in passage_ids],
+        model.table,
+        store,
+        model.span.hidden,
+        prefix,
+        dropout_rate=model.span.dropout,
+        training=training,
+        rng=rng,
+    )
+    finals = [self_attention(biattention(c, q_enc, store, prefix), store, prefix).states for c in c_encs]
+    offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in c_encs])))
+    rows = [offsets[c.source_passage_id] + c.mention.token_start for c in candidates]
+    return gather_rows(concat(finals, axis=0), np.array(rows))
+
+
 def score_bridges(
     model: BridgeModel,
     question: TokenSeq,
@@ -223,90 +256,58 @@ def score_bridges(
     use_content: bool = True,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> list[BridgeCandidate]:
-    """Score every candidate: fused = w . [h_context; h_content] + b.
+) -> tuple[list[BridgeCandidate], Tensor | None]:
+    """Score every candidate in one fusion over stacked evidence rows:
+    logits = [H_context, H_content] @ w + b, one row per candidate.
 
-    use_context / use_content zero out the corresponding evidence channel
-    (the ablation switches). Returns new candidate objects carrying both the
-    graph node and the float score.
+    H_context holds each anchor's start-token representation, H_content the
+    encoded abstract of its target (the trained sentinel when that is
+    missing). use_context / use_content zero out the corresponding channel
+    (the ablation switches). Returns new candidate objects carrying the
+    float scores, and the (n,) logits node (None without candidates).
     """
     if not candidates:
-        return []
-    store = model.store
-    kw = dict(dropout_rate=model.span.dropout, training=training, rng=rng)
-    by_passage: dict[str, list[int]] = {}
-    for i, cand in enumerate(candidates):
-        by_passage.setdefault(cand.source_passage_id, []).append(i)
-
-    context_vecs: dict[int, Tensor] = {}
-    wide = 8 * model.span.hidden
+        return [], None
+    n = len(candidates)
     if use_context:
-        passage_by_id = {p.id: p for p in start_passages}
-        for pid in by_passage:
-            if pid not in passage_by_id:
-                raise ValidationError(f"candidate references passage {pid!r} not in the start set")
-        # the question and every start passage in one encoder pass
-        q_enc, *c_encs = encode_packed(
-            [question] + [passage_by_id[pid].tokens for pid in by_passage],
-            model.table,
-            store,
-            model.span.hidden,
-            model.span.prefix,
-            **kw,
-        )
-        for (pid, cand_indices), c_enc in zip(by_passage.items(), c_encs):
-            final = self_attention(biattention(c_enc, q_enc, store, model.span.prefix), store, model.span.prefix)
-            for i in cand_indices:
-                token_start = candidates[i].mention.token_start
-                if token_start is None:
-                    raise ValidationError("candidate anchor is not token-aligned")
-                context_vecs[i] = take_row(final.states, token_start)
-
-    content_vecs: dict[str, tuple[Tensor, bool]] = {}
+        h_context = _context_rows(model, question, start_passages, candidates, training=training, rng=rng)
+    else:
+        h_context = constant(np.zeros((n, 8 * model.span.hidden)))
     if use_content:
         titles = sorted({c.target_title for c in candidates})
         encoded = encode_abstracts(
             model, [corpus.by_title.get(t) for t in titles], training=training, rng=rng
         )
-        content_vecs = dict(zip(titles, encoded))
-
-    zero_context = constant(np.zeros((1, wide)))
-    zero_content = constant(np.zeros((1, 2 * model.lstm_hidden)))
-    scored: list[BridgeCandidate] = []
-    for i, cand in enumerate(candidates):
-        h_c = context_vecs.get(i, zero_context) if use_context else zero_context
-        if use_content:
-            h_p, missing = content_vecs[cand.target_title]
-        else:
-            h_p, missing = zero_content, False
-        fused = add(matmul(concat([h_c, h_p], axis=1), store["fuse/w"]), store["fuse/b"])
-        scored.append(
-            replace(
-                cand,
-                h_context=h_c if use_context else None,
-                h_content=h_p if use_content else None,
-                fused_score=fused.item(),
-                score_node=fused,
-                content_missing=missing,
-            )
-        )
-    return scored
+        row_of = {t: i for i, t in enumerate(titles)}
+        rows = [row_of[c.target_title] for c in candidates]
+        h_content = gather_rows(concat([vec for vec, _ in encoded], axis=0), np.array(rows))
+        missing = [encoded[r][1] for r in rows]
+    else:
+        h_content = constant(np.zeros((n, 2 * model.lstm_hidden)))
+        missing = [False] * n
+    fused = add(matmul(concat([h_context, h_content], axis=1), model.store["fuse/w"]), model.store["fuse/b"])
+    logits = reshape(fused, (n,))
+    scored = [
+        replace(cand, fused_score=float(score), content_missing=miss)
+        for cand, score, miss in zip(candidates, logits.data, missing)
+    ]
+    return scored, logits
 
 
 def gold_mention_indices(candidates: list[BridgeCandidate], gold_title: str) -> list[int]:
     return [i for i, c in enumerate(candidates) if c.target_title == gold_title]
 
 
-def bridge_loss(scored: list[BridgeCandidate], label: BridgeLabel) -> Tensor:
-    """Marginal NLL: softmax over all mention-level fused scores, summing the
-    probability of every mention that targets the gold title."""
+def bridge_loss(scored: list[BridgeCandidate], logits: Tensor, label: BridgeLabel) -> Tensor:
+    """Marginal NLL: softmax over all mention-level fused logits (as
+    score_bridges returns them), summing the probability of every mention
+    that targets the gold title."""
     gold = gold_mention_indices(scored, label.gold_title)
     if not gold:
         raise ValidationError(
             f"question {label.question_id!r}: gold title {label.gold_title!r} "
             f"is not among the candidates"
         )
-    logits = reshape(concat([c.score_node for c in scored], axis=0), (len(scored),))
     return cross_entropy_from_logits(logits, gold)
 
 
@@ -450,14 +451,14 @@ def train_bridge_reasoner(
     def step(qi: QuestionInputs, rng: np.random.Generator) -> tuple[Tensor | None, bool | None]:
         if not qi.candidates:
             return None, None
-        scored = score_bridges(
+        scored, logits = score_bridges(
             model, qi.question_tokens, qi.start_passages, qi.candidates, corpus, training=True, rng=rng
         )
         ranked = rank_answer_passages(scored, k=1)
         hit = bool(ranked) and ranked[0][0] == qi.label.gold_title
         if not gold_mention_indices(scored, qi.label.gold_title):
             return None, hit
-        return bridge_loss(scored, qi.label), hit
+        return bridge_loss(scored, logits, qi.label), hit
 
     stats = fit(
         model.store,
@@ -489,7 +490,7 @@ def evaluate_hits(
         judged += 1
         if not qi.candidates:
             continue
-        scored = score_bridges(model, qi.question_tokens, qi.start_passages, qi.candidates, corpus)
+        scored, _ = score_bridges(model, qi.question_tokens, qi.start_passages, qi.candidates, corpus)
         ranked = rank_answer_passages(scored, k=k)
         if any(title == qi.label.gold_title for title, _ in ranked):
             hits += 1
@@ -509,7 +510,7 @@ def predict_ranked_titles(
     candidates = collect_candidates(start_passages, corpus)
     if not candidates:
         return []
-    scored = score_bridges(
+    scored, _ = score_bridges(
         model,
         tokenize(question.question),
         start_passages,

@@ -2,10 +2,13 @@
 
 Every operation records a node on an implicit tape (the graph of Tensor
 parents); backward() walks the tape once in reverse topological order and
-accumulates gradients into .grad. Shapes are explicit everywhere: the only
-broadcasting allowed is a 1-d bias added to (or scaling the columns of) a
-2-d tensor. Masked attention positions are represented with -inf logits,
-which exp() turns into exact zeros.
+accumulates gradients into .grad. Shapes are explicit everywhere; add and
+mul broadcast by one rule only: equal shapes, a 2-d operand with a 1-d
+operand of its column width (a bias or column scale), or two 2-d operands
+whose every dimension is equal or 1 on one side (a (T, 1) column against a
+(1, D) row). Backward sums the gradient over the broadcast axes. Masked
+attention positions are represented with -inf logits, which exp() turns
+into exact zeros.
 """
 
 from __future__ import annotations
@@ -106,46 +109,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _broadcastable(op: str, a: Tensor, b: Tensor) -> None:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
+        return
+    if len(sa) == 2 and len(sb) == 2 and all(m == n or 1 in (m, n) for m, n in zip(sa, sb)):
+        return
+    if sorted((len(sa), len(sb))) == [1, 2] and sa[-1] == sb[-1]:
+        return
+    raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient of the broadcast output shape back to an operand's shape."""
+    if g.shape == shape:
+        return g
+    if len(shape) == 1:
+        return g.sum(axis=0)
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; also supports a 1-d bias added to each row of a 2-d tensor."""
-    if a.data.shape == b.data.shape:
-        out = Tensor(a.data + b.data, (a, b))
+    """Elementwise add under the module's broadcast rule."""
+    _broadcastable("add", a, b)
+    out = Tensor(a.data + b.data, (a, b))
 
-        def bwd(g):
-            accumulate(a, g)
-            accumulate(b, g)
+    def bwd(g):
+        accumulate(a, _unbroadcast(g, a.data.shape))
+        accumulate(b, _unbroadcast(g, b.data.shape))
 
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        out = Tensor(a.data + b.data, (a, b))
-
-        def bwd(g):
-            accumulate(a, g)
-            accumulate(b, g.sum(axis=0))
-
-    else:
-        raise ShapeError(f"add: incompatible shapes {a.data.shape} + {b.data.shape}")
     out.bwd = bwd
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise multiply; also supports scaling the columns of a 2-d tensor by a 1-d vector."""
-    if a.data.shape == b.data.shape:
-        out = Tensor(a.data * b.data, (a, b))
+    """Elementwise multiply under the module's broadcast rule."""
+    _broadcastable("mul", a, b)
+    out = Tensor(a.data * b.data, (a, b))
 
-        def bwd(g):
-            accumulate(a, g * b.data)
-            accumulate(b, g * a.data)
+    def bwd(g):
+        accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        out = Tensor(a.data * b.data, (a, b))
-
-        def bwd(g):
-            accumulate(a, g * b.data)
-            accumulate(b, (g * a.data).sum(axis=0))
-
-    else:
-        raise ShapeError(f"mul: incompatible shapes {a.data.shape} * {b.data.shape}")
     out.bwd = bwd
     return out
 

@@ -41,6 +41,7 @@ from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save
 from .errors import ConfigError, MissingPrerequisiteError, ValidationError
 from .manifest import append_manifest, atomic_write, file_sha256
 from .reader import (
+    Prediction,
     ReaderExample,
     ReaderTrainConfig,
     make_reader_example,
@@ -125,21 +126,19 @@ def _load_labels(cfg: PipelineConfig) -> list[BridgeLabel]:
     return [BridgeLabel(rec["qid"], rec["gold_title"]) for rec in _read_jsonl(path)]
 
 
-def _vocab_for(cfg: PipelineConfig, corpus: Corpus, questions: list[QARecord]) -> dict[str, int]:
+def _embedding(
+    cfg: PipelineConfig, corpus: Corpus, questions: list[QARecord]
+) -> tuple[dict[str, int], np.ndarray | None, int]:
+    """(vocabulary, frozen table, width) of the embedding layer. The
+    vocabulary covers the corpus's passages and titles, the questions and
+    the yes/no answers. When a pre-trained vector file is configured, it is
+    restricted to covered tokens (others map to unk) and the table is frozen;
+    otherwise the table is trained and no matrix is given."""
     sources = [p.tokens.tokens for p in corpus.passages]
     sources += [tokenize(p.title).tokens for p in corpus.passages]
     sources += [tokenize(q.question).tokens for q in questions]
     sources.append(("yes", "no"))
-    return build_vocab(sources)
-
-
-def _frozen_embeddings(
-    cfg: PipelineConfig, vocab: dict[str, int]
-) -> tuple[dict[str, int], np.ndarray | None, int]:
-    """(vocabulary, frozen table, width) of the embedding layer. When a
-    pre-trained vector file is configured, the vocabulary is restricted to
-    covered tokens (others map to unk) and the table is frozen; otherwise the
-    vocabulary stays, the table is trained and no matrix is given."""
+    vocab = build_vocab(sources)
     if cfg.embeddings_path is None:
         return vocab, None, cfg.embed_dim
     tokens, matrix = load_embedding_text(cfg.embeddings_path)
@@ -280,7 +279,7 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
     state, train, dev = _load_state(cfg)
     labels = _load_labels(cfg)
     corpus = state.corpus
-    model = _new_bridge_model(cfg, _frozen_embeddings(cfg, _vocab_for(cfg, corpus, train + dev)), seed_tag=0)
+    model = _new_bridge_model(cfg, _embedding(cfg, corpus, train + dev), seed_tag=0)
     bridge_questions = [q for q in train if q.qtype == "bridge"]
     inputs = prepare_question_inputs(bridge_questions, labels, _start_sets(state, bridge_questions), corpus)
     stats = train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
@@ -304,7 +303,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
     state, train, dev = _load_state(cfg)
     labels = _load_labels(cfg)
     corpus = state.corpus
-    embedding = _frozen_embeddings(cfg, _vocab_for(cfg, corpus, train + dev))
+    embedding = _embedding(cfg, corpus, train + dev)
     labeled_ids = {lbl.question_id for lbl in labels}
     bridge_questions = [q for q in train if q.qtype == "bridge" and q.id in labeled_ids]
     fold_a, fold_b = two_fold_split([q.id for q in bridge_questions], cfg.seed)
@@ -405,7 +404,7 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
     )
     _write_jsonl(out / "reader_example_skips.jsonl", skips)
 
-    embedding = _frozen_embeddings(cfg, _vocab_for(cfg, state.corpus, train + dev))
+    embedding = _embedding(cfg, state.corpus, train + dev)
     reader_cfg = ReaderTrainConfig(
         lr=cfg.reader_lr if cfg.reader_lr is not None else cfg.lr,
         epochs=cfg.reader_epochs,
@@ -496,9 +495,7 @@ def stage_predict(cfg: PipelineConfig) -> dict:
 def stage_evaluate(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     corpus, _, dev = _load_ingested(cfg)
-    pred_path = out / "predictions.jsonl"
-    if not pred_path.exists():
-        raise MissingPrerequisiteError("predictions not found; run predict")
+    pred_path = _require(out / "predictions.jsonl", "predict")
     detail_path = _require(out / "predict_detail.jsonl", "predict")
     details = {}
     skipped = []
@@ -514,8 +511,6 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     # the report describes the mode the predictions were made under; an
     # empty question set leaves nothing to read it from
     mode = modes.pop() if modes else cfg.mode
-    from .reader import Prediction
-
     predictions = []
     for rec in _read_jsonl(pred_path):
         det = details.get(rec["qid"], {})

@@ -8,6 +8,10 @@ S_ij = w1.h_i + w2.u_j + w3.(h_i * u_j), and the per-position output of the
 bidirectional attention is [h; u~; h*u~; h*h~]. Self-attention reuses the
 same kernel context-to-context, masks the diagonal, drops the
 question-to-context term, and adds a residual through a linear mixing layer.
+
+Attention runs on one unpadded sequence at a time, so no position is ever
+padding and no mask is carried; the only masked scores are self-attention's
+diagonal.
 """
 
 from __future__ import annotations
@@ -131,7 +135,6 @@ def load_embedding_text(path) -> tuple[list[str], np.ndarray]:
 @dataclass
 class EncodedSeq:
     states: Tensor  # (T, width)
-    mask: np.ndarray  # (T,) bool; False positions get -inf in any downstream softmax
 
     def __len__(self) -> int:
         return self.states.data.shape[0]
@@ -141,7 +144,6 @@ class EncodedSeq:
 class SpanScores:
     start_logits: Tensor  # (T,)
     end_logits: Tensor  # (T,)
-    mask: np.ndarray
 
 
 def init_span_params(
@@ -204,7 +206,7 @@ def encode(
     emb = gather_rows(table.matrix, idx, table.row_mask)
     states = run_bidirectional("gru", emb, store, f"{prefix}enc/", hidden, lengths=lengths)
     states = dropout(states, dropout_rate, training=training, rng=rng)
-    return EncodedSeq(states=states, mask=np.ones(len(token_list), dtype=bool))
+    return EncodedSeq(states=states)
 
 
 def encode_packed(
@@ -228,30 +230,18 @@ def encode_packed(
     parts = []
     start = 0
     for n in lengths:
-        states = slice_rows(packed.states, start, start + n)
-        parts.append(EncodedSeq(states=states, mask=packed.mask[start : start + n]))
+        parts.append(EncodedSeq(states=slice_rows(packed.states, start, start + n)))
         start += n
     return parts
 
 
-def _ones(n: int, m: int) -> Tensor:
-    return constant(np.ones((n, m)))
-
-
-def _mask_bias(mask: np.ndarray) -> np.ndarray:
-    bias = np.zeros(mask.shape[0])
-    bias[~mask] = -np.inf
-    return bias
-
-
 def _trilinear_scores(a: EncodedSeq, b: EncodedSeq, store: ParamStore, prefix: str) -> Tensor:
-    """S_ij = w1.a_i + w2.b_j + w3.(a_i * b_j), masked over b's positions."""
-    Ta, Tb = len(a), len(b)
-    part1 = matmul(matmul(a.states, store[f"{prefix}w1"]), _ones(1, Tb))
-    part2 = matmul(_ones(Ta, 1), transpose(matmul(b.states, store[f"{prefix}w2"])))
+    """S_ij = w1.a_i + w2.b_j + w3.(a_i * b_j): a (Ta, 1) column plus a
+    (1, Tb) row, broadcast, plus the (Ta, Tb) product term."""
+    part1 = matmul(a.states, store[f"{prefix}w1"])
+    part2 = transpose(matmul(b.states, store[f"{prefix}w2"]))
     part3 = matmul(mul(a.states, store[f"{prefix}w3"]), transpose(b.states))
-    scores = add(add(part1, part2), part3)
-    return add(scores, constant(_mask_bias(b.mask)))
+    return add(add(part1, part2), part3)
 
 
 def biattention(
@@ -269,15 +259,14 @@ def biattention(
             f"question width {question.states.data.shape}"
         )
     S = _trilinear_scores(context, question, store, f"{prefix}biattn/")
-    Tc = len(context)
     # context-to-question: attend over question positions per context row
     c2q = matmul(softmax_rows(S), question.states)
-    # question-to-context: one distribution over context rows from the row maxima
-    attn_c = softmax_rows(transpose(row_max(S)))
-    q2c = matmul(_ones(Tc, 1), matmul(attn_c, context.states))
+    # question-to-context: one (1, W) row from a distribution over context
+    # rows (their row maxima), broadcast over every context position
+    q2c = matmul(softmax_rows(transpose(row_max(S))), context.states)
     h = context.states
     out = concat([h, c2q, mul(h, c2q), mul(h, q2c)], axis=1)
-    return EncodedSeq(states=out, mask=context.mask)
+    return EncodedSeq(states=out)
 
 
 def self_attention(context: EncodedSeq, store: ParamStore, prefix: str = "span/") -> EncodedSeq:
@@ -301,7 +290,7 @@ def self_attention(context: EncodedSeq, store: ParamStore, prefix: str = "span/"
         x,
         add(matmul(mixed, store[f"{prefix}selfattn/W_mix"]), store[f"{prefix}selfattn/b_mix"]),
     )
-    return EncodedSeq(states=out, mask=context.mask)
+    return EncodedSeq(states=out)
 
 
 def span_heads(context: EncodedSeq, store: ParamStore, prefix: str = "span/") -> SpanScores:
@@ -309,22 +298,19 @@ def span_heads(context: EncodedSeq, store: ParamStore, prefix: str = "span/") ->
     if len(context) == 0:
         raise ValidationError("span_heads: empty context")
     T = len(context)
-    bias = constant(_mask_bias(context.mask))
-    start = add(reshape(add(matmul(context.states, store[f"{prefix}heads/start_w"]),
-                            store[f"{prefix}heads/start_b"]), (T,)), bias)
-    end = add(reshape(add(matmul(context.states, store[f"{prefix}heads/end_w"]),
-                          store[f"{prefix}heads/end_b"]), (T,)), bias)
-    return SpanScores(start_logits=start, end_logits=end, mask=context.mask)
+    start = reshape(add(matmul(context.states, store[f"{prefix}heads/start_w"]),
+                        store[f"{prefix}heads/start_b"]), (T,))
+    end = reshape(add(matmul(context.states, store[f"{prefix}heads/end_w"]),
+                      store[f"{prefix}heads/end_b"]), (T,))
+    return SpanScores(start_logits=start, end_logits=end)
 
 
 def span_nll_loss(scores: SpanScores, gold_start: int, gold_end: int) -> Tensor:
     """Cross-entropy of the gold start plus the gold end, each globally
     normalized over the full context."""
-    T = scores.mask.shape[0]
+    T = scores.start_logits.data.shape[0]
     if not (0 <= gold_start <= gold_end < T):
         raise ValidationError(f"gold span ({gold_start}, {gold_end}) invalid for length {T}")
-    if not (scores.mask[gold_start] and scores.mask[gold_end]):
-        raise ValidationError(f"gold span ({gold_start}, {gold_end}) lies on a masked position")
     return add(
         cross_entropy_from_logits(scores.start_logits, gold_start),
         cross_entropy_from_logits(scores.end_logits, gold_end),

@@ -9,6 +9,7 @@ from bridgeqa.bridge import (
     bridge_loss,
     collect_candidates,
     derive_bridge_labels,
+    encode_abstract,
     expand_with_entity_linking,
     init_bridge_model,
     rank_answer_passages,
@@ -139,23 +140,54 @@ def test_score_bridges_zero_fusion_weights_all_equal_bias():
     model.store["fuse/b"].data[:] = 0.25
     starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
     cands = collect_candidates(starts, corpus)
-    scored = score_bridges(model, tokenize("which target?"), starts, cands, corpus)
+    scored, _ = score_bridges(model, tokenize("which target?"), starts, cands, corpus)
     assert all(c.fused_score == pytest.approx(0.25) for c in scored)
     ranked = rank_answer_passages(scored)
     assert [t for t, _ in ranked] == ["Target One", "Target Two"]  # tie-break by title
 
 
+def randomize_biases(model, seed=1):
+    for name, param in model.store.items():
+        if "/b" in name:
+            param.data[:] = np.random.default_rng(seed).normal(scale=0.3, size=param.data.shape)
+
+
+def fusion_oracle(model, question, starts, cand, corpus, use_context=True, use_content=True):
+    """w . [take_row(final, token_start); encode_abstract(target)] + b for one
+    candidate on its own, a switched-off channel as zeros."""
+    from bridgeqa.numcore import take_row
+    from bridgeqa.span_model import biattention, encode, self_attention
+
+    store, hidden = model.store, model.span.hidden
+    h_context = np.zeros(8 * hidden)
+    if use_context:
+        start = next(p for p in starts if p.id == cand.source_passage_id)
+        q_enc = encode(question, model.table, store, hidden)
+        final = self_attention(biattention(encode(start.tokens, model.table, store, hidden), q_enc, store), store)
+        h_context = take_row(final.states, cand.mention.token_start).data[0]
+    h_content = np.zeros(2 * model.lstm_hidden)
+    if use_content:
+        h_content = encode_abstract(model, corpus.by_title.get(cand.target_title))[0].data[0]
+    joint = np.concatenate([h_context, h_content])
+    return float(joint @ store["fuse/w"].data[:, 0] + store["fuse/b"].data[0])
+
+
 def test_score_bridges_hand_computed_fusion():
+    # the stacked fusion equals scoring each candidate on its own, with both
+    # channels on and with either switched off
     corpus = trio_corpus()
-    model = tiny_bridge_model(corpus)
-    starts = [corpus.by_id["p1"]]
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    randomize_biases(model)
+    q = tokenize("which target?")
+    starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
     cands = collect_candidates(starts, corpus)
-    scored = score_bridges(model, tokenize("which?"), starts, cands, corpus)
-    w = model.store["fuse/w"].data
-    b = model.store["fuse/b"].data
-    for c in scored:
-        joint = np.concatenate([c.h_context.data[0], c.h_content.data[0]])
-        assert c.fused_score == pytest.approx(float(joint @ w[:, 0] + b[0]))
+    for switches in ({}, {"use_context": False}, {"use_content": False}):
+        scored, logits = score_bridges(model, q, starts, cands, corpus, **switches)
+        assert logits.shape == (len(cands),)
+        for c, logit in zip(scored, logits.data):
+            want = fusion_oracle(model, q, starts, c, corpus, **switches)
+            assert abs(c.fused_score - want) < 1e-12
+            assert c.fused_score == logit
 
 
 def test_score_bridges_content_ablation_ignores_abstract_text():
@@ -164,14 +196,14 @@ def test_score_bridges_content_ablation_ignores_abstract_text():
     starts = [corpus.by_id["p1"]]
     cands = collect_candidates(starts, corpus)
     q = tokenize("which?")
-    base = [c.fused_score for c in score_bridges(model, q, starts, cands, corpus, use_content=False)]
+    base = [c.fused_score for c in score_bridges(model, q, starts, cands, corpus, use_content=False)[0]]
 
     # rewrite an abstract; scores with the content channel ablated must not move
     changed = passage("p3", "Target One", "completely different words now live here")
     altered = corpus_of([corpus.by_id["p1"], corpus.by_id["p2"], changed, corpus.by_id["p4"]])
     after = [
         c.fused_score
-        for c in score_bridges(model, q, starts, cands, altered, use_content=False)
+        for c in score_bridges(model, q, starts, cands, altered, use_content=False)[0]
     ]
     assert after == pytest.approx(base)
 
@@ -181,8 +213,10 @@ def test_score_bridges_context_ablation_zeroes_channel():
     model = tiny_bridge_model(corpus)
     starts = [corpus.by_id["p1"]]
     cands = collect_candidates(starts, corpus)
-    scored = score_bridges(model, tokenize("which?"), starts, cands, corpus, use_context=False)
-    assert all(c.h_context is None for c in scored)
+    q = tokenize("which?")
+    scored, _ = score_bridges(model, q, starts, cands, corpus, use_context=False)
+    for c in scored:
+        assert abs(c.fused_score - fusion_oracle(model, q, starts, c, corpus, use_context=False)) < 1e-12
 
 
 def test_score_bridges_missing_abstract_uses_sentinel():
@@ -190,11 +224,13 @@ def test_score_bridges_missing_abstract_uses_sentinel():
     p1 = passage("p1", "Start A", "links Target One here.", anchors=[("Target One", "Target One")])
     corpus = corpus_of([p1, empty_target])
     model = tiny_bridge_model(corpus, extra_tokens=("which",))
-    scored = score_bridges(
-        model, tokenize("which?"), [p1], collect_candidates([p1], corpus), corpus
-    )
+    q = tokenize("which?")
+    scored, _ = score_bridges(model, q, [p1], collect_candidates([p1], corpus), corpus)
     assert scored[0].content_missing
-    assert np.array_equal(scored[0].h_content.data, model.store["abstract/missing"].data)
+    # the oracle's content vector for the empty abstract is the trained sentinel
+    vec, missing = encode_abstract(model, empty_target)
+    assert missing and vec is model.store["abstract/missing"]
+    assert abs(scored[0].fused_score - fusion_oracle(model, q, [p1], scored[0], corpus)) < 1e-12
 
 
 def loss_of(scores, gold_title):
@@ -209,10 +245,10 @@ def loss_of(scores, gold_title):
                 source_passage_id="p",
                 target_title=title,
                 fused_score=value,
-                score_node=Tensor(np.array([[value]])),
             )
         )
-    return bridge_loss(cands, BridgeLabel("q", gold_title))
+    logits = Tensor(np.array([value for _, value in scores]))
+    return bridge_loss(cands, logits, BridgeLabel("q", gold_title))
 
 
 def test_bridge_loss_single_gold_candidate_is_zero():
@@ -383,22 +419,20 @@ def test_score_bridges_all_starts_match_each_start_alone():
     # every abstract) scores each candidate as scoring its start passage alone
     corpus = trio_corpus()
     model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
-    for name, param in model.store.items():
-        if "/b" in name:
-            param.data[:] = np.random.default_rng(1).normal(scale=0.3, size=param.data.shape)
+    randomize_biases(model)
     q = tokenize("which target?")
     starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
-    together = score_bridges(model, q, starts, collect_candidates(starts, corpus), corpus)
+    together, _ = score_bridges(model, q, starts, collect_candidates(starts, corpus), corpus)
     alone = []
     for start in starts:
-        alone += score_bridges(model, q, [start], collect_candidates([start], corpus), corpus)
+        alone += score_bridges(model, q, [start], collect_candidates([start], corpus), corpus)[0]
     assert [c.target_title for c in together] == [c.target_title for c in alone]
     for a, b in zip(together, alone):
         assert abs(a.fused_score - b.fused_score) < 1e-12
 
 
 def test_encode_abstracts_matches_one_at_a_time_with_dropout():
-    from bridgeqa.bridge import encode_abstract, encode_abstracts
+    from bridgeqa.bridge import encode_abstracts
 
     corpus = trio_corpus()
     model = tiny_bridge_model(corpus)
@@ -432,3 +466,22 @@ def test_train_bridge_applies_last_batch_when_last_question_has_no_candidates():
     # q1's loss is applied in one Adam step, although q2 closes the epoch unscored
     assert model.store.moments["fuse/w"]["t"] == 1
     assert not np.array_equal(model.store["fuse/w"].data, before)
+
+
+def test_bridge_loss_gradient_through_score_bridges():
+    # the reasoner's loss, end to end: encoder, attention, both evidence
+    # channels, the stacked fusion and the marginal NLL
+    from bridgeqa.numcore import grad_check
+
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    randomize_biases(model)
+    q = tokenize("which target?")
+    starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
+    cands = collect_candidates(starts, corpus)
+
+    def build(store):
+        return bridge_loss(*score_bridges(model, q, starts, cands, corpus), BridgeLabel("q", "Target One"))
+
+    report = grad_check(build, model.store, eps=1e-5, tol=1e-4)
+    assert report.passed, report.summary()

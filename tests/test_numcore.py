@@ -15,6 +15,7 @@ from bridgeqa.numcore import (
     cross_entropy_from_logits,
     dropout,
     gather_rows,
+    grad_check,
     init_gru,
     init_lstm,
     matmul,
@@ -159,6 +160,36 @@ def test_add_bias_and_shape_errors():
     assert np.allclose(out.data, [[1, 2, 3], [1, 2, 3]])
     with pytest.raises(ShapeError, match="add"):
         add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+
+
+@pytest.mark.parametrize(
+    "op, a_shape, b_shape",
+    [(add, (4, 1), (1, 3)), (mul, (4, 3), (1, 3)), (mul, (1, 3), (4, 3))],
+)
+def test_broadcast_gradients_grad_check(op, a_shape, b_shape):
+    # backward sums the gradient over each operand's broadcast axes
+    rng = np.random.default_rng(41)
+    store = ParamStore()
+    store.add("a", rng.normal(size=a_shape))
+    store.add("b", rng.normal(size=b_shape))
+    weights = constant(rng.normal(size=(4, 3)))
+
+    def build(s):
+        out = op(s["a"], s["b"])
+        assert out.shape == (4, 3)
+        return sum_all(mul(tanh(out), weights))
+
+    report = grad_check(build, store, eps=1e-5, tol=1e-6)
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((3,), (3, 1)), ((2, 3), (3, 2)), ((2, 3), (2,))])
+def test_broadcast_shape_errors(a_shape, b_shape):
+    for op in (add, mul):
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(Tensor(np.ones(b_shape)), Tensor(np.ones(a_shape)))
 
 
 def test_relu_sigmoid_tanh_forward():

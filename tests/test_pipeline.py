@@ -361,7 +361,7 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
     import numpy as np
 
     from bridgeqa import pipeline
-    from bridgeqa.pipeline import _frozen_embeddings, _vocab_for
+    from bridgeqa.pipeline import _embedding
 
     corpus = load_corpus(fixture_dir / "corpus.jsonl")
     corpus_tokens = sorted({tok for p in corpus.passages for tok in p.tokens.tokens})
@@ -393,7 +393,7 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
                       "train-bridge": 1, "cross-predict": 1, "train-reader": 1}
 
     _, train, dev = _load_ingested(cfg)
-    vocab, matrix, dim = _frozen_embeddings(cfg, _vocab_for(cfg, corpus, train + dev))
+    vocab, matrix, dim = _embedding(cfg, corpus, train + dev)
     assert list(vocab) == ["<unk>"] + covered
     assert dim == 5
     assert np.array_equal(matrix[0], np.mean([vectors[t] for t in reversed(covered)], axis=0))

@@ -80,7 +80,7 @@ def test_encode_matches_scalar_oracle_through_embedding():
 
 
 def enc_seq(arr):
-    return EncodedSeq(states=Tensor(np.asarray(arr, dtype=float)), mask=np.ones(len(arr), dtype=bool))
+    return EncodedSeq(states=Tensor(np.asarray(arr, dtype=float)))
 
 
 def zeroed_attention_store(width, prefix="span/biattn/"):
@@ -201,19 +201,6 @@ def test_span_heads_zero_weights_uniform():
     assert np.allclose(scores.start_logits.data, 0.0)
 
 
-def test_span_heads_masked_position_minus_inf():
-    store = ParamStore()
-    width = 2
-    store.add("span/heads/start_w", np.ones((width, 1)))
-    store.add("span/heads/start_b", np.zeros(1))
-    store.add("span/heads/end_w", np.ones((width, 1)))
-    store.add("span/heads/end_b", np.zeros(1))
-    seq = EncodedSeq(states=Tensor(np.ones((3, width))), mask=np.array([True, False, True]))
-    scores = span_heads(seq, store)
-    assert np.isneginf(scores.start_logits.data[1])
-    assert np.isneginf(scores.end_logits.data[1])
-
-
 def test_span_heads_matches_matrix_vector_product():
     rng = np.random.default_rng(8)
     store = ParamStore()
@@ -248,18 +235,8 @@ def test_span_nll_probability_one_is_zero():
     start[1] = 0.0
     end = big.copy()
     end[2] = 0.0
-    scores = SpanScores(Tensor(start), Tensor(end), np.ones(4, dtype=bool))
+    scores = SpanScores(Tensor(start), Tensor(end))
     assert span_nll_loss(scores, 1, 2).item() == pytest.approx(0.0, abs=1e-9)
-
-
-def test_span_nll_gold_on_masked_position_is_error():
-    from bridgeqa.span_model import SpanScores
-
-    scores = SpanScores(
-        Tensor(np.zeros(3)), Tensor(np.zeros(3)), np.array([True, False, True])
-    )
-    with pytest.raises(ValidationError):
-        span_nll_loss(scores, 1, 1)
 
 
 def test_full_model_gradient_check():
@@ -284,9 +261,7 @@ def test_logit_shift_invariance():
     base_loss = span_nll_loss(scores, 0, 1).item()
     from bridgeqa.span_model import SpanScores
 
-    shifted = SpanScores(
-        Tensor(scores.start_logits.data + 7.5), scores.end_logits, scores.mask
-    )
+    shifted = SpanScores(Tensor(scores.start_logits.data + 7.5), scores.end_logits)
     assert span_nll_loss(shifted, 0, 1).item() == pytest.approx(base_loss)
     assert np.argmax(shifted.start_logits.data) == np.argmax(scores.start_logits.data)
 
