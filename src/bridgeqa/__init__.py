@@ -10,7 +10,6 @@ against finite differences.
 
 from .ablation import (
     PipelineState,
-    answer_question,
     predict_questions,
     run_ablation,
     score_predictions,

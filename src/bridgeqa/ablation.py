@@ -179,17 +179,6 @@ def predict_one(
     )
 
 
-def answer_question(
-    record: QARecord, state: PipelineState, mode: str = "full"
-) -> tuple[str, list[str]]:
-    """Answer one question end to end; returns the answer string and the
-    provenance (titles of the passages fed to the reader)."""
-    prediction, reason = predict_one(state, record, mode)
-    if prediction is None:
-        raise ValidationError(f"question {record.id!r} not answerable under {mode!r}: {reason}")
-    return prediction.answer, prediction.passages
-
-
 def predict_questions(
     state: PipelineState,
     questions: list[QARecord],

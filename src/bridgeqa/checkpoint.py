@@ -1,10 +1,15 @@
-"""Bit-exact parameter checkpoints.
+"""Bit-exact parameter checkpoints that carry their vocabulary.
 
 Layout: a directory holding manifest.json plus one raw binary file per
-tensor. Each tensor file is row-major little-endian 32-bit floats; the
-manifest lists {name, shape, dtype, file, sha256} sorted by name. Training
-runs in 64-bit, so loading a checkpoint rounds parameters to their 32-bit
-serialized values.
+distinct tensor content, named `<sha256>.bin` after that content. Each
+tensor file is row-major little-endian 32-bit floats. The manifest holds
+the vocabulary and lists {name, shape, dtype, sha256} sorted by name.
+
+A save moves each tensor file into place complete, then commits weights
+and vocabulary together with one atomic manifest write, and only then
+removes the tensor files the new manifest does not name. So a failed save
+leaves the previous checkpoint loadable as it was. Training runs in
+64-bit, so loading rounds parameters to their 32-bit serialized values.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .manifest import atomic_write
+from .manifest import atomic_write, file_sha256, write_json
 from .numcore import ParamStore
 
 MANIFEST_NAME = "manifest.json"
@@ -26,61 +31,63 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def save_checkpoint(store: ParamStore, directory: str | Path) -> dict:
-    """Write the tensor files, then commit them by moving the manifest into
-    place; a failed save leaves the previous manifest, whose hashes reject
-    any tensor file the save overwrote."""
+def save_checkpoint(store: ParamStore, directory: str | Path, vocab: dict[str, int]) -> dict:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, name in enumerate(sorted(store.names())):
-        tensor = store[name]
-        data = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-        filename = f"tensor_{i:04d}.bin"
-        (directory / filename).write_bytes(data)
-        entries.append(
-            {
-                "name": name,
-                "shape": list(tensor.data.shape),
-                "dtype": "f32",
-                "file": filename,
-                "sha256": _sha256(data),
-            }
-        )
-    manifest = {"format": "raw-f32-le", "tensors": entries}
-    with atomic_write(directory / MANIFEST_NAME) as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    written: set[str] = set()
+    for name in sorted(store.names()):
+        array = store[name].data
+        data = np.ascontiguousarray(array, dtype="<f4").tobytes()
+        digest = _sha256(data)
+        if digest not in written:
+            with atomic_write(directory / f"{digest}.bin") as fh:
+                fh.buffer.write(data)
+            written.add(digest)
+        entries.append({"name": name, "shape": list(array.shape), "dtype": "f32", "sha256": digest})
+    manifest = {"format": "raw-f32-le", "tensors": entries, "vocab": vocab}
+    write_json(directory / MANIFEST_NAME, manifest, indent=2)
+    for path in directory.glob("*.bin"):
+        if path.stem not in written:
+            path.unlink()
     return manifest
 
 
-def load_checkpoint_arrays(directory: str | Path) -> dict[str, np.ndarray]:
+def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[str, int]]:
+    """(arrays by parameter name, vocabulary), reading and verifying each
+    tensor file once."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"no checkpoint manifest at {manifest_path}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if "vocab" not in manifest:
+        raise CheckpointError(f"checkpoint manifest {manifest_path} holds no vocabulary")
+    contents: dict[str, bytes] = {}
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
-        path = directory / entry["file"]
-        if not path.exists():
-            raise CheckpointError(f"checkpoint tensor file missing: {path}")
-        data = path.read_bytes()
-        if _sha256(data) != entry["sha256"]:
-            raise CheckpointError(f"checkpoint hash mismatch for {entry['name']!r} ({path})")
+        digest = entry["sha256"]
+        if digest not in contents:
+            path = directory / f"{digest}.bin"
+            if not path.exists():
+                raise CheckpointError(f"checkpoint tensor file missing: {path}")
+            contents[digest] = path.read_bytes()
+            if _sha256(contents[digest]) != digest:
+                raise CheckpointError(f"checkpoint hash mismatch for {entry['name']!r} ({path})")
+        data = contents[digest]
         shape = tuple(entry["shape"])
         expected = int(np.prod(shape)) * 4 if shape else 4
         if len(data) != expected:
             raise CheckpointError(
                 f"checkpoint tensor {entry['name']!r} truncated: {len(data)} bytes, expected {expected}"
             )
-        arr = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
-        arrays[entry["name"]] = arr
-    return arrays
+        arrays[entry["name"]] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+    return arrays, manifest["vocab"]
 
 
-def load_checkpoint(store: ParamStore, directory: str | Path) -> None:
-    """Load saved tensors into an already-initialized store (shapes must match)."""
-    arrays = load_checkpoint_arrays(directory)
+def restore(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
+    """Set every parameter of an already-initialized store from a
+    checkpoint's arrays (shapes must match)."""
     missing = [n for n in store.names() if n not in arrays]
     if missing:
         raise CheckpointError(f"checkpoint lacks parameters: {missing}")
@@ -88,10 +95,5 @@ def load_checkpoint(store: ParamStore, directory: str | Path) -> None:
 
 
 def checkpoint_digest(directory: str | Path) -> str:
-    """One hash covering the whole checkpoint directory (manifest included)."""
-    directory = Path(directory)
-    h = hashlib.sha256()
-    for path in sorted(directory.iterdir()):
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    """The sha256 of the committed manifest, which holds every tensor's hash."""
+    return file_sha256(Path(directory) / MANIFEST_NAME)

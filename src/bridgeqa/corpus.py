@@ -8,12 +8,11 @@ and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import AlignmentError, ValidationError
-from .manifest import atomic_write
+from .manifest import read_jsonl, write_jsonl
 
 QUESTION_TYPES = ("bridge", "comparison")
 
@@ -117,22 +116,22 @@ def align_anchor(passage: Passage, mention: AnchorMention) -> AnchorMention:
     return replace(mention, token_start=first, token_end=last)
 
 
-def _parse_passage(obj: dict, line_no: int) -> Passage:
+def _parse_passage(obj: dict, where: str) -> Passage:
     for key in ("id", "title", "text"):
         if key not in obj or not isinstance(obj[key], str):
-            raise ValidationError(f"line {line_no}: missing or non-string field {key!r}")
+            raise ValidationError(f"{where}: missing or non-string field {key!r}")
     if not obj["title"]:
-        raise ValidationError(f"line {line_no}: empty title (passage {obj['id']!r})")
+        raise ValidationError(f"{where}: empty title (passage {obj['id']!r})")
     raw_anchors = obj.get("anchors", [])
     if not isinstance(raw_anchors, list):
-        raise ValidationError(f"line {line_no}: anchors must be a list")
+        raise ValidationError(f"{where}: anchors must be a list")
     seen: set[tuple[str, int, int]] = set()
     mentions: list[AnchorMention] = []
     for a in raw_anchors:
         try:
             key = (a["target"], int(a["start"]), int(a["end"]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"line {line_no}: malformed anchor {a!r}") from exc
+            raise ValidationError(f"{where}: malformed anchor {a!r}") from exc
         if key in seen:
             continue  # duplicate anchors (same target, same span) are dropped at load
         seen.add(key)
@@ -158,40 +157,33 @@ def load_corpus(path: str | Path) -> Corpus:
     passages: list[Passage] = []
     by_title: dict[str, Passage] = {}
     by_id: dict[str, Passage] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
-            passage = _parse_passage(obj, line_no)
-            if passage.title in by_title:
-                raise ValidationError(f"line {line_no}: duplicate title {passage.title!r}")
-            if passage.id in by_id:
-                raise ValidationError(f"line {line_no}: duplicate passage id {passage.id!r}")
-            passages.append(passage)
-            by_title[passage.title] = passage
-            by_id[passage.id] = passage
+    for n, obj in enumerate(read_jsonl(path), start=1):
+        where = f"{path} record {n}"
+        passage = _parse_passage(obj, where)
+        if passage.title in by_title:
+            raise ValidationError(f"{where}: duplicate title {passage.title!r}")
+        if passage.id in by_id:
+            raise ValidationError(f"{where}: duplicate passage id {passage.id!r}")
+        passages.append(passage)
+        by_title[passage.title] = passage
+        by_id[passage.id] = passage
     return Corpus(tuple(passages), by_title, by_id)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus back in the load_corpus line format (round-trip safe)."""
-    with atomic_write(path) as fh:
-        for p in corpus.passages:
-            obj = {
+    write_jsonl(
+        path,
+        (
+            {
                 "id": p.id,
                 "title": p.title,
                 "text": p.text,
-                "anchors": [
-                    {"target": a.target_title, "start": a.char_start, "end": a.char_end}
-                    for a in p.anchors
-                ],
+                "anchors": [{"target": a.target_title, "start": a.char_start, "end": a.char_end} for a in p.anchors],
             }
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+            for p in corpus.passages
+        ),
+    )
 
 
 def load_questions(path: str | Path) -> list[QARecord]:
@@ -201,48 +193,40 @@ def load_questions(path: str | Path) -> list[QARecord]:
     when present the list must be non-empty.
     """
     records: list[QARecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
-            for key in ("id", "question", "type"):
-                if key not in obj or not isinstance(obj[key], str):
-                    raise ValidationError(f"line {line_no}: missing or non-string field {key!r}")
-            if not isinstance(obj.get("answer"), str) or not obj["answer"]:
-                raise ValidationError(f"line {line_no}: missing answer (question {obj['id']!r})")
-            if obj["type"] not in QUESTION_TYPES:
-                raise ValidationError(
-                    f"line {line_no}: unknown question type {obj['type']!r} "
-                    f"(expected one of {QUESTION_TYPES})"
-                )
-            titles = obj.get("supporting_titles")
-            if titles is not None:
-                if not isinstance(titles, list) or not titles:
-                    raise ValidationError(
-                        f"line {line_no}: supporting_titles must be a non-empty list when present"
-                    )
-                titles = tuple(str(t) for t in titles)
-            records.append(
-                QARecord(
-                    id=obj["id"],
-                    question=obj["question"],
-                    answer=obj["answer"],
-                    qtype=obj["type"],
-                    supporting_titles=titles,
-                )
+    for n, obj in enumerate(read_jsonl(path), start=1):
+        where = f"{path} record {n}"
+        for key in ("id", "question", "type"):
+            if key not in obj or not isinstance(obj[key], str):
+                raise ValidationError(f"{where}: missing or non-string field {key!r}")
+        if not isinstance(obj.get("answer"), str) or not obj["answer"]:
+            raise ValidationError(f"{where}: missing answer (question {obj['id']!r})")
+        if obj["type"] not in QUESTION_TYPES:
+            raise ValidationError(
+                f"{where}: unknown question type {obj['type']!r} (expected one of {QUESTION_TYPES})"
             )
+        titles = obj.get("supporting_titles")
+        if titles is not None:
+            if not isinstance(titles, list) or not titles:
+                raise ValidationError(f"{where}: supporting_titles must be a non-empty list when present")
+            titles = tuple(str(t) for t in titles)
+        records.append(
+            QARecord(
+                id=obj["id"],
+                question=obj["question"],
+                answer=obj["answer"],
+                qtype=obj["type"],
+                supporting_titles=titles,
+            )
+        )
     return records
 
 
+def _question_row(r: QARecord) -> dict:
+    obj: dict = {"id": r.id, "question": r.question, "answer": r.answer, "type": r.qtype}
+    if r.supporting_titles is not None:
+        obj["supporting_titles"] = list(r.supporting_titles)
+    return obj
+
+
 def save_questions(records: list[QARecord], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        for r in records:
-            obj: dict = {"id": r.id, "question": r.question, "answer": r.answer, "type": r.qtype}
-            if r.supporting_titles is not None:
-                obj["supporting_titles"] = list(r.supporting_titles)
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, (_question_row(r) for r in records))

@@ -1,6 +1,7 @@
 """Run manifests: one JSON log per output directory recording every stage,
 its config snapshot, seeds, and artifact hashes, plus the mechanical
-fold-hygiene check over reader training provenance."""
+fold-hygiene check over reader training provenance. Also the one atomic
+writer and the one reader of the JSON and line-delimited JSON artifacts."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ValidationError
 
 MANIFEST_FILE = "manifest.json"
 
@@ -38,6 +41,37 @@ def atomic_write(path: str | Path):
         raise
 
 
+def write_json(path: str | Path, obj, indent: int | None = None) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, indent=indent, sort_keys=True) + "\n")
+
+
+def write_jsonl(path: str | Path, rows) -> None:
+    """Write one JSON object per line, atomically."""
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """The JSON objects of a line-delimited file, skipping blank lines. A
+    line that is not a JSON object raises ValidationError naming the file
+    and the line."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path} line {line_no}: not valid JSON ({exc.msg})") from exc
+            if not isinstance(row, dict):
+                raise ValidationError(f"{path} line {line_no}: not a JSON object")
+            rows.append(row)
+    return rows
+
+
 def read_manifest(output_dir: str | Path) -> list[dict]:
     path = Path(output_dir) / MANIFEST_FILE
     if not path.exists():
@@ -52,8 +86,7 @@ def append_manifest(output_dir: str | Path, entry: dict) -> None:
     entry = dict(entry)
     entry.setdefault("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()))
     entries.append(entry)
-    with atomic_write(output_dir / MANIFEST_FILE) as fh:
-        fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    write_json(output_dir / MANIFEST_FILE, entries, indent=2)
 
 
 def verify_fold_hygiene(output_dir: str | Path) -> list[str]:
@@ -71,20 +104,15 @@ def verify_fold_hygiene(output_dir: str | Path) -> list[str]:
         return [f"missing reader example provenance: {examples_path}"]
     folds = json.loads(folds_path.read_text(encoding="utf-8"))
     violations: list[str] = []
-    with open(examples_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            fold = rec.get("predicted_by_fold")
-            if fold is None:
-                continue  # retriever-sourced context (comparison questions); no fold applies
-            if fold not in folds:
-                violations.append(f"example {rec['qid']}: unknown fold {fold!r}")
-            elif rec["qid"] in folds[fold]:
-                violations.append(
-                    f"example {rec['qid']}: passages predicted by fold {fold!r}, "
-                    f"which contained the example itself"
-                )
+    for rec in read_jsonl(examples_path):
+        fold = rec.get("predicted_by_fold")
+        if fold is None:
+            continue  # retriever-sourced context (comparison questions); no fold applies
+        if fold not in folds:
+            violations.append(f"example {rec['qid']}: unknown fold {fold!r}")
+        elif rec["qid"] in folds[fold]:
+            violations.append(
+                f"example {rec['qid']}: passages predicted by fold {fold!r}, "
+                f"which contained the example itself"
+            )
     return violations

@@ -35,11 +35,11 @@ from .bridge import (
     prepare_question_inputs,
     train_bridge_reasoner,
 )
-from .checkpoint import checkpoint_digest, load_checkpoint, load_checkpoint_arrays, save_checkpoint
+from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkpoint
 from .config import PipelineConfig, config_to_dict
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions, tokenize
-from .errors import ConfigError, MissingPrerequisiteError, ValidationError
-from .manifest import append_manifest, atomic_write, file_sha256
+from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
+from .manifest import append_manifest, file_sha256, read_jsonl, write_json, write_jsonl
 from .reader import (
     Prediction,
     ReaderExample,
@@ -83,22 +83,6 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def _write_jsonl(path: Path, rows) -> None:
-    with atomic_write(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _write_json(path: Path, obj, indent: int | None = None) -> None:
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(obj, indent=indent, sort_keys=True) + "\n")
-
-
 def _load_ingested(cfg: PipelineConfig) -> tuple[Corpus, list[QARecord], list[QARecord]]:
     out = _out(cfg)
     corpus = load_corpus(_require(out / "corpus.jsonl", "ingest"))
@@ -123,7 +107,7 @@ def _load_state(cfg: PipelineConfig) -> tuple[PipelineState, list[QARecord], lis
 
 def _load_labels(cfg: PipelineConfig) -> list[BridgeLabel]:
     path = _require(_out(cfg) / "bridge_labels.jsonl", "derive-labels")
-    return [BridgeLabel(rec["qid"], rec["gold_title"]) for rec in _read_jsonl(path)]
+    return [BridgeLabel(rec["qid"], rec["gold_title"]) for rec in read_jsonl(path)]
 
 
 def _embedding(
@@ -170,26 +154,25 @@ def _new_reader_model(cfg: PipelineConfig, embedding: tuple, seed_tag: int) -> S
     return init_span_model(vocab, dim, cfg.gru_hidden, cfg.dropout, rng, frozen_embeddings=matrix)
 
 
-def _save_model(store, vocab: dict[str, int], directory: Path) -> str:
-    save_checkpoint(store, directory)
-    _write_json(directory / "vocab.json", {"vocab": vocab})
+def _save_model(model, directory: Path) -> str:
+    save_checkpoint(model.store, directory, model.table.vocab)
     return checkpoint_digest(directory)
 
 
-def _load_vocab(directory: Path) -> dict[str, int]:
-    meta = json.loads((directory / "vocab.json").read_text(encoding="utf-8"))
-    return {tok: int(i) for tok, i in meta["vocab"].items()}
-
-
-def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int):
-    # vocab.json holds the restricted vocabulary and the checkpoint the frozen
-    # table, so the vector file is not read again
+def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int, produced_by: str):
+    _require(directory / "manifest.json", produced_by)
+    try:
+        arrays, vocab = load_checkpoint(directory)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{exc}; rerun {produced_by}") from exc
+    # the checkpoint holds the restricted vocabulary and the frozen table, so
+    # the vector file is not read again
     matrix, dim = None, cfg.embed_dim
     if cfg.embeddings_path is not None:
-        matrix = load_checkpoint_arrays(directory)["embed/matrix"]
+        matrix = arrays["embed/matrix"]
         dim = matrix.shape[1]
-    model = new_model(cfg, (_load_vocab(directory), matrix, dim), seed_tag=seed_tag)
-    load_checkpoint(model.store, directory)
+    model = new_model(cfg, (vocab, matrix, dim), seed_tag=seed_tag)
+    restore(model.store, arrays)
     return model
 
 
@@ -244,7 +227,7 @@ def stage_build_index(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     corpus, _, _ = _load_ingested(cfg)
     index = build_index(corpus)
-    _write_json(out / "index.json", index_to_dict(index))
+    write_json(out / "index.json", index_to_dict(index))
     entry = {
         "stage": "build-index",
         "n_documents": index.N,
@@ -259,11 +242,11 @@ def stage_derive_labels(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     corpus, train, _ = _load_ingested(cfg)
     labels, skipped = derive_bridge_labels(train, corpus, cfg.seed)
-    _write_jsonl(
+    write_jsonl(
         out / "bridge_labels.jsonl",
         ({"qid": lbl.question_id, "gold_title": lbl.gold_title} for lbl in labels),
     )
-    _write_jsonl(out / "label_skips.jsonl", skipped)
+    write_jsonl(out / "label_skips.jsonl", skipped)
     entry = {
         "stage": "derive-labels",
         "n_labels": len(labels),
@@ -284,8 +267,8 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
     inputs = prepare_question_inputs(bridge_questions, labels, _start_sets(state, bridge_questions), corpus)
     stats = train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
     stats["final_train_hits1"] = evaluate_hits(model, inputs, corpus, k=1)
-    digest = _save_model(model.store, model.table.vocab, out / "checkpoints" / "bridge")
-    _write_json(out / "bridge_train_log.json", stats, indent=2)
+    digest = _save_model(model, out / "checkpoints" / "bridge")
+    write_json(out / "bridge_train_log.json", stats, indent=2)
     entry = {
         "stage": "train-bridge",
         "checkpoint": "checkpoints/bridge",
@@ -318,9 +301,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         inputs = prepare_question_inputs(fold_questions, labels, start_sets, corpus)
         model = _new_bridge_model(cfg, embedding, seed_tag=1 if fold_name == "A" else 2)
         train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
-        digests[fold_name] = _save_model(
-            model.store, model.table.vocab, out / "checkpoints" / f"bridge_fold_{fold_name.lower()}"
-        )
+        digests[fold_name] = _save_model(model, out / "checkpoints" / f"bridge_fold_{fold_name.lower()}")
         for qid in folds[other_name]:
             q = by_qid[qid]
             ranked = predict_ranked_titles(
@@ -332,8 +313,8 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
                 "titles": [t for t, _ in ranked],
             }
 
-    _write_json(out / "folds.json", folds, indent=2)
-    _write_jsonl(out / "cross_predictions.jsonl", (predictions[qid] for qid in sorted(predictions)))
+    write_json(out / "folds.json", folds, indent=2)
+    write_jsonl(out / "cross_predictions.jsonl", (predictions[qid] for qid in sorted(predictions)))
     entry = {
         "stage": "cross-predict",
         "folds": folds,
@@ -387,9 +368,9 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     state, train, dev = _load_state(cfg)
     cross_path = _require(out / "cross_predictions.jsonl", "cross-predict")
-    cross_preds = {rec["qid"]: rec for rec in _read_jsonl(cross_path)}
+    cross_preds = {rec["qid"]: rec for rec in read_jsonl(cross_path)}
     examples, skips = _build_reader_examples(state, train, cross_preds)
-    _write_jsonl(
+    write_jsonl(
         out / "reader_examples.jsonl",
         (
             {
@@ -402,7 +383,7 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
             for ex in examples
         ),
     )
-    _write_jsonl(out / "reader_example_skips.jsonl", skips)
+    write_jsonl(out / "reader_example_skips.jsonl", skips)
 
     embedding = _embedding(cfg, state.corpus, train + dev)
     reader_cfg = ReaderTrainConfig(
@@ -416,16 +397,16 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
     )
     model = _new_reader_model(cfg, embedding, seed_tag=0)
     stats = train_reader(model, examples, reader_cfg)
-    digest = _save_model(model.store, model.table.vocab, out / "checkpoints" / "reader")
+    digest = _save_model(model, out / "checkpoints" / "reader")
     logs = {"reader": stats}
 
     if cfg.train_no_multitask_reader:
         nomt_cfg = ReaderTrainConfig(**{**reader_cfg.__dict__, "aux_weight": 0.0})
         nomt = _new_reader_model(cfg, embedding, seed_tag=1)
         logs["reader_no_multitask"] = train_reader(nomt, examples, nomt_cfg)
-        _save_model(nomt.store, nomt.table.vocab, out / "checkpoints" / "reader_no_multitask")
+        _save_model(nomt, out / "checkpoints" / "reader_no_multitask")
 
-    _write_json(out / "reader_train_log.json", logs, indent=2)
+    write_json(out / "reader_train_log.json", logs, indent=2)
     entry = {
         "stage": "train-reader",
         "checkpoint": "checkpoints/reader",
@@ -444,13 +425,11 @@ def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
     """Assemble trained components from the output directory's checkpoints."""
     checkpoints = _out(cfg) / "checkpoints"
     state, _, _ = _load_state(cfg)
-    _require(checkpoints / "bridge" / "manifest.json", "train-bridge")
-    state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", seed_tag=0)
-    _require(checkpoints / "reader" / "manifest.json", "train-reader")
-    state.reader = _load_model(_new_reader_model, cfg, checkpoints / "reader", seed_tag=0)
+    state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", 0, "train-bridge")
+    state.reader = _load_model(_new_reader_model, cfg, checkpoints / "reader", 0, "train-reader")
     nomt_dir = checkpoints / "reader_no_multitask"
     if (nomt_dir / "manifest.json").exists():
-        state.reader_no_multitask = _load_model(_new_reader_model, cfg, nomt_dir, seed_tag=1)
+        state.reader_no_multitask = _load_model(_new_reader_model, cfg, nomt_dir, 1, "train-reader")
     return state
 
 
@@ -461,11 +440,11 @@ def stage_predict(cfg: PipelineConfig) -> dict:
     label_list, _ = derive_bridge_labels(dev, state.corpus, cfg.seed)
     labels = {lbl.question_id: lbl.gold_title for lbl in label_list}
     predictions, skipped = predict_questions(state, dev, cfg.mode, labels)
-    _write_jsonl(
+    write_jsonl(
         out / "predictions.jsonl",
         ({"qid": p.qid, "answer": p.answer, "passages": p.passages} for p in predictions),
     )
-    _write_jsonl(
+    write_jsonl(
         out / "predict_detail.jsonl",
         [
             {"qid": p.qid, "ranked_titles": p.ranked_titles, "fallback": p.fallback, "mode": cfg.mode}
@@ -473,7 +452,7 @@ def stage_predict(cfg: PipelineConfig) -> dict:
         ]
         + [{"qid": rec["qid"], "skipped": rec["reason"], "mode": cfg.mode} for rec in skipped],
     )
-    _write_jsonl(
+    write_jsonl(
         out / "candidates.jsonl",
         (
             {"qid": p.qid, "candidates": [{"title": t, "score": s} for t, s in p.ranked_scored]}
@@ -500,7 +479,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     details = {}
     skipped = []
     modes = set()
-    for rec in _read_jsonl(detail_path):
+    for rec in read_jsonl(detail_path):
         modes.add(rec["mode"])
         if "skipped" in rec:
             skipped.append({"qid": rec["qid"], "reason": rec["skipped"]})
@@ -512,7 +491,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     # empty question set leaves nothing to read it from
     mode = modes.pop() if modes else cfg.mode
     predictions = []
-    for rec in _read_jsonl(pred_path):
+    for rec in read_jsonl(pred_path):
         det = details.get(rec["qid"], {})
         predictions.append(
             Prediction(
@@ -526,8 +505,8 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     label_list, _ = derive_bridge_labels(dev, corpus, cfg.seed)
     labels = {lbl.question_id: lbl.gold_title for lbl in label_list}
     report = score_predictions(predictions, dev, mode, labels, skipped)
-    _write_json(out / "report.json", report.aggregates(), indent=2)
-    _write_jsonl(out / "report_detail.jsonl", report.to_dict()["per_question"])
+    write_json(out / "report.json", report.aggregates(), indent=2)
+    write_jsonl(out / "report_detail.jsonl", report.to_dict()["per_question"])
     entry = {
         "stage": "evaluate",
         "mode": mode,

@@ -61,8 +61,9 @@ def _smooth_idf(N: int, df: int) -> float:
 
 def _field(postings: dict[str, dict[str, int]], doc_len: dict[str, int]) -> FieldIndex:
     """Derive df, N, the average length and the tf-idf vector norms from the
-    postings, for a built and a loaded index alike (a file's stored statistics
-    are not read). Each norm sums its squares in the postings' term order."""
+    postings, for a built and a loaded index alike (a file stores only the
+    postings and lengths). Each norm sums its squares in the postings' term
+    order."""
     N = len(doc_len)
     df = {term: len(per_doc) for term, per_doc in postings.items()}
     squares: dict[str, float] = {}
@@ -153,9 +154,6 @@ def _field_to_dict(field: FieldIndex) -> dict:
     return {
         "postings": {t: [[pid, tf] for pid, tf in per_doc.items()] for t, per_doc in field.postings.items()},
         "doc_len": field.doc_len,
-        "avg_doc_len": field.avg_doc_len,
-        "N": field.N,
-        "df": field.df,
     }
 
 

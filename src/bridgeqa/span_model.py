@@ -17,6 +17,7 @@ diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +59,9 @@ class EmbeddingTable:
     unk_index: int
     frozen: bool
 
-    @property
+    @cached_property
     def row_mask(self) -> np.ndarray | None:
+        """The gradient mask of a frozen table, built on first use."""
         if not self.frozen:
             return None
         mask = np.zeros(self.matrix.data.shape[0])

@@ -11,12 +11,12 @@ and only context-level reasoning finds the answer passage.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import QARecord, save_questions
+from .manifest import write_jsonl
 
 FIRST_NAMES = [
     "Mara", "Tobin", "Isolde", "Quentin", "Beatrix", "Casper", "Odette", "Ferris",
@@ -255,9 +255,7 @@ def write_fixture(directory: str | Path, seed: int = 7) -> dict[str, str]:
     directory.mkdir(parents=True, exist_ok=True)
     passages, train, dev = build_tiny_wiki(seed)
     corpus_path = directory / "corpus.jsonl"
-    with open(corpus_path, "w", encoding="utf-8") as fh:
-        for p in passages:
-            fh.write(json.dumps(p, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(corpus_path, passages)
     train_path = directory / "train_questions.jsonl"
     dev_path = directory / "dev_questions.jsonl"
     save_questions(train, train_path)

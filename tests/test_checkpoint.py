@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ import pytest
 from bridgeqa.checkpoint import (
     checkpoint_digest,
     load_checkpoint,
-    load_checkpoint_arrays,
+    restore,
     save_checkpoint,
 )
 from bridgeqa.errors import CheckpointError
 from bridgeqa.numcore import ParamStore
+
+VOCAB = {"<unk>": 0, "kiss": 1, "tell": 2}
 
 
 def store_fixture(seed=0):
@@ -22,10 +26,16 @@ def store_fixture(seed=0):
     return store
 
 
+def tensor_path(directory):
+    manifest = json.loads((directory / "manifest.json").read_text())
+    return directory / f"{manifest['tensors'][0]['sha256']}.bin"
+
+
 def test_round_trip_exact_at_f32(tmp_path):
     store = store_fixture()
-    save_checkpoint(store, tmp_path / "ckpt")
-    arrays = load_checkpoint_arrays(tmp_path / "ckpt")
+    save_checkpoint(store, tmp_path / "ckpt", VOCAB)
+    arrays, vocab = load_checkpoint(tmp_path / "ckpt")
+    assert vocab == VOCAB
     for name, tensor in store.items():
         expected = tensor.data.astype("<f4").astype(np.float64)
         assert np.array_equal(arrays[name], expected)
@@ -33,78 +43,125 @@ def test_round_trip_exact_at_f32(tmp_path):
 
 def test_load_into_store_round_trips(tmp_path):
     store = store_fixture()
-    save_checkpoint(store, tmp_path / "ckpt")
+    save_checkpoint(store, tmp_path / "ckpt", VOCAB)
     other = store_fixture(seed=9)
-    load_checkpoint(other, tmp_path / "ckpt")
+    restore(other, load_checkpoint(tmp_path / "ckpt")[0])
     for name, tensor in store.items():
         assert np.array_equal(other[name].data, tensor.data.astype("<f4").astype(np.float64))
 
 
+def test_directory_holds_the_manifest_and_one_file_per_content(tmp_path, monkeypatch):
+    store = store_fixture()
+    store.add("enc/b2", np.zeros(3))
+    store.add("head/b", np.zeros(3))
+    save_checkpoint(store, tmp_path / "ckpt", VOCAB)
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    digests = {e["sha256"] for e in manifest["tensors"]}
+    assert len(manifest["tensors"]) == 5 and len(digests) == 4
+    files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
+    assert files == sorted(["manifest.json"] + [f"{d}.bin" for d in digests])
+    # a load reads each file once, the shared one too
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p.name) or read_bytes(p))
+    arrays, _ = load_checkpoint(tmp_path / "ckpt")
+    assert sorted(reads) == [f for f in files if f.endswith(".bin")]
+    assert np.array_equal(arrays["enc/b2"], arrays["head/b"])
+    # a later save removes the files its manifest no longer names
+    save_checkpoint(store_fixture(seed=1), tmp_path / "ckpt", VOCAB)
+    assert len(list((tmp_path / "ckpt").iterdir())) == 4
+    load_checkpoint(tmp_path / "ckpt")
+
+
 def test_truncated_file_is_corruption_error(tmp_path):
     store = store_fixture()
-    save_checkpoint(store, tmp_path / "ckpt")
-    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    victim = tmp_path / "ckpt" / manifest["tensors"][0]["file"]
+    save_checkpoint(store, tmp_path / "ckpt", VOCAB)
+    victim = tensor_path(tmp_path / "ckpt")
     data = victim.read_bytes()
     victim.write_bytes(data[:-4])
     with pytest.raises(CheckpointError):
-        load_checkpoint_arrays(tmp_path / "ckpt")
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_hash_mismatch_is_corruption_error(tmp_path):
     store = store_fixture()
-    save_checkpoint(store, tmp_path / "ckpt")
-    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    victim = tmp_path / "ckpt" / manifest["tensors"][0]["file"]
+    save_checkpoint(store, tmp_path / "ckpt", VOCAB)
+    victim = tensor_path(tmp_path / "ckpt")
     data = bytearray(victim.read_bytes())
     data[0] ^= 0xFF
     victim.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="hash"):
-        load_checkpoint_arrays(tmp_path / "ckpt")
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_missing_manifest(tmp_path):
     with pytest.raises(CheckpointError):
-        load_checkpoint_arrays(tmp_path / "nowhere")
+        load_checkpoint(tmp_path / "nowhere")
+
+
+def test_manifest_without_vocabulary_is_refused(tmp_path):
+    save_checkpoint(store_fixture(), tmp_path / "ckpt", VOCAB)
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["vocab"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="no vocabulary"):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_two_saves_byte_identical(tmp_path):
     store = store_fixture()
-    save_checkpoint(store, tmp_path / "a")
-    save_checkpoint(store, tmp_path / "b")
+    save_checkpoint(store, tmp_path / "a", VOCAB)
+    save_checkpoint(store, tmp_path / "b", VOCAB)
     assert checkpoint_digest(tmp_path / "a") == checkpoint_digest(tmp_path / "b")
     for path_a in sorted((tmp_path / "a").iterdir()):
         path_b = tmp_path / "b" / path_a.name
         assert path_a.read_bytes() == path_b.read_bytes()
+    save_checkpoint(store, tmp_path / "b", {**VOCAB, "archer": 3})
+    assert checkpoint_digest(tmp_path / "a") != checkpoint_digest(tmp_path / "b")
 
 
 def test_missing_parameter_rejected(tmp_path):
     store = store_fixture()
-    save_checkpoint(store, tmp_path / "ckpt")
+    save_checkpoint(store, tmp_path / "ckpt", VOCAB)
     bigger = store_fixture(seed=1)
     bigger.add("extra/w", np.zeros(2))
     with pytest.raises(CheckpointError, match="extra/w"):
-        load_checkpoint(bigger, tmp_path / "ckpt")
+        restore(bigger, load_checkpoint(tmp_path / "ckpt")[0])
+
+
+def fail_save_at(tmp_path, monkeypatch, failing):
+    """Save over a committed checkpoint, and into a fresh directory, with
+    os.replace failing for the targets `failing` picks; then check that the
+    committed checkpoint loads as it was, weights and vocabulary."""
+    save_checkpoint(store_fixture(), tmp_path / "ckpt", VOCAB)
+    before = (tmp_path / "ckpt" / "manifest.json").read_bytes()
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if failing(str(dst)):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    for directory in (tmp_path / "ckpt", tmp_path / "fresh"):
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(store_fixture(seed=1), directory, {"<unk>": 0})
+        assert not [p.name for p in directory.iterdir() if p.name.endswith(".tmp")]
+    assert (tmp_path / "ckpt" / "manifest.json").read_bytes() == before
+    arrays, vocab = load_checkpoint(tmp_path / "ckpt")
+    assert vocab == VOCAB
+    for name, tensor in store_fixture().items():
+        assert np.array_equal(arrays[name], tensor.data.astype("<f4").astype(np.float64))
+    # a first save commits nothing
+    with pytest.raises(CheckpointError, match="no checkpoint manifest"):
+        load_checkpoint(tmp_path / "fresh")
 
 
 def test_failed_save_keeps_the_previous_manifest(tmp_path, monkeypatch):
-    import os
-
-    save_checkpoint(store_fixture(), tmp_path / "ckpt")
-    before = (tmp_path / "ckpt" / "manifest.json").read_bytes()
-
-    def fail(*args):
-        raise OSError("disk full")
-
     # the save fails when it commits its manifest, after every tensor file is written
-    monkeypatch.setattr(os, "replace", fail)
-    for directory in (tmp_path / "ckpt", tmp_path / "fresh"):
-        with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(store_fixture(seed=1), directory)
-        assert not [p.name for p in directory.iterdir() if p.name.endswith(".tmp")]
-    assert (tmp_path / "ckpt" / "manifest.json").read_bytes() == before
-    # the previous manifest rejects the overwritten tensors; a first save commits nothing
-    with pytest.raises(CheckpointError, match="hash mismatch"):
-        load_checkpoint_arrays(tmp_path / "ckpt")
-    with pytest.raises(CheckpointError, match="no checkpoint manifest"):
-        load_checkpoint_arrays(tmp_path / "fresh")
+    fail_save_at(tmp_path, monkeypatch, lambda dst: dst.endswith("manifest.json"))
+
+
+def test_save_failing_at_a_tensor_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    fail_save_at(tmp_path, monkeypatch, lambda dst: dst.endswith(".bin"))

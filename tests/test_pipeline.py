@@ -4,11 +4,11 @@ from pathlib import Path
 import pytest
 
 from bridgeqa.ablation import run_ablation
-from bridgeqa.checkpoint import load_checkpoint_arrays
+from bridgeqa.checkpoint import load_checkpoint
 from bridgeqa.cli import main as cli_main
 from bridgeqa.config import load_config
 from bridgeqa.corpus import load_corpus, load_questions
-from bridgeqa.errors import CheckpointError, MissingPrerequisiteError
+from bridgeqa.errors import CheckpointError, MissingPrerequisiteError, ValidationError
 from bridgeqa.manifest import read_manifest, verify_fold_hygiene
 from bridgeqa.pipeline import (
     _load_ingested,
@@ -210,10 +210,20 @@ def test_corrupt_checkpoint_is_detected(mini_run, tmp_path):
     copy = tmp_path / "ckpt_copy"
     shutil.copytree(out / "checkpoints" / "bridge", copy)
     manifest = json.loads((copy / "manifest.json").read_text())
-    victim = copy / manifest["tensors"][0]["file"]
+    victim = copy / f"{manifest['tensors'][0]['sha256']}.bin"
     victim.write_bytes(victim.read_bytes()[:-8])
     with pytest.raises(CheckpointError):
-        load_checkpoint_arrays(copy)
+        load_checkpoint(copy)
+
+
+def test_checkpoint_without_vocabulary_names_the_stage_to_rerun(mini_run, tmp_path):
+    cfg = _run_copy(mini_run, tmp_path)
+    path = Path(cfg.output_dir) / "checkpoints" / "reader" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["vocab"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="no vocabulary.*rerun train-reader"):
+        load_pipeline_state(cfg)
 
 
 def test_cli_runtime_failure_exit_code(mini_run, tmp_path):
@@ -223,7 +233,7 @@ def test_cli_runtime_failure_exit_code(mini_run, tmp_path):
     run_copy = tmp_path / "run_copy"
     shutil.copytree(mini_run.output_dir, run_copy)
     manifest = json.loads((run_copy / "checkpoints" / "bridge" / "manifest.json").read_text())
-    victim = run_copy / "checkpoints" / "bridge" / manifest["tensors"][0]["file"]
+    victim = run_copy / "checkpoints" / "bridge" / f"{manifest['tensors'][0]['sha256']}.bin"
     victim.write_bytes(victim.read_bytes()[:-8])
     cfg_path = tmp_path / "cfg.json"
     cfg_values = asdict(mini_run)
@@ -233,13 +243,27 @@ def test_cli_runtime_failure_exit_code(mini_run, tmp_path):
 
 
 def test_answer_question_returns_answer_and_provenance(mini_run):
-    from bridgeqa.ablation import answer_question
+    from bridgeqa.ablation import predict_one
 
     state = load_pipeline_state(mini_run)
     _, _, dev = _load_ingested(mini_run)
-    answer, provenance = answer_question(dev[0], state)
-    assert isinstance(answer, str)
-    assert provenance and all(t in state.corpus.by_title for t in provenance)
+    prediction, _ = predict_one(state, dev[0])
+    assert isinstance(prediction.answer, str)
+    assert prediction.passages and all(t in state.corpus.by_title for t in prediction.passages)
+
+
+def test_malformed_cross_prediction_is_a_validation_error(mini_run, tmp_path):
+    from dataclasses import asdict
+
+    cfg = _run_copy(mini_run, tmp_path)
+    path = Path(cfg.output_dir) / "cross_predictions.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(lines[0] + "{broken\n" + "".join(lines[1:]), encoding="utf-8")
+    with pytest.raises(ValidationError, match="cross_predictions.jsonl line 2"):
+        run_stage("train-reader", cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main(["train-reader", "--config", str(cfg_path)]) == 1
 
 
 def test_comparison_questions_bypass_reasoner(mini_run):
@@ -346,8 +370,6 @@ def test_evaluate_counts_predict_skips(mini_run, tmp_path, monkeypatch):
 
 
 def test_evaluate_refuses_mixed_prediction_modes(mini_run, tmp_path):
-    from bridgeqa.errors import ValidationError
-
     cfg = _run_copy(mini_run, tmp_path)
     detail = Path(cfg.output_dir) / "predict_detail.jsonl"
     rows = [json.loads(line) for line in detail.read_text().splitlines() if line]
@@ -399,19 +421,25 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
     assert np.array_equal(matrix[0], np.mean([vectors[t] for t in reversed(covered)], axis=0))
     assert np.array_equal(matrix[1:], [vectors[t] for t in covered])
 
-    # the checkpoints and vocab.json carry everything; the vector file is not needed
+    # the checkpoints carry everything; the vector file is not needed, and
+    # each tensor file is read once
     path.unlink()
     parsed.clear()
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or read_bytes(p))
     state = load_pipeline_state(cfg)
     assert parsed == []
     out = Path(cfg.output_dir) / "checkpoints"
+    tensor_files = sorted(p for d in ("bridge", "reader", "reader_no_multitask") for p in (out / d).glob("*.bin"))
+    assert sorted(p for p in reads if p.suffix == ".bin") == tensor_files
     for model, directory in (
         (state.bridge, "bridge"), (state.reader, "reader"), (state.reader_no_multitask, "reader_no_multitask")
     ):
         assert model.table.frozen
         assert model.table.vocab == vocab
         assert list(model.table.indices([uncovered[0], covered[0]])) == [0, 1]
-        saved = load_checkpoint_arrays(out / directory)
+        saved, _ = load_checkpoint(out / directory)
         assert set(saved) == set(model.store.names())
         for name, array in saved.items():
             assert np.array_equal(model.store[name].data, array)
@@ -420,19 +448,18 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
 
 
 def test_failed_artifact_writes_keep_the_previous_file(tmp_path):
-    from bridgeqa.manifest import append_manifest
-    from bridgeqa.pipeline import _read_jsonl, _write_jsonl
+    from bridgeqa.manifest import append_manifest, read_jsonl, write_jsonl
 
     path = tmp_path / "rows.jsonl"
-    _write_jsonl(path, [{"row": 1}])
+    write_jsonl(path, [{"row": 1}])
 
     def rows():
         yield {"row": 2}
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        _write_jsonl(path, rows())
-    assert _read_jsonl(path) == [{"row": 1}]
+        write_jsonl(path, rows())
+    assert read_jsonl(path) == [{"row": 1}]
 
     append_manifest(tmp_path, {"stage": "ingest"})
     before = (tmp_path / "manifest.json").read_bytes()
