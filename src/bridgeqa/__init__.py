@@ -64,6 +64,7 @@ from .span_model import (
     EncodedSeq,
     SpanModel,
     SpanScores,
+    attend,
     biattention,
     build_vocab,
     encode,

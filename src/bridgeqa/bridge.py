@@ -34,17 +34,16 @@ from .numcore import (
     max_pool_over_time,
     reshape,
     run_bidirectional,
-    slice_rows,
 )
 from .reader import fit
 from .span_model import (
     EmbeddingTable,
     SpanModel,
-    biattention,
+    attend,
+    biattention,  # noqa: F401 - bench/layers.py traces bridge.biattention
     encode,  # noqa: F401 - bench/layers.py traces bridge.encode
-    encode_packed,
     init_span_model,
-    self_attention,
+    self_attention,  # noqa: F401 - bench/layers.py traces bridge.self_attention
 )
 
 log = logging.getLogger(__name__)
@@ -170,30 +169,33 @@ def encode_abstracts(
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> list[tuple[Tensor, bool]]:
+) -> tuple[Tensor, list[bool]]:
     """Max-pooled bi-LSTM encodings of target passages' abstracts, all present
-    abstracts in one packed pass; one (vector, missing) pair per passage.
+    abstracts in one packed pass and one segment max-pool: one (n, 2h) row
+    per passage, and per passage whether its abstract was missing.
 
     A missing or empty abstract falls back to the trained sentinel vector and
     is flagged, so anchor coverage is never silently reduced. Dropout is
     drawn in passage order over the present abstracts.
     """
-    sentinel = (model.store["abstract/missing"], True)
     present = [i for i, p in enumerate(passages) if p is not None and len(p.tokens) > 0]
-    results = [sentinel] * len(passages)
-    if not present:
-        return results
-    token_lists = [passages[i].tokens.tokens[: model.abstract_max_tokens] for i in present]
-    lengths = [len(toks) for toks in token_lists]
-    flat = [tok for toks in token_lists for tok in toks]
-    emb = gather_rows(model.table.matrix, model.table.indices(flat), model.table.row_mask)
-    states = run_bidirectional("lstm", emb, model.store, "abstract/", model.lstm_hidden, lengths=lengths)
-    states = dropout(states, model.span.dropout, training=training, rng=rng)
-    start = 0
-    for i, n in zip(present, lengths):
-        results[i] = (max_pool_over_time(slice_rows(states, start, start + n)), False)
-        start += n
-    return results
+    row_of = {i: j for j, i in enumerate(present)}
+    pooled = []
+    if present:
+        token_lists = [passages[i].tokens.tokens[: model.abstract_max_tokens] for i in present]
+        lengths = [len(toks) for toks in token_lists]
+        flat = [tok for toks in token_lists for tok in toks]
+        emb = gather_rows(model.table.matrix, model.table.indices(flat), model.table.row_mask)
+        states = run_bidirectional("lstm", emb, model.store, "abstract/", model.lstm_hidden, lengths=lengths)
+        states = dropout(states, model.span.dropout, training=training, rng=rng)
+        pooled = [max_pool_over_time(states, lengths)]
+    # a missing abstract reads the sentinel, the row after the pooled ones;
+    # it joins the graph only when read, so Adam leaves it alone otherwise
+    sentinel = [model.store["abstract/missing"]] if len(present) < len(passages) else []
+    table = concat(pooled + sentinel, axis=0)
+    rows = [row_of.get(i, len(present)) for i in range(len(passages))]
+    missing = [i not in row_of for i in range(len(passages))]
+    return gather_rows(table, np.array(rows, dtype=np.int64)), missing
 
 
 def encode_abstract(
@@ -203,9 +205,10 @@ def encode_abstract(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, bool]:
-    """Max-pooled bi-LSTM encoding of one target passage's abstract (see
-    encode_abstracts)."""
-    return encode_abstracts(model, [passage], training=training, rng=rng)[0]
+    """Max-pooled bi-LSTM encoding of one target passage's abstract, (1, 2h)
+    (see encode_abstracts)."""
+    vec, missing = encode_abstracts(model, [passage], training=training, rng=rng)
+    return vec, missing[0]
 
 
 def _context_rows(
@@ -219,7 +222,6 @@ def _context_rows(
 ) -> Tensor:
     """(n, 8h) local context evidence: each candidate's anchor start-token row
     of its start passage's self-attention output, in candidate order."""
-    store, prefix = model.store, model.span.prefix
     passage_by_id = {p.id: p for p in start_passages}
     for cand in candidates:
         pid = cand.source_passage_id
@@ -228,21 +230,11 @@ def _context_rows(
         if cand.mention.token_start is None:
             raise ValidationError("candidate anchor is not token-aligned")
     passage_ids = list(dict.fromkeys(c.source_passage_id for c in candidates))
-    # the question and every start passage in one encoder pass
-    q_enc, *c_encs = encode_packed(
-        [question] + [passage_by_id[pid].tokens for pid in passage_ids],
-        model.table,
-        store,
-        model.span.hidden,
-        prefix,
-        dropout_rate=model.span.dropout,
-        training=training,
-        rng=rng,
-    )
-    finals = [self_attention(biattention(c, q_enc, store, prefix), store, prefix).states for c in c_encs]
-    offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in c_encs])))
+    contexts = [passage_by_id[pid].tokens for pid in passage_ids]
+    final = attend(model.span, question, contexts, training=training, rng=rng)
+    offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
     rows = [offsets[c.source_passage_id] + c.mention.token_start for c in candidates]
-    return gather_rows(concat(finals, axis=0), np.array(rows))
+    return gather_rows(final.states, np.array(rows))
 
 
 def score_bridges(
@@ -275,13 +267,13 @@ def score_bridges(
         h_context = constant(np.zeros((n, 8 * model.span.hidden)))
     if use_content:
         titles = sorted({c.target_title for c in candidates})
-        encoded = encode_abstracts(
+        encoded, title_missing = encode_abstracts(
             model, [corpus.by_title.get(t) for t in titles], training=training, rng=rng
         )
         row_of = {t: i for i, t in enumerate(titles)}
         rows = [row_of[c.target_title] for c in candidates]
-        h_content = gather_rows(concat([vec for vec, _ in encoded], axis=0), np.array(rows))
-        missing = [encoded[r][1] for r in rows]
+        h_content = gather_rows(encoded, np.array(rows))
+        missing = [title_missing[r] for r in rows]
     else:
         h_content = constant(np.zeros((n, 2 * model.lstm_hidden)))
         missing = [False] * n

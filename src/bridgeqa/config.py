@@ -72,28 +72,30 @@ _POSITIVE_FLOATS = ("k1", "b", "lr", "bridge_early_stop_hits1", "reader_early_st
 _NONNEGATIVE_FLOATS = ("title_weight", "aux_weight")
 
 
+def _real(value) -> bool:
+    """An int or a float, but not a bool (which subclasses int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config(cfg: PipelineConfig) -> PipelineConfig:
     for name in _POSITIVE_INTS:
         value = getattr(cfg, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not (_real(value) and isinstance(value, int)) or value < 1:
             raise ConfigError(f"config {name!r} must be a positive integer, got {value!r}")
     for name in _POSITIVE_FLOATS:
         value = getattr(cfg, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+        if not _real(value) or value <= 0:
             raise ConfigError(f"config {name!r} must be positive, got {value!r}")
     for name in _NONNEGATIVE_FLOATS:
         value = getattr(cfg, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
+        if not _real(value) or value < 0:
             raise ConfigError(f"config {name!r} must be non-negative, got {value!r}")
-    if cfg.reader_lr is not None and (not isinstance(cfg.reader_lr, (int, float)) or cfg.reader_lr <= 0):
+    if cfg.reader_lr is not None and (not _real(cfg.reader_lr) or cfg.reader_lr <= 0):
         raise ConfigError(f"config 'reader_lr' must be positive, got {cfg.reader_lr!r}")
-    if cfg.reader_batch_size is not None and (
-        not isinstance(cfg.reader_batch_size, int) or cfg.reader_batch_size < 1
-    ):
-        raise ConfigError(
-            f"config 'reader_batch_size' must be a positive integer, got {cfg.reader_batch_size!r}"
-        )
-    if not isinstance(cfg.dropout, (int, float)) or not (0.0 <= cfg.dropout < 1.0):
+    size = cfg.reader_batch_size
+    if size is not None and (not (_real(size) and isinstance(size, int)) or size < 1):
+        raise ConfigError(f"config 'reader_batch_size' must be a positive integer, got {size!r}")
+    if not _real(cfg.dropout) or not (0.0 <= cfg.dropout < 1.0):
         raise ConfigError(f"config 'dropout' must lie in [0, 1), got {cfg.dropout!r}")
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
         raise ConfigError(f"config 'seed' must be a non-negative integer, got {cfg.seed!r}")

@@ -239,16 +239,26 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def max_pool_over_time(x: Tensor) -> Tensor:
-    """Elementwise maximum over the time axis: (T, D) -> (1, D)."""
+def max_pool_over_time(x: Tensor, lengths=None) -> Tensor:
+    """Elementwise maximum over the time axis: (T, D) -> (1, D).
+
+    With lengths, x packs sequences back to back (the run_recurrent
+    convention) and each is pooled on its own: (T, D) -> (len(lengths), D).
+    """
     if x.data.ndim != 2 or x.data.shape[0] < 1:
         raise ShapeError(f"max_pool_over_time: expected non-empty (T, D) input, got {x.data.shape}")
-    idx = np.argmax(x.data, axis=0)
-    out = Tensor(x.data[idx, np.arange(x.data.shape[1])][None, :], (x,))
+    lengths = [x.data.shape[0]] if lengths is None else [int(n) for n in lengths]
+    if min(lengths, default=0) < 1 or sum(lengths) != x.data.shape[0]:
+        raise ShapeError(f"max_pool_over_time: lengths {lengths} do not pack {x.data.shape[0]} rows")
+    starts = np.cumsum([0] + lengths[:-1])
+    # (P, D) row index of each segment's maximum, per column
+    idx = np.stack([s + np.argmax(x.data[s : s + n], axis=0) for s, n in zip(starts, lengths)])
+    cols = np.arange(x.data.shape[1])
+    out = Tensor(x.data[idx, cols], (x,))
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        gx[idx, np.arange(x.data.shape[1])] = g[0]
+        gx[idx, cols] = g
         accumulate(x, gx)
 
     out.bwd = bwd

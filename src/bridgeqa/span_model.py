@@ -9,9 +9,12 @@ bidirectional attention is [h; u~; h*u~; h*h~]. Self-attention reuses the
 same kernel context-to-context, masks the diagonal, drops the
 question-to-context term, and adds a residual through a linear mixing layer.
 
-Attention runs on one unpadded sequence at a time, so no position is ever
-padding and no mask is carried; the only masked scores are self-attention's
-diagonal.
+attend() reads a question against one or several contexts (the reader's
+one block context, or the reasoner's start passages) without padding: one
+encoder pass over the question and every context, one biattention over all
+context rows, whose question-to-context softmax is masked -inf outside each
+context's block, and self-attention within each context, whose only masked
+scores are its diagonal.
 """
 
 from __future__ import annotations
@@ -148,35 +151,29 @@ class SpanScores:
     end_logits: Tensor  # (T,)
 
 
-def init_span_params(
-    store: ParamStore,
-    embed_dim: int,
-    hidden: int,
-    rng: np.random.Generator,
-    prefix: str = "span/",
-) -> None:
-    """Register every parameter of the span model under the given prefix.
+def init_span_params(store: ParamStore, embed_dim: int, hidden: int, rng: np.random.Generator) -> None:
+    """Register every parameter of the span model under span/.
 
     The encoder is a single bidirectional GRU shared by question and passage;
     widths: encoder output 2h, biattention output 8h, self-attention output 8h.
     """
     from .numcore import init_bidirectional
 
-    init_bidirectional("gru", store, f"{prefix}enc/", embed_dim, hidden, rng)
+    init_bidirectional("gru", store, "span/enc/", embed_dim, hidden, rng)
     enc = 2 * hidden
-    store.add(f"{prefix}biattn/w1", glorot(rng, (enc, 1)))
-    store.add(f"{prefix}biattn/w2", glorot(rng, (enc, 1)))
-    store.add(f"{prefix}biattn/w3", glorot(rng, (enc,)))
+    store.add("span/biattn/w1", glorot(rng, (enc, 1)))
+    store.add("span/biattn/w2", glorot(rng, (enc, 1)))
+    store.add("span/biattn/w3", glorot(rng, (enc,)))
     wide = 4 * enc
-    store.add(f"{prefix}selfattn/w1", glorot(rng, (wide, 1)))
-    store.add(f"{prefix}selfattn/w2", glorot(rng, (wide, 1)))
-    store.add(f"{prefix}selfattn/w3", glorot(rng, (wide,)))
-    store.add(f"{prefix}selfattn/W_mix", glorot(rng, (3 * wide, wide)))
-    store.add(f"{prefix}selfattn/b_mix", np.zeros(wide))
-    store.add(f"{prefix}heads/start_w", glorot(rng, (wide, 1)))
-    store.add(f"{prefix}heads/start_b", np.zeros(1))
-    store.add(f"{prefix}heads/end_w", glorot(rng, (wide, 1)))
-    store.add(f"{prefix}heads/end_b", np.zeros(1))
+    store.add("span/selfattn/w1", glorot(rng, (wide, 1)))
+    store.add("span/selfattn/w2", glorot(rng, (wide, 1)))
+    store.add("span/selfattn/w3", glorot(rng, (wide,)))
+    store.add("span/selfattn/W_mix", glorot(rng, (3 * wide, wide)))
+    store.add("span/selfattn/b_mix", np.zeros(wide))
+    store.add("span/heads/start_w", glorot(rng, (wide, 1)))
+    store.add("span/heads/start_b", np.zeros(1))
+    store.add("span/heads/end_w", glorot(rng, (wide, 1)))
+    store.add("span/heads/end_b", np.zeros(1))
 
 
 def _token_list(tokens) -> list[str]:
@@ -188,7 +185,6 @@ def encode(
     table: EmbeddingTable,
     store: ParamStore,
     hidden: int,
-    prefix: str = "span/",
     *,
     lengths=None,
     dropout_rate: float = 0.0,
@@ -197,44 +193,19 @@ def encode(
 ) -> EncodedSeq:
     """Embed and run the shared bidirectional GRU: tokens -> (T, 2*hidden).
 
-    With lengths, tokens holds several sequences back to back and each is
-    encoded from its own zero state, all in one pass; encode_packed splits
-    the result.
+    With lengths, tokens holds several sequences back to back, and each is
+    encoded from its own zero state, all in one pass; the output rows keep
+    the tokens' order. Dropout is drawn over the packed rows, in the same rng
+    order as encoding the sequences one after another.
     """
     token_list = _token_list(tokens)
     if len(token_list) == 0:
         raise ValidationError("encode: empty token sequence")
     idx = table.indices(token_list)
     emb = gather_rows(table.matrix, idx, table.row_mask)
-    states = run_bidirectional("gru", emb, store, f"{prefix}enc/", hidden, lengths=lengths)
+    states = run_bidirectional("gru", emb, store, "span/enc/", hidden, lengths=lengths)
     states = dropout(states, dropout_rate, training=training, rng=rng)
     return EncodedSeq(states=states)
-
-
-def encode_packed(
-    sequences,
-    table: EmbeddingTable,
-    store: ParamStore,
-    hidden: int,
-    prefix: str = "span/",
-    **kw,
-) -> list[EncodedSeq]:
-    """Encode several token sequences in one bidirectional GRU pass; one
-    EncodedSeq per sequence, equal to encoding each on its own. Dropout is
-    drawn over the packed rows, in the same rng order as encoding them one
-    after another."""
-    token_lists = [_token_list(seq) for seq in sequences]
-    if any(len(toks) == 0 for toks in token_lists):
-        raise ValidationError("encode: empty token sequence")
-    lengths = [len(toks) for toks in token_lists]
-    flat = [tok for toks in token_lists for tok in toks]
-    packed = encode(flat, table, store, hidden, prefix, lengths=lengths, **kw)
-    parts = []
-    start = 0
-    for n in lengths:
-        parts.append(EncodedSeq(states=slice_rows(packed.states, start, start + n)))
-        start += n
-    return parts
 
 
 def _trilinear_scores(a: EncodedSeq, b: EncodedSeq, store: ParamStore, prefix: str) -> Tensor:
@@ -246,13 +217,14 @@ def _trilinear_scores(a: EncodedSeq, b: EncodedSeq, store: ParamStore, prefix: s
     return add(add(part1, part2), part3)
 
 
-def biattention(
-    context: EncodedSeq,
-    question: EncodedSeq,
-    store: ParamStore,
-    prefix: str = "span/",
-) -> EncodedSeq:
-    """Question-aware context states: per position [h; u~; h*u~; h*h~]."""
+def biattention(context: EncodedSeq, question: EncodedSeq, store: ParamStore, *, lengths=None) -> EncodedSeq:
+    """Question-aware context states: per position [h; u~; h*u~; h*h~].
+
+    With lengths, context packs several passages back to back, each read
+    against the same question. Context-to-question attention is row-wise, so
+    it needs nothing more; question-to-context attention is one softmax per
+    passage over its own rows, scored -inf outside its block.
+    """
     if len(context) == 0 or len(question) == 0:
         raise ValidationError("biattention: empty context or question")
     if context.states.data.shape[1] != question.states.data.shape[1]:
@@ -260,18 +232,25 @@ def biattention(
             f"biattention: context width {context.states.data.shape} does not match "
             f"question width {question.states.data.shape}"
         )
-    S = _trilinear_scores(context, question, store, f"{prefix}biattn/")
+    lengths = [len(context)] if lengths is None else list(lengths)
+    if min(lengths) < 1 or sum(lengths) != len(context):
+        raise ValidationError(f"biattention: lengths {lengths} do not pack {len(context)} context rows")
+    S = _trilinear_scores(context, question, store, "span/biattn/")
     # context-to-question: attend over question positions per context row
     c2q = matmul(softmax_rows(S), question.states)
-    # question-to-context: one (1, W) row from a distribution over context
-    # rows (their row maxima), broadcast over every context position
-    q2c = matmul(softmax_rows(transpose(row_max(S))), context.states)
+    # question-to-context: per passage, one (1, W) row from a distribution
+    # over its rows (their row maxima), copied to each of its positions
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    blocks = np.full((len(lengths), len(context)), -np.inf)
+    blocks[segment, np.arange(len(context))] = 0.0
+    beta = softmax_rows(add(transpose(row_max(S)), constant(blocks)))
+    q2c = gather_rows(matmul(beta, context.states), segment)
     h = context.states
     out = concat([h, c2q, mul(h, c2q), mul(h, q2c)], axis=1)
     return EncodedSeq(states=out)
 
 
-def self_attention(context: EncodedSeq, store: ParamStore, prefix: str = "span/") -> EncodedSeq:
+def self_attention(context: EncodedSeq, store: ParamStore) -> EncodedSeq:
     """Context-to-context attention with the diagonal masked, residual added.
 
     A length-1 context is returned unchanged (no off-diagonal mass exists).
@@ -281,29 +260,24 @@ def self_attention(context: EncodedSeq, store: ParamStore, prefix: str = "span/"
         raise ValidationError("self_attention: empty context")
     if T == 1:
         return context
-    S = _trilinear_scores(context, context, store, f"{prefix}selfattn/")
+    S = _trilinear_scores(context, context, store, "span/selfattn/")
     diag = np.zeros((T, T))
     np.fill_diagonal(diag, -np.inf)
     S = add(S, constant(diag))
     attended = matmul(softmax_rows(S), context.states)
     x = context.states
     mixed = concat([x, attended, mul(x, attended)], axis=1)
-    out = add(
-        x,
-        add(matmul(mixed, store[f"{prefix}selfattn/W_mix"]), store[f"{prefix}selfattn/b_mix"]),
-    )
+    out = add(x, add(matmul(mixed, store["span/selfattn/W_mix"]), store["span/selfattn/b_mix"]))
     return EncodedSeq(states=out)
 
 
-def span_heads(context: EncodedSeq, store: ParamStore, prefix: str = "span/") -> SpanScores:
+def span_heads(context: EncodedSeq, store: ParamStore) -> SpanScores:
     """Two independent linear projections to per-position start and end logits."""
     if len(context) == 0:
         raise ValidationError("span_heads: empty context")
     T = len(context)
-    start = reshape(add(matmul(context.states, store[f"{prefix}heads/start_w"]),
-                        store[f"{prefix}heads/start_b"]), (T,))
-    end = reshape(add(matmul(context.states, store[f"{prefix}heads/end_w"]),
-                      store[f"{prefix}heads/end_b"]), (T,))
+    start = reshape(add(matmul(context.states, store["span/heads/start_w"]), store["span/heads/start_b"]), (T,))
+    end = reshape(add(matmul(context.states, store["span/heads/end_w"]), store["span/heads/end_b"]), (T,))
     return SpanScores(start_logits=start, end_logits=end)
 
 
@@ -328,7 +302,6 @@ class SpanModel:
     table: EmbeddingTable
     hidden: int
     dropout: float
-    prefix: str = "span/"
 
 
 def init_span_model(
@@ -340,19 +313,46 @@ def init_span_model(
     *,
     store: ParamStore | None = None,
     frozen_embeddings: np.ndarray | None = None,
-    prefix: str = "span/",
 ) -> SpanModel:
     store = store if store is not None else ParamStore()
-    table = create_embedding_table(
-        store,
-        vocab,
-        embed_dim,
-        rng,
-        frozen=frozen_embeddings is not None,
-        init_matrix=frozen_embeddings,
-    )
-    init_span_params(store, embed_dim, hidden, rng, prefix)
-    return SpanModel(store=store, table=table, hidden=hidden, dropout=dropout_rate, prefix=prefix)
+    table = create_embedding_table(store, vocab, embed_dim, rng, frozen=frozen_embeddings is not None,
+                                   init_matrix=frozen_embeddings)
+    init_span_params(store, embed_dim, hidden, rng)
+    return SpanModel(store=store, table=table, hidden=hidden, dropout=dropout_rate)
+
+
+def attend(
+    model: SpanModel,
+    question_tokens,
+    contexts,
+    *,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> EncodedSeq:
+    """Read a question against several contexts: the self-attention output of
+    every context, back to back in context order, (sum of lengths, 8h).
+
+    The question and the contexts are encoded in one pass, and biattention
+    runs once over all context rows; self-attention stays within each
+    context. Every context reads as it would alone.
+    """
+    token_lists = [_token_list(question_tokens)] + [_token_list(c) for c in contexts]
+    if not contexts or any(len(toks) == 0 for toks in token_lists):
+        raise ValidationError("attend: no context, or an empty question or context")
+    lengths = [len(toks) for toks in token_lists]
+    flat = [tok for toks in token_lists for tok in toks]
+    states = encode(flat, model.table, model.store, model.hidden, lengths=lengths,
+                    dropout_rate=model.dropout, training=training, rng=rng).states
+    q_len = lengths[0]
+    question = EncodedSeq(states=slice_rows(states, 0, q_len))
+    context = EncodedSeq(states=slice_rows(states, q_len, states.data.shape[0]))
+    attended = biattention(context, question, model.store, lengths=lengths[1:]).states
+    finals, start = [], 0
+    for n in lengths[1:]:
+        rows = EncodedSeq(states=slice_rows(attended, start, start + n))
+        finals.append(self_attention(rows, model.store).states)
+        start += n
+    return EncodedSeq(states=concat(finals, axis=0))
 
 
 def run_span_model(
@@ -363,18 +363,7 @@ def run_span_model(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[EncodedSeq, SpanScores]:
-    """Full forward pass; returns the final per-token representations (the
-    self-attention output) and the span scores."""
-    q, c = encode_packed(
-        [question_tokens, context_tokens],
-        model.table,
-        model.store,
-        model.hidden,
-        model.prefix,
-        dropout_rate=model.dropout,
-        training=training,
-        rng=rng,
-    )
-    attended = biattention(c, q, model.store, model.prefix)
-    final = self_attention(attended, model.store, model.prefix)
-    return final, span_heads(final, model.store, model.prefix)
+    """Full forward pass over one context; returns the final per-token
+    representations (the self-attention output) and the span scores."""
+    final = attend(model, question_tokens, [context_tokens], training=training, rng=rng)
+    return final, span_heads(final, model.store)

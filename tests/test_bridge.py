@@ -229,8 +229,22 @@ def test_score_bridges_missing_abstract_uses_sentinel():
     assert scored[0].content_missing
     # the oracle's content vector for the empty abstract is the trained sentinel
     vec, missing = encode_abstract(model, empty_target)
-    assert missing and vec is model.store["abstract/missing"]
+    assert missing and np.array_equal(vec.data, model.store["abstract/missing"].data)
     assert abs(scored[0].fused_score - fusion_oracle(model, q, [p1], scored[0], corpus)) < 1e-12
+
+
+def test_sentinel_gets_no_gradient_unless_an_abstract_is_missing():
+    # Adam leaves a parameter without a gradient untouched, so the sentinel
+    # must stay out of the graph when every abstract is present
+    from bridgeqa.numcore import backward
+
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    starts = [corpus.by_id["p1"]]
+    scored, logits = score_bridges(model, tokenize("which target?"), starts, collect_candidates(starts, corpus), corpus)
+    backward(bridge_loss(scored, logits, BridgeLabel("q", "Target One")))
+    assert model.store["abstract/missing"].grad is None
+    assert model.store["abstract/fwd/W"].grad is not None
 
 
 def loss_of(scores, gold_title):
@@ -431,6 +445,27 @@ def test_score_bridges_all_starts_match_each_start_alone():
         assert abs(a.fused_score - b.fused_score) < 1e-12
 
 
+def test_score_bridges_one_token_start_between_longer_starts_matches_each_alone():
+    # a one-row segment: question-to-context attention over a single row, and
+    # self-attention's length-1 identity, inside one packed pass
+    base = trio_corpus()
+    short = passage("p5", "Start C", "Two", anchors=[("Target Two", "Two")])
+    corpus = corpus_of(list(base.passages) + [short])
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    randomize_biases(model)
+    q = tokenize("which target?")
+    starts = [corpus.by_id["p1"], short, corpus.by_id["p2"]]
+    assert len(short.tokens) == 1 and short.anchors[0].token_start == 0
+    together, _ = score_bridges(model, q, starts, collect_candidates(starts, corpus), corpus)
+    alone = []
+    for start in starts:
+        alone += score_bridges(model, q, [start], collect_candidates([start], corpus), corpus)[0]
+    assert [c.source_passage_id for c in together] == ["p1", "p1", "p5", "p2"]
+    assert [c.target_title for c in together] == [c.target_title for c in alone]
+    for a, b in zip(together, alone):
+        assert abs(a.fused_score - b.fused_score) < 1e-12
+
+
 def test_encode_abstracts_matches_one_at_a_time_with_dropout():
     from bridgeqa.bridge import encode_abstracts
 
@@ -438,12 +473,13 @@ def test_encode_abstracts_matches_one_at_a_time_with_dropout():
     model = tiny_bridge_model(corpus)
     model.span.dropout = 0.4
     passages = [corpus.by_id["p3"], None, corpus.by_id["p1"], corpus.by_id["p4"]]
-    packed = encode_abstracts(model, passages, training=True, rng=np.random.default_rng(9))
+    packed, missing = encode_abstracts(model, passages, training=True, rng=np.random.default_rng(9))
+    assert packed.shape == (len(passages), 2 * model.lstm_hidden)
     rng = np.random.default_rng(9)
-    for p, (vec, missing) in zip(passages, packed):
+    for i, p in enumerate(passages):
         want, want_missing = encode_abstract(model, p, training=True, rng=rng)
-        assert missing == want_missing == (p is None)
-        assert np.max(np.abs(vec.data - want.data)) < 1e-12
+        assert missing[i] == want_missing == (p is None)
+        assert np.max(np.abs(packed.data[i] - want.data[0])) < 1e-12
 
 
 def test_train_bridge_applies_last_batch_when_last_question_has_no_candidates():

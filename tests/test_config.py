@@ -51,6 +51,21 @@ def test_dropout_range():
         load_config(None, {"dropout": 1.0})
 
 
+def test_reader_lr_boolean_rejected():
+    with pytest.raises(ConfigError, match="reader_lr"):
+        load_config(None, {"reader_lr": True})
+
+
+def test_reader_batch_size_boolean_rejected():
+    with pytest.raises(ConfigError, match="reader_batch_size"):
+        load_config(None, {"reader_batch_size": True})
+
+
+def test_dropout_boolean_rejected():
+    with pytest.raises(ConfigError, match="dropout"):
+        load_config(None, {"dropout": False})
+
+
 def test_aux_weight_zero_allowed():
     assert load_config(None, {"aux_weight": 0.0}).aux_weight == 0.0
 

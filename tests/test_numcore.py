@@ -133,6 +133,32 @@ def test_max_pool_permutation_invariant():
         assert np.array_equal(max_pool_over_time(Tensor(x[perm])).data, base)
 
 
+def test_max_pool_with_lengths_equals_per_slice_pooling():
+    rng = np.random.default_rng(38)
+    x = rng.normal(size=(9, 4))
+    x[6, 1] = x[7, 1]  # a tie inside one segment goes to its first row, as alone
+    lengths, starts = [3, 1, 5], [0, 3, 4]
+    got = max_pool_over_time(Tensor(x), lengths).data
+    want = np.concatenate([max_pool_over_time(Tensor(x[s : s + n])).data for s, n in zip(starts, lengths)])
+    assert np.array_equal(got, want)
+
+
+def test_max_pool_with_lengths_grad_check():
+    rng = np.random.default_rng(39)
+    store = ParamStore()
+    store.add("x", rng.normal(size=(9, 4)))
+    w = constant(rng.normal(size=(3, 4)))
+    report = grad_check(lambda s: sum_all(mul(max_pool_over_time(s["x"], [3, 1, 5]), w)), store)
+    assert report.passed, report.summary()
+
+
+def test_max_pool_lengths_must_pack_the_rows():
+    x = Tensor(np.zeros((4, 2)))
+    for lengths in ([3], [4, 0], [2, 3], []):
+        with pytest.raises(ShapeError):
+            max_pool_over_time(x, lengths)
+
+
 def test_cross_entropy_uniform_logits_is_log_n():
     for n in (2, 5, 9):
         loss = cross_entropy_from_logits(Tensor(np.zeros(n)), 0)

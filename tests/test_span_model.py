@@ -5,9 +5,10 @@ import pytest
 
 from bridgeqa.corpus import tokenize
 from bridgeqa.errors import ValidationError
-from bridgeqa.numcore import ParamStore, Tensor, backward, grad_check
+from bridgeqa.numcore import ParamStore, Tensor, backward, concat, constant, grad_check, mul, slice_rows, sum_all
 from bridgeqa.span_model import (
     EncodedSeq,
+    attend,
     biattention,
     build_vocab,
     create_embedding_table,
@@ -318,25 +319,84 @@ def test_frozen_table_trains_only_unk_row():
     assert np.all(grad[VOCAB["kiss"]] == 0)
 
 
-def test_encode_packed_matches_separate_encodes_with_dropout():
-    from bridgeqa.span_model import encode_packed
-
+def test_encode_with_lengths_matches_separate_encodes_with_dropout():
     m = tiny_model(seed=14, dropout=0.3)
-    seqs = [tokenize("who stars"), ["kiss"], tokenize("kiss and tell stars temple")]
+    seqs = [tokenize("who stars").tokens, ["kiss"], tokenize("kiss and tell stars temple").tokens]
     kw = dict(dropout_rate=0.3, training=True)
-    packed = encode_packed(seqs, m.table, m.store, HID, rng=np.random.default_rng(5), **kw)
+    flat = [tok for seq in seqs for tok in seq]
+    lengths = [len(seq) for seq in seqs]
+    packed = encode(flat, m.table, m.store, HID, lengths=lengths, rng=np.random.default_rng(5), **kw)
     rng = np.random.default_rng(5)
     # one dropout draw over the packed rows consumes the rng as the separate
     # draws, in sequence order, do
-    separate = [encode(s, m.table, m.store, HID, rng=rng, **kw) for s in seqs]
-    for got, want in zip(packed, separate):
-        assert len(got) == len(want)
-        assert np.max(np.abs(got.states.data - want.states.data)) < 1e-12
+    separate = np.concatenate([encode(s, m.table, m.store, HID, rng=rng, **kw).states.data for s in seqs])
+    assert packed.states.data.shape == separate.shape
+    assert np.max(np.abs(packed.states.data - separate)) < 1e-12
 
 
-def test_encode_packed_rejects_an_empty_sequence():
-    from bridgeqa.span_model import encode_packed
-
+def test_attend_rejects_an_empty_sequence():
     m = tiny_model()
+    for contexts in ([["kiss"], []], []):
+        with pytest.raises(ValidationError):
+            attend(m, ["who"], contexts)
     with pytest.raises(ValidationError):
-        encode_packed([["kiss"], []], m.table, m.store, HID)
+        attend(m, [], [["kiss"]])
+
+
+def biattention_store(rng, width):
+    store = ParamStore()
+    store.add("span/biattn/w1", rng.normal(size=(width, 1)))
+    store.add("span/biattn/w2", rng.normal(size=(width, 1)))
+    store.add("span/biattn/w3", rng.normal(size=width))
+    return store
+
+
+def test_packed_biattention_matches_each_passage_alone():
+    # the per-passage call is the reference, in values and in the gradients
+    # of the parameters, the passages and the question
+    rng = np.random.default_rng(15)
+    width, lengths = 4, [3, 1, 5]
+    store = biattention_store(rng, width)
+    C = rng.normal(size=(sum(lengths), width))
+    Q = rng.normal(size=(2, width))
+    W = rng.normal(size=(sum(lengths), 4 * width))
+
+    def run(packed):
+        store.zero_grad()
+        c, q = Tensor(C.copy()), Tensor(Q.copy())
+        if packed:
+            out = biattention(EncodedSeq(c), EncodedSeq(q), store, lengths=lengths).states
+        else:
+            parts, start = [], 0
+            for n in lengths:
+                parts.append(biattention(EncodedSeq(slice_rows(c, start, start + n)), EncodedSeq(q), store).states)
+                start += n
+            out = concat(parts, axis=0)
+        backward(sum_all(mul(out, constant(W))))
+        grads = {name: store[name].grad for name in store.names()}
+        return out.data, grads, c.grad, q.grad
+
+    got, want = run(True), run(False)
+    assert np.max(np.abs(got[0] - want[0])) < 1e-12
+    for name in store.names():
+        assert np.max(np.abs(got[1][name] - want[1][name])) < 1e-12, name
+    assert np.max(np.abs(got[2] - want[2])) < 1e-12
+    assert np.max(np.abs(got[3] - want[3])) < 1e-12
+
+
+def test_biattention_lengths_must_pack_the_context():
+    rng = np.random.default_rng(16)
+    store = biattention_store(rng, 2)
+    ctx, q = enc_seq(rng.normal(size=(4, 2))), enc_seq(rng.normal(size=(2, 2)))
+    for lengths in ([3], [4, 0], [2, 3]):
+        with pytest.raises(ValidationError):
+            biattention(ctx, q, store, lengths=lengths)
+
+
+def test_attend_reads_each_context_as_alone():
+    m = tiny_model(seed=17)
+    q = tokenize("who stars")
+    contexts = [tokenize("kiss and tell stars"), ["archer"], tokenize("temple stars who")]
+    together = attend(m, q, contexts).states.data
+    alone = np.concatenate([run_span_model(m, q, c)[0].states.data for c in contexts])
+    assert np.max(np.abs(together - alone)) < 1e-12
