@@ -231,7 +231,7 @@ def _context_rows(
             raise ValidationError("candidate anchor is not token-aligned")
     passage_ids = list(dict.fromkeys(c.source_passage_id for c in candidates))
     contexts = [passage_by_id[pid].tokens for pid in passage_ids]
-    final = attend(model.span, question, contexts, training=training, rng=rng)
+    (final,) = attend(model.span, [(question, contexts)], training=training, rng=rng)
     offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
     rows = [offsets[c.source_passage_id] + c.mention.token_start for c in candidates]
     return gather_rows(final.states, np.array(rows))
@@ -440,7 +440,7 @@ def train_bridge_reasoner(
         if not gold_mention_indices(qi.candidates, qi.label.gold_title)
     )
 
-    def step(qi: QuestionInputs, rng: np.random.Generator) -> tuple[Tensor | None, bool | None]:
+    def question_step(qi: QuestionInputs, rng: np.random.Generator) -> tuple[Tensor | None, bool | None]:
         if not qi.candidates:
             return None, None
         scored, logits = score_bridges(
@@ -455,7 +455,7 @@ def train_bridge_reasoner(
     stats = fit(
         model.store,
         trainable,
-        step,
+        lambda batch, rng: [question_step(qi, rng) for qi in batch],
         lr=cfg.lr,
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,

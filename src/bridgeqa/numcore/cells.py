@@ -14,6 +14,15 @@ Appleyard et al. 2016), so each step only multiplies the (B, H) states by the
 recurrent part. Backward stacks the per-step gate gradients and builds the
 input, weight and bias gradients from one matmul each.
 
+A bidirectional run takes the hoist to the direction axis: sequence b's
+forward state and reversed state sit side by side in one (B, 2H) state (both
+directions of a sequence have its length, so their padding lines up). Each
+gate's input projections are laid out [gate_fwd | gate_bwd], and each
+recurrent matrix is block-diagonal, (2H, 4H) for the GRU's z/r, (2H, 2H) for
+its candidate and (2H, 8H) for the LSTM, so one time loop serves both
+directions and the kernels run unchanged at width 2H. A real parameter's
+gradient is its diagonal block of the kernel's recurrent weight gradient.
+
 Sigmoid gates use the form of tensor.sigmoid_array, 0.5 * (1 + tanh(a / 2)).
 The runner halves the sigmoid gates' weight columns before the loop, which is
 exact in binary floating point, so the kernels apply tanh to them directly.
@@ -25,7 +34,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from .params import ParamStore, glorot
-from .tensor import Tensor, accumulate, concat
+from .tensor import Tensor, accumulate
 
 
 def init_gru(store: ParamStore, prefix: str, input_dim: int, hidden: int, rng: np.random.Generator) -> None:
@@ -190,6 +199,30 @@ def _batch_layout(lens: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.ndarr
     return (starts + offset).ravel()[slots], slots, T
 
 
+def _pair(blocks: list[np.ndarray], n_gates: int, H: int) -> np.ndarray:
+    """Interleave per-direction arrays of n_gates column blocks of width H
+    gate by gate: D arrays (..., n_gates*H) -> (..., n_gates*D*H), block
+    (gate g, direction k) at columns (g*D + k)*H."""
+    lead = blocks[0].shape[:-1]
+    return np.stack([b.reshape(*lead, n_gates, H) for b in blocks], axis=-2).reshape(*lead, -1)
+
+
+def _unpair(x: np.ndarray, n_gates: int, D: int, H: int, k: int) -> np.ndarray:
+    """Direction k's columns of a _pair layout, (..., n_gates*H)."""
+    lead = x.shape[:-1]
+    return x.reshape(*lead, n_gates, D, H)[..., k, :].reshape(*lead, n_gates * H)
+
+
+def _block_diagonal(blocks: list[np.ndarray], n_gates: int, H: int) -> np.ndarray:
+    """Per-direction recurrent parts (H, n_gates*H) -> one (D*H, n_gates*D*H)
+    matrix: direction k's state rows feed only its own gate columns."""
+    D = len(blocks)
+    W = np.zeros((D, H, n_gates, D, H))
+    for k, block in enumerate(blocks):
+        W[k, :, :, k, :] = block.reshape(H, n_gates, H)
+    return W.reshape(D * H, n_gates * D * H)
+
+
 def run_recurrent(
     kind: str,
     xs: Tensor,
@@ -199,6 +232,7 @@ def run_recurrent(
     *,
     reverse: bool = False,
     lengths=None,
+    bidirectional: bool = False,
 ) -> Tensor:
     """Run a cell over the rows of xs: (N, D) -> (N, hidden).
 
@@ -206,9 +240,15 @@ def run_recurrent(
     in order, and None means xs is a single sequence. Each sequence starts
     from a zero state. Output row t always corresponds to input row t, also
     when reverse=True. The whole run is one tape node.
+
+    With bidirectional=True, a forward cell under {prefix}fwd/ and a reversed
+    cell under {prefix}bwd/ run side by side in the same time loop, and the
+    output is (N, 2*hidden): each row's forward state, then its reversed one.
     """
     if kind not in _KINDS:
         raise ShapeError(f"run_recurrent: unknown kind {kind!r}")
+    if bidirectional and reverse:
+        raise ShapeError("run_recurrent: a bidirectional run already holds the reversed direction")
     X = xs.data
     if X.ndim != 2 or X.shape[0] < 1:
         raise ShapeError(f"run_recurrent: expected non-empty (T, D) input, got {X.shape}")
@@ -216,45 +256,69 @@ def run_recurrent(
     H = hidden
     lens = _check_lengths(lengths, N)
     names, n_sigmoid, fwd_kernel, bwd_kernel = _KINDS[kind]
-    params = [(store[f"{prefix}{w}"], store[f"{prefix}{b}"]) for w, b in names]
-    for W_t, _ in params:
+    directions = [(f"{prefix}fwd/", False), (f"{prefix}bwd/", True)] if bidirectional else [(prefix, reverse)]
+    D = len(directions)
+    # params[k][p]: direction k's (weight, bias) of weight group p
+    params = [[(store[f"{pre}{w}"], store[f"{pre}{b}"]) for w, b in names] for pre, _ in directions]
+    for W_t, _ in (pair for group in params for pair in group):
         if W_t.data.shape[0] != d + H:
             raise ShapeError(f"run_recurrent: {prefix} expects {W_t.data.shape[0]} = D + hidden, got D={d}, hidden={H}")
-    widths = [W_t.data.shape[1] for W_t, _ in params]
-    W_x = np.concatenate([W_t.data[:d] for W_t, _ in params], axis=1)
-    bias = np.concatenate([b_t.data for _, b_t in params])
-    W_rec = [W_t.data[d:] for W_t, _ in params]
+    gates = [W_t.data.shape[1] // H for W_t, _ in params[0]]
+    # the kernels see one cell of width D*H whose every gate holds all
+    # directions side by side, and block-diagonal recurrent weights
+    W_x = np.concatenate(
+        [_pair([group[p][0].data[:d] for group in params], n, H) for p, n in enumerate(gates)], axis=1
+    )
+    bias = np.concatenate([_pair([group[p][1].data for group in params], n, H) for p, n in enumerate(gates)])
+    W_rec = [_block_diagonal([group[p][0].data[d:] for group in params], n, H) for p, n in enumerate(gates)]
     G = W_x.shape[1]
     # the sigmoid gates lead the fused columns; the kernels get them halved
     half = np.ones(G)
-    half[: n_sigmoid * H] = 0.5
-    halves = np.split(half, np.cumsum(widths)[:-1])
+    half[: n_sigmoid * D * H] = 0.5
+    halves = np.split(half, np.cumsum([n * D * H for n in gates])[:-1])
     W_rec_half = [W * h for W, h in zip(W_rec, halves)]
 
-    rows, slots, T = _batch_layout(lens, reverse)
+    # both directions of a sequence have its length, so they share the slots
+    layouts = [_batch_layout(lens, rev) for _, rev in directions]
+    _, slots, T = layouts[0]
     B = lens.size
-    A = np.zeros((T * B, G))
-    A[slots] = ((X @ W_x + bias) * half)[rows]
-    Hs, cache = fwd_kernel(A.reshape(T, B, G), W_rec_half, H)
-    out = np.empty((N, H))
-    out[rows] = Hs[1:].reshape(-1, H)[slots]
-    node = Tensor(out, (xs, *[t for pair in params for t in pair]))
+    n_all = sum(gates)
+    P = ((X @ W_x + bias) * half).reshape(N, n_all, D, H)
+    A = np.zeros((T * B, n_all, D, H))
+    for k, (rows, _, _) in enumerate(layouts):
+        A[slots, :, k] = P[rows, :, k]
+    Hs, cache = fwd_kernel(A.reshape(T, B, G), W_rec_half, D * H)
+    states = Hs[1:].reshape(-1, D, H)[slots]
+    out = np.empty((N, D, H))
+    for k, (rows, _, _) in enumerate(layouts):
+        out[rows, k] = states[:, k]
+    node = Tensor(out.reshape(N, D * H), (xs, *[t for group in params for pair in group for t in pair]))
 
     def bwd(grad):
-        Gs = np.zeros((T * B, H))
-        Gs[slots] = grad[rows]
-        dA, dW_rec = bwd_kernel(Gs.reshape(T, B, H), Hs, cache, W_rec, H)
+        g = grad.reshape(N, D, H)
+        Gs = np.zeros((T * B, D, H))
+        for k, (rows, _, _) in enumerate(layouts):
+            Gs[slots, k] = g[rows, k]
+        dA, dW_rec = bwd_kernel(Gs.reshape(T, B, D * H), Hs, cache, W_rec, D * H)
         # padding steps carry exactly zero gate gradient
-        dA_rows = np.empty((N, G))
-        dA_rows[rows] = dA.reshape(-1, G)[slots]
+        dA_slots = dA.reshape(-1, n_all, D, H)[slots]
+        dA_rows = np.empty((N, n_all, D, H))
+        for k, (rows, _, _) in enumerate(layouts):
+            dA_rows[rows, :, k] = dA_slots[:, :, k]
+        dA_rows = dA_rows.reshape(N, G)
         accumulate(xs, dA_rows @ W_x.T)
         dW_x = X.T @ dA_rows
         db = dA_rows.sum(axis=0)
         col = 0
-        for (W_t, b_t), width, dW_r in zip(params, widths, dW_rec):
-            accumulate(W_t, np.concatenate([dW_x[:, col : col + width], dW_r]))
-            accumulate(b_t, db[col : col + width])
-            col += width
+        for p, (n, dW_r) in enumerate(zip(gates, dW_rec)):
+            cols = slice(col, col + n * D * H)
+            for k, group in enumerate(params):
+                W_t, b_t = group[p]
+                # a real parameter's gradient is its diagonal block
+                dW_r_k = _unpair(dW_r[k * H : (k + 1) * H], n, D, H, k)
+                accumulate(W_t, np.concatenate([_unpair(dW_x[:, cols], n, D, H, k), dW_r_k]))
+                accumulate(b_t, _unpair(db[cols], n, D, H, k))
+            col += n * D * H
 
     node.bwd = bwd
     return node
@@ -264,11 +328,13 @@ def run_bidirectional(kind: str, xs: Tensor, store: ParamStore, prefix: str, hid
     """Forward and backward passes concatenated per position: (N, D) -> (N, 2*hidden).
 
     Parameters live under {prefix}fwd/ and {prefix}bwd/. lengths packs
-    several sequences as in run_recurrent.
+    several sequences as in run_recurrent. Both directions run in one time
+    loop: sequence b's forward and reversed states sit side by side in one
+    (B, 2*hidden) state, each gate's input projections are laid out
+    [gate_fwd | gate_bwd], and each recurrent weight is block-diagonal, so
+    the cell kernels run unchanged at width 2*hidden.
     """
-    fwd = run_recurrent(kind, xs, store, f"{prefix}fwd/", hidden, lengths=lengths)
-    bwd = run_recurrent(kind, xs, store, f"{prefix}bwd/", hidden, reverse=True, lengths=lengths)
-    return concat([fwd, bwd], axis=1)
+    return run_recurrent(kind, xs, store, prefix, hidden, lengths=lengths, bidirectional=True)
 
 
 def init_bidirectional(kind: str, store: ParamStore, prefix: str, input_dim: int, hidden: int, rng: np.random.Generator) -> None:

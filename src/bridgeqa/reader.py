@@ -8,7 +8,7 @@ predicts passages for the other half, so the reader never trains on passages
 predicted by a model that saw that question's label.
 
 fit() is the minibatch Adam loop that trains both the reader and the bridge
-reasoner.
+reasoner; the reader reads each minibatch in one encoder pass.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .corpus import Passage, QARecord, TokenSeq, tokenize
 from .errors import ValidationError
 from .metrics import em_f1, normalize_answer
 from .numcore import ParamStore, Tensor, adam_step, add, backward, scale
-from .span_model import SpanModel, SpanScores, run_span_model, span_nll_loss
+from .span_model import SpanModel, SpanScores, attend, run_span_model, span_heads, span_nll_loss
 
 SENTINELS = ("yes", "no")
 DEFAULT_MAX_ANSWER_LEN = 30
@@ -169,6 +169,36 @@ def two_fold_split(question_ids: list[str], seed: int) -> tuple[list[str], list[
 # loss and decoding
 
 
+def _span_loss(scores: SpanScores, example: ReaderExample, aux_weight: float) -> Tensor:
+    loss = span_nll_loss(scores, *example.answer_span)
+    if aux_weight != 0.0 and example.title_span is not None:
+        loss = add(loss, scale(span_nll_loss(scores, *example.title_span), aux_weight))
+    return loss
+
+
+def reader_losses(
+    model: SpanModel,
+    examples: list[ReaderExample],
+    aux_weight: float = 1.0,
+    *,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> list[tuple[Tensor, SpanScores]]:
+    """reader_loss of every example, in order, from one encoder pass over all
+    their questions and contexts; dropout is drawn as if the examples were
+    read one after another."""
+    for example in examples:
+        if example.answer_span is None:
+            raise ValidationError(f"example {example.question_id!r} has no gold answer span")
+    groups = [(ex.question, [ex.context.tokens]) for ex in examples]
+    finals = attend(model, groups, training=training, rng=rng)
+    out = []
+    for example, final in zip(examples, finals):
+        scores = span_heads(final, model.store)
+        out.append((_span_loss(scores, example, aux_weight), scores))
+    return out
+
+
 def reader_loss(
     model: SpanModel,
     example: ReaderExample,
@@ -180,15 +210,7 @@ def reader_loss(
     """Answer-span NLL plus aux_weight times the title-span NLL, both over the
     full concatenated context. The auxiliary term is omitted when the example
     has no gold title span."""
-    if example.answer_span is None:
-        raise ValidationError(f"example {example.question_id!r} has no gold answer span")
-    _, scores = run_span_model(
-        model, example.question, example.context.tokens, training=training, rng=rng
-    )
-    loss = span_nll_loss(scores, *example.answer_span)
-    if aux_weight != 0.0 and example.title_span is not None:
-        loss = add(loss, scale(span_nll_loss(scores, *example.title_span), aux_weight))
-    return loss, scores
+    return reader_losses(model, [example], aux_weight, training=training, rng=rng)[0]
 
 
 def best_span(
@@ -199,15 +221,14 @@ def best_span(
     """Argmax of start_logit[s] + end_logit[e] over s <= e < s + max_len;
     ties by smaller s, then smaller e."""
     T = start_logits.shape[0]
-    best = (-np.inf, 0, 0)
-    for s in range(T):
-        hi = min(T, s + max_len)
-        window = start_logits[s] + end_logits[s:hi]
-        e_off = int(np.argmax(window))  # first occurrence wins -> smallest e
-        score = float(window[e_off])
-        if score > best[0]:
-            best = (score, s, s + e_off)
-    return best[1], best[2]
+    width = min(max_len, T)
+    # row s, column k scores the span (s, s + k); numpy's argmax takes the
+    # first maximum in row-major order, which is the tie rule
+    ends = np.arange(T)[:, None] + np.arange(width)
+    scores = start_logits[:, None] + end_logits[np.minimum(ends, T - 1)]
+    scores[ends >= T] = -np.inf
+    s, k = divmod(int(np.argmax(scores)), width)
+    return s, s + k
 
 
 def span_to_text(context: ReaderContext, s: int, e: int) -> str:
@@ -261,7 +282,7 @@ class ReaderTrainConfig:
 def fit(
     store: ParamStore,
     items: list,
-    step: Callable[[object, np.random.Generator], tuple[Tensor | None, float | None]],
+    step: Callable[[list, np.random.Generator], list[tuple[Tensor | None, float | None]]],
     *,
     lr: float,
     epochs: int,
@@ -272,42 +293,46 @@ def fit(
 ) -> dict:
     """Minibatch Adam over the items, in a fresh permutation of rng each epoch.
 
-    step(item, rng) runs one item and returns its loss (None: nothing to
-    learn from) and its hit (None: the item is not judged). A batch is summed
-    and applied once it holds batch_size losses or the epoch ends; the epoch's
-    mean hit is logged under `metric`, and training stops once it reaches
-    early_stop.
+    step(batch, rng) runs a minibatch, the next batch_size items of the
+    permutation (fewer at the epoch's end), and returns per item its loss
+    (None: nothing to learn from) and its hit (None: the item is not judged).
+    The minibatch's losses are summed and applied in one Adam step. Each
+    epoch logs its mean loss, its mean hit under `metric` and its wall time
+    under `seconds`; training stops once the mean hit reaches early_stop.
     """
+    if batch_size < 1:
+        raise ValidationError(f"fit: batch_size must be at least 1, got {batch_size}")
     history: list[dict] = []
     started = time.monotonic()
     for epoch in range(epochs):
+        epoch_started = time.monotonic()
         order = rng.permutation(len(items))
         losses: list[float] = []
         hits = 0
         judged = 0
-        batch: list[Tensor] = []
-        for pos, idx in enumerate(order):
-            loss, hit = step(items[int(idx)], rng)
-            if hit is not None:
-                judged += 1
-                hits += hit
-            if loss is not None:
-                losses.append(loss.item())
-                batch.append(loss)
-            if batch and (len(batch) >= batch_size or pos == len(order) - 1):
+        for first in range(0, len(order), batch_size):
+            batch: list[Tensor] = []
+            for loss, hit in step([items[int(i)] for i in order[first : first + batch_size]], rng):
+                if hit is not None:
+                    judged += 1
+                    hits += hit
+                if loss is not None:
+                    losses.append(loss.item())
+                    batch.append(loss)
+            if batch:
                 total = batch[0]
                 for extra in batch[1:]:
                     total = add(total, extra)
                 backward(total)
                 adam_step(store, store.gradients(), lr=lr)
                 store.zero_grad()
-                batch = []
         score = hits / judged if judged else 0.0
         history.append(
             {
                 "epoch": epoch,
                 "mean_loss": float(np.mean(losses)) if losses else None,
                 metric: score,
+                "seconds": time.monotonic() - epoch_started,
             }
         )
         if score >= early_stop:
@@ -320,12 +345,15 @@ def fit(
 
 
 def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: ReaderTrainConfig) -> dict:
-    """Adam training over the joint span loss, early-stopped on running train EM."""
+    """Adam training over the joint span loss, early-stopped on running train
+    EM; each minibatch is read in one encoder pass."""
 
-    def step(ex: ReaderExample, rng: np.random.Generator) -> tuple[Tensor, int]:
-        loss, scores = reader_loss(model, ex, cfg.aux_weight, training=True, rng=rng)
-        predicted = decode_answer(scores, ex.context, cfg.max_answer_len)
-        return loss, em_f1(predicted, ex.answer)[0]
+    def step(batch: list[ReaderExample], rng: np.random.Generator) -> list[tuple[Tensor, int]]:
+        results = reader_losses(model, batch, cfg.aux_weight, training=True, rng=rng)
+        return [
+            (loss, em_f1(decode_answer(scores, ex.context, cfg.max_answer_len), ex.answer)[0])
+            for ex, (loss, scores) in zip(batch, results)
+        ]
 
     stats = fit(
         model.store,

@@ -9,9 +9,10 @@ bidirectional attention is [h; u~; h*u~; h*h~]. Self-attention reuses the
 same kernel context-to-context, masks the diagonal, drops the
 question-to-context term, and adds a residual through a linear mixing layer.
 
-attend() reads a question against one or several contexts (the reader's
-one block context, or the reasoner's start passages) without padding: one
-encoder pass over the question and every context, one biattention over all
+attend() reads one or several questions, each against one or several
+contexts (a reader minibatch: one block context per question; the reasoner:
+one question and its start passages), without padding: one encoder pass over
+every question and context, one biattention per question over all of its
 context rows, whose question-to-context softmax is masked -inf outside each
 context's block, and self-attention within each context, whose only masked
 scores are its diagonal.
@@ -323,36 +324,48 @@ def init_span_model(
 
 def attend(
     model: SpanModel,
-    question_tokens,
-    contexts,
+    groups,
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> EncodedSeq:
-    """Read a question against several contexts: the self-attention output of
-    every context, back to back in context order, (sum of lengths, 8h).
+) -> list[EncodedSeq]:
+    """Read questions against their contexts. groups is a list of
+    (question, contexts) pairs; returns, per group, the self-attention output
+    of its contexts back to back in context order, (sum of lengths, 8h).
 
-    The question and the contexts are encoded in one pass, and biattention
-    runs once over all context rows; self-attention stays within each
+    Every question and context of every group is encoded in one pass, in the
+    order [q1, q1's contexts, q2, q2's contexts, ...], so dropout is drawn as
+    if the groups were encoded one after another. Biattention then runs once
+    per group over all of its context rows, and self-attention within each
     context. Every context reads as it would alone.
     """
-    token_lists = [_token_list(question_tokens)] + [_token_list(c) for c in contexts]
-    if not contexts or any(len(toks) == 0 for toks in token_lists):
-        raise ValidationError("attend: no context, or an empty question or context")
-    lengths = [len(toks) for toks in token_lists]
+    token_lists, sizes = [], []
+    for question_tokens, contexts in groups:
+        group = [_token_list(question_tokens)] + [_token_list(c) for c in contexts]
+        if not contexts or any(len(toks) == 0 for toks in group):
+            raise ValidationError("attend: no context, or an empty question or context")
+        token_lists += group
+        sizes.append([len(toks) for toks in group])
+    if not sizes:
+        raise ValidationError("attend: no (question, contexts) group")
+    lengths = [n for group in sizes for n in group]
     flat = [tok for toks in token_lists for tok in toks]
     states = encode(flat, model.table, model.store, model.hidden, lengths=lengths,
                     dropout_rate=model.dropout, training=training, rng=rng).states
-    q_len = lengths[0]
-    question = EncodedSeq(states=slice_rows(states, 0, q_len))
-    context = EncodedSeq(states=slice_rows(states, q_len, states.data.shape[0]))
-    attended = biattention(context, question, model.store, lengths=lengths[1:]).states
     finals, start = [], 0
-    for n in lengths[1:]:
-        rows = EncodedSeq(states=slice_rows(attended, start, start + n))
-        finals.append(self_attention(rows, model.store).states)
-        start += n
-    return EncodedSeq(states=concat(finals, axis=0))
+    for q_len, *context_lengths in sizes:
+        stop = start + q_len + sum(context_lengths)
+        question = EncodedSeq(states=slice_rows(states, start, start + q_len))
+        context = EncodedSeq(states=slice_rows(states, start + q_len, stop))
+        attended = biattention(context, question, model.store, lengths=context_lengths).states
+        parts, row = [], 0
+        for n in context_lengths:
+            rows = EncodedSeq(states=slice_rows(attended, row, row + n))
+            parts.append(self_attention(rows, model.store).states)
+            row += n
+        finals.append(EncodedSeq(states=concat(parts, axis=0)))
+        start = stop
+    return finals
 
 
 def run_span_model(
@@ -365,5 +378,5 @@ def run_span_model(
 ) -> tuple[EncodedSeq, SpanScores]:
     """Full forward pass over one context; returns the final per-token
     representations (the self-attention output) and the span scores."""
-    final = attend(model, question_tokens, [context_tokens], training=training, rng=rng)
+    (final,) = attend(model, [(question_tokens, [context_tokens])], training=training, rng=rng)
     return final, span_heads(final, model.store)

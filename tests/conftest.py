@@ -20,3 +20,20 @@ def mini_run(tmp_path_factory, fixture_dir):
     cfg = load_config(None, fixture_config(fixture_dir, out, bridge_epochs=2, reader_epochs=2))
     run_all(cfg)
     return cfg
+
+
+@pytest.fixture
+def loop_widths(monkeypatch):
+    """Record, per cell kind, the batch width of every recurrent time loop
+    run (each call of its forward kernel)."""
+    from bridgeqa.numcore import cells
+
+    widths = {kind: [] for kind in cells._KINDS}
+    for kind, (names, n_sigmoid, forward, backward_kernel) in list(cells._KINDS.items()):
+
+        def counted(A, W_rec, H, kind=kind, forward=forward):
+            widths[kind].append(A.shape[1])
+            return forward(A, W_rec, H)
+
+        monkeypatch.setitem(cells._KINDS, kind, (names, n_sigmoid, counted, backward_kernel))
+    return widths

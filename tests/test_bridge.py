@@ -466,6 +466,15 @@ def test_score_bridges_one_token_start_between_longer_starts_matches_each_alone(
         assert abs(a.fused_score - b.fused_score) < 1e-12
 
 
+def test_score_bridges_runs_one_gru_loop_and_one_lstm_loop(loop_widths):
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
+    score_bridges(model, tokenize("which target?"), starts, collect_candidates(starts, corpus), corpus)
+    # the question and both start passages; both target abstracts
+    assert loop_widths == {"gru": [3], "lstm": [2]}
+
+
 def test_encode_abstracts_matches_one_at_a_time_with_dropout():
     from bridgeqa.bridge import encode_abstracts
 
@@ -502,6 +511,38 @@ def test_train_bridge_applies_last_batch_when_last_question_has_no_candidates():
     # q1's loss is applied in one Adam step, although q2 closes the epoch unscored
     assert model.store.moments["fuse/w"]["t"] == 1
     assert not np.array_equal(model.store["fuse/w"].data, before)
+
+
+def test_train_bridge_minibatch_is_the_next_items_even_without_a_loss():
+    # a question without candidates still fills its place in the minibatch:
+    # the next question is not pulled in to make up batch_size losses
+    from bridgeqa.bridge import BridgeTrainConfig, prepare_question_inputs, train_bridge_reasoner
+
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    questions = [QARecord(id=f"q{i}", question="which target?", answer="one", qtype="bridge") for i in range(3)]
+    labels = [BridgeLabel(q.id, "Target One") for q in questions]
+    starts = {"q0": [], "q1": [corpus.by_id["p1"]], "q2": [corpus.by_id["p1"]]}
+    inputs = prepare_question_inputs(questions, labels, starts, corpus)
+    # at seed 2 the epoch's order is q0, q1, q2: minibatches [q0, q1] and [q2]
+    assert np.random.default_rng([2, 7]).permutation(3).tolist() == [0, 1, 2]
+    stats = train_bridge_reasoner(
+        model, inputs, corpus, BridgeTrainConfig(epochs=1, batch_size=2, seed=2, early_stop_hits1=2.0)
+    )
+    assert stats["history"][0]["mean_loss"] is not None
+    # one Adam step per minibatch holding a loss, not one per two losses
+    assert model.store.moments["fuse/w"]["t"] == 2
+
+
+def test_train_bridge_rejects_a_batch_size_below_one():
+    from bridgeqa.bridge import BridgeTrainConfig, prepare_question_inputs, train_bridge_reasoner
+
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    record = QARecord(id="q1", question="which target?", answer="one", qtype="bridge")
+    inputs = prepare_question_inputs([record], [BridgeLabel("q1", "Target One")], {"q1": [corpus.by_id["p1"]]}, corpus)
+    with pytest.raises(ValidationError, match="batch_size"):
+        train_bridge_reasoner(model, inputs, corpus, BridgeTrainConfig(epochs=1, batch_size=0))
 
 
 def test_bridge_loss_gradient_through_score_bridges():

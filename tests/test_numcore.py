@@ -636,6 +636,76 @@ def test_run_bidirectional_passes_lengths_through():
     assert np.allclose(packed.data, np.concatenate([first.data, second.data]), atol=1e-14)
 
 
+def _paired_case(kind, seed, d=3, hidden=4, lengths=PACKED_LENGTHS):
+    from bridgeqa.numcore import init_bidirectional
+
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    init_bidirectional(kind, store, "b/", d, hidden, rng)
+    for name, param in store.items():
+        if name.rsplit("/", 1)[1].startswith("b"):  # nonzero biases, so leaked padding would show
+            param.data[:] = rng.normal(scale=0.5, size=param.data.shape)
+    return store, rng.normal(size=(sum(lengths), d)), rng.normal(size=(sum(lengths), 2 * hidden))
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_run_bidirectional_matches_two_separate_directions(kind):
+    # both directions in one block-diagonal loop against one run_recurrent
+    # call per direction: values, input gradient and every parameter gradient
+    store, xs, w = _paired_case(kind, 37)
+
+    def run(paired):
+        store.zero_grad()
+        x_t = Tensor(xs.copy())
+        if paired:
+            out = run_bidirectional(kind, x_t, store, "b/", 4, lengths=PACKED_LENGTHS)
+        else:
+            fwd = run_recurrent(kind, x_t, store, "b/fwd/", 4, lengths=PACKED_LENGTHS)
+            bwd = run_recurrent(kind, x_t, store, "b/bwd/", 4, reverse=True, lengths=PACKED_LENGTHS)
+            out = concat([fwd, bwd], axis=1)
+        backward(sum_all(mul(out, constant(w))))
+        return out.data, x_t.grad, {name: p.grad.copy() for name, p in store.items()}
+
+    (out, dx, grads), (ref_out, ref_dx, ref_grads) = run(True), run(False)
+    assert np.max(np.abs(out - ref_out)) < 1e-12
+    assert np.max(np.abs(dx - ref_dx)) < 1e-12
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert np.max(np.abs(g - ref_grads[name])) < 1e-12, name
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_run_bidirectional_matches_stepwise_cells(kind):
+    store, xs, _ = _paired_case(kind, 38, lengths=[5])
+    out = run_bidirectional(kind, Tensor(xs), store, "b/", 4)
+    for half, prefix, order in ((0, "b/fwd/", range(5)), (1, "b/bwd/", range(4, -1, -1))):
+        h, c = Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))
+        for t in order:
+            if kind == "gru":
+                h = gru_cell(Tensor(xs[t : t + 1]), h, store, prefix)
+            else:
+                h, c = lstm_cell(Tensor(xs[t : t + 1]), h, c, store, prefix)
+            assert np.max(np.abs(out.data[t, half * 4 : (half + 1) * 4] - h.data[0])) < 1e-14
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_run_bidirectional_grad_check(kind):
+    lengths = [3, 1, 2]
+    store, xs, w = _paired_case(kind, 39, d=2, hidden=2, lengths=lengths)
+
+    def build(store):
+        return sum_all(mul(run_bidirectional(kind, Tensor(xs), store, "b/", 2, lengths=lengths), constant(w)))
+
+    report = grad_check(build, store, eps=1e-6, tol=1e-6)
+    assert report.passed, report.summary()
+
+
+def test_run_recurrent_bidirectional_has_no_reverse():
+    store, xs, _ = _paired_case("gru", 40)
+    with pytest.raises(ShapeError):
+        run_recurrent("gru", Tensor(xs), store, "b/", 4, reverse=True, lengths=PACKED_LENGTHS, bidirectional=True)
+
+
 def test_run_bidirectional_width():
     rng = np.random.default_rng(15)
     store = ParamStore()

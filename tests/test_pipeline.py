@@ -106,6 +106,22 @@ def test_mini_run_artifacts_and_manifest(mini_run):
     ]
 
 
+def test_train_reader_runs_one_time_loop_per_minibatch(mini_run, loop_widths):
+    # a minibatch of 4 is one GRU time loop over its 4 questions and 4
+    # contexts, both directions side by side: 5 loops per epoch, not 38
+    from bridgeqa.manifest import read_jsonl
+    from bridgeqa.pipeline import _build_reader_examples, _embedding, _load_state, _new_reader_model
+    from bridgeqa.reader import ReaderTrainConfig, train_reader
+
+    state, train, dev = _load_state(mini_run)
+    cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
+    examples, _ = _build_reader_examples(state, train, cross)
+    model = _new_reader_model(mini_run, _embedding(mini_run, state.corpus, train + dev), seed_tag=0)
+    train_reader(model, examples, ReaderTrainConfig(epochs=1, batch_size=4, early_stop_em=2.0))
+    assert len(examples) == 19
+    assert loop_widths == {"gru": [8, 8, 8, 8, 6], "lstm": []}
+
+
 def test_predictions_schema(mini_run):
     out = Path(mini_run.output_dir)
     with open(out / "predictions.jsonl", encoding="utf-8") as fh:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bridgeqa.corpus import Passage, QARecord, tokenize
-from bridgeqa.numcore import backward
+from bridgeqa.errors import ValidationError
+from bridgeqa.numcore import add, backward
 from bridgeqa.reader import (
     ReaderTrainConfig,
     best_span,
@@ -13,6 +14,7 @@ from bridgeqa.reader import (
     locate_answer_span,
     make_reader_example,
     reader_loss,
+    reader_losses,
     span_to_text,
     train_reader,
     two_fold_split,
@@ -120,6 +122,32 @@ def test_best_span_matches_brute_force_on_random_logits():
         start = rng.normal(size=T)
         end = rng.normal(size=T)
         assert best_span(start, end) == brute_force_best_span(start, end, 30)
+
+
+def loop_best_span(start_logits, end_logits, max_len=30):
+    """The per-start loop best_span replaced: the reference for its tie rule."""
+    T = start_logits.shape[0]
+    best = (-np.inf, 0, 0)
+    for s in range(T):
+        hi = min(T, s + max_len)
+        window = start_logits[s] + end_logits[s:hi]
+        e_off = int(np.argmax(window))  # first occurrence wins -> smallest e
+        score = float(window[e_off])
+        if score > best[0]:
+            best = (score, s, s + e_off)
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 31, 250, 500])
+def test_best_span_matches_the_loop_on_random_and_tied_logits(T):
+    rng = np.random.default_rng(T)
+    for trial in range(20):
+        if trial % 2:  # integer logits in a narrow range: many tied spans
+            start, end = rng.integers(-2, 3, size=T).astype(float), rng.integers(-2, 3, size=T).astype(float)
+        else:
+            start, end = rng.normal(size=T), rng.normal(size=T)
+        for max_len in (1, 3, 30):
+            assert best_span(start, end, max_len) == loop_best_span(start, end, max_len)
 
 
 def test_best_span_respects_max_length():
@@ -233,6 +261,51 @@ def test_reader_loss_composition_of_two_span_losses():
         scores, *example.title_span
     ).item()
     assert loss.item() == pytest.approx(expected)
+
+
+def test_reader_minibatch_matches_per_example_losses_with_dropout():
+    # one encoder pass over a minibatch against one reader_loss per example,
+    # drawing dropout from equal rng seeds: values and every gradient
+    model, example = reader_fixture()
+    model.dropout = 0.2
+    record = QARecord("q2", "who served?", "Shirley Temple", "bridge", ("Shirley Temple",))
+    second, _ = make_reader_example(record, [P1])
+    third, _ = make_reader_example(record, [P2, P1])
+    batch = [example, second, third, example]
+
+    def run(packed):
+        model.store.zero_grad()
+        rng = np.random.default_rng(4)
+        if packed:
+            losses = [loss for loss, _ in reader_losses(model, batch, 0.7, training=True, rng=rng)]
+        else:
+            losses = [reader_loss(model, ex, 0.7, training=True, rng=rng)[0] for ex in batch]
+        total = losses[0]
+        for extra in losses[1:]:
+            total = add(total, extra)
+        backward(total)
+        return [loss.item() for loss in losses], model.store.gradients()
+
+    (got, got_grads), (want, want_grads) = run(True), run(False)
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+    assert got_grads.keys() == want_grads.keys() == {name for name, _ in model.store.items()}
+    for name, g in got_grads.items():
+        assert np.max(np.abs(g - want_grads[name])) < 1e-12, name
+
+
+def test_fit_rejects_a_batch_size_below_one():
+    model, example = reader_fixture()
+    for batch_size in (0, -1):
+        with pytest.raises(ValidationError, match="batch_size"):
+            train_reader(model, [example], ReaderTrainConfig(epochs=1, batch_size=batch_size))
+
+
+def test_fit_logs_each_epochs_wall_time():
+    model, example = reader_fixture()
+    stats = train_reader(model, [example], ReaderTrainConfig(epochs=2, early_stop_em=2.0))
+    assert [row["epoch"] for row in stats["history"]] == [0, 1]
+    assert all(row["seconds"] >= 0.0 for row in stats["history"])
+    assert sum(row["seconds"] for row in stats["history"]) <= stats["train_seconds"]
 
 
 def test_train_reader_overfits_tiny_example():

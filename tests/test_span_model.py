@@ -338,9 +338,14 @@ def test_attend_rejects_an_empty_sequence():
     m = tiny_model()
     for contexts in ([["kiss"], []], []):
         with pytest.raises(ValidationError):
-            attend(m, ["who"], contexts)
+            attend(m, [(["who"], contexts)])
     with pytest.raises(ValidationError):
-        attend(m, [], [["kiss"]])
+        attend(m, [([], [["kiss"]])])
+    # an empty group in a minibatch, and no group at all
+    with pytest.raises(ValidationError):
+        attend(m, [(["who"], [["kiss"]]), (["who"], [])])
+    with pytest.raises(ValidationError):
+        attend(m, [])
 
 
 def biattention_store(rng, width):
@@ -397,6 +402,23 @@ def test_attend_reads_each_context_as_alone():
     m = tiny_model(seed=17)
     q = tokenize("who stars")
     contexts = [tokenize("kiss and tell stars"), ["archer"], tokenize("temple stars who")]
-    together = attend(m, q, contexts).states.data
+    (together,) = attend(m, [(q, contexts)])
     alone = np.concatenate([run_span_model(m, q, c)[0].states.data for c in contexts])
-    assert np.max(np.abs(together - alone)) < 1e-12
+    assert np.max(np.abs(together.states.data - alone)) < 1e-12
+
+
+def test_attend_reads_each_question_group_as_alone_with_dropout():
+    # several groups in one encoder pass, a one-token context among them:
+    # each group's rows equal reading that group alone, with the dropout
+    # masks drawn from one rng in group order
+    m = tiny_model(seed=18, dropout=0.3)
+    groups = [
+        (tokenize("who stars"), [tokenize("kiss and tell stars"), ["archer"]]),
+        (["archer"], [tokenize("temple stars who")]),
+        (tokenize("who tell"), [["kiss"], tokenize("tell stars")]),
+    ]
+    together = attend(m, groups, training=True, rng=np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    for got, group in zip(together, groups):
+        (alone,) = attend(m, [group], training=True, rng=rng)
+        assert np.max(np.abs(got.states.data - alone.states.data)) < 1e-12
