@@ -11,7 +11,6 @@ import tempfile
 import numpy as np
 
 from bridgeqa.bridge import (
-    BridgeTrainConfig,
     TitleTokenLinker,
     derive_bridge_labels,
     evaluate_hits,
@@ -21,6 +20,7 @@ from bridgeqa.bridge import (
     prepare_question_inputs,
     train_bridge_reasoner,
 )
+from bridgeqa.config import PipelineConfig
 from bridgeqa.corpus import load_corpus, load_questions, tokenize
 from bridgeqa.retrieval import build_index, retrieve_start_passages
 from bridgeqa.span_model import build_vocab
@@ -65,7 +65,7 @@ def main():
 
     stats = train_bridge_reasoner(
         model, inputs, corpus,
-        BridgeTrainConfig(lr=5e-3, epochs=45, seed=13, early_stop_hits1=1.0),
+        PipelineConfig(lr=5e-3, bridge_epochs=45, seed=13, bridge_early_stop_hits1=1.0),
     )
     print(f"\ntrained for {stats['epochs_run']} epochs "
           f"({stats['train_seconds']:.0f}s); per-epoch Hits@1:")

@@ -174,6 +174,7 @@ def predict_one(
             ranked_titles=ranked_titles,
             ranked_scored=ranked_scored,
             fallback=fallback,
+            n_passages_dropped=len(context_passages) - len(context.passages),
         ),
         None,
     )

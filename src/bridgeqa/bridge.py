@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import PipelineConfig
 from .corpus import AnchorMention, Corpus, Passage, QARecord, TokenSeq, tokenize
 from .errors import ValidationError
 from .metrics import normalize_answer
@@ -382,15 +383,6 @@ def expand_with_entity_linking(
 
 
 @dataclass
-class BridgeTrainConfig:
-    lr: float = 1e-3
-    epochs: int = 200
-    batch_size: int = 1
-    seed: int = 13
-    early_stop_hits1: float = 0.95
-
-
-@dataclass
 class QuestionInputs:
     """Per-question artifacts that do not depend on model parameters, prepared
     once before training."""
@@ -428,11 +420,12 @@ def train_bridge_reasoner(
     model: BridgeModel,
     inputs: list[QuestionInputs],
     corpus: Corpus,
-    cfg: BridgeTrainConfig,
+    cfg: PipelineConfig,
 ) -> dict:
-    """Adam training over per-question marginal NLL. Questions whose gold is
-    absent from the candidate pool are skipped and counted. Stops early once
-    the running train Hits@1 reaches the configured threshold."""
+    """Adam training over per-question marginal NLL, at cfg's lr, batch_size
+    and seed for up to bridge_epochs. Questions whose gold is absent from the
+    candidate pool are skipped and counted. Stops early once the running
+    train Hits@1 reaches bridge_early_stop_hits1."""
     trainable = [qi for qi in inputs if qi.label is not None]
     gold_missing = sum(
         1
@@ -457,10 +450,10 @@ def train_bridge_reasoner(
         trainable,
         lambda batch, rng: [question_step(qi, rng) for qi in batch],
         lr=cfg.lr,
-        epochs=cfg.epochs,
+        epochs=cfg.bridge_epochs,
         batch_size=cfg.batch_size,
         rng=np.random.default_rng([cfg.seed, 7]),
-        early_stop=cfg.early_stop_hits1,
+        early_stop=cfg.bridge_early_stop_hits1,
         metric="train_hits1",
     )
     stats.update(n_train_questions=len(trainable), n_gold_missing=gold_missing)
@@ -473,20 +466,15 @@ def evaluate_hits(
     corpus: Corpus,
     k: int = 1,
 ) -> float:
-    """Inference-mode Hits@k of the reasoner over labeled questions."""
-    hits = 0
-    judged = 0
-    for qi in inputs:
-        if qi.label is None:
-            continue
-        judged += 1
-        if not qi.candidates:
-            continue
-        scored, _ = score_bridges(model, qi.question_tokens, qi.start_passages, qi.candidates, corpus)
-        ranked = rank_answer_passages(scored, k=k)
-        if any(title == qi.label.gold_title for title, _ in ranked):
-            hits += 1
-    return hits / judged if judged else 0.0
+    """Inference-mode Hits@k of the reasoner over labeled questions, ranked
+    by predict_ranked_titles."""
+    judged = [qi for qi in inputs if qi.label is not None]
+    hits = sum(
+        any(title == qi.label.gold_title
+            for title, _ in predict_ranked_titles(model, qi.record, qi.start_passages, corpus, k=k))
+        for qi in judged
+    )
+    return hits / len(judged) if judged else 0.0
 
 
 def predict_ranked_titles(

@@ -169,10 +169,14 @@ def shift(x: Tensor, c: float) -> Tensor:
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+    """The parts joined along axis; a single part is returned as it is, with
+    no tape node."""
     if not parts:
         raise ShapeError("concat: no inputs")
     if axis not in (0, 1):
         raise ShapeError(f"concat: axis must be 0 or 1, got {axis}")
+    if len(parts) == 1:
+        return parts[0]
     try:
         data = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
@@ -315,9 +319,12 @@ def take_row(x: Tensor, i: int) -> Tensor:
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows [start:stop] of a 2-d tensor, e.g. one sequence of a packed batch."""
+    """Rows [start:stop] of a 2-d tensor, e.g. one sequence of a packed batch;
+    all of its rows are x itself, with no tape node."""
     if x.data.ndim != 2 or not (0 <= start < stop <= x.data.shape[0]):
         raise ShapeError(f"slice_rows: [{start}:{stop}] invalid for shape {x.data.shape}")
+    if stop - start == x.data.shape[0]:
+        return x
     out = Tensor(x.data[start:stop], (x,))
 
     def bwd(g):

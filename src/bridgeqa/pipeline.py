@@ -3,14 +3,18 @@
 Stages (in dependency order): ingest, build-index, derive-labels,
 train-bridge, cross-predict, train-reader, predict, evaluate. Each stage
 reads only prior artifacts from the output directory, writes its own, and
-appends a manifest entry; later stages reload checkpoints from disk, so two
-runs with the same config and seed produce byte-identical artifacts.
+returns its manifest entry, which run_stage appends; later stages reload
+checkpoints from disk, so two runs with the same config and seed produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import resource
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,6 @@ from .ablation import (
 from .bridge import (
     BridgeLabel,
     BridgeModel,
-    BridgeTrainConfig,
     TitleTokenLinker,
     derive_bridge_labels,
     evaluate_hits,
@@ -43,7 +46,6 @@ from .manifest import append_manifest, file_sha256, read_jsonl, write_json, writ
 from .reader import (
     Prediction,
     ReaderExample,
-    ReaderTrainConfig,
     make_reader_example,
     train_reader,
     two_fold_split,
@@ -183,16 +185,6 @@ def _start_sets(state: PipelineState, questions: list[QARecord]) -> dict[str, li
     }
 
 
-def _bridge_train_config(cfg: PipelineConfig) -> BridgeTrainConfig:
-    return BridgeTrainConfig(
-        lr=cfg.lr,
-        epochs=cfg.bridge_epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        early_stop_hits1=cfg.bridge_early_stop_hits1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -207,8 +199,7 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
     save_corpus(corpus, out / "corpus.jsonl")
     save_questions(train, out / "questions_train.jsonl")
     save_questions(dev, out / "questions_dev.jsonl")
-    entry = {
-        "stage": "ingest",
+    return {
         "config": config_to_dict(cfg),
         "n_passages": len(corpus),
         "n_train_questions": len(train),
@@ -219,8 +210,6 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
             "dev_questions": file_sha256(cfg.dev_questions_path) if cfg.dev_questions_path else None,
         },
     }
-    append_manifest(out, entry)
-    return entry
 
 
 def stage_build_index(cfg: PipelineConfig) -> dict:
@@ -228,14 +217,7 @@ def stage_build_index(cfg: PipelineConfig) -> dict:
     corpus, _, _ = _load_ingested(cfg)
     index = build_index(corpus)
     write_json(out / "index.json", index_to_dict(index))
-    entry = {
-        "stage": "build-index",
-        "n_documents": index.N,
-        "n_terms": len(index.body.postings),
-        "artifact": "index.json",
-    }
-    append_manifest(out, entry)
-    return entry
+    return {"n_documents": index.N, "n_terms": len(index.body.postings), "artifact": "index.json"}
 
 
 def stage_derive_labels(cfg: PipelineConfig) -> dict:
@@ -247,14 +229,7 @@ def stage_derive_labels(cfg: PipelineConfig) -> dict:
         ({"qid": lbl.question_id, "gold_title": lbl.gold_title} for lbl in labels),
     )
     write_jsonl(out / "label_skips.jsonl", skipped)
-    entry = {
-        "stage": "derive-labels",
-        "n_labels": len(labels),
-        "n_skipped": len(skipped),
-        "seed": cfg.seed,
-    }
-    append_manifest(out, entry)
-    return entry
+    return {"n_labels": len(labels), "n_skipped": len(skipped), "seed": cfg.seed}
 
 
 def stage_train_bridge(cfg: PipelineConfig) -> dict:
@@ -265,20 +240,17 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
     model = _new_bridge_model(cfg, _embedding(cfg, corpus, train + dev), seed_tag=0)
     bridge_questions = [q for q in train if q.qtype == "bridge"]
     inputs = prepare_question_inputs(bridge_questions, labels, _start_sets(state, bridge_questions), corpus)
-    stats = train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
+    stats = train_bridge_reasoner(model, inputs, corpus, cfg)
     stats["final_train_hits1"] = evaluate_hits(model, inputs, corpus, k=1)
     digest = _save_model(model, out / "checkpoints" / "bridge")
     write_json(out / "bridge_train_log.json", stats, indent=2)
-    entry = {
-        "stage": "train-bridge",
+    return {
         "checkpoint": "checkpoints/bridge",
         "checkpoint_digest": digest,
         "epochs_run": stats["epochs_run"],
         "final_train_hits1": stats["final_train_hits1"],
         "seed": cfg.seed,
     }
-    append_manifest(out, entry)
-    return entry
 
 
 def stage_cross_predict(cfg: PipelineConfig) -> dict:
@@ -300,7 +272,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         fold_questions = [by_qid[qid] for qid in folds[fold_name]]
         inputs = prepare_question_inputs(fold_questions, labels, start_sets, corpus)
         model = _new_bridge_model(cfg, embedding, seed_tag=1 if fold_name == "A" else 2)
-        train_bridge_reasoner(model, inputs, corpus, _bridge_train_config(cfg))
+        train_bridge_reasoner(model, inputs, corpus, cfg)
         digests[fold_name] = _save_model(model, out / "checkpoints" / f"bridge_fold_{fold_name.lower()}")
         for qid in folds[other_name]:
             q = by_qid[qid]
@@ -315,8 +287,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
 
     write_json(out / "folds.json", folds, indent=2)
     write_jsonl(out / "cross_predictions.jsonl", (predictions[qid] for qid in sorted(predictions)))
-    entry = {
-        "stage": "cross-predict",
+    return {
         "folds": folds,
         "fold_checkpoints": {
             "A": "checkpoints/bridge_fold_a",
@@ -326,18 +297,19 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         "n_cross_predictions": len(predictions),
         "seed": cfg.seed,
     }
-    append_manifest(out, entry)
-    return entry
 
 
 def _build_reader_examples(
     state: PipelineState,
     train: list[QARecord],
     cross_preds: dict[str, dict],
-) -> tuple[list[ReaderExample], list[dict]]:
+) -> tuple[list[ReaderExample], list[dict], int]:
+    """The trainable examples, the skipped questions with their reasons, and
+    how many passages the context cap cut from the contexts of both."""
     cfg = state.cfg
     examples: list[ReaderExample] = []
     skips: list[dict] = []
+    n_dropped = 0
     for q in train:
         if q.qtype == "bridge":
             pred = cross_preds.get(q.id)
@@ -357,11 +329,12 @@ def _build_reader_examples(
             max_answer_len=cfg.max_answer_len,
             predicted_by_fold=fold,
         )
-        if example is None:
-            skips.append({"qid": q.id, "reason": reason})
-        else:
+        n_dropped += len(passages) - len(example.context.passages)
+        if reason is None:
             examples.append(example)
-    return examples, skips
+        else:
+            skips.append({"qid": q.id, "reason": reason})
+    return examples, skips, n_dropped
 
 
 def stage_train_reader(cfg: PipelineConfig) -> dict:
@@ -369,7 +342,7 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
     state, train, dev = _load_state(cfg)
     cross_path = _require(out / "cross_predictions.jsonl", "cross-predict")
     cross_preds = {rec["qid"]: rec for rec in read_jsonl(cross_path)}
-    examples, skips = _build_reader_examples(state, train, cross_preds)
+    examples, skips, n_dropped = _build_reader_examples(state, train, cross_preds)
     write_jsonl(
         out / "reader_examples.jsonl",
         (
@@ -386,39 +359,27 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
     write_jsonl(out / "reader_example_skips.jsonl", skips)
 
     embedding = _embedding(cfg, state.corpus, train + dev)
-    reader_cfg = ReaderTrainConfig(
-        lr=cfg.reader_lr if cfg.reader_lr is not None else cfg.lr,
-        epochs=cfg.reader_epochs,
-        batch_size=cfg.reader_batch_size if cfg.reader_batch_size is not None else cfg.batch_size,
-        aux_weight=cfg.aux_weight,
-        seed=cfg.seed,
-        early_stop_em=cfg.reader_early_stop_em,
-        max_answer_len=cfg.max_answer_len,
-    )
     model = _new_reader_model(cfg, embedding, seed_tag=0)
-    stats = train_reader(model, examples, reader_cfg)
+    stats = train_reader(model, examples, cfg)
     digest = _save_model(model, out / "checkpoints" / "reader")
     logs = {"reader": stats}
 
     if cfg.train_no_multitask_reader:
-        nomt_cfg = ReaderTrainConfig(**{**reader_cfg.__dict__, "aux_weight": 0.0})
         nomt = _new_reader_model(cfg, embedding, seed_tag=1)
-        logs["reader_no_multitask"] = train_reader(nomt, examples, nomt_cfg)
+        logs["reader_no_multitask"] = train_reader(nomt, examples, replace(cfg, aux_weight=0.0))
         _save_model(nomt, out / "checkpoints" / "reader_no_multitask")
 
     write_json(out / "reader_train_log.json", logs, indent=2)
-    entry = {
-        "stage": "train-reader",
+    return {
         "checkpoint": "checkpoints/reader",
         "checkpoint_digest": digest,
         "n_examples": len(examples),
         "n_skipped": len(skips),
+        "n_passages_dropped": n_dropped,
         "epochs_run": stats["epochs_run"],
         "aux_weight": cfg.aux_weight,
         "seed": cfg.seed,
     }
-    append_manifest(out, entry)
-    return entry
 
 
 def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
@@ -460,15 +421,13 @@ def stage_predict(cfg: PipelineConfig) -> dict:
             if p.ranked_scored
         ),
     )
-    entry = {
-        "stage": "predict",
+    return {
         "mode": cfg.mode,
         "n_predictions": len(predictions),
         "n_skipped": len(skipped),
+        "n_passages_dropped": sum(p.n_passages_dropped for p in predictions),
         "seed": cfg.seed,
     }
-    append_manifest(out, entry)
-    return entry
 
 
 def stage_evaluate(cfg: PipelineConfig) -> dict:
@@ -507,14 +466,11 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     report = score_predictions(predictions, dev, mode, labels, skipped)
     write_json(out / "report.json", report.aggregates(), indent=2)
     write_jsonl(out / "report_detail.jsonl", report.to_dict()["per_question"])
-    entry = {
-        "stage": "evaluate",
+    return {
         "mode": mode,
         "aggregates": report.aggregates(),
         "artifacts": ["report.json", "report_detail.jsonl"],
     }
-    append_manifest(out, entry)
-    return entry
 
 
 _STAGE_FUNCS = {
@@ -530,9 +486,17 @@ _STAGE_FUNCS = {
 
 
 def run_stage(stage: str, cfg: PipelineConfig) -> dict:
+    """Run one stage and append its manifest entry, stamped with the stage's
+    wall time and the process's peak RSS so far (ru_maxrss is in KiB on
+    Linux). A stage that raises appends nothing."""
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    return _STAGE_FUNCS[stage](cfg)
+    started = time.perf_counter()
+    entry = {"stage": stage, **_STAGE_FUNCS[stage](cfg)}
+    entry["wall_seconds"] = time.perf_counter() - started
+    entry["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    append_manifest(_out(cfg), entry)
+    return entry
 
 
 def run_all(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> dict[str, dict]:

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import PipelineConfig
 from .corpus import Passage, QARecord, TokenSeq, tokenize
 from .errors import ValidationError
 from .metrics import em_f1, normalize_answer
@@ -127,26 +128,24 @@ def make_reader_example(
     max_tokens: int | None = None,
     max_answer_len: int = DEFAULT_MAX_ANSWER_LEN,
     predicted_by_fold: str | None = None,
-) -> tuple[ReaderExample | None, str | None]:
-    """Build a training example; returns (None, reason) when the context does
-    not contain the answer."""
-    context = build_reader_context(passages, max_tokens=max_tokens)
-    span = locate_answer_span(context, record.answer, max_len=max_answer_len)
-    if span is None:
-        return None, "answer not found in context"
-    title_span = None
-    origin = context.origins[span[0]]
-    if origin.passage_id is not None:
-        title_span = context.title_spans.get(origin.passage_id)
+) -> tuple[ReaderExample, str | None]:
+    """Build a training example and the reason it cannot be trained on, or
+    None. The example always carries its built context; when the context
+    does not contain the answer, its answer_span is None."""
     example = ReaderExample(
         question_id=record.id,
         question=tokenize(record.question),
-        context=context,
+        context=build_reader_context(passages, max_tokens=max_tokens),
         answer=record.answer,
-        answer_span=span,
-        title_span=title_span,
         predicted_by_fold=predicted_by_fold,
     )
+    span = locate_answer_span(example.context, record.answer, max_len=max_answer_len)
+    if span is None:
+        return example, "answer not found in context"
+    example.answer_span = span
+    origin = example.context.origins[span[0]]
+    if origin.passage_id is not None:
+        example.title_span = example.context.title_spans.get(origin.passage_id)
     return example, None
 
 
@@ -268,17 +267,6 @@ def decode_answer(
 # training
 
 
-@dataclass
-class ReaderTrainConfig:
-    lr: float = 1e-3
-    epochs: int = 80
-    batch_size: int = 1
-    aux_weight: float = 1.0
-    seed: int = 13
-    early_stop_em: float = 0.95
-    max_answer_len: int = DEFAULT_MAX_ANSWER_LEN
-
-
 def fit(
     store: ParamStore,
     items: list,
@@ -344,9 +332,11 @@ def fit(
     }
 
 
-def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: ReaderTrainConfig) -> dict:
-    """Adam training over the joint span loss, early-stopped on running train
-    EM; each minibatch is read in one encoder pass."""
+def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: PipelineConfig) -> dict:
+    """Adam training over the joint span loss at cfg's reader_lr (lr when
+    unset) and reader_batch_size (batch_size when unset), for up to
+    reader_epochs, early-stopped on running train EM; each minibatch is read
+    in one encoder pass."""
 
     def step(batch: list[ReaderExample], rng: np.random.Generator) -> list[tuple[Tensor, int]]:
         results = reader_losses(model, batch, cfg.aux_weight, training=True, rng=rng)
@@ -359,11 +349,11 @@ def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: ReaderTra
         model.store,
         examples,
         step,
-        lr=cfg.lr,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
+        lr=cfg.lr if cfg.reader_lr is None else cfg.reader_lr,
+        epochs=cfg.reader_epochs,
+        batch_size=cfg.batch_size if cfg.reader_batch_size is None else cfg.reader_batch_size,
         rng=np.random.default_rng([cfg.seed, 11]),
-        early_stop=cfg.early_stop_em,
+        early_stop=cfg.reader_early_stop_em,
         metric="train_em",
     )
     stats["n_examples"] = len(examples)
@@ -382,6 +372,7 @@ class Prediction:
     ranked_titles: list[str] = field(default_factory=list)
     ranked_scored: list[tuple[str, float]] = field(default_factory=list)  # reasoner scores
     fallback: bool = False
+    n_passages_dropped: int = 0  # passages the context cap cut
 
 
 def read_and_decode(

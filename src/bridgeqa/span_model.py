@@ -97,7 +97,6 @@ def create_embedding_table(
     *,
     frozen: bool = False,
     init_matrix: np.ndarray | None = None,
-    name: str = "embed/matrix",
 ) -> EmbeddingTable:
     if init_matrix is None:
         init_matrix = rng.normal(0.0, 0.1, size=(len(vocab), dim))
@@ -105,7 +104,7 @@ def create_embedding_table(
         raise ValidationError(
             f"embedding matrix shape {init_matrix.shape} does not match ({len(vocab)}, {dim})"
         )
-    matrix = store.add(name, init_matrix)
+    matrix = store.add("embed/matrix", init_matrix)
     if UNK_TOKEN not in vocab:
         raise ValidationError(f"vocabulary must contain the {UNK_TOKEN!r} token")
     return EmbeddingTable(vocab=vocab, matrix=matrix, unk_index=vocab[UNK_TOKEN], frozen=frozen)
@@ -312,10 +311,9 @@ def init_span_model(
     dropout_rate: float,
     rng: np.random.Generator,
     *,
-    store: ParamStore | None = None,
     frozen_embeddings: np.ndarray | None = None,
 ) -> SpanModel:
-    store = store if store is not None else ParamStore()
+    store = ParamStore()
     table = create_embedding_table(store, vocab, embed_dim, rng, frozen=frozen_embeddings is not None,
                                    init_matrix=frozen_embeddings)
     init_span_params(store, embed_dim, hidden, rng)

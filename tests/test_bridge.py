@@ -15,6 +15,7 @@ from bridgeqa.bridge import (
     rank_answer_passages,
     score_bridges,
 )
+from bridgeqa.config import PipelineConfig
 from bridgeqa.corpus import Corpus, Passage, QARecord, tokenize
 from bridgeqa.errors import ValidationError
 from bridgeqa.numcore import Tensor
@@ -492,7 +493,7 @@ def test_encode_abstracts_matches_one_at_a_time_with_dropout():
 
 
 def test_train_bridge_applies_last_batch_when_last_question_has_no_candidates():
-    from bridgeqa.bridge import BridgeTrainConfig, prepare_question_inputs, train_bridge_reasoner
+    from bridgeqa.bridge import prepare_question_inputs, train_bridge_reasoner
 
     corpus = trio_corpus()
     model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
@@ -505,7 +506,7 @@ def test_train_bridge_applies_last_batch_when_last_question_has_no_candidates():
     inputs = prepare_question_inputs(questions, labels, {"q1": [corpus.by_id["p1"]], "q2": []}, corpus)
     before = model.store["fuse/w"].data.copy()
     stats = train_bridge_reasoner(
-        model, inputs, corpus, BridgeTrainConfig(epochs=1, batch_size=2, seed=0, early_stop_hits1=2.0)
+        model, inputs, corpus, PipelineConfig(bridge_epochs=1, batch_size=2, seed=0, bridge_early_stop_hits1=2.0)
     )
     assert stats["history"][0]["mean_loss"] is not None
     # q1's loss is applied in one Adam step, although q2 closes the epoch unscored
@@ -516,7 +517,7 @@ def test_train_bridge_applies_last_batch_when_last_question_has_no_candidates():
 def test_train_bridge_minibatch_is_the_next_items_even_without_a_loss():
     # a question without candidates still fills its place in the minibatch:
     # the next question is not pulled in to make up batch_size losses
-    from bridgeqa.bridge import BridgeTrainConfig, prepare_question_inputs, train_bridge_reasoner
+    from bridgeqa.bridge import prepare_question_inputs, train_bridge_reasoner
 
     corpus = trio_corpus()
     model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
@@ -527,7 +528,7 @@ def test_train_bridge_minibatch_is_the_next_items_even_without_a_loss():
     # at seed 2 the epoch's order is q0, q1, q2: minibatches [q0, q1] and [q2]
     assert np.random.default_rng([2, 7]).permutation(3).tolist() == [0, 1, 2]
     stats = train_bridge_reasoner(
-        model, inputs, corpus, BridgeTrainConfig(epochs=1, batch_size=2, seed=2, early_stop_hits1=2.0)
+        model, inputs, corpus, PipelineConfig(bridge_epochs=1, batch_size=2, seed=2, bridge_early_stop_hits1=2.0)
     )
     assert stats["history"][0]["mean_loss"] is not None
     # one Adam step per minibatch holding a loss, not one per two losses
@@ -535,14 +536,14 @@ def test_train_bridge_minibatch_is_the_next_items_even_without_a_loss():
 
 
 def test_train_bridge_rejects_a_batch_size_below_one():
-    from bridgeqa.bridge import BridgeTrainConfig, prepare_question_inputs, train_bridge_reasoner
+    from bridgeqa.bridge import prepare_question_inputs, train_bridge_reasoner
 
     corpus = trio_corpus()
     model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
     record = QARecord(id="q1", question="which target?", answer="one", qtype="bridge")
     inputs = prepare_question_inputs([record], [BridgeLabel("q1", "Target One")], {"q1": [corpus.by_id["p1"]]}, corpus)
     with pytest.raises(ValidationError, match="batch_size"):
-        train_bridge_reasoner(model, inputs, corpus, BridgeTrainConfig(epochs=1, batch_size=0))
+        train_bridge_reasoner(model, inputs, corpus, PipelineConfig(bridge_epochs=1, batch_size=0))
 
 
 def test_bridge_loss_gradient_through_score_bridges():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -111,13 +112,13 @@ def test_train_reader_runs_one_time_loop_per_minibatch(mini_run, loop_widths):
     # contexts, both directions side by side: 5 loops per epoch, not 38
     from bridgeqa.manifest import read_jsonl
     from bridgeqa.pipeline import _build_reader_examples, _embedding, _load_state, _new_reader_model
-    from bridgeqa.reader import ReaderTrainConfig, train_reader
+    from bridgeqa.reader import train_reader
 
     state, train, dev = _load_state(mini_run)
     cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
-    examples, _ = _build_reader_examples(state, train, cross)
+    examples, _, _ = _build_reader_examples(state, train, cross)
     model = _new_reader_model(mini_run, _embedding(mini_run, state.corpus, train + dev), seed_tag=0)
-    train_reader(model, examples, ReaderTrainConfig(epochs=1, batch_size=4, early_stop_em=2.0))
+    train_reader(model, examples, replace(mini_run, reader_epochs=1, reader_early_stop_em=2.0))
     assert len(examples) == 19
     assert loop_widths == {"gru": [8, 8, 8, 8, 6], "lstm": []}
 
@@ -300,8 +301,6 @@ def test_comparison_questions_bypass_reasoner(mini_run):
 
 
 def test_zero_candidates_falls_back_to_start_passages(mini_run):
-    from dataclasses import replace as dc_replace
-
     from bridgeqa.ablation import predict_one
     from bridgeqa.corpus import Corpus, Passage, QARecord, tokenize
     from bridgeqa.retrieval import build_index
@@ -348,19 +347,16 @@ def _run_copy(mini_run, tmp_path, **overrides):
     """The mini run's artifacts in a private directory, so stages rerun on it
     leave the shared run untouched."""
     import shutil
-    from dataclasses import replace as dc_replace
 
     copy = tmp_path / "run_copy"
     shutil.copytree(mini_run.output_dir, copy)
-    return dc_replace(mini_run, output_dir=str(copy), **overrides)
+    return replace(mini_run, output_dir=str(copy), **overrides)
 
 
 def test_evaluate_reports_the_mode_predictions_were_made_under(mini_run, tmp_path):
-    from dataclasses import replace as dc_replace
-
     cfg = _run_copy(mini_run, tmp_path, mode="oracle_gold_passage")
     run_stage("predict", cfg)
-    entry = run_stage("evaluate", dc_replace(cfg, mode="full"))
+    entry = run_stage("evaluate", replace(cfg, mode="full"))
     report = json.loads((Path(cfg.output_dir) / "report.json").read_text())
     assert report["mode"] == "oracle_gold_passage"
     assert entry["mode"] == "oracle_gold_passage"
@@ -393,6 +389,97 @@ def test_evaluate_refuses_mixed_prediction_modes(mini_run, tmp_path):
     detail.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     with pytest.raises(ValidationError, match="mixes"):
         run_stage("evaluate", cfg)
+
+
+def test_run_stage_appends_one_entry_per_stage(mini_run, tmp_path, monkeypatch):
+    from bridgeqa import pipeline
+
+    entries = read_manifest(mini_run.output_dir)
+    assert [e["stage"] for e in entries] == list(pipeline.STAGES)
+    for entry in entries:
+        assert entry["wall_seconds"] >= 0.0 and entry["peak_rss_mb"] > 0.0, entry["stage"]
+    assert {e["stage"] for e in entries if "n_passages_dropped" in e} == {"train-reader", "predict"}
+
+    cfg = _run_copy(mini_run, tmp_path)
+    entry = run_stage("evaluate", cfg)
+    appended = read_manifest(cfg.output_dir)
+    assert len(appended) == len(entries) + 1
+    assert appended[-1] == {**entry, "timestamp": appended[-1]["timestamp"]}
+    assert entry["stage"] == "evaluate" and {"wall_seconds", "peak_rss_mb"} <= set(entry)
+
+    # a stage that raises appends nothing, whatever it wrote before raising
+    def failing(cfg):
+        pipeline.stage_build_index(cfg)
+        raise ValidationError("stage failed")
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "build-index", failing)
+    before = (Path(cfg.output_dir) / "manifest.json").read_bytes()
+    with pytest.raises(ValidationError, match="stage failed"):
+        run_stage("build-index", cfg)
+    assert (Path(cfg.output_dir) / "manifest.json").read_bytes() == before
+
+
+def test_no_multitask_reader_trains_without_the_title_objective(mini_run, tmp_path, monkeypatch):
+    from bridgeqa import pipeline
+
+    cfg = _run_copy(mini_run, tmp_path, train_no_multitask_reader=True)
+    given = replace(cfg)
+    seen = []
+
+    def recording(model, examples, train_cfg):
+        seen.append(train_cfg)
+        return {"epochs_run": 0, "history": [], "train_seconds": 0.0, "n_examples": len(examples)}
+
+    monkeypatch.setattr(pipeline, "train_reader", recording)
+    run_stage("train-reader", cfg)
+    assert seen == [cfg, replace(cfg, aux_weight=0.0)]
+    assert cfg == given and cfg.aux_weight == 1.0
+
+
+def _dropped_by_cap(passages, cap):
+    """Brute-force recount of the reader's context cap: after the two
+    sentinels, the first passage always stays; the first later passage whose
+    title and text would take the context past cap tokens is dropped, and
+    every passage after it."""
+    from bridgeqa.corpus import tokenize
+
+    used = 2
+    for i, passage in enumerate(passages):
+        used += len(tokenize(passage.title)) + len(passage.tokens)
+        if i > 0 and used > cap:
+            return len(passages) - i
+    return 0
+
+
+def test_manifest_counts_the_passages_the_context_cap_drops(mini_run, tmp_path, monkeypatch):
+    from bridgeqa import pipeline, reader
+
+    cap = 60
+    cfg = _run_copy(mini_run, tmp_path, reader_context_cap=cap, reader_epochs=1)
+    built = []  # (passages, whether the example trains) per train question read
+    make_example = pipeline.make_reader_example
+
+    def recording_example(record, passages, **kwargs):
+        example, reason = make_example(record, passages, **kwargs)
+        built.append((passages, reason is None))
+        return example, reason
+
+    monkeypatch.setattr(pipeline, "make_reader_example", recording_example)
+    entry = run_stage("train-reader", cfg)
+    assert entry["n_passages_dropped"] == sum(_dropped_by_cap(p, cap) for p, _ in built)
+    # the contexts of skipped questions count as well
+    assert sum(_dropped_by_cap(p, cap) for p, trains in built if not trains) > 0
+
+    read = []
+    build_context = reader.build_reader_context
+
+    def recording_context(passages, max_tokens=None):
+        read.append(passages)
+        return build_context(passages, max_tokens)
+
+    monkeypatch.setattr(reader, "build_reader_context", recording_context)
+    entry = run_stage("predict", cfg)
+    assert entry["n_passages_dropped"] == sum(_dropped_by_cap(p, cap) for p in read) > 0
 
 
 def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):

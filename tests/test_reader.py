@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bridgeqa.config import PipelineConfig
 from bridgeqa.corpus import Passage, QARecord, tokenize
 from bridgeqa.errors import ValidationError
 from bridgeqa.numcore import add, backward
 from bridgeqa.reader import (
-    ReaderTrainConfig,
     best_span,
     build_reader_context,
     decode_answer,
@@ -82,7 +82,8 @@ def test_make_reader_example_title_span_of_answer_block():
 def test_make_reader_example_skip_reason():
     record = QARecord("q", "what?", "unfindable phrase", "bridge", ("Shirley Temple",))
     example, reason = make_reader_example(record, [P1])
-    assert example is None
+    assert example.answer_span is None and example.title_span is None
+    assert example.context.titles == ["Shirley Temple"]
     assert "answer" in reason
 
 
@@ -297,12 +298,12 @@ def test_fit_rejects_a_batch_size_below_one():
     model, example = reader_fixture()
     for batch_size in (0, -1):
         with pytest.raises(ValidationError, match="batch_size"):
-            train_reader(model, [example], ReaderTrainConfig(epochs=1, batch_size=batch_size))
+            train_reader(model, [example], PipelineConfig(reader_epochs=1, batch_size=batch_size))
 
 
 def test_fit_logs_each_epochs_wall_time():
     model, example = reader_fixture()
-    stats = train_reader(model, [example], ReaderTrainConfig(epochs=2, early_stop_em=2.0))
+    stats = train_reader(model, [example], PipelineConfig(reader_epochs=2, reader_early_stop_em=2.0))
     assert [row["epoch"] for row in stats["history"]] == [0, 1]
     assert all(row["seconds"] >= 0.0 for row in stats["history"])
     assert sum(row["seconds"] for row in stats["history"]) <= stats["train_seconds"]
@@ -313,7 +314,95 @@ def test_train_reader_overfits_tiny_example():
     stats = train_reader(
         model,
         [example],
-        ReaderTrainConfig(lr=5e-3, epochs=150, aux_weight=1.0, seed=0, early_stop_em=1.0),
+        PipelineConfig(lr=5e-3, reader_epochs=150, aux_weight=1.0, seed=0, reader_early_stop_em=1.0),
     )
     assert stats["history"][-1]["train_em"] == 1.0
     assert stats["epochs_run"] < 150
+
+
+def _three_examples():
+    model, example = reader_fixture()
+    record = QARecord("q2", "who served?", "Shirley Temple", "bridge", ("Shirley Temple",))
+    second, _ = make_reader_example(record, [P1])
+    third, _ = make_reader_example(record, [P2, P1])
+    return [example, second, third]
+
+
+def test_train_reader_falls_back_to_lr_and_batch_size(loop_widths):
+    # unset reader_lr and reader_batch_size read lr and batch_size; set ones
+    # override them: both configs train the same parameters in minibatches
+    # of 2 (one time loop over 2 questions and 2 contexts, then 1 and 1)
+    examples = _three_examples()
+    once = dict(reader_epochs=1, reader_early_stop_em=2.0, seed=3)
+    configs = {
+        "fallback": PipelineConfig(lr=5e-3, batch_size=2, **once),
+        "reader values": PipelineConfig(lr=1.0, batch_size=3, reader_lr=5e-3, reader_batch_size=2, **once),
+        "other lr": PipelineConfig(lr=1e-2, batch_size=2, **once),
+    }
+    params, widths = {}, {}
+    for name, cfg in configs.items():
+        model, _ = reader_fixture()
+        loop_widths["gru"].clear()
+        train_reader(model, examples, cfg)
+        params[name] = {key: t.data.copy() for key, t in model.store.items()}
+        widths[name] = list(loop_widths["gru"])
+    assert widths == {"fallback": [4, 2], "reader values": [4, 2], "other lr": [4, 2]}
+    for key, value in params["fallback"].items():
+        assert np.array_equal(value, params["reader values"][key]), key
+    assert not np.array_equal(params["fallback"]["span/heads/start_w"], params["other lr"]["span/heads/start_w"])
+
+
+def _tape(loss):
+    """Every node reachable from loss."""
+    seen = {id(loss): loss}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_one_context_group_records_no_identity_nodes(monkeypatch):
+    # a reader example reads one question against one context: attend takes
+    # every row of its self-attention input and concatenates a single part,
+    # and neither records a node. What remains: slice_rows for the question
+    # and the context, concat in biattention and in self-attention
+    from collections import Counter
+
+    from bridgeqa import span_model
+    from bridgeqa.numcore import Tensor
+    from bridgeqa.numcore.tensor import accumulate
+
+    def run():
+        model, example = reader_fixture()
+        loss, _ = reader_loss(model, example)
+        backward(loss)
+        return loss, model.store.gradients()
+
+    loss, grads = run()
+    kinds = Counter(node.bwd.__qualname__.split(".")[0] for node in _tape(loss) if node.bwd is not None)
+    assert len(_tape(loss)) == 76
+    assert kinds["slice_rows"] == kinds["concat"] == 2
+
+    def with_identity_node(op):
+        # the node the op recorded before it returned its input as it is
+        def recorded(x, *args, **kwargs):
+            out = op(x, *args, **kwargs)
+            if out is (x[0] if isinstance(x, list) else x):
+                node = Tensor(out.data, (out,))
+                node.bwd = lambda g: accumulate(out, g)
+                return node
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(span_model, "concat", with_identity_node(span_model.concat))
+    monkeypatch.setattr(span_model, "slice_rows", with_identity_node(span_model.slice_rows))
+    want_loss, want_grads = run()
+    assert len(_tape(want_loss)) == 78
+    assert loss.data.tobytes() == want_loss.data.tobytes()
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == want_grads[name].tobytes(), name
