@@ -130,7 +130,7 @@ class BridgeModel:
 
     span: SpanModel
     lstm_hidden: int
-    abstract_max_tokens: int = 48
+    abstract_max_tokens: int = PipelineConfig.abstract_max_tokens
 
     @property
     def store(self) -> ParamStore:
@@ -150,7 +150,7 @@ def init_bridge_model(
     rng: np.random.Generator,
     *,
     frozen_embeddings: np.ndarray | None = None,
-    abstract_max_tokens: int = 48,
+    abstract_max_tokens: int = PipelineConfig.abstract_max_tokens,
 ) -> BridgeModel:
     span = init_span_model(
         vocab, embed_dim, gru_hidden, dropout_rate, rng, frozen_embeddings=frozen_embeddings
@@ -304,7 +304,9 @@ def bridge_loss(scored: list[BridgeCandidate], logits: Tensor, label: BridgeLabe
     return cross_entropy_from_logits(logits, gold)
 
 
-def rank_answer_passages(scored: list[BridgeCandidate], k: int = 10) -> list[tuple[str, float]]:
+def rank_answer_passages(
+    scored: list[BridgeCandidate], k: int = PipelineConfig.reader_max_passages
+) -> list[tuple[str, float]]:
     """Reduce mention scores per target title by maximum; return the top-k
     unique titles, descending score, ties by title."""
     best: dict[str, float] = {}
@@ -349,7 +351,7 @@ def expand_with_entity_linking(
     linker,
     corpus: Corpus,
     existing: list[Passage],
-    top_n: int = 2,
+    top_n: int = PipelineConfig.top_n_el,
 ) -> list[Passage]:
     """Up to top_n linker-suggested passages not already in the start set.
 
@@ -482,7 +484,7 @@ def predict_ranked_titles(
     question: QARecord,
     start_passages: list[Passage],
     corpus: Corpus,
-    k: int = 10,
+    k: int = PipelineConfig.reader_max_passages,
     *,
     use_context: bool = True,
     use_content: bool = True,

@@ -27,7 +27,6 @@ from .numcore import ParamStore, Tensor, adam_step, add, backward, scale
 from .span_model import SpanModel, SpanScores, attend, run_span_model, span_heads, span_nll_loss
 
 SENTINELS = ("yes", "no")
-DEFAULT_MAX_ANSWER_LEN = 30
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def build_reader_context(passages: list[Passage], max_tokens: int | None = None)
 def locate_answer_span(
     context: ReaderContext,
     answer: str,
-    max_len: int = DEFAULT_MAX_ANSWER_LEN,
+    max_len: int = PipelineConfig.max_answer_len,
 ) -> tuple[int, int] | None:
     """First token window whose space-joined text normalizes to the normalized
     answer; earlier (then shorter) windows win, so earlier passages are
@@ -126,7 +125,7 @@ def make_reader_example(
     passages: list[Passage],
     *,
     max_tokens: int | None = None,
-    max_answer_len: int = DEFAULT_MAX_ANSWER_LEN,
+    max_answer_len: int = PipelineConfig.max_answer_len,
     predicted_by_fold: str | None = None,
 ) -> tuple[ReaderExample, str | None]:
     """Build a training example and the reason it cannot be trained on, or
@@ -178,7 +177,7 @@ def _span_loss(scores: SpanScores, example: ReaderExample, aux_weight: float) ->
 def reader_losses(
     model: SpanModel,
     examples: list[ReaderExample],
-    aux_weight: float = 1.0,
+    aux_weight: float = PipelineConfig.aux_weight,
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
@@ -201,7 +200,7 @@ def reader_losses(
 def reader_loss(
     model: SpanModel,
     example: ReaderExample,
-    aux_weight: float = 1.0,
+    aux_weight: float = PipelineConfig.aux_weight,
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
@@ -215,7 +214,7 @@ def reader_loss(
 def best_span(
     start_logits: np.ndarray,
     end_logits: np.ndarray,
-    max_len: int = DEFAULT_MAX_ANSWER_LEN,
+    max_len: int = PipelineConfig.max_answer_len,
 ) -> tuple[int, int]:
     """Argmax of start_logit[s] + end_logit[e] over s <= e < s + max_len;
     ties by smaller s, then smaller e."""
@@ -252,7 +251,7 @@ def span_to_text(context: ReaderContext, s: int, e: int) -> str:
 def decode_answer(
     scores,
     context: ReaderContext,
-    max_len: int = DEFAULT_MAX_ANSWER_LEN,
+    max_len: int = PipelineConfig.max_answer_len,
 ) -> str:
     """Best valid span decoded to its original text (or a sentinel literal)."""
     if isinstance(scores, SpanScores):
@@ -381,7 +380,7 @@ def read_and_decode(
     passages: list[Passage],
     *,
     max_tokens: int | None = None,
-    max_answer_len: int = DEFAULT_MAX_ANSWER_LEN,
+    max_answer_len: int = PipelineConfig.max_answer_len,
 ) -> tuple[str, ReaderContext]:
     context = build_reader_context(passages, max_tokens=max_tokens)
     _, scores = run_span_model(model, tokenize(record.question), context.tokens)

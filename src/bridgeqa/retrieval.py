@@ -12,12 +12,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .config import PipelineConfig
 from .corpus import Corpus, TokenSeq, tokenize
 from .errors import ValidationError
-
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
-DEFAULT_TITLE_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,9 @@ def hybrid_scores(
     index: InvertedIndex,
     question: TokenSeq,
     *,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-    title_weight: float = DEFAULT_TITLE_WEIGHT,
+    k1: float = PipelineConfig.k1,
+    b: float = PipelineConfig.b,
+    title_weight: float = PipelineConfig.title_weight,
 ) -> dict[str, float]:
     """BM25 over the passage body plus title_weight * tf-idf cosine over the
     title, for every passage sharing a term with the question (others score 0),
@@ -140,9 +137,9 @@ def hybrid_score(
     question: TokenSeq,
     passage_id: str,
     *,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-    title_weight: float = DEFAULT_TITLE_WEIGHT,
+    k1: float = PipelineConfig.k1,
+    b: float = PipelineConfig.b,
+    title_weight: float = PipelineConfig.title_weight,
 ) -> float:
     """One passage's entry of hybrid_scores."""
     if passage_id not in index.body.doc_len:
@@ -175,9 +172,9 @@ def retrieve_start_passages(
     question: TokenSeq,
     k: int,
     *,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-    title_weight: float = DEFAULT_TITLE_WEIGHT,
+    k1: float = PipelineConfig.k1,
+    b: float = PipelineConfig.b,
+    title_weight: float = PipelineConfig.title_weight,
 ) -> list[RetrievalResult]:
     """Top-k passages by hybrid score, descending, ties broken by passage id.
 

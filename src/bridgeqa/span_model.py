@@ -5,17 +5,19 @@ span heads.
 One parameter set encodes both the question and the passages (the encoder is
 shared). The attention similarity is trilinear,
 S_ij = w1.h_i + w2.u_j + w3.(h_i * u_j), and the per-position output of the
-bidirectional attention is [h; u~; h*u~; h*h~]. Self-attention reuses the
-same kernel context-to-context, masks the diagonal, drops the
-question-to-context term, and adds a residual through a linear mixing layer.
+bidirectional attention is [h; u~; h*u~; h*h~]. Self-attention scores
+context against context with the same trilinear form, masks the diagonal,
+drops the question-to-context term, and adds a residual through a linear
+mixing layer.
 
 attend() reads one or several questions, each against one or several
 contexts (a reader minibatch: one block context per question; the reasoner:
 one question and its start passages), without padding: one encoder pass over
 every question and context, one biattention per question over all of its
 context rows, whose question-to-context softmax is masked -inf outside each
-context's block, and self-attention within each context, whose only masked
-scores are its diagonal.
+context's block, and one self-attention per question: one numcore
+self_attend node scores, normalises and sums within each context's rows,
+and one mixing layer runs over all of them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .numcore import (
     reshape,
     row_max,
     run_bidirectional,
+    self_attend,
     slice_rows,
     softmax_rows,
     transpose,
@@ -208,15 +211,6 @@ def encode(
     return EncodedSeq(states=states)
 
 
-def _trilinear_scores(a: EncodedSeq, b: EncodedSeq, store: ParamStore, prefix: str) -> Tensor:
-    """S_ij = w1.a_i + w2.b_j + w3.(a_i * b_j): a (Ta, 1) column plus a
-    (1, Tb) row, broadcast, plus the (Ta, Tb) product term."""
-    part1 = matmul(a.states, store[f"{prefix}w1"])
-    part2 = transpose(matmul(b.states, store[f"{prefix}w2"]))
-    part3 = matmul(mul(a.states, store[f"{prefix}w3"]), transpose(b.states))
-    return add(add(part1, part2), part3)
-
-
 def biattention(context: EncodedSeq, question: EncodedSeq, store: ParamStore, *, lengths=None) -> EncodedSeq:
     """Question-aware context states: per position [h; u~; h*u~; h*h~].
 
@@ -235,40 +229,47 @@ def biattention(context: EncodedSeq, question: EncodedSeq, store: ParamStore, *,
     lengths = [len(context)] if lengths is None else list(lengths)
     if min(lengths) < 1 or sum(lengths) != len(context):
         raise ValidationError(f"biattention: lengths {lengths} do not pack {len(context)} context rows")
-    S = _trilinear_scores(context, question, store, "span/biattn/")
+    # S_ij = w1.h_i + w2.u_j + w3.(h_i * u_j): a (Tc, 1) column plus a
+    # (1, Tq) row, broadcast, plus the (Tc, Tq) product term
+    h, u = context.states, question.states
+    S = add(
+        add(matmul(h, store["span/biattn/w1"]), transpose(matmul(u, store["span/biattn/w2"]))),
+        matmul(mul(h, store["span/biattn/w3"]), transpose(u)),
+    )
     # context-to-question: attend over question positions per context row
-    c2q = matmul(softmax_rows(S), question.states)
+    c2q = matmul(softmax_rows(S), u)
     # question-to-context: per passage, one (1, W) row from a distribution
     # over its rows (their row maxima), copied to each of its positions
     segment = np.repeat(np.arange(len(lengths)), lengths)
     blocks = np.full((len(lengths), len(context)), -np.inf)
     blocks[segment, np.arange(len(context))] = 0.0
     beta = softmax_rows(add(transpose(row_max(S)), constant(blocks)))
-    q2c = gather_rows(matmul(beta, context.states), segment)
-    h = context.states
+    q2c = gather_rows(matmul(beta, h), segment)
     out = concat([h, c2q, mul(h, c2q), mul(h, q2c)], axis=1)
     return EncodedSeq(states=out)
 
 
-def self_attention(context: EncodedSeq, store: ParamStore) -> EncodedSeq:
+def self_attention(context: EncodedSeq, store: ParamStore, *, lengths=None) -> EncodedSeq:
     """Context-to-context attention with the diagonal masked, residual added.
 
-    A length-1 context is returned unchanged (no off-diagonal mass exists).
+    With lengths, context packs several passages back to back and each
+    attends within its own rows: one self_attend node over every row, then
+    one mixing layer over every row. A length-1 passage is returned unchanged
+    (no off-diagonal mass exists), so its rows get no mixing.
     """
-    T = len(context)
-    if T == 0:
-        raise ValidationError("self_attention: empty context")
-    if T == 1:
+    lengths = [len(context)] if lengths is None else list(lengths)
+    if min(lengths, default=0) < 1 or sum(lengths) != len(context):
+        raise ValidationError(f"self_attention: lengths {lengths} do not pack {len(context)} context rows")
+    if max(lengths) == 1:
         return context
-    S = _trilinear_scores(context, context, store, "span/selfattn/")
-    diag = np.zeros((T, T))
-    np.fill_diagonal(diag, -np.inf)
-    S = add(S, constant(diag))
-    attended = matmul(softmax_rows(S), context.states)
     x = context.states
+    attended = self_attend(x, store["span/selfattn/w1"], store["span/selfattn/w2"], store["span/selfattn/w3"], lengths)
     mixed = concat([x, attended, mul(x, attended)], axis=1)
-    out = add(x, add(matmul(mixed, store["span/selfattn/W_mix"]), store["span/selfattn/b_mix"]))
-    return EncodedSeq(states=out)
+    delta = add(matmul(mixed, store["span/selfattn/W_mix"]), store["span/selfattn/b_mix"])
+    if min(lengths) == 1:
+        # the rows of a length-1 passage keep x: their mixing is scaled by 0
+        delta = mul(delta, constant(np.repeat([float(n > 1) for n in lengths], lengths)[:, None]))
+    return EncodedSeq(states=add(x, delta))
 
 
 def span_heads(context: EncodedSeq, store: ParamStore) -> SpanScores:
@@ -333,9 +334,10 @@ def attend(
 
     Every question and context of every group is encoded in one pass, in the
     order [q1, q1's contexts, q2, q2's contexts, ...], so dropout is drawn as
-    if the groups were encoded one after another. Biattention then runs once
-    per group over all of its context rows, and self-attention within each
-    context. Every context reads as it would alone.
+    if the groups were encoded one after another. Biattention and
+    self-attention then run once per group over all of its context rows,
+    each context attending within its own rows. Every context reads as it
+    would alone.
     """
     token_lists, sizes = [], []
     for question_tokens, contexts in groups:
@@ -355,13 +357,8 @@ def attend(
         stop = start + q_len + sum(context_lengths)
         question = EncodedSeq(states=slice_rows(states, start, start + q_len))
         context = EncodedSeq(states=slice_rows(states, start + q_len, stop))
-        attended = biattention(context, question, model.store, lengths=context_lengths).states
-        parts, row = [], 0
-        for n in context_lengths:
-            rows = EncodedSeq(states=slice_rows(attended, row, row + n))
-            parts.append(self_attention(rows, model.store).states)
-            row += n
-        finals.append(EncodedSeq(states=concat(parts, axis=0)))
+        attended = biattention(context, question, model.store, lengths=context_lengths)
+        finals.append(self_attention(attended, model.store, lengths=context_lengths))
         start = stop
     return finals
 

@@ -37,6 +37,7 @@ from bridgeqa.numcore import (
     row_max,
     run_recurrent,
     scale,
+    self_attend,
     shift,
     sigmoid,
     slice_cols,
@@ -164,6 +165,11 @@ def test_criterion_1_gradient_verification():
             )
             assert report.passed, f"{kind} reverse={reverse}: {report.summary()}"
             worst = max(worst, report.worst)
+
+        # self-attention within packed segments, a length-1 segment among them
+        worst = max(worst, _check(lambda s: self_attend(s["x"], s["w1"], s["w2"], s["w3"], [3, 1, 2]),
+                                  {"x": rng.normal(size=(6, 3)), "w1": rng.normal(size=(3, 1)),
+                                   "w2": rng.normal(size=(3, 1)), "w3": rng.normal(size=3)}, rng))
 
         # the full composed span-model loss on an 8-token instance
         vocab = {"<unk>": 0}

@@ -80,3 +80,48 @@ def test_invalid_json_rejected(tmp_path):
     path.write_text("{broken", encoding="utf-8")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(path)
+
+
+def test_library_defaults_follow_the_config_defaults():
+    # the library's defaults for config keys are read from PipelineConfig:
+    # with other config defaults in place before the modules that use them
+    # run, their defaults move with them (in a child process, so the
+    # reloaded modules stay out of this one)
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    script = textwrap.dedent(
+        """
+        import importlib, inspect
+        from bridgeqa import bridge, config, reader, retrieval
+        changed = dict(max_answer_len=7, abstract_max_tokens=5, top_n_el=4, reader_max_passages=3,
+                       aux_weight=0.5, k1=1.5, b=0.5, title_weight=2.0)
+        for key, value in changed.items():
+            setattr(config.PipelineConfig, key, value)
+        for module in (retrieval, reader, bridge):
+            importlib.reload(module)
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        for fn in (reader.locate_answer_span, reader.best_span, reader.decode_answer):
+            print(default(fn, "max_len"))
+        for fn in (reader.make_reader_example, reader.read_and_decode):
+            print(default(fn, "max_answer_len"))
+        for fn in (reader.reader_losses, reader.reader_loss):
+            print(default(fn, "aux_weight"))
+        print(default(bridge.init_bridge_model, "abstract_max_tokens"))
+        print(bridge.BridgeModel(span=None, lstm_hidden=1).abstract_max_tokens)
+        print(default(bridge.expand_with_entity_linking, "top_n"))
+        print(default(bridge.rank_answer_passages, "k"), default(bridge.predict_ranked_titles, "k"))
+        for fn in (retrieval.hybrid_scores, retrieval.hybrid_score, retrieval.retrieve_start_passages):
+            print(default(fn, "k1"), default(fn, "b"), default(fn, "title_weight"))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["7"] * 5 + ["0.5", "0.5"] + ["5", "5", "4", "3", "3"] + ["1.5", "0.5", "2.0"] * 3

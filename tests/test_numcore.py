@@ -27,6 +27,7 @@ from bridgeqa.numcore import (
     run_bidirectional,
     run_recurrent,
     scale,
+    self_attend,
     shift,
     sigmoid,
     slice_cols,
@@ -37,6 +38,7 @@ from bridgeqa.numcore import (
     tanh,
     transpose,
 )
+from reference_attention import attend_one, per_passage
 from stepwise_cells import gru_cell, lstm_cell, recurrent_cell
 
 
@@ -157,6 +159,54 @@ def test_max_pool_lengths_must_pack_the_rows():
     for lengths in ([3], [4, 0], [2, 3], []):
         with pytest.raises(ShapeError):
             max_pool_over_time(x, lengths)
+
+
+def self_attend_store(rng, rows, width):
+    store = ParamStore()
+    store.add("x", rng.normal(size=(rows, width)))
+    store.add("span/selfattn/w1", rng.normal(size=(width, 1)))
+    store.add("span/selfattn/w2", rng.normal(size=(width, 1)))
+    store.add("span/selfattn/w3", rng.normal(size=width))
+    return store
+
+
+def _self_attend(store, lengths):
+    w = [store[f"span/selfattn/{name}"] for name in ("w1", "w2", "w3")]
+    return self_attend(store["x"], *w, lengths)
+
+
+def test_self_attend_matches_composed_passages():
+    # the composed per-passage attention is the reference, in values and in
+    # the gradients of x, w1, w2 and w3; a length-1 passage attends to nothing
+    rng = np.random.default_rng(40)
+    lengths = [3, 1, 2, 5, 1]
+    store = self_attend_store(rng, sum(lengths), 4)
+    weights = constant(rng.normal(size=(sum(lengths), 4)))
+
+    def one(xs):
+        return attend_one(xs, store) if xs.data.shape[0] > 1 else constant(np.zeros_like(xs.data))
+
+    def run(build):
+        store.zero_grad()
+        out = build()
+        backward(sum_all(mul(out, weights)))
+        return out.data, {name: store[name].grad for name in store.names()}
+
+    got = run(lambda: _self_attend(store, lengths))
+    want = run(lambda: per_passage(one, store["x"], lengths))
+    assert np.max(np.abs(got[0] - want[0])) < 1e-12
+    assert not got[0][[3, 11]].any()
+    for name in store.names():
+        assert np.max(np.abs(got[1][name] - want[1][name])) < 1e-12, name
+
+
+def test_self_attend_rejects_bad_shapes():
+    store = self_attend_store(np.random.default_rng(42), 4, 2)
+    for lengths in ([3], [4, 0], [2, 3], []):
+        with pytest.raises(ShapeError):
+            _self_attend(store, lengths)
+    with pytest.raises(ShapeError):
+        self_attend(store["x"], store["span/selfattn/w1"], store["span/selfattn/w2"], Tensor(np.zeros(3)), [4])
 
 
 def test_cross_entropy_uniform_logits_is_log_n():

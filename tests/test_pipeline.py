@@ -123,6 +123,32 @@ def test_train_reader_runs_one_time_loop_per_minibatch(mini_run, loop_widths):
     assert loop_widths == {"gru": [8, 8, 8, 8, 6], "lstm": []}
 
 
+def test_fixture_bridge_step_records_at_most_150_tape_nodes(mini_run):
+    # one training step per labeled fixture question: one encoder pass, one
+    # biattention and one self_attend node over its start passages, one pool
+    # over its abstracts and one fusion matmul
+    import numpy as np
+
+    from bridgeqa.bridge import bridge_loss, gold_mention_indices, prepare_question_inputs, score_bridges
+    from bridgeqa.pipeline import _embedding, _load_labels, _load_state, _new_bridge_model, _start_sets
+    from tests.test_reader import _tape
+
+    state, train, dev = _load_state(mini_run)
+    model = _new_bridge_model(mini_run, _embedding(mini_run, state.corpus, train + dev), seed_tag=0)
+    questions = [q for q in train if q.qtype == "bridge"]
+    inputs = prepare_question_inputs(questions, _load_labels(mini_run), _start_sets(state, questions), state.corpus)
+    counts = []
+    for qi in inputs:
+        if qi.label is None:
+            continue
+        scored, logits = score_bridges(model, qi.question_tokens, qi.start_passages, qi.candidates, state.corpus,
+                                       training=True, rng=np.random.default_rng(0))
+        if gold_mention_indices(scored, qi.label.gold_title):
+            counts.append(len(_tape(bridge_loss(scored, logits, qi.label))))
+    assert len(counts) == 16
+    assert max(counts) <= 150
+
+
 def test_predictions_schema(mini_run):
     out = Path(mini_run.output_dir)
     with open(out / "predictions.jsonl", encoding="utf-8") as fh:

@@ -190,6 +190,50 @@ def test_self_attention_gradient_through_masked_diagonal():
     assert report.passed, report.summary()
 
 
+def test_packed_self_attention_matches_each_passage_alone():
+    # the composed per-passage self-attention is the reference, in values and
+    # in the gradients of the passages and every self-attention parameter;
+    # length-1 passages come out unchanged
+    from reference_attention import per_passage, self_attention_one
+
+    rng = np.random.default_rng(19)
+    width, lengths = 4, [2, 1, 4, 1, 3]
+    shapes = {"w1": (width, 1), "w2": (width, 1), "w3": (width,), "W_mix": (3 * width, width), "b_mix": (width,)}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(f"span/selfattn/{name}", rng.normal(size=shape))
+    names = store.names()
+    X = rng.normal(size=(sum(lengths), width))
+    W = rng.normal(size=X.shape)
+
+    def run(packed):
+        store.zero_grad()
+        x = Tensor(X.copy())
+        if packed:
+            out = self_attention(EncodedSeq(x), store, lengths=lengths).states
+        else:
+            out = per_passage(lambda rows: self_attention_one(rows, store), x, lengths)
+        backward(sum_all(mul(out, constant(W))))
+        return out.data, {name: store[name].grad for name in names}, x.grad
+
+    got, want = run(True), run(False)
+    assert np.max(np.abs(got[0] - want[0])) < 1e-12
+    assert np.array_equal(got[0][[2, 7]], X[[2, 7]])
+    for name in names:
+        assert np.max(np.abs(got[1][name] - want[1][name])) < 1e-12, name
+    assert np.max(np.abs(got[2] - want[2])) < 1e-12
+
+
+def test_self_attention_of_length_one_passages_is_identity():
+    store = ParamStore()
+    init_span_params(store, 3, HID, np.random.default_rng(20))
+    seq = enc_seq(np.random.default_rng(21).normal(size=(3, 8 * HID)))
+    assert self_attention(seq, store, lengths=[1, 1, 1]) is seq
+    for lengths in ([2], [3, 0], [2, 2], []):
+        with pytest.raises(ValidationError):
+            self_attention(seq, store, lengths=lengths)
+
+
 def test_span_heads_zero_weights_uniform():
     store = ParamStore()
     width = 3
