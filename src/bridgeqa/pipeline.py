@@ -6,14 +6,25 @@ reads only prior artifacts from the output directory, writes its own, and
 returns its manifest entry, which run_stage appends; later stages reload
 checkpoints from disk, so two runs with the same config and seed produce
 byte-identical artifacts.
+
+cross-predict trains its two fold reasoners at once: fold B in a forked
+child, on the second core when there is one, fold A in this process. The
+folds share only read-only inputs and draw from their own rng streams, so
+the outputs are byte-identical to training them in sequence. Forking makes
+the stage POSIX-only, as `resource` already makes the package. The entry's
+`peak_rss_mb` is this process's alone; the child's peak RSS is recorded in
+the entry's own `fold_b_peak_rss_mb`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 import resource
 import time
+import traceback
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -266,24 +277,28 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
     by_qid = {q.id: q for q in bridge_questions}
     start_sets = _start_sets(state, bridge_questions)
 
-    predictions: dict[str, dict] = {}
-    digests = {}
-    for fold_name, other_name in (("A", "B"), ("B", "A")):
-        fold_questions = [by_qid[qid] for qid in folds[fold_name]]
-        inputs = prepare_question_inputs(fold_questions, labels, start_sets, corpus)
-        model = _new_bridge_model(cfg, embedding, seed_tag=1 if fold_name == "A" else 2)
+    def train_fold(name: str, other: str, seed_tag: int) -> tuple[str, dict[str, dict], float]:
+        """Train one fold's reasoner, save it and rank passages for the other
+        fold's questions: (checkpoint digest, predictions by qid, seconds)."""
+        started = time.perf_counter()
+        inputs = prepare_question_inputs([by_qid[qid] for qid in folds[name]], labels, start_sets, corpus)
+        model = _new_bridge_model(cfg, embedding, seed_tag=seed_tag)
         train_bridge_reasoner(model, inputs, corpus, cfg)
-        digests[fold_name] = _save_model(model, out / "checkpoints" / f"bridge_fold_{fold_name.lower()}")
-        for qid in folds[other_name]:
+        digest = _save_model(model, out / "checkpoints" / f"bridge_fold_{name.lower()}")
+        predictions = {}
+        for qid in folds[other]:
             q = by_qid[qid]
-            ranked = predict_ranked_titles(
-                model, q, start_sets[q.id], corpus, k=cfg.reader_max_passages
-            )
-            predictions[qid] = {
-                "qid": qid,
-                "predicted_by_fold": fold_name,
-                "titles": [t for t, _ in ranked],
-            }
+            ranked = predict_ranked_titles(model, q, start_sets[q.id], corpus, k=cfg.reader_max_passages)
+            predictions[qid] = {"qid": qid, "predicted_by_fold": name, "titles": [t for t, _ in ranked]}
+        return digest, predictions, time.perf_counter() - started
+
+    # fold B trains in a forked child while this process trains fold A; each
+    # fold draws from its own rng streams, so the outputs are those of
+    # training the two in sequence
+    with _forked(lambda: train_fold("B", "A", seed_tag=2), "cross-predict fold B") as fold_b_reply:
+        digest_a, predictions_a, seconds_a = train_fold("A", "B", seed_tag=1)
+        (digest_b, predictions_b, seconds_b), peak_rss_b = fold_b_reply()
+    predictions = {**predictions_a, **predictions_b}
 
     write_json(out / "folds.json", folds, indent=2)
     write_jsonl(out / "cross_predictions.jsonl", (predictions[qid] for qid in sorted(predictions)))
@@ -293,10 +308,57 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
             "A": "checkpoints/bridge_fold_a",
             "B": "checkpoints/bridge_fold_b",
         },
-        "checkpoint_digests": digests,
+        "checkpoint_digests": {"A": digest_a, "B": digest_b},
         "n_cross_predictions": len(predictions),
+        "fold_seconds": {"A": seconds_a, "B": seconds_b},
+        "fold_b_peak_rss_mb": peak_rss_b,
         "seed": cfg.seed,
     }
+
+
+@contextmanager
+def _forked(work, what: str):
+    """Run work() in a forked child and yield a function that waits for its
+    reply: (work's result, the child's own peak RSS in MB). A child that
+    raised makes that function raise a RuntimeError carrying the child's
+    traceback. fork, not spawn: the child shares the loaded corpus and
+    numpy copy-on-write instead of re-importing and unpickling them, and
+    the package starts no threads of its own. The child leaves through
+    multiprocessing's os._exit, so no caller's stack unwinds in it. It is
+    joined before the block is left, and terminated first when the block
+    raises."""
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_child_main, args=(work, sender), daemon=True)
+    child.start()
+    sender.close()
+
+    def reply():
+        try:
+            ok, payload = receiver.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"{what}: child exited with code {child.exitcode} before replying") from None
+        if not ok:
+            raise RuntimeError(f"{what} failed in its child process:\n{payload}")
+        return payload
+
+    try:
+        yield reply
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receiver.close()
+
+
+def _child_main(work, sender) -> None:
+    try:
+        reply = (True, (work(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+    except Exception:  # noqa: BLE001 - the parent raises it, traceback included
+        reply = (False, traceback.format_exc())
+    sender.send(reply)
 
 
 def _build_reader_examples(

@@ -1,8 +1,22 @@
+import multiprocessing
+
 import pytest
 
 from bridgeqa.config import load_config
 from bridgeqa.pipeline import run_all
 from bridgeqa.tinywiki import fixture_config, write_fixture
+
+
+@pytest.fixture(autouse=True)
+def no_live_child_processes():
+    """Fail a test that leaves a multiprocessing child running; the child is
+    stopped first, so the leak does not spread to later tests."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join()
+    assert not leaked, f"child processes left running: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -192,6 +196,101 @@ def test_cross_predictions_come_from_opposite_fold(mini_run):
             rec = json.loads(line)
             fold = rec["predicted_by_fold"]
             assert rec["qid"] not in folds[fold]
+
+
+def test_cross_predict_matches_training_the_folds_in_sequence(mini_run, tmp_path):
+    from reference_cross_predict import cross_predict_in_sequence
+
+    out = Path(mini_run.output_dir)
+    reference = tmp_path / "reference"
+    cross_predict_in_sequence(mini_run, reference)
+    for name in ("folds.json", "cross_predictions.jsonl"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+    for fold in ("bridge_fold_a", "bridge_fold_b"):
+        got, want = out / "checkpoints" / fold, reference / "checkpoints" / fold
+        assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir()), fold
+        for path in want.iterdir():
+            assert (got / path.name).read_bytes() == path.read_bytes(), f"{fold}/{path.name}"
+
+
+def _patch_fold_training(monkeypatch, actions):
+    """Call actions[seed_tag]() in place of training the bridge reasoner
+    built with that seed tag (1 for fold A, 2 for fold B); the others train
+    as usual."""
+    from bridgeqa import pipeline
+
+    tags = {}
+    new_model = pipeline._new_bridge_model
+    train = pipeline.train_bridge_reasoner
+
+    def tagged(cfg, embedding, seed_tag):
+        model = new_model(cfg, embedding, seed_tag=seed_tag)
+        tags[id(model)] = seed_tag
+        return model
+
+    def patched(model, inputs, corpus, cfg):
+        action = actions.get(tags.get(id(model)))
+        return action() if action else train(model, inputs, corpus, cfg)
+
+    monkeypatch.setattr(pipeline, "_new_bridge_model", tagged)
+    monkeypatch.setattr(pipeline, "train_bridge_reasoner", patched)
+
+
+def _cross_predict_copy(mini_run, tmp_path):
+    """A run copy holding the inputs of cross-predict but none of its own
+    files, and the bytes of its manifest."""
+    cfg = _run_copy(mini_run, tmp_path)
+    out = Path(cfg.output_dir)
+    for name in ("folds.json", "cross_predictions.jsonl"):
+        (out / name).unlink()
+    return cfg, (out / "manifest.json").read_bytes()
+
+
+def _assert_cross_predict_left_nothing(cfg, manifest_before):
+    out = Path(cfg.output_dir)
+    assert (out / "manifest.json").read_bytes() == manifest_before
+    assert not (out / "folds.json").exists()
+    assert not (out / "cross_predictions.jsonl").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_cross_predict_fold_b_failure_names_the_fold_and_its_traceback(mini_run, tmp_path, monkeypatch):
+    def fold_b_fails():
+        raise ValueError("fold B exploded")
+
+    _patch_fold_training(monkeypatch, {2: fold_b_fails})
+    cfg, manifest_before = _cross_predict_copy(mini_run, tmp_path)
+    with pytest.raises(RuntimeError, match="fold B") as info:
+        run_stage("cross-predict", cfg)
+    message = str(info.value)
+    assert "Traceback" in message and "fold_b_fails" in message and "ValueError: fold B exploded" in message
+    _assert_cross_predict_left_nothing(cfg, manifest_before)
+
+
+def test_cross_predict_child_that_dies_without_replying_is_an_error(mini_run, tmp_path, monkeypatch):
+    _patch_fold_training(monkeypatch, {2: lambda: os._exit(7)})
+    cfg, manifest_before = _cross_predict_copy(mini_run, tmp_path)
+    with pytest.raises(RuntimeError, match="fold B: child exited with code 7"):
+        run_stage("cross-predict", cfg)
+    _assert_cross_predict_left_nothing(cfg, manifest_before)
+
+
+def test_cross_predict_fold_a_failure_terminates_fold_b(mini_run, tmp_path, monkeypatch):
+    children = []
+
+    def fold_a_fails():
+        children.extend(multiprocessing.active_children())
+        raise ValueError("fold A exploded")
+
+    # fold B would outlive the test's patience unless it is terminated
+    _patch_fold_training(monkeypatch, {1: fold_a_fails, 2: lambda: time.sleep(120)})
+    cfg, manifest_before = _cross_predict_copy(mini_run, tmp_path)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="fold A exploded"):
+        run_stage("cross-predict", cfg)
+    assert time.perf_counter() - started < 60
+    assert len(children) == 1 and children[0].exitcode == -signal.SIGTERM
+    _assert_cross_predict_left_nothing(cfg, manifest_before)
 
 
 def test_run_ablation_modes_execute(mini_run):
@@ -425,6 +524,11 @@ def test_run_stage_appends_one_entry_per_stage(mini_run, tmp_path, monkeypatch):
     for entry in entries:
         assert entry["wall_seconds"] >= 0.0 and entry["peak_rss_mb"] > 0.0, entry["stage"]
     assert {e["stage"] for e in entries if "n_passages_dropped" in e} == {"train-reader", "predict"}
+    # the fold B child's time and memory, which the process's own figures cannot see
+    cross = entries[pipeline.STAGES.index("cross-predict")]
+    assert sorted(cross["fold_seconds"]) == ["A", "B"]
+    assert 0.0 < max(cross["fold_seconds"].values()) <= cross["wall_seconds"]
+    assert min(cross["fold_seconds"].values()) > 0.0 and cross["fold_b_peak_rss_mb"] > 0.0
 
     cfg = _run_copy(mini_run, tmp_path)
     entry = run_stage("evaluate", cfg)
