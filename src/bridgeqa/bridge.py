@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .numcore import (
     run_bidirectional,
 )
 from .reader import fit
+from .retrieval import gather_slices
 from .span_model import (
     EmbeddingTable,
     SpanModel,
@@ -326,22 +328,49 @@ def rank_answer_passages(
 class TitleTokenLinker:
     """Baseline linker: a title matches when every token of its base form
     (parenthetical disambiguators stripped) appears in the question; longer
-    matches rank first."""
+    matches rank first, scored by their token count, ties by title.
+
+    Titles with a token are rows; each distinct token maps to the slice of a
+    flat row array listing the titles whose base form holds it, laid out as
+    the retrieval index lays out postings. link gathers the slices of the
+    question's distinct tokens, counts per row with np.bincount how many
+    distinct title tokens the question holds, and keeps the rows where that
+    count is the title's whole distinct-token count. The arrays are
+    read-only, so concurrent linking is safe."""
 
     def __init__(self, corpus: Corpus):
-        self._entries = []
+        self._titles: list[str] = []
+        self._scores: list[float] = []
+        rows_of: dict[str, list[int]] = {}
+        distinct_counts = []
         for p in corpus.passages:
-            base = p.title.split("(")[0]
-            toks = tuple(tokenize(base).tokens)
+            toks = tokenize(p.title.split("(")[0]).tokens
             if toks:
-                self._entries.append((p.title, toks))
+                row = len(self._titles)
+                self._titles.append(p.title)
+                self._scores.append(float(len(toks)))
+                distinct = set(toks)
+                distinct_counts.append(len(distinct))
+                for t in distinct:
+                    rows_of.setdefault(t, []).append(row)
+        self._token_id = dict(zip(rows_of, range(len(rows_of))))
+        counts = list(map(len, rows_of.values()))
+        bounds = np.zeros(len(counts) + 1, dtype=np.intp)
+        np.cumsum(counts, out=bounds[1:])
+        self._bounds = bounds
+        self._rows = np.fromiter(chain.from_iterable(rows_of.values()), np.intp, bounds[-1])
+        self._distinct = np.array(distinct_counts, dtype=np.intp)
+        for array in (self._bounds, self._rows, self._distinct):
+            array.setflags(write=False)
 
     def link(self, question: str) -> list[tuple[str, float]]:
-        q_tokens = set(tokenize(question).tokens)
-        hits = []
-        for title, toks in self._entries:
-            if all(t in q_tokens for t in toks):
-                hits.append((title, float(len(toks))))
+        ids = [self._token_id[t] for t in set(tokenize(question).tokens) if t in self._token_id]
+        if not ids:
+            return []
+        pos, _ = gather_slices(self._bounds, ids)
+        matched = np.bincount(self._rows[pos], minlength=len(self._titles))
+        full = np.flatnonzero(matched == self._distinct)
+        hits = [(self._titles[row], self._scores[row]) for row in full.tolist()]
         hits.sort(key=lambda item: (-item[1], item[0]))
         return hits
 

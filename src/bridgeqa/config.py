@@ -68,7 +68,7 @@ _POSITIVE_INTS = (
     "bridge_epochs", "reader_epochs", "batch_size", "max_answer_len",
     "reader_max_passages", "reader_context_cap",
 )
-_POSITIVE_FLOATS = ("k1", "b", "lr", "bridge_early_stop_hits1", "reader_early_stop_em")
+_POSITIVE_FLOATS = ("k1", "lr", "bridge_early_stop_hits1", "reader_early_stop_em")
 _NONNEGATIVE_FLOATS = ("title_weight", "aux_weight")
 
 
@@ -90,6 +90,10 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         value = getattr(cfg, name)
         if not _real(value) or value < 0:
             raise ConfigError(f"config {name!r} must be non-negative, got {value!r}")
+    # 1 - b + b * len / avg, BM25's length normaliser, must stay positive for
+    # every passage length, and it reaches zero on a short passage once b > 1
+    if not _real(cfg.b) or not (0.0 < cfg.b <= 1.0):
+        raise ConfigError(f"config 'b' must lie in (0, 1], got {cfg.b!r}")
     if cfg.reader_lr is not None and (not _real(cfg.reader_lr) or cfg.reader_lr <= 0):
         raise ConfigError(f"config 'reader_lr' must be positive, got {cfg.reader_lr!r}")
     size = cfg.reader_batch_size

@@ -45,6 +45,18 @@ def test_negative_lr_rejected():
         load_config(None, {"lr": -1.0})
 
 
+@pytest.mark.parametrize("b", [0, -0.5, 1.0000001, 1.5, 5, True])
+def test_bm25_b_outside_unit_interval_rejected(b):
+    # 1 - b + b * len / avg reaches zero or below on short passages once b > 1
+    with pytest.raises(ConfigError, match="'b'"):
+        load_config(None, {"b": b})
+
+
+@pytest.mark.parametrize("b", [1e-6, 0.75, 1, 1.0])
+def test_bm25_b_in_unit_interval_accepted(b):
+    assert load_config(None, {"b": b}).b == b
+
+
 def test_dropout_range():
     assert load_config(None, {"dropout": 0.0}).dropout == 0.0
     with pytest.raises(ConfigError):

@@ -1,13 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import reference_retrieval
 
-from bridgeqa.corpus import Corpus, Passage, tokenize
+from bridgeqa.bridge import TitleTokenLinker
+from bridgeqa.corpus import Corpus, Passage, load_corpus, load_questions, tokenize
 from bridgeqa.errors import ValidationError
 from bridgeqa.retrieval import (
     build_index,
     hybrid_score,
+    hybrid_scores,
     index_from_dict,
     index_to_dict,
     retrieve_start_passages,
@@ -256,3 +260,142 @@ def test_index_serialization_round_trip():
     q = tokenize("tell archer kiss")
     for p in corpus.passages:
         assert hybrid_score(again, q, p.id) == hybrid_score(index, q, p.id)
+
+
+# --- the flat-array scorer and linker against the posting-at-a-time walk ----
+#
+# reference_retrieval walks the postings maps and the titles one at a time;
+# the package scores with array operations that must keep its exact bits,
+# so every comparison here is ==, never approx.
+
+WORDS = ["red", "blue", "green", "fish", "river", "stone", "lamp", "archer", "tell", "kiss", "new", "york"]
+WEIGHTS = [
+    dict(k1=k1, b=b, title_weight=title_weight)
+    for k1, b in [(1.2, 0.75), (0.5, 1.0), (2.0, 0.3)]
+    for title_weight in (0.0, 1.0, 2.5)
+]
+
+
+def synthetic_corpus(rng):
+    """Passages whose ids are shuffled against their order, so that corpus
+    order and id order disagree, with duplicated passages for score ties,
+    a title with no base token and one that repeats a token."""
+    n = int(rng.integers(3, 25))
+    texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 14)))) for _ in range(n)]
+    titles = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 6)))) + f" ({i})" for i in range(n)]
+    for i in rng.choice(n, size=min(n, 3), replace=False):
+        j = int(rng.integers(n))
+        texts[i] = texts[j]
+        titles[i] = titles[j].split("(")[0] + f"({i})"
+    titles[0] = "(1999 film)"
+    titles[-1] = "Red Red River"
+    ids = [f"p{int(x)}" for x in rng.permutation(n) * 7]
+    passages = [Passage(id=pid, title=t, text=x, tokens=tokenize(x)) for pid, t, x in zip(ids, titles, texts)]
+    return Corpus(tuple(passages), {p.title: p for p in passages}, {p.id: p for p in passages})
+
+
+def synthetic_questions(rng, count):
+    """Repeated and out-of-vocabulary tokens included."""
+    return [
+        " ".join(rng.choice(WORDS + ["zebra", "quartz"], size=int(rng.integers(1, 9)))) for _ in range(count)
+    ]
+
+
+def round_tripped(index):
+    return index_from_dict(json.loads(json.dumps(index_to_dict(index))))
+
+
+def assert_matches_reference(index, question_texts, weights):
+    for text in question_texts:
+        q = tokenize(text)
+        assert hybrid_scores(index, q, **weights) == reference_retrieval.hybrid_scores(index, q, **weights)
+        # the reference's top k is the first k of its whole ranking
+        ranked = reference_retrieval.retrieve_start_passages(index, q, index.N, **weights)
+        for k in range(1, index.N + 2):
+            got = retrieve_start_passages(index, q, k, **weights)
+            assert [(r.passage_id, r.score) for r in got] == ranked[:k]
+            assert [r.rank for r in got] == list(range(1, len(got) + 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scores_and_rankings_equal_the_reference_walk(seed):
+    rng = np.random.default_rng(seed)
+    corpus = synthetic_corpus(rng)
+    questions = synthetic_questions(rng, 8)
+    index = build_index(corpus)
+    for weights in WEIGHTS:
+        assert_matches_reference(index, questions, weights)
+        assert_matches_reference(round_tripped(index), questions, weights)
+
+
+def test_fixture_scores_and_rankings_equal_the_reference_walk(fixture_dir):
+    corpus = load_corpus(fixture_dir / "corpus.jsonl")
+    questions = [
+        q.question
+        for name in ("train_questions.jsonl", "dev_questions.jsonl")
+        for q in load_questions(fixture_dir / name)
+    ]
+    index = build_index(corpus)
+    for candidate in (index, round_tripped(index)):
+        for text in questions:
+            q = tokenize(text)
+            assert hybrid_scores(candidate, q) == reference_retrieval.hybrid_scores(candidate, q)
+            got = retrieve_start_passages(candidate, q, 10)
+            assert [(r.passage_id, r.score) for r in got] == reference_retrieval.retrieve_start_passages(
+                candidate, q, 10
+            )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_linker_hits_equal_the_reference_walk(seed):
+    rng = np.random.default_rng(seed)
+    corpus = synthetic_corpus(rng)
+    linker, reference = TitleTokenLinker(corpus), reference_retrieval.TitleTokenLinker(corpus)
+    for text in synthetic_questions(rng, 40) + ["", "red red river", "red river"]:
+        assert linker.link(text) == reference.link(text)
+
+
+def test_fixture_linker_hits_equal_the_reference_walk(fixture_dir):
+    corpus = load_corpus(fixture_dir / "corpus.jsonl")
+    linker, reference = TitleTokenLinker(corpus), reference_retrieval.TitleTokenLinker(corpus)
+    linked = 0
+    for name in ("train_questions.jsonl", "dev_questions.jsonl"):
+        for q in load_questions(fixture_dir / name):
+            hits = linker.link(q.question)
+            assert hits == reference.link(q.question)
+            linked += len(hits)
+    assert linked > 0
+
+
+def test_linker_scores_repeated_tokens_and_skips_empty_base_titles():
+    corpus = make_corpus(["a", "b", "c"], titles=["Red Red River", "River", "(1999 film)"])
+    hits = TitleTokenLinker(corpus).link("the red river")
+    # every distinct token must match; the score counts repeats
+    assert hits == [("Red Red River", 3.0), ("River", 1.0)]
+    assert TitleTokenLinker(corpus).link("red") == []
+
+
+def test_index_and_linker_arrays_are_read_only():
+    corpus = make_corpus(["kiss and tell", "tell me more"], titles=["Kiss", "Tell"])
+    index = build_index(corpus)
+    arrays = [getattr(f, name) for f in (index.body, index.title) for name in ("bounds", "rows", "tf", "length")]
+    linker = TitleTokenLinker(corpus)
+    arrays += [index.id_rank, index.title_norm, linker._bounds, linker._rows, linker._distinct]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+        with pytest.raises(ValueError, match="read-only"):
+            array += 0
+
+
+def test_bm25_b_above_one_is_an_error_not_a_division_by_zero():
+    # a 3-token passage against an average length of 5: 1 - b + b * 3 / 5 is
+    # -1 at b = 5, so with k1 = 1 the one-occurrence denominator is 0
+    corpus = make_corpus(["kiss pad pad", "pad pad pad pad pad pad pad"])
+    index = build_index(corpus)
+    assert index.body.avg_doc_len == 5
+    for b in (5.0, 1.5, 0.0):
+        with pytest.raises(ValidationError, match="b must lie in"):
+            retrieve_start_passages(index, tokenize("kiss"), 2, k1=1.0, b=b)
+        with pytest.raises(ValidationError, match="b must lie in"):
+            hybrid_scores(index, tokenize("kiss"), k1=1.0, b=b)
