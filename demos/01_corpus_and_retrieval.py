@@ -34,7 +34,7 @@ def main():
     print(f"tokens:   {list(tokenize(question.question).tokens)[:8]} ...")
 
     index = build_index(corpus)
-    print(f"\nindex: {index.N} documents, {len(index.body.postings)} body terms")
+    print(f"\nindex: {index.N} documents, {len(index.body.term_id)} body terms")
     print("top-10 start passages by hybrid BM25 + title tf-idf:")
     for r in retrieve_start_passages(index, tokenize(question.question), 10):
         print(f"  {r.rank:>2}. {corpus.by_id[r.passage_id].title:<40} {r.score:.3f}")

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 from .bridge import (
     BridgeModel,
+    TitleTokenLinker,
     collect_candidates,
-    derive_bridge_labels,
     expand_with_entity_linking,
+    gold_titles,
     rank_answer_passages,
     score_bridges,
 )
@@ -42,7 +43,7 @@ class PipelineState:
     bridge: BridgeModel | None = None
     reader: SpanModel | None = None
     reader_no_multitask: SpanModel | None = None
-    linker: object | None = None
+    linker: TitleTokenLinker | None = None
 
 
 def _with_linked(
@@ -241,7 +242,6 @@ def run_ablation(mode: str, state: PipelineState, questions: list[QARecord]) -> 
     Distant answer-passage labels for the questions are derived on the fly
     (they feed the oracle mode and the hits columns).
     """
-    label_list, _ = derive_bridge_labels(questions, state.corpus, state.cfg.seed)
-    labels = {lbl.question_id: lbl.gold_title for lbl in label_list}
+    labels = gold_titles(questions, state.corpus, state.cfg.seed)
     predictions, skipped = predict_questions(state, questions, mode, labels)
     return score_predictions(predictions, questions, mode, labels, skipped)

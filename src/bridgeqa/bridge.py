@@ -9,9 +9,7 @@ contains the answer string.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -38,7 +36,7 @@ from .numcore import (
     run_bidirectional,
 )
 from .reader import fit
-from .retrieval import gather_slices
+from .retrieval import flat_layout, gather_slices
 from .span_model import (
     EmbeddingTable,
     SpanModel,
@@ -48,8 +46,6 @@ from .span_model import (
     init_span_model,
     self_attention,  # noqa: F401 - bench/layers.py traces bridge.self_attention
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -101,6 +97,13 @@ def derive_bridge_labels(
         choice = matching[int(rng.integers(len(matching)))] if len(matching) > 1 else matching[0]
         labels.append(BridgeLabel(question_id=q.id, gold_title=choice))
     return labels, skipped
+
+
+def gold_titles(questions: list[QARecord], corpus: Corpus, seed: int) -> dict[str, str]:
+    """question id -> the gold title derive_bridge_labels picks, for the
+    questions it labels."""
+    labels, _ = derive_bridge_labels(questions, corpus, seed)
+    return {lbl.question_id: lbl.gold_title for lbl in labels}
 
 
 def collect_candidates(start_passages: list[Passage], corpus: Corpus) -> list[BridgeCandidate]:
@@ -331,12 +334,12 @@ class TitleTokenLinker:
     matches rank first, scored by their token count, ties by title.
 
     Titles with a token are rows; each distinct token maps to the slice of a
-    flat row array listing the titles whose base form holds it, laid out as
-    the retrieval index lays out postings. link gathers the slices of the
-    question's distinct tokens, counts per row with np.bincount how many
-    distinct title tokens the question holds, and keeps the rows where that
-    count is the title's whole distinct-token count. The arrays are
-    read-only, so concurrent linking is safe."""
+    flat row array listing the titles whose base form holds it, laid out by
+    retrieval.flat_layout, which lays out the index's postings too. link
+    gathers the slices of the question's distinct tokens, counts per row
+    with np.bincount how many distinct title tokens the question holds, and
+    keeps the rows where that count is the title's whole distinct-token
+    count. The arrays are read-only, so concurrent linking is safe."""
 
     def __init__(self, corpus: Corpus):
         self._titles: list[str] = []
@@ -353,15 +356,9 @@ class TitleTokenLinker:
                 distinct_counts.append(len(distinct))
                 for t in distinct:
                     rows_of.setdefault(t, []).append(row)
-        self._token_id = dict(zip(rows_of, range(len(rows_of))))
-        counts = list(map(len, rows_of.values()))
-        bounds = np.zeros(len(counts) + 1, dtype=np.intp)
-        np.cumsum(counts, out=bounds[1:])
-        self._bounds = bounds
-        self._rows = np.fromiter(chain.from_iterable(rows_of.values()), np.intp, bounds[-1])
+        self._token_id, self._bounds, self._rows = flat_layout(rows_of)
         self._distinct = np.array(distinct_counts, dtype=np.intp)
-        for array in (self._bounds, self._rows, self._distinct):
-            array.setflags(write=False)
+        self._distinct.setflags(write=False)
 
     def link(self, question: str) -> list[tuple[str, float]]:
         ids = [self._token_id[t] for t in set(tokenize(question).tokens) if t in self._token_id]
@@ -377,26 +374,18 @@ class TitleTokenLinker:
 
 def expand_with_entity_linking(
     question_text: str,
-    linker,
+    linker: TitleTokenLinker | None,
     corpus: Corpus,
     existing: list[Passage],
     top_n: int = PipelineConfig.top_n_el,
 ) -> list[Passage]:
-    """Up to top_n linker-suggested passages not already in the start set.
-
-    A failing linker yields no expansion (the pipeline proceeds as in the
-    no-entity-linking mode) with a warning.
-    """
+    """Up to top_n linker-suggested passages not already in the start set;
+    none when linking is off (linker None)."""
     if linker is None:
-        return []
-    try:
-        ranked = linker.link(question_text)
-    except Exception as exc:  # noqa: BLE001 - external plug-in boundary
-        log.warning("entity linker failed (%s); continuing without expansion", exc)
         return []
     have = {p.title for p in existing}
     extras: list[Passage] = []
-    for title, _score in ranked:
+    for title, _score in linker.link(question_text):
         if len(extras) >= top_n:
             break
         if title in have:

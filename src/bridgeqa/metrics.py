@@ -98,23 +98,3 @@ class MetricReport:
             "bridge_only": self._aggregate(bridge),
             "n_skipped": len(self.skipped),
         }
-
-    def to_dict(self) -> dict:
-        return {
-            "aggregates": self.aggregates(),
-            "per_question": [
-                {
-                    "qid": r.qid,
-                    "qtype": r.qtype,
-                    "em": r.em,
-                    "f1": r.f1,
-                    "prediction": r.prediction,
-                    "gold": r.gold,
-                    "hits1": r.hits1,
-                    "hits10": r.hits10,
-                    "flags": r.flags,
-                }
-                for r in self.per_question
-            ],
-            "skipped": self.skipped,
-        }

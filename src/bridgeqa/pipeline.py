@@ -25,7 +25,7 @@ import resource
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ from .bridge import (
     derive_bridge_labels,
     evaluate_hits,
     expand_with_entity_linking,  # noqa: F401 - bench/layers.py traces pipeline.expand_with_entity_linking
+    gold_titles,
     init_bridge_model,
     predict_ranked_titles,
     prepare_question_inputs,
@@ -228,7 +229,7 @@ def stage_build_index(cfg: PipelineConfig) -> dict:
     corpus, _, _ = _load_ingested(cfg)
     index = build_index(corpus)
     write_json(out / "index.json", index_to_dict(index))
-    return {"n_documents": index.N, "n_terms": len(index.body.postings), "artifact": "index.json"}
+    return {"n_documents": index.N, "n_terms": len(index.body.term_id), "artifact": "index.json"}
 
 
 def stage_derive_labels(cfg: PipelineConfig) -> dict:
@@ -460,8 +461,7 @@ def stage_predict(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     state = load_pipeline_state(cfg)
     dev = load_questions(_require(out / "questions_dev.jsonl", "ingest"))
-    label_list, _ = derive_bridge_labels(dev, state.corpus, cfg.seed)
-    labels = {lbl.question_id: lbl.gold_title for lbl in label_list}
+    labels = gold_titles(dev, state.corpus, cfg.seed)
     predictions, skipped = predict_questions(state, dev, cfg.mode, labels)
     write_jsonl(
         out / "predictions.jsonl",
@@ -523,11 +523,9 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
                 fallback=det.get("fallback", False),
             )
         )
-    label_list, _ = derive_bridge_labels(dev, corpus, cfg.seed)
-    labels = {lbl.question_id: lbl.gold_title for lbl in label_list}
-    report = score_predictions(predictions, dev, mode, labels, skipped)
+    report = score_predictions(predictions, dev, mode, gold_titles(dev, corpus, cfg.seed), skipped)
     write_json(out / "report.json", report.aggregates(), indent=2)
-    write_jsonl(out / "report_detail.jsonl", report.to_dict()["per_question"])
+    write_jsonl(out / "report_detail.jsonl", map(asdict, report.per_question))
     return {
         "mode": mode,
         "aggregates": report.aggregates(),

@@ -2,7 +2,8 @@
 the plain reference that retrieval's flat-array scorer and
 bridge.TitleTokenLinker are checked against, bit for bit.
 
-The scorer reads only an index's postings maps and lengths; it accumulates
+Its postings maps are counted from the corpus by brute force (a Counter per
+passage), never read from the index under test. The scorer accumulates
 BM25 term at a time over question token occurrences in question order, and
 the title cosine over distinct question terms in first-occurrence order,
 with each title norm summed in the postings' term order."""
@@ -13,11 +14,44 @@ import math
 from collections import Counter
 
 from bridgeqa.corpus import Corpus, TokenSeq, tokenize
-from bridgeqa.retrieval import InvertedIndex, bm25_idf
+from bridgeqa.retrieval import bm25_idf
 
 
 def _smooth_idf(N: int, df: int) -> float:
     return math.log((1.0 + N) / (1.0 + df)) + 1.0
+
+
+class Field:
+    """postings: term -> passage id -> tf, terms in first-occurrence order
+    over the passages in corpus order; doc_len: passage id -> length."""
+
+    def __init__(self, texts: dict[str, tuple[str, ...]]):
+        self.postings: dict[str, dict[str, int]] = {}
+        self.doc_len = {pid: len(tokens) for pid, tokens in texts.items()}
+        for pid, tokens in texts.items():
+            for term, tf in Counter(tokens).items():
+                self.postings.setdefault(term, {})[pid] = tf
+        self.N = len(self.doc_len)
+        self.avg_doc_len = sum(self.doc_len.values()) / self.N
+
+
+class Index:
+    def __init__(self, corpus: Corpus):
+        self.body = Field({p.id: p.tokens.tokens for p in corpus.passages})
+        self.title = Field({p.id: tokenize(p.title).tokens for p in corpus.passages})
+        self.N = len(corpus.passages)
+
+
+def index_file(index: Index) -> dict:
+    """What index.json must hold for the corpus: per field, the postings as
+    term -> [[passage id, tf], ...] and the lengths, in corpus order."""
+    return {
+        name: {
+            "postings": {term: [[pid, tf] for pid, tf in per_doc.items()] for term, per_doc in field.postings.items()},
+            "doc_len": dict(field.doc_len),
+        }
+        for name, field in (("body", index.body), ("title", index.title))
+    }
 
 
 def title_norms(postings: dict[str, dict[str, int]], N: int) -> dict[str, float]:
@@ -32,7 +66,7 @@ def title_norms(postings: dict[str, dict[str, int]], N: int) -> dict[str, float]
 
 
 def hybrid_scores(
-    index: InvertedIndex, question: TokenSeq, *, k1: float = 1.2, b: float = 0.75, title_weight: float = 1.0
+    index: Index, question: TokenSeq, *, k1: float = 1.2, b: float = 0.75, title_weight: float = 1.0
 ) -> dict[str, float]:
     body = index.body
     scores: dict[str, float] = {}
@@ -61,9 +95,7 @@ def hybrid_scores(
     return scores
 
 
-def retrieve_start_passages(
-    index: InvertedIndex, question: TokenSeq, k: int, **weights
-) -> list[tuple[str, float]]:
+def retrieve_start_passages(index: Index, question: TokenSeq, k: int, **weights) -> list[tuple[str, float]]:
     """(passage_id, score) of the top k, descending score, ties by id."""
     scores = hybrid_scores(index, question, **weights)
     ranked = sorted((item for item in scores.items() if item[1] > 0.0), key=lambda item: (-item[1], item[0]))

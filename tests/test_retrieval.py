@@ -83,8 +83,12 @@ def test_build_index_statistics_match_brute_force():
     index = build_index(corpus)
     assert index.N == 3
     docs = {p.id: list(p.tokens.tokens) for p in corpus.passages}
-    for term, df in index.body.df.items():
-        assert df == sum(1 for toks in docs.values() if term in toks)
+    body = index.body
+    assert set(body.term_id) == {term for toks in docs.values() for term in toks}
+    for term, t in body.term_id.items():
+        # a term's df is the length of its postings slice
+        assert body.bounds[t + 1] - body.bounds[t] == sum(1 for toks in docs.values() if term in toks)
+    assert body.length.tolist() == [len(toks) for toks in docs.values()]
     assert index.body.avg_doc_len == pytest.approx(
         sum(len(t) for t in docs.values()) / 3
     )
@@ -264,9 +268,9 @@ def test_index_serialization_round_trip():
 
 # --- the flat-array scorer and linker against the posting-at-a-time walk ----
 #
-# reference_retrieval walks the postings maps and the titles one at a time;
-# the package scores with array operations that must keep its exact bits,
-# so every comparison here is ==, never approx.
+# reference_retrieval counts postings maps from the corpus and walks them and
+# the titles one at a time; the package scores with array operations that
+# must keep its exact bits, so every comparison here is ==, never approx.
 
 WORDS = ["red", "blue", "green", "fish", "river", "stone", "lamp", "archer", "tell", "kiss", "new", "york"]
 WEIGHTS = [
@@ -305,12 +309,12 @@ def round_tripped(index):
     return index_from_dict(json.loads(json.dumps(index_to_dict(index))))
 
 
-def assert_matches_reference(index, question_texts, weights):
+def assert_matches_reference(index, reference, question_texts, weights):
     for text in question_texts:
         q = tokenize(text)
-        assert hybrid_scores(index, q, **weights) == reference_retrieval.hybrid_scores(index, q, **weights)
+        assert hybrid_scores(index, q, **weights) == reference_retrieval.hybrid_scores(reference, q, **weights)
         # the reference's top k is the first k of its whole ranking
-        ranked = reference_retrieval.retrieve_start_passages(index, q, index.N, **weights)
+        ranked = reference_retrieval.retrieve_start_passages(reference, q, index.N, **weights)
         for k in range(1, index.N + 2):
             got = retrieve_start_passages(index, q, k, **weights)
             assert [(r.passage_id, r.score) for r in got] == ranked[:k]
@@ -322,10 +326,10 @@ def test_scores_and_rankings_equal_the_reference_walk(seed):
     rng = np.random.default_rng(seed)
     corpus = synthetic_corpus(rng)
     questions = synthetic_questions(rng, 8)
-    index = build_index(corpus)
+    index, reference = build_index(corpus), reference_retrieval.Index(corpus)
     for weights in WEIGHTS:
-        assert_matches_reference(index, questions, weights)
-        assert_matches_reference(round_tripped(index), questions, weights)
+        assert_matches_reference(index, reference, questions, weights)
+        assert_matches_reference(round_tripped(index), reference, questions, weights)
 
 
 def test_fixture_scores_and_rankings_equal_the_reference_walk(fixture_dir):
@@ -335,15 +339,44 @@ def test_fixture_scores_and_rankings_equal_the_reference_walk(fixture_dir):
         for name in ("train_questions.jsonl", "dev_questions.jsonl")
         for q in load_questions(fixture_dir / name)
     ]
-    index = build_index(corpus)
+    index, reference = build_index(corpus), reference_retrieval.Index(corpus)
     for candidate in (index, round_tripped(index)):
         for text in questions:
             q = tokenize(text)
-            assert hybrid_scores(candidate, q) == reference_retrieval.hybrid_scores(candidate, q)
+            assert hybrid_scores(candidate, q) == reference_retrieval.hybrid_scores(reference, q)
             got = retrieve_start_passages(candidate, q, 10)
             assert [(r.passage_id, r.score) for r in got] == reference_retrieval.retrieve_start_passages(
-                candidate, q, 10
+                reference, q, 10
             )
+
+
+def assert_index_file_matches_corpus(corpus):
+    """index.json holds exactly the postings counted from the corpus, in term
+    and passage order, tf and lengths as integers; a loaded file writes back
+    the same bytes, in the key order the pipeline writes it."""
+    written = index_to_dict(build_index(corpus))
+    expected = reference_retrieval.index_file(reference_retrieval.Index(corpus))
+    assert written == expected
+    assert json.dumps(written) == json.dumps(expected)
+    assert json.dumps(index_to_dict(round_tripped(build_index(corpus)))) == json.dumps(expected)
+    sorted_file = json.dumps(expected, sort_keys=True)
+    assert json.dumps(index_to_dict(index_from_dict(json.loads(sorted_file))), sort_keys=True) == sorted_file
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_file_equals_the_corpus_counted_postings(seed):
+    assert_index_file_matches_corpus(synthetic_corpus(np.random.default_rng(seed)))
+
+
+def test_fixture_index_file_equals_the_corpus_counted_postings(fixture_dir):
+    assert_index_file_matches_corpus(load_corpus(fixture_dir / "corpus.jsonl"))
+
+
+def test_index_from_dict_rejects_fields_over_different_passages():
+    written = index_to_dict(build_index(make_corpus(["kiss and tell", "tell me more"])))
+    written["title"]["doc_len"] = dict(reversed(written["title"]["doc_len"].items()))
+    with pytest.raises(ValidationError, match="different passages or orders"):
+        index_from_dict(written)
 
 
 @pytest.mark.parametrize("seed", range(8))
