@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from .bridge import (
     BridgeModel,
     TitleTokenLinker,
-    collect_candidates,
+    collect_candidates,  # noqa: F401 - bench/layers.py traces ablation.collect_candidates
     expand_with_entity_linking,
     gold_titles,
-    rank_answer_passages,
-    score_bridges,
+    predict_ranked_titles,
+    rank_answer_passages,  # noqa: F401 - bench/layers.py traces ablation.rank_answer_passages
+    score_bridges,  # noqa: F401 - bench/layers.py traces ablation.score_bridges
 )
 from .config import ABLATION_MODES, PipelineConfig
 from .corpus import Corpus, Passage, QARecord, tokenize
@@ -134,19 +135,15 @@ def predict_one(
         if state.bridge is None:
             raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
         starts = start_passages_for(state, record, use_entity_linking=use_el)
-        candidates = collect_candidates(starts, state.corpus)
-        ranked: list[tuple[str, float]] = []
-        if candidates:
-            scored, _ = score_bridges(
-                state.bridge,
-                tokenize(record.question),
-                starts,
-                candidates,
-                state.corpus,
-                use_context=mode != "no_context_evidence",
-                use_content=mode != "no_content_evidence",
-            )
-            ranked = rank_answer_passages(scored, k=state.cfg.reader_max_passages)
+        ranked = predict_ranked_titles(
+            state.bridge,
+            record,
+            starts,
+            state.corpus,
+            k=state.cfg.reader_max_passages,
+            use_context=mode != "no_context_evidence",
+            use_content=mode != "no_content_evidence",
+        )
         if ranked:
             ranked_titles = [t for t, _ in ranked]
             ranked_scored = list(ranked)

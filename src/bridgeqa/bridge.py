@@ -21,7 +21,6 @@ from .numcore import (
     ParamStore,
     Tensor,
     adam_step,  # noqa: F401 - bench/layers.py traces bridge.adam_step
-    add,
     backward,  # noqa: F401 - bench/layers.py traces bridge.backward
     concat,
     constant,
@@ -43,7 +42,8 @@ from .span_model import (
     attend,
     biattention,  # noqa: F401 - bench/layers.py traces bridge.biattention
     encode,  # noqa: F401 - bench/layers.py traces bridge.encode
-    init_span_model,
+    create_embedding_table,
+    init_span_params,
     self_attention,  # noqa: F401 - bench/layers.py traces bridge.self_attention
 )
 
@@ -130,8 +130,8 @@ def collect_candidates(start_passages: list[Passage], corpus: Corpus) -> list[Br
 
 @dataclass
 class BridgeModel:
-    """Span model for the start passages plus a bi-LSTM abstract encoder and
-    the score fusion layer, all in one ParamStore."""
+    """Span model for the start passages (without span heads) plus a bi-LSTM
+    abstract encoder and the score fusion layer, all in one ParamStore."""
 
     span: SpanModel
     lstm_hidden: int
@@ -157,15 +157,18 @@ def init_bridge_model(
     frozen_embeddings: np.ndarray | None = None,
     abstract_max_tokens: int = PipelineConfig.abstract_max_tokens,
 ) -> BridgeModel:
-    span = init_span_model(
-        vocab, embed_dim, gru_hidden, dropout_rate, rng, frozen_embeddings=frozen_embeddings
-    )
-    store = span.store
-    init_bidirectional("lstm", store, "abstract/", embed_dim, lstm_hidden, rng)
+    store = ParamStore()
+    table = create_embedding_table(store, vocab, embed_dim, rng, frozen=frozen_embeddings is not None,
+                                   init_matrix=frozen_embeddings)
+    init_span_params(store, embed_dim, gru_hidden, rng)
     wide = 8 * gru_hidden  # self-attention output width
+    # a reader's span/heads/start_w and end_w, drawn so later tensors start as before
+    glorot(rng, (wide, 1))
+    glorot(rng, (wide, 1))
+    init_bidirectional("lstm", store, "abstract/", embed_dim, lstm_hidden, rng)
     store.add("fuse/w", glorot(rng, (wide + 2 * lstm_hidden, 1)))
-    store.add("fuse/b", np.zeros(1))
     store.add("abstract/missing", rng.normal(0.0, 0.1, size=(1, 2 * lstm_hidden)))
+    span = SpanModel(store=store, table=table, hidden=gru_hidden, dropout=dropout_rate)
     return BridgeModel(span=span, lstm_hidden=lstm_hidden, abstract_max_tokens=abstract_max_tokens)
 
 
@@ -256,7 +259,8 @@ def score_bridges(
     rng: np.random.Generator | None = None,
 ) -> tuple[list[BridgeCandidate], Tensor | None]:
     """Score every candidate in one fusion over stacked evidence rows:
-    logits = [H_context, H_content] @ w + b, one row per candidate.
+    logits = [H_context, H_content] @ w, one row per candidate (a bias would
+    shift them all alike, which neither the loss's softmax nor ranking sees).
 
     H_context holds each anchor's start-token representation, H_content the
     encoded abstract of its target (the trained sentinel when that is
@@ -283,8 +287,7 @@ def score_bridges(
     else:
         h_content = constant(np.zeros((n, 2 * model.lstm_hidden)))
         missing = [False] * n
-    fused = add(matmul(concat([h_context, h_content], axis=1), model.store["fuse/w"]), model.store["fuse/b"])
-    logits = reshape(fused, (n,))
+    logits = reshape(matmul(concat([h_context, h_content], axis=1), model.store["fuse/w"]), (n,))
     scored = [
         replace(cand, fused_score=float(score), content_missing=miss)
         for cand, score, miss in zip(candidates, logits.data, missing)

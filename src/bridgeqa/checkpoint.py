@@ -87,10 +87,10 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
 
 def restore(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
     """Set every parameter of an already-initialized store from a
-    checkpoint's arrays (shapes must match)."""
-    missing = [n for n in store.names() if n not in arrays]
-    if missing:
-        raise CheckpointError(f"checkpoint lacks parameters: {missing}")
+    checkpoint's arrays, whose names and shapes must be the store's."""
+    missing, unknown = sorted(set(store.names()) - set(arrays)), sorted(set(arrays) - set(store.names()))
+    if missing or unknown:
+        raise CheckpointError(f"checkpoint of another model: parameters missing {missing}, unknown {unknown}")
     store.load_arrays(arrays)
 
 

@@ -248,55 +248,52 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def self_attend(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, lengths) -> Tensor:
-    """Trilinear self-attention within each packed segment, as one node.
+def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths) -> Tensor:
+    """Bilinear self-attention within each packed segment, as one node.
 
     Per segment xs (lengths pack x's rows, as run_recurrent packs them):
-    S = xs.w1 + (xs.w2)^T + (xs * w3).xs^T with the diagonal -inf, P its row
-    softmax, and the segment's output rows are P.xs. A length-1 segment has
-    no off-diagonal score, so its row is zero. Backward keeps only each
+    S = (xs.w2)^T + (xs * w3).xs^T with the diagonal -inf, P its row
+    softmax, and the segment's output rows are P.xs. A row term xs.w1 of the
+    trilinear form would add one constant to each row of S, which the row
+    softmax ignores, so it is left out. A length-1 segment has no
+    off-diagonal score, so its row is zero. Backward keeps only each
     segment's P.
     """
     D = x.data.shape[1] if x.data.ndim == 2 else -1
-    if D < 1 or w1.data.shape != (D, 1) or w2.data.shape != (D, 1) or w3.data.shape != (D,):
-        raise ShapeError(
-            f"self_attend: shapes x {x.data.shape}, w1 {w1.data.shape}, w2 {w2.data.shape}, w3 {w3.data.shape}"
-        )
+    if D < 1 or w2.data.shape != (D, 1) or w3.data.shape != (D,):
+        raise ShapeError(f"self_attend: shapes x {x.data.shape}, w2 {w2.data.shape}, w3 {w3.data.shape}")
     lengths = [int(n) for n in lengths]
     if min(lengths, default=0) < 1 or sum(lengths) != x.data.shape[0]:
         raise ShapeError(f"self_attend: lengths {lengths} do not pack {x.data.shape[0]} rows")
     bounds = [(s, s + n) for s, n in zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths) if n > 1]
-    # the row terms of every segment at once: x.w1 and x.w2 side by side, x * w3
-    w12 = np.concatenate([w1.data, w2.data], axis=1)
-    xw12, xw3 = x.data @ w12, x.data * w3.data
+    # the row terms of every segment at once: x.w2 and x * w3
+    xw2, xw3 = x.data @ w2.data, x.data * w3.data
     out_data = np.zeros_like(x.data)
     probs = []
     for s, e in bounds:
         xs = x.data[s:e]
-        S = (xw12[s:e, :1] + xw12[s:e, 1:].T) + xw3[s:e] @ xs.T
+        S = xw2[s:e].T + xw3[s:e] @ xs.T
         np.fill_diagonal(S, -np.inf)
         P = np.exp(S - S.max(axis=1, keepdims=True))
         P /= P.sum(axis=1, keepdims=True)
         out_data[s:e] = P @ xs
         probs.append(P)
-    out = Tensor(out_data, (x, w1, w2, w3))
+    out = Tensor(out_data, (x, w2, w3))
 
     def bwd(g):
         # per segment, the score gradient dS reaches x through P.x and the
-        # (x * w3).x^T product; its row and column sums (d12) and dS.x reach
-        # the row terms, which are differentiated once over every row
-        gx, d12, dSx = np.zeros_like(x.data), np.zeros_like(xw12), np.zeros_like(x.data)
+        # (x * w3).x^T product; its column sums (d2) and dS.x reach the row
+        # terms, which are differentiated once over every row
+        gx, d2, dSx = np.zeros_like(x.data), np.zeros_like(xw2), np.zeros_like(x.data)
         for (s, e), P in zip(bounds, probs):
             xs, gs = x.data[s:e], g[s:e]
             dP = gs @ xs.T
             dS = (dP - (dP * P).sum(axis=1, keepdims=True)) * P
-            d12[s:e, 0], d12[s:e, 1] = dS.sum(axis=1), dS.sum(axis=0)
+            d2[s:e, 0] = dS.sum(axis=0)
             dSx[s:e] = dS @ xs
             gx[s:e] = P.T @ gs + dS.T @ xw3[s:e]
-        accumulate(x, gx + d12 @ w12.T + dSx * w3.data)
-        g12 = x.data.T @ d12
-        accumulate(w1, g12[:, :1])
-        accumulate(w2, g12[:, 1:])
+        accumulate(x, gx + d2 @ w2.data.T + dSx * w3.data)
+        accumulate(w2, x.data.T @ d2)
         accumulate(w3, (dSx * x.data).sum(axis=0))
 
     out.bwd = bwd

@@ -177,16 +177,16 @@ def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int, 
     _require(directory / "manifest.json", produced_by)
     try:
         arrays, vocab = load_checkpoint(directory)
+        # the checkpoint holds the restricted vocabulary and the frozen table,
+        # so the vector file is not read again
+        matrix, dim = None, cfg.embed_dim
+        if cfg.embeddings_path is not None:
+            matrix = arrays["embed/matrix"]
+            dim = matrix.shape[1]
+        model = new_model(cfg, (vocab, matrix, dim), seed_tag=seed_tag)
+        restore(model.store, arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{exc}; rerun {produced_by}") from exc
-    # the checkpoint holds the restricted vocabulary and the frozen table, so
-    # the vector file is not read again
-    matrix, dim = None, cfg.embed_dim
-    if cfg.embeddings_path is not None:
-        matrix = arrays["embed/matrix"]
-        dim = matrix.shape[1]
-    model = new_model(cfg, (vocab, matrix, dim), seed_tag=seed_tag)
-    restore(model.store, arrays)
     return model
 
 

@@ -6,9 +6,11 @@ One parameter set encodes both the question and the passages (the encoder is
 shared). The attention similarity is trilinear,
 S_ij = w1.h_i + w2.u_j + w3.(h_i * u_j), and the per-position output of the
 bidirectional attention is [h; u~; h*u~; h*h~]. Self-attention scores
-context against context with the same trilinear form, masks the diagonal,
-drops the question-to-context term, and adds a residual through a linear
-mixing layer.
+context against context with S_ij = w2.h_j + w3.(h_i * h_j) (a row term
+w1.h_i is constant under the row softmax), masks the diagonal, drops the
+question-to-context term, and adds a residual through a linear mixing
+layer. The mixing layer and the span heads have no bias: a constant logit
+over positions changes neither the span NLL nor the argmax.
 
 attend() reads one or several questions, each against one or several
 contexts (a reader minibatch: one block context per question; the reasoner:
@@ -155,7 +157,8 @@ class SpanScores:
 
 
 def init_span_params(store: ParamStore, embed_dim: int, hidden: int, rng: np.random.Generator) -> None:
-    """Register every parameter of the span model under span/.
+    """Register every parameter of the span model under span/ but the span
+    heads, which init_span_model adds (the bridge reasoner has none).
 
     The encoder is a single bidirectional GRU shared by question and passage;
     widths: encoder output 2h, biattention output 8h, self-attention output 8h.
@@ -168,15 +171,10 @@ def init_span_params(store: ParamStore, embed_dim: int, hidden: int, rng: np.ran
     store.add("span/biattn/w2", glorot(rng, (enc, 1)))
     store.add("span/biattn/w3", glorot(rng, (enc,)))
     wide = 4 * enc
-    store.add("span/selfattn/w1", glorot(rng, (wide, 1)))
+    glorot(rng, (wide, 1))  # the draw of the dropped span/selfattn/w1, so later tensors start as before
     store.add("span/selfattn/w2", glorot(rng, (wide, 1)))
     store.add("span/selfattn/w3", glorot(rng, (wide,)))
     store.add("span/selfattn/W_mix", glorot(rng, (3 * wide, wide)))
-    store.add("span/selfattn/b_mix", np.zeros(wide))
-    store.add("span/heads/start_w", glorot(rng, (wide, 1)))
-    store.add("span/heads/start_b", np.zeros(1))
-    store.add("span/heads/end_w", glorot(rng, (wide, 1)))
-    store.add("span/heads/end_b", np.zeros(1))
 
 
 def _token_list(tokens) -> list[str]:
@@ -263,9 +261,9 @@ def self_attention(context: EncodedSeq, store: ParamStore, *, lengths=None) -> E
     if max(lengths) == 1:
         return context
     x = context.states
-    attended = self_attend(x, store["span/selfattn/w1"], store["span/selfattn/w2"], store["span/selfattn/w3"], lengths)
+    attended = self_attend(x, store["span/selfattn/w2"], store["span/selfattn/w3"], lengths)
     mixed = concat([x, attended, mul(x, attended)], axis=1)
-    delta = add(matmul(mixed, store["span/selfattn/W_mix"]), store["span/selfattn/b_mix"])
+    delta = matmul(mixed, store["span/selfattn/W_mix"])
     if min(lengths) == 1:
         # the rows of a length-1 passage keep x: their mixing is scaled by 0
         delta = mul(delta, constant(np.repeat([float(n > 1) for n in lengths], lengths)[:, None]))
@@ -277,8 +275,8 @@ def span_heads(context: EncodedSeq, store: ParamStore) -> SpanScores:
     if len(context) == 0:
         raise ValidationError("span_heads: empty context")
     T = len(context)
-    start = reshape(add(matmul(context.states, store["span/heads/start_w"]), store["span/heads/start_b"]), (T,))
-    end = reshape(add(matmul(context.states, store["span/heads/end_w"]), store["span/heads/end_b"]), (T,))
+    start = reshape(matmul(context.states, store["span/heads/start_w"]), (T,))
+    end = reshape(matmul(context.states, store["span/heads/end_w"]), (T,))
     return SpanScores(start_logits=start, end_logits=end)
 
 
@@ -318,6 +316,8 @@ def init_span_model(
     table = create_embedding_table(store, vocab, embed_dim, rng, frozen=frozen_embeddings is not None,
                                    init_matrix=frozen_embeddings)
     init_span_params(store, embed_dim, hidden, rng)
+    store.add("span/heads/start_w", glorot(rng, (8 * hidden, 1)))
+    store.add("span/heads/end_w", glorot(rng, (8 * hidden, 1)))
     return SpanModel(store=store, table=table, hidden=hidden, dropout=dropout_rate)
 
 

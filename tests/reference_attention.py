@@ -1,7 +1,7 @@
 """Self-attention composed from tape ops, one passage at a time: the plain
 reference that numcore.self_attend and span_model.self_attention are checked
 against. Each passage is sliced from the packed rows and attends on its own:
-trilinear scores, the diagonal masked with -inf, a row softmax, the weighted
+bilinear scores, the diagonal masked with -inf, a row softmax, the weighted
 sum, then the mixing layer and the residual."""
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ PREFIX = "span/selfattn/"
 
 
 def attend_one(x: Tensor, store: ParamStore) -> Tensor:
-    """P.x for one passage of two or more rows: S = x.w1 + (x.w2)^T +
-    (x * w3).x^T, diagonal -inf, P the row softmax of S."""
+    """P.x for one passage of two or more rows: S = (x.w2)^T + (x * w3).x^T,
+    diagonal -inf, P the row softmax of S."""
     T = x.data.shape[0]
-    part1 = matmul(x, store[f"{PREFIX}w1"])
-    part2 = transpose(matmul(x, store[f"{PREFIX}w2"]))
-    part3 = matmul(mul(x, store[f"{PREFIX}w3"]), transpose(x))
+    column = transpose(matmul(x, store[f"{PREFIX}w2"]))
+    product = matmul(mul(x, store[f"{PREFIX}w3"]), transpose(x))
     diag = np.zeros((T, T))
     np.fill_diagonal(diag, -np.inf)
-    S = add(add(add(part1, part2), part3), constant(diag))
+    S = add(add(column, product), constant(diag))
     return matmul(softmax_rows(S), x)
 
 
@@ -43,7 +42,7 @@ def self_attention_one(x: Tensor, store: ParamStore) -> Tensor:
         return x
     attended = attend_one(x, store)
     mixed = concat([x, attended, mul(x, attended)], axis=1)
-    return add(x, add(matmul(mixed, store[f"{PREFIX}W_mix"]), store[f"{PREFIX}b_mix"]))
+    return add(x, matmul(mixed, store[f"{PREFIX}W_mix"]))
 
 
 def per_passage(one, x: Tensor, lengths) -> Tensor:

@@ -167,9 +167,9 @@ def test_criterion_1_gradient_verification():
             worst = max(worst, report.worst)
 
         # self-attention within packed segments, a length-1 segment among them
-        worst = max(worst, _check(lambda s: self_attend(s["x"], s["w1"], s["w2"], s["w3"], [3, 1, 2]),
-                                  {"x": rng.normal(size=(6, 3)), "w1": rng.normal(size=(3, 1)),
-                                   "w2": rng.normal(size=(3, 1)), "w3": rng.normal(size=3)}, rng))
+        worst = max(worst, _check(lambda s: self_attend(s["x"], s["w2"], s["w3"], [3, 1, 2]),
+                                  {"x": rng.normal(size=(6, 3)), "w2": rng.normal(size=(3, 1)),
+                                   "w3": rng.normal(size=3)}, rng))
 
         # the full composed span-model loss on an 8-token instance
         vocab = {"<unk>": 0}

@@ -134,15 +134,14 @@ def tiny_bridge_model(corpus, extra_tokens=(), seed=0, **kw):
     return init_bridge_model(vocab, 4, 2, 2, 0.0, rng, **kw)
 
 
-def test_score_bridges_zero_fusion_weights_all_equal_bias():
+def test_score_bridges_zero_fusion_weights_tie_at_zero():
     corpus = trio_corpus()
     model = tiny_bridge_model(corpus)
     model.store["fuse/w"].data[:] = 0.0
-    model.store["fuse/b"].data[:] = 0.25
     starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
     cands = collect_candidates(starts, corpus)
     scored, _ = score_bridges(model, tokenize("which target?"), starts, cands, corpus)
-    assert all(c.fused_score == pytest.approx(0.25) for c in scored)
+    assert all(c.fused_score == 0.0 for c in scored)
     ranked = rank_answer_passages(scored)
     assert [t for t, _ in ranked] == ["Target One", "Target Two"]  # tie-break by title
 
@@ -154,7 +153,7 @@ def randomize_biases(model, seed=1):
 
 
 def fusion_oracle(model, question, starts, cand, corpus, use_context=True, use_content=True):
-    """w . [take_row(final, token_start); encode_abstract(target)] + b for one
+    """w . [take_row(final, token_start); encode_abstract(target)] for one
     candidate on its own, a switched-off channel as zeros."""
     from bridgeqa.numcore import take_row
     from bridgeqa.span_model import biattention, encode, self_attention
@@ -170,7 +169,7 @@ def fusion_oracle(model, question, starts, cand, corpus, use_context=True, use_c
     if use_content:
         h_content = encode_abstract(model, corpus.by_title.get(cand.target_title))[0].data[0]
     joint = np.concatenate([h_context, h_content])
-    return float(joint @ store["fuse/w"].data[:, 0] + store["fuse/b"].data[0])
+    return float(joint @ store["fuse/w"].data[:, 0])
 
 
 def test_score_bridges_hand_computed_fusion():

@@ -164,20 +164,19 @@ def test_max_pool_lengths_must_pack_the_rows():
 def self_attend_store(rng, rows, width):
     store = ParamStore()
     store.add("x", rng.normal(size=(rows, width)))
-    store.add("span/selfattn/w1", rng.normal(size=(width, 1)))
     store.add("span/selfattn/w2", rng.normal(size=(width, 1)))
     store.add("span/selfattn/w3", rng.normal(size=width))
     return store
 
 
 def _self_attend(store, lengths):
-    w = [store[f"span/selfattn/{name}"] for name in ("w1", "w2", "w3")]
+    w = [store[f"span/selfattn/{name}"] for name in ("w2", "w3")]
     return self_attend(store["x"], *w, lengths)
 
 
 def test_self_attend_matches_composed_passages():
     # the composed per-passage attention is the reference, in values and in
-    # the gradients of x, w1, w2 and w3; a length-1 passage attends to nothing
+    # the gradients of x, w2 and w3; a length-1 passage attends to nothing
     rng = np.random.default_rng(40)
     lengths = [3, 1, 2, 5, 1]
     store = self_attend_store(rng, sum(lengths), 4)
@@ -206,7 +205,7 @@ def test_self_attend_rejects_bad_shapes():
         with pytest.raises(ShapeError):
             _self_attend(store, lengths)
     with pytest.raises(ShapeError):
-        self_attend(store["x"], store["span/selfattn/w1"], store["span/selfattn/w2"], Tensor(np.zeros(3)), [4])
+        self_attend(store["x"], store["span/selfattn/w2"], Tensor(np.zeros(3)), [4])
 
 
 def test_cross_entropy_uniform_logits_is_log_n():

@@ -151,6 +151,58 @@ def test_fixture_bridge_step_records_at_most_150_tape_nodes(mini_run):
             counts.append(len(_tape(bridge_loss(scored, logits, qi.label))))
     assert len(counts) == 16
     assert max(counts) <= 150
+    assert max(counts) == 59
+
+
+def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
+    # a parameter whose gradient is rounding noise can change no output (a
+    # constant shift under a softmax or an argmax): one reader minibatch and
+    # one bridge question, on fresh models, reach every parameter but
+    # abstract/missing, the sentinel that only a target without an abstract
+    # reads
+    import numpy as np
+
+    from bridgeqa.bridge import bridge_loss, gold_mention_indices, prepare_question_inputs, score_bridges
+    from bridgeqa.manifest import read_jsonl
+    from bridgeqa.numcore import add, backward
+    from bridgeqa.pipeline import (
+        _build_reader_examples,
+        _embedding,
+        _load_labels,
+        _load_state,
+        _new_bridge_model,
+        _new_reader_model,
+        _start_sets,
+    )
+    from bridgeqa.reader import reader_losses
+
+    state, train, dev = _load_state(mini_run)
+    embedding = _embedding(mini_run, state.corpus, train + dev)
+    cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
+    examples, _, _ = _build_reader_examples(state, train, cross)
+    reader = _new_reader_model(mini_run, embedding, seed_tag=0)
+    batch = examples[: mini_run.reader_batch_size or mini_run.batch_size]
+    losses = [loss for loss, _ in reader_losses(reader, batch, mini_run.aux_weight, training=True,
+                                                rng=np.random.default_rng(0))]
+    total = losses[0]
+    for extra in losses[1:]:
+        total = add(total, extra)
+    backward(total)
+
+    bridge = _new_bridge_model(mini_run, embedding, seed_tag=0)
+    questions = [q for q in train if q.qtype == "bridge"]
+    inputs = prepare_question_inputs(questions, _load_labels(mini_run), _start_sets(state, questions), state.corpus)
+    qi = next(qi for qi in inputs
+              if qi.label is not None and gold_mention_indices(qi.candidates, qi.label.gold_title))
+    scored, logits = score_bridges(bridge, qi.question_tokens, qi.start_passages, qi.candidates, state.corpus,
+                                   training=True, rng=np.random.default_rng(0))
+    backward(bridge_loss(scored, logits, qi.label))
+
+    for model, exempt in ((reader, set()), (bridge, {"abstract/missing"})):
+        grads = model.store.gradients()
+        idle = [name for name in model.store.names()
+                if name not in exempt and (name not in grads or np.max(np.abs(grads[name])) <= 1e-10)]
+        assert not idle, idle
 
 
 def test_predictions_schema(mini_run):
@@ -366,6 +418,29 @@ def test_checkpoint_without_vocabulary_names_the_stage_to_rerun(mini_run, tmp_pa
     path.write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="no vocabulary.*rerun train-reader"):
         load_pipeline_state(cfg)
+
+
+def test_checkpoint_of_another_layout_names_the_tensors_and_the_stage_to_rerun(mini_run, tmp_path):
+    # a bridge checkpoint saved with the fusion bias the model no longer has
+    from dataclasses import asdict
+
+    import numpy as np
+
+    from bridgeqa.checkpoint import save_checkpoint
+    from bridgeqa.numcore import ParamStore
+
+    cfg = _run_copy(mini_run, tmp_path)
+    directory = Path(cfg.output_dir) / "checkpoints" / "bridge"
+    arrays, vocab = load_checkpoint(directory)
+    stale = ParamStore()
+    for name, array in {**arrays, "fuse/b": np.zeros(1)}.items():
+        stale.add(name, array)
+    save_checkpoint(stale, directory, vocab)
+    with pytest.raises(CheckpointError, match=r"unknown \['fuse/b'\]; rerun train-bridge"):
+        load_pipeline_state(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main(["predict", "--config", str(cfg_path)]) == 3
 
 
 def test_cli_runtime_failure_exit_code(mini_run, tmp_path):

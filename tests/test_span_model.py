@@ -151,13 +151,11 @@ def test_self_attention_length_one_identity():
 def test_self_attention_zero_weights_mean_of_others():
     width = 2
     store = ParamStore()
-    store.add("span/selfattn/w1", np.zeros((width, 1)))
     store.add("span/selfattn/w2", np.zeros((width, 1)))
     store.add("span/selfattn/w3", np.zeros(width))
     W_mix = np.zeros((3 * width, width))
     W_mix[width : 2 * width] = np.eye(width)  # pass the attended vector through
     store.add("span/selfattn/W_mix", W_mix)
-    store.add("span/selfattn/b_mix", np.zeros(width))
     X = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 2.0]])
     out = self_attention(enc_seq(X), store).states.data
     attended = np.array(
@@ -174,11 +172,9 @@ def test_self_attention_gradient_through_masked_diagonal():
     rng = np.random.default_rng(7)
     width = 4
     store = ParamStore()
-    store.add("span/selfattn/w1", rng.normal(size=(width, 1)))
     store.add("span/selfattn/w2", rng.normal(size=(width, 1)))
     store.add("span/selfattn/w3", rng.normal(size=width))
     store.add("span/selfattn/W_mix", rng.normal(size=(3 * width, width)) * 0.3)
-    store.add("span/selfattn/b_mix", np.zeros(width))
     X = rng.normal(size=(3, width))
 
     def build(s):
@@ -198,7 +194,7 @@ def test_packed_self_attention_matches_each_passage_alone():
 
     rng = np.random.default_rng(19)
     width, lengths = 4, [2, 1, 4, 1, 3]
-    shapes = {"w1": (width, 1), "w2": (width, 1), "w3": (width,), "W_mix": (3 * width, width), "b_mix": (width,)}
+    shapes = {"w2": (width, 1), "w3": (width,), "W_mix": (3 * width, width)}
     store = ParamStore()
     for name, shape in shapes.items():
         store.add(f"span/selfattn/{name}", rng.normal(size=shape))
@@ -238,9 +234,7 @@ def test_span_heads_zero_weights_uniform():
     store = ParamStore()
     width = 3
     store.add("span/heads/start_w", np.zeros((width, 1)))
-    store.add("span/heads/start_b", np.zeros(1))
     store.add("span/heads/end_w", np.zeros((width, 1)))
-    store.add("span/heads/end_b", np.zeros(1))
     seq = enc_seq(np.ones((4, width)))
     scores = span_heads(seq, store)
     assert np.allclose(scores.start_logits.data, 0.0)
@@ -252,12 +246,10 @@ def test_span_heads_matches_matrix_vector_product():
     width = 3
     w = rng.normal(size=(width, 1))
     store.add("span/heads/start_w", w)
-    store.add("span/heads/start_b", np.array([0.5]))
     store.add("span/heads/end_w", np.zeros((width, 1)))
-    store.add("span/heads/end_b", np.zeros(1))
     X = rng.normal(size=(4, width))
     scores = span_heads(enc_seq(X), store)
-    assert np.allclose(scores.start_logits.data, (X @ w)[:, 0] + 0.5)
+    assert np.allclose(scores.start_logits.data, (X @ w)[:, 0])
 
 
 def test_span_nll_uniform_logits():
@@ -265,7 +257,6 @@ def test_span_nll_uniform_logits():
     width = 2
     for name in ("start", "end"):
         store.add(f"span/heads/{name}_w", np.zeros((width, 1)))
-        store.add(f"span/heads/{name}_b", np.zeros(1))
     scores = span_heads(enc_seq(np.zeros((5, width))), store)
     loss = span_nll_loss(scores, 1, 3)
     assert loss.item() == pytest.approx(2 * math.log(5))
