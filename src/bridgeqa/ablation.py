@@ -36,7 +36,14 @@ log = logging.getLogger(__name__)
 @dataclass
 class PipelineState:
     """The shared read-only corpus, index and linker, plus the trained
-    components once loaded (the training stages use it without them)."""
+    components once loaded (the training stages use it without them).
+
+    A loaded bridge reasoner carries a bridge.EncodingMemo for its lifetime:
+    the encoder states of each start passage and the vector of each target
+    abstract it has read, keyed by token content, one entry per distinct
+    text, so with no size limit. A state rebuilt with another corpus
+    (dataclasses.replace) shares the reasoner and its memo, and still reads
+    the new texts."""
 
     corpus: Corpus
     index: InvertedIndex

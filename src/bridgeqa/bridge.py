@@ -9,7 +9,7 @@ contains the answer string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,10 +38,12 @@ from .reader import fit
 from .retrieval import flat_layout, gather_slices
 from .span_model import (
     EmbeddingTable,
+    EncodedSeq,
     SpanModel,
     attend,
+    attend_encoded,
     biattention,  # noqa: F401 - bench/layers.py traces bridge.biattention
-    encode,  # noqa: F401 - bench/layers.py traces bridge.encode
+    encode,
     create_embedding_table,
     init_span_params,
     self_attention,  # noqa: F401 - bench/layers.py traces bridge.self_attention
@@ -129,13 +131,55 @@ def collect_candidates(start_passages: list[Passage], corpus: Corpus) -> list[Br
 
 
 @dataclass
+class EncodingMemo:
+    """The question-independent encodings an answering reasoner has computed:
+    each start passage's bi-GRU encoder states (T, 2h), keyed by its tokens,
+    and each target's max-pooled abstract vector (1, 2h), keyed by the
+    abstract tokens the encoder reads (the first abstract_max_tokens).
+
+    Keys are token content, not titles or ids, so a caller that swaps the
+    corpus under a loaded reasoner gets the encodings of the new texts. A
+    miss encodes that one sequence on its own, so every entry, and every
+    score read from it, is the same whichever questions came before. It
+    holds at most one entry per distinct passage text and one per distinct
+    abstract, so it needs no size limit. computed and reused count the
+    misses and the hits over both kinds.
+    """
+
+    passages: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
+    abstracts: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
+    computed: int = 0
+    reused: int = 0
+
+    def get(self, entries: dict, key: tuple[str, ...], compute) -> np.ndarray:
+        """entries[key], stored from compute() on a miss."""
+        value = entries.get(key)
+        if value is None:
+            value = entries[key] = compute()
+            self.computed += 1
+        else:
+            self.reused += 1
+        return value
+
+
+@dataclass
 class BridgeModel:
     """Span model for the start passages (without span heads) plus a bi-LSTM
-    abstract encoder and the score fusion layer, all in one ParamStore."""
+    abstract encoder and the score fusion layer, all in one ParamStore.
+
+    memo is None in a model built for training, which always encodes a
+    question's start passages and abstracts in packed passes. A reasoner
+    loaded for answering (load_pipeline_state) gets an empty EncodingMemo,
+    which lives as long as the model, since its parameters no longer change:
+    inference reads each start passage's encoder states and each abstract's
+    vector from it, keyed by token content. It holds one entry per distinct
+    text read, so it has no size limit.
+    """
 
     span: SpanModel
     lstm_hidden: int
     abstract_max_tokens: int = PipelineConfig.abstract_max_tokens
+    memo: EncodingMemo | None = None
 
     @property
     def store(self) -> ParamStore:
@@ -186,18 +230,21 @@ def encode_abstracts(
     A missing or empty abstract falls back to the trained sentinel vector and
     is flagged, so anchor coverage is never silently reduced. Dropout is
     drawn in passage order over the present abstracts.
+
+    Outside training, a model with a memo takes each abstract's vector from
+    it instead, encoding a missing one on its own (see EncodingMemo).
     """
     present = [i for i, p in enumerate(passages) if p is not None and len(p.tokens) > 0]
     row_of = {i: j for j, i in enumerate(present)}
+    token_lists = [passages[i].tokens.tokens[: model.abstract_max_tokens] for i in present]
+    memo = None if training else model.memo
     pooled = []
-    if present:
-        token_lists = [passages[i].tokens.tokens[: model.abstract_max_tokens] for i in present]
-        lengths = [len(toks) for toks in token_lists]
-        flat = [tok for toks in token_lists for tok in toks]
-        emb = gather_rows(model.table.matrix, model.table.indices(flat), model.table.row_mask)
-        states = run_bidirectional("lstm", emb, model.store, "abstract/", model.lstm_hidden, lengths=lengths)
-        states = dropout(states, model.span.dropout, training=training, rng=rng)
-        pooled = [max_pool_over_time(states, lengths)]
+    if present and memo is None:
+        pooled = [_pooled_abstracts(model, token_lists, training=training, rng=rng)]
+    elif present:
+        vectors = [memo.get(memo.abstracts, toks, lambda toks=toks: _pooled_abstracts(model, [toks]).data)
+                   for toks in token_lists]
+        pooled = [constant(np.concatenate(vectors))]
     # a missing abstract reads the sentinel, the row after the pooled ones;
     # it joins the graph only when read, so Adam leaves it alone otherwise
     sentinel = [model.store["abstract/missing"]] if len(present) < len(passages) else []
@@ -205,6 +252,23 @@ def encode_abstracts(
     rows = [row_of.get(i, len(present)) for i in range(len(passages))]
     missing = [i not in row_of for i in range(len(passages))]
     return gather_rows(table, np.array(rows, dtype=np.int64)), missing
+
+
+def _pooled_abstracts(
+    model: BridgeModel,
+    token_lists: list,
+    *,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """(len(token_lists), 2h): the token lists' bi-LSTM states in one packed
+    pass, max-pooled over each list's own rows."""
+    lengths = [len(toks) for toks in token_lists]
+    flat = [tok for toks in token_lists for tok in toks]
+    emb = gather_rows(model.table.matrix, model.table.indices(flat), model.table.row_mask)
+    states = run_bidirectional("lstm", emb, model.store, "abstract/", model.lstm_hidden, lengths=lengths)
+    states = dropout(states, model.span.dropout, training=training, rng=rng)
+    return max_pool_over_time(states, lengths)
 
 
 def encode_abstract(
@@ -230,7 +294,11 @@ def _context_rows(
     rng: np.random.Generator | None,
 ) -> Tensor:
     """(n, 8h) local context evidence: each candidate's anchor start-token row
-    of its start passage's self-attention output, in candidate order."""
+    of its start passage's self-attention output, in candidate order.
+
+    Outside training, a model with a memo encodes the question on its own and
+    takes each start passage's encoder states from the memo (a missing one is
+    encoded on its own); both paths then read through attend_encoded."""
     passage_by_id = {p.id: p for p in start_passages}
     for cand in candidates:
         pid = cand.source_passage_id
@@ -240,7 +308,18 @@ def _context_rows(
             raise ValidationError("candidate anchor is not token-aligned")
     passage_ids = list(dict.fromkeys(c.source_passage_id for c in candidates))
     contexts = [passage_by_id[pid].tokens for pid in passage_ids]
-    (final,) = attend(model.span, [(question, contexts)], training=training, rng=rng)
+    memo = None if training else model.memo
+    if memo is None:
+        (final,) = attend(model.span, [(question, contexts)], training=training, rng=rng)
+    else:
+        span = model.span
+
+        def encoded(tokens) -> EncodedSeq:
+            return encode(tokens, span.table, span.store, span.hidden)
+
+        states = [memo.get(memo.passages, c.tokens, lambda c=c: encoded(c).states.data) for c in contexts]
+        context = EncodedSeq(states=constant(np.concatenate(states)))
+        final = attend_encoded(span, encoded(question), context, [len(c) for c in contexts])
     offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
     rows = [offsets[c.source_passage_id] + c.mention.token_start for c in candidates]
     return gather_rows(final.states, np.array(rows))
@@ -267,6 +346,11 @@ def score_bridges(
     missing). use_context / use_content zero out the corresponding channel
     (the ablation switches). Returns new candidate objects carrying the
     float scores, and the (n,) logits node (None without candidates).
+
+    With training=False and a model memo (a reasoner loaded for answering),
+    each start passage's encoder states and each abstract's vector come from
+    the memo, so only the question is encoded per call; a switched-off
+    channel neither reads nor fills it. Training never touches the memo.
     """
     if not candidates:
         return [], None

@@ -87,10 +87,18 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
 
 def restore(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
     """Set every parameter of an already-initialized store from a
-    checkpoint's arrays, whose names and shapes must be the store's."""
+    checkpoint's arrays, whose names and shapes must be the store's; a
+    mismatch raises before any parameter is set."""
     missing, unknown = sorted(set(store.names()) - set(arrays)), sorted(set(arrays) - set(store.names()))
     if missing or unknown:
         raise CheckpointError(f"checkpoint of another model: parameters missing {missing}, unknown {unknown}")
+    misfits = [
+        f"{name!r} {np.shape(arrays[name])} in the checkpoint, {store[name].data.shape} in the model"
+        for name in store.names()
+        if np.shape(arrays[name]) != store[name].data.shape
+    ]
+    if misfits:
+        raise CheckpointError(f"checkpoint shapes do not fit the config: {'; '.join(misfits)}")
     store.load_arrays(arrays)
 
 

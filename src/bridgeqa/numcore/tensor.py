@@ -272,9 +272,12 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths) -> Tensor:
     probs = []
     for s, e in bounds:
         xs = x.data[s:e]
-        S = xw2[s:e].T + xw3[s:e] @ xs.T
-        np.fill_diagonal(S, -np.inf)
-        P = np.exp(S - S.max(axis=1, keepdims=True))
+        # in place, one (T, T) array: the bits of the out-of-place formula
+        P = xw3[s:e] @ xs.T
+        P += xw2[s:e].T
+        np.fill_diagonal(P, -np.inf)
+        P -= P.max(axis=1, keepdims=True)
+        np.exp(P, out=P)
         P /= P.sum(axis=1, keepdims=True)
         out_data[s:e] = P @ xs
         probs.append(P)

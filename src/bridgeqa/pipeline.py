@@ -40,6 +40,7 @@ from .ablation import (
 from .bridge import (
     BridgeLabel,
     BridgeModel,
+    EncodingMemo,
     TitleTokenLinker,
     derive_bridge_labels,
     evaluate_hits,
@@ -446,10 +447,13 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
 
 
 def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
-    """Assemble trained components from the output directory's checkpoints."""
+    """Assemble trained components from the output directory's checkpoints.
+    The bridge reasoner gets an empty encoding memo: it is loaded to answer,
+    and its parameters no longer change."""
     checkpoints = _out(cfg) / "checkpoints"
     state, _, _ = _load_state(cfg)
     state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", 0, "train-bridge")
+    state.bridge.memo = EncodingMemo()
     state.reader = _load_model(_new_reader_model, cfg, checkpoints / "reader", 0, "train-reader")
     nomt_dir = checkpoints / "reader_no_multitask"
     if (nomt_dir / "manifest.json").exists():
@@ -488,6 +492,8 @@ def stage_predict(cfg: PipelineConfig) -> dict:
         "n_predictions": len(predictions),
         "n_skipped": len(skipped),
         "n_passages_dropped": sum(p.n_passages_dropped for p in predictions),
+        "bridge_encodings_computed": state.bridge.memo.computed,
+        "bridge_encodings_reused": state.bridge.memo.reused,
         "seed": cfg.seed,
     }
 

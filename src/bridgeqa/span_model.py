@@ -19,7 +19,15 @@ every question and context, one biattention per question over all of its
 context rows, whose question-to-context softmax is masked -inf outside each
 context's block, and one self-attention per question: one numcore
 self_attend node scores, normalises and sums within each context's rows,
-and one mixing layer runs over all of them.
+and one mixing layer runs over all of them. attend_encoded is that per-group
+reading on its own, from encoder states however they were computed.
+
+The encoder states of a passage do not depend on the question, so an
+answering bridge reasoner keeps each start passage's (T, 2h) states in its
+memo (bridge.EncodingMemo), keyed by the passage's tokens, and reads a
+question through encode on the question alone plus attend_encoded. Training
+always takes attend's packed pass: dropout is drawn over the packed rows,
+and every optimizer step changes the states.
 """
 
 from __future__ import annotations
@@ -357,10 +365,19 @@ def attend(
         stop = start + q_len + sum(context_lengths)
         question = EncodedSeq(states=slice_rows(states, start, start + q_len))
         context = EncodedSeq(states=slice_rows(states, start + q_len, stop))
-        attended = biattention(context, question, model.store, lengths=context_lengths)
-        finals.append(self_attention(attended, model.store, lengths=context_lengths))
+        finals.append(attend_encoded(model, question, context, context_lengths))
         start = stop
     return finals
+
+
+def attend_encoded(model: SpanModel, question: EncodedSeq, context: EncodedSeq, lengths) -> EncodedSeq:
+    """One group's reading from its encoder states: biattention of the
+    question over the contexts packed back to back in context (their lengths
+    given), then self-attention, each context within its own rows. attend
+    runs it on the rows of its one encoder pass, the bridge reasoner's memo
+    path on states it encoded one sequence at a time."""
+    attended = biattention(context, question, model.store, lengths=lengths)
+    return self_attention(attended, model.store, lengths=lengths)
 
 
 def run_span_model(

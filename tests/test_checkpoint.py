@@ -130,6 +130,20 @@ def test_missing_parameter_rejected(tmp_path):
         restore(bigger, load_checkpoint(tmp_path / "ckpt")[0])
 
 
+def test_restore_lists_every_tensor_whose_shape_does_not_fit(tmp_path):
+    store = store_fixture()
+    save_checkpoint(store, tmp_path / "ckpt", VOCAB)
+    arrays = load_checkpoint(tmp_path / "ckpt")[0]
+    names = sorted(arrays)
+    wrong = {names[0]: np.zeros(arrays[names[0]].shape + (2,)), names[-1]: np.zeros((7,))}
+    with pytest.raises(CheckpointError) as info:
+        restore(store, {**arrays, **wrong})
+    for name, array in wrong.items():
+        assert f"{name!r} {array.shape} in the checkpoint, {store[name].data.shape} in the model" in str(info.value)
+    # nothing was restored
+    assert all(np.array_equal(store[n].data, store_fixture()[n].data) for n in names)
+
+
 def fail_save_at(tmp_path, monkeypatch, failing):
     """Save over a committed checkpoint, and into a fresh directory, with
     os.replace failing for the targets `failing` picks; then check that the

@@ -199,6 +199,26 @@ def test_self_attend_matches_composed_passages():
         assert np.max(np.abs(got[1][name] - want[1][name])) < 1e-12, name
 
 
+def test_self_attend_forward_keeps_the_bits_of_the_plain_formula():
+    # S = (xs.w2)^T + (xs * w3).xs^T, diagonal -inf, P = exp(S - rowmax) / rowsum,
+    # out = P.xs, each step a fresh array: the in-place forward gives the same bits
+    rng = np.random.default_rng(43)
+    lengths = [7, 1, 12]
+    store = self_attend_store(rng, sum(lengths), 6)
+    x, w2, w3 = store["x"].data, store["span/selfattn/w2"].data, store["span/selfattn/w3"].data
+    want, row = np.zeros_like(x), 0
+    for n in lengths:
+        xs = x[row:row + n]
+        if n > 1:
+            S = (xs @ w2).T + (xs * w3) @ xs.T
+            np.fill_diagonal(S, -np.inf)
+            P = np.exp(S - S.max(axis=1, keepdims=True))
+            P /= P.sum(axis=1, keepdims=True)
+            want[row:row + n] = P @ xs
+        row += n
+    assert np.array_equal(_self_attend(store, lengths).data, want)
+
+
 def test_self_attend_rejects_bad_shapes():
     store = self_attend_store(np.random.default_rng(42), 4, 2)
     for lengths in ([3], [4, 0], [2, 3], []):

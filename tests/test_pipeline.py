@@ -443,6 +443,17 @@ def test_checkpoint_of_another_layout_names_the_tensors_and_the_stage_to_rerun(m
     assert cli_main(["predict", "--config", str(cfg_path)]) == 3
 
 
+def test_checkpoint_whose_shapes_do_not_fit_the_config_names_the_tensors_and_the_stage_to_rerun(mini_run, tmp_path):
+    from dataclasses import asdict
+
+    cfg = replace(_run_copy(mini_run, tmp_path), gru_hidden=16)
+    with pytest.raises(CheckpointError, match=r"'fuse/w' \(120, 1\) in the checkpoint, \(152, 1\) in the model.*rerun train-bridge"):
+        load_pipeline_state(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main(["predict", "--config", str(cfg_path)]) == 3
+
+
 def test_cli_runtime_failure_exit_code(mini_run, tmp_path):
     import shutil
     from dataclasses import asdict
