@@ -21,7 +21,7 @@ from bridgeqa.bridge import (
     train_bridge_reasoner,
 )
 from bridgeqa.config import PipelineConfig
-from bridgeqa.corpus import load_corpus, load_questions, tokenize
+from bridgeqa.corpus import load_corpus, load_questions
 from bridgeqa.retrieval import build_index, retrieve_start_passages
 from bridgeqa.span_model import build_vocab
 from bridgeqa.tinywiki import write_fixture
@@ -41,16 +41,16 @@ def main():
 
     start_sets = {}
     for q in bridge_questions:
-        results = retrieve_start_passages(index, tokenize(q.question), 10)
+        results = retrieve_start_passages(index, q.question_tokens, 10)
         passages = [corpus.by_id[r.passage_id] for r in results]
         start_sets[q.id] = passages + expand_with_entity_linking(
-            q.question, linker, corpus, passages, top_n=2
+            q.question_tokens, linker, corpus, passages, top_n=2
         )
 
     vocab = build_vocab(
         [p.tokens.tokens for p in corpus.passages]
-        + [tokenize(p.title).tokens for p in corpus.passages]
-        + [tokenize(q.question).tokens for q in train]
+        + [p.title_tokens.tokens for p in corpus.passages]
+        + [q.question_tokens.tokens for q in train]
     )
     model = init_bridge_model(vocab, embed_dim=16, gru_hidden=12, lstm_hidden=12,
                               dropout_rate=0.0, rng=np.random.default_rng(13),

@@ -23,7 +23,7 @@ from .bridge import (
     score_bridges,  # noqa: F401 - bench/layers.py traces ablation.score_bridges
 )
 from .config import ABLATION_MODES, PipelineConfig
-from .corpus import Corpus, Passage, QARecord, tokenize
+from .corpus import Corpus, Passage, QARecord
 from .errors import MissingPrerequisiteError, ValidationError
 from .metrics import MetricReport, QuestionMetrics, em_f1, hits_at_k
 from .reader import Prediction, read_and_decode
@@ -60,7 +60,7 @@ def _with_linked(
     """The passages plus the linker's extras for the question, when linking is on."""
     if use_entity_linking and state.linker is not None:
         passages = passages + expand_with_entity_linking(
-            record.question, state.linker, state.corpus, passages, top_n=state.cfg.top_n_el
+            record.question_tokens, state.linker, state.corpus, passages, top_n=state.cfg.top_n_el
         )
     return passages
 
@@ -72,7 +72,7 @@ def start_passages_for(
     entity-linked extras."""
     results = retrieve_start_passages(
         state.index,
-        tokenize(record.question),
+        record.question_tokens,
         state.cfg.k,
         k1=state.cfg.k1,
         b=state.cfg.b,

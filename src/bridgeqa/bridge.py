@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import AnchorMention, Corpus, Passage, QARecord, TokenSeq, tokenize
+from .corpus import AnchorMention, Corpus, Passage, QARecord, TokenSeq
 from .errors import ValidationError
 from .metrics import normalize_answer
 from .numcore import (
@@ -434,7 +434,9 @@ class TitleTokenLinker:
         rows_of: dict[str, list[int]] = {}
         distinct_counts = []
         for p in corpus.passages:
-            toks = tokenize(p.title.split("(")[0]).tokens
+            # the base form's tokens end before the first "(", which no token runs across
+            cut = p.title.find("(") if "(" in p.title else len(p.title)
+            toks = [t for t, (_, end) in zip(p.title_tokens.tokens, p.title_tokens.char_offsets) if end <= cut]
             if toks:
                 row = len(self._titles)
                 self._titles.append(p.title)
@@ -447,8 +449,8 @@ class TitleTokenLinker:
         self._distinct = np.array(distinct_counts, dtype=np.intp)
         self._distinct.setflags(write=False)
 
-    def link(self, question: str) -> list[tuple[str, float]]:
-        ids = [self._token_id[t] for t in set(tokenize(question).tokens) if t in self._token_id]
+    def link(self, question: TokenSeq) -> list[tuple[str, float]]:
+        ids = [self._token_id[t] for t in set(question.tokens) if t in self._token_id]
         if not ids:
             return []
         pos, _ = gather_slices(self._bounds, ids)
@@ -460,7 +462,7 @@ class TitleTokenLinker:
 
 
 def expand_with_entity_linking(
-    question_text: str,
+    question: TokenSeq,
     linker: TitleTokenLinker | None,
     corpus: Corpus,
     existing: list[Passage],
@@ -472,7 +474,7 @@ def expand_with_entity_linking(
         return []
     have = {p.title for p in existing}
     extras: list[Passage] = []
-    for title, _score in linker.link(question_text):
+    for title, _score in linker.link(question):
         if len(extras) >= top_n:
             break
         if title in have:
@@ -495,7 +497,6 @@ class QuestionInputs:
     once before training."""
 
     record: QARecord
-    question_tokens: TokenSeq
     start_passages: list[Passage]
     candidates: list[BridgeCandidate]
     label: BridgeLabel | None
@@ -514,7 +515,6 @@ def prepare_question_inputs(
         prepared.append(
             QuestionInputs(
                 record=q,
-                question_tokens=tokenize(q.question),
                 start_passages=starts,
                 candidates=collect_candidates(starts, corpus),
                 label=by_qid.get(q.id),
@@ -544,7 +544,7 @@ def train_bridge_reasoner(
         if not qi.candidates:
             return None, None
         scored, logits = score_bridges(
-            model, qi.question_tokens, qi.start_passages, qi.candidates, corpus, training=True, rng=rng
+            model, qi.record.question_tokens, qi.start_passages, qi.candidates, corpus, training=True, rng=rng
         )
         ranked = rank_answer_passages(scored, k=1)
         hit = bool(ranked) and ranked[0][0] == qi.label.gold_title
@@ -599,7 +599,7 @@ def predict_ranked_titles(
         return []
     scored, _ = score_bridges(
         model,
-        tokenize(question.question),
+        question.question_tokens,
         start_passages,
         candidates,
         corpus,

@@ -99,7 +99,8 @@ def restore(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
     ]
     if misfits:
         raise CheckpointError(f"checkpoint shapes do not fit the config: {'; '.join(misfits)}")
-    store.load_arrays(arrays)
+    for name in store.names():
+        store[name].data = np.array(arrays[name], dtype=np.float64)
 
 
 def checkpoint_digest(directory: str | Path) -> str:

@@ -11,7 +11,7 @@ import logging
 import sys
 
 from .config import ABLATION_MODES, load_config
-from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
+from .errors import ConfigError, MissingPrerequisiteError, ValidationError
 from .pipeline import STAGES, run_stage
 
 
@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingPrerequisiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, Exception) as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001 - CheckpointError and any other failure
         print(f"error: {exc}", file=sys.stderr)
         return 3
     stage = entry.get("stage", args.command)

@@ -2,13 +2,16 @@
 and character-to-token alignment.
 
 A passage is one node of the corpus graph; its anchors point at other
-passages by title. Everything loaded here is immutable after construction
-and safe to share across threads.
+passages by title. Each record owns its tokens: a passage tokenizes its text
+and title when built, a question its text on first use, and every other
+module reads those fields instead of tokenizing again. Everything loaded
+here is immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from .errors import AlignmentError, ValidationError
@@ -64,11 +67,21 @@ class AnchorMention:
 
 @dataclass(frozen=True)
 class Passage:
+    """A corpus page; tokens and title_tokens default to its text's and
+    title's tokens (replace() keeps them: pass new ones with a new text)."""
+
     id: str
     title: str
     text: str
     anchors: tuple[AnchorMention, ...] = ()
     tokens: TokenSeq = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    title_tokens: TokenSeq = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.tokens is None:
+            object.__setattr__(self, "tokens", tokenize(self.text))
+        if self.title_tokens is None:
+            object.__setattr__(self, "title_tokens", tokenize(self.title))
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,11 @@ class QARecord:
     answer: str
     qtype: str
     supporting_titles: tuple[str, ...] | None = None
+
+    @cached_property
+    def question_tokens(self) -> TokenSeq:
+        """The question's tokens, tokenized on first use."""
+        return tokenize(self.question)
 
 
 @dataclass(frozen=True)
@@ -101,9 +119,8 @@ def align_anchor(passage: Passage, mention: AnchorMention) -> AnchorMention:
             f"passage {passage.id!r}: anchor span ({mention.char_start}, {mention.char_end}) "
             f"out of bounds for text of length {len(passage.text)}"
         )
-    toks = passage.tokens if passage.tokens is not None else tokenize(passage.text)
     first = last = None
-    for idx, (s, e) in enumerate(toks.char_offsets):
+    for idx, (s, e) in enumerate(passage.tokens.char_offsets):
         if s < mention.char_end and e > mention.char_start:
             if first is None:
                 first = idx
@@ -137,12 +154,7 @@ def _parse_passage(obj: dict, where: str) -> Passage:
         seen.add(key)
         mentions.append(AnchorMention(key[0], key[1], key[2]))
     mentions.sort(key=lambda m: (m.char_start, m.char_end, m.target_title))
-    passage = Passage(
-        id=obj["id"],
-        title=obj["title"],
-        text=obj["text"],
-        tokens=tokenize(obj["text"]),
-    )
+    passage = Passage(id=obj["id"], title=obj["title"], text=obj["text"])
     aligned = tuple(align_anchor(passage, m) for m in mentions)
     return replace(passage, anchors=aligned)
 

@@ -45,21 +45,9 @@ class ParamStore:
     def gradients(self) -> dict[str, np.ndarray]:
         return {name: t.grad for name, t in self._tensors.items() if t.grad is not None}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, arr in arrays.items():
-            if name not in self._tensors:
-                raise ValidationError(f"unknown parameter {name!r} in loaded arrays")
-            t = self._tensors[name]
-            a = np.asarray(arr, dtype=np.float64)
-            if a.shape != t.data.shape:
-                raise ValidationError(
-                    f"parameter {name!r}: shape {a.shape} does not match {t.data.shape}"
-                )
-            t.data = a.copy()
-
 
 def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[1] if len(shape) > 1 else shape[0]
     std = np.sqrt(2.0 / (fan_in + fan_out))
     return rng.normal(0.0, std, size=shape)

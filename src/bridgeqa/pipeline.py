@@ -53,7 +53,7 @@ from .bridge import (
 )
 from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkpoint
 from .config import PipelineConfig, config_to_dict
-from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions, tokenize
+from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
 from .manifest import append_manifest, file_sha256, read_jsonl, write_json, write_jsonl
 from .reader import (
@@ -134,8 +134,8 @@ def _embedding(
     restricted to covered tokens (others map to unk) and the table is frozen;
     otherwise the table is trained and no matrix is given."""
     sources = [p.tokens.tokens for p in corpus.passages]
-    sources += [tokenize(p.title).tokens for p in corpus.passages]
-    sources += [tokenize(q.question).tokens for q in questions]
+    sources += [p.title_tokens.tokens for p in corpus.passages]
+    sources += [q.question_tokens.tokens for q in questions]
     sources.append(("yes", "no"))
     vocab = build_vocab(sources)
     if cfg.embeddings_path is None:

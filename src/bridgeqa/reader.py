@@ -14,13 +14,14 @@ reasoner; the reader reads each minibatch in one encoder pass.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import Passage, QARecord, TokenSeq, tokenize
+from .corpus import Passage, QARecord, TokenSeq
 from .errors import ValidationError
 from .metrics import em_f1, normalize_answer
 from .numcore import ParamStore, Tensor, adam_step, add, backward, scale
@@ -29,20 +30,15 @@ from .span_model import SpanModel, SpanScores, attend, run_span_model, span_head
 SENTINELS = ("yes", "no")
 
 
-@dataclass(frozen=True)
-class TokenOrigin:
-    kind: str  # "sentinel" | "title" | "text"
-    passage_id: str | None
-    char_start: int
-    char_end: int
-
-
 @dataclass
 class ReaderContext:
+    """The yes/no sentinels, then one block per passage: its title tokens,
+    then its text tokens. starts[b] is the context position of passage b's
+    first token; the tokens keep their character offsets on the passage."""
+
     tokens: list[str]
-    origins: list[TokenOrigin]
     passages: list[Passage]
-    title_spans: dict[str, tuple[int, int]]  # passage id -> inclusive token span of its title block
+    starts: list[int]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -51,33 +47,34 @@ class ReaderContext:
     def titles(self) -> list[str]:
         return [p.title for p in self.passages]
 
+    def block_at(self, i: int) -> int | None:
+        """The index of the passage whose block holds context token i, None
+        for a sentinel; a block without tokens is never returned."""
+        b = bisect_right(self.starts, i) - 1
+        return b if b >= 0 else None
+
+    def title_span_at(self, i: int) -> tuple[int, int] | None:
+        """Inclusive token span of the title of the passage whose block holds
+        token i; None for a sentinel or a title without tokens."""
+        block = self.block_at(i)
+        n = 0 if block is None else len(self.passages[block].title_tokens)
+        return (self.starts[block], self.starts[block] + n - 1) if n else None
+
 
 def build_reader_context(passages: list[Passage], max_tokens: int | None = None) -> ReaderContext:
     """Concatenate [title tokens + passage tokens] blocks after the yes/no
     sentinels. Whole passages beyond the token cap are dropped."""
     tokens: list[str] = list(SENTINELS)
-    origins: list[TokenOrigin] = [
-        TokenOrigin("sentinel", None, 0, 0) for _ in SENTINELS
-    ]
     used: list[Passage] = []
-    title_spans: dict[str, tuple[int, int]] = {}
+    starts: list[int] = []
     for passage in passages:
-        title_ts = tokenize(passage.title)
-        body_ts = passage.tokens if passage.tokens is not None else tokenize(passage.text)
-        block_len = len(title_ts) + len(body_ts)
-        if max_tokens is not None and used and len(tokens) + block_len > max_tokens:
+        block = passage.title_tokens.tokens + passage.tokens.tokens
+        if max_tokens is not None and used and len(tokens) + len(block) > max_tokens:
             break
-        start = len(tokens)
-        for tok, (cs, ce) in zip(title_ts.tokens, title_ts.char_offsets):
-            tokens.append(tok)
-            origins.append(TokenOrigin("title", passage.id, cs, ce))
-        if title_ts.tokens:
-            title_spans[passage.id] = (start, len(tokens) - 1)
-        for tok, (cs, ce) in zip(body_ts.tokens, body_ts.char_offsets):
-            tokens.append(tok)
-            origins.append(TokenOrigin("text", passage.id, cs, ce))
+        starts.append(len(tokens))
+        tokens += block
         used.append(passage)
-    return ReaderContext(tokens=tokens, origins=origins, passages=used, title_spans=title_spans)
+    return ReaderContext(tokens=tokens, passages=used, starts=starts)
 
 
 def locate_answer_span(
@@ -85,27 +82,22 @@ def locate_answer_span(
     answer: str,
     max_len: int = PipelineConfig.max_answer_len,
 ) -> tuple[int, int] | None:
-    """First token window whose space-joined text normalizes to the normalized
-    answer; earlier (then shorter) windows win, so earlier passages are
-    preferred."""
+    """First token window whose text (span_to_text) normalizes to the
+    normalized answer; earlier (then shorter) windows win, so earlier
+    passages are preferred. A window stops growing once its normalized text
+    is longer than the answer's, which more tokens only lengthen (unless
+    punctuation fuses them into an article, as in "th-e")."""
     target = normalize_answer(answer)
     if not target:
         return None
-    n_target_tokens = len(target.split())
     T = len(context.tokens)
-    articles = ("a", "an", "the")
     for s in range(T):
-        parts: list[str] = []
-        non_article = 0
         for e in range(s, min(T, s + max_len)):
-            tok = context.tokens[e]
-            parts.append(tok)
-            if tok not in articles:
-                non_article += 1
-            if non_article > n_target_tokens:
-                break  # no longer window at this start can still match
-            if normalize_answer(" ".join(parts)) == target:
+            window = normalize_answer(span_to_text(context, s, e))
+            if window == target:
                 return (s, e)
+            if len(window) > len(target):
+                break
     return None
 
 
@@ -133,7 +125,7 @@ def make_reader_example(
     does not contain the answer, its answer_span is None."""
     example = ReaderExample(
         question_id=record.id,
-        question=tokenize(record.question),
+        question=record.question_tokens,
         context=build_reader_context(passages, max_tokens=max_tokens),
         answer=record.answer,
         predicted_by_fold=predicted_by_fold,
@@ -142,9 +134,7 @@ def make_reader_example(
     if span is None:
         return example, "answer not found in context"
     example.answer_span = span
-    origin = example.context.origins[span[0]]
-    if origin.passage_id is not None:
-        example.title_span = example.context.title_spans.get(origin.passage_id)
+    example.title_span = example.context.title_span_at(span[0])
     return example, None
 
 
@@ -230,21 +220,23 @@ def best_span(
 
 
 def span_to_text(context: ReaderContext, s: int, e: int) -> str:
-    """Original character-level text of the span. Spans covering a sentinel
-    decode to that literal; spans crossing block boundaries fall back to
+    """Original character-level text of the span, sliced from its passage's
+    title or text. Spans starting at a sentinel decode to that literal;
+    spans crossing a title, text or passage boundary fall back to
     space-joined tokens."""
-    for pos in range(s, e + 1):
-        if context.origins[pos].kind == "sentinel":
-            return context.tokens[pos]
-    first, last = context.origins[s], context.origins[e]
-    if (
-        first.passage_id == last.passage_id
-        and first.kind == last.kind
-        and first.passage_id is not None
-    ):
-        passage = next(p for p in context.passages if p.id == first.passage_id)
-        source = passage.title if first.kind == "title" else passage.text
-        return source[first.char_start : last.char_end]
+    if s < len(SENTINELS):
+        return context.tokens[s]
+    block = context.block_at(s)
+    if context.block_at(e) == block:
+        passage = context.passages[block]
+        first, last = s - context.starts[block], e - context.starts[block]
+        n_title = len(passage.title_tokens)
+        if last < n_title:
+            offsets = passage.title_tokens.char_offsets
+            return passage.title[offsets[first][0] : offsets[last][1]]
+        if first >= n_title:
+            offsets = passage.tokens.char_offsets
+            return passage.text[offsets[first - n_title][0] : offsets[last - n_title][1]]
     return " ".join(context.tokens[s : e + 1])
 
 
@@ -383,5 +375,5 @@ def read_and_decode(
     max_answer_len: int = PipelineConfig.max_answer_len,
 ) -> tuple[str, ReaderContext]:
     context = build_reader_context(passages, max_tokens=max_tokens)
-    _, scores = run_span_model(model, tokenize(record.question), context.tokens)
+    _, scores = run_span_model(model, record.question_tokens, context.tokens)
     return decode_answer(scores, context, max_answer_len), context

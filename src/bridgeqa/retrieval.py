@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import Corpus, TokenSeq, tokenize
+from .corpus import Corpus, TokenSeq
 from .errors import ValidationError
 
 
@@ -141,7 +141,7 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     if len(corpus) == 0:
         raise ValidationError("cannot build an index over an empty corpus")
     body = _build_field([p.tokens for p in corpus.passages])
-    title = _build_field([tokenize(p.title) for p in corpus.passages])
+    title = _build_field([p.title_tokens for p in corpus.passages])
     return InvertedIndex(tuple(p.id for p in corpus.passages), body, title)
 
 

@@ -1,0 +1,66 @@
+"""The reader context's per-token layout, the oracle of its passage blocks:
+one origin per context token (a sentinel, or a title or text token of one
+passage with its character offsets), span text sliced from the first to the
+last token's offsets when both come from one passage's title or text, and
+an answer's title span read from the passage its first token came from.
+Titles and texts are tokenized here, not read from the passages."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from bridgeqa.corpus import Passage, tokenize
+from bridgeqa.reader import SENTINELS
+
+
+@dataclass(frozen=True)
+class TokenOrigin:
+    kind: str  # "sentinel" | "title" | "text"
+    passage_id: str | None
+    char_start: int
+    char_end: int
+
+
+@dataclass
+class Context:
+    tokens: list[str]
+    origins: list[TokenOrigin]
+    passages: list[Passage]
+    title_spans: dict[str, tuple[int, int]]  # passage id -> inclusive token span of its title
+
+
+def build_context(passages: list[Passage], max_tokens: int | None = None) -> Context:
+    tokens = list(SENTINELS)
+    origins = [TokenOrigin("sentinel", None, 0, 0) for _ in SENTINELS]
+    used: list[Passage] = []
+    title_spans: dict[str, tuple[int, int]] = {}
+    for passage in passages:
+        title_ts, body_ts = tokenize(passage.title), tokenize(passage.text)
+        if max_tokens is not None and used and len(tokens) + len(title_ts) + len(body_ts) > max_tokens:
+            break
+        start = len(tokens)
+        for kind, ts in (("title", title_ts), ("text", body_ts)):
+            for tok, (cs, ce) in zip(ts.tokens, ts.char_offsets):
+                tokens.append(tok)
+                origins.append(TokenOrigin(kind, passage.id, cs, ce))
+            if kind == "title" and len(ts):
+                title_spans[passage.id] = (start, len(tokens) - 1)
+        used.append(passage)
+    return Context(tokens, origins, used, title_spans)
+
+
+def span_to_text(context: Context, s: int, e: int) -> str:
+    for pos in range(s, e + 1):
+        if context.origins[pos].kind == "sentinel":
+            return context.tokens[pos]
+    first, last = context.origins[s], context.origins[e]
+    if first.passage_id == last.passage_id and first.kind == last.kind and first.passage_id is not None:
+        passage = next(p for p in context.passages if p.id == first.passage_id)
+        source = passage.title if first.kind == "title" else passage.text
+        return source[first.char_start : last.char_end]
+    return " ".join(context.tokens[s : e + 1])
+
+
+def title_span_at(context: Context, i: int) -> tuple[int, int] | None:
+    origin = context.origins[i]
+    return None if origin.passage_id is None else context.title_spans.get(origin.passage_id)

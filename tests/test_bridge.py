@@ -384,10 +384,10 @@ def test_ranking_shift_invariance():
 def test_baseline_linker_strips_parenthetical():
     corpus = kiss_and_tell_corpus()
     linker = TitleTokenLinker(corpus)
-    hits = linker.link(
+    hits = linker.link(tokenize(
         "What government position was held by the woman who portrayed "
         "Corliss Archer in Kiss and Tell?"
-    )
+    ))
     assert hits[0][0] == "Kiss and Tell (1945 film)"
 
 
@@ -395,7 +395,7 @@ def test_expand_appends_linker_passage():
     corpus = kiss_and_tell_corpus()
     linker = TitleTokenLinker(corpus)
     extras = expand_with_entity_linking(
-        "Who portrayed Corliss Archer in Kiss and Tell?", linker, corpus, [], top_n=2
+        tokenize("Who portrayed Corliss Archer in Kiss and Tell?"), linker, corpus, [], top_n=2
     )
     assert [p.title for p in extras] == ["Kiss and Tell (1945 film)"]
 
@@ -405,14 +405,14 @@ def test_expand_no_duplicates():
     linker = TitleTokenLinker(corpus)
     existing = [corpus.by_title["Kiss and Tell (1945 film)"]]
     extras = expand_with_entity_linking(
-        "Who portrayed Corliss Archer in Kiss and Tell?", linker, corpus, existing, top_n=2
+        tokenize("Who portrayed Corliss Archer in Kiss and Tell?"), linker, corpus, existing, top_n=2
     )
     assert extras == []
 
 
 def test_expand_disabled_linker():
     corpus = kiss_and_tell_corpus()
-    assert expand_with_entity_linking("anything", None, corpus, [], top_n=2) == []
+    assert expand_with_entity_linking(tokenize("anything"), None, corpus, [], top_n=2) == []
 
 
 def test_score_bridges_all_starts_match_each_start_alone():

@@ -8,6 +8,7 @@ from bridgeqa.corpus import (
     AnchorMention,
     Corpus,
     Passage,
+    QARecord,
     align_anchor,
     load_corpus,
     load_questions,
@@ -60,6 +61,33 @@ def test_tokenize_idempotent_on_joined_output():
     ts = tokenize("Kiss, and TELL again!")
     rejoined = tokenize(" ".join(ts.tokens))
     assert rejoined.tokens == ts.tokens
+
+
+def test_passage_built_without_tokens_has_them():
+    p = Passage(id="p1", title="Kiss and Tell (1945 film)", text="Shirley Temple, as Archer.")
+    assert p.tokens == tokenize(p.text)
+    assert p.title_tokens == tokenize(p.title)
+    given = tokenize("other words")
+    assert Passage(id="p2", title="T", text="x", tokens=given).tokens is given
+
+
+def test_loaded_passages_keep_their_tokens_through_anchor_alignment(tmp_path):
+    corpus = load_corpus(write_lines(tmp_path / "c.jsonl", corpus_objs()))
+    for p in corpus.passages:
+        assert p.tokens == tokenize(p.text)
+        assert p.title_tokens == tokenize(p.title)
+
+
+def test_question_tokens_are_tokenized_once(monkeypatch):
+    import bridgeqa.corpus as corpus_module
+
+    calls = []
+    monkeypatch.setattr(corpus_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    record = QARecord("q1", "Who played Corliss Archer?", "Shirley Temple", "bridge")
+    assert calls == []
+    assert record.question_tokens == tokenize(record.question)
+    assert record.question_tokens is record.question_tokens
+    assert calls == [record.question]
 
 
 def make_passage(text, anchors=()):

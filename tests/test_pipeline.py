@@ -145,7 +145,7 @@ def test_fixture_bridge_step_records_at_most_150_tape_nodes(mini_run):
     for qi in inputs:
         if qi.label is None:
             continue
-        scored, logits = score_bridges(model, qi.question_tokens, qi.start_passages, qi.candidates, state.corpus,
+        scored, logits = score_bridges(model, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
                                        training=True, rng=np.random.default_rng(0))
         if gold_mention_indices(scored, qi.label.gold_title):
             counts.append(len(_tape(bridge_loss(scored, logits, qi.label))))
@@ -194,7 +194,7 @@ def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
     inputs = prepare_question_inputs(questions, _load_labels(mini_run), _start_sets(state, questions), state.corpus)
     qi = next(qi for qi in inputs
               if qi.label is not None and gold_mention_indices(qi.candidates, qi.label.gold_title))
-    scored, logits = score_bridges(bridge, qi.question_tokens, qi.start_passages, qi.candidates, state.corpus,
+    scored, logits = score_bridges(bridge, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
                                    training=True, rng=np.random.default_rng(0))
     backward(bridge_loss(scored, logits, qi.label))
 
@@ -478,6 +478,28 @@ def test_answer_question_returns_answer_and_provenance(mini_run):
     prediction, _ = predict_one(state, dev[0])
     assert isinstance(prediction.answer, str)
     assert prediction.passages and all(t in state.corpus.by_title for t in prediction.passages)
+
+
+def test_answering_tokenizes_each_question_once_and_each_title_at_most_once(mini_run, monkeypatch):
+    from collections import Counter
+
+    from bridgeqa import corpus as corpus_module
+    from bridgeqa.ablation import predict_questions
+    from bridgeqa.bridge import gold_titles
+
+    state = load_pipeline_state(mini_run)
+    _, train, dev = _load_ingested(mini_run)
+    questions = train + dev
+    labels = gold_titles(questions, state.corpus, mini_run.seed)
+    calls = []
+    tokenize = corpus_module.tokenize
+    monkeypatch.setattr(corpus_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    predictions, _ = predict_questions(state, questions, "full", labels)
+    assert len(predictions) > 0
+    counts, asked = Counter(calls), Counter(q.question for q in questions)
+    titles = {p.title for p in state.corpus.passages}
+    assert all(counts[text] == n for text, n in asked.items())
+    assert all(counts[text] == 1 and text in titles for text in counts if text not in asked)
 
 
 def test_malformed_cross_prediction_is_a_validation_error(mini_run, tmp_path):

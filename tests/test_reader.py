@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import reference_reader
 
 from bridgeqa.config import PipelineConfig
-from bridgeqa.corpus import Passage, QARecord, tokenize
+from bridgeqa.corpus import Passage, QARecord, load_corpus, tokenize
 from bridgeqa.errors import ValidationError
 from bridgeqa.numcore import add, backward
 from bridgeqa.reader import (
@@ -34,8 +35,8 @@ def test_context_layout_sentinels_titles_text():
     ctx = build_reader_context([P1, P2])
     assert ctx.tokens[:2] == ["yes", "no"]
     assert ctx.tokens[2:4] == ["shirley", "temple"]
-    assert ctx.title_spans["p1"] == (2, 3)
-    title_span = ctx.title_spans["p2"]
+    assert ctx.title_span_at(2) == (2, 3)
+    title_span = ctx.title_span_at(ctx.starts[1])
     assert ctx.tokens[title_span[0] : title_span[1] + 1] == ["kiss", "and", "tell", "1945", "film"]
     assert ctx.titles == ["Shirley Temple", "Kiss and Tell (1945 film)"]
 
@@ -64,6 +65,16 @@ def test_locate_answer_span_absent():
     assert locate_answer_span(ctx, "orange marmalade") is None
 
 
+@pytest.mark.parametrize("answer", ["Jean-Luc Picard", "Archer's", "1,000"])
+def test_locate_answer_span_with_punctuation_inside_a_word(answer):
+    ctx = build_reader_context([passage("p", "Enterprise", "Captain Jean-Luc Picard met Archer's crew of 1,000.")])
+    span = locate_answer_span(ctx, answer)
+    assert span is not None
+    assert span_to_text(ctx, *span) == answer
+    record = QARecord("q", "who?", answer, "bridge", ("Enterprise",))
+    assert make_reader_example(record, ctx.passages)[1] is None
+
+
 def test_locate_answer_yes_hits_sentinel():
     ctx = build_reader_context([P1])
     assert locate_answer_span(ctx, "yes") == (0, 0)
@@ -74,9 +85,9 @@ def test_make_reader_example_title_span_of_answer_block():
     record = QARecord("q", "what role?", "Chief of Protocol", "bridge", ("Shirley Temple",))
     example, reason = make_reader_example(record, [P2, P1])
     assert reason is None
-    answer_pid = example.context.origins[example.answer_span[0]].passage_id
+    answer_pid = example.context.passages[example.context.block_at(example.answer_span[0])].id
     assert answer_pid == "p1"
-    assert example.title_span == example.context.title_spans["p1"]
+    assert example.title_span == example.context.title_span_at(example.context.starts[1])
 
 
 def test_make_reader_example_skip_reason():
@@ -195,6 +206,41 @@ def test_span_to_text_cross_block_falls_back_to_tokens():
     last_p1 = 3 + len(P1.tokens)  # sentinels (2) + title (2) + text - 1
     text = span_to_text(ctx, last_p1, last_p1 + 1)
     assert text == " ".join(ctx.tokens[last_p1 : last_p1 + 2])
+
+
+ODD_PASSAGES = [
+    Passage(id="o1", title="(!)", text="A title without tokens, then Jean-Luc's text."),
+    Passage(id="o2", title="Empty Body (2001 film)", text=""),
+    Passage(id="o3", title="U.S.A. -- 1,000", text="Jean-Luc Picard's 1,000 ships (U.S.A.); \"well-known\" Archer's."),
+    Passage(id="o4", title="Last", text="...tail--end!"),
+]
+
+
+def oracle_contexts(corpus):
+    passages = list(corpus.passages)
+    for first in range(0, len(passages), 4):
+        yield passages[first : first + 4], None
+    yield passages[:12], 200  # the cap drops the last passages
+    yield ODD_PASSAGES, None
+    yield ODD_PASSAGES[::-1], None
+    yield ODD_PASSAGES + passages[:2], 40
+
+
+def test_context_blocks_match_the_per_token_origins(fixture_dir):
+    corpus = load_corpus(fixture_dir / "corpus.jsonl")
+    dropped = 0
+    for passages, cap in oracle_contexts(corpus):
+        ctx = build_reader_context(passages, max_tokens=cap)
+        ref = reference_reader.build_context(passages, max_tokens=cap)
+        assert ctx.tokens == ref.tokens
+        assert ctx.passages == ref.passages
+        dropped += len(passages) - len(ctx.passages)
+        T = len(ctx)
+        for s in range(T):
+            assert ctx.title_span_at(s) == reference_reader.title_span_at(ref, s), s
+            for e in range(s, min(T, s + 30)):
+                assert span_to_text(ctx, s, e) == reference_reader.span_to_text(ref, s, e), (s, e)
+    assert dropped > 0
 
 
 # --- loss --------------------------------------------------------------------

@@ -385,7 +385,7 @@ def test_linker_hits_equal_the_reference_walk(seed):
     corpus = synthetic_corpus(rng)
     linker, reference = TitleTokenLinker(corpus), reference_retrieval.TitleTokenLinker(corpus)
     for text in synthetic_questions(rng, 40) + ["", "red red river", "red river"]:
-        assert linker.link(text) == reference.link(text)
+        assert linker.link(tokenize(text)) == reference.link(text)
 
 
 def test_fixture_linker_hits_equal_the_reference_walk(fixture_dir):
@@ -394,7 +394,7 @@ def test_fixture_linker_hits_equal_the_reference_walk(fixture_dir):
     linked = 0
     for name in ("train_questions.jsonl", "dev_questions.jsonl"):
         for q in load_questions(fixture_dir / name):
-            hits = linker.link(q.question)
+            hits = linker.link(q.question_tokens)
             assert hits == reference.link(q.question)
             linked += len(hits)
     assert linked > 0
@@ -402,10 +402,10 @@ def test_fixture_linker_hits_equal_the_reference_walk(fixture_dir):
 
 def test_linker_scores_repeated_tokens_and_skips_empty_base_titles():
     corpus = make_corpus(["a", "b", "c"], titles=["Red Red River", "River", "(1999 film)"])
-    hits = TitleTokenLinker(corpus).link("the red river")
+    hits = TitleTokenLinker(corpus).link(tokenize("the red river"))
     # every distinct token must match; the score counts repeats
     assert hits == [("Red Red River", 3.0), ("River", 1.0)]
-    assert TitleTokenLinker(corpus).link("red") == []
+    assert TitleTokenLinker(corpus).link(tokenize("red")) == []
 
 
 def test_index_and_linker_arrays_are_read_only():
