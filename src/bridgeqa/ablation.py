@@ -1,8 +1,9 @@
 """End-to-end answering and the ablation harness, plus the start-set and
 answer-passage builders the pipeline stages share with answering.
 
-Bridge questions are read from the reasoner's top ranked answer passages;
-comparison questions are read directly from the retrieved start passages.
+Bridge questions are read from the reasoner's top reader_bridge_passages
+ranked answer passages; comparison questions are read directly from the
+retrieved start passages, up to reader_max_passages of them.
 Every ablation mode reuses the same trained components with one switch
 flipped, so directional comparisons isolate a single cause.
 """
@@ -16,11 +17,13 @@ from .bridge import (
     BridgeModel,
     TitleTokenLinker,
     collect_candidates,  # noqa: F401 - bench/layers.py traces ablation.collect_candidates
-    expand_with_entity_linking,
+    expand_with_entity_linking,  # noqa: F401 - bench/layers.py traces ablation.expand_with_entity_linking
     gold_titles,
+    linked_passages,
     predict_ranked_titles,
     rank_answer_passages,  # noqa: F401 - bench/layers.py traces ablation.rank_answer_passages
     score_bridges,  # noqa: F401 - bench/layers.py traces ablation.score_bridges
+    unseen_passages,
 )
 from .config import ABLATION_MODES, PipelineConfig
 from .corpus import Corpus, Passage, QARecord
@@ -54,19 +57,35 @@ class PipelineState:
     linker: TitleTokenLinker | None = None
 
 
+def _linked_passages_for(state: PipelineState, record: QARecord, *, use_entity_linking: bool) -> list[Passage]:
+    """The passages the linker finds in the question, best first; none when
+    linking is off."""
+    if not use_entity_linking:
+        return []
+    return linked_passages(record.question_tokens, state.linker, state.corpus)
+
+
 def _with_linked(
-    state: PipelineState, record: QARecord, passages: list[Passage], use_entity_linking: bool
+    state: PipelineState,
+    record: QARecord,
+    passages: list[Passage],
+    use_entity_linking: bool,
+    linked: list[Passage] | None,
 ) -> list[Passage]:
-    """The passages plus the linker's extras for the question, when linking is on."""
-    if use_entity_linking and state.linker is not None:
-        passages = passages + expand_with_entity_linking(
-            record.question_tokens, state.linker, state.corpus, passages, top_n=state.cfg.top_n_el
-        )
-    return passages
+    """The passages plus up to top_n_el linked passages not among them.
+    linked is the question's _linked_passages_for when the caller already
+    has it, so a question that builds two passage sets links once."""
+    if linked is None:
+        linked = _linked_passages_for(state, record, use_entity_linking=use_entity_linking)
+    return passages + unseen_passages(linked, passages, state.cfg.top_n_el)
 
 
 def start_passages_for(
-    state: PipelineState, record: QARecord, *, use_entity_linking: bool
+    state: PipelineState,
+    record: QARecord,
+    *,
+    use_entity_linking: bool,
+    linked: list[Passage] | None = None,
 ) -> list[Passage]:
     """The question's start set: its top-k retrieved passages plus the
     entity-linked extras."""
@@ -79,16 +98,23 @@ def start_passages_for(
         title_weight=state.cfg.title_weight,
     )
     passages = [state.corpus.by_id[r.passage_id] for r in results]
-    return _with_linked(state, record, passages, use_entity_linking)
+    return _with_linked(state, record, passages, use_entity_linking, linked)
 
 
 def answer_passages_for(
-    state: PipelineState, record: QARecord, titles: list[str], *, use_entity_linking: bool
+    state: PipelineState,
+    record: QARecord,
+    titles: list[str],
+    *,
+    use_entity_linking: bool,
+    linked: list[Passage] | None = None,
 ) -> list[Passage]:
-    """The reader's input for ranked answer titles: their passages (titles
-    missing from the corpus are dropped) plus the entity-linked extras."""
-    passages = [state.corpus.by_title[t] for t in titles if t in state.corpus.by_title]
-    return _with_linked(state, record, passages, use_entity_linking)
+    """The reader's input for a bridge question's ranked answer titles: the
+    passages of the top reader_bridge_passages titles (titles missing from
+    the corpus are dropped) plus the entity-linked extras."""
+    top = titles[: state.cfg.reader_bridge_passages]
+    passages = [state.corpus.by_title[t] for t in top if t in state.corpus.by_title]
+    return _with_linked(state, record, passages, use_entity_linking, linked)
 
 
 def _reader_for_mode(state: PipelineState, mode: str) -> SpanModel:
@@ -141,7 +167,8 @@ def predict_one(
     else:
         if state.bridge is None:
             raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
-        starts = start_passages_for(state, record, use_entity_linking=use_el)
+        linked = _linked_passages_for(state, record, use_entity_linking=use_el)
+        starts = start_passages_for(state, record, use_entity_linking=use_el, linked=linked)
         ranked = predict_ranked_titles(
             state.bridge,
             record,
@@ -154,8 +181,11 @@ def predict_one(
         if ranked:
             ranked_titles = [t for t, _ in ranked]
             ranked_scored = list(ranked)
-            # the entity-linked abstracts also join the reader input
-            context_passages = answer_passages_for(state, record, ranked_titles, use_entity_linking=use_el)
+            # the reader reads the top ranked passages; the entity-linked
+            # abstracts also join its input
+            context_passages = answer_passages_for(
+                state, record, ranked_titles, use_entity_linking=use_el, linked=linked
+            )
         else:
             log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
             context_passages = starts[: state.cfg.reader_max_passages]

@@ -113,7 +113,11 @@ def test_mini_run_artifacts_and_manifest(mini_run):
 
 def test_train_reader_runs_one_time_loop_per_minibatch(mini_run, loop_widths):
     # a minibatch of 4 is one GRU time loop over its 4 questions and 4
-    # contexts, both directions side by side: 5 loops per epoch, not 38
+    # contexts, both directions side by side: 4 loops per epoch, not 32.
+    # 16 examples, not the 19 of a reader that read all 10 ranked titles: a
+    # bridge question reads its top reader_bridge_passages (3), and on 3
+    # cross-predicted train questions the fold reasoner ranks the answer
+    # passage 4th or lower, so they are skipped as "answer not found"
     from bridgeqa.manifest import read_jsonl
     from bridgeqa.pipeline import _build_reader_examples, _embedding, _load_state, _new_reader_model
     from bridgeqa.reader import train_reader
@@ -123,8 +127,8 @@ def test_train_reader_runs_one_time_loop_per_minibatch(mini_run, loop_widths):
     examples, _, _ = _build_reader_examples(state, train, cross)
     model = _new_reader_model(mini_run, _embedding(mini_run, state.corpus, train + dev), seed_tag=0)
     train_reader(model, examples, replace(mini_run, reader_epochs=1, reader_early_stop_em=2.0))
-    assert len(examples) == 19
-    assert loop_widths == {"gru": [8, 8, 8, 8, 6], "lstm": []}
+    assert len(examples) == 16
+    assert loop_widths == {"gru": [8, 8, 8, 8], "lstm": []}
 
 
 def test_fixture_bridge_step_records_at_most_150_tape_nodes(mini_run):
@@ -574,6 +578,98 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
     starts = start_passages_for(state, bridge[0], use_entity_linking=True)
     reachable = {c.target_title for c in collect_candidates(starts, state.corpus)}
     assert set(pred.ranked_titles) <= reachable
+
+
+@pytest.mark.parametrize("mode", ["full", "no_el", "no_context_evidence", "no_content_evidence"])
+def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini_run, mode):
+    # the ranking keeps reader_max_passages titles; the reader reads the first
+    # reader_bridge_passages of them, then the linker's extras not among those
+    from bridgeqa.ablation import predict_one, start_passages_for
+    from bridgeqa.bridge import expand_with_entity_linking, predict_ranked_titles
+
+    state = load_pipeline_state(mini_run)
+    _, _, dev = _load_ingested(mini_run)
+    cap, use_el = mini_run.reader_bridge_passages, mode != "no_el"
+    capped = 0
+    for q in (q for q in dev if q.qtype == "bridge"):
+        pred, reason = predict_one(state, q, mode)
+        assert reason is None and not pred.fallback
+        starts = start_passages_for(state, q, use_entity_linking=use_el)
+        ranked = predict_ranked_titles(
+            state.bridge, q, starts, state.corpus, k=mini_run.reader_max_passages,
+            use_context=mode != "no_context_evidence", use_content=mode != "no_content_evidence",
+        )
+        assert pred.ranked_titles == [t for t, _ in ranked]
+        read = [state.corpus.by_title[t] for t in pred.ranked_titles[:cap]]
+        linker = state.linker if use_el else None
+        extras = expand_with_entity_linking(q.question_tokens, linker, state.corpus, read, top_n=mini_run.top_n_el)
+        assert pred.passages == [p.title for p in read + extras]
+        capped += len(pred.ranked_titles) > cap
+    assert capped > 0
+
+
+def test_bridge_reader_examples_read_the_top_ranked_titles_plus_the_linked_extras(mini_run):
+    from bridgeqa.bridge import expand_with_entity_linking
+    from bridgeqa.manifest import read_jsonl
+    from bridgeqa.pipeline import _build_reader_examples, _load_state
+
+    state, train, _ = _load_state(mini_run)
+    cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
+    examples, _, _ = _build_reader_examples(state, train, cross)
+    by_qid = {q.id: q for q in train}
+    cap = mini_run.reader_bridge_passages
+    bridge_examples = [ex for ex in examples if ex.predicted_by_fold is not None]
+    assert any(len(cross[ex.question_id]["titles"]) > cap for ex in bridge_examples)
+    for ex in bridge_examples:
+        q = by_qid[ex.question_id]
+        read = [state.corpus.by_title[t] for t in cross[q.id]["titles"][:cap]]
+        extras = expand_with_entity_linking(q.question_tokens, state.linker, state.corpus, read, top_n=mini_run.top_n_el)
+        assert ex.context.titles == [p.title for p in read + extras]
+
+
+def test_comparisons_read_both_compared_pages_whenever_their_start_set_holds_them(mini_run):
+    # the cap is on the reasoner's ranking: a comparison reads its start set
+    # up to reader_max_passages, so a compared page that retrieval ranks below
+    # reader_bridge_passages is still read, in answering and in training
+    from bridgeqa.ablation import predict_one, start_passages_for
+    from bridgeqa.manifest import read_jsonl
+    from bridgeqa.pipeline import _build_reader_examples
+
+    state = load_pipeline_state(mini_run)
+    _, train, dev = _load_ingested(mini_run)
+    cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
+    examples = {ex.question_id: ex for ex in _build_reader_examples(state, train, cross)[0]}
+    below_cap = 0
+    for q in (q for q in train + dev if q.qtype == "comparison"):
+        starts = [p.title for p in start_passages_for(state, q, use_entity_linking=True)]
+        starts = starts[: mini_run.reader_max_passages]
+        compared = set(q.supporting_titles)
+        if not compared <= set(starts):
+            continue
+        pred, _ = predict_one(state, q, "full")
+        assert compared <= set(pred.passages)
+        if q.id in examples:
+            assert compared <= set(examples[q.id].context.titles)
+        below_cap += max(starts.index(t) for t in compared) >= mini_run.reader_bridge_passages
+    assert below_cap > 0
+
+
+def test_answering_links_each_question_once(mini_run, monkeypatch):
+    # start set and answer passages take their extras from one link call
+    from bridgeqa.ablation import predict_questions
+    from bridgeqa.bridge import TitleTokenLinker
+
+    state = load_pipeline_state(mini_run)
+    _, train, dev = _load_ingested(mini_run)
+    pool = train + dev
+    questions = [pool[i % len(pool)] for i in range(100)]
+    assert any(q.qtype == "bridge" for q in questions) and any(q.qtype == "comparison" for q in questions)
+    calls = []
+    link = TitleTokenLinker.link
+    monkeypatch.setattr(TitleTokenLinker, "link", lambda self, question: calls.append(question) or link(self, question))
+    predictions, skipped = predict_questions(state, questions, "full")
+    assert len(predictions) == 100 and not skipped
+    assert len(calls) == 100
 
 
 def _run_copy(mini_run, tmp_path, **overrides):
