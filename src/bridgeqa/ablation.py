@@ -1,7 +1,7 @@
 """End-to-end answering and the ablation harness, plus the start-set and
 answer-passage builders the pipeline stages share with answering.
 
-Bridge questions are read from the reasoner's top reader_bridge_passages
+Bridge questions are read from the reasoner's top BRIDGE_READ_PASSAGES
 ranked answer passages; comparison questions are read directly from the
 retrieved start passages, up to reader_max_passages of them.
 Every ablation mode reuses the same trained components with one switch
@@ -17,13 +17,11 @@ from .bridge import (
     BridgeModel,
     TitleTokenLinker,
     collect_candidates,  # noqa: F401 - bench/layers.py traces ablation.collect_candidates
-    expand_with_entity_linking,  # noqa: F401 - bench/layers.py traces ablation.expand_with_entity_linking
+    expand_with_entity_linking,
     gold_titles,
-    linked_passages,
     predict_ranked_titles,
     rank_answer_passages,  # noqa: F401 - bench/layers.py traces ablation.rank_answer_passages
     score_bridges,  # noqa: F401 - bench/layers.py traces ablation.score_bridges
-    unseen_passages,
 )
 from .config import ABLATION_MODES, PipelineConfig
 from .corpus import Corpus, Passage, QARecord
@@ -34,6 +32,11 @@ from .retrieval import InvertedIndex, retrieve_start_passages
 from .span_model import SpanModel
 
 log = logging.getLogger(__name__)
+
+# how many of the reasoner's ranked titles a bridge question's reader reads,
+# in answering and in training; on the fixture's dev bridge questions the
+# first passage holding the answer ranks in the top 3 at seeds 11-15
+BRIDGE_READ_PASSAGES = 3
 
 
 @dataclass
@@ -57,35 +60,19 @@ class PipelineState:
     linker: TitleTokenLinker | None = None
 
 
-def _linked_passages_for(state: PipelineState, record: QARecord, *, use_entity_linking: bool) -> list[Passage]:
-    """The passages the linker finds in the question, best first; none when
-    linking is off."""
-    if not use_entity_linking:
-        return []
-    return linked_passages(record.question_tokens, state.linker, state.corpus)
-
-
 def _with_linked(
-    state: PipelineState,
-    record: QARecord,
-    passages: list[Passage],
-    use_entity_linking: bool,
-    linked: list[Passage] | None,
+    state: PipelineState, record: QARecord, passages: list[Passage], use_entity_linking: bool
 ) -> list[Passage]:
-    """The passages plus up to top_n_el linked passages not among them.
-    linked is the question's _linked_passages_for when the caller already
-    has it, so a question that builds two passage sets links once."""
-    if linked is None:
-        linked = _linked_passages_for(state, record, use_entity_linking=use_entity_linking)
-    return passages + unseen_passages(linked, passages, state.cfg.top_n_el)
+    """The passages plus the linker's extras for the question, when linking is on."""
+    if use_entity_linking and state.linker is not None:
+        passages = passages + expand_with_entity_linking(
+            record.question_tokens, state.linker, state.corpus, passages, top_n=state.cfg.top_n_el
+        )
+    return passages
 
 
 def start_passages_for(
-    state: PipelineState,
-    record: QARecord,
-    *,
-    use_entity_linking: bool,
-    linked: list[Passage] | None = None,
+    state: PipelineState, record: QARecord, *, use_entity_linking: bool
 ) -> list[Passage]:
     """The question's start set: its top-k retrieved passages plus the
     entity-linked extras."""
@@ -98,23 +85,18 @@ def start_passages_for(
         title_weight=state.cfg.title_weight,
     )
     passages = [state.corpus.by_id[r.passage_id] for r in results]
-    return _with_linked(state, record, passages, use_entity_linking, linked)
+    return _with_linked(state, record, passages, use_entity_linking)
 
 
 def answer_passages_for(
-    state: PipelineState,
-    record: QARecord,
-    titles: list[str],
-    *,
-    use_entity_linking: bool,
-    linked: list[Passage] | None = None,
+    state: PipelineState, record: QARecord, titles: list[str], *, use_entity_linking: bool
 ) -> list[Passage]:
     """The reader's input for a bridge question's ranked answer titles: the
-    passages of the top reader_bridge_passages titles (titles missing from
-    the corpus are dropped) plus the entity-linked extras."""
-    top = titles[: state.cfg.reader_bridge_passages]
+    passages of the top BRIDGE_READ_PASSAGES titles (titles missing from the
+    corpus are dropped) plus the entity-linked extras."""
+    top = titles[:BRIDGE_READ_PASSAGES]
     passages = [state.corpus.by_title[t] for t in top if t in state.corpus.by_title]
-    return _with_linked(state, record, passages, use_entity_linking, linked)
+    return _with_linked(state, record, passages, use_entity_linking)
 
 
 def _reader_for_mode(state: PipelineState, mode: str) -> SpanModel:
@@ -167,8 +149,7 @@ def predict_one(
     else:
         if state.bridge is None:
             raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
-        linked = _linked_passages_for(state, record, use_entity_linking=use_el)
-        starts = start_passages_for(state, record, use_entity_linking=use_el, linked=linked)
+        starts = start_passages_for(state, record, use_entity_linking=use_el)
         ranked = predict_ranked_titles(
             state.bridge,
             record,
@@ -183,9 +164,7 @@ def predict_one(
             ranked_scored = list(ranked)
             # the reader reads the top ranked passages; the entity-linked
             # abstracts also join its input
-            context_passages = answer_passages_for(
-                state, record, ranked_titles, use_entity_linking=use_el, linked=linked
-            )
+            context_passages = answer_passages_for(state, record, ranked_titles, use_entity_linking=use_el)
         else:
             log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
             context_passages = starts[: state.cfg.reader_max_passages]

@@ -461,21 +461,6 @@ class TitleTokenLinker:
         return hits
 
 
-def linked_passages(question: TokenSeq, linker: TitleTokenLinker | None, corpus: Corpus) -> list[Passage]:
-    """The passages of the titles the linker finds in the question, best
-    first; none when linking is off (linker None)."""
-    if linker is None:
-        return []
-    return [corpus.by_title[title] for title, _score in linker.link(question) if title in corpus.by_title]
-
-
-def unseen_passages(linked: list[Passage], existing: list[Passage], top_n: int) -> list[Passage]:
-    """The first top_n linked passages whose titles are not among the
-    existing passages' (a corpus holds each title once, so linked does too)."""
-    have = {p.title for p in existing}
-    return [p for p in linked if p.title not in have][:top_n]
-
-
 def expand_with_entity_linking(
     question: TokenSeq,
     linker: TitleTokenLinker | None,
@@ -485,7 +470,21 @@ def expand_with_entity_linking(
 ) -> list[Passage]:
     """Up to top_n linker-suggested passages not already in the start set;
     none when linking is off (linker None)."""
-    return unseen_passages(linked_passages(question, linker, corpus), existing, top_n)
+    if linker is None:
+        return []
+    have = {p.title for p in existing}
+    extras: list[Passage] = []
+    for title, _score in linker.link(question):
+        if len(extras) >= top_n:
+            break
+        if title in have:
+            continue
+        passage = corpus.by_title.get(title)
+        if passage is None:
+            continue
+        extras.append(passage)
+        have.add(title)
+    return extras
 
 
 # ---------------------------------------------------------------------------

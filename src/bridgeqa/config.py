@@ -56,8 +56,7 @@ class PipelineConfig:
     reader_early_stop_em: float = 0.95
     # reader
     max_answer_len: int = 30
-    reader_max_passages: int = 10  # titles the reasoner ranks; start passages a comparison reads
-    reader_bridge_passages: int = 3  # top ranked titles a bridge question's reader reads
+    reader_max_passages: int = 10
     reader_context_cap: int = 512
     # run flags
     mode: str = "full"
@@ -67,7 +66,7 @@ class PipelineConfig:
 _POSITIVE_INTS = (
     "k", "top_n_el", "embed_dim", "gru_hidden", "lstm_hidden", "abstract_max_tokens",
     "bridge_epochs", "reader_epochs", "batch_size", "max_answer_len",
-    "reader_max_passages", "reader_bridge_passages", "reader_context_cap",
+    "reader_max_passages", "reader_context_cap",
 )
 _POSITIVE_FLOATS = ("k1", "lr", "bridge_early_stop_hits1", "reader_early_stop_em")
 _NONNEGATIVE_FLOATS = ("title_weight", "aux_weight")
@@ -91,11 +90,6 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         value = getattr(cfg, name)
         if not _real(value) or value < 0:
             raise ConfigError(f"config {name!r} must be non-negative, got {value!r}")
-    if cfg.reader_bridge_passages > cfg.reader_max_passages:
-        raise ConfigError(
-            f"config 'reader_bridge_passages' ({cfg.reader_bridge_passages}) must not exceed "
-            f"'reader_max_passages' ({cfg.reader_max_passages}), the titles the reasoner ranks"
-        )
     # 1 - b + b * len / avg, BM25's length normaliser, must stay positive for
     # every passage length, and it reaches zero on a short passage once b > 1
     if not _real(cfg.b) or not (0.0 < cfg.b <= 1.0):

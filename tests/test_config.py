@@ -87,24 +87,6 @@ def test_mode_validated():
         load_config(None, {"mode": "bogus"})
 
 
-def test_reader_bridge_passages_defaults_to_three():
-    assert PipelineConfig().reader_bridge_passages == 3
-
-
-@pytest.mark.parametrize("value", [0, PipelineConfig.reader_max_passages + 1])
-def test_reader_bridge_passages_outside_one_to_reader_max_passages_rejected(value):
-    with pytest.raises(ConfigError, match="reader_bridge_passages"):
-        load_config(None, {"reader_bridge_passages": value})
-
-
-def test_reader_bridge_passages_up_to_reader_max_passages_accepted():
-    cfg = load_config(None, {"reader_bridge_passages": 4, "reader_max_passages": 4})
-    assert cfg.reader_bridge_passages == cfg.reader_max_passages == 4
-    # the default of 3 reads more than a ranking of 2 holds
-    with pytest.raises(ConfigError, match="reader_bridge_passages"):
-        load_config(None, {"reader_max_passages": 2})
-
-
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{broken", encoding="utf-8")

@@ -115,7 +115,7 @@ def test_train_reader_runs_one_time_loop_per_minibatch(mini_run, loop_widths):
     # a minibatch of 4 is one GRU time loop over its 4 questions and 4
     # contexts, both directions side by side: 4 loops per epoch, not 32.
     # 16 examples, not the 19 of a reader that read all 10 ranked titles: a
-    # bridge question reads its top reader_bridge_passages (3), and on 3
+    # bridge question reads its top BRIDGE_READ_PASSAGES (3), and on 3
     # cross-predicted train questions the fold reasoner ranks the answer
     # passage 4th or lower, so they are skipped as "answer not found"
     from bridgeqa.manifest import read_jsonl
@@ -583,13 +583,13 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
 @pytest.mark.parametrize("mode", ["full", "no_el", "no_context_evidence", "no_content_evidence"])
 def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini_run, mode):
     # the ranking keeps reader_max_passages titles; the reader reads the first
-    # reader_bridge_passages of them, then the linker's extras not among those
-    from bridgeqa.ablation import predict_one, start_passages_for
+    # BRIDGE_READ_PASSAGES of them, then the linker's extras not among those
+    from bridgeqa.ablation import BRIDGE_READ_PASSAGES, predict_one, start_passages_for
     from bridgeqa.bridge import expand_with_entity_linking, predict_ranked_titles
 
     state = load_pipeline_state(mini_run)
     _, _, dev = _load_ingested(mini_run)
-    cap, use_el = mini_run.reader_bridge_passages, mode != "no_el"
+    use_el = mode != "no_el"
     capped = 0
     for q in (q for q in dev if q.qtype == "bridge"):
         pred, reason = predict_one(state, q, mode)
@@ -600,15 +600,16 @@ def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini
             use_context=mode != "no_context_evidence", use_content=mode != "no_content_evidence",
         )
         assert pred.ranked_titles == [t for t, _ in ranked]
-        read = [state.corpus.by_title[t] for t in pred.ranked_titles[:cap]]
+        read = [state.corpus.by_title[t] for t in pred.ranked_titles[:BRIDGE_READ_PASSAGES]]
         linker = state.linker if use_el else None
         extras = expand_with_entity_linking(q.question_tokens, linker, state.corpus, read, top_n=mini_run.top_n_el)
         assert pred.passages == [p.title for p in read + extras]
-        capped += len(pred.ranked_titles) > cap
+        capped += len(pred.ranked_titles) > BRIDGE_READ_PASSAGES
     assert capped > 0
 
 
 def test_bridge_reader_examples_read_the_top_ranked_titles_plus_the_linked_extras(mini_run):
+    from bridgeqa.ablation import BRIDGE_READ_PASSAGES
     from bridgeqa.bridge import expand_with_entity_linking
     from bridgeqa.manifest import read_jsonl
     from bridgeqa.pipeline import _build_reader_examples, _load_state
@@ -617,12 +618,11 @@ def test_bridge_reader_examples_read_the_top_ranked_titles_plus_the_linked_extra
     cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
     examples, _, _ = _build_reader_examples(state, train, cross)
     by_qid = {q.id: q for q in train}
-    cap = mini_run.reader_bridge_passages
     bridge_examples = [ex for ex in examples if ex.predicted_by_fold is not None]
-    assert any(len(cross[ex.question_id]["titles"]) > cap for ex in bridge_examples)
+    assert any(len(cross[ex.question_id]["titles"]) > BRIDGE_READ_PASSAGES for ex in bridge_examples)
     for ex in bridge_examples:
         q = by_qid[ex.question_id]
-        read = [state.corpus.by_title[t] for t in cross[q.id]["titles"][:cap]]
+        read = [state.corpus.by_title[t] for t in cross[q.id]["titles"][:BRIDGE_READ_PASSAGES]]
         extras = expand_with_entity_linking(q.question_tokens, state.linker, state.corpus, read, top_n=mini_run.top_n_el)
         assert ex.context.titles == [p.title for p in read + extras]
 
@@ -630,8 +630,8 @@ def test_bridge_reader_examples_read_the_top_ranked_titles_plus_the_linked_extra
 def test_comparisons_read_both_compared_pages_whenever_their_start_set_holds_them(mini_run):
     # the cap is on the reasoner's ranking: a comparison reads its start set
     # up to reader_max_passages, so a compared page that retrieval ranks below
-    # reader_bridge_passages is still read, in answering and in training
-    from bridgeqa.ablation import predict_one, start_passages_for
+    # BRIDGE_READ_PASSAGES is still read, in answering and in training
+    from bridgeqa.ablation import BRIDGE_READ_PASSAGES, predict_one, start_passages_for
     from bridgeqa.manifest import read_jsonl
     from bridgeqa.pipeline import _build_reader_examples
 
@@ -650,26 +650,8 @@ def test_comparisons_read_both_compared_pages_whenever_their_start_set_holds_the
         assert compared <= set(pred.passages)
         if q.id in examples:
             assert compared <= set(examples[q.id].context.titles)
-        below_cap += max(starts.index(t) for t in compared) >= mini_run.reader_bridge_passages
+        below_cap += max(starts.index(t) for t in compared) >= BRIDGE_READ_PASSAGES
     assert below_cap > 0
-
-
-def test_answering_links_each_question_once(mini_run, monkeypatch):
-    # start set and answer passages take their extras from one link call
-    from bridgeqa.ablation import predict_questions
-    from bridgeqa.bridge import TitleTokenLinker
-
-    state = load_pipeline_state(mini_run)
-    _, train, dev = _load_ingested(mini_run)
-    pool = train + dev
-    questions = [pool[i % len(pool)] for i in range(100)]
-    assert any(q.qtype == "bridge" for q in questions) and any(q.qtype == "comparison" for q in questions)
-    calls = []
-    link = TitleTokenLinker.link
-    monkeypatch.setattr(TitleTokenLinker, "link", lambda self, question: calls.append(question) or link(self, question))
-    predictions, skipped = predict_questions(state, questions, "full")
-    assert len(predictions) == 100 and not skipped
-    assert len(calls) == 100
 
 
 def _run_copy(mini_run, tmp_path, **overrides):
