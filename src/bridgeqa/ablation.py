@@ -1,9 +1,10 @@
-"""End-to-end answering and the ablation harness, plus the start-set and
-answer-passage builders the pipeline stages share with answering.
-
-Bridge questions are read from the reasoner's top BRIDGE_READ_PASSAGES
-ranked answer passages; comparison questions are read directly from the
-retrieved start passages, up to reader_max_passages of them.
+"""End-to-end answering and the ablation harness, plus the start sets and
+reader_passages, the one rule for what the reader reads, which reader
+training shares: a question with a ranking (a bridge question the reasoner
+ranked) reads its top BRIDGE_READ_PASSAGES ranked answer passages plus the
+entity-linked extras; one without (a comparison, the no_bridge_reasoner
+mode, or a bridge question with no candidates) reads its start set, up to
+reader_max_passages passages.
 Every ablation mode reuses the same trained components with one switch
 flipped, so directional comparisons isolate a single cause.
 """
@@ -88,12 +89,15 @@ def start_passages_for(
     return _with_linked(state, record, passages, use_entity_linking)
 
 
-def answer_passages_for(
-    state: PipelineState, record: QARecord, titles: list[str], *, use_entity_linking: bool
+def reader_passages(
+    state: PipelineState, record: QARecord, titles: list[str], starts: list[Passage], *, use_entity_linking: bool
 ) -> list[Passage]:
-    """The reader's input for a bridge question's ranked answer titles: the
-    passages of the top BRIDGE_READ_PASSAGES titles (titles missing from the
-    corpus are dropped) plus the entity-linked extras."""
+    """The reader's input, in answering and in training. With ranked answer
+    titles: the passages of the top BRIDGE_READ_PASSAGES of them (titles
+    missing from the corpus are dropped) plus the entity-linked extras.
+    Without: the start set, up to reader_max_passages passages."""
+    if not titles:
+        return starts[: state.cfg.reader_max_passages]
     top = titles[:BRIDGE_READ_PASSAGES]
     passages = [state.corpus.by_title[t] for t in top if t in state.corpus.by_title]
     return _with_linked(state, record, passages, use_entity_linking)
@@ -141,35 +145,27 @@ def predict_one(
         if not context_passages:
             return None, "no supporting title resolves in the corpus"
         ranked_titles = [p.title for p in context_passages]
-    elif record.qtype == "comparison" or mode == "no_bridge_reasoner":
-        context_passages = start_passages_for(state, record, use_entity_linking=use_el)[
-            : state.cfg.reader_max_passages
-        ]
-        ranked_titles = [p.title for p in context_passages]
     else:
-        if state.bridge is None:
-            raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
         starts = start_passages_for(state, record, use_entity_linking=use_el)
-        ranked = predict_ranked_titles(
-            state.bridge,
-            record,
-            starts,
-            state.corpus,
-            k=state.cfg.reader_max_passages,
-            use_context=mode != "no_context_evidence",
-            use_content=mode != "no_content_evidence",
-        )
-        if ranked:
-            ranked_titles = [t for t, _ in ranked]
-            ranked_scored = list(ranked)
-            # the reader reads the top ranked passages; the entity-linked
-            # abstracts also join its input
-            context_passages = answer_passages_for(state, record, ranked_titles, use_entity_linking=use_el)
-        else:
-            log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
-            context_passages = starts[: state.cfg.reader_max_passages]
-            ranked_titles = [p.title for p in context_passages]
-            fallback = True
+        if record.qtype == "bridge" and mode != "no_bridge_reasoner":
+            if state.bridge is None:
+                raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
+            ranked_scored = predict_ranked_titles(
+                state.bridge,
+                record,
+                starts,
+                state.corpus,
+                k=state.cfg.reader_max_passages,
+                use_context=mode != "no_context_evidence",
+                use_content=mode != "no_content_evidence",
+            )
+            if not ranked_scored:
+                log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
+                fallback = True
+        ranked_titles = [t for t, _ in ranked_scored]
+        context_passages = reader_passages(state, record, ranked_titles, starts, use_entity_linking=use_el)
+        # without a ranking the reader reads its start set, which stands in for one
+        ranked_titles = ranked_titles or [p.title for p in context_passages]
 
     if not context_passages:
         return None, "no context passages available"

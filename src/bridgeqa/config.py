@@ -70,6 +70,7 @@ _POSITIVE_INTS = (
 )
 _POSITIVE_FLOATS = ("k1", "lr", "bridge_early_stop_hits1", "reader_early_stop_em")
 _NONNEGATIVE_FLOATS = ("title_weight", "aux_weight")
+_OPTIONAL_PATHS = ("corpus_path", "train_questions_path", "dev_questions_path", "embeddings_path")
 
 
 def _real(value) -> bool:
@@ -78,6 +79,13 @@ def _real(value) -> bool:
 
 
 def validate_config(cfg: PipelineConfig) -> PipelineConfig:
+    # an int path would open as a file descriptor, which reading then closes
+    for name in _OPTIONAL_PATHS:
+        value = getattr(cfg, name)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"config {name!r} must be a path string or null, got {value!r}")
+    if not isinstance(cfg.output_dir, str):
+        raise ConfigError(f"config 'output_dir' must be a path string, got {cfg.output_dir!r}")
     for name in _POSITIVE_INTS:
         value = getattr(cfg, name)
         if not (_real(value) and isinstance(value, int)) or value < 1:

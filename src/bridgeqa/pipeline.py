@@ -32,8 +32,8 @@ import numpy as np
 
 from .ablation import (
     PipelineState,
-    answer_passages_for,
     predict_questions,
+    reader_passages,
     score_predictions,
     start_passages_for,
 )
@@ -369,29 +369,30 @@ def _build_reader_examples(
     cross_preds: dict[str, dict],
 ) -> tuple[list[ReaderExample], list[dict], int]:
     """The trainable examples, the skipped questions with their reasons, and
-    how many passages the context cap cut from the contexts of both."""
+    how many passages the context cap cut from the contexts of both.
+
+    Each question reads what answering would read (ablation.reader_passages)
+    with its cross-predicted titles as the ranking: a question with none (a
+    comparison, or a bridge question whose fold reasoner ranked nothing)
+    reads its start set, which is retrieved only then."""
     cfg = state.cfg
     examples: list[ReaderExample] = []
     skips: list[dict] = []
     n_dropped = 0
     for q in train:
-        if q.qtype == "bridge":
-            pred = cross_preds.get(q.id)
-            if pred is None:
-                skips.append({"qid": q.id, "reason": "no cross-prediction (unlabeled question)"})
-                continue
-            passages = answer_passages_for(state, q, pred["titles"], use_entity_linking=cfg.entity_linking)
-            fold = pred["predicted_by_fold"]
-        else:
-            passages = start_passages_for(state, q, use_entity_linking=cfg.entity_linking)
-            passages = passages[: cfg.reader_max_passages]
-            fold = None
+        pred = cross_preds.get(q.id, {})
+        if q.qtype == "bridge" and not pred:
+            skips.append({"qid": q.id, "reason": "no cross-prediction (unlabeled question)"})
+            continue
+        titles = pred.get("titles", [])
+        starts = [] if titles else start_passages_for(state, q, use_entity_linking=cfg.entity_linking)
+        passages = reader_passages(state, q, titles, starts, use_entity_linking=cfg.entity_linking)
         example, reason = make_reader_example(
             q,
             passages,
             max_tokens=cfg.reader_context_cap,
             max_answer_len=cfg.max_answer_len,
-            predicted_by_fold=fold,
+            predicted_by_fold=pred.get("predicted_by_fold"),
         )
         n_dropped += len(passages) - len(example.context.passages)
         if reason is None:

@@ -87,6 +87,25 @@ def test_mode_validated():
         load_config(None, {"mode": "bogus"})
 
 
+@pytest.mark.parametrize("value", [0, True, 1.5])
+@pytest.mark.parametrize(
+    "key", ["corpus_path", "train_questions_path", "dev_questions_path", "embeddings_path", "output_dir"]
+)
+def test_path_that_is_not_a_string_rejected(key, value):
+    # an int path opens as a file descriptor (0 is stdin), which reading
+    # closes: ingest would fail only after writing corpus.jsonl
+    with pytest.raises(ConfigError, match=key):
+        load_config(None, {key: value})
+
+
+def test_path_keys_accept_strings_and_null_but_output_dir_needs_a_string():
+    paths = ("corpus_path", "train_questions_path", "dev_questions_path", "embeddings_path")
+    assert load_config(None, {key: "" for key in paths + ("output_dir",)}).corpus_path == ""
+    assert load_config(None, {key: None for key in paths}).corpus_path is None
+    with pytest.raises(ConfigError, match="output_dir"):
+        load_config(None, {"output_dir": None})
+
+
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{broken", encoding="utf-8")

@@ -72,6 +72,25 @@ def test_cli_exit_codes(tmp_path, fixture_dir):
     assert cli_main(["ingest", "--config", str(cfg_path), "--k", "0"]) == 1
 
 
+def test_cli_rejects_a_path_that_is_not_a_string_before_any_work(tmp_path, fixture_dir):
+    # an int corpus_path is read as a file descriptor: the corpus loads
+    # from it, reading closes it, and only hashing it then fails
+    out = tmp_path / "out"
+    values = fixture_config(fixture_dir, str(out))
+    fd = os.open(values["corpus_path"], os.O_RDONLY)
+    try:
+        values["corpus_path"] = fd
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        assert cli_main(["ingest", "--config", str(cfg_path)]) == 1
+        assert not (out / "corpus.jsonl").exists()
+    finally:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+
+
 def test_cli_entity_linking_off_records_no_el_mode(tmp_path, fixture_dir):
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "out"
@@ -559,6 +578,62 @@ def test_zero_candidates_falls_back_to_start_passages(mini_run):
     assert reason is None
     assert pred.fallback
     assert pred.passages  # the reader read the retrieved start passages instead
+
+
+def test_a_bridge_question_with_no_cross_predicted_titles_trains_on_what_answering_reads(mini_run, monkeypatch):
+    # a bridge question the reasoner ranks nothing for is answered from its
+    # start set, up to reader_max_passages; a training question whose
+    # cross-prediction lists no titles reads the same, not the linker's
+    # extras alone
+    from bridgeqa import ablation, pipeline
+    from bridgeqa.manifest import read_jsonl
+
+    state = load_pipeline_state(mini_run)
+    _, train, _ = _load_ingested(mini_run)
+    cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
+    q = next(q for q in train if q.id in cross)
+    cross[q.id] = {**cross[q.id], "titles": []}
+    trained_on = {}
+    make_example = pipeline.make_reader_example
+
+    def recording_example(record, passages, **kwargs):
+        trained_on[record.id] = [p.title for p in passages]
+        return make_example(record, passages, **kwargs)
+
+    monkeypatch.setattr(pipeline, "make_reader_example", recording_example)
+    pipeline._build_reader_examples(state, train, cross)
+
+    monkeypatch.setattr(ablation, "predict_ranked_titles", lambda *args, **kwargs: [])
+    pred, reason = ablation.predict_one(state, q, "full")
+    assert reason is None and pred.fallback
+    starts = ablation.start_passages_for(state, q, use_entity_linking=True)[: mini_run.reader_max_passages]
+    assert len(starts) > 1
+    assert trained_on[q.id] == pred.ranked_titles == [p.title for p in starts]
+
+
+def test_no_bridge_reasoner_mode_reads_the_start_set_without_a_reasoner(mini_run, monkeypatch):
+    from bridgeqa import ablation
+
+    state = load_pipeline_state(mini_run)
+    state.bridge = None
+    _, _, dev = _load_ingested(mini_run)
+    read = []
+    read_and_decode = ablation.read_and_decode
+
+    def recording_read(reader, record, passages, **kwargs):
+        read.append([p.title for p in passages])
+        return read_and_decode(reader, record, passages, **kwargs)
+
+    monkeypatch.setattr(ablation, "read_and_decode", recording_read)
+    bridge = [q for q in dev if q.qtype == "bridge"]
+    assert bridge
+    for q in bridge:
+        pred, reason = ablation.predict_one(state, q, "no_bridge_reasoner")
+        assert reason is None
+        starts = ablation.start_passages_for(state, q, use_entity_linking=True)[: mini_run.reader_max_passages]
+        assert read[-1] == pred.ranked_titles == [p.title for p in starts]
+        assert pred.ranked_scored == []
+        assert pred.fallback is False
 
 
 def test_bridge_questions_read_ranked_answer_passages(mini_run):
