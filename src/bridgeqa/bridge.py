@@ -294,7 +294,9 @@ def _context_rows(
     rng: np.random.Generator | None,
 ) -> Tensor:
     """(n, 8h) local context evidence: each candidate's anchor start-token row
-    of its start passage's self-attention output, in candidate order.
+    of its start passage's self-attention output, in candidate order. Only
+    those rows are read: self-attention queries, its residual and its mixing
+    layer run at the anchor rows alone.
 
     Outside training, a model with a memo encodes the question on its own and
     takes each start passage's encoder states from the memo (a missing one is
@@ -308,9 +310,11 @@ def _context_rows(
             raise ValidationError("candidate anchor is not token-aligned")
     passage_ids = list(dict.fromkeys(c.source_passage_id for c in candidates))
     contexts = [passage_by_id[pid].tokens for pid in passage_ids]
+    offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
+    rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in candidates])
     memo = None if training else model.memo
     if memo is None:
-        (final,) = attend(model.span, [(question, contexts)], training=training, rng=rng)
+        (final,) = attend(model.span, [(question, contexts)], training=training, rng=rng, rows=[rows])
     else:
         span = model.span
 
@@ -319,10 +323,8 @@ def _context_rows(
 
         states = [memo.get(memo.passages, c.tokens, lambda c=c: encoded(c).states.data) for c in contexts]
         context = EncodedSeq(states=constant(np.concatenate(states)))
-        final = attend_encoded(span, encoded(question), context, [len(c) for c in contexts])
-    offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
-    rows = [offsets[c.source_passage_id] + c.mention.token_start for c in candidates]
-    return gather_rows(final.states, np.array(rows))
+        final = attend_encoded(span, encoded(question), context, [len(c) for c in contexts], rows)
+    return final.states
 
 
 def score_bridges(

@@ -79,11 +79,14 @@ def _real(value) -> bool:
 
 
 def validate_config(cfg: PipelineConfig) -> PipelineConfig:
-    # an int path would open as a file descriptor, which reading then closes
+    # an int path would open as a file descriptor, which reading then closes;
+    # "" names no file, but an empty dev_questions_path means no dev set
     for name in _OPTIONAL_PATHS:
         value = getattr(cfg, name)
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"config {name!r} must be a path string or null, got {value!r}")
+        if value == "" and name != "dev_questions_path":
+            raise ConfigError(f"config {name!r} must be a path or null, got an empty string")
     if not isinstance(cfg.output_dir, str):
         raise ConfigError(f"config 'output_dir' must be a path string, got {cfg.output_dir!r}")
     for name in _POSITIVE_INTS:

@@ -13,7 +13,9 @@ into exact zeros.
 self_attend is the one fused op: a span model's self-attention over packed
 segments (scores, masked softmax and weighted sum) is one node whose
 backward is written out, where the same layer composed from the ops above
-records about 17 per segment.
+records about 17 per segment. Given rows, it reads only those: a bridge
+reasoner scores each anchor by its start-token row, so only the anchor rows
+query, while keys and values still span every row of their segment.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths) -> Tensor:
+def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor:
     """Bilinear self-attention within each packed segment, as one node.
 
     Per segment xs (lengths pack x's rows, as run_recurrent packs them):
@@ -249,6 +251,12 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths) -> Tensor:
     softmax ignores, so it is left out. A length-1 segment has no
     off-diagonal score, so its row is zero. Backward keeps only each
     segment's P.
+
+    rows, when given, are the packed row indices to read, in any order and
+    repeats allowed: the output has one row per entry, the row rows[i] of
+    the full output. Only those rows query: the query-side terms (x * w3
+    and the masked diagonal) are formed, and differentiated, at rows alone,
+    while keys and values still span every row of each segment.
     """
     D = x.data.shape[1] if x.data.ndim == 2 else -1
     if D < 1 or w2.data.shape != (D, 1) or w3.data.shape != (D,):
@@ -256,39 +264,60 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths) -> Tensor:
     lengths = [int(n) for n in lengths]
     if min(lengths, default=0) < 1 or sum(lengths) != x.data.shape[0]:
         raise ShapeError(f"self_attend: lengths {lengths} do not pack {x.data.shape[0]} rows")
-    bounds = [(s, s + n) for s, n in zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths) if n > 1]
-    # the row terms of every segment at once: x.w2 and x * w3
-    xw2, xw3 = x.data @ w2.data, x.data * w3.data
-    out_data = np.zeros_like(x.data)
+    ends = np.cumsum(lengths)
+    # per segment of two or more rows that is read: its bounds and its query
+    # rows' positions in the output (a slice, or an index array with rows)
+    if rows is None:
+        blocks = [(e - n, e, slice(e - n, e)) for n, e in zip(lengths, ends.tolist()) if n > 1]
+        xq = x.data
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= x.data.shape[0])):
+            raise ShapeError(f"self_attend: rows {rows} do not index {x.data.shape[0]} rows")
+        segment = np.searchsorted(ends, rows, side="right")
+        blocks = [(int(ends[k]) - lengths[k], int(ends[k]), np.flatnonzero(segment == k))
+                  for k in np.unique(segment).tolist() if lengths[k] > 1]
+        xq = x.data[rows]
+    # the row terms at once: x.w2 over every row, x * w3 over the query rows
+    xw2, xw3 = x.data @ w2.data, xq * w3.data
+    out_data = np.zeros_like(xq)
     probs = []
-    for s, e in bounds:
+    for s, e, q in blocks:
         xs = x.data[s:e]
-        # in place, one (T, T) array: the bits of the out-of-place formula
-        P = xw3[s:e] @ xs.T
+        # in place, one (rows, T) array: the bits of the out-of-place formula
+        P = xw3[q] @ xs.T
         P += xw2[s:e].T
-        np.fill_diagonal(P, -np.inf)
+        if rows is None:
+            np.fill_diagonal(P, -np.inf)
+        else:
+            P[np.arange(len(q)), rows[q] - s] = -np.inf
         P -= P.max(axis=1, keepdims=True)
         np.exp(P, out=P)
         P /= P.sum(axis=1, keepdims=True)
-        out_data[s:e] = P @ xs
+        out_data[q] = P @ xs
         probs.append(P)
     out = Tensor(out_data, (x, w2, w3))
 
     def bwd(g):
-        # per segment, the score gradient dS reaches x through P.x and the
-        # (x * w3).x^T product; its column sums (d2) and dS.x reach the row
-        # terms, which are differentiated once over every row
-        gx, d2, dSx = np.zeros_like(x.data), np.zeros_like(xw2), np.zeros_like(x.data)
-        for (s, e), P in zip(bounds, probs):
-            xs, gs = x.data[s:e], g[s:e]
+        # per segment, the score gradient dS reaches the keys and values
+        # through P.x and the (x * w3).x^T product; its column sums (d2)
+        # reach x.w2 at every row, and dS.x reaches x * w3 at the query rows
+        gx, d2, dSx = np.zeros_like(x.data), np.zeros_like(xw2), np.zeros_like(xq)
+        for (s, e, q), P in zip(blocks, probs):
+            xs, gs = x.data[s:e], g[q]
             dP = gs @ xs.T
             dS = (dP - (dP * P).sum(axis=1, keepdims=True)) * P
             d2[s:e, 0] = dS.sum(axis=0)
-            dSx[s:e] = dS @ xs
-            gx[s:e] = P.T @ gs + dS.T @ xw3[s:e]
-        accumulate(x, gx + d2 @ w2.data.T + dSx * w3.data)
+            dSx[q] = dS @ xs
+            gx[s:e] = P.T @ gs + dS.T @ xw3[q]
+        gx += d2 @ w2.data.T
+        if rows is None:
+            gx += dSx * w3.data
+        else:
+            np.add.at(gx, rows, dSx * w3.data)
+        accumulate(x, gx)
         accumulate(w2, x.data.T @ d2)
-        accumulate(w3, (dSx * x.data).sum(axis=0))
+        accumulate(w3, (dSx * xq).sum(axis=0))
 
     out.bwd = bwd
     return out

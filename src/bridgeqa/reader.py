@@ -86,12 +86,15 @@ def locate_answer_span(
     normalized answer; earlier (then shorter) windows win, so earlier
     passages are preferred. A window stops growing once its normalized text
     is longer than the answer's, which more tokens only lengthen (unless
-    punctuation fuses them into an article, as in "th-e")."""
+    punctuation fuses them into an article, as in "th-e"). A start token
+    that cannot begin the answer (_may_begin) is skipped unread."""
     target = normalize_answer(answer)
     if not target:
         return None
     T = len(context.tokens)
     for s in range(T):
+        if not _may_begin(context.tokens[s], target[0]):
+            continue
         for e in range(s, min(T, s + max_len)):
             window = normalize_answer(span_to_text(context, s, e))
             if window == target:
@@ -99,6 +102,15 @@ def locate_answer_span(
             if len(window) > len(target):
                 break
     return None
+
+
+def _may_begin(token: str, first: str) -> bool:
+    """Whether a window starting at token can normalize to a text whose first
+    character is first. Its text starts with the token, and normalizing keeps
+    the token's first character, lowercased, unless the token starts a word
+    that it drops as an article: "the", or "th" fused into "th-e"."""
+    low = token.lower()
+    return low[0] == first or "an".startswith(low) or "the".startswith(low)
 
 
 @dataclass

@@ -22,6 +22,12 @@ self_attend node scores, normalises and sums within each context's rows,
 and one mixing layer runs over all of them. attend_encoded is that per-group
 reading on its own, from encoder states however they were computed.
 
+The bridge reasoner scores each anchor by its start-token row alone, about
+one context row in ten, so it passes those rows to attend or
+attend_encoded: self-attention then forms its queries, its residual and its
+mixing layer at the anchor rows only, while keys and values still span
+every row of each context. The reader reads every row.
+
 The encoder states of a passage do not depend on the question, so an
 answering bridge reasoner keeps each start passage's (T, 2h) states in its
 memo (bridge.EncodingMemo), keyed by the passage's tokens, and reads a
@@ -255,26 +261,34 @@ def biattention(context: EncodedSeq, question: EncodedSeq, store: ParamStore, *,
     return EncodedSeq(states=out)
 
 
-def self_attention(context: EncodedSeq, store: ParamStore, *, lengths=None) -> EncodedSeq:
+def self_attention(context: EncodedSeq, store: ParamStore, *, lengths=None, rows=None) -> EncodedSeq:
     """Context-to-context attention with the diagonal masked, residual added.
 
     With lengths, context packs several passages back to back and each
     attends within its own rows: one self_attend node over every row, then
     one mixing layer over every row. A length-1 passage is returned unchanged
     (no off-diagonal mass exists), so its rows get no mixing.
+
+    With rows (packed row indices, any order, repeats allowed), the output is
+    those rows only, one per entry: the anchor rows a bridge reasoner scores.
+    Attention queries, the residual and the mixing layer run at rows alone;
+    keys and values still span every row of each passage.
     """
     lengths = [len(context)] if lengths is None else list(lengths)
     if min(lengths, default=0) < 1 or sum(lengths) != len(context):
         raise ValidationError(f"self_attention: lengths {lengths} do not pack {len(context)} context rows")
-    if max(lengths) == 1:
-        return context
     x = context.states
-    attended = self_attend(x, store["span/selfattn/w2"], store["span/selfattn/w3"], lengths)
+    if max(lengths) == 1:
+        return context if rows is None else EncodedSeq(states=gather_rows(x, rows))
+    attended = self_attend(x, store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows)
+    if rows is not None:
+        x = gather_rows(x, rows)
     mixed = concat([x, attended, mul(x, attended)], axis=1)
     delta = matmul(mixed, store["span/selfattn/W_mix"])
     if min(lengths) == 1:
         # the rows of a length-1 passage keep x: their mixing is scaled by 0
-        delta = mul(delta, constant(np.repeat([float(n > 1) for n in lengths], lengths)[:, None]))
+        keep = np.repeat([float(n > 1) for n in lengths], lengths)
+        delta = mul(delta, constant((keep if rows is None else keep[rows])[:, None]))
     return EncodedSeq(states=add(x, delta))
 
 
@@ -335,10 +349,14 @@ def attend(
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    rows=None,
 ) -> list[EncodedSeq]:
     """Read questions against their contexts. groups is a list of
     (question, contexts) pairs; returns, per group, the self-attention output
     of its contexts back to back in context order, (sum of lengths, 8h).
+    rows, when given, holds one entry per group: None, or the row indices
+    into that group's contexts back to back whose outputs alone it returns
+    (see self_attention).
 
     Every question and context of every group is encoded in one pass, in the
     order [q1, q1's contexts, q2, q2's contexts, ...], so dropout is drawn as
@@ -361,23 +379,26 @@ def attend(
     states = encode(flat, model.table, model.store, model.hidden, lengths=lengths,
                     dropout_rate=model.dropout, training=training, rng=rng).states
     finals, start = [], 0
-    for q_len, *context_lengths in sizes:
+    for (q_len, *context_lengths), group_rows in zip(sizes, rows or [None] * len(sizes)):
         stop = start + q_len + sum(context_lengths)
         question = EncodedSeq(states=slice_rows(states, start, start + q_len))
         context = EncodedSeq(states=slice_rows(states, start + q_len, stop))
-        finals.append(attend_encoded(model, question, context, context_lengths))
+        finals.append(attend_encoded(model, question, context, context_lengths, group_rows))
         start = stop
     return finals
 
 
-def attend_encoded(model: SpanModel, question: EncodedSeq, context: EncodedSeq, lengths) -> EncodedSeq:
+def attend_encoded(
+    model: SpanModel, question: EncodedSeq, context: EncodedSeq, lengths, rows=None
+) -> EncodedSeq:
     """One group's reading from its encoder states: biattention of the
     question over the contexts packed back to back in context (their lengths
-    given), then self-attention, each context within its own rows. attend
-    runs it on the rows of its one encoder pass, the bridge reasoner's memo
-    path on states it encoded one sequence at a time."""
+    given), then self-attention, each context within its own rows, read at
+    rows when given (see self_attention). attend runs it on the rows of its
+    one encoder pass, the bridge reasoner's memo path on states it encoded
+    one sequence at a time."""
     attended = biattention(context, question, model.store, lengths=lengths)
-    return self_attention(attended, model.store, lengths=lengths)
+    return self_attention(attended, model.store, lengths=lengths, rows=rows)
 
 
 def run_span_model(

@@ -3,14 +3,21 @@ one origin per context token (a sentinel, or a title or text token of one
 passage with its character offsets), span text sliced from the first to the
 last token's offsets when both come from one passage's title or text, and
 an answer's title span read from the passage its first token came from.
-Titles and texts are tokenized here, not read from the passages."""
+Titles and texts are tokenized here, not read from the passages.
+
+locate_answer_span is the answer search that tries every start token, the
+oracle of the reader's, which skips start tokens that cannot begin the
+answer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from bridgeqa import reader
+from bridgeqa.config import PipelineConfig
 from bridgeqa.corpus import Passage, tokenize
-from bridgeqa.reader import SENTINELS
+from bridgeqa.metrics import normalize_answer
+from bridgeqa.reader import SENTINELS, ReaderContext
 
 
 @dataclass(frozen=True)
@@ -64,3 +71,21 @@ def span_to_text(context: Context, s: int, e: int) -> str:
 def title_span_at(context: Context, i: int) -> tuple[int, int] | None:
     origin = context.origins[i]
     return None if origin.passage_id is None else context.title_spans.get(origin.passage_id)
+
+
+def locate_answer_span(context: ReaderContext, answer: str, max_len: int = PipelineConfig.max_answer_len):
+    """The first window, scanned from every start token, whose span text
+    normalizes to the normalized answer; a window stops growing once its
+    normalized text is longer than the answer's."""
+    target = normalize_answer(answer)
+    if not target:
+        return None
+    T = len(context.tokens)
+    for s in range(T):
+        for e in range(s, min(T, s + max_len)):
+            window = normalize_answer(reader.span_to_text(context, s, e))
+            if window == target:
+                return (s, e)
+            if len(window) > len(target):
+                break
+    return None

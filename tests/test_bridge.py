@@ -190,6 +190,52 @@ def test_score_bridges_hand_computed_fusion():
             assert c.fused_score == logit
 
 
+def test_context_rows_are_the_full_outputs_anchor_rows():
+    # the reference reads every row of the start passages and gathers the
+    # anchor rows: in training, with the same dropout draws, in values and in
+    # every parameter's gradient; outside it, with and without the memo. The
+    # one-token start passage's anchor row keeps its biattention row.
+    from bridgeqa.bridge import EncodingMemo, _context_rows
+    from bridgeqa.numcore import backward, constant, gather_rows, mul, sum_all
+    from bridgeqa.span_model import attend
+
+    base = trio_corpus()
+    solo = passage("p5", "Start C", "Target", anchors=[("Target Two", "Target")])
+    corpus = corpus_of(list(base.passages) + [solo])
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    randomize_biases(model)
+    model.span.dropout = 0.3
+    q = tokenize("which target?")
+    starts = [corpus.by_id["p2"], solo, corpus.by_id["p1"]]
+    cands = collect_candidates(starts, corpus)
+    offsets = dict(zip([p.id for p in starts], np.cumsum([0] + [len(p.tokens) for p in starts])))
+    rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in cands])
+    weights = constant(np.random.default_rng(2).normal(size=(len(cands), 8 * model.span.hidden)))
+
+    def run(read, training):
+        model.store.zero_grad()
+        out = read(training, np.random.default_rng(5))
+        backward(sum_all(mul(out, weights)))
+        return out.data, model.store.gradients()
+
+    def full(training, rng):
+        (final,) = attend(model.span, [(q, [p.tokens for p in starts])], training=training, rng=rng)
+        return gather_rows(final.states, rows)
+
+    def anchors(training, rng):
+        return _context_rows(model, q, starts, cands, training=training, rng=rng)
+
+    for training, memo in ((True, None), (False, None), (False, EncodingMemo())):
+        model.memo = memo
+        got, want = run(anchors, training), run(full, training)
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        if memo is None:
+            assert got[1].keys() == want[1].keys()
+            for name in want[1]:
+                np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
+    assert len(model.memo.passages) == 3
+
+
 def test_score_bridges_content_ablation_ignores_abstract_text():
     corpus = trio_corpus()
     model = tiny_bridge_model(corpus)

@@ -100,8 +100,13 @@ def test_path_that_is_not_a_string_rejected(key, value):
 
 def test_path_keys_accept_strings_and_null_but_output_dir_needs_a_string():
     paths = ("corpus_path", "train_questions_path", "dev_questions_path", "embeddings_path")
-    assert load_config(None, {key: "" for key in paths + ("output_dir",)}).corpus_path == ""
+    assert load_config(None, {key: "x" for key in paths + ("output_dir",)}).corpus_path == "x"
     assert load_config(None, {key: None for key in paths}).corpus_path is None
+    # "" names no file; only dev_questions_path takes it, meaning no dev set
+    assert load_config(None, {"dev_questions_path": ""}).dev_questions_path == ""
+    for key in ("corpus_path", "train_questions_path", "embeddings_path"):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: ""})
     with pytest.raises(ConfigError, match="output_dir"):
         load_config(None, {"output_dir": None})
 

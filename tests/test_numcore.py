@@ -226,6 +226,46 @@ def test_self_attend_rejects_bad_shapes():
             _self_attend(store, lengths)
     with pytest.raises(ShapeError):
         self_attend(store["x"], store["span/selfattn/w2"], Tensor(np.zeros(3)), [4])
+    for rows in ([4], [-1], [[0, 1]]):
+        with pytest.raises(ShapeError):
+            self_attend(store["x"], store["span/selfattn/w2"], store["span/selfattn/w3"], [4], rows)
+
+
+# rows out of order, a repeated row, and rows 5 and 6, the one row of each
+# length-1 segment
+ROWS_LENGTHS = [5, 1, 1, 4, 6]
+READ_ROWS = [12, 0, 3, 3, 5, 6, 9, 16, 3]
+
+
+def test_self_attend_at_rows_gives_the_full_outputs_rows():
+    rng = np.random.default_rng(44)
+    store = self_attend_store(rng, sum(ROWS_LENGTHS), 6)
+    full = _self_attend(store, ROWS_LENGTHS).data
+    w = [store[f"span/selfattn/{name}"] for name in ("w2", "w3")]
+    got = self_attend(store["x"], *w, ROWS_LENGTHS, np.array(READ_ROWS)).data
+    assert got.shape == (len(READ_ROWS), 6)
+    np.testing.assert_allclose(got, full[READ_ROWS], rtol=0, atol=1e-12)
+    assert not got[[4, 5]].any()
+
+
+def test_self_attend_at_rows_grad_check():
+    # x, w2 and w3 all reach the loss: keys and values through every row of
+    # a read segment, the query terms through the read rows alone
+    rng = np.random.default_rng(45)
+    store = self_attend_store(rng, sum(ROWS_LENGTHS), 4)
+    weights = constant(rng.normal(size=(len(READ_ROWS), 4)))
+
+    def build(s):
+        w = [s[f"span/selfattn/{name}"] for name in ("w2", "w3")]
+        return sum_all(mul(self_attend(s["x"], *w, ROWS_LENGTHS, READ_ROWS), weights))
+
+    report = grad_check(build, store, eps=1e-6, tol=1e-6)
+    assert report.passed, report.summary()
+    # rows 1, 2 and 4 are keys of the rows read in segment 0: their gradient
+    # is not zero, though nothing reads their outputs
+    store.zero_grad()
+    backward(build(store))
+    assert np.abs(store["x"].grad[[1, 2, 4]]).min() > 0
 
 
 def test_cross_entropy_uniform_logits_is_log_n():

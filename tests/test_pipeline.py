@@ -91,6 +91,27 @@ def test_cli_rejects_a_path_that_is_not_a_string_before_any_work(tmp_path, fixtu
             pass
 
 
+@pytest.mark.parametrize("key", ["corpus_path", "train_questions_path", "embeddings_path"])
+def test_cli_rejects_an_empty_path_before_making_the_output_dir(tmp_path, fixture_dir, capsys, key):
+    # "" names no file: opening it fails only after the output directory is made
+    out = tmp_path / "out"
+    values = fixture_config(fixture_dir, str(out))
+    values[key] = ""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    assert cli_main(["ingest", "--config", str(cfg_path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reads_an_empty_dev_questions_path_as_no_dev_set(tmp_path, fixture_dir):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fixture_config(fixture_dir, str(out), dev_questions_path="")))
+    assert cli_main(["ingest", "--config", str(cfg_path)]) == 0
+    assert (out / "questions_dev.jsonl").read_text(encoding="utf-8") == ""
+
+
 def test_cli_entity_linking_off_records_no_el_mode(tmp_path, fixture_dir):
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "out"

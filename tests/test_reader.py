@@ -75,6 +75,34 @@ def test_locate_answer_span_with_punctuation_inside_a_word(answer):
     assert make_reader_example(record, ctx.passages)[1] is None
 
 
+def test_locate_answer_span_finds_the_spans_of_the_search_from_every_token(tmp_path):
+    # the oracle tries every start token; the reader skips those that cannot
+    # begin the answer. Every question of the fixture at seeds 11-15, read in
+    # a context of its supporting passages after three others, and answers
+    # around punctuation and articles
+    from bridgeqa.corpus import load_questions
+    from bridgeqa.tinywiki import write_fixture
+
+    odd = passage("o", "Enterprise", "A Captain Jean-Luc Picard met Archer's crew of 1,000 at th-e end, an Archer.")
+    answers = ["Jean-Luc Picard", "Archer's", "1,000", "th-e end", "the end", "end", "an archer", "Captain", "Luc"]
+    cases = [(build_reader_context([odd]), answer) for answer in answers]
+    for seed in range(11, 16):
+        paths = write_fixture(tmp_path / str(seed), seed=seed)
+        corpus = load_corpus(paths["corpus"])
+        others = list(corpus.passages[seed : seed + 3])
+        for q in load_questions(paths["train_questions"]) + load_questions(paths["dev_questions"]):
+            gold = [corpus.by_title[t] for t in q.supporting_titles if t in corpus.by_title]
+            context = build_reader_context(others + gold, PipelineConfig.reader_context_cap)
+            cases.append((context, q.answer))
+    found = 0
+    for context, answer in cases:
+        span = locate_answer_span(context, answer)
+        assert span == reference_reader.locate_answer_span(context, answer), answer
+        found += span is not None
+    assert found > len(cases) // 2
+    assert [cases[i][0].tokens[locate_answer_span(*cases[i])[0]] for i in (3, 7)] == ["th", "a"]
+
+
 def test_locate_answer_yes_hits_sentinel():
     ctx = build_reader_context([P1])
     assert locate_answer_span(ctx, "yes") == (0, 0)

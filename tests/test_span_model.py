@@ -220,6 +220,44 @@ def test_packed_self_attention_matches_each_passage_alone():
     assert np.max(np.abs(got[2] - want[2])) < 1e-12
 
 
+@pytest.mark.parametrize("lengths", [[2, 1, 4, 1, 3], [1, 1, 1]])
+def test_self_attention_at_rows_is_the_full_output_at_rows(lengths):
+    # the full output gathered at rows is the reference, in values and in the
+    # gradients of the rows and every self-attention parameter; rows come
+    # unsorted and repeated, and rows of length-1 passages keep x
+    from bridgeqa.numcore import gather_rows
+
+    rng = np.random.default_rng(22)
+    width = 4
+    store = ParamStore()
+    for name, shape in {"w2": (width, 1), "w3": (width,), "W_mix": (3 * width, width)}.items():
+        store.add(f"span/selfattn/{name}", rng.normal(size=shape))
+    names = store.names()
+    X = rng.normal(size=(sum(lengths), width))
+    rows = np.array([2, 0, 1, 2, 6, 7, 5] if len(X) > 3 else [2, 0, 2])
+    W = rng.normal(size=(len(rows), width))
+
+    def run(at_rows):
+        store.zero_grad()
+        x = Tensor(X.copy())
+        if at_rows:
+            out = self_attention(EncodedSeq(x), store, lengths=lengths, rows=rows).states
+        else:
+            out = gather_rows(self_attention(EncodedSeq(x), store, lengths=lengths).states, rows)
+        backward(sum_all(mul(out, constant(W))))
+        return out.data, {name: store[name].grad for name in names}, x.grad
+
+    got, want = run(True), run(False)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    assert np.array_equal(got[0][rows == 2], X[[2, 2]])
+    for name in names:
+        if want[1][name] is None:
+            assert got[1][name] is None, name
+        else:
+            np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+
+
 def test_self_attention_of_length_one_passages_is_identity():
     store = ParamStore()
     init_span_params(store, 3, HID, np.random.default_rng(20))
