@@ -48,7 +48,6 @@ from .reader import (
     build_reader_context,
     decode_answer,
     locate_answer_span,
-    reader_loss,
     train_reader,
     two_fold_split,
 )

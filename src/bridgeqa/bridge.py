@@ -1,7 +1,10 @@
 """Bridge entity reasoner: score the anchor mentions of the start passages by
 fusing local context evidence (the anchor's start-token representation from
 the span model) with passage content evidence (max-pooled bi-LSTM encoding of
-the target passage's abstract), then rank candidate answer passages.
+the target passage's abstract), then rank candidate answer passages. The
+(n,) fusion logits score_bridges returns, one per candidate, are the scores:
+ranking and the loss both read them. As in span_model, a forward given an
+rng trains: it draws dropout from it and never reads or fills the memo.
 
 Supervision is distant: the gold bridge is the supporting passage whose text
 contains the answer string.
@@ -9,7 +12,7 @@ contains the answer string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,13 +59,11 @@ class BridgeLabel:
     gold_title: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class BridgeCandidate:
     mention: AnchorMention
     source_passage_id: str
     target_title: str
-    fused_score: float | None = None
-    content_missing: bool = False
 
 
 def derive_bridge_labels(
@@ -109,8 +110,8 @@ def gold_titles(questions: list[QARecord], corpus: Corpus, seed: int) -> dict[st
 
 
 def collect_candidates(start_passages: list[Passage], corpus: Corpus) -> list[BridgeCandidate]:
-    """One unscored candidate per anchor mention whose target resolves in the
-    corpus; unresolvable targets are dropped here."""
+    """One candidate per anchor mention whose target resolves in the corpus;
+    unresolvable targets are dropped here."""
     candidates: list[BridgeCandidate] = []
     for passage in start_passages:
         for mention in passage.anchors:
@@ -167,13 +168,13 @@ class BridgeModel:
     """Span model for the start passages (without span heads) plus a bi-LSTM
     abstract encoder and the score fusion layer, all in one ParamStore.
 
-    memo is None in a model built for training, which always encodes a
-    question's start passages and abstracts in packed passes. A reasoner
-    loaded for answering (load_pipeline_state) gets an empty EncodingMemo,
-    which lives as long as the model, since its parameters no longer change:
-    inference reads each start passage's encoder states and each abstract's
-    vector from it, keyed by token content. It holds one entry per distinct
-    text read, so it has no size limit.
+    memo is None in a model built for training, and a forward given an rng
+    never reads it: it encodes a question's start passages and abstracts in
+    packed passes. A reasoner loaded for answering (load_pipeline_state) gets
+    an empty EncodingMemo, which lives as long as the model, since its
+    parameters no longer change: inference reads each start passage's encoder
+    states and each abstract's vector from it, keyed by token content. It
+    holds one entry per distinct text read, so it has no size limit.
     """
 
     span: SpanModel
@@ -220,27 +221,26 @@ def encode_abstracts(
     model: BridgeModel,
     passages: list[Passage | None],
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, list[bool]]:
+) -> Tensor:
     """Max-pooled bi-LSTM encodings of target passages' abstracts, all present
     abstracts in one packed pass and one segment max-pool: one (n, 2h) row
-    per passage, and per passage whether its abstract was missing.
+    per passage.
 
-    A missing or empty abstract falls back to the trained sentinel vector and
-    is flagged, so anchor coverage is never silently reduced. Dropout is
-    drawn in passage order over the present abstracts.
+    A missing or empty abstract reads the trained sentinel row
+    abstract/missing, so anchor coverage is never silently reduced. With an
+    rng, dropout is drawn from it in passage order over the present abstracts.
 
-    Outside training, a model with a memo takes each abstract's vector from
-    it instead, encoding a missing one on its own (see EncodingMemo).
+    Without an rng, a model with a memo takes each abstract's vector from it
+    instead, encoding a missing one on its own (see EncodingMemo).
     """
     present = [i for i, p in enumerate(passages) if p is not None and len(p.tokens) > 0]
     row_of = {i: j for j, i in enumerate(present)}
     token_lists = [passages[i].tokens.tokens[: model.abstract_max_tokens] for i in present]
-    memo = None if training else model.memo
+    memo = None if rng is not None else model.memo
     pooled = []
     if present and memo is None:
-        pooled = [_pooled_abstracts(model, token_lists, training=training, rng=rng)]
+        pooled = [_pooled_abstracts(model, token_lists, rng=rng)]
     elif present:
         vectors = [memo.get(memo.abstracts, toks, lambda toks=toks: _pooled_abstracts(model, [toks]).data)
                    for toks in token_lists]
@@ -250,38 +250,24 @@ def encode_abstracts(
     sentinel = [model.store["abstract/missing"]] if len(present) < len(passages) else []
     table = concat(pooled + sentinel, axis=0)
     rows = [row_of.get(i, len(present)) for i in range(len(passages))]
-    missing = [i not in row_of for i in range(len(passages))]
-    return gather_rows(table, np.array(rows, dtype=np.int64)), missing
+    return gather_rows(table, np.array(rows, dtype=np.int64))
 
 
-def _pooled_abstracts(
-    model: BridgeModel,
-    token_lists: list,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+def _pooled_abstracts(model: BridgeModel, token_lists: list, *, rng: np.random.Generator | None = None) -> Tensor:
     """(len(token_lists), 2h): the token lists' bi-LSTM states in one packed
     pass, max-pooled over each list's own rows."""
     lengths = [len(toks) for toks in token_lists]
     flat = [tok for toks in token_lists for tok in toks]
     emb = gather_rows(model.table.matrix, model.table.indices(flat), model.table.row_mask)
     states = run_bidirectional("lstm", emb, model.store, "abstract/", model.lstm_hidden, lengths=lengths)
-    states = dropout(states, model.span.dropout, training=training, rng=rng)
+    states = dropout(states, model.span.dropout, rng=rng)
     return max_pool_over_time(states, lengths)
 
 
-def encode_abstract(
-    model: BridgeModel,
-    passage: Passage | None,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, bool]:
+def encode_abstract(model: BridgeModel, passage: Passage | None, *, rng: np.random.Generator | None = None) -> Tensor:
     """Max-pooled bi-LSTM encoding of one target passage's abstract, (1, 2h)
     (see encode_abstracts)."""
-    vec, missing = encode_abstracts(model, [passage], training=training, rng=rng)
-    return vec, missing[0]
+    return encode_abstracts(model, [passage], rng=rng)
 
 
 def _context_rows(
@@ -290,7 +276,6 @@ def _context_rows(
     start_passages: list[Passage],
     candidates: list[BridgeCandidate],
     *,
-    training: bool,
     rng: np.random.Generator | None,
 ) -> Tensor:
     """(n, 8h) local context evidence: each candidate's anchor start-token row
@@ -298,7 +283,7 @@ def _context_rows(
     those rows are read: self-attention queries, its residual and its mixing
     layer run at the anchor rows alone.
 
-    Outside training, a model with a memo encodes the question on its own and
+    Without an rng, a model with a memo encodes the question on its own and
     takes each start passage's encoder states from the memo (a missing one is
     encoded on its own); both paths then read through attend_encoded."""
     passage_by_id = {p.id: p for p in start_passages}
@@ -312,9 +297,9 @@ def _context_rows(
     contexts = [passage_by_id[pid].tokens for pid in passage_ids]
     offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
     rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in candidates])
-    memo = None if training else model.memo
+    memo = None if rng is not None else model.memo
     if memo is None:
-        (final,) = attend(model.span, [(question, contexts)], training=training, rng=rng, rows=[rows])
+        (final,) = attend(model.span, [(question, contexts)], rng=rng, rows=[rows])
     else:
         span = model.span
 
@@ -336,9 +321,8 @@ def score_bridges(
     *,
     use_context: bool = True,
     use_content: bool = True,
-    training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[list[BridgeCandidate], Tensor | None]:
+) -> Tensor | None:
     """Score every candidate in one fusion over stacked evidence rows:
     logits = [H_context, H_content] @ w, one row per candidate (a bias would
     shift them all alike, which neither the loss's softmax nor ranking sees).
@@ -346,50 +330,41 @@ def score_bridges(
     H_context holds each anchor's start-token representation, H_content the
     encoded abstract of its target (the trained sentinel when that is
     missing). use_context / use_content zero out the corresponding channel
-    (the ablation switches). Returns new candidate objects carrying the
-    float scores, and the (n,) logits node (None without candidates).
+    (the ablation switches). Returns the (n,) logits node, the candidates'
+    scores in their order (None without candidates).
 
-    With training=False and a model memo (a reasoner loaded for answering),
-    each start passage's encoder states and each abstract's vector come from
-    the memo, so only the question is encoded per call; a switched-off
-    channel neither reads nor fills it. Training never touches the memo.
+    With an rng, dropout is drawn from it and the memo is neither read nor
+    filled. Without one, a model memo (a reasoner loaded for answering)
+    gives each start passage's encoder states and each abstract's vector,
+    so only the question is encoded per call; a switched-off channel neither
+    reads nor fills it.
     """
     if not candidates:
-        return [], None
+        return None
     n = len(candidates)
     if use_context:
-        h_context = _context_rows(model, question, start_passages, candidates, training=training, rng=rng)
+        h_context = _context_rows(model, question, start_passages, candidates, rng=rng)
     else:
         h_context = constant(np.zeros((n, 8 * model.span.hidden)))
     if use_content:
         titles = sorted({c.target_title for c in candidates})
-        encoded, title_missing = encode_abstracts(
-            model, [corpus.by_title.get(t) for t in titles], training=training, rng=rng
-        )
+        encoded = encode_abstracts(model, [corpus.by_title.get(t) for t in titles], rng=rng)
         row_of = {t: i for i, t in enumerate(titles)}
-        rows = [row_of[c.target_title] for c in candidates]
-        h_content = gather_rows(encoded, np.array(rows))
-        missing = [title_missing[r] for r in rows]
+        h_content = gather_rows(encoded, np.array([row_of[c.target_title] for c in candidates]))
     else:
         h_content = constant(np.zeros((n, 2 * model.lstm_hidden)))
-        missing = [False] * n
-    logits = reshape(matmul(concat([h_context, h_content], axis=1), model.store["fuse/w"]), (n,))
-    scored = [
-        replace(cand, fused_score=float(score), content_missing=miss)
-        for cand, score, miss in zip(candidates, logits.data, missing)
-    ]
-    return scored, logits
+    return reshape(matmul(concat([h_context, h_content], axis=1), model.store["fuse/w"]), (n,))
 
 
 def gold_mention_indices(candidates: list[BridgeCandidate], gold_title: str) -> list[int]:
     return [i for i, c in enumerate(candidates) if c.target_title == gold_title]
 
 
-def bridge_loss(scored: list[BridgeCandidate], logits: Tensor, label: BridgeLabel) -> Tensor:
+def bridge_loss(candidates: list[BridgeCandidate], logits: Tensor, label: BridgeLabel) -> Tensor:
     """Marginal NLL: softmax over all mention-level fused logits (as
     score_bridges returns them), summing the probability of every mention
     that targets the gold title."""
-    gold = gold_mention_indices(scored, label.gold_title)
+    gold = gold_mention_indices(candidates, label.gold_title)
     if not gold:
         raise ValidationError(
             f"question {label.question_id!r}: gold title {label.gold_title!r} "
@@ -399,16 +374,17 @@ def bridge_loss(scored: list[BridgeCandidate], logits: Tensor, label: BridgeLabe
 
 
 def rank_answer_passages(
-    scored: list[BridgeCandidate], k: int = PipelineConfig.reader_max_passages
+    candidates: list[BridgeCandidate], scores, k: int = PipelineConfig.reader_max_passages
 ) -> list[tuple[str, float]]:
-    """Reduce mention scores per target title by maximum; return the top-k
-    unique titles, descending score, ties by title."""
+    """Reduce the mention scores, one per candidate (score_bridges's logits),
+    per target title by maximum; return the top-k unique titles, descending
+    score, ties by title."""
+    if len(scores) != len(candidates):
+        raise ValidationError(f"rank_answer_passages: {len(scores)} scores for {len(candidates)} candidates")
     best: dict[str, float] = {}
-    for c in scored:
-        if c.fused_score is None:
-            raise ValidationError("rank_answer_passages: candidates are unscored")
-        if c.target_title not in best or c.fused_score > best[c.target_title]:
-            best[c.target_title] = c.fused_score
+    for c, score in zip(candidates, map(float, scores)):
+        if c.target_title not in best or score > best[c.target_title]:
+            best[c.target_title] = score
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
@@ -545,14 +521,12 @@ def train_bridge_reasoner(
     def question_step(qi: QuestionInputs, rng: np.random.Generator) -> tuple[Tensor | None, bool | None]:
         if not qi.candidates:
             return None, None
-        scored, logits = score_bridges(
-            model, qi.record.question_tokens, qi.start_passages, qi.candidates, corpus, training=True, rng=rng
-        )
-        ranked = rank_answer_passages(scored, k=1)
+        logits = score_bridges(model, qi.record.question_tokens, qi.start_passages, qi.candidates, corpus, rng=rng)
+        ranked = rank_answer_passages(qi.candidates, logits.data, k=1)
         hit = bool(ranked) and ranked[0][0] == qi.label.gold_title
-        if not gold_mention_indices(scored, qi.label.gold_title):
+        if not gold_mention_indices(qi.candidates, qi.label.gold_title):
             return None, hit
-        return bridge_loss(scored, logits, qi.label), hit
+        return bridge_loss(qi.candidates, logits, qi.label), hit
 
     stats = fit(
         model.store,
@@ -599,7 +573,7 @@ def predict_ranked_titles(
     candidates = collect_candidates(start_passages, corpus)
     if not candidates:
         return []
-    scored, _ = score_bridges(
+    logits = score_bridges(
         model,
         question.question_tokens,
         start_passages,
@@ -608,4 +582,4 @@ def predict_ranked_titles(
         use_context=use_context,
         use_content=use_content,
     )
-    return rank_answer_passages(scored, k=k)
+    return rank_answer_passages(candidates, logits.data, k=k)

@@ -60,12 +60,25 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"no checkpoint manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint manifest {manifest_path} is not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"checkpoint manifest {manifest_path} is not a JSON object")
     if "vocab" not in manifest:
         raise CheckpointError(f"checkpoint manifest {manifest_path} holds no vocabulary")
+    if not isinstance(manifest.get("tensors"), list):
+        raise CheckpointError(f"checkpoint manifest {manifest_path} holds no tensor list")
     contents: dict[str, bytes] = {}
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
+        lacking = [key for key in ("name", "shape", "sha256") if not isinstance(entry, dict) or key not in entry]
+        if lacking:
+            raise CheckpointError(f"checkpoint manifest {manifest_path} has a tensor entry that lacks {lacking}")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise CheckpointError(f"checkpoint manifest {manifest_path} gives {entry['name']!r} the shape {shape!r}")
         digest = entry["sha256"]
         if digest not in contents:
             path = directory / f"{digest}.bin"
@@ -75,7 +88,7 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
             if _sha256(contents[digest]) != digest:
                 raise CheckpointError(f"checkpoint hash mismatch for {entry['name']!r} ({path})")
         data = contents[digest]
-        shape = tuple(entry["shape"])
+        shape = tuple(shape)
         expected = int(np.prod(shape)) * 4 if shape else 4
         if len(data) != expected:
             raise CheckpointError(

@@ -87,8 +87,9 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
             raise ConfigError(f"config {name!r} must be a path string or null, got {value!r}")
         if value == "" and name != "dev_questions_path":
             raise ConfigError(f"config {name!r} must be a path or null, got an empty string")
-    if not isinstance(cfg.output_dir, str):
-        raise ConfigError(f"config 'output_dir' must be a path string, got {cfg.output_dir!r}")
+    # an empty output_dir would write every artifact into the working directory
+    if not isinstance(cfg.output_dir, str) or not cfg.output_dir:
+        raise ConfigError(f"config 'output_dir' must be a non-empty path string, got {cfg.output_dir!r}")
     for name in _POSITIVE_INTS:
         value = getattr(cfg, name)
         if not (_real(value) and isinstance(value, int)) or value < 1:

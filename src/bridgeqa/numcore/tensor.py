@@ -451,18 +451,16 @@ def gather_rows(table: Tensor, indices: np.ndarray, row_mask: np.ndarray | None 
     return out
 
 
-def dropout(x: Tensor, rate: float, *, training: bool = False, rng=None, mask: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout. Identity when not training or rate is 0.
-
-    Pass an explicit mask to hold it constant (required under grad_check).
+def dropout(x: Tensor, rate: float, *, rng=None, mask: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout with a mask drawn from rng, or the given mask (held
+    constant, as grad_check needs). Without either, or at rate 0, returns x
+    itself: a forward without an rng is inference.
     """
-    if not training or rate == 0.0:
+    if rate == 0.0 or (rng is None and mask is None):
         return x
     if not (0.0 <= rate < 1.0):
         raise ShapeError(f"dropout: rate must be in [0, 1), got {rate}")
     if mask is None:
-        if rng is None:
-            raise ShapeError("dropout: training mode needs an rng or an explicit mask")
         mask = (rng.random(x.data.shape) >= rate).astype(np.float64)
     keep = 1.0 - rate
     out = Tensor(x.data * mask / keep, (x,))

@@ -181,36 +181,23 @@ def reader_losses(
     examples: list[ReaderExample],
     aux_weight: float = PipelineConfig.aux_weight,
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> list[tuple[Tensor, SpanScores]]:
-    """reader_loss of every example, in order, from one encoder pass over all
-    their questions and contexts; dropout is drawn as if the examples were
-    read one after another."""
+    """Per example, in order, its answer-span NLL plus aux_weight times its
+    title-span NLL (omitted without a gold title span), both over the full
+    concatenated context, and its span scores. One encoder pass reads every
+    question and context; with an rng, dropout is drawn from it as if the
+    examples were read one after another."""
     for example in examples:
         if example.answer_span is None:
             raise ValidationError(f"example {example.question_id!r} has no gold answer span")
     groups = [(ex.question, [ex.context.tokens]) for ex in examples]
-    finals = attend(model, groups, training=training, rng=rng)
+    finals = attend(model, groups, rng=rng)
     out = []
     for example, final in zip(examples, finals):
         scores = span_heads(final, model.store)
         out.append((_span_loss(scores, example, aux_weight), scores))
     return out
-
-
-def reader_loss(
-    model: SpanModel,
-    example: ReaderExample,
-    aux_weight: float = PipelineConfig.aux_weight,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, SpanScores]:
-    """Answer-span NLL plus aux_weight times the title-span NLL, both over the
-    full concatenated context. The auxiliary term is omitted when the example
-    has no gold title span."""
-    return reader_losses(model, [example], aux_weight, training=training, rng=rng)[0]
 
 
 def best_span(
@@ -342,7 +329,7 @@ def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: PipelineC
     in one encoder pass."""
 
     def step(batch: list[ReaderExample], rng: np.random.Generator) -> list[tuple[Tensor, int]]:
-        results = reader_losses(model, batch, cfg.aux_weight, training=True, rng=rng)
+        results = reader_losses(model, batch, cfg.aux_weight, rng=rng)
         return [
             (loss, em_f1(decode_answer(scores, ex.context, cfg.max_answer_len), ex.answer)[0])
             for ex, (loss, scores) in zip(batch, results)

@@ -31,9 +31,9 @@ every row of each context. The reader reads every row.
 The encoder states of a passage do not depend on the question, so an
 answering bridge reasoner keeps each start passage's (T, 2h) states in its
 memo (bridge.EncodingMemo), keyed by the passage's tokens, and reads a
-question through encode on the question alone plus attend_encoded. Training
-always takes attend's packed pass: dropout is drawn over the packed rows,
-and every optimizer step changes the states.
+question through encode on the question alone plus attend_encoded. The rng
+is the training switch: a forward without one is inference, and one with it
+draws dropout over attend's packed rows, whose states each step changes.
 """
 
 from __future__ import annotations
@@ -203,15 +203,14 @@ def encode(
     *,
     lengths=None,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> EncodedSeq:
     """Embed and run the shared bidirectional GRU: tokens -> (T, 2*hidden).
 
     With lengths, tokens holds several sequences back to back, and each is
     encoded from its own zero state, all in one pass; the output rows keep
-    the tokens' order. Dropout is drawn over the packed rows, in the same rng
-    order as encoding the sequences one after another.
+    the tokens' order. With an rng, dropout is drawn over the packed rows, in
+    the same rng order as encoding the sequences one after another.
     """
     token_list = _token_list(tokens)
     if len(token_list) == 0:
@@ -219,7 +218,7 @@ def encode(
     idx = table.indices(token_list)
     emb = gather_rows(table.matrix, idx, table.row_mask)
     states = run_bidirectional("gru", emb, store, "span/enc/", hidden, lengths=lengths)
-    states = dropout(states, dropout_rate, training=training, rng=rng)
+    states = dropout(states, dropout_rate, rng=rng)
     return EncodedSeq(states=states)
 
 
@@ -347,7 +346,6 @@ def attend(
     model: SpanModel,
     groups,
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     rows=None,
 ) -> list[EncodedSeq]:
@@ -359,11 +357,11 @@ def attend(
     (see self_attention).
 
     Every question and context of every group is encoded in one pass, in the
-    order [q1, q1's contexts, q2, q2's contexts, ...], so dropout is drawn as
-    if the groups were encoded one after another. Biattention and
-    self-attention then run once per group over all of its context rows,
-    each context attending within its own rows. Every context reads as it
-    would alone.
+    order [q1, q1's contexts, q2, q2's contexts, ...], so dropout, drawn
+    from rng when given, falls as if the groups were encoded one after
+    another. Biattention and self-attention then run once per group over all
+    of its context rows, each context attending within its own rows. Every
+    context reads as it would alone.
     """
     token_lists, sizes = [], []
     for question_tokens, contexts in groups:
@@ -377,7 +375,7 @@ def attend(
     lengths = [n for group in sizes for n in group]
     flat = [tok for toks in token_lists for tok in toks]
     states = encode(flat, model.table, model.store, model.hidden, lengths=lengths,
-                    dropout_rate=model.dropout, training=training, rng=rng).states
+                    dropout_rate=model.dropout, rng=rng).states
     finals, start = [], 0
     for (q_len, *context_lengths), group_rows in zip(sizes, rows or [None] * len(sizes)):
         stop = start + q_len + sum(context_lengths)
@@ -406,10 +404,9 @@ def run_span_model(
     question_tokens,
     context_tokens,
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[EncodedSeq, SpanScores]:
     """Full forward pass over one context; returns the final per-token
     representations (the self-attention output) and the span scores."""
-    (final,) = attend(model, [(question_tokens, [context_tokens])], training=training, rng=rng)
+    (final,) = attend(model, [(question_tokens, [context_tokens])], rng=rng)
     return final, span_heads(final, model.store)

@@ -140,7 +140,7 @@ def test_criterion_1_gradient_verification():
                                   {"t": rng.normal(size=(5, 3))}, rng))
         mask = (rng.random((3, 4)) >= 0.3).astype(float)
         worst = max(worst, _check(
-            lambda s: dropout(s["x"], 0.3, training=True, mask=mask),
+            lambda s: dropout(s["x"], 0.3, mask=mask),
             {"x": rng.normal(size=(3, 4))}, rng))
         worst = max(worst, _check(
             lambda s: cross_entropy_from_logits(reshape(s["x"], (6,)), 2),

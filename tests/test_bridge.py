@@ -140,9 +140,9 @@ def test_score_bridges_zero_fusion_weights_tie_at_zero():
     model.store["fuse/w"].data[:] = 0.0
     starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
     cands = collect_candidates(starts, corpus)
-    scored, _ = score_bridges(model, tokenize("which target?"), starts, cands, corpus)
-    assert all(c.fused_score == 0.0 for c in scored)
-    ranked = rank_answer_passages(scored)
+    logits = score_bridges(model, tokenize("which target?"), starts, cands, corpus)
+    assert np.all(logits.data == 0.0)
+    ranked = rank_answer_passages(cands, logits.data)
     assert [t for t, _ in ranked] == ["Target One", "Target Two"]  # tie-break by title
 
 
@@ -167,7 +167,7 @@ def fusion_oracle(model, question, starts, cand, corpus, use_context=True, use_c
         h_context = take_row(final.states, cand.mention.token_start).data[0]
     h_content = np.zeros(2 * model.lstm_hidden)
     if use_content:
-        h_content = encode_abstract(model, corpus.by_title.get(cand.target_title))[0].data[0]
+        h_content = encode_abstract(model, corpus.by_title.get(cand.target_title)).data[0]
     joint = np.concatenate([h_context, h_content])
     return float(joint @ store["fuse/w"].data[:, 0])
 
@@ -182,19 +182,18 @@ def test_score_bridges_hand_computed_fusion():
     starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
     cands = collect_candidates(starts, corpus)
     for switches in ({}, {"use_context": False}, {"use_content": False}):
-        scored, logits = score_bridges(model, q, starts, cands, corpus, **switches)
+        logits = score_bridges(model, q, starts, cands, corpus, **switches)
         assert logits.shape == (len(cands),)
-        for c, logit in zip(scored, logits.data):
-            want = fusion_oracle(model, q, starts, c, corpus, **switches)
-            assert abs(c.fused_score - want) < 1e-12
-            assert c.fused_score == logit
+        for c, logit in zip(cands, logits.data):
+            assert abs(logit - fusion_oracle(model, q, starts, c, corpus, **switches)) < 1e-12
 
 
 def test_context_rows_are_the_full_outputs_anchor_rows():
     # the reference reads every row of the start passages and gathers the
-    # anchor rows: in training, with the same dropout draws, in values and in
-    # every parameter's gradient; outside it, with and without the memo. The
-    # one-token start passage's anchor row keeps its biattention row.
+    # anchor rows: given an rng, with the same dropout draws, in values and in
+    # every parameter's gradient; without one, packed (no memo) and through
+    # the memo. The one-token start passage's anchor row keeps its
+    # biattention row.
     from bridgeqa.bridge import EncodingMemo, _context_rows
     from bridgeqa.numcore import backward, constant, gather_rows, mul, sum_all
     from bridgeqa.span_model import attend
@@ -212,22 +211,22 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
     rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in cands])
     weights = constant(np.random.default_rng(2).normal(size=(len(cands), 8 * model.span.hidden)))
 
-    def run(read, training):
+    def run(read, seed):
         model.store.zero_grad()
-        out = read(training, np.random.default_rng(5))
+        out = read(None if seed is None else np.random.default_rng(seed))
         backward(sum_all(mul(out, weights)))
         return out.data, model.store.gradients()
 
-    def full(training, rng):
-        (final,) = attend(model.span, [(q, [p.tokens for p in starts])], training=training, rng=rng)
+    def full(rng):
+        (final,) = attend(model.span, [(q, [p.tokens for p in starts])], rng=rng)
         return gather_rows(final.states, rows)
 
-    def anchors(training, rng):
-        return _context_rows(model, q, starts, cands, training=training, rng=rng)
+    def anchors(rng):
+        return _context_rows(model, q, starts, cands, rng=rng)
 
-    for training, memo in ((True, None), (False, None), (False, EncodingMemo())):
+    for seed, memo in ((5, None), (None, None), (None, EncodingMemo())):
         model.memo = memo
-        got, want = run(anchors, training), run(full, training)
+        got, want = run(anchors, seed), run(full, seed)
         np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
         if memo is None:
             assert got[1].keys() == want[1].keys()
@@ -242,15 +241,12 @@ def test_score_bridges_content_ablation_ignores_abstract_text():
     starts = [corpus.by_id["p1"]]
     cands = collect_candidates(starts, corpus)
     q = tokenize("which?")
-    base = [c.fused_score for c in score_bridges(model, q, starts, cands, corpus, use_content=False)[0]]
+    base = score_bridges(model, q, starts, cands, corpus, use_content=False).data
 
     # rewrite an abstract; scores with the content channel ablated must not move
     changed = passage("p3", "Target One", "completely different words now live here")
     altered = corpus_of([corpus.by_id["p1"], corpus.by_id["p2"], changed, corpus.by_id["p4"]])
-    after = [
-        c.fused_score
-        for c in score_bridges(model, q, starts, cands, altered, use_content=False)[0]
-    ]
+    after = score_bridges(model, q, starts, cands, altered, use_content=False).data
     assert after == pytest.approx(base)
 
 
@@ -260,9 +256,9 @@ def test_score_bridges_context_ablation_zeroes_channel():
     starts = [corpus.by_id["p1"]]
     cands = collect_candidates(starts, corpus)
     q = tokenize("which?")
-    scored, _ = score_bridges(model, q, starts, cands, corpus, use_context=False)
-    for c in scored:
-        assert abs(c.fused_score - fusion_oracle(model, q, starts, c, corpus, use_context=False)) < 1e-12
+    logits = score_bridges(model, q, starts, cands, corpus, use_context=False)
+    for c, logit in zip(cands, logits.data):
+        assert abs(logit - fusion_oracle(model, q, starts, c, corpus, use_context=False)) < 1e-12
 
 
 def test_score_bridges_missing_abstract_uses_sentinel():
@@ -271,12 +267,15 @@ def test_score_bridges_missing_abstract_uses_sentinel():
     corpus = corpus_of([p1, empty_target])
     model = tiny_bridge_model(corpus, extra_tokens=("which",))
     q = tokenize("which?")
-    scored, _ = score_bridges(model, q, [p1], collect_candidates([p1], corpus), corpus)
-    assert scored[0].content_missing
+    cands = collect_candidates([p1], corpus)
+    logits = score_bridges(model, q, [p1], cands, corpus)
     # the oracle's content vector for the empty abstract is the trained sentinel
-    vec, missing = encode_abstract(model, empty_target)
-    assert missing and np.array_equal(vec.data, model.store["abstract/missing"].data)
-    assert abs(scored[0].fused_score - fusion_oracle(model, q, [p1], scored[0], corpus)) < 1e-12
+    assert np.array_equal(encode_abstract(model, empty_target).data, model.store["abstract/missing"].data)
+    assert abs(logits.data[0] - fusion_oracle(model, q, [p1], cands[0], corpus)) < 1e-12
+    # a zero sentinel scores the candidate as the content channel switched off
+    model.store["abstract/missing"].data[:] = 0.0
+    switched_off = score_bridges(model, q, [p1], cands, corpus, use_content=False)
+    assert score_bridges(model, q, [p1], cands, corpus).data[0] == switched_off.data[0] != logits.data[0]
 
 
 def test_sentinel_gets_no_gradient_unless_an_abstract_is_missing():
@@ -287,8 +286,9 @@ def test_sentinel_gets_no_gradient_unless_an_abstract_is_missing():
     corpus = trio_corpus()
     model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
     starts = [corpus.by_id["p1"]]
-    scored, logits = score_bridges(model, tokenize("which target?"), starts, collect_candidates(starts, corpus), corpus)
-    backward(bridge_loss(scored, logits, BridgeLabel("q", "Target One")))
+    cands = collect_candidates(starts, corpus)
+    logits = score_bridges(model, tokenize("which target?"), starts, cands, corpus)
+    backward(bridge_loss(cands, logits, BridgeLabel("q", "Target One")))
     assert model.store["abstract/missing"].grad is None
     assert model.store["abstract/fwd/W"].grad is not None
 
@@ -304,7 +304,6 @@ def loss_of(scores, gold_title):
                 mention=AnchorMention(title, 0, 1, 0, 0),
                 source_passage_id="p",
                 target_title=title,
-                fused_score=value,
             )
         )
     logits = Tensor(np.array([value for _, value in scores]))
@@ -349,11 +348,21 @@ def test_rank_answer_passages_max_reduction_and_dedupe():
                 mention=AnchorMention(title, 0, 1, 0, 0),
                 source_passage_id="p",
                 target_title=title,
-                fused_score=value,
             )
         )
-    ranked = rank_answer_passages(cands, k=10)
+    ranked = rank_answer_passages(cands, [value for _, value in scores], k=10)
     assert ranked == [("A", 3.0), ("B", 2.0)]
+
+
+def test_rank_answer_passages_needs_one_score_per_candidate():
+    from bridgeqa.bridge import BridgeCandidate
+    from bridgeqa.corpus import AnchorMention
+
+    cands = [BridgeCandidate(mention=AnchorMention(t, 0, 1, 0, 0), source_passage_id="p", target_title=t)
+             for t in ("A", "B")]
+    for scores in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValidationError, match="scores for 2 candidates"):
+            rank_answer_passages(cands, scores)
 
 
 def test_rank_answer_passages_matches_brute_force():
@@ -370,12 +379,11 @@ def test_rank_answer_passages_matches_brute_force():
                 mention=AnchorMention(t, 0, 1, 0, 0),
                 source_passage_id="p",
                 target_title=t,
-                fused_score=float(v),
             )
-            for t, v in zip(titles, values)
+            for t in titles
         ]
         k = int(rng.integers(1, 12))
-        got = rank_answer_passages(cands, k=k)
+        got = rank_answer_passages(cands, values, k=k)
         best = {}
         for t, v in zip(titles, values):
             best[t] = max(best.get(t, -np.inf), float(v))
@@ -393,13 +401,13 @@ def test_rank_answer_passages_prefix_property():
             mention=AnchorMention(f"T{i % 6}", 0, 1, 0, 0),
             source_passage_id="p",
             target_title=f"T{i % 6}",
-            fused_score=float(rng.normal()),
         )
         for i in range(12)
     ]
+    scores = rng.normal(size=len(cands))
     previous = []
     for k in range(1, 8):
-        titles = [t for t, _ in rank_answer_passages(cands, k=k)]
+        titles = [t for t, _ in rank_answer_passages(cands, scores, k=k)]
         assert titles[: len(previous)] == previous
         previous = titles
 
@@ -414,14 +422,12 @@ def test_ranking_shift_invariance():
             mention=AnchorMention(f"T{i % 4}", 0, 1, 0, 0),
             source_passage_id="p",
             target_title=f"T{i % 4}",
-            fused_score=float(rng.normal()),
         )
         for i in range(9)
     ]
-    base = [t for t, _ in rank_answer_passages(cands)]
-    for c in cands:
-        c.fused_score += 123.0
-    assert [t for t, _ in rank_answer_passages(cands)] == base
+    scores = rng.normal(size=len(cands))
+    base = [t for t, _ in rank_answer_passages(cands, scores)]
+    assert [t for t, _ in rank_answer_passages(cands, scores + 123.0)] == base
 
 
 # --- entity linking ----------------------------------------------------------
@@ -469,13 +475,21 @@ def test_score_bridges_all_starts_match_each_start_alone():
     randomize_biases(model)
     q = tokenize("which target?")
     starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
-    together, _ = score_bridges(model, q, starts, collect_candidates(starts, corpus), corpus)
+    together, alone = _scored_together_and_alone(model, q, starts, corpus)
+    assert [c.target_title for c, _ in together] == [c.target_title for c, _ in alone]
+    np.testing.assert_allclose([s for _, s in together], [s for _, s in alone], rtol=0, atol=1e-12)
+
+
+def _scored_together_and_alone(model, q, starts, corpus):
+    """(candidate, score) pairs from one score_bridges over every start
+    passage, and from one per start passage, concatenated."""
+    cands = collect_candidates(starts, corpus)
+    together = list(zip(cands, score_bridges(model, q, starts, cands, corpus).data))
     alone = []
     for start in starts:
-        alone += score_bridges(model, q, [start], collect_candidates([start], corpus), corpus)[0]
-    assert [c.target_title for c in together] == [c.target_title for c in alone]
-    for a, b in zip(together, alone):
-        assert abs(a.fused_score - b.fused_score) < 1e-12
+        cands = collect_candidates([start], corpus)
+        alone += zip(cands, score_bridges(model, q, [start], cands, corpus).data)
+    return together, alone
 
 
 def test_score_bridges_one_token_start_between_longer_starts_matches_each_alone():
@@ -489,14 +503,10 @@ def test_score_bridges_one_token_start_between_longer_starts_matches_each_alone(
     q = tokenize("which target?")
     starts = [corpus.by_id["p1"], short, corpus.by_id["p2"]]
     assert len(short.tokens) == 1 and short.anchors[0].token_start == 0
-    together, _ = score_bridges(model, q, starts, collect_candidates(starts, corpus), corpus)
-    alone = []
-    for start in starts:
-        alone += score_bridges(model, q, [start], collect_candidates([start], corpus), corpus)[0]
-    assert [c.source_passage_id for c in together] == ["p1", "p1", "p5", "p2"]
-    assert [c.target_title for c in together] == [c.target_title for c in alone]
-    for a, b in zip(together, alone):
-        assert abs(a.fused_score - b.fused_score) < 1e-12
+    together, alone = _scored_together_and_alone(model, q, starts, corpus)
+    assert [c.source_passage_id for c, _ in together] == ["p1", "p1", "p5", "p2"]
+    assert [c.target_title for c, _ in together] == [c.target_title for c, _ in alone]
+    np.testing.assert_allclose([s for _, s in together], [s for _, s in alone], rtol=0, atol=1e-12)
 
 
 def test_score_bridges_runs_one_gru_loop_and_one_lstm_loop(loop_widths):
@@ -515,13 +525,12 @@ def test_encode_abstracts_matches_one_at_a_time_with_dropout():
     model = tiny_bridge_model(corpus)
     model.span.dropout = 0.4
     passages = [corpus.by_id["p3"], None, corpus.by_id["p1"], corpus.by_id["p4"]]
-    packed, missing = encode_abstracts(model, passages, training=True, rng=np.random.default_rng(9))
+    packed = encode_abstracts(model, passages, rng=np.random.default_rng(9))
     assert packed.shape == (len(passages), 2 * model.lstm_hidden)
+    assert np.array_equal(packed.data[1:2], model.store["abstract/missing"].data)
     rng = np.random.default_rng(9)
     for i, p in enumerate(passages):
-        want, want_missing = encode_abstract(model, p, training=True, rng=rng)
-        assert missing[i] == want_missing == (p is None)
-        assert np.max(np.abs(packed.data[i] - want.data[0])) < 1e-12
+        assert np.max(np.abs(packed.data[i] - encode_abstract(model, p, rng=rng).data[0])) < 1e-12
 
 
 def test_train_bridge_applies_last_batch_when_last_question_has_no_candidates():
@@ -591,7 +600,7 @@ def test_bridge_loss_gradient_through_score_bridges():
     cands = collect_candidates(starts, corpus)
 
     def build(store):
-        return bridge_loss(*score_bridges(model, q, starts, cands, corpus), BridgeLabel("q", "Target One"))
+        return bridge_loss(cands, score_bridges(model, q, starts, cands, corpus), BridgeLabel("q", "Target One"))
 
     report = grad_check(build, model.store, eps=1e-5, tol=1e-4)
     assert report.passed, report.summary()

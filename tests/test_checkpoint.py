@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,28 @@ def test_manifest_without_vocabulary_is_refused(tmp_path):
     del manifest["vocab"]
     path.write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="no vocabulary"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda text, manifest: text[: len(text) // 2], "is not valid JSON"),
+        (lambda text, manifest: "[]", "is not a JSON object"),
+        (lambda text, manifest: json.dumps({k: v for k, v in manifest.items() if k != "tensors"}), "no tensor list"),
+        (lambda text, manifest: json.dumps({**manifest, "tensors": [
+            {k: v for k, v in manifest["tensors"][0].items() if k != "shape"}]}), "lacks \\['shape'\\]"),
+        (lambda text, manifest: json.dumps({**manifest, "tensors": [
+            {**manifest["tensors"][0], "shape": [-4, -3]}]}), "the shape \\[-4, -3\\]"),
+    ],
+    ids=["truncated", "not-an-object", "no-tensors", "entry-without-shape", "negative-shape"],
+)
+def test_malformed_manifest_is_refused_naming_its_path(tmp_path, damage, message):
+    save_checkpoint(store_fixture(), tmp_path / "ckpt", VOCAB)
+    path = tmp_path / "ckpt" / "manifest.json"
+    text = path.read_text()
+    path.write_text(damage(text, json.loads(text)))
+    with pytest.raises(CheckpointError, match=f"checkpoint manifest {re.escape(str(path))} .*{message}"):
         load_checkpoint(tmp_path / "ckpt")
 
 

@@ -147,8 +147,7 @@ def test_library_defaults_follow_the_config_defaults():
             print(default(fn, "max_len"))
         for fn in (reader.make_reader_example, reader.read_and_decode):
             print(default(fn, "max_answer_len"))
-        for fn in (reader.reader_losses, reader.reader_loss):
-            print(default(fn, "aux_weight"))
+        print(default(reader.reader_losses, "aux_weight"))
         print(default(bridge.init_bridge_model, "abstract_max_tokens"))
         print(bridge.BridgeModel(span=None, lstm_hidden=1).abstract_max_tokens)
         print(default(bridge.expand_with_entity_linking, "top_n"))
@@ -160,4 +159,4 @@ def test_library_defaults_follow_the_config_defaults():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["7"] * 5 + ["0.5", "0.5"] + ["5", "5", "4", "3", "3"] + ["1.5", "0.5", "2.0"] * 3
+    assert out.stdout.split() == ["7"] * 5 + ["0.5"] + ["5", "5", "4", "3", "3"] + ["1.5", "0.5", "2.0"] * 3

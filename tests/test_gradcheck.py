@@ -37,7 +37,7 @@ def test_fixed_dropout_mask_passes():
     mask = (rng.random((2, 3)) >= 0.3).astype(float)
 
     def build(s):
-        h = dropout(matmul(Tensor(x), s["W"]), 0.3, training=True, mask=mask)
+        h = dropout(matmul(Tensor(x), s["W"]), 0.3, mask=mask)
         return sum_all(h)
 
     report = grad_check(build, store)

@@ -65,8 +65,8 @@ def test_memo_scores_every_candidate_as_the_packed_path(mini_run):
         if not candidates:
             continue
         question = tokenize(record.question)
-        _, with_memo = score_bridges(memo_state.bridge, question, starts, candidates, memo_state.corpus)
-        _, packed = score_bridges(plain_state.bridge, question, starts, candidates, plain_state.corpus)
+        with_memo = score_bridges(memo_state.bridge, question, starts, candidates, memo_state.corpus)
+        packed = score_bridges(plain_state.bridge, question, starts, candidates, plain_state.corpus)
         np.testing.assert_allclose(with_memo.data, packed.data, rtol=0, atol=1e-12)
         compared += 1
     assert compared > 0
@@ -104,8 +104,8 @@ def test_memo_keys_by_content_so_a_swapped_corpus_gets_its_own_encodings():
     for corpus in corpora:
         starts = [corpus.by_title["Start"]]
         candidates = collect_candidates(starts, corpus)
-        _, memo_logits = score_bridges(with_memo, question, starts, candidates, corpus)
-        _, packed_logits = score_bridges(packed, question, starts, candidates, corpus)
+        memo_logits = score_bridges(with_memo, question, starts, candidates, corpus)
+        packed_logits = score_bridges(packed, question, starts, candidates, corpus)
         np.testing.assert_allclose(memo_logits.data, packed_logits.data, rtol=0, atol=1e-12)
         scores.append(memo_logits.data[0])
     assert scores[0] != scores[1]
@@ -131,9 +131,7 @@ def test_training_neither_reads_nor_fills_the_memo(mini_run):
     assert memo is not None and memo.computed == memo.reused == 0
 
     def train_logits():
-        _, logits = score_bridges(model, question, starts, candidates, state.corpus, training=True,
-                                  rng=np.random.default_rng(3))
-        return logits.data
+        return score_bridges(model, question, starts, candidates, state.corpus, rng=np.random.default_rng(3)).data
 
     packed = train_logits()
     assert (memo.computed, memo.reused, memo.passages, memo.abstracts) == (0, 0, {}, {})

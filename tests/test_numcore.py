@@ -434,12 +434,18 @@ def test_gradient_dropout_fixed_mask():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(4, 4))
     mask = (rng.random((4, 4)) >= 0.4).astype(float)
-    check_op_gradient(lambda t: dropout(t, 0.4, training=True, mask=mask), x)
+    check_op_gradient(lambda t: dropout(t, 0.4, mask=mask), x)
 
 
 def test_dropout_identity_at_inference():
+    # without an rng or a mask it is x itself at any rate; at rate 0 an rng
+    # draws nothing, so the caller's stream is left as it was
     x = Tensor(np.ones((2, 2)))
-    assert dropout(x, 0.5, training=False) is x
+    for rate in (0.0, 0.5, 0.9):
+        assert dropout(x, rate) is x
+    rng = np.random.default_rng(0)
+    assert dropout(x, 0.0, rng=rng) is x
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 # --- recurrent cells ---------------------------------------------------------

@@ -91,17 +91,18 @@ def test_cli_rejects_a_path_that_is_not_a_string_before_any_work(tmp_path, fixtu
             pass
 
 
-@pytest.mark.parametrize("key", ["corpus_path", "train_questions_path", "embeddings_path"])
-def test_cli_rejects_an_empty_path_before_making_the_output_dir(tmp_path, fixture_dir, capsys, key):
-    # "" names no file: opening it fails only after the output directory is made
-    out = tmp_path / "out"
-    values = fixture_config(fixture_dir, str(out))
+@pytest.mark.parametrize("key", ["corpus_path", "train_questions_path", "embeddings_path", "output_dir"])
+def test_cli_rejects_an_empty_path_before_making_the_output_dir(tmp_path, fixture_dir, capsys, monkeypatch, key):
+    # "" names no file: opening it fails only after the output directory is
+    # made; an empty output_dir is the working directory to every writer
+    monkeypatch.chdir(tmp_path)
+    values = fixture_config(fixture_dir, str(tmp_path / "out"))
     values[key] = ""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(values))
     assert cli_main(["ingest", "--config", str(cfg_path)]) == 1
     assert key in capsys.readouterr().err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_reads_an_empty_dev_questions_path_as_no_dev_set(tmp_path, fixture_dir):
@@ -189,10 +190,10 @@ def test_fixture_bridge_step_records_at_most_150_tape_nodes(mini_run):
     for qi in inputs:
         if qi.label is None:
             continue
-        scored, logits = score_bridges(model, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
-                                       training=True, rng=np.random.default_rng(0))
-        if gold_mention_indices(scored, qi.label.gold_title):
-            counts.append(len(_tape(bridge_loss(scored, logits, qi.label))))
+        logits = score_bridges(model, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
+                               rng=np.random.default_rng(0))
+        if gold_mention_indices(qi.candidates, qi.label.gold_title):
+            counts.append(len(_tape(bridge_loss(qi.candidates, logits, qi.label))))
     assert len(counts) == 16
     assert max(counts) <= 150
     assert max(counts) == 59
@@ -226,7 +227,7 @@ def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
     examples, _, _ = _build_reader_examples(state, train, cross)
     reader = _new_reader_model(mini_run, embedding, seed_tag=0)
     batch = examples[: mini_run.reader_batch_size or mini_run.batch_size]
-    losses = [loss for loss, _ in reader_losses(reader, batch, mini_run.aux_weight, training=True,
+    losses = [loss for loss, _ in reader_losses(reader, batch, mini_run.aux_weight,
                                                 rng=np.random.default_rng(0))]
     total = losses[0]
     for extra in losses[1:]:
@@ -238,9 +239,9 @@ def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
     inputs = prepare_question_inputs(questions, _load_labels(mini_run), _start_sets(state, questions), state.corpus)
     qi = next(qi for qi in inputs
               if qi.label is not None and gold_mention_indices(qi.candidates, qi.label.gold_title))
-    scored, logits = score_bridges(bridge, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
-                                   training=True, rng=np.random.default_rng(0))
-    backward(bridge_loss(scored, logits, qi.label))
+    logits = score_bridges(bridge, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
+                           rng=np.random.default_rng(0))
+    backward(bridge_loss(qi.candidates, logits, qi.label))
 
     for model, exempt in ((reader, set()), (bridge, {"abstract/missing"})):
         grads = model.store.gradients()
@@ -496,6 +497,21 @@ def test_checkpoint_whose_shapes_do_not_fit_the_config_names_the_tensors_and_the
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(asdict(cfg)))
     assert cli_main(["predict", "--config", str(cfg_path)]) == 3
+
+
+def test_cli_names_a_truncated_checkpoint_manifest_and_the_stage_to_rerun(mini_run, tmp_path, capsys):
+    from dataclasses import asdict
+
+    cfg = _run_copy(mini_run, tmp_path)
+    path = Path(cfg.output_dir) / "checkpoints" / "reader" / "manifest.json"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main(["predict", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"checkpoint manifest {path} is not valid JSON" in err
+    assert err.rstrip().endswith("rerun train-reader")
 
 
 def test_cli_runtime_failure_exit_code(mini_run, tmp_path):

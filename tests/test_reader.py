@@ -14,7 +14,6 @@ from bridgeqa.reader import (
     decode_answer,
     locate_answer_span,
     make_reader_example,
-    reader_loss,
     reader_losses,
     span_to_text,
     train_reader,
@@ -292,15 +291,15 @@ def test_reader_loss_uniform_value():
     for name in ("start", "end"):
         model.store[f"span/heads/{name}_w"].data[:] = 0.0
     T = len(example.context.tokens)
-    loss, _ = reader_loss(model, example, aux_weight=0.0)
+    loss, _ = reader_losses(model, [example], aux_weight=0.0)[0]
     assert loss.item() == pytest.approx(2 * math.log(T))
-    loss_aux, _ = reader_loss(model, example, aux_weight=1.0)
+    loss_aux, _ = reader_losses(model, [example], aux_weight=1.0)[0]
     assert loss_aux.item() == pytest.approx(4 * math.log(T))
 
 
 def test_reader_loss_aux_zero_equals_plain_loss_and_gradient():
     model, example = reader_fixture()
-    loss_plain, _ = reader_loss(model, example, aux_weight=0.0)
+    loss_plain, _ = reader_losses(model, [example], aux_weight=0.0)[0]
     backward(loss_plain)
     grads_plain = {n: g.copy() for n, g in model.store.gradients().items()}
     model.store.zero_grad()
@@ -320,8 +319,8 @@ def test_reader_loss_aux_zero_equals_plain_loss_and_gradient():
 def test_reader_loss_missing_title_span_omits_aux_term():
     model, example = reader_fixture()
     example.title_span = None
-    loss_now, _ = reader_loss(model, example, aux_weight=5.0)
-    loss_plain, _ = reader_loss(model, example, aux_weight=0.0)
+    loss_now, _ = reader_losses(model, [example], aux_weight=5.0)[0]
+    loss_plain, _ = reader_losses(model, [example], aux_weight=0.0)[0]
     assert loss_now.item() == pytest.approx(loss_plain.item())
 
 
@@ -329,7 +328,7 @@ def test_reader_loss_composition_of_two_span_losses():
     model, example = reader_fixture()
     from bridgeqa.span_model import run_span_model, span_nll_loss
 
-    loss, _ = reader_loss(model, example, aux_weight=0.7)
+    loss, _ = reader_losses(model, [example], aux_weight=0.7)[0]
     _, scores = run_span_model(model, example.question, example.context.tokens)
     expected = span_nll_loss(scores, *example.answer_span).item() + 0.7 * span_nll_loss(
         scores, *example.title_span
@@ -338,7 +337,7 @@ def test_reader_loss_composition_of_two_span_losses():
 
 
 def test_reader_minibatch_matches_per_example_losses_with_dropout():
-    # one encoder pass over a minibatch against one reader_loss per example,
+    # one encoder pass over a minibatch against one pass per example,
     # drawing dropout from equal rng seeds: values and every gradient
     model, example = reader_fixture()
     model.dropout = 0.2
@@ -351,9 +350,9 @@ def test_reader_minibatch_matches_per_example_losses_with_dropout():
         model.store.zero_grad()
         rng = np.random.default_rng(4)
         if packed:
-            losses = [loss for loss, _ in reader_losses(model, batch, 0.7, training=True, rng=rng)]
+            losses = [loss for loss, _ in reader_losses(model, batch, 0.7, rng=rng)]
         else:
-            losses = [reader_loss(model, ex, 0.7, training=True, rng=rng)[0] for ex in batch]
+            losses = [reader_losses(model, [ex], 0.7, rng=rng)[0][0] for ex in batch]
         total = losses[0]
         for extra in losses[1:]:
             total = add(total, extra)
@@ -451,7 +450,7 @@ def test_one_context_group_records_no_identity_nodes(monkeypatch):
 
     def run():
         model, example = reader_fixture()
-        loss, _ = reader_loss(model, example)
+        loss, _ = reader_losses(model, [example])[0]
         backward(loss)
         return loss, model.store.gradients()
 

@@ -355,10 +355,8 @@ def test_encode_dropout_training_vs_inference():
     toks = ["kiss", "and", "tell"]
     rng = np.random.default_rng(3)
     clean = encode(toks, m.table, m.store, HID, dropout_rate=0.5).states.data
-    trained = encode(
-        toks, m.table, m.store, HID, dropout_rate=0.5, training=True, rng=rng
-    ).states.data
-    assert not np.array_equal(clean, trained)  # mask applied in training
+    trained = encode(toks, m.table, m.store, HID, dropout_rate=0.5, rng=rng).states.data
+    assert not np.array_equal(clean, trained)  # mask drawn from the rng
     again = encode(toks, m.table, m.store, HID, dropout_rate=0.5).states.data
     assert np.array_equal(clean, again)  # inference is deterministic identity
 
@@ -395,7 +393,7 @@ def test_frozen_table_trains_only_unk_row():
 def test_encode_with_lengths_matches_separate_encodes_with_dropout():
     m = tiny_model(seed=14, dropout=0.3)
     seqs = [tokenize("who stars").tokens, ["kiss"], tokenize("kiss and tell stars temple").tokens]
-    kw = dict(dropout_rate=0.3, training=True)
+    kw = dict(dropout_rate=0.3)
     flat = [tok for seq in seqs for tok in seq]
     lengths = [len(seq) for seq in seqs]
     packed = encode(flat, m.table, m.store, HID, lengths=lengths, rng=np.random.default_rng(5), **kw)
@@ -490,8 +488,8 @@ def test_attend_reads_each_question_group_as_alone_with_dropout():
         (["archer"], [tokenize("temple stars who")]),
         (tokenize("who tell"), [["kiss"], tokenize("tell stars")]),
     ]
-    together = attend(m, groups, training=True, rng=np.random.default_rng(6))
+    together = attend(m, groups, rng=np.random.default_rng(6))
     rng = np.random.default_rng(6)
     for got, group in zip(together, groups):
-        (alone,) = attend(m, [group], training=True, rng=rng)
+        (alone,) = attend(m, [group], rng=rng)
         assert np.max(np.abs(got.states.data - alone.states.data)) < 1e-12
