@@ -129,13 +129,12 @@ def predict_one(
     reader = _reader_for_mode(state, mode)
     use_el = state.cfg.entity_linking and mode != "no_el"
     fallback = False
-    ranked_scored: list[tuple[str, float]] = []
+    ranking: list[tuple[str, float | None]] = []
 
     if mode == "oracle_gold_passage" and record.qtype == "bridge":
         if gold_title is None or gold_title not in state.corpus.by_title:
             return None, "no distant answer-passage label available"
         context_passages = [state.corpus.by_title[gold_title]]
-        ranked_titles = [gold_title]
     elif mode == "full_support" and record.qtype == "bridge":
         if not record.supporting_titles:
             return None, "no supporting titles available"
@@ -144,13 +143,12 @@ def predict_one(
         ]
         if not context_passages:
             return None, "no supporting title resolves in the corpus"
-        ranked_titles = [p.title for p in context_passages]
     else:
         starts = start_passages_for(state, record, use_entity_linking=use_el)
         if record.qtype == "bridge" and mode != "no_bridge_reasoner":
             if state.bridge is None:
                 raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
-            ranked_scored = predict_ranked_titles(
+            ranking = predict_ranked_titles(
                 state.bridge,
                 record,
                 starts,
@@ -159,13 +157,11 @@ def predict_one(
                 use_context=mode != "no_context_evidence",
                 use_content=mode != "no_content_evidence",
             )
-            if not ranked_scored:
+            if not ranking:
                 log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
                 fallback = True
-        ranked_titles = [t for t, _ in ranked_scored]
-        context_passages = reader_passages(state, record, ranked_titles, starts, use_entity_linking=use_el)
-        # without a ranking the reader reads its start set, which stands in for one
-        ranked_titles = ranked_titles or [p.title for p in context_passages]
+        titles = [t for t, _ in ranking]
+        context_passages = reader_passages(state, record, titles, starts, use_entity_linking=use_el)
 
     if not context_passages:
         return None, "no context passages available"
@@ -181,8 +177,8 @@ def predict_one(
             qid=record.id,
             answer=answer,
             passages=context.titles,
-            ranked_titles=ranked_titles,
-            ranked_scored=ranked_scored,
+            # without a reasoner's ranking, the passages chosen for reading stand in for one
+            ranking=ranking or [(p.title, None) for p in context_passages],
             fallback=fallback,
             n_passages_dropped=len(context_passages) - len(context.passages),
         ),
@@ -225,9 +221,10 @@ def score_predictions(
         em, f1 = em_f1(pred.answer, record.answer)
         gold_title = labels.get(pred.qid)
         hits1 = hits10 = None
-        if gold_title is not None and pred.ranked_titles:
-            hits1 = hits_at_k(pred.ranked_titles, gold_title, 1)
-            hits10 = hits_at_k(pred.ranked_titles, gold_title, 10)
+        if gold_title is not None and pred.ranking:
+            titles = [t for t, _ in pred.ranking]
+            hits1 = hits_at_k(titles, gold_title, 1)
+            hits10 = hits_at_k(titles, gold_title, 10)
         flags = ["fallback_start_passages"] if pred.fallback else []
         report.per_question.append(
             QuestionMetrics(

@@ -202,14 +202,18 @@ def load_questions(path: str | Path) -> list[QARecord]:
     """Load line-delimited JSON question records.
 
     Records without supporting_titles are accepted (evaluation-time data);
-    when present the list must be non-empty.
+    when present the list must be non-empty. Question ids are unique.
     """
     records: list[QARecord] = []
+    ids: set[str] = set()
     for n, obj in enumerate(read_jsonl(path), start=1):
         where = f"{path} record {n}"
         for key in ("id", "question", "type"):
             if key not in obj or not isinstance(obj[key], str):
                 raise ValidationError(f"{where}: missing or non-string field {key!r}")
+        if obj["id"] in ids:
+            raise ValidationError(f"{where}: duplicate question id {obj['id']!r}")
+        ids.add(obj["id"])
         if not isinstance(obj.get("answer"), str) or not obj["answer"]:
             raise ValidationError(f"{where}: missing answer (question {obj['id']!r})")
         if obj["type"] not in QUESTION_TYPES:

@@ -53,11 +53,10 @@ def write_jsonl(path: str | Path, rows) -> None:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """The JSON objects of a line-delimited file, skipping blank lines. A
-    line that is not a JSON object raises ValidationError naming the file
-    and the line."""
-    rows = []
+def iter_jsonl(path: str | Path):
+    """(line number, JSON object) for each line of a line-delimited file,
+    skipping blank lines. A line that is not a JSON object raises
+    ValidationError naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -68,8 +67,12 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 raise ValidationError(f"{path} line {line_no}: not valid JSON ({exc.msg})") from exc
             if not isinstance(row, dict):
                 raise ValidationError(f"{path} line {line_no}: not a JSON object")
-            rows.append(row)
-    return rows
+            yield line_no, row
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """The JSON objects of a line-delimited file, as iter_jsonl reads them."""
+    return [row for _, row in iter_jsonl(path)]
 
 
 def read_manifest(output_dir: str | Path) -> list[dict]:

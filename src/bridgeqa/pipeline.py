@@ -55,7 +55,7 @@ from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkp
 from .config import PipelineConfig, config_to_dict
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
-from .manifest import append_manifest, file_sha256, read_jsonl, write_json, write_jsonl
+from .manifest import append_manifest, file_sha256, iter_jsonl, read_jsonl, write_json, write_jsonl
 from .reader import (
     Prediction,
     ReaderExample,
@@ -463,31 +463,17 @@ def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
 
 
 def stage_predict(cfg: PipelineConfig) -> dict:
+    """Write predictions.jsonl: one row per dev question, in dev order, in
+    the format README's "File formats" gives."""
     out = _out(cfg)
     state = load_pipeline_state(cfg)
     dev = load_questions(_require(out / "questions_dev.jsonl", "ingest"))
     labels = gold_titles(dev, state.corpus, cfg.seed)
     predictions, skipped = predict_questions(state, dev, cfg.mode, labels)
-    write_jsonl(
-        out / "predictions.jsonl",
-        ({"qid": p.qid, "answer": p.answer, "passages": p.passages} for p in predictions),
-    )
-    write_jsonl(
-        out / "predict_detail.jsonl",
-        [
-            {"qid": p.qid, "ranked_titles": p.ranked_titles, "fallback": p.fallback, "mode": cfg.mode}
-            for p in predictions
-        ]
-        + [{"qid": rec["qid"], "skipped": rec["reason"], "mode": cfg.mode} for rec in skipped],
-    )
-    write_jsonl(
-        out / "candidates.jsonl",
-        (
-            {"qid": p.qid, "candidates": [{"title": t, "score": s} for t, s in p.ranked_scored]}
-            for p in predictions
-            if p.ranked_scored
-        ),
-    )
+    rows = {p.qid: {"answer": p.answer, "passages": p.passages, "ranking": p.ranking, "fallback": p.fallback}
+            for p in predictions}
+    rows.update((rec["qid"], {"skipped": rec["reason"]}) for rec in skipped)
+    write_jsonl(out / "predictions.jsonl", ({"qid": q.id, "mode": cfg.mode, **rows[q.id]} for q in dev))
     return {
         "mode": cfg.mode,
         "n_predictions": len(predictions),
@@ -499,37 +485,41 @@ def stage_predict(cfg: PipelineConfig) -> dict:
     }
 
 
+_ROW_TYPES = {"qid": str, "mode": str, "skipped": str, "answer": str, "passages": list, "ranking": list, "fallback": bool}
+
+
+def _read_predictions(path: Path, dev: list[QARecord], default_mode: str) -> tuple[str, list[Prediction], list[dict]]:
+    """(mode, answered predictions, skipped questions) of a predictions.jsonl
+    holding one row per dev question, in dev order, all of one mode (or of
+    default_mode when there are none); anything else is refused."""
+    modes, predictions, skipped, qids = set(), [], [], []
+    for line_no, row in iter_jsonl(path):
+        fields = ("skipped",) if "skipped" in row else ("answer", "passages", "ranking", "fallback")
+        bad = [name for name in ("qid", "mode", *fields) if not isinstance(row.get(name), _ROW_TYPES[name])]
+        if bad:
+            raise ValidationError(
+                f"{path} line {line_no}: missing or mistyped {', '.join(map(repr, bad))}; rerun predict"
+            )
+        modes.add(row["mode"])
+        qids.append(row["qid"])
+        if "skipped" in row:
+            skipped.append({"qid": row["qid"], "reason": row["skipped"]})
+        else:
+            if not all(isinstance(pair, list) and len(pair) == 2 for pair in row["ranking"]):
+                raise ValidationError(f"{path} line {line_no}: ranking is not [title, score] pairs; rerun predict")
+            ranking = [tuple(pair) for pair in row["ranking"]]
+            predictions.append(Prediction(row["qid"], row["answer"], row["passages"], ranking, row["fallback"]))
+    if len(modes) > 1:
+        raise ValidationError(f"{path} mixes predictions of modes {sorted(modes)}; rerun predict")
+    if qids != [q.id for q in dev]:
+        raise ValidationError(f"{path} does not hold one row per dev question, in dev order; rerun predict")
+    return (modes.pop() if modes else default_mode), predictions, skipped
+
+
 def stage_evaluate(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     corpus, _, dev = _load_ingested(cfg)
-    pred_path = _require(out / "predictions.jsonl", "predict")
-    detail_path = _require(out / "predict_detail.jsonl", "predict")
-    details = {}
-    skipped = []
-    modes = set()
-    for rec in read_jsonl(detail_path):
-        modes.add(rec["mode"])
-        if "skipped" in rec:
-            skipped.append({"qid": rec["qid"], "reason": rec["skipped"]})
-        else:
-            details[rec["qid"]] = rec
-    if len(modes) > 1:
-        raise ValidationError(f"{detail_path} mixes predictions of modes {sorted(modes)}; rerun predict")
-    # the report describes the mode the predictions were made under; an
-    # empty question set leaves nothing to read it from
-    mode = modes.pop() if modes else cfg.mode
-    predictions = []
-    for rec in read_jsonl(pred_path):
-        det = details.get(rec["qid"], {})
-        predictions.append(
-            Prediction(
-                qid=rec["qid"],
-                answer=rec["answer"],
-                passages=rec["passages"],
-                ranked_titles=det.get("ranked_titles", rec["passages"]),
-                fallback=det.get("fallback", False),
-            )
-        )
+    mode, predictions, skipped = _read_predictions(_require(out / "predictions.jsonl", "predict"), dev, cfg.mode)
     report = score_predictions(predictions, dev, mode, gold_titles(dev, corpus, cfg.seed), skipped)
     write_json(out / "report.json", report.aggregates(), indent=2)
     write_jsonl(out / "report_detail.jsonl", map(asdict, report.per_question))

@@ -359,8 +359,9 @@ class Prediction:
     qid: str
     answer: str
     passages: list[str]  # titles fed to the reader, in order
-    ranked_titles: list[str] = field(default_factory=list)
-    ranked_scored: list[tuple[str, float]] = field(default_factory=list)  # reasoner scores
+    # (title, score) pairs, best first; the score is None where no reasoner
+    # ranked and the oracle, the supporting titles or the start set stand in
+    ranking: list[tuple[str, float | None]] = field(default_factory=list)
     fallback: bool = False
     n_passages_dropped: int = 0  # passages the context cap cut
 

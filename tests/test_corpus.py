@@ -250,6 +250,16 @@ def test_load_questions_missing_answer(tmp_path):
         load_questions(path)
 
 
+def test_load_questions_duplicate_id_named(tmp_path):
+    # answers, labels and scores are all keyed by question id: two records
+    # with one id would be scored against one answer
+    objs = question_objs()
+    objs[2]["id"] = "q1"
+    path = write_lines(tmp_path / "q.jsonl", objs)
+    with pytest.raises(ValidationError, match=r"q\.jsonl record 3: duplicate question id 'q1'"):
+        load_questions(path)
+
+
 def test_load_questions_empty_supporting_titles_rejected(tmp_path):
     objs = question_objs()
     objs[0]["supporting_titles"] = []

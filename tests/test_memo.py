@@ -41,13 +41,13 @@ def test_memo_gives_the_packed_answers_in_every_ablation_mode(mini_run):
         assert skipped_memo == skipped_packed
         assert len(with_memo) == len(packed) > 0
         for a, b in zip(with_memo, packed):
-            assert (a.qid, a.answer, a.passages, a.ranked_titles, a.fallback) == (
-                b.qid, b.answer, b.passages, b.ranked_titles, b.fallback
-            ), mode
-            assert [t for t, _ in a.ranked_scored] == [t for t, _ in b.ranked_scored]
-            scores_a = np.array([s for _, s in a.ranked_scored])
-            scores_b = np.array([s for _, s in b.ranked_scored])
-            np.testing.assert_allclose(scores_a, scores_b, rtol=0, atol=1e-12)
+            assert (a.qid, a.answer, a.passages, a.fallback) == (b.qid, b.answer, b.passages, b.fallback), mode
+            assert [t for t, _ in a.ranking] == [t for t, _ in b.ranking], mode
+            scores_a = [s for _, s in a.ranking]
+            scores_b = [s for _, s in b.ranking]
+            assert [s is None for s in scores_a] == [s is None for s in scores_b]
+            if None not in scores_a:
+                np.testing.assert_allclose(scores_a, scores_b, rtol=0, atol=1e-12)
     memo = memo_state.bridge.memo
     assert memo.computed > 0 and memo.reused > 0
     assert memo.computed == len(memo.passages) + len(memo.abstracts)
@@ -77,10 +77,10 @@ def test_memo_answers_do_not_depend_on_the_questions_answered_before(mini_run):
     forward, _ = predict_questions(load_pipeline_state(mini_run), dev)
     backward, _ = predict_questions(load_pipeline_state(mini_run), dev[::-1])
     by_qid = {p.qid: p for p in backward}
-    assert any(p.ranked_scored for p in forward)
+    assert any(score is not None for p in forward for _, score in p.ranking)
     for p in forward:
         # bitwise: equal floats, not close ones
-        assert p.ranked_scored == by_qid[p.qid].ranked_scored
+        assert p.ranking == by_qid[p.qid].ranking
         assert p.answer == by_qid[p.qid].answer
 
 

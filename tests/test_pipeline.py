@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from bridgeqa.ablation import run_ablation
+from bridgeqa.ablation import predict_questions, run_ablation, score_predictions
+from bridgeqa.bridge import gold_titles
 from bridgeqa.checkpoint import load_checkpoint
 from bridgeqa.cli import main as cli_main
 from bridgeqa.config import load_config
@@ -255,8 +256,11 @@ def test_predictions_schema(mini_run):
     with open(out / "predictions.jsonl", encoding="utf-8") as fh:
         for line in fh:
             rec = json.loads(line)
-            assert set(rec) == {"qid", "answer", "passages"}
+            assert set(rec) == {"qid", "mode", "answer", "passages", "ranking", "fallback"}
+            assert rec["mode"] == mini_run.mode
             assert isinstance(rec["passages"], list)
+            assert rec["ranking"] and all(len(pair) == 2 for pair in rec["ranking"])
+    assert sorted(p.name for p in out.glob("predict*")) == ["predictions.jsonl"]
 
 
 def test_folds_partition_labeled_questions(mini_run):
@@ -432,14 +436,76 @@ def test_no_multitask_mode_with_trained_component(mini_run):
     assert not report.empty
 
 
-def test_candidate_dump_schema(mini_run):
+def _skip_in_predict(monkeypatch, qids):
+    """Make answering skip the given questions, as a mode that cannot be
+    applied to a question does."""
+    from bridgeqa import ablation
+
+    real_predict_one = ablation.predict_one
+
+    def predict_one(state, record, mode="full", gold_title=None):
+        if record.id in qids:
+            return None, "test skip"
+        return real_predict_one(state, record, mode, gold_title=gold_title)
+
+    monkeypatch.setattr(ablation, "predict_one", predict_one)
+
+
+def test_predictions_hold_one_row_per_dev_question_in_dev_order(mini_run, tmp_path, monkeypatch):
+    _, _, dev = _load_ingested(mini_run)
+    skipped = dev[len(dev) // 2].id
+    _skip_in_predict(monkeypatch, {skipped})
+    cfg = _run_copy(mini_run, tmp_path)
+    entry = run_stage("predict", cfg)
+    path = Path(cfg.output_dir) / "predictions.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [row["qid"] for row in rows] == [q.id for q in dev]
+    assert {row["mode"] for row in rows} == {"full"}
+    assert [row for row in rows if "skipped" in row] == [{"qid": skipped, "mode": "full", "skipped": "test skip"}]
+    assert (entry["n_predictions"], entry["n_skipped"]) == (len(dev) - 1, 1)
+
+
+def test_reasoner_rankings_carry_a_float_score_per_title(mini_run):
     out = Path(mini_run.output_dir)
-    lines = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines() if l]
-    assert lines
-    for rec in lines:
-        assert set(rec) == {"qid", "candidates"}
-        for cand in rec["candidates"]:
-            assert set(cand) == {"title", "score"}
+    _, _, dev = _load_ingested(mini_run)
+    qtype = {q.id: q.qtype for q in dev}
+    scored = 0
+    for line in (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        scores = [score for _, score in row["ranking"]]
+        if qtype[row["qid"]] == "bridge" and not row["fallback"]:
+            assert all(isinstance(s, float) for s in scores), row
+            assert scores == sorted(scores, reverse=True)
+            scored += 1
+        else:
+            # the start set stands in for a ranking
+            assert scores == [None] * len(scores) and row["ranking"][0][0] == row["passages"][0], row
+    assert scored > 0
+
+    # stand-in rankings carry no score in memory either
+    state = load_pipeline_state(mini_run)
+    labels = gold_titles(dev, state.corpus, mini_run.seed)
+    for mode in ("oracle_gold_passage", "full_support", "no_bridge_reasoner"):
+        predictions, _ = predict_questions(state, dev, mode, labels)
+        assert predictions and all(s is None for p in predictions for _, s in p.ranking), mode
+
+
+@pytest.mark.parametrize("mode", ["full", "oracle_gold_passage"])
+def test_evaluate_reports_the_score_of_the_in_memory_predictions(mini_run, tmp_path, mode):
+    from dataclasses import asdict
+
+    cfg = _run_copy(mini_run, tmp_path, mode=mode)
+    run_stage("predict", cfg)
+    run_stage("evaluate", cfg)
+    state = load_pipeline_state(cfg)
+    _, _, dev = _load_ingested(cfg)
+    labels = gold_titles(dev, state.corpus, cfg.seed)
+    predictions, skipped = predict_questions(state, dev, mode, labels)
+    report = score_predictions(predictions, dev, mode, labels, skipped)
+    out = Path(cfg.output_dir)
+    assert json.loads((out / "report.json").read_text()) == report.aggregates()
+    detail = [json.loads(line) for line in (out / "report_detail.jsonl").read_text().splitlines()]
+    assert detail == [asdict(row) for row in report.per_question]
 
 
 def test_corrupt_checkpoint_is_detected(mini_run, tmp_path):
@@ -590,7 +656,7 @@ def test_comparison_questions_bypass_reasoner(mini_run):
 
     results = retrieve_start_passages(state.index, tokenize(comparison[0].question), state.cfg.k)
     ir_titles = [state.corpus.by_id[r.passage_id].title for r in results]
-    assert pred.ranked_titles[: len(ir_titles)] == ir_titles
+    assert [t for t, _ in pred.ranking][: len(ir_titles)] == ir_titles
 
 
 def test_zero_candidates_falls_back_to_start_passages(mini_run):
@@ -645,7 +711,7 @@ def test_a_bridge_question_with_no_cross_predicted_titles_trains_on_what_answeri
     assert reason is None and pred.fallback
     starts = ablation.start_passages_for(state, q, use_entity_linking=True)[: mini_run.reader_max_passages]
     assert len(starts) > 1
-    assert trained_on[q.id] == pred.ranked_titles == [p.title for p in starts]
+    assert trained_on[q.id] == [t for t, _ in pred.ranking] == [p.title for p in starts]
 
 
 def test_no_bridge_reasoner_mode_reads_the_start_set_without_a_reasoner(mini_run, monkeypatch):
@@ -668,8 +734,8 @@ def test_no_bridge_reasoner_mode_reads_the_start_set_without_a_reasoner(mini_run
         pred, reason = ablation.predict_one(state, q, "no_bridge_reasoner")
         assert reason is None
         starts = ablation.start_passages_for(state, q, use_entity_linking=True)[: mini_run.reader_max_passages]
-        assert read[-1] == pred.ranked_titles == [p.title for p in starts]
-        assert pred.ranked_scored == []
+        assert read[-1] == [t for t, _ in pred.ranking] == [p.title for p in starts]
+        assert all(score is None for _, score in pred.ranking)
         assert pred.fallback is False
 
 
@@ -681,7 +747,7 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
 
     pred, reason = predict_one(state, bridge[0], "full")
     assert reason is None
-    assert pred.ranked_titles  # reasoner produced a ranking
+    assert pred.ranking  # reasoner produced a ranking
     assert not pred.fallback
     # every ranked answer passage is reachable from some start-set anchor
     from bridgeqa.ablation import start_passages_for
@@ -689,7 +755,7 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
 
     starts = start_passages_for(state, bridge[0], use_entity_linking=True)
     reachable = {c.target_title for c in collect_candidates(starts, state.corpus)}
-    assert set(pred.ranked_titles) <= reachable
+    assert {t for t, _ in pred.ranking} <= reachable
 
 
 @pytest.mark.parametrize("mode", ["full", "no_el", "no_context_evidence", "no_content_evidence"])
@@ -711,12 +777,13 @@ def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini
             state.bridge, q, starts, state.corpus, k=mini_run.reader_max_passages,
             use_context=mode != "no_context_evidence", use_content=mode != "no_content_evidence",
         )
-        assert pred.ranked_titles == [t for t, _ in ranked]
-        read = [state.corpus.by_title[t] for t in pred.ranked_titles[:BRIDGE_READ_PASSAGES]]
+        titles = [t for t, _ in pred.ranking]
+        assert titles == [t for t, _ in ranked]
+        read = [state.corpus.by_title[t] for t in titles[:BRIDGE_READ_PASSAGES]]
         linker = state.linker if use_el else None
         extras = expand_with_entity_linking(q.question_tokens, linker, state.corpus, read, top_n=mini_run.top_n_el)
         assert pred.passages == [p.title for p in read + extras]
-        capped += len(pred.ranked_titles) > BRIDGE_READ_PASSAGES
+        capped += len(titles) > BRIDGE_READ_PASSAGES
     assert capped > 0
 
 
@@ -786,16 +853,8 @@ def test_evaluate_reports_the_mode_predictions_were_made_under(mini_run, tmp_pat
 
 
 def test_evaluate_counts_predict_skips(mini_run, tmp_path, monkeypatch):
-    from bridgeqa import pipeline
-
-    real_predict = pipeline.predict_questions
-
-    def predict_skipping_first(state, questions, mode, labels):
-        predictions, skipped = real_predict(state, questions, mode, labels)
-        first = predictions.pop(0)
-        return predictions, skipped + [{"qid": first.qid, "reason": "test skip"}]
-
-    monkeypatch.setattr(pipeline, "predict_questions", predict_skipping_first)
+    _, _, dev = _load_ingested(mini_run)
+    _skip_in_predict(monkeypatch, {dev[0].id})
     cfg = _run_copy(mini_run, tmp_path)
     n_skipped = run_stage("predict", cfg)["n_skipped"]
     assert n_skipped >= 1
@@ -804,14 +863,48 @@ def test_evaluate_counts_predict_skips(mini_run, tmp_path, monkeypatch):
     assert report["n_skipped"] == n_skipped
 
 
+def _rewrite_predictions(cfg, edit) -> None:
+    """Apply edit to the rows of the run's predictions.jsonl and write them back."""
+    path = Path(cfg.output_dir) / "predictions.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
+    edit(rows)
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows), encoding="utf-8")
+
+
 def test_evaluate_refuses_mixed_prediction_modes(mini_run, tmp_path):
     cfg = _run_copy(mini_run, tmp_path)
-    detail = Path(cfg.output_dir) / "predict_detail.jsonl"
-    rows = [json.loads(line) for line in detail.read_text().splitlines() if line]
-    rows[0]["mode"] = "no_el"
-    detail.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
-    with pytest.raises(ValidationError, match="mixes"):
+    _rewrite_predictions(cfg, lambda rows: rows[0].update(mode="no_el"))
+    with pytest.raises(ValidationError, match="predictions.jsonl mixes"):
         run_stage("evaluate", cfg)
+
+
+def _written_before_rows_carried_their_mode(rows):
+    rows[:] = [{"qid": r["qid"], "answer": r["answer"], "passages": r["passages"]} for r in rows]
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda rows: rows[1].pop("answer"), r"predictions\.jsonl line 2: .*'answer'.*; rerun predict"),
+        (lambda rows: rows[2].update(answer=None), r"predictions\.jsonl line 3: .*'answer'.*; rerun predict"),
+        (lambda rows: rows[0].update(mode=["full"]), r"predictions\.jsonl line 1: .*'mode'.*; rerun predict"),
+        (lambda rows: rows[0].update(ranking=[["A"]]), r"predictions\.jsonl line 1: ranking .*; rerun predict"),
+        (_written_before_rows_carried_their_mode, r"predictions\.jsonl line 1: .*'mode'.*; rerun predict"),
+        (lambda rows: rows.pop(1), r"predictions\.jsonl .*one row per dev question.*; rerun predict"),
+        (lambda rows: rows.reverse(), r"predictions\.jsonl .*in dev order; rerun predict"),
+    ],
+    ids=["no-answer", "null-answer", "mode-not-a-string", "ranking-not-pairs", "written-before-rows-carried-their-mode", "row-missing", "out-of-order"],
+)
+def test_evaluate_refuses_a_malformed_predictions_file(mini_run, tmp_path, capsys, edit, expected):
+    import re
+    from dataclasses import asdict
+
+    cfg = _run_copy(mini_run, tmp_path)
+    _rewrite_predictions(cfg, edit)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
+    assert re.search(expected, capsys.readouterr().err)
 
 
 def test_run_stage_appends_one_entry_per_stage(mini_run, tmp_path, monkeypatch):
