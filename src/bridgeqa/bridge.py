@@ -322,7 +322,7 @@ def score_bridges(
     use_context: bool = True,
     use_content: bool = True,
     rng: np.random.Generator | None = None,
-) -> Tensor | None:
+) -> Tensor:
     """Score every candidate in one fusion over stacked evidence rows:
     logits = [H_context, H_content] @ w, one row per candidate (a bias would
     shift them all alike, which neither the loss's softmax nor ranking sees).
@@ -331,7 +331,7 @@ def score_bridges(
     encoded abstract of its target (the trained sentinel when that is
     missing). use_context / use_content zero out the corresponding channel
     (the ablation switches). Returns the (n,) logits node, the candidates'
-    scores in their order (None without candidates).
+    scores in their order; there must be at least one candidate.
 
     With an rng, dropout is drawn from it and the memo is neither read nor
     filled. Without one, a model memo (a reasoner loaded for answering)
@@ -340,7 +340,7 @@ def score_bridges(
     reads nor fills it.
     """
     if not candidates:
-        return None
+        raise ValidationError("score_bridges: no candidates to score")
     n = len(candidates)
     if use_context:
         h_context = _context_rows(model, question, start_passages, candidates, rng=rng)
@@ -472,12 +472,12 @@ def expand_with_entity_linking(
 @dataclass
 class QuestionInputs:
     """Per-question artifacts that do not depend on model parameters, prepared
-    once before training."""
+    once before training, for a labeled question."""
 
     record: QARecord
     start_passages: list[Passage]
     candidates: list[BridgeCandidate]
-    label: BridgeLabel | None
+    label: BridgeLabel
 
 
 def prepare_question_inputs(
@@ -486,19 +486,18 @@ def prepare_question_inputs(
     start_sets: dict[str, list[Passage]],
     corpus: Corpus,
 ) -> list[QuestionInputs]:
+    """Inputs for the labeled questions, in question order."""
     by_qid = {lbl.question_id: lbl for lbl in labels}
-    prepared = []
-    for q in questions:
-        starts = start_sets.get(q.id, [])
-        prepared.append(
-            QuestionInputs(
-                record=q,
-                start_passages=starts,
-                candidates=collect_candidates(starts, corpus),
-                label=by_qid.get(q.id),
-            )
+    return [
+        QuestionInputs(
+            record=q,
+            start_passages=start_sets[q.id],
+            candidates=collect_candidates(start_sets[q.id], corpus),
+            label=by_qid[q.id],
         )
-    return prepared
+        for q in questions
+        if q.id in by_qid
+    ]
 
 
 def train_bridge_reasoner(
@@ -508,25 +507,16 @@ def train_bridge_reasoner(
     cfg: PipelineConfig,
 ) -> dict:
     """Adam training over per-question marginal NLL, at cfg's lr, batch_size
-    and seed for up to bridge_epochs. Questions whose gold is absent from the
-    candidate pool are skipped and counted. Stops early once the running
-    train Hits@1 reaches bridge_early_stop_hits1."""
-    trainable = [qi for qi in inputs if qi.label is not None]
-    gold_missing = sum(
-        1
-        for qi in trainable
-        if not gold_mention_indices(qi.candidates, qi.label.gold_title)
-    )
+    and seed for up to bridge_epochs, on the questions whose gold title is
+    among their candidates; it stops early once their running train Hits@1
+    reaches bridge_early_stop_hits1. The log counts those questions as
+    n_train_questions and the other labeled ones as n_gold_missing."""
+    trainable = [qi for qi in inputs if gold_mention_indices(qi.candidates, qi.label.gold_title)]
 
-    def question_step(qi: QuestionInputs, rng: np.random.Generator) -> tuple[Tensor | None, bool | None]:
-        if not qi.candidates:
-            return None, None
+    def question_step(qi: QuestionInputs, rng: np.random.Generator) -> tuple[Tensor, bool]:
         logits = score_bridges(model, qi.record.question_tokens, qi.start_passages, qi.candidates, corpus, rng=rng)
-        ranked = rank_answer_passages(qi.candidates, logits.data, k=1)
-        hit = bool(ranked) and ranked[0][0] == qi.label.gold_title
-        if not gold_mention_indices(qi.candidates, qi.label.gold_title):
-            return None, hit
-        return bridge_loss(qi.candidates, logits, qi.label), hit
+        ((top, _),) = rank_answer_passages(qi.candidates, logits.data, k=1)
+        return bridge_loss(qi.candidates, logits, qi.label), top == qi.label.gold_title
 
     stats = fit(
         model.store,
@@ -539,7 +529,7 @@ def train_bridge_reasoner(
         early_stop=cfg.bridge_early_stop_hits1,
         metric="train_hits1",
     )
-    stats.update(n_train_questions=len(trainable), n_gold_missing=gold_missing)
+    stats.update(n_train_questions=len(trainable), n_gold_missing=len(inputs) - len(trainable))
     return stats
 
 
@@ -549,15 +539,14 @@ def evaluate_hits(
     corpus: Corpus,
     k: int = 1,
 ) -> float:
-    """Inference-mode Hits@k of the reasoner over labeled questions, ranked
-    by predict_ranked_titles."""
-    judged = [qi for qi in inputs if qi.label is not None]
+    """Inference-mode Hits@k of the reasoner over every input, ranked by
+    predict_ranked_titles; a gold no candidate holds is a miss."""
     hits = sum(
         any(title == qi.label.gold_title
             for title, _ in predict_ranked_titles(model, qi.record, qi.start_passages, corpus, k=k))
-        for qi in judged
+        for qi in inputs
     )
-    return hits / len(judged) if judged else 0.0
+    return hits / len(inputs) if inputs else 0.0
 
 
 def predict_ranked_titles(

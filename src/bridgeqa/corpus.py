@@ -145,10 +145,11 @@ def _parse_passage(obj: dict, where: str) -> Passage:
     seen: set[tuple[str, int, int]] = set()
     mentions: list[AnchorMention] = []
     for a in raw_anchors:
-        try:
-            key = (a["target"], int(a["start"]), int(a["end"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: malformed anchor {a!r}") from exc
+        target, start, end = (a.get(k) for k in ("target", "start", "end")) if isinstance(a, dict) else (None,) * 3
+        # offsets are JSON integers (a bool is not one), the target a non-empty title
+        if not (isinstance(target, str) and target and type(start) is int and type(end) is int):
+            raise ValidationError(f"{where}: malformed anchor {a!r}")
+        key = (target, start, end)
         if key in seen:
             continue  # duplicate anchors (same target, same span) are dropped at load
         seen.add(key)

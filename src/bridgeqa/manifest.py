@@ -76,10 +76,18 @@ def read_jsonl(path: str | Path) -> list[dict]:
 
 
 def read_manifest(output_dir: str | Path) -> list[dict]:
+    """The manifest's entries (none before the first stage). A file that is
+    not a JSON list of objects raises ValidationError naming it."""
     path = Path(output_dir) / MANIFEST_FILE
     if not path.exists():
         return []
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        entries = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError(f"{path}: not a list of stage entries")
+    return entries
 
 
 def append_manifest(output_dir: str | Path, entry: dict) -> None:

@@ -55,7 +55,7 @@ from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkp
 from .config import PipelineConfig, config_to_dict
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
-from .manifest import append_manifest, file_sha256, iter_jsonl, read_jsonl, write_json, write_jsonl
+from .manifest import append_manifest, file_sha256, iter_jsonl, read_jsonl, read_manifest, write_json, write_jsonl
 from .reader import (
     Prediction,
     ReaderExample,
@@ -107,9 +107,11 @@ def _load_ingested(cfg: PipelineConfig) -> tuple[Corpus, list[QARecord], list[QA
 
 
 def _load_index(cfg: PipelineConfig) -> InvertedIndex:
-    out = _out(cfg)
-    path = _require(out / "index.json", "build-index")
-    return index_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    path = _require(_out(cfg) / "index.json", "build-index")
+    try:
+        return index_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"{path}: not an index ({exc!r}); rerun build-index") from exc
 
 
 def _load_state(cfg: PipelineConfig) -> tuple[PipelineState, list[QARecord], list[QARecord]]:
@@ -545,9 +547,11 @@ _STAGE_FUNCS = {
 def run_stage(stage: str, cfg: PipelineConfig) -> dict:
     """Run one stage and append its manifest entry, stamped with the stage's
     wall time and the process's peak RSS so far (ru_maxrss is in KiB on
-    Linux). A stage that raises appends nothing."""
+    Linux). The manifest is read first, so a malformed one stops the stage
+    before it writes; a stage that raises appends nothing."""
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    read_manifest(_out(cfg))
     started = time.perf_counter()
     entry = {"stage": stage, **_STAGE_FUNCS[stage](cfg)}
     entry["wall_seconds"] = time.perf_counter() - started

@@ -260,7 +260,7 @@ def decode_answer(
 def fit(
     store: ParamStore,
     items: list,
-    step: Callable[[list, np.random.Generator], list[tuple[Tensor | None, float | None]]],
+    step: Callable[[list, np.random.Generator], list[tuple[Tensor, float]]],
     *,
     lr: float,
     epochs: int,
@@ -273,42 +273,35 @@ def fit(
 
     step(batch, rng) runs a minibatch, the next batch_size items of the
     permutation (fewer at the epoch's end), and returns per item its loss
-    (None: nothing to learn from) and its hit (None: the item is not judged).
-    The minibatch's losses are summed and applied in one Adam step. Each
-    epoch logs its mean loss, its mean hit under `metric` and its wall time
-    under `seconds`; training stops once the mean hit reaches early_stop.
+    and its hit. The minibatch's losses are summed and applied in one Adam
+    step. Each epoch logs its mean loss, its mean hit under `metric` and its
+    wall time under `seconds`; training stops once the mean hit reaches
+    early_stop. Without items no epoch runs.
     """
     if batch_size < 1:
         raise ValidationError(f"fit: batch_size must be at least 1, got {batch_size}")
     history: list[dict] = []
     started = time.monotonic()
-    for epoch in range(epochs):
+    for epoch in range(epochs if items else 0):
         epoch_started = time.monotonic()
         order = rng.permutation(len(items))
         losses: list[float] = []
         hits = 0
-        judged = 0
         for first in range(0, len(order), batch_size):
-            batch: list[Tensor] = []
-            for loss, hit in step([items[int(i)] for i in order[first : first + batch_size]], rng):
-                if hit is not None:
-                    judged += 1
-                    hits += hit
-                if loss is not None:
-                    losses.append(loss.item())
-                    batch.append(loss)
-            if batch:
-                total = batch[0]
-                for extra in batch[1:]:
-                    total = add(total, extra)
-                backward(total)
-                adam_step(store, store.gradients(), lr=lr)
-                store.zero_grad()
-        score = hits / judged if judged else 0.0
+            results = step([items[int(i)] for i in order[first : first + batch_size]], rng)
+            total = results[0][0]
+            for loss, _ in results[1:]:
+                total = add(total, loss)
+            losses += [loss.item() for loss, _ in results]
+            hits += sum(hit for _, hit in results)
+            backward(total)
+            adam_step(store, store.gradients(), lr=lr)
+            store.zero_grad()
+        score = hits / len(items)
         history.append(
             {
                 "epoch": epoch,
-                "mean_loss": float(np.mean(losses)) if losses else None,
+                "mean_loss": float(np.mean(losses)),
                 metric: score,
                 "seconds": time.monotonic() - epoch_started,
             }

@@ -169,6 +169,20 @@ def test_load_corpus_anchor_out_of_bounds_names_passage(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("start", True), ("end", 5.9), ("start", "20"), ("end", None), ("target", 5), ("target", ""), ("target", None)],
+)
+def test_load_corpus_refuses_an_anchor_field_of_the_wrong_type(tmp_path, field, value):
+    # offsets are JSON integers, not bools, floats or strings that a cast
+    # would turn into one; the target is a non-empty title
+    objs = corpus_objs()
+    objs[0]["anchors"][0][field] = value
+    path = write_lines(tmp_path / "c.jsonl", objs)
+    with pytest.raises(ValidationError, match=r"c\.jsonl record 1: malformed anchor"):
+        load_corpus(path)
+
+
 def test_load_corpus_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id": "p1", "title": "A", "text": "a"}\n{broken\n', encoding="utf-8")

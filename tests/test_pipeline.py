@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 from dataclasses import replace
@@ -189,8 +190,6 @@ def test_fixture_bridge_step_records_at_most_150_tape_nodes(mini_run):
     inputs = prepare_question_inputs(questions, _load_labels(mini_run), _start_sets(state, questions), state.corpus)
     counts = []
     for qi in inputs:
-        if qi.label is None:
-            continue
         logits = score_bridges(model, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
                                rng=np.random.default_rng(0))
         if gold_mention_indices(qi.candidates, qi.label.gold_title):
@@ -238,8 +237,7 @@ def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
     bridge = _new_bridge_model(mini_run, embedding, seed_tag=0)
     questions = [q for q in train if q.qtype == "bridge"]
     inputs = prepare_question_inputs(questions, _load_labels(mini_run), _start_sets(state, questions), state.corpus)
-    qi = next(qi for qi in inputs
-              if qi.label is not None and gold_mention_indices(qi.candidates, qi.label.gold_title))
+    qi = next(qi for qi in inputs if gold_mention_indices(qi.candidates, qi.label.gold_title))
     logits = score_bridges(bridge, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
                            rng=np.random.default_rng(0))
     backward(bridge_loss(qi.candidates, logits, qi.label))
@@ -1092,3 +1090,90 @@ def test_failed_artifact_writes_keep_the_previous_file(tmp_path):
     assert (tmp_path / "manifest.json").read_bytes() == before
     # no temporary file is left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "rows.jsonl"]
+
+
+def _files(directory) -> dict:
+    """Every file under directory, with its modification time and bytes."""
+    return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in Path(directory).rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "stage, name, damage, message",
+    [
+        ("train-bridge", "manifest.json", lambda text: "{}", r"manifest\.json"),
+        ("build-index", "manifest.json", lambda text: text[: len(text) // 2], r"manifest\.json"),
+        ("train-bridge", "index.json", lambda text: "{}", r"index\.json.*rerun build-index"),
+        ("train-bridge", "index.json", lambda text: text[: len(text) // 2], r"index\.json.*rerun build-index"),
+    ],
+    ids=["manifest-not-a-list", "manifest-truncated", "index-empty-object", "index-truncated"],
+)
+def test_a_malformed_run_file_is_refused_before_the_stage_writes(mini_run, tmp_path, capsys, stage, name, damage,
+                                                                 message):
+    from dataclasses import asdict
+
+    cfg = _run_copy(mini_run, tmp_path)
+    path = Path(cfg.output_dir) / name
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    before = _files(cfg.output_dir)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main([stage, "--config", str(cfg_path)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert _files(cfg.output_dir) == before
+
+
+@pytest.mark.parametrize("n_unreachable", [0, 2])
+def test_bridge_train_log_counts_the_adam_steps_it_took(mini_run, tmp_path, monkeypatch, n_unreachable):
+    # the benchmark divides by epochs_run x n_train_questions: at batch size
+    # 1 that is the Adam steps train-bridge took, however many labels no
+    # start passage anchors
+    from bridgeqa import reader
+    from bridgeqa.bridge import collect_candidates
+    from bridgeqa.manifest import read_jsonl, write_jsonl
+    from bridgeqa.pipeline import _load_state, _start_sets
+
+    cfg = _run_copy(mini_run, tmp_path, batch_size=1)
+    out = Path(cfg.output_dir)
+    state, train, _ = _load_state(cfg)
+    by_qid = {q.id: q for q in train}
+    labels = read_jsonl(out / "bridge_labels.jsonl")
+    for row in labels[:n_unreachable]:
+        record = by_qid[row["qid"]]
+        candidates = collect_candidates(_start_sets(state, [record])[record.id], state.corpus)
+        anchored = {c.target_title for c in candidates}
+        row["gold_title"] = next(p.title for p in state.corpus.passages if p.title not in anchored)
+    write_jsonl(out / "bridge_labels.jsonl", labels)
+    steps = []
+    adam_step = reader.adam_step
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(reader, "adam_step", counted)
+    run_stage("train-bridge", cfg)
+    log = json.loads((out / "bridge_train_log.json").read_text())
+    assert log["n_gold_missing"] == n_unreachable
+    assert log["n_train_questions"] == len(labels) - n_unreachable
+    assert len(steps) == log["epochs_run"] * log["n_train_questions"]
+    assert all(isinstance(h["mean_loss"], float) for h in log["history"])
+
+
+def test_reader_train_log_counts_the_examples_it_read(mini_run, tmp_path, monkeypatch):
+    # the benchmark divides by epochs_run x n_examples and reads each
+    # epoch's mean_loss
+    from bridgeqa import reader
+
+    cfg = _run_copy(mini_run, tmp_path)
+    read = []
+    reader_losses = reader.reader_losses
+
+    def counted(model, batch, *args, **kwargs):
+        read.append(len(batch))
+        return reader_losses(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(reader, "reader_losses", counted)
+    run_stage("train-reader", cfg)
+    log = json.loads((Path(cfg.output_dir) / "reader_train_log.json").read_text())["reader"]
+    assert sum(read) == log["epochs_run"] * log["n_examples"]
+    assert all(isinstance(h["mean_loss"], float) for h in log["history"])
