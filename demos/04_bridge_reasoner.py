@@ -10,11 +10,11 @@ import tempfile
 
 import numpy as np
 
+from bridgeqa.ablation import PipelineState, linked_passages, start_passages_for
 from bridgeqa.bridge import (
     TitleTokenLinker,
     derive_bridge_labels,
     evaluate_hits,
-    expand_with_entity_linking,
     init_bridge_model,
     predict_ranked_titles,
     prepare_question_inputs,
@@ -22,7 +22,7 @@ from bridgeqa.bridge import (
 )
 from bridgeqa.config import PipelineConfig
 from bridgeqa.corpus import load_corpus, load_questions
-from bridgeqa.retrieval import build_index, retrieve_start_passages
+from bridgeqa.retrieval import build_index
 from bridgeqa.span_model import build_vocab
 from bridgeqa.tinywiki import write_fixture
 
@@ -32,20 +32,15 @@ def main():
     paths = write_fixture(workdir, seed=7)
     corpus = load_corpus(paths["corpus"])
     train = load_questions(paths["train_questions"])
-    index = build_index(corpus)
-    linker = TitleTokenLinker(corpus)
+    # the default config's start set: the top 10 retrieved passages plus up
+    # to 2 linked pages not among them
+    state = PipelineState(corpus, build_index(corpus), PipelineConfig(), linker=TitleTokenLinker(corpus))
 
     bridge_questions = [q for q in train if q.qtype == "bridge"][:8]
     labels, skipped = derive_bridge_labels(bridge_questions, corpus, seed=13)
     print(f"distant supervision labeled {len(labels)} questions, skipped {len(skipped)}")
 
-    start_sets = {}
-    for q in bridge_questions:
-        results = retrieve_start_passages(index, q.question_tokens, 10)
-        passages = [corpus.by_id[r.passage_id] for r in results]
-        start_sets[q.id] = passages + expand_with_entity_linking(
-            q.question_tokens, linker, corpus, passages, top_n=2
-        )
+    start_sets = {q.id: start_passages_for(state, q, linked_passages(state, q)) for q in bridge_questions}
 
     vocab = build_vocab(
         [p.tokens.tokens for p in corpus.passages]

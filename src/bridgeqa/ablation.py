@@ -1,10 +1,11 @@
 """End-to-end answering and the ablation harness, plus the start sets and
 reader_passages, the one rule for what the reader reads, which reader
-training shares: a question with a ranking (a bridge question the reasoner
-ranked) reads its top BRIDGE_READ_PASSAGES ranked answer passages plus the
-entity-linked extras; one without (a comparison, the no_bridge_reasoner
-mode, or a bridge question with no candidates) reads its start set, up to
-reader_max_passages passages.
+training shares. Each question is linked once (linked_passages); its start
+set, and a ranked question's top BRIDGE_READ_PASSAGES answer passages (a
+bridge question the reasoner ranked), each add the first top_n_el linked
+pages not in their own list. A question without a ranking (a comparison,
+the no_bridge_reasoner mode, or a bridge question with no candidates) reads
+its start set, up to reader_max_passages passages.
 Every ablation mode reuses the same trained components with one switch
 flipped, so directional comparisons isolate a single cause.
 """
@@ -61,22 +62,23 @@ class PipelineState:
     linker: TitleTokenLinker | None = None
 
 
-def _with_linked(
-    state: PipelineState, record: QARecord, passages: list[Passage], use_entity_linking: bool
-) -> list[Passage]:
-    """The passages plus the linker's extras for the question, when linking is on."""
-    if use_entity_linking and state.linker is not None:
-        passages = passages + expand_with_entity_linking(
-            record.question_tokens, state.linker, state.corpus, passages, top_n=state.cfg.top_n_el
-        )
-    return passages
+def linked_passages(state: PipelineState, record: QARecord) -> list[Passage]:
+    """The corpus passages of the question's linked titles, in link order;
+    none when state.linker is None."""
+    if state.linker is None:
+        return []
+    return expand_with_entity_linking(record.question_tokens, state.linker, state.corpus)
 
 
-def start_passages_for(
-    state: PipelineState, record: QARecord, *, use_entity_linking: bool
-) -> list[Passage]:
-    """The question's start set: its top-k retrieved passages plus the
-    entity-linked extras."""
+def _plus_linked(state: PipelineState, passages: list[Passage], linked: list[Passage]) -> list[Passage]:
+    """The passages plus the first top_n_el linked passages not among them."""
+    have = {p.title for p in passages}
+    return passages + [p for p in linked if p.title not in have][: state.cfg.top_n_el]
+
+
+def start_passages_for(state: PipelineState, record: QARecord, linked: list[Passage]) -> list[Passage]:
+    """The question's start set: its top-k retrieved passages plus the linked
+    extras not among them."""
     results = retrieve_start_passages(
         state.index,
         record.question_tokens,
@@ -86,21 +88,21 @@ def start_passages_for(
         title_weight=state.cfg.title_weight,
     )
     passages = [state.corpus.by_id[r.passage_id] for r in results]
-    return _with_linked(state, record, passages, use_entity_linking)
+    return _plus_linked(state, passages, linked)
 
 
 def reader_passages(
-    state: PipelineState, record: QARecord, titles: list[str], starts: list[Passage], *, use_entity_linking: bool
+    state: PipelineState, titles: list[str], starts: list[Passage], linked: list[Passage]
 ) -> list[Passage]:
     """The reader's input, in answering and in training. With ranked answer
     titles: the passages of the top BRIDGE_READ_PASSAGES of them (titles
-    missing from the corpus are dropped) plus the entity-linked extras.
-    Without: the start set, up to reader_max_passages passages."""
+    missing from the corpus are dropped) plus the linked extras not among
+    those. Without: the start set, up to reader_max_passages passages."""
     if not titles:
         return starts[: state.cfg.reader_max_passages]
     top = titles[:BRIDGE_READ_PASSAGES]
     passages = [state.corpus.by_title[t] for t in top if t in state.corpus.by_title]
-    return _with_linked(state, record, passages, use_entity_linking)
+    return _plus_linked(state, passages, linked)
 
 
 def _reader_for_mode(state: PipelineState, mode: str) -> SpanModel:
@@ -127,7 +129,6 @@ def predict_one(
     if mode not in ABLATION_MODES:
         raise ValidationError(f"unknown ablation mode {mode!r}")
     reader = _reader_for_mode(state, mode)
-    use_el = state.cfg.entity_linking and mode != "no_el"
     fallback = False
     ranking: list[tuple[str, float | None]] = []
 
@@ -144,7 +145,8 @@ def predict_one(
         if not context_passages:
             return None, "no supporting title resolves in the corpus"
     else:
-        starts = start_passages_for(state, record, use_entity_linking=use_el)
+        linked = [] if mode == "no_el" else linked_passages(state, record)
+        starts = start_passages_for(state, record, linked)
         if record.qtype == "bridge" and mode != "no_bridge_reasoner":
             if state.bridge is None:
                 raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
@@ -161,7 +163,7 @@ def predict_one(
                 log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
                 fallback = True
         titles = [t for t, _ in ranking]
-        context_passages = reader_passages(state, record, titles, starts, use_entity_linking=use_el)
+        context_passages = reader_passages(state, titles, starts, linked)
 
     if not context_passages:
         return None, "no context passages available"

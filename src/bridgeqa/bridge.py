@@ -439,30 +439,10 @@ class TitleTokenLinker:
         return hits
 
 
-def expand_with_entity_linking(
-    question: TokenSeq,
-    linker: TitleTokenLinker | None,
-    corpus: Corpus,
-    existing: list[Passage],
-    top_n: int = PipelineConfig.top_n_el,
-) -> list[Passage]:
-    """Up to top_n linker-suggested passages not already in the start set;
-    none when linking is off (linker None)."""
-    if linker is None:
-        return []
-    have = {p.title for p in existing}
-    extras: list[Passage] = []
-    for title, _score in linker.link(question):
-        if len(extras) >= top_n:
-            break
-        if title in have:
-            continue
-        passage = corpus.by_title.get(title)
-        if passage is None:
-            continue
-        extras.append(passage)
-        have.add(title)
-    return extras
+def expand_with_entity_linking(question: TokenSeq, linker: TitleTokenLinker, corpus: Corpus) -> list[Passage]:
+    """The passages of the linker's titles for the question that the corpus
+    holds, in link order."""
+    return [corpus.by_title[title] for title, _score in linker.link(question) if title in corpus.by_title]
 
 
 # ---------------------------------------------------------------------------

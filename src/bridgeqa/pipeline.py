@@ -32,6 +32,7 @@ import numpy as np
 
 from .ablation import (
     PipelineState,
+    linked_passages,
     predict_questions,
     reader_passages,
     score_predictions,
@@ -122,9 +123,24 @@ def _load_state(cfg: PipelineConfig) -> tuple[PipelineState, list[QARecord], lis
     return PipelineState(corpus, _load_index(cfg), cfg, linker=linker), train, dev
 
 
-def _load_labels(cfg: PipelineConfig) -> list[BridgeLabel]:
+def _load_labels(cfg: PipelineConfig, corpus: Corpus) -> list[BridgeLabel]:
+    """The derived labels; a row without a string qid and gold_title, a
+    gold_title that names no corpus page, or a repeated qid is refused."""
     path = _require(_out(cfg) / "bridge_labels.jsonl", "derive-labels")
-    return [BridgeLabel(rec["qid"], rec["gold_title"]) for rec in read_jsonl(path)]
+    labels: dict[str, BridgeLabel] = {}
+    for line_no, row in iter_jsonl(path):
+        qid, title = row.get("qid"), row.get("gold_title")
+        if not (isinstance(qid, str) and isinstance(title, str)):
+            problem = "missing or mistyped 'qid' or 'gold_title'"
+        elif title not in corpus.by_title:
+            problem = f"gold_title {title!r} names no corpus page"
+        elif qid in labels:
+            problem = f"repeated qid {qid!r}"
+        else:
+            labels[qid] = BridgeLabel(qid, title)
+            continue
+        raise ValidationError(f"{path} line {line_no}: {problem}; rerun derive-labels")
+    return list(labels.values())
 
 
 def _embedding(
@@ -194,10 +210,7 @@ def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int, 
 
 
 def _start_sets(state: PipelineState, questions: list[QARecord]) -> dict[str, list[Passage]]:
-    return {
-        q.id: start_passages_for(state, q, use_entity_linking=state.cfg.entity_linking)
-        for q in questions
-    }
+    return {q.id: start_passages_for(state, q, linked_passages(state, q)) for q in questions}
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +263,7 @@ def stage_derive_labels(cfg: PipelineConfig) -> dict:
 def stage_train_bridge(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     state, train, dev = _load_state(cfg)
-    labels = _load_labels(cfg)
+    labels = _load_labels(cfg, state.corpus)
     corpus = state.corpus
     model = _new_bridge_model(cfg, _embedding(cfg, corpus, train + dev), seed_tag=0)
     bridge_questions = [q for q in train if q.qtype == "bridge"]
@@ -271,7 +284,7 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
 def stage_cross_predict(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     state, train, dev = _load_state(cfg)
-    labels = _load_labels(cfg)
+    labels = _load_labels(cfg, state.corpus)
     corpus = state.corpus
     embedding = _embedding(cfg, corpus, train + dev)
     labeled_ids = {lbl.question_id for lbl in labels}
@@ -281,27 +294,27 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
     by_qid = {q.id: q for q in bridge_questions}
     start_sets = _start_sets(state, bridge_questions)
 
-    def train_fold(name: str, other: str, seed_tag: int) -> tuple[str, dict[str, dict], float]:
+    def train_fold(name: str, other: str, seed_tag: int) -> tuple[str, dict[str, dict], dict]:
         """Train one fold's reasoner, save it and rank passages for the other
-        fold's questions: (checkpoint digest, predictions by qid, seconds)."""
+        fold's questions: (checkpoint digest, predictions by qid, training log)."""
         started = time.perf_counter()
         inputs = prepare_question_inputs([by_qid[qid] for qid in folds[name]], labels, start_sets, corpus)
         model = _new_bridge_model(cfg, embedding, seed_tag=seed_tag)
-        train_bridge_reasoner(model, inputs, corpus, cfg)
+        stats = train_bridge_reasoner(model, inputs, corpus, cfg)
         digest = _save_model(model, out / "checkpoints" / f"bridge_fold_{name.lower()}")
         predictions = {}
         for qid in folds[other]:
             q = by_qid[qid]
             ranked = predict_ranked_titles(model, q, start_sets[q.id], corpus, k=cfg.reader_max_passages)
             predictions[qid] = {"qid": qid, "predicted_by_fold": name, "titles": [t for t, _ in ranked]}
-        return digest, predictions, time.perf_counter() - started
+        return digest, predictions, {**stats, "fold_seconds": time.perf_counter() - started}
 
     # fold B trains in a forked child while this process trains fold A; each
     # fold draws from its own rng streams, so the outputs are those of
     # training the two in sequence
     with _forked(lambda: train_fold("B", "A", seed_tag=2), "cross-predict fold B") as fold_b_reply:
-        digest_a, predictions_a, seconds_a = train_fold("A", "B", seed_tag=1)
-        (digest_b, predictions_b, seconds_b), peak_rss_b = fold_b_reply()
+        digest_a, predictions_a, log_a = train_fold("A", "B", seed_tag=1)
+        (digest_b, predictions_b, log_b), peak_rss_b = fold_b_reply()
     predictions = {**predictions_a, **predictions_b}
 
     write_json(out / "folds.json", folds, indent=2)
@@ -314,7 +327,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         },
         "checkpoint_digests": {"A": digest_a, "B": digest_b},
         "n_cross_predictions": len(predictions),
-        "fold_seconds": {"A": seconds_a, "B": seconds_b},
+        **{key: {"A": log_a[key], "B": log_b[key]} for key in ("fold_seconds", "n_train_questions", "n_gold_missing")},
         "fold_b_peak_rss_mb": peak_rss_b,
         "seed": cfg.seed,
     }
@@ -387,8 +400,9 @@ def _build_reader_examples(
             skips.append({"qid": q.id, "reason": "no cross-prediction (unlabeled question)"})
             continue
         titles = pred.get("titles", [])
-        starts = [] if titles else start_passages_for(state, q, use_entity_linking=cfg.entity_linking)
-        passages = reader_passages(state, q, titles, starts, use_entity_linking=cfg.entity_linking)
+        linked = linked_passages(state, q)
+        starts = [] if titles else start_passages_for(state, q, linked)
+        passages = reader_passages(state, titles, starts, linked)
         example, reason = make_reader_example(
             q,
             passages,

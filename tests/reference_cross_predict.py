@@ -17,7 +17,7 @@ def cross_predict_in_sequence(cfg: PipelineConfig, out: Path) -> None:
     folds.json, cross_predictions.jsonl and checkpoints/bridge_fold_{a,b}
     under out."""
     state, train, dev = pipeline._load_state(cfg)
-    labels = pipeline._load_labels(cfg)
+    labels = pipeline._load_labels(cfg, state.corpus)
     corpus = state.corpus
     embedding = pipeline._embedding(cfg, corpus, train + dev)
     labeled_ids = {lbl.question_id for lbl in labels}

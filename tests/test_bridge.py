@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bridgeqa.ablation import PipelineState, linked_passages, reader_passages, start_passages_for
 from bridgeqa.bridge import (
     BridgeLabel,
     TitleTokenLinker,
@@ -453,25 +455,67 @@ def test_baseline_linker_strips_parenthetical():
 def test_expand_appends_linker_passage():
     corpus = kiss_and_tell_corpus()
     linker = TitleTokenLinker(corpus)
-    extras = expand_with_entity_linking(
-        tokenize("Who portrayed Corliss Archer in Kiss and Tell?"), linker, corpus, [], top_n=2
-    )
-    assert [p.title for p in extras] == ["Kiss and Tell (1945 film)"]
+    linked = expand_with_entity_linking(tokenize("Who portrayed Corliss Archer in Kiss and Tell?"), linker, corpus)
+    assert [p.title for p in linked] == ["Kiss and Tell (1945 film)"]
+
+
+def linking_state(corpus, **cfg):
+    from bridgeqa.retrieval import build_index
+
+    return PipelineState(corpus, build_index(corpus), PipelineConfig(**cfg), linker=TitleTokenLinker(corpus))
+
+
+def linked_extras(state, record, base):
+    """The oracle: the first top_n_el titles linker.link gives that the corpus
+    holds and base lacks."""
+    have = {p.title for p in base}
+    titles = [t for t, _ in state.linker.link(record.question_tokens) if t in state.corpus.by_title]
+    return [state.corpus.by_title[t] for t in titles if t not in have][: state.cfg.top_n_el]
 
 
 def test_expand_no_duplicates():
+    # a linked page the start set already holds is not added again
     corpus = kiss_and_tell_corpus()
-    linker = TitleTokenLinker(corpus)
-    existing = [corpus.by_title["Kiss and Tell (1945 film)"]]
-    extras = expand_with_entity_linking(
-        tokenize("Who portrayed Corliss Archer in Kiss and Tell?"), linker, corpus, existing, top_n=2
-    )
-    assert extras == []
+    state = linking_state(corpus)
+    record = QARecord("q1", "Who portrayed Corliss Archer in Kiss and Tell?", "Shirley Temple", "bridge")
+    linked = linked_passages(state, record)
+    assert [p.title for p in linked] == ["Kiss and Tell (1945 film)"]
+    assert [p.title for p in start_passages_for(state, record, linked)] == ["Kiss and Tell (1945 film)"]
 
 
 def test_expand_disabled_linker():
-    corpus = kiss_and_tell_corpus()
-    assert expand_with_entity_linking(tokenize("anything"), None, corpus, [], top_n=2) == []
+    state = replace(linking_state(kiss_and_tell_corpus()), linker=None)
+    assert linked_passages(state, QARecord("q1", "Kiss and Tell", "x", "bridge")) == []
+
+
+def test_start_set_and_bridge_reader_each_filter_linked_pages_against_their_own_list():
+    # retrieval returns the first linked page, so the start set skips it and
+    # the second takes its slot; a bridge reader whose top titles lack the
+    # first page reads it
+    corpus = corpus_of([
+        passage("p1", "Amber Hill", "Amber Hill is a film shot at Amber Hill by Grey Lake."),
+        passage("p2", "Grey Lake", "Grey Lake is a lake."),
+        passage("p3", "Tom Reed", "Tom Reed directed films."),
+        passage("p4", "Ann Reed", "Ann Reed wrote songs."),
+        passage("p5", "Bo Reed", "Bo Reed sang songs."),
+    ])
+    state = linking_state(corpus, k=1, top_n_el=1)
+    record = QARecord("q1", "Who directed Amber Hill at Grey Lake?", "Tom Reed", "bridge")
+    linked = linked_passages(state, record)
+    assert [p.title for p in linked] == ["Amber Hill", "Grey Lake"]
+
+    starts = start_passages_for(state, record, linked)
+    assert [p.title for p in starts] == ["Amber Hill", "Grey Lake"]
+    assert starts[1:] == linked_extras(state, record, starts[:1])
+
+    titles = ["Tom Reed", "Ann Reed", "Bo Reed", "Amber Hill"]
+    read = reader_passages(state, titles, starts, linked)
+    assert [p.title for p in read] == ["Tom Reed", "Ann Reed", "Bo Reed", "Amber Hill"]
+    assert read[3:] == linked_extras(state, record, read[:3])
+    read = reader_passages(state, ["Amber Hill", "Tom Reed"], starts, linked)
+    assert [p.title for p in read] == ["Amber Hill", "Tom Reed", "Grey Lake"]
+    # without a ranking, the reader reads the start set
+    assert reader_passages(state, [], starts, linked) == starts
 
 
 def test_score_bridges_all_starts_match_each_start_alone():

@@ -133,7 +133,7 @@ def test_library_defaults_follow_the_config_defaults():
         """
         import importlib, inspect
         from bridgeqa import bridge, config, reader, retrieval
-        changed = dict(max_answer_len=7, abstract_max_tokens=5, top_n_el=4, reader_max_passages=3,
+        changed = dict(max_answer_len=7, abstract_max_tokens=5, reader_max_passages=3,
                        aux_weight=0.5, k1=1.5, b=0.5, title_weight=2.0)
         for key, value in changed.items():
             setattr(config.PipelineConfig, key, value)
@@ -150,7 +150,6 @@ def test_library_defaults_follow_the_config_defaults():
         print(default(reader.reader_losses, "aux_weight"))
         print(default(bridge.init_bridge_model, "abstract_max_tokens"))
         print(bridge.BridgeModel(span=None, lstm_hidden=1).abstract_max_tokens)
-        print(default(bridge.expand_with_entity_linking, "top_n"))
         print(default(bridge.rank_answer_passages, "k"), default(bridge.predict_ranked_titles, "k"))
         for fn in (retrieval.hybrid_scores, retrieval.hybrid_score, retrieval.retrieve_start_passages):
             print(default(fn, "k1"), default(fn, "b"), default(fn, "title_weight"))
@@ -159,4 +158,4 @@ def test_library_defaults_follow_the_config_defaults():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["7"] * 5 + ["0.5"] + ["5", "5", "4", "3", "3"] + ["1.5", "0.5", "2.0"] * 3
+    assert out.stdout.split() == ["7"] * 5 + ["0.5"] + ["5", "5", "3", "3"] + ["1.5", "0.5", "2.0"] * 3

@@ -56,11 +56,11 @@ def test_memo_gives_the_packed_answers_in_every_ablation_mode(mini_run):
 def test_memo_scores_every_candidate_as_the_packed_path(mini_run):
     memo_state, plain_state = _answering_states(mini_run)
     _, _, dev = _load_ingested(mini_run)
-    from bridgeqa.ablation import start_passages_for
+    from bridgeqa.ablation import linked_passages, start_passages_for
 
     compared = 0
     for record in dev:
-        starts = start_passages_for(memo_state, record, use_entity_linking=True)
+        starts = start_passages_for(memo_state, record, linked_passages(memo_state, record))
         candidates = collect_candidates(starts, memo_state.corpus)
         if not candidates:
             continue
@@ -116,14 +116,14 @@ def test_memo_keys_by_content_so_a_swapped_corpus_gets_its_own_encodings():
 def test_training_neither_reads_nor_fills_the_memo(mini_run):
     state = load_pipeline_state(mini_run)
     _, _, dev = _load_ingested(mini_run)
-    from bridgeqa.ablation import start_passages_for
+    from bridgeqa.ablation import linked_passages, start_passages_for
 
     record = next(
         q for q in dev
-        if q.qtype == "bridge" and collect_candidates(start_passages_for(state, q, use_entity_linking=True),
+        if q.qtype == "bridge" and collect_candidates(start_passages_for(state, q, linked_passages(state, q)),
                                                       state.corpus)
     )
-    starts = start_passages_for(state, record, use_entity_linking=True)
+    starts = start_passages_for(state, record, linked_passages(state, record))
     candidates = collect_candidates(starts, state.corpus)
     question = tokenize(record.question)
     model = state.bridge

@@ -187,7 +187,8 @@ def test_fixture_bridge_step_records_at_most_150_tape_nodes(mini_run):
     state, train, dev = _load_state(mini_run)
     model = _new_bridge_model(mini_run, _embedding(mini_run, state.corpus, train + dev), seed_tag=0)
     questions = [q for q in train if q.qtype == "bridge"]
-    inputs = prepare_question_inputs(questions, _load_labels(mini_run), _start_sets(state, questions), state.corpus)
+    labels = _load_labels(mini_run, state.corpus)
+    inputs = prepare_question_inputs(questions, labels, _start_sets(state, questions), state.corpus)
     counts = []
     for qi in inputs:
         logits = score_bridges(model, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
@@ -236,7 +237,8 @@ def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
 
     bridge = _new_bridge_model(mini_run, embedding, seed_tag=0)
     questions = [q for q in train if q.qtype == "bridge"]
-    inputs = prepare_question_inputs(questions, _load_labels(mini_run), _start_sets(state, questions), state.corpus)
+    labels = _load_labels(mini_run, state.corpus)
+    inputs = prepare_question_inputs(questions, labels, _start_sets(state, questions), state.corpus)
     qi = next(qi for qi in inputs if gold_mention_indices(qi.candidates, qi.label.gold_title))
     logits = score_bridges(bridge, qi.record.question_tokens, qi.start_passages, qi.candidates, state.corpus,
                            rng=np.random.default_rng(0))
@@ -707,7 +709,7 @@ def test_a_bridge_question_with_no_cross_predicted_titles_trains_on_what_answeri
     monkeypatch.setattr(ablation, "predict_ranked_titles", lambda *args, **kwargs: [])
     pred, reason = ablation.predict_one(state, q, "full")
     assert reason is None and pred.fallback
-    starts = ablation.start_passages_for(state, q, use_entity_linking=True)[: mini_run.reader_max_passages]
+    starts = ablation.start_passages_for(state, q, ablation.linked_passages(state, q))[: mini_run.reader_max_passages]
     assert len(starts) > 1
     assert trained_on[q.id] == [t for t, _ in pred.ranking] == [p.title for p in starts]
 
@@ -731,7 +733,8 @@ def test_no_bridge_reasoner_mode_reads_the_start_set_without_a_reasoner(mini_run
     for q in bridge:
         pred, reason = ablation.predict_one(state, q, "no_bridge_reasoner")
         assert reason is None
-        starts = ablation.start_passages_for(state, q, use_entity_linking=True)[: mini_run.reader_max_passages]
+        starts = ablation.start_passages_for(state, q, ablation.linked_passages(state, q))
+        starts = starts[: mini_run.reader_max_passages]
         assert read[-1] == [t for t, _ in pred.ranking] == [p.title for p in starts]
         assert all(score is None for _, score in pred.ranking)
         assert pred.fallback is False
@@ -748,10 +751,10 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
     assert pred.ranking  # reasoner produced a ranking
     assert not pred.fallback
     # every ranked answer passage is reachable from some start-set anchor
-    from bridgeqa.ablation import start_passages_for
+    from bridgeqa.ablation import linked_passages, start_passages_for
     from bridgeqa.bridge import collect_candidates
 
-    starts = start_passages_for(state, bridge[0], use_entity_linking=True)
+    starts = start_passages_for(state, bridge[0], linked_passages(state, bridge[0]))
     reachable = {c.target_title for c in collect_candidates(starts, state.corpus)}
     assert {t for t, _ in pred.ranking} <= reachable
 
@@ -760,8 +763,9 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
 def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini_run, mode):
     # the ranking keeps reader_max_passages titles; the reader reads the first
     # BRIDGE_READ_PASSAGES of them, then the linker's extras not among those
-    from bridgeqa.ablation import BRIDGE_READ_PASSAGES, predict_one, start_passages_for
-    from bridgeqa.bridge import expand_with_entity_linking, predict_ranked_titles
+    from bridgeqa.ablation import BRIDGE_READ_PASSAGES, linked_passages, predict_one, start_passages_for
+    from bridgeqa.bridge import predict_ranked_titles
+    from test_bridge import linked_extras
 
     state = load_pipeline_state(mini_run)
     _, _, dev = _load_ingested(mini_run)
@@ -770,7 +774,7 @@ def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini
     for q in (q for q in dev if q.qtype == "bridge"):
         pred, reason = predict_one(state, q, mode)
         assert reason is None and not pred.fallback
-        starts = start_passages_for(state, q, use_entity_linking=use_el)
+        starts = start_passages_for(state, q, linked_passages(state, q) if use_el else [])
         ranked = predict_ranked_titles(
             state.bridge, q, starts, state.corpus, k=mini_run.reader_max_passages,
             use_context=mode != "no_context_evidence", use_content=mode != "no_content_evidence",
@@ -778,8 +782,7 @@ def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini
         titles = [t for t, _ in pred.ranking]
         assert titles == [t for t, _ in ranked]
         read = [state.corpus.by_title[t] for t in titles[:BRIDGE_READ_PASSAGES]]
-        linker = state.linker if use_el else None
-        extras = expand_with_entity_linking(q.question_tokens, linker, state.corpus, read, top_n=mini_run.top_n_el)
+        extras = linked_extras(state, q, read) if use_el else []
         assert pred.passages == [p.title for p in read + extras]
         capped += len(titles) > BRIDGE_READ_PASSAGES
     assert capped > 0
@@ -787,9 +790,9 @@ def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini
 
 def test_bridge_reader_examples_read_the_top_ranked_titles_plus_the_linked_extras(mini_run):
     from bridgeqa.ablation import BRIDGE_READ_PASSAGES
-    from bridgeqa.bridge import expand_with_entity_linking
     from bridgeqa.manifest import read_jsonl
     from bridgeqa.pipeline import _build_reader_examples, _load_state
+    from test_bridge import linked_extras
 
     state, train, _ = _load_state(mini_run)
     cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
@@ -800,7 +803,7 @@ def test_bridge_reader_examples_read_the_top_ranked_titles_plus_the_linked_extra
     for ex in bridge_examples:
         q = by_qid[ex.question_id]
         read = [state.corpus.by_title[t] for t in cross[q.id]["titles"][:BRIDGE_READ_PASSAGES]]
-        extras = expand_with_entity_linking(q.question_tokens, state.linker, state.corpus, read, top_n=mini_run.top_n_el)
+        extras = linked_extras(state, q, read)
         assert ex.context.titles == [p.title for p in read + extras]
 
 
@@ -808,7 +811,7 @@ def test_comparisons_read_both_compared_pages_whenever_their_start_set_holds_the
     # the cap is on the reasoner's ranking: a comparison reads its start set
     # up to reader_max_passages, so a compared page that retrieval ranks below
     # BRIDGE_READ_PASSAGES is still read, in answering and in training
-    from bridgeqa.ablation import BRIDGE_READ_PASSAGES, predict_one, start_passages_for
+    from bridgeqa.ablation import BRIDGE_READ_PASSAGES, linked_passages, predict_one, start_passages_for
     from bridgeqa.manifest import read_jsonl
     from bridgeqa.pipeline import _build_reader_examples
 
@@ -818,7 +821,7 @@ def test_comparisons_read_both_compared_pages_whenever_their_start_set_holds_the
     examples = {ex.question_id: ex for ex in _build_reader_examples(state, train, cross)[0]}
     below_cap = 0
     for q in (q for q in train + dev if q.qtype == "comparison"):
-        starts = [p.title for p in start_passages_for(state, q, use_entity_linking=True)]
+        starts = [p.title for p in start_passages_for(state, q, linked_passages(state, q))]
         starts = starts[: mini_run.reader_max_passages]
         compared = set(q.supporting_titles)
         if not compared <= set(starts):
@@ -1177,3 +1180,105 @@ def test_reader_train_log_counts_the_examples_it_read(mini_run, tmp_path, monkey
     log = json.loads((Path(cfg.output_dir) / "reader_train_log.json").read_text())["reader"]
     assert sum(read) == log["epochs_run"] * log["n_examples"]
     assert all(isinstance(h["mean_loss"], float) for h in log["history"])
+
+
+@pytest.mark.parametrize("stage", ["train-bridge", "cross-predict"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[1].pop("gold_title"), r"line 2: missing or mistyped 'qid' or 'gold_title'"),
+        (lambda rows: rows[0].update(qid=7), r"line 1: missing or mistyped 'qid' or 'gold_title'"),
+        (lambda rows: rows[2].update(gold_title="No Such Page"), r"line 3: gold_title 'No Such Page' names no corpus"),
+        (lambda rows: rows.append(dict(rows[0])), r"line \d+: repeated qid"),
+    ],
+    ids=["no-gold-title", "qid-not-a-string", "unknown-title", "repeated-qid"],
+)
+def test_a_malformed_labels_file_is_refused_before_the_stage_writes(mini_run, tmp_path, capsys, stage, edit, message):
+    # on the parent a missing gold_title exits 3 with "error: 'gold_title'",
+    # and a title no page has trains without a word
+    from dataclasses import asdict
+
+    from bridgeqa.manifest import read_jsonl, write_jsonl
+
+    cfg = _run_copy(mini_run, tmp_path)
+    path = Path(cfg.output_dir) / "bridge_labels.jsonl"
+    rows = read_jsonl(path)
+    edit(rows)
+    write_jsonl(path, rows)
+    before = _files(cfg.output_dir)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main([stage, "--config", str(cfg_path)]) == 1
+    assert re.search(r"bridge_labels\.jsonl " + message + r".*; rerun derive-labels", capsys.readouterr().err)
+    assert _files(cfg.output_dir) == before
+
+
+@pytest.mark.parametrize("unreachable", [False, True])
+def test_cross_predict_records_each_folds_question_counts(mini_run, tmp_path, unreachable):
+    # shaped like fold_seconds; fold B's counts come back from its child
+    from bridgeqa.bridge import collect_candidates
+    from bridgeqa.manifest import read_jsonl, write_jsonl
+    from bridgeqa.pipeline import STAGES, _load_state, _start_sets
+
+    cfg = _run_copy(mini_run, tmp_path)
+    out = Path(cfg.output_dir)
+    labels = read_jsonl(out / "bridge_labels.jsonl")
+    relabeled = labels[0]["qid"] if unreachable else None
+    if unreachable:
+        state, train, _ = _load_state(cfg)
+        record = next(q for q in train if q.id == relabeled)
+        anchored = {c.target_title for c in collect_candidates(_start_sets(state, [record])[record.id], state.corpus)}
+        assert "Grayfield" in state.corpus.by_title and "Grayfield" not in anchored
+        labels[0]["gold_title"] = "Grayfield"
+        write_jsonl(out / "bridge_labels.jsonl", labels)
+        entry = run_stage("cross-predict", cfg)
+    else:
+        entry = read_manifest(out)[STAGES.index("cross-predict")]
+    missing = {name: int(relabeled in qids) for name, qids in entry["folds"].items()}
+    assert entry["n_gold_missing"] == missing
+    assert sum(missing.values()) == int(unreachable)
+    assert entry["n_train_questions"] == {name: len(qids) - missing[name] for name, qids in entry["folds"].items()}
+    assert sorted(entry["fold_seconds"]) == ["A", "B"]
+
+
+def _count_links(monkeypatch, refuse=False):
+    """The questions TitleTokenLinker.link is called on; with refuse, a call
+    raises instead, so one in cross-predict's forked child fails the stage."""
+    from bridgeqa.bridge import TitleTokenLinker
+
+    calls = []
+    link = TitleTokenLinker.link
+
+    def counted(self, question):
+        if refuse:
+            raise AssertionError("TitleTokenLinker.link called with linking off")
+        calls.append(question)
+        return link(self, question)
+
+    monkeypatch.setattr(TitleTokenLinker, "link", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["full", "no_el"])
+def test_each_answered_question_is_linked_once(mini_run, monkeypatch, mode):
+    # its start set and its reader share one link; the parent links each
+    # answered bridge question twice, 19 calls for the 11 dev questions
+    state = load_pipeline_state(mini_run)
+    _, _, dev = _load_ingested(mini_run)
+    calls = _count_links(monkeypatch)
+    predictions, skipped = predict_questions(state, dev, mode)
+    assert len(predictions) == len(dev) and not skipped
+    expected = [q.question_tokens for q in dev] if mode == "full" else []
+    assert len(calls) == len(expected)
+    assert calls == expected
+
+
+def test_no_stage_links_with_entity_linking_off(fixture_dir, tmp_path, monkeypatch):
+    from bridgeqa.pipeline import STAGES, run_all
+
+    cfg = load_config(None, fixture_config(fixture_dir, tmp_path / "out", bridge_epochs=2, reader_epochs=2,
+                                           entity_linking=False))
+    _count_links(monkeypatch, refuse=True)
+    results = run_all(cfg)
+    assert list(results) == list(STAGES)
+    assert results["predict"]["mode"] == "full" and results["predict"]["n_predictions"] > 0
