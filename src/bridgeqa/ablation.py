@@ -2,10 +2,10 @@
 reader_passages, the one rule for what the reader reads, which reader
 training shares. Each question is linked once (linked_passages); its start
 set, and a ranked question's top BRIDGE_READ_PASSAGES answer passages (a
-bridge question the reasoner ranked), each add the first top_n_el linked
+bridge question the reasoner ranked), each add the first TOP_N_EL linked
 pages not in their own list. A question without a ranking (a comparison,
 the no_bridge_reasoner mode, or a bridge question with no candidates) reads
-its start set, up to reader_max_passages passages.
+its start set, up to bridge.READER_MAX_PASSAGES passages.
 Every ablation mode reuses the same trained components with one switch
 flipped, so directional comparisons isolate a single cause.
 """
@@ -16,6 +16,7 @@ import logging
 from dataclasses import dataclass
 
 from .bridge import (
+    READER_MAX_PASSAGES,
     BridgeModel,
     TitleTokenLinker,
     collect_candidates,  # noqa: F401 - bench/layers.py traces ablation.collect_candidates
@@ -39,6 +40,8 @@ log = logging.getLogger(__name__)
 # in answering and in training; on the fixture's dev bridge questions the
 # first passage holding the answer ranks in the top 3 at seeds 11-15
 BRIDGE_READ_PASSAGES = 3
+# the linked pages a start set, or a ranked question's read passages, add
+TOP_N_EL = 2
 
 
 @dataclass
@@ -70,25 +73,18 @@ def linked_passages(state: PipelineState, record: QARecord) -> list[Passage]:
     return expand_with_entity_linking(record.question_tokens, state.linker, state.corpus)
 
 
-def _plus_linked(state: PipelineState, passages: list[Passage], linked: list[Passage]) -> list[Passage]:
-    """The passages plus the first top_n_el linked passages not among them."""
+def _plus_linked(passages: list[Passage], linked: list[Passage]) -> list[Passage]:
+    """The passages plus the first TOP_N_EL linked passages not among them."""
     have = {p.title for p in passages}
-    return passages + [p for p in linked if p.title not in have][: state.cfg.top_n_el]
+    return passages + [p for p in linked if p.title not in have][:TOP_N_EL]
 
 
 def start_passages_for(state: PipelineState, record: QARecord, linked: list[Passage]) -> list[Passage]:
     """The question's start set: its top-k retrieved passages plus the linked
     extras not among them."""
-    results = retrieve_start_passages(
-        state.index,
-        record.question_tokens,
-        state.cfg.k,
-        k1=state.cfg.k1,
-        b=state.cfg.b,
-        title_weight=state.cfg.title_weight,
-    )
+    results = retrieve_start_passages(state.index, record.question_tokens, state.cfg.k)
     passages = [state.corpus.by_id[r.passage_id] for r in results]
-    return _plus_linked(state, passages, linked)
+    return _plus_linked(passages, linked)
 
 
 def reader_passages(
@@ -97,12 +93,12 @@ def reader_passages(
     """The reader's input, in answering and in training. With ranked answer
     titles: the passages of the top BRIDGE_READ_PASSAGES of them (titles
     missing from the corpus are dropped) plus the linked extras not among
-    those. Without: the start set, up to reader_max_passages passages."""
+    those. Without: the start set, up to READER_MAX_PASSAGES passages."""
     if not titles:
-        return starts[: state.cfg.reader_max_passages]
+        return starts[:READER_MAX_PASSAGES]
     top = titles[:BRIDGE_READ_PASSAGES]
     passages = [state.corpus.by_title[t] for t in top if t in state.corpus.by_title]
-    return _plus_linked(state, passages, linked)
+    return _plus_linked(passages, linked)
 
 
 def _reader_for_mode(state: PipelineState, mode: str) -> SpanModel:
@@ -155,7 +151,6 @@ def predict_one(
                 record,
                 starts,
                 state.corpus,
-                k=state.cfg.reader_max_passages,
                 use_context=mode != "no_context_evidence",
                 use_content=mode != "no_content_evidence",
             )
@@ -167,13 +162,7 @@ def predict_one(
 
     if not context_passages:
         return None, "no context passages available"
-    answer, context = read_and_decode(
-        reader,
-        record,
-        context_passages,
-        max_tokens=state.cfg.reader_context_cap,
-        max_answer_len=state.cfg.max_answer_len,
-    )
+    answer, context = read_and_decode(reader, record, context_passages, max_tokens=state.cfg.reader_context_cap)
     return (
         Prediction(
             qid=record.id,

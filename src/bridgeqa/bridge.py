@@ -52,6 +52,9 @@ from .span_model import (
     self_attention,  # noqa: F401 - bench/layers.py traces bridge.self_attention
 )
 
+# the titles a ranking keeps, and the start passages read without a ranking
+READER_MAX_PASSAGES = 10
+
 
 @dataclass(frozen=True)
 class BridgeLabel:
@@ -374,7 +377,7 @@ def bridge_loss(candidates: list[BridgeCandidate], logits: Tensor, label: Bridge
 
 
 def rank_answer_passages(
-    candidates: list[BridgeCandidate], scores, k: int = PipelineConfig.reader_max_passages
+    candidates: list[BridgeCandidate], scores, k: int = READER_MAX_PASSAGES
 ) -> list[tuple[str, float]]:
     """Reduce the mention scores, one per candidate (score_bridges's logits),
     per target title by maximum; return the top-k unique titles, descending
@@ -534,7 +537,7 @@ def predict_ranked_titles(
     question: QARecord,
     start_passages: list[Passage],
     corpus: Corpus,
-    k: int = PipelineConfig.reader_max_passages,
+    k: int = READER_MAX_PASSAGES,
     *,
     use_context: bool = True,
     use_content: bool = True,

@@ -4,7 +4,7 @@ unknown-key rejection and validation before any work starts."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -29,34 +29,26 @@ class PipelineConfig:
     dev_questions_path: str | None = None
     embeddings_path: str | None = None
     output_dir: str = "runs/out"
-    # retrieval
+    # retrieval and entity linking
     k: int = 10
-    k1: float = 1.2
-    b: float = 0.75
-    title_weight: float = 1.0
-    # entity linking
     entity_linking: bool = True
-    top_n_el: int = 2
     # model dimensions
-    embed_dim: int = 16
     gru_hidden: int = 16
     lstm_hidden: int = 16
     abstract_max_tokens: int = 48
     # training
     lr: float = 1e-3
-    reader_lr: float | None = None  # None -> lr
+    reader_lr: float = 1e-3
     bridge_epochs: int = 200
     reader_epochs: int = 80
     batch_size: int = 1
-    reader_batch_size: int | None = None  # None -> batch_size
+    reader_batch_size: int = 1
     dropout: float = 0.2
     aux_weight: float = 1.0
     seed: int = 13
     bridge_early_stop_hits1: float = 0.95
     reader_early_stop_em: float = 0.95
     # reader
-    max_answer_len: int = 30
-    reader_max_passages: int = 10
     reader_context_cap: int = 512
     # run flags
     mode: str = "full"
@@ -64,12 +56,10 @@ class PipelineConfig:
 
 
 _POSITIVE_INTS = (
-    "k", "top_n_el", "embed_dim", "gru_hidden", "lstm_hidden", "abstract_max_tokens",
-    "bridge_epochs", "reader_epochs", "batch_size", "max_answer_len",
-    "reader_max_passages", "reader_context_cap",
+    "k", "gru_hidden", "lstm_hidden", "abstract_max_tokens", "bridge_epochs", "reader_epochs",
+    "batch_size", "reader_batch_size", "reader_context_cap",
 )
-_POSITIVE_FLOATS = ("k1", "lr", "bridge_early_stop_hits1", "reader_early_stop_em")
-_NONNEGATIVE_FLOATS = ("title_weight", "aux_weight")
+_POSITIVE_FLOATS = ("lr", "reader_lr", "bridge_early_stop_hits1", "reader_early_stop_em")
 _OPTIONAL_PATHS = ("corpus_path", "train_questions_path", "dev_questions_path", "embeddings_path")
 
 
@@ -98,19 +88,8 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         value = getattr(cfg, name)
         if not _real(value) or value <= 0:
             raise ConfigError(f"config {name!r} must be positive, got {value!r}")
-    for name in _NONNEGATIVE_FLOATS:
-        value = getattr(cfg, name)
-        if not _real(value) or value < 0:
-            raise ConfigError(f"config {name!r} must be non-negative, got {value!r}")
-    # 1 - b + b * len / avg, BM25's length normaliser, must stay positive for
-    # every passage length, and it reaches zero on a short passage once b > 1
-    if not _real(cfg.b) or not (0.0 < cfg.b <= 1.0):
-        raise ConfigError(f"config 'b' must lie in (0, 1], got {cfg.b!r}")
-    if cfg.reader_lr is not None and (not _real(cfg.reader_lr) or cfg.reader_lr <= 0):
-        raise ConfigError(f"config 'reader_lr' must be positive, got {cfg.reader_lr!r}")
-    size = cfg.reader_batch_size
-    if size is not None and (not (_real(size) and isinstance(size, int)) or size < 1):
-        raise ConfigError(f"config 'reader_batch_size' must be a positive integer, got {size!r}")
+    if not _real(cfg.aux_weight) or cfg.aux_weight < 0:
+        raise ConfigError(f"config 'aux_weight' must be non-negative, got {cfg.aux_weight!r}")
     if not _real(cfg.dropout) or not (0.0 <= cfg.dropout < 1.0):
         raise ConfigError(f"config 'dropout' must lie in [0, 1), got {cfg.dropout!r}")
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
@@ -149,7 +128,3 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         raise ConfigError(f"unknown config keys: {unknown}")
     cfg = PipelineConfig(**values)
     return validate_config(cfg)
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    return asdict(cfg)

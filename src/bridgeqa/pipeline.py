@@ -53,10 +53,10 @@ from .bridge import (
     train_bridge_reasoner,
 )
 from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkpoint
-from .config import PipelineConfig, config_to_dict
+from .config import PipelineConfig
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
-from .manifest import append_manifest, file_sha256, iter_jsonl, read_jsonl, read_manifest, write_json, write_jsonl
+from .manifest import append_manifest, file_sha256, iter_jsonl, read_manifest, write_json, write_jsonl
 from .reader import (
     Prediction,
     ReaderExample,
@@ -71,20 +71,9 @@ from .retrieval import (
     index_to_dict,
     retrieve_start_passages,  # noqa: F401 - bench/layers.py traces pipeline.retrieve_start_passages
 )
-from .span_model import SpanModel, build_vocab, init_span_model, load_embedding_text
+from .span_model import EMBED_DIM, SpanModel, build_vocab, init_span_model, load_embedding_text
 
 log = logging.getLogger(__name__)
-
-STAGES = (
-    "ingest",
-    "build-index",
-    "derive-labels",
-    "train-bridge",
-    "cross-predict",
-    "train-reader",
-    "predict",
-    "evaluate",
-)
 
 
 def _out(cfg: PipelineConfig) -> Path:
@@ -143,6 +132,38 @@ def _load_labels(cfg: PipelineConfig, corpus: Corpus) -> list[BridgeLabel]:
     return list(labels.values())
 
 
+def _load_cross_predictions(cfg: PipelineConfig, corpus: Corpus) -> dict[str, dict]:
+    """The cross-predicted rows by qid; a row that does not fit folds.json
+    and the corpus, or repeats a qid, is refused."""
+    out = _out(cfg)
+    path = _require(out / "cross_predictions.jsonl", "cross-predict")
+    folds_path = _require(out / "folds.json", "cross-predict")
+    try:
+        folds = {name: set(qids) for name, qids in json.loads(folds_path.read_text(encoding="utf-8")).items()}
+    except (ValueError, AttributeError, TypeError) as exc:
+        raise ValidationError(f"{folds_path}: not a fold assignment ({exc!r}); rerun cross-predict") from exc
+    rows: dict[str, dict] = {}
+    for line_no, row in iter_jsonl(path):
+        qid, fold, titles = row.get("qid"), row.get("predicted_by_fold"), row.get("titles")
+        if not isinstance(qid, str):
+            problem = "missing or mistyped 'qid'"
+        elif not (isinstance(fold, str) and fold in folds):
+            problem = f"predicted_by_fold {fold!r} is not a fold of folds.json"
+        elif qid in folds[fold]:
+            problem = f"predicted by fold {fold!r}, which trained on {qid!r}"
+        elif not (isinstance(titles, list) and all(isinstance(t, str) for t in titles)):
+            problem = "missing or mistyped 'titles'"
+        elif not set(titles) <= corpus.by_title.keys():
+            problem = f"titles {sorted(set(titles) - corpus.by_title.keys())} name no corpus page"
+        elif qid in rows:
+            problem = f"repeated qid {qid!r}"
+        else:
+            rows[qid] = row
+            continue
+        raise ValidationError(f"{path} line {line_no}: {problem}; rerun cross-predict")
+    return rows
+
+
 def _embedding(
     cfg: PipelineConfig, corpus: Corpus, questions: list[QARecord]
 ) -> tuple[dict[str, int], np.ndarray | None, int]:
@@ -157,7 +178,7 @@ def _embedding(
     sources.append(("yes", "no"))
     vocab = build_vocab(sources)
     if cfg.embeddings_path is None:
-        return vocab, None, cfg.embed_dim
+        return vocab, None, EMBED_DIM
     tokens, matrix = load_embedding_text(cfg.embeddings_path)
     dim = matrix.shape[1]
     by_token = {}
@@ -198,7 +219,7 @@ def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int, 
         arrays, vocab = load_checkpoint(directory)
         # the checkpoint holds the restricted vocabulary and the frozen table,
         # so the vector file is not read again
-        matrix, dim = None, cfg.embed_dim
+        matrix, dim = None, EMBED_DIM
         if cfg.embeddings_path is not None:
             matrix = arrays["embed/matrix"]
             dim = matrix.shape[1]
@@ -228,7 +249,7 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
     save_questions(train, out / "questions_train.jsonl")
     save_questions(dev, out / "questions_dev.jsonl")
     return {
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "n_passages": len(corpus),
         "n_train_questions": len(train),
         "n_dev_questions": len(dev),
@@ -305,7 +326,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         predictions = {}
         for qid in folds[other]:
             q = by_qid[qid]
-            ranked = predict_ranked_titles(model, q, start_sets[q.id], corpus, k=cfg.reader_max_passages)
+            ranked = predict_ranked_titles(model, q, start_sets[q.id], corpus)
             predictions[qid] = {"qid": qid, "predicted_by_fold": name, "titles": [t for t, _ in ranked]}
         return digest, predictions, {**stats, "fold_seconds": time.perf_counter() - started}
 
@@ -407,7 +428,6 @@ def _build_reader_examples(
             q,
             passages,
             max_tokens=cfg.reader_context_cap,
-            max_answer_len=cfg.max_answer_len,
             predicted_by_fold=pred.get("predicted_by_fold"),
         )
         n_dropped += len(passages) - len(example.context.passages)
@@ -421,8 +441,7 @@ def _build_reader_examples(
 def stage_train_reader(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     state, train, dev = _load_state(cfg)
-    cross_path = _require(out / "cross_predictions.jsonl", "cross-predict")
-    cross_preds = {rec["qid"]: rec for rec in read_jsonl(cross_path)}
+    cross_preds = _load_cross_predictions(cfg, state.corpus)
     examples, skips, n_dropped = _build_reader_examples(state, train, cross_preds)
     write_jsonl(
         out / "reader_examples.jsonl",
@@ -556,6 +575,7 @@ _STAGE_FUNCS = {
     "predict": stage_predict,
     "evaluate": stage_evaluate,
 }
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_stage(stage: str, cfg: PipelineConfig) -> dict:

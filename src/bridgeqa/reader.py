@@ -28,6 +28,8 @@ from .numcore import ParamStore, Tensor, adam_step, add, backward, scale
 from .span_model import SpanModel, SpanScores, attend, run_span_model, span_heads, span_nll_loss
 
 SENTINELS = ("yes", "no")
+# the longest answer span, in tokens, that is decoded or located
+MAX_ANSWER_LEN = 30
 
 
 @dataclass
@@ -80,7 +82,7 @@ def build_reader_context(passages: list[Passage], max_tokens: int | None = None)
 def locate_answer_span(
     context: ReaderContext,
     answer: str,
-    max_len: int = PipelineConfig.max_answer_len,
+    max_len: int = MAX_ANSWER_LEN,
 ) -> tuple[int, int] | None:
     """First token window whose text (span_to_text) normalizes to the
     normalized answer; earlier (then shorter) windows win, so earlier
@@ -129,7 +131,7 @@ def make_reader_example(
     passages: list[Passage],
     *,
     max_tokens: int | None = None,
-    max_answer_len: int = PipelineConfig.max_answer_len,
+    max_answer_len: int = MAX_ANSWER_LEN,
     predicted_by_fold: str | None = None,
 ) -> tuple[ReaderExample, str | None]:
     """Build a training example and the reason it cannot be trained on, or
@@ -203,7 +205,7 @@ def reader_losses(
 def best_span(
     start_logits: np.ndarray,
     end_logits: np.ndarray,
-    max_len: int = PipelineConfig.max_answer_len,
+    max_len: int = MAX_ANSWER_LEN,
 ) -> tuple[int, int]:
     """Argmax of start_logit[s] + end_logit[e] over s <= e < s + max_len;
     ties by smaller s, then smaller e."""
@@ -242,7 +244,7 @@ def span_to_text(context: ReaderContext, s: int, e: int) -> str:
 def decode_answer(
     scores,
     context: ReaderContext,
-    max_len: int = PipelineConfig.max_answer_len,
+    max_len: int = MAX_ANSWER_LEN,
 ) -> str:
     """Best valid span decoded to its original text (or a sentinel literal)."""
     if isinstance(scores, SpanScores):
@@ -316,15 +318,14 @@ def fit(
 
 
 def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: PipelineConfig) -> dict:
-    """Adam training over the joint span loss at cfg's reader_lr (lr when
-    unset) and reader_batch_size (batch_size when unset), for up to
-    reader_epochs, early-stopped on running train EM; each minibatch is read
-    in one encoder pass."""
+    """Adam training over the joint span loss at cfg's reader_lr and
+    reader_batch_size, for up to reader_epochs, early-stopped on running
+    train EM; each minibatch is read in one encoder pass."""
 
     def step(batch: list[ReaderExample], rng: np.random.Generator) -> list[tuple[Tensor, int]]:
         results = reader_losses(model, batch, cfg.aux_weight, rng=rng)
         return [
-            (loss, em_f1(decode_answer(scores, ex.context, cfg.max_answer_len), ex.answer)[0])
+            (loss, em_f1(decode_answer(scores, ex.context), ex.answer)[0])
             for ex, (loss, scores) in zip(batch, results)
         ]
 
@@ -332,9 +333,9 @@ def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: PipelineC
         model.store,
         examples,
         step,
-        lr=cfg.lr if cfg.reader_lr is None else cfg.reader_lr,
+        lr=cfg.reader_lr,
         epochs=cfg.reader_epochs,
-        batch_size=cfg.batch_size if cfg.reader_batch_size is None else cfg.reader_batch_size,
+        batch_size=cfg.reader_batch_size,
         rng=np.random.default_rng([cfg.seed, 11]),
         early_stop=cfg.reader_early_stop_em,
         metric="train_em",
@@ -365,7 +366,7 @@ def read_and_decode(
     passages: list[Passage],
     *,
     max_tokens: int | None = None,
-    max_answer_len: int = PipelineConfig.max_answer_len,
+    max_answer_len: int = MAX_ANSWER_LEN,
 ) -> tuple[str, ReaderContext]:
     context = build_reader_context(passages, max_tokens=max_tokens)
     _, scores = run_span_model(model, record.question_tokens, context.tokens)

@@ -30,9 +30,13 @@ from itertools import chain
 
 import numpy as np
 
-from .config import PipelineConfig
 from .corpus import Corpus, TokenSeq
 from .errors import ValidationError
+
+# BM25's saturation and length normalisation, and the title channel's weight
+K1 = 1.2
+B = 0.75
+TITLE_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,9 @@ def hybrid_scores(
     index: InvertedIndex,
     question: TokenSeq,
     *,
-    k1: float = PipelineConfig.k1,
-    b: float = PipelineConfig.b,
-    title_weight: float = PipelineConfig.title_weight,
+    k1: float = K1,
+    b: float = B,
+    title_weight: float = TITLE_WEIGHT,
 ) -> dict[str, float]:
     """BM25 over the passage body plus title_weight * tf-idf cosine over the
     title, for every passage sharing a term with the question (others score 0).
@@ -213,9 +217,9 @@ def hybrid_score(
     question: TokenSeq,
     passage_id: str,
     *,
-    k1: float = PipelineConfig.k1,
-    b: float = PipelineConfig.b,
-    title_weight: float = PipelineConfig.title_weight,
+    k1: float = K1,
+    b: float = B,
+    title_weight: float = TITLE_WEIGHT,
 ) -> float:
     """One passage's entry of hybrid_scores."""
     if passage_id not in index.ids:
@@ -256,9 +260,9 @@ def retrieve_start_passages(
     question: TokenSeq,
     k: int,
     *,
-    k1: float = PipelineConfig.k1,
-    b: float = PipelineConfig.b,
-    title_weight: float = PipelineConfig.title_weight,
+    k1: float = K1,
+    b: float = B,
+    title_weight: float = TITLE_WEIGHT,
 ) -> list[RetrievalResult]:
     """Top-k passages by hybrid score, descending, ties broken by passage id.
 

@@ -67,6 +67,8 @@ from .numcore import (
 )
 
 UNK_TOKEN = "<unk>"
+# the width of a trained embedding table (a pre-trained vector file sets its own)
+EMBED_DIM = 16
 
 
 @dataclass

@@ -275,7 +275,6 @@ def fixture_config(fixture_dir: str | Path, output_dir: str | Path, **overrides)
         "train_questions_path": str(fixture_dir / "train_questions.jsonl"),
         "dev_questions_path": str(fixture_dir / "dev_questions.jsonl"),
         "output_dir": str(output_dir),
-        "embed_dim": 16,
         "gru_hidden": 12,
         "lstm_hidden": 12,
         "dropout": 0.0,

@@ -6,7 +6,7 @@ the ones written here."""
 from pathlib import Path
 
 from bridgeqa import pipeline
-from bridgeqa.bridge import predict_ranked_titles, prepare_question_inputs, train_bridge_reasoner
+from bridgeqa.bridge import READER_MAX_PASSAGES, predict_ranked_titles, prepare_question_inputs, train_bridge_reasoner
 from bridgeqa.config import PipelineConfig
 from bridgeqa.manifest import write_json, write_jsonl
 from bridgeqa.reader import two_fold_split
@@ -34,7 +34,7 @@ def cross_predict_in_sequence(cfg: PipelineConfig, out: Path) -> None:
         train_bridge_reasoner(model, inputs, corpus, cfg)
         pipeline._save_model(model, out / "checkpoints" / f"bridge_fold_{fold_name.lower()}")
         for qid in folds[other_name]:
-            ranked = predict_ranked_titles(model, by_qid[qid], start_sets[qid], corpus, k=cfg.reader_max_passages)
+            ranked = predict_ranked_titles(model, by_qid[qid], start_sets[qid], corpus, k=READER_MAX_PASSAGES)
             predictions[qid] = {"qid": qid, "predicted_by_fold": fold_name, "titles": [t for t, _ in ranked]}
 
     write_json(out / "folds.json", folds, indent=2)

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bridgeqa import reader
-from bridgeqa.config import PipelineConfig
 from bridgeqa.corpus import Passage, tokenize
 from bridgeqa.metrics import normalize_answer
-from bridgeqa.reader import SENTINELS, ReaderContext
+from bridgeqa.reader import MAX_ANSWER_LEN, SENTINELS, ReaderContext
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def title_span_at(context: Context, i: int) -> tuple[int, int] | None:
     return None if origin.passage_id is None else context.title_spans.get(origin.passage_id)
 
 
-def locate_answer_span(context: ReaderContext, answer: str, max_len: int = PipelineConfig.max_answer_len):
+def locate_answer_span(context: ReaderContext, answer: str, max_len: int = MAX_ANSWER_LEN):
     """The first window, scanned from every start token, whose span text
     normalizes to the normalized answer; a window stops growing once its
     normalized text is longer than the answer's."""

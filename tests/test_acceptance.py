@@ -310,8 +310,7 @@ def test_criterion_5_reasoner_beats_retrieval(trained_run):
 
         retrieval_hits = 0
         for q in bridge_dev:
-            results = retrieve_start_passages(state.index, tokenize(q.question), 10,
-                                              k1=cfg.k1, b=cfg.b, title_weight=cfg.title_weight)
+            results = retrieve_start_passages(state.index, tokenize(q.question), 10)
             titles = [state.corpus.by_id[r.passage_id].title for r in results]
             retrieval_hits += int(gold[q.id] in titles)
         retrieval_hits10 = retrieval_hits / len(bridge_dev)

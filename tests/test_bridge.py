@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bridgeqa import ablation
 from bridgeqa.ablation import PipelineState, linked_passages, reader_passages, start_passages_for
 from bridgeqa.bridge import (
     BridgeLabel,
@@ -466,11 +467,11 @@ def linking_state(corpus, **cfg):
 
 
 def linked_extras(state, record, base):
-    """The oracle: the first top_n_el titles linker.link gives that the corpus
-    holds and base lacks."""
+    """The oracle: the first ablation.TOP_N_EL titles linker.link gives that
+    the corpus holds and base lacks."""
     have = {p.title for p in base}
     titles = [t for t, _ in state.linker.link(record.question_tokens) if t in state.corpus.by_title]
-    return [state.corpus.by_title[t] for t in titles if t not in have][: state.cfg.top_n_el]
+    return [state.corpus.by_title[t] for t in titles if t not in have][: ablation.TOP_N_EL]
 
 
 def test_expand_no_duplicates():
@@ -488,7 +489,7 @@ def test_expand_disabled_linker():
     assert linked_passages(state, QARecord("q1", "Kiss and Tell", "x", "bridge")) == []
 
 
-def test_start_set_and_bridge_reader_each_filter_linked_pages_against_their_own_list():
+def test_start_set_and_bridge_reader_each_filter_linked_pages_against_their_own_list(monkeypatch):
     # retrieval returns the first linked page, so the start set skips it and
     # the second takes its slot; a bridge reader whose top titles lack the
     # first page reads it
@@ -499,7 +500,8 @@ def test_start_set_and_bridge_reader_each_filter_linked_pages_against_their_own_
         passage("p4", "Ann Reed", "Ann Reed wrote songs."),
         passage("p5", "Bo Reed", "Bo Reed sang songs."),
     ])
-    state = linking_state(corpus, k=1, top_n_el=1)
+    monkeypatch.setattr(ablation, "TOP_N_EL", 1)
+    state = linking_state(corpus, k=1)
     record = QARecord("q1", "Who directed Amber Hill at Grey Lake?", "Tom Reed", "bridge")
     linked = linked_passages(state, record)
     assert [p.title for p in linked] == ["Amber Hill", "Grey Lake"]

@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
 from bridgeqa.config import PipelineConfig, load_config
 from bridgeqa.errors import ConfigError
+
+_PATH_KEYS = ("corpus_path", "train_questions_path", "dev_questions_path", "embeddings_path")
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -9,7 +13,7 @@ def test_empty_file_gives_defaults(tmp_path):
     path.write_text("", encoding="utf-8")
     cfg = load_config(path)
     assert cfg.k == 10
-    assert cfg.top_n_el == 2
+    assert (cfg.reader_lr, cfg.reader_batch_size) == (1e-3, 1)
     assert cfg.aux_weight == 1.0
     assert cfg.entity_linking is True
 
@@ -45,16 +49,25 @@ def test_negative_lr_rejected():
         load_config(None, {"lr": -1.0})
 
 
-@pytest.mark.parametrize("b", [0, -0.5, 1.0000001, 1.5, 5, True])
-def test_bm25_b_outside_unit_interval_rejected(b):
-    # 1 - b + b * len / avg reaches zero or below on short passages once b > 1
-    with pytest.raises(ConfigError, match="'b'"):
-        load_config(None, {"b": b})
+@pytest.mark.parametrize(
+    "key", ["k1", "b", "title_weight", "top_n_el", "embed_dim", "max_answer_len", "reader_max_passages"]
+)
+def test_a_fixed_hyperparameter_is_not_a_config_key(key):
+    # these are module constants (retrieval.K1, B, TITLE_WEIGHT,
+    # ablation.TOP_N_EL, span_model.EMBED_DIM, reader.MAX_ANSWER_LEN,
+    # bridge.READER_MAX_PASSAGES); a config that sets one is refused by name
+    with pytest.raises(ConfigError, match=rf"^unknown config keys: \['{key}'\]$"):
+        load_config(None, {key: 1})
 
 
-@pytest.mark.parametrize("b", [1e-6, 0.75, 1, 1.0])
-def test_bm25_b_in_unit_interval_accepted(b):
-    assert load_config(None, {"b": b}).b == b
+def test_only_path_keys_default_to_null():
+    assert [f.name for f in fields(PipelineConfig) if f.default is None] == list(_PATH_KEYS)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig) if f.name not in _PATH_KEYS])
+def test_a_key_that_is_not_a_path_refuses_null(key):
+    with pytest.raises(ConfigError, match=key):
+        load_config(None, {key: None})
 
 
 def test_dropout_range():
@@ -99,7 +112,7 @@ def test_path_that_is_not_a_string_rejected(key, value):
 
 
 def test_path_keys_accept_strings_and_null_but_output_dir_needs_a_string():
-    paths = ("corpus_path", "train_questions_path", "dev_questions_path", "embeddings_path")
+    paths = _PATH_KEYS
     assert load_config(None, {key: "x" for key in paths + ("output_dir",)}).corpus_path == "x"
     assert load_config(None, {key: None for key in paths}).corpus_path is None
     # "" names no file; only dev_questions_path takes it, meaning no dev set
@@ -132,30 +145,22 @@ def test_library_defaults_follow_the_config_defaults():
     script = textwrap.dedent(
         """
         import importlib, inspect
-        from bridgeqa import bridge, config, reader, retrieval
-        changed = dict(max_answer_len=7, abstract_max_tokens=5, reader_max_passages=3,
-                       aux_weight=0.5, k1=1.5, b=0.5, title_weight=2.0)
+        from bridgeqa import bridge, config, reader
+        changed = dict(abstract_max_tokens=5, aux_weight=0.5)
         for key, value in changed.items():
             setattr(config.PipelineConfig, key, value)
-        for module in (retrieval, reader, bridge):
+        for module in (reader, bridge):
             importlib.reload(module)
 
         def default(fn, name):
             return inspect.signature(fn).parameters[name].default
 
-        for fn in (reader.locate_answer_span, reader.best_span, reader.decode_answer):
-            print(default(fn, "max_len"))
-        for fn in (reader.make_reader_example, reader.read_and_decode):
-            print(default(fn, "max_answer_len"))
         print(default(reader.reader_losses, "aux_weight"))
         print(default(bridge.init_bridge_model, "abstract_max_tokens"))
         print(bridge.BridgeModel(span=None, lstm_hidden=1).abstract_max_tokens)
-        print(default(bridge.rank_answer_passages, "k"), default(bridge.predict_ranked_titles, "k"))
-        for fn in (retrieval.hybrid_scores, retrieval.hybrid_score, retrieval.retrieve_start_passages):
-            print(default(fn, "k1"), default(fn, "b"), default(fn, "title_weight"))
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["7"] * 5 + ["0.5"] + ["5", "5", "3", "3"] + ["1.5", "0.5", "2.0"] * 3
+    assert out.stdout.split() == ["0.5", "5", "5"]

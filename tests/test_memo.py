@@ -12,7 +12,7 @@ from bridgeqa.config import ABLATION_MODES
 from bridgeqa.corpus import tokenize
 from bridgeqa.manifest import read_manifest
 from bridgeqa.pipeline import _embedding, _load_ingested, _new_bridge_model, load_pipeline_state
-from bridgeqa.span_model import init_span_model
+from bridgeqa.span_model import EMBED_DIM, init_span_model
 from test_bridge import corpus_of, passage, randomize_biases, tiny_bridge_model
 
 
@@ -25,7 +25,7 @@ def _answering_states(cfg):
         if not keep_memo:
             state.bridge.memo = None
         state.reader_no_multitask = init_span_model(
-            state.reader.table.vocab, cfg.embed_dim, cfg.gru_hidden, 0.0, np.random.default_rng(0)
+            state.reader.table.vocab, EMBED_DIM, cfg.gru_hidden, 0.0, np.random.default_rng(0)
         )
         states.append(state)
     return states

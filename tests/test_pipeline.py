@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from bridgeqa.ablation import predict_questions, run_ablation, score_predictions
-from bridgeqa.bridge import gold_titles
+from bridgeqa.bridge import READER_MAX_PASSAGES, gold_titles
 from bridgeqa.checkpoint import load_checkpoint
 from bridgeqa.cli import main as cli_main
 from bridgeqa.config import load_config
@@ -227,7 +227,7 @@ def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
     cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
     examples, _, _ = _build_reader_examples(state, train, cross)
     reader = _new_reader_model(mini_run, embedding, seed_tag=0)
-    batch = examples[: mini_run.reader_batch_size or mini_run.batch_size]
+    batch = examples[: mini_run.reader_batch_size]
     losses = [loss for loss, _ in reader_losses(reader, batch, mini_run.aux_weight,
                                                 rng=np.random.default_rng(0))]
     total = losses[0]
@@ -422,13 +422,13 @@ def test_no_multitask_without_trained_component_errors(mini_run):
 def test_no_multitask_mode_with_trained_component(mini_run):
     import numpy as np
 
-    from bridgeqa.span_model import init_span_model
+    from bridgeqa.span_model import EMBED_DIM, init_span_model
 
     state = load_pipeline_state(mini_run)
     _, _, dev = _load_ingested(mini_run)
     # a minimally trained aux-free reader is enough to exercise the mode
     state.reader_no_multitask = init_span_model(
-        state.reader.table.vocab, mini_run.embed_dim, mini_run.gru_hidden, 0.0,
+        state.reader.table.vocab, EMBED_DIM, mini_run.gru_hidden, 0.0,
         np.random.default_rng(0),
     )
     report = run_ablation("no_multitask", state, dev)
@@ -685,7 +685,7 @@ def test_zero_candidates_falls_back_to_start_passages(mini_run):
 
 def test_a_bridge_question_with_no_cross_predicted_titles_trains_on_what_answering_reads(mini_run, monkeypatch):
     # a bridge question the reasoner ranks nothing for is answered from its
-    # start set, up to reader_max_passages; a training question whose
+    # start set, up to READER_MAX_PASSAGES; a training question whose
     # cross-prediction lists no titles reads the same, not the linker's
     # extras alone
     from bridgeqa import ablation, pipeline
@@ -709,7 +709,7 @@ def test_a_bridge_question_with_no_cross_predicted_titles_trains_on_what_answeri
     monkeypatch.setattr(ablation, "predict_ranked_titles", lambda *args, **kwargs: [])
     pred, reason = ablation.predict_one(state, q, "full")
     assert reason is None and pred.fallback
-    starts = ablation.start_passages_for(state, q, ablation.linked_passages(state, q))[: mini_run.reader_max_passages]
+    starts = ablation.start_passages_for(state, q, ablation.linked_passages(state, q))[:READER_MAX_PASSAGES]
     assert len(starts) > 1
     assert trained_on[q.id] == [t for t, _ in pred.ranking] == [p.title for p in starts]
 
@@ -734,7 +734,7 @@ def test_no_bridge_reasoner_mode_reads_the_start_set_without_a_reasoner(mini_run
         pred, reason = ablation.predict_one(state, q, "no_bridge_reasoner")
         assert reason is None
         starts = ablation.start_passages_for(state, q, ablation.linked_passages(state, q))
-        starts = starts[: mini_run.reader_max_passages]
+        starts = starts[:READER_MAX_PASSAGES]
         assert read[-1] == [t for t, _ in pred.ranking] == [p.title for p in starts]
         assert all(score is None for _, score in pred.ranking)
         assert pred.fallback is False
@@ -761,7 +761,7 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
 
 @pytest.mark.parametrize("mode", ["full", "no_el", "no_context_evidence", "no_content_evidence"])
 def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini_run, mode):
-    # the ranking keeps reader_max_passages titles; the reader reads the first
+    # the ranking keeps READER_MAX_PASSAGES titles; the reader reads the first
     # BRIDGE_READ_PASSAGES of them, then the linker's extras not among those
     from bridgeqa.ablation import BRIDGE_READ_PASSAGES, linked_passages, predict_one, start_passages_for
     from bridgeqa.bridge import predict_ranked_titles
@@ -776,7 +776,7 @@ def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini
         assert reason is None and not pred.fallback
         starts = start_passages_for(state, q, linked_passages(state, q) if use_el else [])
         ranked = predict_ranked_titles(
-            state.bridge, q, starts, state.corpus, k=mini_run.reader_max_passages,
+            state.bridge, q, starts, state.corpus, k=READER_MAX_PASSAGES,
             use_context=mode != "no_context_evidence", use_content=mode != "no_content_evidence",
         )
         titles = [t for t, _ in pred.ranking]
@@ -809,7 +809,7 @@ def test_bridge_reader_examples_read_the_top_ranked_titles_plus_the_linked_extra
 
 def test_comparisons_read_both_compared_pages_whenever_their_start_set_holds_them(mini_run):
     # the cap is on the reasoner's ranking: a comparison reads its start set
-    # up to reader_max_passages, so a compared page that retrieval ranks below
+    # up to READER_MAX_PASSAGES, so a compared page that retrieval ranks below
     # BRIDGE_READ_PASSAGES is still read, in answering and in training
     from bridgeqa.ablation import BRIDGE_READ_PASSAGES, linked_passages, predict_one, start_passages_for
     from bridgeqa.manifest import read_jsonl
@@ -822,7 +822,7 @@ def test_comparisons_read_both_compared_pages_whenever_their_start_set_holds_the
     below_cap = 0
     for q in (q for q in train + dev if q.qtype == "comparison"):
         starts = [p.title for p in start_passages_for(state, q, linked_passages(state, q))]
-        starts = starts[: mini_run.reader_max_passages]
+        starts = starts[:READER_MAX_PASSAGES]
         compared = set(q.supporting_titles)
         if not compared <= set(starts):
             continue
@@ -1107,8 +1107,11 @@ def _files(directory) -> dict:
         ("build-index", "manifest.json", lambda text: text[: len(text) // 2], r"manifest\.json"),
         ("train-bridge", "index.json", lambda text: "{}", r"index\.json.*rerun build-index"),
         ("train-bridge", "index.json", lambda text: text[: len(text) // 2], r"index\.json.*rerun build-index"),
+        ("train-reader", "folds.json", lambda text: "[]", r"folds\.json.*rerun cross-predict"),
+        ("train-reader", "folds.json", lambda text: text[: len(text) // 2], r"folds\.json.*rerun cross-predict"),
     ],
-    ids=["manifest-not-a-list", "manifest-truncated", "index-empty-object", "index-truncated"],
+    ids=["manifest-not-a-list", "manifest-truncated", "index-empty-object", "index-truncated", "folds-not-an-object",
+         "folds-truncated"],
 )
 def test_a_malformed_run_file_is_refused_before_the_stage_writes(mini_run, tmp_path, capsys, stage, name, damage,
                                                                  message):
@@ -1210,6 +1213,44 @@ def test_a_malformed_labels_file_is_refused_before_the_stage_writes(mini_run, tm
     cfg_path.write_text(json.dumps(asdict(cfg)))
     assert cli_main([stage, "--config", str(cfg_path)]) == 1
     assert re.search(r"bridge_labels\.jsonl " + message + r".*; rerun derive-labels", capsys.readouterr().err)
+    assert _files(cfg.output_dir) == before
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[0].pop("qid"), r"line 1: missing or mistyped 'qid'"),
+        (lambda rows: rows[1].update(qid=7), r"line 2: missing or mistyped 'qid'"),
+        (lambda rows: rows[0].update(predicted_by_fold="Z"), r"line 1: predicted_by_fold 'Z' is not a fold of folds\.json"),
+        (lambda rows: rows[1].update(predicted_by_fold={"A": "B", "B": "A"}[rows[1]["predicted_by_fold"]]),
+         r"line 2: predicted by fold '[AB]', which trained on '[^']+'"),
+        (lambda rows: rows[0].update(titles="Grayfield"), r"line 1: missing or mistyped 'titles'"),
+        (lambda rows: rows[2].update(titles=["Grayfield", "No Such Page"]),
+         r"line 3: titles \['No Such Page'\] name no corpus page"),
+        (lambda rows: rows.append(dict(rows[0])), r"line \d+: repeated qid"),
+    ],
+    ids=["no-qid", "qid-not-a-string", "unknown-fold", "own-fold", "titles-not-a-list", "unknown-title",
+         "repeated-qid"],
+)
+def test_a_malformed_cross_predictions_file_is_refused_before_train_reader_writes(mini_run, tmp_path, capsys, edit,
+                                                                                  message):
+    # on the parent a row without qid exits 3 with "error: 'qid'", a title no
+    # page has trains without a word, and an unknown fold trains until the
+    # fold-hygiene check flags it afterwards
+    from dataclasses import asdict
+
+    from bridgeqa.manifest import read_jsonl, write_jsonl
+
+    cfg = _run_copy(mini_run, tmp_path)
+    path = Path(cfg.output_dir) / "cross_predictions.jsonl"
+    rows = read_jsonl(path)
+    edit(rows)
+    write_jsonl(path, rows)
+    before = _files(cfg.output_dir)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main(["train-reader", "--config", str(cfg_path)]) == 1
+    assert re.search(r"cross_predictions\.jsonl " + message + r".*; rerun cross-predict", capsys.readouterr().err)
     assert _files(cfg.output_dir) == before
 
 

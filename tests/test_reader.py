@@ -370,7 +370,7 @@ def test_fit_rejects_a_batch_size_below_one():
     model, example = reader_fixture()
     for batch_size in (0, -1):
         with pytest.raises(ValidationError, match="batch_size"):
-            train_reader(model, [example], PipelineConfig(reader_epochs=1, batch_size=batch_size))
+            train_reader(model, [example], PipelineConfig(reader_epochs=1, reader_batch_size=batch_size))
 
 
 def test_fit_logs_each_epochs_wall_time():
@@ -386,7 +386,7 @@ def test_train_reader_overfits_tiny_example():
     stats = train_reader(
         model,
         [example],
-        PipelineConfig(lr=5e-3, reader_epochs=150, aux_weight=1.0, seed=0, reader_early_stop_em=1.0),
+        PipelineConfig(reader_lr=5e-3, reader_epochs=150, aux_weight=1.0, seed=0, reader_early_stop_em=1.0),
     )
     assert stats["history"][-1]["train_em"] == 1.0
     assert stats["epochs_run"] < 150
@@ -400,16 +400,17 @@ def _three_examples():
     return [example, second, third]
 
 
-def test_train_reader_falls_back_to_lr_and_batch_size(loop_widths):
-    # unset reader_lr and reader_batch_size read lr and batch_size; set ones
-    # override them: both configs train the same parameters in minibatches
-    # of 2 (one time loop over 2 questions and 2 contexts, then 1 and 1)
+def test_train_reader_reads_reader_lr_and_reader_batch_size(loop_widths):
+    # the reader trains at reader_lr and reader_batch_size, whatever the
+    # bridge's lr and batch_size: the first two configs train the same
+    # parameters in minibatches of 2 (one time loop over 2 questions and 2
+    # contexts, then 1 and 1), and another reader_lr trains others
     examples = _three_examples()
-    once = dict(reader_epochs=1, reader_early_stop_em=2.0, seed=3)
+    once = dict(reader_epochs=1, reader_early_stop_em=2.0, seed=3, reader_batch_size=2)
     configs = {
-        "fallback": PipelineConfig(lr=5e-3, batch_size=2, **once),
-        "reader values": PipelineConfig(lr=1.0, batch_size=3, reader_lr=5e-3, reader_batch_size=2, **once),
-        "other lr": PipelineConfig(lr=1e-2, batch_size=2, **once),
+        "reader values": PipelineConfig(reader_lr=5e-3, **once),
+        "other lr and batch_size": PipelineConfig(lr=1.0, batch_size=3, reader_lr=5e-3, **once),
+        "other reader_lr": PipelineConfig(reader_lr=1e-2, **once),
     }
     params, widths = {}, {}
     for name, cfg in configs.items():
@@ -418,10 +419,10 @@ def test_train_reader_falls_back_to_lr_and_batch_size(loop_widths):
         train_reader(model, examples, cfg)
         params[name] = {key: t.data.copy() for key, t in model.store.items()}
         widths[name] = list(loop_widths["gru"])
-    assert widths == {"fallback": [4, 2], "reader values": [4, 2], "other lr": [4, 2]}
-    for key, value in params["fallback"].items():
-        assert np.array_equal(value, params["reader values"][key]), key
-    assert not np.array_equal(params["fallback"]["span/heads/start_w"], params["other lr"]["span/heads/start_w"])
+    assert widths == {name: [4, 2] for name in configs}
+    for key, value in params["reader values"].items():
+        assert np.array_equal(value, params["other lr and batch_size"][key]), key
+    assert not np.array_equal(params["reader values"]["span/heads/start_w"], params["other reader_lr"]["span/heads/start_w"])
 
 
 def _tape(loss):
