@@ -49,12 +49,15 @@ class PipelineState:
     """The shared read-only corpus, index and linker, plus the trained
     components once loaded (the training stages use it without them).
 
-    A loaded bridge reasoner carries a bridge.EncodingMemo for its lifetime:
-    the encoder states of each start passage and the vector of each target
-    abstract it has read, keyed by token content, one entry per distinct
-    text, so with no size limit. A state rebuilt with another corpus
-    (dataclasses.replace) shares the reasoner and its memo, and still reads
-    the new texts."""
+    Each loaded model carries a span_model.EncodingMemo for its lifetime,
+    keyed by token content. The bridge reasoner's holds the encoder states
+    of each start passage and the vector of each target abstract it has
+    read, one entry per distinct text, so with no size limit. Each reader's
+    holds the encoder states of the span_model.READER_MEMO_CONTEXTS whole
+    contexts it read most recently: contexts combine passages, and an
+    unbounded memo raised peak RSS by 15-23% on the benchmark. A state
+    rebuilt with another corpus (dataclasses.replace) shares the models and
+    their memos, and still reads the new texts."""
 
     corpus: Corpus
     index: InvertedIndex

@@ -12,7 +12,7 @@ contains the answer string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +41,12 @@ from .reader import fit
 from .retrieval import flat_layout, gather_slices
 from .span_model import (
     EmbeddingTable,
-    EncodedSeq,
+    EncodingMemo,
     SpanModel,
     attend,
-    attend_encoded,
+    attend_memoized,
     biattention,  # noqa: F401 - bench/layers.py traces bridge.biattention
-    encode,
+    encode,  # noqa: F401 - bench/layers.py traces bridge.encode
     create_embedding_table,
     init_span_params,
     self_attention,  # noqa: F401 - bench/layers.py traces bridge.self_attention
@@ -135,38 +135,6 @@ def collect_candidates(start_passages: list[Passage], corpus: Corpus) -> list[Br
 
 
 @dataclass
-class EncodingMemo:
-    """The question-independent encodings an answering reasoner has computed:
-    each start passage's bi-GRU encoder states (T, 2h), keyed by its tokens,
-    and each target's max-pooled abstract vector (1, 2h), keyed by the
-    abstract tokens the encoder reads (the first abstract_max_tokens).
-
-    Keys are token content, not titles or ids, so a caller that swaps the
-    corpus under a loaded reasoner gets the encodings of the new texts. A
-    miss encodes that one sequence on its own, so every entry, and every
-    score read from it, is the same whichever questions came before. It
-    holds at most one entry per distinct passage text and one per distinct
-    abstract, so it needs no size limit. computed and reused count the
-    misses and the hits over both kinds.
-    """
-
-    passages: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
-    abstracts: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
-    computed: int = 0
-    reused: int = 0
-
-    def get(self, entries: dict, key: tuple[str, ...], compute) -> np.ndarray:
-        """entries[key], stored from compute() on a miss."""
-        value = entries.get(key)
-        if value is None:
-            value = entries[key] = compute()
-            self.computed += 1
-        else:
-            self.reused += 1
-        return value
-
-
-@dataclass
 class BridgeModel:
     """Span model for the start passages (without span heads) plus a bi-LSTM
     abstract encoder and the score fusion layer, all in one ParamStore.
@@ -177,7 +145,8 @@ class BridgeModel:
     an empty EncodingMemo, which lives as long as the model, since its
     parameters no longer change: inference reads each start passage's encoder
     states and each abstract's vector from it, keyed by token content. It
-    holds one entry per distinct text read, so it has no size limit.
+    holds one entry per distinct text read, so it has no size limit (unlike
+    a loaded reader's, see span_model.READER_MEMO_CONTEXTS).
     """
 
     span: SpanModel
@@ -286,9 +255,9 @@ def _context_rows(
     those rows are read: self-attention queries, its residual and its mixing
     layer run at the anchor rows alone.
 
-    Without an rng, a model with a memo encodes the question on its own and
-    takes each start passage's encoder states from the memo (a missing one is
-    encoded on its own); both paths then read through attend_encoded."""
+    Without an rng, a model with a memo reads through attend_memoized: the
+    question is encoded on its own, and each start passage's encoder states
+    come from the memo (a missing one is encoded on its own)."""
     passage_by_id = {p.id: p for p in start_passages}
     for cand in candidates:
         pid = cand.source_passage_id
@@ -300,18 +269,10 @@ def _context_rows(
     contexts = [passage_by_id[pid].tokens for pid in passage_ids]
     offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
     rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in candidates])
-    memo = None if rng is not None else model.memo
-    if memo is None:
-        (final,) = attend(model.span, [(question, contexts)], rng=rng, rows=[rows])
+    if rng is None and model.memo is not None:
+        final = attend_memoized(model.span, model.memo, question, contexts, rows)
     else:
-        span = model.span
-
-        def encoded(tokens) -> EncodedSeq:
-            return encode(tokens, span.table, span.store, span.hidden)
-
-        states = [memo.get(memo.passages, c.tokens, lambda c=c: encoded(c).states.data) for c in contexts]
-        context = EncodedSeq(states=constant(np.concatenate(states)))
-        final = attend_encoded(span, encoded(question), context, [len(c) for c in contexts], rows)
+        (final,) = attend(model.span, [(question, contexts)], rng=rng, rows=[rows])
     return final.states
 
 

@@ -41,7 +41,6 @@ from .ablation import (
 from .bridge import (
     BridgeLabel,
     BridgeModel,
-    EncodingMemo,
     TitleTokenLinker,
     derive_bridge_labels,
     evaluate_hits,
@@ -71,7 +70,15 @@ from .retrieval import (
     index_to_dict,
     retrieve_start_passages,  # noqa: F401 - bench/layers.py traces pipeline.retrieve_start_passages
 )
-from .span_model import EMBED_DIM, SpanModel, build_vocab, init_span_model, load_embedding_text
+from .span_model import (
+    EMBED_DIM,
+    READER_MEMO_CONTEXTS,
+    EncodingMemo,
+    SpanModel,
+    build_vocab,
+    init_span_model,
+    load_embedding_text,
+)
 
 log = logging.getLogger(__name__)
 
@@ -484,8 +491,9 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
 
 def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
     """Assemble trained components from the output directory's checkpoints.
-    The bridge reasoner gets an empty encoding memo: it is loaded to answer,
-    and its parameters no longer change."""
+    Each model gets an empty encoding memo, since it is loaded to answer and
+    its parameters no longer change: the bridge reasoner an unbounded one,
+    each reader one bounded at READER_MEMO_CONTEXTS."""
     checkpoints = _out(cfg) / "checkpoints"
     state, _, _ = _load_state(cfg)
     state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", 0, "train-bridge")
@@ -494,7 +502,13 @@ def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
     nomt_dir = checkpoints / "reader_no_multitask"
     if (nomt_dir / "manifest.json").exists():
         state.reader_no_multitask = _load_model(_new_reader_model, cfg, nomt_dir, 1, "train-reader")
+    for reader in _readers(state):
+        reader.memo = EncodingMemo(limit=READER_MEMO_CONTEXTS)
     return state
+
+
+def _readers(state: PipelineState) -> list[SpanModel]:
+    return [r for r in (state.reader, state.reader_no_multitask) if r is not None]
 
 
 def stage_predict(cfg: PipelineConfig) -> dict:
@@ -516,6 +530,8 @@ def stage_predict(cfg: PipelineConfig) -> dict:
         "n_passages_dropped": sum(p.n_passages_dropped for p in predictions),
         "bridge_encodings_computed": state.bridge.memo.computed,
         "bridge_encodings_reused": state.bridge.memo.reused,
+        "reader_encodings_computed": sum(r.memo.computed for r in _readers(state)),
+        "reader_encodings_reused": sum(r.memo.reused for r in _readers(state)),
         "seed": cfg.seed,
     }
 
