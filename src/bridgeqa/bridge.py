@@ -364,7 +364,7 @@ class TitleTokenLinker:
 
     Titles with a token are rows; each distinct token maps to the slice of a
     flat row array listing the titles whose base form holds it, laid out by
-    retrieval.flat_layout, which lays out the index's postings too. link
+    retrieval.flat_layout. link
     gathers the slices of the question's distinct tokens, counts per row
     with np.bincount how many distinct title tokens the question holds, and
     keeps the rows where that count is the title's whole distinct-token

@@ -10,8 +10,10 @@ here is immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import AlignmentError, ValidationError
@@ -111,26 +113,29 @@ class Corpus:
         return title in self.by_title
 
 
+def _token_span(
+    offsets: tuple[tuple[int, int], ...], text_len: int, start: int, end: int, where: str
+) -> tuple[int, int]:
+    """The first and last token overlapping the character span [start, end),
+    found by bisection: offsets are ascending and disjoint, so the tokens
+    ending past start are a suffix and those starting before end a prefix."""
+    if not (0 <= start < end <= text_len):
+        raise ValidationError(f"{where}: anchor span ({start}, {end}) out of bounds for text of length {text_len}")
+    first = bisect_right(offsets, start, key=itemgetter(1))
+    last = bisect_left(offsets, end, key=itemgetter(0)) - 1
+    if first > last:
+        raise AlignmentError(f"{where}: anchor span ({start}, {end}) covers no token")
+    return first, last
+
+
 def align_anchor(passage: Passage, mention: AnchorMention) -> AnchorMention:
     """Fill token_start/token_end with the first and last token overlapping the
     character span [char_start, char_end)."""
-    if not (0 <= mention.char_start < mention.char_end <= len(passage.text)):
-        raise ValidationError(
-            f"passage {passage.id!r}: anchor span ({mention.char_start}, {mention.char_end}) "
-            f"out of bounds for text of length {len(passage.text)}"
-        )
-    first = last = None
-    for idx, (s, e) in enumerate(passage.tokens.char_offsets):
-        if s < mention.char_end and e > mention.char_start:
-            if first is None:
-                first = idx
-            last = idx
-    if first is None:
-        raise AlignmentError(
-            f"passage {passage.id!r}: anchor span ({mention.char_start}, {mention.char_end}) "
-            f"covers no token"
-        )
-    return replace(mention, token_start=first, token_end=last)
+    first, last = _token_span(
+        passage.tokens.char_offsets, len(passage.text), mention.char_start, mention.char_end,
+        f"passage {passage.id!r}",
+    )
+    return AnchorMention(mention.target_title, mention.char_start, mention.char_end, first, last)
 
 
 def _parse_passage(obj: dict, where: str) -> Passage:
@@ -142,22 +147,21 @@ def _parse_passage(obj: dict, where: str) -> Passage:
     raw_anchors = obj.get("anchors", [])
     if not isinstance(raw_anchors, list):
         raise ValidationError(f"{where}: anchors must be a list")
-    seen: set[tuple[str, int, int]] = set()
-    mentions: list[AnchorMention] = []
+    keys: set[tuple[str, int, int]] = set()
     for a in raw_anchors:
         target, start, end = (a.get(k) for k in ("target", "start", "end")) if isinstance(a, dict) else (None,) * 3
         # offsets are JSON integers (a bool is not one), the target a non-empty title
         if not (isinstance(target, str) and target and type(start) is int and type(end) is int):
             raise ValidationError(f"{where}: malformed anchor {a!r}")
-        key = (target, start, end)
-        if key in seen:
-            continue  # duplicate anchors (same target, same span) are dropped at load
-        seen.add(key)
-        mentions.append(AnchorMention(key[0], key[1], key[2]))
-    mentions.sort(key=lambda m: (m.char_start, m.char_end, m.target_title))
-    passage = Passage(id=obj["id"], title=obj["title"], text=obj["text"])
-    aligned = tuple(align_anchor(passage, m) for m in mentions)
-    return replace(passage, anchors=aligned)
+        keys.add((target, start, end))  # duplicate anchors (same target, same span) are dropped at load
+    text = obj["text"]
+    tokens = tokenize(text)
+    anchor_where = f"{where}: passage {obj['id']!r}"
+    anchors = []
+    for target, start, end in sorted(keys, key=lambda k: (k[1], k[2], k[0])):
+        first, last = _token_span(tokens.char_offsets, len(text), start, end, anchor_where)
+        anchors.append(AnchorMention(target, start, end, first, last))
+    return Passage(obj["id"], obj["title"], text, tuple(anchors), tokens)
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -103,12 +103,23 @@ def _load_ingested(cfg: PipelineConfig) -> tuple[Corpus, list[QARecord], list[QA
     return corpus, train, dev
 
 
-def _load_index(cfg: PipelineConfig) -> InvertedIndex:
+def _load_index(cfg: PipelineConfig, corpus: Corpus) -> InvertedIndex:
+    """The built index; one that is malformed, or lists other passages than
+    the corpus, is refused."""
     path = _require(_out(cfg) / "index.json", "build-index")
     try:
-        return index_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        index = index_from_dict(json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"{path}: not an index ({exc!r}); rerun build-index") from exc
+    # index.json lists its passages in id order (its keys are written
+    # sorted), so its rows follow id order, not the corpus's
+    differ = sorted(set(index.ids) ^ corpus.by_id.keys())
+    if differ:
+        raise ValidationError(
+            f"{path}: its passage ids differ from corpus.jsonl's ({len(differ)} in only one of them, "
+            f"first {differ[0]!r}); rerun build-index"
+        )
+    return index
 
 
 def _load_state(cfg: PipelineConfig) -> tuple[PipelineState, list[QARecord], list[QARecord]]:
@@ -116,7 +127,7 @@ def _load_state(cfg: PipelineConfig) -> tuple[PipelineState, list[QARecord], lis
     dev questions."""
     corpus, train, dev = _load_ingested(cfg)
     linker = TitleTokenLinker(corpus) if cfg.entity_linking else None
-    return PipelineState(corpus, _load_index(cfg), cfg, linker=linker), train, dev
+    return PipelineState(corpus, _load_index(cfg, corpus), cfg, linker=linker), train, dev
 
 
 def _load_labels(cfg: PipelineConfig, corpus: Corpus) -> list[BridgeLabel]:

@@ -4,11 +4,12 @@ Scoring is BM25 over passage bodies plus a weighted tf-idf cosine over
 title tokens. Each field holds its postings once, laid out flat: passages
 are rows in document order, and term t's postings are the slice
 bounds[t]:bounds[t + 1] of a passage-row array and a tf array, so the
-slice's length is t's document frequency. `index.json` is written from
-these arrays and read back into them. A question is scored with a fixed
-number of array operations whatever its length: gather the slices of its
-terms in question order, weigh each gathered posting, and sum the weights
-per row with np.bincount. bincount adds in input order, so each passage's
+slice's length is t's document frequency. A build counts a field's
+postings in one array pass; `index.json` is written from these arrays and
+read straight back into them, in its own term and passage order. A
+question is scored with a fixed number of array operations whatever its
+length: gather the slices of its terms in question order, weigh each
+gathered posting, and sum the weights per row with np.bincount. bincount adds in input order, so each passage's
 score sums its terms in the order a term-at-a-time walk of the postings
 does and keeps that walk's exact bits (tests/reference_retrieval.py holds
 the walk, over postings counted from the corpus). Every term of a score is
@@ -95,24 +96,28 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _bounds(counts) -> np.ndarray:
+    """Read-only slice bounds of consecutive groups of the given sizes."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    return _read_only(bounds)
+
+
 def flat_layout(groups: dict[str, Collection[int]]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """Lay out key -> rows groups flat, in group order: each key's id, and
     read-only bounds and rows such that key k's rows are
-    rows[bounds[k]:bounds[k + 1]]. A group may map its rows to values."""
-    counts = list(map(len, groups.values()))
-    bounds = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=bounds[1:])
+    rows[bounds[k]:bounds[k + 1]]."""
+    bounds = _bounds(list(map(len, groups.values())))
     rows = np.fromiter(chain.from_iterable(groups.values()), np.intp, bounds[-1])
-    return dict(zip(groups, range(len(counts)))), _read_only(bounds), _read_only(rows)
+    return dict(zip(groups, range(len(groups)))), bounds, _read_only(rows)
 
 
-def _field(postings: dict[str, dict[int, int]], lengths: list[int]) -> FieldIndex:
-    """The flat layout of term -> row -> tf postings, for a built and a
-    loaded index alike; it follows the postings' term order."""
-    term_id, bounds, rows = flat_layout(postings)
-    tf = np.fromiter(chain.from_iterable(map(dict.values, postings.values())), np.float64, bounds[-1])
+def _field_index(
+    term_id: dict[str, int], bounds: np.ndarray, rows: np.ndarray, tf: np.ndarray, lengths: list[int]
+) -> FieldIndex:
     avg = sum(lengths) / len(lengths) if lengths else 0.0
-    return FieldIndex(term_id, bounds, rows, _read_only(tf), _read_only(np.array(lengths, dtype=np.float64)), avg)
+    length = np.array(lengths, dtype=np.float64)
+    return FieldIndex(term_id, bounds, _read_only(rows), _read_only(tf), _read_only(length), avg)
 
 
 def _tf_idf_norms(field: FieldIndex) -> np.ndarray:
@@ -134,11 +139,18 @@ def gather_slices(bounds: np.ndarray, term_ids: list[int]) -> tuple[np.ndarray, 
 
 
 def _build_field(texts: list[TokenSeq]) -> FieldIndex:
-    postings: dict[str, dict[int, int]] = {}  # term -> row -> tf
-    for row, toks in enumerate(texts):
-        for term, tf in Counter(toks.tokens).items():
-            postings.setdefault(term, {})[row] = tf
-    return _field(postings, list(map(len, texts)))
+    """Postings counted in one array pass: terms get ids in first-occurrence
+    order over the rows in order, and one np.unique over the (term, row) keys
+    of every token sorts them term-major, rows ascending, counting each tf."""
+    lengths = list(map(len, texts))
+    tokens = list(chain.from_iterable(t.tokens for t in texts))
+    term_id = {term: i for i, term in enumerate(dict.fromkeys(tokens))}
+    terms = np.fromiter(map(term_id.__getitem__, tokens), np.int64, len(tokens))
+    n_rows = np.int64(len(texts))
+    keys, tf = np.unique(terms * n_rows + np.repeat(np.arange(n_rows), lengths), return_counts=True)
+    bounds = _bounds(np.bincount(keys // n_rows, minlength=len(term_id)))
+    rows = (keys % n_rows).astype(np.intp, copy=False)
+    return _field_index(term_id, bounds, rows, tf.astype(np.float64), lengths)
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -237,8 +249,20 @@ def _field_to_dict(field: FieldIndex, ids: tuple[str, ...]) -> dict:
 
 
 def _field_from_dict(d: dict, row_of: dict[str, int]) -> FieldIndex:
-    postings = {t: {row_of[pid]: int(tf) for pid, tf in plist} for t, plist in d["postings"].items()}
-    return _field(postings, [int(n) for n in d["doc_len"].values()])
+    """The flat arrays read straight from the term -> [[passage id, tf], ...]
+    lists, in their term and row order; a term listing a passage twice is
+    refused."""
+    postings = d["postings"]
+    counts = list(map(len, postings.values()))
+    bounds = _bounds(counts)
+    pairs = list(chain.from_iterable(postings.values()))
+    rows = np.fromiter((row_of[pid] for pid, _ in pairs), np.intp, len(pairs))
+    keys = np.repeat(np.arange(len(counts), dtype=np.int64), counts) * len(row_of) + rows
+    if len(np.unique(keys)) != len(keys):
+        raise ValidationError("a term lists a passage twice in its postings")
+    tf = np.fromiter((int(n) for _, n in pairs), np.float64, len(pairs))
+    lengths = [int(n) for n in d["doc_len"].values()]
+    return _field_index(dict(zip(postings, range(len(postings)))), bounds, rows, tf, lengths)
 
 
 def index_to_dict(index: InvertedIndex) -> dict:

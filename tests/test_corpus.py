@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_alignment import align_by_scan
 
 from bridgeqa.corpus import (
     AnchorMention,
@@ -125,6 +126,39 @@ def test_align_anchor_alignment_matches_substring():
         assert (m.token_start, m.token_end) == (i, j)
 
 
+# letters, digits, non-ASCII letters and the separators between them: spaces,
+# punctuation, an underscore, an em dash and a non-breaking space
+ALIGN_CHARS = list("abcXYZ019") + ["é", "ß", "Ω", "中", "ñ"] + list(" .,'-_!") + ["—", "\u00a0"]
+
+
+def outcome(align, passage, mention):
+    try:
+        return align(passage, mention)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_align_anchor_equals_the_linear_scan(seed):
+    # spans start and end anywhere: mid-token, inside separators, at and
+    # past either end, and empty or reversed
+    rng = np.random.default_rng(seed)
+    aligned = refused = 0
+    for _ in range(60):
+        text = "".join(rng.choice(ALIGN_CHARS, size=int(rng.integers(0, 40))))
+        p = make_passage(text)
+        for _ in range(25):
+            start, end = (int(x) for x in rng.integers(-2, len(text) + 3, size=2))
+            mention = AnchorMention("X", start, end)
+            got = outcome(align_anchor, p, mention)
+            assert got == outcome(align_by_scan, p, mention), (text, start, end)
+            if isinstance(got, AnchorMention):
+                aligned += 1
+            else:
+                refused += got[0] is AlignmentError
+    assert aligned > 100 and refused > 10
+
+
 def corpus_objs():
     return [
         {
@@ -165,7 +199,21 @@ def test_load_corpus_anchor_out_of_bounds_names_passage(tmp_path):
     objs = corpus_objs()
     objs[0]["anchors"][0]["end"] = 10_000
     path = write_lines(tmp_path / "c.jsonl", objs)
-    with pytest.raises(ValidationError, match="p1"):
+    with pytest.raises(ValidationError, match=r"c\.jsonl record 1: passage 'p1': anchor span \(20, 10000\) out of"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "start, end, problem",
+    [(34, 35, r"covers no token"), (-1, 4, r"out of bounds for text of length 53")],
+)
+def test_load_corpus_names_the_file_and_record_of_an_anchor_it_cannot_align(tmp_path, start, end, problem):
+    objs = corpus_objs()
+    objs.insert(0, {"id": "p0", "title": "Zero", "text": "zero", "anchors": []})
+    objs[1]["anchors"][0].update(start=start, end=end)
+    path = write_lines(tmp_path / "c.jsonl", objs)
+    expected = rf"c\.jsonl record 2: passage 'p1': anchor span \({start}, {end}\) {problem}"
+    with pytest.raises(ValidationError, match=expected):
         load_corpus(path)
 
 

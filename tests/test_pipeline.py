@@ -1128,6 +1128,29 @@ def test_a_malformed_run_file_is_refused_before_the_stage_writes(mini_run, tmp_p
     assert _files(cfg.output_dir) == before
 
 
+@pytest.mark.parametrize("stage", ["train-bridge", "predict"])
+def test_an_index_built_from_another_corpus_is_refused(mini_run, tmp_path, capsys, stage):
+    # re-ingesting a corpus with one passage dropped leaves the old index.json
+    # behind; every stage that loads the index refuses it by name
+    from dataclasses import asdict
+
+    lines = Path(mini_run.corpus_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    dropped = json.loads(lines[0])["id"]
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(lines[1:]), encoding="utf-8")
+    cfg = _run_copy(mini_run, tmp_path, corpus_path=str(corpus_path))
+    run_stage("ingest", cfg)
+    before = _files(cfg.output_dir)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"index\.json: its passage ids differ from corpus\.jsonl's .*'{dropped}'.*rerun build-index", err)
+    assert _files(cfg.output_dir) == before
+    run_stage("build-index", cfg)
+    run_stage("train-bridge", replace(cfg, bridge_epochs=1))
+
+
 @pytest.mark.parametrize("n_unreachable", [0, 2])
 def test_bridge_train_log_counts_the_adam_steps_it_took(mini_run, tmp_path, monkeypatch, n_unreachable):
     # the benchmark divides by epochs_run x n_train_questions: at batch size

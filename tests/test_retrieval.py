@@ -372,10 +372,52 @@ def test_fixture_index_file_equals_the_corpus_counted_postings(fixture_dir):
     assert_index_file_matches_corpus(load_corpus(fixture_dir / "corpus.jsonl"))
 
 
+@pytest.mark.parametrize(
+    "texts, the_rows",
+    [
+        (["the kiss and tell", "", "the the archer", "tell the river"], [0, 2, 3]),  # a zero-length row
+        (["the kiss", "the the archer", "tell the river", "the"], [0, 1, 2, 3]),  # a body term of df N
+    ],
+    ids=["empty-text", "term-in-every-text"],
+)
+def test_index_edges_equal_the_reference_in_both_builds(texts, the_rows):
+    # "film" is in every title, so the title field holds a term of df N too
+    corpus = make_corpus(texts, titles=["Kiss (film)", "Empty (film)", "Film", "River film"])
+    reference = reference_retrieval.Index(corpus)
+    questions = ["the kiss", "film", "the the tell river film", "zebra"]
+    for index in (build_index(corpus), round_tripped(build_index(corpus))):
+        assert index_to_dict(index) == reference_retrieval.index_file(reference)
+        assert index.body.length.tolist() == [len(tokenize(text)) for text in texts]
+        for field, term, rows in ((index.body, "the", the_rows), (index.title, "film", [0, 1, 2, 3])):
+            t = field.term_id[term]
+            assert field.rows[field.bounds[t] : field.bounds[t + 1]].tolist() == rows
+        for weights in WEIGHTS:
+            assert_matches_reference(index, reference, questions, weights)
+        arrays = {
+            f"{name}.{attr}": getattr(field, attr)
+            for name, field in (("body", index.body), ("title", index.title))
+            for attr in ("bounds", "rows", "tf", "length")
+        }
+        arrays.update(id_rank=index.id_rank, title_norm=index.title_norm)
+        assert {name: a.dtype for name, a in arrays.items()} == {
+            name: np.dtype(np.float64 if name.endswith(("tf", "length", "norm")) else np.intp) for name in arrays
+        }
+        assert not [name for name, a in arrays.items() if a.flags.writeable]
+
+
 def test_index_from_dict_rejects_fields_over_different_passages():
     written = index_to_dict(build_index(make_corpus(["kiss and tell", "tell me more"])))
     written["title"]["doc_len"] = dict(reversed(written["title"]["doc_len"].items()))
     with pytest.raises(ValidationError, match="different passages or orders"):
+        index_from_dict(written)
+
+
+def test_index_from_dict_rejects_a_term_listing_a_passage_twice():
+    # each (term, passage) pair is one posting; a repeated one would count
+    # the passage's tf twice in every score of the term
+    written = index_to_dict(build_index(make_corpus(["kiss and tell", "tell me more"])))
+    written["body"]["postings"]["tell"].append(["p0", 1])
+    with pytest.raises(ValidationError, match="lists a passage twice"):
         index_from_dict(written)
 
 
