@@ -141,12 +141,16 @@ class BridgeModel:
 
     memo is None in a model built for training, and a forward given an rng
     never reads it: it encodes a question's start passages and abstracts in
-    packed passes. A reasoner loaded for answering (load_pipeline_state) gets
-    an empty EncodingMemo, which lives as long as the model, since its
-    parameters no longer change: inference reads each start passage's encoder
-    states and each abstract's vector from it, keyed by token content. It
-    holds one entry per distinct text read, so it has no size limit (unlike
-    a loaded reader's, see span_model.READER_MEMO_CONTEXTS).
+    packed passes, through a writable store that caches nothing. A reasoner
+    loaded for answering (load_pipeline_state) is read-only: its store
+    refuses every write and caches the fused weights of its two recurrent
+    cells, the span/enc/ bi-GRU and the abstract/ bi-LSTM
+    (numcore.run_recurrent). It gets an empty EncodingMemo, which lives as
+    long as the model, since its parameters no longer change: inference
+    reads each start passage's encoder states and each abstract's vector
+    from it, keyed by token content. It holds one entry per distinct text
+    read, so it has no size limit (unlike a loaded reader's, see
+    span_model.READER_MEMO_CONTEXTS).
     """
 
     span: SpanModel

@@ -101,7 +101,10 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
 def restore(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
     """Set every parameter of an already-initialized store from a
     checkpoint's arrays, whose names and shapes must be the store's; a
-    mismatch raises before any parameter is set."""
+    mismatch raises before any parameter is set. A read-only store is
+    refused: rebinding a tensor's array would get past its write flags and
+    leave the store's cached fused weights stale."""
+    store.check_writable("restore")
     missing, unknown = sorted(set(store.names()) - set(arrays)), sorted(set(arrays) - set(store.names()))
     if missing or unknown:
         raise CheckpointError(f"checkpoint of another model: parameters missing {missing}, unknown {unknown}")

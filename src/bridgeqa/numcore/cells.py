@@ -191,6 +191,11 @@ def _batch_layout(lens: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.ndarr
     processing order: step s of sequence b reads its row s, or row len-1-s
     when reversed. Returns (rows, slots, Tmax): slots are the flat (s, b)
     positions of real steps and rows the packed row each one reads."""
+    if lens.size == 1:
+        # one sequence (every answering call): no padding, step s reads row s
+        T = int(lens[0])
+        steps = np.arange(T)
+        return (np.arange(T - 1, -1, -1) if reverse else steps), steps, T
     starts = np.cumsum(lens) - lens
     T = int(lens.max())
     s = np.arange(T)[:, None]
@@ -223,6 +228,29 @@ def _block_diagonal(blocks: list[np.ndarray], n_gates: int, H: int) -> np.ndarra
     return W.reshape(D * H, n_gates * D * H)
 
 
+def _fused_weights(params, gates: list[int], n_sigmoid: int, d: int, H: int):
+    """(W_x, bias, half, W_rec, W_rec_half) of the one cell of width D*H the
+    kernels see, whose every gate holds all D directions side by side: the
+    paired input projection and bias, the column scales that halve the
+    sigmoid gates, the block-diagonal recurrent matrices and their halved
+    copies. params[k][p] is direction k's (weight, bias) of weight group p.
+    The arrays are built read-only, so a cached copy cannot be changed."""
+    D = len(params)
+    W_x = np.concatenate(
+        [_pair([group[p][0].data[:d] for group in params], n, H) for p, n in enumerate(gates)], axis=1
+    )
+    bias = np.concatenate([_pair([group[p][1].data for group in params], n, H) for p, n in enumerate(gates)])
+    W_rec = [_block_diagonal([group[p][0].data[d:] for group in params], n, H) for p, n in enumerate(gates)]
+    # the sigmoid gates lead the fused columns; the kernels get them halved
+    half = np.ones(W_x.shape[1])
+    half[: n_sigmoid * D * H] = 0.5
+    halves = np.split(half, np.cumsum([n * D * H for n in gates])[:-1])
+    W_rec_half = [W * h for W, h in zip(W_rec, halves)]
+    for array in (W_x, bias, half, *W_rec, *W_rec_half):
+        array.setflags(write=False)
+    return W_x, bias, half, W_rec, W_rec_half
+
+
 def run_recurrent(
     kind: str,
     xs: Tensor,
@@ -244,6 +272,14 @@ def run_recurrent(
     With bidirectional=True, a forward cell under {prefix}fwd/ and a reversed
     cell under {prefix}bwd/ run side by side in the same time loop, and the
     output is (N, 2*hidden): each row's forward state, then its reversed one.
+
+    The weights the kernels read are fused from the parameters (see
+    _fused_weights). A read-only store, the store of a model loaded for
+    answering, builds them on its first run of each cell and keeps them in
+    its cache, keyed by kind, prefix, direction layout, input width and
+    hidden size; a writable store, as every training path uses, never
+    caches and builds them on each call. The arithmetic is the same either
+    way, so both give bitwise equal outputs.
     """
     if kind not in _KINDS:
         raise ShapeError(f"run_recurrent: unknown kind {kind!r}")
@@ -264,19 +300,10 @@ def run_recurrent(
         if W_t.data.shape[0] != d + H:
             raise ShapeError(f"run_recurrent: {prefix} expects {W_t.data.shape[0]} = D + hidden, got D={d}, hidden={H}")
     gates = [W_t.data.shape[1] // H for W_t, _ in params[0]]
-    # the kernels see one cell of width D*H whose every gate holds all
-    # directions side by side, and block-diagonal recurrent weights
-    W_x = np.concatenate(
-        [_pair([group[p][0].data[:d] for group in params], n, H) for p, n in enumerate(gates)], axis=1
+    W_x, bias, half, W_rec, W_rec_half = store.derived(
+        (kind, prefix, bidirectional, d, H), lambda: _fused_weights(params, gates, n_sigmoid, d, H)
     )
-    bias = np.concatenate([_pair([group[p][1].data for group in params], n, H) for p, n in enumerate(gates)])
-    W_rec = [_block_diagonal([group[p][0].data[d:] for group in params], n, H) for p, n in enumerate(gates)]
     G = W_x.shape[1]
-    # the sigmoid gates lead the fused columns; the kernels get them halved
-    half = np.ones(G)
-    half[: n_sigmoid * D * H] = 0.5
-    halves = np.split(half, np.cumsum([n * D * H for n in gates])[:-1])
-    W_rec_half = [W * h for W, h in zip(W_rec, halves)]
 
     # both directions of a sequence have its length, so they share the slots
     layouts = [_batch_layout(lens, rev) for _, rev in directions]

@@ -17,7 +17,9 @@ def adam_step(
     eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, in place. Parameters without a gradient
-    entry are left untouched; non-finite gradients are an error."""
+    entry are left untouched; non-finite gradients are an error, and so is
+    a read-only store, refused before any moment or step count changes."""
+    store.check_writable("adam_step")
     for name, t in store.items():
         g = grads.get(name)
         if g is None:

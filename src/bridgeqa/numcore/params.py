@@ -10,13 +10,49 @@ from .tensor import Tensor
 
 class ParamStore:
     """Named trainable tensors. Names are unique; insertion order is the
-    deterministic iteration order used by the optimizer and checkpoints."""
+    deterministic iteration order used by the optimizer and checkpoints.
+
+    A store is writable as built, and every training path uses it that way:
+    it caches nothing, so what is derived from its parameters is derived
+    anew on each use. make_read_only() (load_pipeline_state calls it on each
+    model it loads) turns every tensor array's write flag off, and from then
+    on add, checkpoint.restore and adam_step refuse the store. Because its
+    parameters can no longer change, a read-only store keeps in cache what
+    derived() builds from them, once per key: run_recurrent's fused weights
+    of each recurrent cell.
+    """
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
         self.moments: dict[str, dict] = {}
+        self.cache: dict | None = None  # a dict once the store is read-only
+
+    @property
+    def read_only(self) -> bool:
+        return self.cache is not None
+
+    def make_read_only(self) -> None:
+        for t in self._tensors.values():
+            t.data.setflags(write=False)
+        if self.cache is None:
+            self.cache = {}
+
+    def check_writable(self, action: str) -> None:
+        if self.read_only:
+            raise ValidationError(f"{action}: the parameter store is read-only (a model loaded for answering)")
+
+    def derived(self, key, build):
+        """build(), a value that depends only on the parameters; a read-only
+        store builds it once per key and then returns the cached value."""
+        if self.cache is None:
+            return build()
+        value = self.cache.get(key)
+        if value is None:
+            value = self.cache[key] = build()
+        return value
 
     def add(self, name: str, array) -> Tensor:
+        self.check_writable("add")
         if name in self._tensors:
             raise ValidationError(f"parameter {name!r} already registered")
         t = Tensor(np.array(array, dtype=np.float64))

@@ -502,9 +502,12 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
 
 def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
     """Assemble trained components from the output directory's checkpoints.
-    Each model gets an empty encoding memo, since it is loaded to answer and
-    its parameters no longer change: the bridge reasoner an unbounded one,
-    each reader one bounded at READER_MEMO_CONTEXTS."""
+    Each model is loaded to answer, so its parameters no longer change, and
+    that is enforced: its ParamStore is read-only (adam_step, restore and
+    add refuse it) and caches each recurrent cell's fused weights, built on
+    the cell's first run. Training stores stay writable and never cache.
+    Each model also gets an empty encoding memo: the bridge reasoner an
+    unbounded one, each reader one bounded at READER_MEMO_CONTEXTS."""
     checkpoints = _out(cfg) / "checkpoints"
     state, _, _ = _load_state(cfg)
     state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", 0, "train-bridge")
@@ -515,6 +518,8 @@ def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
         state.reader_no_multitask = _load_model(_new_reader_model, cfg, nomt_dir, 1, "train-reader")
     for reader in _readers(state):
         reader.memo = EncodingMemo(limit=READER_MEMO_CONTEXTS)
+    for model in (state.bridge, *_readers(state)):
+        model.store.make_read_only()
     return state
 
 

@@ -339,6 +339,11 @@ class EncodingMemo:
     least recently read first; without one it keeps them all (a reasoner
     holds one entry per distinct passage and abstract). computed and reused
     count the misses and the hits over both maps.
+
+    Its entries stay valid because a loaded model is read-only: its
+    ParamStore refuses every write, and it also caches the fused weights of
+    each recurrent cell, so a miss encodes without rebuilding them. A
+    training store is writable and caches neither.
     """
 
     limit: int | None = None
@@ -367,9 +372,11 @@ class SpanModel:
     """Parameter bundle for one span predictor (the reader, or the local
     context channel of the bridge reasoner).
 
-    memo is None in a model built for training; a reader loaded for
-    answering gets an EncodingMemo bounded at READER_MEMO_CONTEXTS, which
-    run_span_model reads without an rng (see there)."""
+    memo is None in a model built for training, whose store is writable and
+    caches nothing; a reader loaded for answering (load_pipeline_state) gets
+    an EncodingMemo bounded at READER_MEMO_CONTEXTS, which run_span_model
+    reads without an rng (see there), and a read-only store, whose cache
+    holds the encoder bi-GRU's fused weights (numcore.run_recurrent)."""
 
     store: ParamStore
     table: EmbeddingTable

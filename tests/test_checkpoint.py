@@ -12,7 +12,7 @@ from bridgeqa.checkpoint import (
     restore,
     save_checkpoint,
 )
-from bridgeqa.errors import CheckpointError
+from bridgeqa.errors import CheckpointError, ValidationError
 from bridgeqa.numcore import ParamStore
 
 VOCAB = {"<unk>": 0, "kiss": 1, "tell": 2}
@@ -151,6 +151,19 @@ def test_missing_parameter_rejected(tmp_path):
     bigger.add("extra/w", np.zeros(2))
     with pytest.raises(CheckpointError, match="extra/w"):
         restore(bigger, load_checkpoint(tmp_path / "ckpt")[0])
+
+
+def test_restore_refuses_a_read_only_store(tmp_path):
+    # rebinding .data would get past the arrays' write flags and leave the
+    # store's cached fused weights stale
+    save_checkpoint(store_fixture(seed=1), tmp_path / "ck", VOCAB)
+    arrays, _ = load_checkpoint(tmp_path / "ck")
+    store = store_fixture(seed=0)
+    store.make_read_only()
+    before = {name: t.data for name, t in store.items()}
+    with pytest.raises(ValidationError, match="read-only"):
+        restore(store, arrays)
+    assert all(store[name].data is array for name, array in before.items())
 
 
 def test_restore_lists_every_tensor_whose_shape_does_not_fit(tmp_path):

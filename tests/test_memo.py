@@ -14,6 +14,7 @@ from bridgeqa.bridge import EncodingMemo, collect_candidates, gold_titles, score
 from bridgeqa.config import ABLATION_MODES
 from bridgeqa.corpus import tokenize
 from bridgeqa.manifest import read_manifest
+from bridgeqa.numcore import ParamStore
 from bridgeqa.pipeline import (
     _embedding,
     _load_ingested,
@@ -285,12 +286,38 @@ def test_models_built_for_training_carry_no_memo(mini_run):
     assert _new_bridge_model(mini_run, embedding, seed_tag=1).memo is None
     assert _new_reader_model(mini_run, embedding, seed_tag=0).memo is None
     assert _new_reader_model(mini_run, embedding, seed_tag=1).memo is None
+    # and their stores are writable and cache nothing
+    assert _new_bridge_model(mini_run, embedding, seed_tag=0).store.cache is None
+    assert _new_reader_model(mini_run, embedding, seed_tag=0).store.cache is None
     state = load_pipeline_state(mini_run)
     memo = state.bridge.memo
     assert isinstance(memo, EncodingMemo) and memo.computed == memo.reused == 0 and memo.limit is None
     memo = state.reader.memo
     assert isinstance(memo, EncodingMemo) and memo.computed == memo.reused == 0
     assert memo.limit == READER_MEMO_CONTEXTS
+
+
+def test_loaded_models_are_read_only_and_answer_as_writable_ones(mini_run, monkeypatch):
+    # oracle: the same checkpoints restored into writable stores, which build
+    # each recurrent cell's fused weights on every call
+    _, _, dev = _load_ingested(mini_run)
+    state = load_pipeline_state(mini_run)
+    labels = gold_titles(dev, state.corpus, mini_run.seed)
+    predictions, skipped = predict_questions(state, dev, "full", labels)
+    stores = [state.bridge.store, state.reader.store]
+    assert all(store.read_only for store in stores)
+    assert state.reader_no_multitask is None
+    cached = [sorted((key[0], key[1]) for key in store.cache) for store in stores]
+    assert cached == [[("gru", "span/enc/"), ("lstm", "abstract/")], [("gru", "span/enc/")]]
+    monkeypatch.setattr(ParamStore, "make_read_only", lambda store: None)
+    writable = load_pipeline_state(mini_run)
+    assert not writable.bridge.store.read_only and not writable.reader.store.read_only
+    expected, expected_skipped = predict_questions(writable, dev, "full", labels)
+    assert skipped == expected_skipped
+    assert len(predictions) == len(expected) > 0
+    for a, b in zip(predictions, expected):
+        assert (a.qid, a.answer, a.passages, a.ranking, a.fallback) == (b.qid, b.answer, b.passages, b.ranking, b.fallback)
+    assert writable.bridge.store.cache is None and writable.reader.store.cache is None
 
 
 def test_predict_entry_counts_the_encodings_computed_and_reused(mini_run):
@@ -313,6 +340,7 @@ def test_a_loaded_no_multitask_reader_has_its_own_memo(mini_run, tmp_path):
     assert isinstance(state.reader_no_multitask.memo, EncodingMemo)
     assert state.reader_no_multitask.memo is not state.reader.memo
     assert state.reader_no_multitask.memo.limit == READER_MEMO_CONTEXTS
+    assert state.reader_no_multitask.store.read_only
     entry = run_stage("predict", cfg)
     assert entry["reader_encodings_computed"] > 0
     assert entry["reader_encodings_computed"] + entry["reader_encodings_reused"] == entry["n_predictions"]

@@ -831,6 +831,118 @@ def test_run_bidirectional_width():
     assert out.data.shape == (5, 6)
 
 
+# --- read-only stores and the fused-weight cache ---------------------------
+
+
+def _general_layout(lens, reverse):
+    """_batch_layout's padded-batch formula, for any number of sequences."""
+    starts = np.cumsum(lens) - lens
+    T = int(lens.max())
+    s = np.arange(T)[:, None]
+    offset = lens - 1 - s if reverse else np.broadcast_to(s, (T, lens.size))
+    slots = np.flatnonzero(s < lens)
+    return (starts + offset).ravel()[slots], slots, T
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_single_sequence_layout_is_the_general_formula(reverse):
+    from bridgeqa.numcore.cells import _batch_layout
+
+    for T in range(1, 41):
+        lens = np.array([T])
+        rows, slots, steps = _batch_layout(lens, reverse)
+        ref_rows, ref_slots, ref_steps = _general_layout(lens, reverse)
+        assert steps == ref_steps == T
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(slots, ref_slots)
+        assert (rows.dtype, slots.dtype) == (ref_rows.dtype, ref_slots.dtype)
+
+
+def _read_only_copy(store):
+    copy = ParamStore()
+    for name, param in store.items():
+        copy.add(name, param.data)
+    copy.make_read_only()
+    return copy
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize(
+    "prefix, reverse, bidirectional", [("b/", False, True), ("b/fwd/", False, False), ("b/fwd/", True, False)]
+)
+@pytest.mark.parametrize("lengths", [None, PACKED_LENGTHS])
+def test_read_only_store_caches_fused_weights_and_gives_bitwise_equal_runs(
+    kind, prefix, reverse, bidirectional, lengths
+):
+    # oracle: the same parameters in a writable store, which builds the fused
+    # weights on every call; the read-only copy builds them on its first call
+    # and reads them from its cache on the second
+    store, xs, w = _paired_case(kind, 41, lengths=lengths or [23])
+    if not bidirectional:
+        w = w[:, :4]
+    read_only = _read_only_copy(store)
+
+    def run(params):
+        params.zero_grad()
+        x_t = Tensor(xs.copy())
+        out = run_recurrent(kind, x_t, params, prefix, 4, reverse=reverse, lengths=lengths, bidirectional=bidirectional)
+        backward(sum_all(mul(out, constant(w))))
+        return out.data, x_t.grad, {name: p.grad for name, p in params.items() if p.grad is not None}
+
+    expected = run(store)
+    assert store.cache is None
+    for _ in range(2):
+        out, dx, grads = run(read_only)
+        np.testing.assert_array_equal(out, expected[0])
+        np.testing.assert_array_equal(dx, expected[1])
+        assert grads.keys() == expected[2].keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, expected[2][name])
+        assert list(read_only.cache) == [(kind, prefix, bidirectional, 3, 4)]
+    if not bidirectional:
+        # a one-direction cell has one entry, whichever way it runs
+        run_recurrent(kind, Tensor(xs), read_only, prefix, 4, reverse=not reverse, lengths=lengths)
+        assert len(read_only.cache) == 1
+    (W_x, bias, half, W_rec, W_rec_half), = read_only.cache.values()
+    assert not any(a.flags.writeable for a in (W_x, bias, half, *W_rec, *W_rec_half))
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_each_cell_of_a_read_only_store_gets_its_own_entry(kind):
+    # the two one-direction cells and their bidirectional pair share a kind
+    # and sizes, so only the prefix and the direction layout tell them apart
+    store, xs, _ = _paired_case(kind, 42)
+    read_only = _read_only_copy(store)
+    runs = [("b/fwd/", False, False), ("b/bwd/", True, False), ("b/", False, True), ("b/fwd/", True, False)]
+    for prefix, reverse, bidirectional in runs * 2:
+        kwargs = dict(reverse=reverse, lengths=PACKED_LENGTHS, bidirectional=bidirectional)
+        out = run_recurrent(kind, Tensor(xs), read_only, prefix, 4, **kwargs)
+        np.testing.assert_array_equal(out.data, run_recurrent(kind, Tensor(xs), store, prefix, 4, **kwargs).data)
+    assert sorted(read_only.cache) == [(kind, "b/", True, 3, 4), (kind, "b/bwd/", False, 3, 4), (kind, "b/fwd/", False, 3, 4)]
+
+
+def test_read_only_store_refuses_writes_to_its_arrays():
+    store = ParamStore()
+    store.add("w", np.ones((2, 2)))
+    assert not store.read_only and store.cache is None
+    store.make_read_only()
+    assert store.read_only and store.cache == {}
+    with pytest.raises(ValueError):
+        store["w"].data[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        store["w"].data -= 1.0
+    np.testing.assert_array_equal(store["w"].data, np.ones((2, 2)))
+
+
+def test_read_only_store_refuses_add():
+    store = ParamStore()
+    store.add("w", np.zeros(1))
+    store.make_read_only()
+    with pytest.raises(ValidationError, match="read-only"):
+        store.add("v", np.zeros(1))
+    assert store.names() == ["w"]
+
+
 # --- adam --------------------------------------------------------------------
 
 
@@ -867,6 +979,21 @@ def test_adam_rejects_non_finite_gradient():
     store.add("w", np.array([0.0]))
     with pytest.raises(ValidationError, match="w"):
         adam_step(store, {"w": np.array([np.nan])})
+
+
+def test_adam_refuses_a_read_only_store_before_touching_its_state():
+    store = ParamStore()
+    store.add("w", np.array([1.0, 2.0]))
+    adam_step(store, {"w": np.array([0.5, -0.5])}, lr=0.1)
+    before = store["w"].data.copy()
+    moments = {key: np.copy(value) for key, value in store.moments["w"].items()}
+    store.make_read_only()
+    with pytest.raises(ValidationError, match="read-only"):
+        adam_step(store, {"w": np.array([0.5, -0.5])}, lr=0.1)
+    np.testing.assert_array_equal(store["w"].data, before)
+    assert store.moments["w"].keys() == moments.keys()
+    for key, value in moments.items():
+        np.testing.assert_array_equal(store.moments["w"][key], value)
 
 
 def test_param_store_unique_names():
