@@ -1,6 +1,10 @@
 """The span prediction model, layer by layer: shared bidirectional GRU
 encoding, bidirectional attention, diagonal-masked self-attention, span
 heads, and span decoding over a block context with yes/no sentinels.
+
+The reader reads self-attention only through its two span heads, so it
+passes them as self-attention's readout: the mixing layer is folded into the
+heads, and the full per-token states are never formed.
 """
 
 import numpy as np
@@ -11,6 +15,7 @@ from bridgeqa.span_model import (
     biattention,
     build_vocab,
     encode,
+    head_readout,
     init_span_model,
     run_span_model,
     self_attention,
@@ -40,9 +45,13 @@ def main():
           "(= [h; q-aware; h*q-aware; h*summary])")
     final = self_attention(attended, model.store)
     print(f"after self-attention (+residual): {final.states.data.shape}")
-    scores = span_heads(final, model.store)
+    read = self_attention(attended, model.store, readout=head_readout(model.store))
+    print(f"self-attention read through the two span heads: {read.states.data.shape}")
+    scores = span_heads(read.states)
     print(f"span logits per token: start {scores.start_logits.data.shape}, "
           f"end {scores.end_logits.data.shape}")
+    heads = final.states.data @ head_readout(model.store).data
+    print(f"equal to the heads over the full states: {np.allclose(read.states.data, heads, rtol=0, atol=1e-12)}")
 
     # the reader wraps passages into one block context with sentinels
     context = build_reader_context([passage])

@@ -67,6 +67,7 @@ from .span_model import (
     biattention,
     build_vocab,
     encode,
+    head_readout,
     init_span_model,
     run_span_model,
     self_attention,

@@ -24,6 +24,7 @@ from .numcore import (
     ParamStore,
     Tensor,
     adam_step,  # noqa: F401 - bench/layers.py traces bridge.adam_step
+    add,
     backward,  # noqa: F401 - bench/layers.py traces bridge.backward
     concat,
     constant,
@@ -36,6 +37,7 @@ from .numcore import (
     max_pool_over_time,
     reshape,
     run_bidirectional,
+    slice_rows,
 )
 from .reader import fit
 from .retrieval import flat_layout, gather_slices
@@ -251,13 +253,15 @@ def _context_rows(
     question: TokenSeq,
     start_passages: list[Passage],
     candidates: list[BridgeCandidate],
+    readout: Tensor | None = None,
     *,
     rng: np.random.Generator | None,
 ) -> Tensor:
-    """(n, 8h) local context evidence: each candidate's anchor start-token row
-    of its start passage's self-attention output, in candidate order. Only
-    those rows are read: self-attention queries, its residual and its mixing
-    layer run at the anchor rows alone.
+    """Local context evidence: each candidate's anchor start-token row of
+    its start passage's self-attention output, in candidate order, read
+    through readout: (n, k) for a readout of k columns, (n, 8h) without one.
+    Only those rows are read: self-attention queries, its residual and its
+    mixing layer run at the anchor rows alone.
 
     Without an rng, a model with a memo reads through attend_memoized: the
     question is encoded on its own, and each start passage's encoder states
@@ -274,9 +278,9 @@ def _context_rows(
     offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
     rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in candidates])
     if rng is None and model.memo is not None:
-        final = attend_memoized(model.span, model.memo, question, contexts, rows)
+        final = attend_memoized(model.span, model.memo, question, contexts, rows, readout)
     else:
-        (final,) = attend(model.span, [(question, contexts)], rng=rng, rows=[rows])
+        (final,) = attend(model.span, [(question, contexts)], rng=rng, rows=[rows], readout=readout)
     return final.states
 
 
@@ -297,9 +301,14 @@ def score_bridges(
 
     H_context holds each anchor's start-token representation, H_content the
     encoded abstract of its target (the trained sentinel when that is
-    missing). use_context / use_content zero out the corresponding channel
-    (the ablation switches). Returns the (n,) logits node, the candidates'
-    scores in their order; there must be at least one candidate.
+    missing). H_context is the self-attention output, which the fusion
+    reads only through its first 8h weights w_context, so self-attention
+    returns H_context @ w_context itself, its mixing layer read through
+    w_context (see span_model.self_attention); H_content @ w_content is
+    added to it. use_context / use_content zero out the corresponding
+    channel's term (the ablation switches). Returns the (n,) logits node,
+    the candidates' scores in their order; there must be at least one
+    candidate.
 
     With an rng, dropout is drawn from it and the memo is neither read nor
     filled. Without one, a model memo (a reasoner loaded for answering)
@@ -309,19 +318,19 @@ def score_bridges(
     """
     if not candidates:
         raise ValidationError("score_bridges: no candidates to score")
-    n = len(candidates)
+    n, w, wide = len(candidates), model.store["fuse/w"], 8 * model.span.hidden
+    terms = []
     if use_context:
-        h_context = _context_rows(model, question, start_passages, candidates, rng=rng)
-    else:
-        h_context = constant(np.zeros((n, 8 * model.span.hidden)))
+        terms.append(_context_rows(model, question, start_passages, candidates, slice_rows(w, 0, wide), rng=rng))
     if use_content:
         titles = sorted({c.target_title for c in candidates})
         encoded = encode_abstracts(model, [corpus.by_title.get(t) for t in titles], rng=rng)
         row_of = {t: i for i, t in enumerate(titles)}
         h_content = gather_rows(encoded, np.array([row_of[c.target_title] for c in candidates]))
-    else:
-        h_content = constant(np.zeros((n, 2 * model.lstm_hidden)))
-    return reshape(matmul(concat([h_context, h_content], axis=1), model.store["fuse/w"]), (n,))
+        terms.append(matmul(h_content, slice_rows(w, wide, w.data.shape[0])))
+    if not terms:  # both channels off
+        return constant(np.zeros(n))
+    return reshape(terms[0] if len(terms) == 1 else add(*terms), (n,))
 
 
 def gold_mention_indices(candidates: list[BridgeCandidate], gold_title: str) -> list[int]:

@@ -191,17 +191,59 @@ def _batch_layout(lens: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.ndarr
     processing order: step s of sequence b reads its row s, or row len-1-s
     when reversed. Returns (rows, slots, Tmax): slots are the flat (s, b)
     positions of real steps and rows the packed row each one reads."""
-    if lens.size == 1:
-        # one sequence (every answering call): no padding, step s reads row s
-        T = int(lens[0])
-        steps = np.arange(T)
-        return (np.arange(T - 1, -1, -1) if reverse else steps), steps, T
     starts = np.cumsum(lens) - lens
     T = int(lens.max())
     s = np.arange(T)[:, None]
     offset = lens - 1 - s if reverse else np.broadcast_to(s, (T, lens.size))
     slots = np.flatnonzero(s < lens)
     return (starts + offset).ravel()[slots], slots, T
+
+
+def _padded_layout(lens: np.ndarray, reverses: list[bool]):
+    """(to_batch, from_batch, Tmax) over the _batch_layout of each direction.
+    to_batch takes per-row arrays (N, ..., D, H), direction k at [..., k, :],
+    to the (Tmax * B, ..., D, H) batch, zero at the padding steps; from_batch
+    takes a batch back to rows."""
+    placed = [_batch_layout(lens, rev) for rev in reverses]
+    _, slots, T = placed[0]
+
+    def to_batch(rows_array):
+        batch = np.zeros((T * lens.size, *rows_array.shape[1:]))
+        for k, (rows, _, _) in enumerate(placed):
+            batch[slots, ..., k, :] = rows_array[rows, ..., k, :]
+        return batch
+
+    def from_batch(batch):
+        real = batch[slots]
+        rows_array = np.empty(real.shape)
+        for k, (rows, _, _) in enumerate(placed):
+            rows_array[rows, ..., k, :] = real[..., k, :]
+        return rows_array
+
+    return to_batch, from_batch, T
+
+
+def _single_layout(n_rows: int, reverses: list[bool]):
+    """_padded_layout for one sequence (every answering call): no padding and
+    no fancy index, step s of a direction reads row s, and a reversed
+    direction reads its rows through [::-1]. The order is its own inverse,
+    so to_batch and from_batch are one function."""
+
+    def flip(array):
+        if not any(reverses):
+            return array
+        out = np.empty(array.shape)
+        for k, rev in enumerate(reverses):
+            out[..., k, :] = array[::-1, ..., k, :] if rev else array[..., k, :]
+        return out
+
+    return flip, flip, n_rows
+
+
+def _layout(lens: np.ndarray, reverses: list[bool]):
+    """The single-sequence layout for one sequence, the padded one for more;
+    both give bitwise equal runs."""
+    return _single_layout(int(lens[0]), reverses) if lens.size == 1 else _padded_layout(lens, reverses)
 
 
 def _pair(blocks: list[np.ndarray], n_gates: int, H: int) -> np.ndarray:
@@ -306,33 +348,19 @@ def run_recurrent(
     G = W_x.shape[1]
 
     # both directions of a sequence have its length, so they share the slots
-    layouts = [_batch_layout(lens, rev) for _, rev in directions]
-    _, slots, T = layouts[0]
+    to_batch, from_batch, T = _layout(lens, [rev for _, rev in directions])
     B = lens.size
     n_all = sum(gates)
     P = ((X @ W_x + bias) * half).reshape(N, n_all, D, H)
-    A = np.zeros((T * B, n_all, D, H))
-    for k, (rows, _, _) in enumerate(layouts):
-        A[slots, :, k] = P[rows, :, k]
-    Hs, cache = fwd_kernel(A.reshape(T, B, G), W_rec_half, D * H)
-    states = Hs[1:].reshape(-1, D, H)[slots]
-    out = np.empty((N, D, H))
-    for k, (rows, _, _) in enumerate(layouts):
-        out[rows, k] = states[:, k]
+    Hs, cache = fwd_kernel(to_batch(P).reshape(T, B, G), W_rec_half, D * H)
+    out = from_batch(Hs[1:].reshape(T * B, D, H))
     node = Tensor(out.reshape(N, D * H), (xs, *[t for group in params for pair in group for t in pair]))
 
     def bwd(grad):
-        g = grad.reshape(N, D, H)
-        Gs = np.zeros((T * B, D, H))
-        for k, (rows, _, _) in enumerate(layouts):
-            Gs[slots, k] = g[rows, k]
+        Gs = to_batch(grad.reshape(N, D, H))
         dA, dW_rec = bwd_kernel(Gs.reshape(T, B, D * H), Hs, cache, W_rec, D * H)
         # padding steps carry exactly zero gate gradient
-        dA_slots = dA.reshape(-1, n_all, D, H)[slots]
-        dA_rows = np.empty((N, n_all, D, H))
-        for k, (rows, _, _) in enumerate(layouts):
-            dA_rows[rows, :, k] = dA_slots[:, :, k]
-        dA_rows = dA_rows.reshape(N, G)
+        dA_rows = from_batch(dA.reshape(T * B, n_all, D, H)).reshape(N, G)
         accumulate(xs, dA_rows @ W_x.T)
         dW_x = X.T @ dA_rows
         db = dA_rows.sum(axis=0)

@@ -13,9 +13,11 @@ into exact zeros.
 self_attend is the one fused op: a span model's self-attention over packed
 segments (scores, masked softmax and weighted sum) is one node whose
 backward is written out, where the same layer composed from the ops above
-records about 17 per segment. Given rows, it reads only those: a bridge
-reasoner scores each anchor by its start-token row, so only the anchor rows
-query, while keys and values still span every row of their segment.
+records about 17 per segment. Every segment attends through one score
+matrix, masked -inf outside each query's own segment. Given rows, it reads
+only those: a bridge reasoner scores each anchor by its start-token row, so
+only the anchor rows query, while keys and values still span every row of
+their segment.
 """
 
 from __future__ import annotations
@@ -244,79 +246,96 @@ def softmax_rows(x: Tensor) -> Tensor:
 def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor:
     """Bilinear self-attention within each packed segment, as one node.
 
-    Per segment xs (lengths pack x's rows, as run_recurrent packs them):
-    S = (xs.w2)^T + (xs * w3).xs^T with the diagonal -inf, P its row
-    softmax, and the segment's output rows are P.xs. A row term xs.w1 of the
-    trilinear form would add one constant to each row of S, which the row
-    softmax ignores, so it is left out. A length-1 segment has no
-    off-diagonal score, so its row is zero. Backward keeps only each
-    segment's P.
+    lengths pack x's rows into segments, as run_recurrent packs them. Query
+    row i scores every row j with S_ij = x_j.w2 + (x_i * w3).x_j, masked to
+    -inf outside i's own segment and at j = i; P is the row softmax of S and
+    output row i is P_i.x. One (queries, rows) matrix holds the scores of
+    every segment, so a single segment, the mask being its diagonal alone,
+    runs the plain formula. A row term x_i.w1 of the trilinear form would
+    add one constant to each row of S, which the row softmax ignores, so it
+    is left out. A row of a length-1 segment has nothing to attend to: it
+    does not query, and its output row is zero. Backward keeps P.
 
     rows, when given, are the packed row indices to read, in any order and
     repeats allowed: the output has one row per entry, the row rows[i] of
     the full output. Only those rows query: the query-side terms (x * w3
-    and the masked diagonal) are formed, and differentiated, at rows alone,
+    and the masked own row) are formed, and differentiated, at rows alone,
     while keys and values still span every row of each segment.
     """
     D = x.data.shape[1] if x.data.ndim == 2 else -1
     if D < 1 or w2.data.shape != (D, 1) or w3.data.shape != (D,):
         raise ShapeError(f"self_attend: shapes x {x.data.shape}, w2 {w2.data.shape}, w3 {w3.data.shape}")
-    lengths = [int(n) for n in lengths]
-    if min(lengths, default=0) < 1 or sum(lengths) != x.data.shape[0]:
-        raise ShapeError(f"self_attend: lengths {lengths} do not pack {x.data.shape[0]} rows")
-    ends = np.cumsum(lengths)
-    # per segment of two or more rows that is read: its bounds and its query
-    # rows' positions in the output (a slice, or an index array with rows)
+    lengths = np.array([int(n) for n in lengths], dtype=np.int64)
+    X = x.data
+    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != X.shape[0]:
+        raise ShapeError(f"self_attend: lengths {lengths.tolist()} do not pack {X.shape[0]} rows")
     if rows is None:
-        blocks = [(e - n, e, slice(e - n, e)) for n, e in zip(lengths, ends.tolist()) if n > 1]
-        xq = x.data
+        own, xq = None, X
     else:
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= x.data.shape[0])):
-            raise ShapeError(f"self_attend: rows {rows} do not index {x.data.shape[0]} rows")
-        segment = np.searchsorted(ends, rows, side="right")
-        blocks = [(int(ends[k]) - lengths[k], int(ends[k]), np.flatnonzero(segment == k))
-                  for k in np.unique(segment).tolist() if lengths[k] > 1]
-        xq = x.data[rows]
+        if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= X.shape[0])):
+            raise ShapeError(f"self_attend: rows {rows} do not index {X.shape[0]} rows")
+        own, xq = rows, X[rows]
+    # own holds each read row's packed index, None when the reads are every
+    # row of one segment (their own rows are the diagonal); q picks the query
+    # rows, those of segments of two or more rows, out of xq (a slice when
+    # it is all of them); outside is True at the rows of other segments than
+    # a query's own, and None with one segment
+    outside = None
+    if lengths.size == 1:
+        q = slice(None) if lengths[0] > 1 else np.zeros(0, dtype=np.int64)
+    else:
+        segment = np.repeat(np.arange(lengths.size), lengths)
+        if own is None:
+            own = np.arange(X.shape[0])
+        live = lengths[segment[own]] > 1
+        q = slice(None) if live.all() else np.flatnonzero(live)
+        outside = segment[own[q]][:, None] != segment
     # the row terms at once: x.w2 over every row, x * w3 over the query rows
-    xw2, xw3 = x.data @ w2.data, xq * w3.data
-    out_data = np.zeros_like(xq)
-    probs = []
-    for s, e, q in blocks:
-        xs = x.data[s:e]
-        # in place, one (rows, T) array: the bits of the out-of-place formula
-        P = xw3[q] @ xs.T
-        P += xw2[s:e].T
-        if rows is None:
-            np.fill_diagonal(P, -np.inf)
-        else:
-            P[np.arange(len(q)), rows[q] - s] = -np.inf
-        P -= P.max(axis=1, keepdims=True)
-        np.exp(P, out=P)
-        P /= P.sum(axis=1, keepdims=True)
-        out_data[q] = P @ xs
-        probs.append(P)
+    xw2, xw3 = X @ w2.data, xq * w3.data
+    # in place, one (queries, rows) array: the bits of the out-of-place formula
+    P = xw3[q] @ X.T
+    P += xw2.T
+    if outside is not None:
+        P[outside] = -np.inf
+    if own is None:
+        np.fill_diagonal(P, -np.inf)
+    else:
+        P[np.arange(P.shape[0]), own[q]] = -np.inf
+    P -= P.max(axis=1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=1, keepdims=True)
+    every = isinstance(q, slice)
+    if every:
+        out_data = P @ X
+    else:
+        out_data = np.zeros_like(xq)
+        out_data[q] = P @ X
     out = Tensor(out_data, (x, w2, w3))
 
     def bwd(g):
-        # per segment, the score gradient dS reaches the keys and values
-        # through P.x and the (x * w3).x^T product; its column sums (d2)
-        # reach x.w2 at every row, and dS.x reaches x * w3 at the query rows
-        gx, d2, dSx = np.zeros_like(x.data), np.zeros_like(xw2), np.zeros_like(xq)
-        for (s, e, q), P in zip(blocks, probs):
-            xs, gs = x.data[s:e], g[q]
-            dP = gs @ xs.T
-            dS = (dP - (dP * P).sum(axis=1, keepdims=True)) * P
-            d2[s:e, 0] = dS.sum(axis=0)
-            dSx[q] = dS @ xs
-            gx[s:e] = P.T @ gs + dS.T @ xw3[q]
+        # the score gradient dS reaches the keys and values through P.x and
+        # the (x * w3).x^T product; its column sums (d2) reach x.w2 at every
+        # row, and dS.x reaches x * w3 at the query rows. A masked score has
+        # P = 0, so its dS is 0.
+        gq = g[q]
+        dP = gq @ X.T
+        dS = (dP - (dP * P).sum(axis=1, keepdims=True)) * P
+        d2 = np.zeros_like(xw2)
+        d2[:, 0] = dS.sum(axis=0)
+        if every:
+            dSx = dS @ X
+        else:
+            dSx = np.zeros_like(xq)
+            dSx[q] = dS @ X
+        gx = P.T @ gq + dS.T @ xw3[q]
         gx += d2 @ w2.data.T
         if rows is None:
             gx += dSx * w3.data
         else:
             np.add.at(gx, rows, dSx * w3.data)
         accumulate(x, gx)
-        accumulate(w2, x.data.T @ d2)
+        accumulate(w2, X.T @ d2)
         accumulate(w3, (dSx * xq).sum(axis=0))
 
     out.bwd = bwd

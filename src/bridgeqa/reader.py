@@ -25,7 +25,7 @@ from .corpus import Passage, QARecord, TokenSeq
 from .errors import ValidationError
 from .metrics import em_f1, normalize_answer
 from .numcore import ParamStore, Tensor, adam_step, add, backward, scale
-from .span_model import SpanModel, SpanScores, attend, run_span_model, span_heads, span_nll_loss
+from .span_model import SpanModel, SpanScores, attend, head_readout, run_span_model, span_heads, span_nll_loss
 
 SENTINELS = ("yes", "no")
 # the longest answer span, in tokens, that is decoded or located
@@ -194,10 +194,10 @@ def reader_losses(
         if example.answer_span is None:
             raise ValidationError(f"example {example.question_id!r} has no gold answer span")
     groups = [(ex.question, [ex.context.tokens]) for ex in examples]
-    finals = attend(model, groups, rng=rng)
+    finals = attend(model, groups, rng=rng, readout=head_readout(model.store))
     out = []
     for example, final in zip(examples, finals):
-        scores = span_heads(final, model.store)
+        scores = span_heads(final.states)
         out.append((_span_loss(scores, example, aux_weight), scores))
     return out
 

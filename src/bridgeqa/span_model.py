@@ -12,15 +12,25 @@ question-to-context term, and adds a residual through a linear mixing
 layer. The mixing layer and the span heads have no bias: a constant logit
 over positions changes neither the span NLL nor the argmax.
 
+Self-attention's output is only ever read through linear heads: the
+reader's two span heads (head_readout), and the reasoner's fusion weights
+over its context channel. So self_attention takes those heads as a readout
+V, (8h, k), and returns x.V + (mixed.(W_mix.V)) * keep: the mixing layer is
+read through its heads, an (24h, k) matmul with k <= 2 in place of an
+(24h, 8h) one, in forward and backward. Without a readout it returns the
+full states.
+
 attend() reads one or several questions, each against one or several
 contexts (a reader minibatch: one block context per question; the reasoner:
 one question and its start passages), without padding: one encoder pass over
 every question and context, one biattention per question over all of its
 context rows, whose question-to-context softmax is masked -inf outside each
 context's block, and one self-attention per question: one numcore
-self_attend node scores, normalises and sums within each context's rows,
-and one mixing layer runs over all of them. attend_encoded is that per-group
-reading on its own, from encoder states however they were computed.
+self_attend node scores all of its contexts in one matrix, masked -inf
+outside each context's rows, normalises and sums, and one mixing layer,
+read through the readout, runs over all of them. attend_encoded is that
+per-group reading on its own, from encoder states however they were
+computed.
 
 The bridge reasoner scores each anchor by its start-token row alone, about
 one context row in ten, so it passes those rows to attend or
@@ -64,6 +74,7 @@ from .numcore import (
     row_max,
     run_bidirectional,
     self_attend,
+    slice_cols,
     slice_rows,
     softmax_rows,
     transpose,
@@ -270,13 +281,26 @@ def biattention(context: EncodedSeq, question: EncodedSeq, store: ParamStore, *,
     return EncodedSeq(states=out)
 
 
-def self_attention(context: EncodedSeq, store: ParamStore, *, lengths=None, rows=None) -> EncodedSeq:
-    """Context-to-context attention with the diagonal masked, residual added.
+def self_attention(
+    context: EncodedSeq, store: ParamStore, *, lengths=None, rows=None, readout: Tensor | None = None
+) -> EncodedSeq:
+    """Context-to-context attention with the diagonal masked, residual added,
+    read through a readout matrix.
+
+    Its output states are x.V + (mixed.(W_mix.V)) * keep for a readout V of
+    shape (8h, k), where x is the context's rows, mixed = [x; att; x*att]
+    with att their attention over the context, and keep is 0 at the rows of
+    length-1 passages (no off-diagonal mass exists, so they get no mixing)
+    and 1 elsewhere. Its readers read the output only through linear heads,
+    so each passes its heads as V, and the mixing layer is read through
+    them: an (24h, k) matmul, k <= 2, in place of an (24h, 8h) one. Without
+    a readout (the identity), the states are the full x + (mixed.W_mix) *
+    keep, formed by the same steps without the products by V.
 
     With lengths, context packs several passages back to back and each
-    attends within its own rows: one self_attend node over every row, then
-    one mixing layer over every row. A length-1 passage is returned unchanged
-    (no off-diagonal mass exists), so its rows get no mixing.
+    attends within its own rows: one self_attend node, one masked score
+    matrix, over every row, then one mixing layer over every row. Without a
+    readout, a context of length-1 passages only is returned unchanged.
 
     With rows (packed row indices, any order, repeats allowed), the output is
     those rows only, one per entry: the anchor rows a bridge reasoner scores.
@@ -288,26 +312,43 @@ def self_attention(context: EncodedSeq, store: ParamStore, *, lengths=None, rows
         raise ValidationError(f"self_attention: lengths {lengths} do not pack {len(context)} context rows")
     x = context.states
     if max(lengths) == 1:
-        return context if rows is None else EncodedSeq(states=gather_rows(x, rows))
+        if rows is None and readout is None:
+            return context
+        return EncodedSeq(states=_read(x if rows is None else gather_rows(x, rows), readout))
     attended = self_attend(x, store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows)
     if rows is not None:
         x = gather_rows(x, rows)
     mixed = concat([x, attended, mul(x, attended)], axis=1)
-    delta = matmul(mixed, store["span/selfattn/W_mix"])
+    delta = matmul(mixed, _read(store["span/selfattn/W_mix"], readout))
     if min(lengths) == 1:
         # the rows of a length-1 passage keep x: their mixing is scaled by 0
         keep = np.repeat([float(n > 1) for n in lengths], lengths)
         delta = mul(delta, constant((keep if rows is None else keep[rows])[:, None]))
-    return EncodedSeq(states=add(x, delta))
+    return EncodedSeq(states=add(_read(x, readout), delta))
 
 
-def span_heads(context: EncodedSeq, store: ParamStore) -> SpanScores:
-    """Two independent linear projections to per-position start and end logits."""
-    if len(context) == 0:
-        raise ValidationError("span_heads: empty context")
-    T = len(context)
-    start = reshape(matmul(context.states, store["span/heads/start_w"]), (T,))
-    end = reshape(matmul(context.states, store["span/heads/end_w"]), (T,))
+def _read(t: Tensor, readout: Tensor | None) -> Tensor:
+    """t.readout, and t itself for the identity readout (None)."""
+    return t if readout is None else matmul(t, readout)
+
+
+def head_readout(store: ParamStore) -> Tensor:
+    """(8h, 2): the start and end heads side by side, the readout through
+    which a reader reads self-attention (see self_attention)."""
+    return concat([store["span/heads/start_w"], store["span/heads/end_w"]], axis=1)
+
+
+def span_heads(logits: Tensor) -> SpanScores:
+    """Per-position start and end logits: the two columns of self-attention
+    read through head_readout. The heads are two independent linear
+    projections of self-attention's states; self-attention reads its mixing
+    layer through them, so those states are never formed (see
+    self_attention)."""
+    if logits.data.ndim != 2 or logits.data.shape[0] == 0 or logits.data.shape[1] != 2:
+        raise ValidationError(f"span_heads: expected (T, 2) logits, got shape {logits.data.shape}")
+    T = logits.data.shape[0]
+    start = reshape(slice_cols(logits, 0, 1), (T,))
+    end = reshape(slice_cols(logits, 1, 2), (T,))
     return SpanScores(start_logits=start, end_logits=end)
 
 
@@ -409,13 +450,15 @@ def attend(
     *,
     rng: np.random.Generator | None = None,
     rows=None,
+    readout: Tensor | None = None,
 ) -> list[EncodedSeq]:
     """Read questions against their contexts. groups is a list of
     (question, contexts) pairs; returns, per group, the self-attention output
-    of its contexts back to back in context order, (sum of lengths, 8h).
-    rows, when given, holds one entry per group: None, or the row indices
-    into that group's contexts back to back whose outputs alone it returns
-    (see self_attention).
+    of its contexts back to back in context order, read through readout:
+    (sum of lengths, k) for a readout of k columns, (sum of lengths, 8h)
+    without one. rows, when given, holds one entry per group: None, or the
+    row indices into that group's contexts back to back whose outputs alone
+    it returns (see self_attention).
 
     Every question and context of every group is encoded in one pass, in the
     order [q1, q1's contexts, q2, q2's contexts, ...], so dropout, drawn
@@ -442,25 +485,27 @@ def attend(
         stop = start + q_len + sum(context_lengths)
         question = EncodedSeq(states=slice_rows(states, start, start + q_len))
         context = EncodedSeq(states=slice_rows(states, start + q_len, stop))
-        finals.append(attend_encoded(model, question, context, context_lengths, group_rows))
+        finals.append(attend_encoded(model, question, context, context_lengths, group_rows, readout))
         start = stop
     return finals
 
 
 def attend_encoded(
-    model: SpanModel, question: EncodedSeq, context: EncodedSeq, lengths, rows=None
+    model: SpanModel, question: EncodedSeq, context: EncodedSeq, lengths, rows=None, readout: Tensor | None = None
 ) -> EncodedSeq:
     """One group's reading from its encoder states: biattention of the
     question over the contexts packed back to back in context (their lengths
     given), then self-attention, each context within its own rows, read at
-    rows when given (see self_attention). attend runs it on the rows of its
-    one encoder pass, attend_memoized on states encoded one sequence at a
-    time."""
+    rows when given and through readout (see self_attention). attend runs
+    it on the rows of its one encoder pass, attend_memoized on states
+    encoded one sequence at a time."""
     attended = biattention(context, question, model.store, lengths=lengths)
-    return self_attention(attended, model.store, lengths=lengths, rows=rows)
+    return self_attention(attended, model.store, lengths=lengths, rows=rows, readout=readout)
 
 
-def attend_memoized(model: SpanModel, memo: EncodingMemo, question_tokens, contexts, rows=None) -> EncodedSeq:
+def attend_memoized(
+    model: SpanModel, memo: EncodingMemo, question_tokens, contexts, rows=None, readout: Tensor | None = None
+) -> EncodedSeq:
     """attend's inference reading of one group, each context's encoder
     states taken from memo.passages (a miss encodes that context on its
     own) and the question encoded on its own."""
@@ -471,7 +516,7 @@ def attend_memoized(model: SpanModel, memo: EncodingMemo, question_tokens, conte
     ]
     context = EncodedSeq(states=constant(np.concatenate(states)))
     question = encode(question_tokens, model.table, model.store, model.hidden)
-    return attend_encoded(model, question, context, [len(key) for key in keys], rows)
+    return attend_encoded(model, question, context, [len(key) for key in keys], rows, readout)
 
 
 def run_span_model(
@@ -481,14 +526,16 @@ def run_span_model(
     *,
     rng: np.random.Generator | None = None,
 ) -> tuple[EncodedSeq, SpanScores]:
-    """Full forward pass over one context; returns the final per-token
-    representations (the self-attention output) and the span scores.
+    """Full forward pass over one context; returns the self-attention output
+    read through the span heads, (T, 2) (see head_readout), and the span
+    scores, its two columns.
 
     Without an rng, a model with a memo (a reader loaded for answering)
     reads through attend_memoized; with one, the memo is neither read nor
     filled."""
+    readout = head_readout(model.store)
     if rng is None and model.memo is not None:
-        final = attend_memoized(model, model.memo, question_tokens, [context_tokens])
+        final = attend_memoized(model, model.memo, question_tokens, [context_tokens], readout=readout)
     else:
-        (final,) = attend(model, [(question_tokens, [context_tokens])], rng=rng)
-    return final, span_heads(final, model.store)
+        (final,) = attend(model, [(question_tokens, [context_tokens])], rng=rng, readout=readout)
+    return final, span_heads(final.states)

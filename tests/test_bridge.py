@@ -202,10 +202,11 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
     # the reference reads every row of the start passages and gathers the
     # anchor rows: given an rng, with the same dropout draws, in values and in
     # every parameter's gradient; without one, packed (no memo) and through
-    # the memo. The one-token start passage's anchor row keeps its
-    # biattention row.
+    # the memo; the full states (no readout), and read through a readout
+    # column as the fusion reads them. The one-token start passage's anchor
+    # row keeps its biattention row.
     from bridgeqa.bridge import EncodingMemo, _context_rows
-    from bridgeqa.numcore import backward, constant, gather_rows, mul, sum_all
+    from bridgeqa.numcore import backward, constant, gather_rows, matmul, mul, sum_all
     from bridgeqa.span_model import attend
 
     base = trio_corpus()
@@ -219,30 +220,86 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
     cands = collect_candidates(starts, corpus)
     offsets = dict(zip([p.id for p in starts], np.cumsum([0] + [len(p.tokens) for p in starts])))
     rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in cands])
-    weights = constant(np.random.default_rng(2).normal(size=(len(cands), 8 * model.span.hidden)))
+    wide = 8 * model.span.hidden
+    column = Tensor(np.random.default_rng(3).normal(size=(wide, 1)))
 
-    def run(read, seed):
+    for readout in (None, column):
+        width = wide if readout is None else 1
+        weights = constant(np.random.default_rng(2).normal(size=(len(cands), width)))
+
+        def run(read, seed):
+            model.store.zero_grad()
+            column.grad = None
+            out = read(None if seed is None else np.random.default_rng(seed))
+            backward(sum_all(mul(out, weights)))
+            return out.data, {**model.store.gradients(), "readout": column.grad}
+
+        def full(rng):
+            (final,) = attend(model.span, [(q, [p.tokens for p in starts])], rng=rng)
+            states = gather_rows(final.states, rows)
+            return states if readout is None else matmul(states, readout)
+
+        def anchors(rng):
+            return _context_rows(model, q, starts, cands, readout, rng=rng)
+
+        for seed, memo in ((5, None), (None, None), (None, EncodingMemo())):
+            model.memo = memo
+            got, want = run(anchors, seed), run(full, seed)
+            np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+            if memo is None:
+                assert got[1].keys() == want[1].keys()
+                for name in want[1]:
+                    if want[1][name] is None:
+                        assert got[1][name] is None, name
+                    else:
+                        np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
+        assert len(model.memo.passages) == 3
+
+
+def test_score_bridges_match_the_unfolded_fusion():
+    # the fused logits, the context channel read through fuse/w's first 8h
+    # rows, equal [H_context, H_content] @ fuse/w over the full anchor
+    # states, in values and in every parameter's gradient, with dropout
+    # drawn alike, with both channels on and with either switched off
+    from bridgeqa.bridge import _context_rows, encode_abstracts
+    from bridgeqa.numcore import backward, concat, constant, gather_rows, matmul, mul, reshape, sum_all
+
+    corpus = trio_corpus()
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    randomize_biases(model)
+    model.span.dropout = 0.3
+    q = tokenize("which target?")
+    starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
+    cands = collect_candidates(starts, corpus)
+    n = len(cands)
+    weights = constant(np.random.default_rng(4).normal(size=n))
+
+    def unfolded(rng, use_context=True, use_content=True):
+        h_context = (_context_rows(model, q, starts, cands, rng=rng) if use_context
+                     else constant(np.zeros((n, 8 * model.span.hidden))))
+        titles = sorted({c.target_title for c in cands})
+        if use_content:
+            encoded = encode_abstracts(model, [corpus.by_title.get(t) for t in titles], rng=rng)
+            h_content = gather_rows(encoded, np.array([titles.index(c.target_title) for c in cands]))
+        else:
+            h_content = constant(np.zeros((n, 2 * model.lstm_hidden)))
+        return reshape(matmul(concat([h_context, h_content], axis=1), model.store["fuse/w"]), (n,))
+
+    def run(score, switches):
         model.store.zero_grad()
-        out = read(None if seed is None else np.random.default_rng(seed))
-        backward(sum_all(mul(out, weights)))
-        return out.data, model.store.gradients()
+        logits = score(np.random.default_rng(6), **switches)
+        backward(sum_all(mul(logits, weights)))
+        return logits.data, model.store.gradients()
 
-    def full(rng):
-        (final,) = attend(model.span, [(q, [p.tokens for p in starts])], rng=rng)
-        return gather_rows(final.states, rows)
+    def folded(rng, **switches):
+        return score_bridges(model, q, starts, cands, corpus, rng=rng, **switches)
 
-    def anchors(rng):
-        return _context_rows(model, q, starts, cands, rng=rng)
-
-    for seed, memo in ((5, None), (None, None), (None, EncodingMemo())):
-        model.memo = memo
-        got, want = run(anchors, seed), run(full, seed)
+    for switches in ({}, {"use_context": False}, {"use_content": False}):
+        got, want = run(folded, switches), run(unfolded, switches)
         np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
-        if memo is None:
-            assert got[1].keys() == want[1].keys()
-            for name in want[1]:
-                np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
-    assert len(model.memo.passages) == 3
+        assert got[1].keys() == want[1].keys()
+        for name in want[1]:
+            np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_score_bridges_content_ablation_ignores_abstract_text():

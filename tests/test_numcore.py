@@ -199,24 +199,54 @@ def test_self_attend_matches_composed_passages():
         assert np.max(np.abs(got[1][name] - want[1][name])) < 1e-12, name
 
 
-def test_self_attend_forward_keeps_the_bits_of_the_plain_formula():
-    # S = (xs.w2)^T + (xs * w3).xs^T, diagonal -inf, P = exp(S - rowmax) / rowsum,
-    # out = P.xs, each step a fresh array: the in-place forward gives the same bits
+def _plain_attention(x, w2, w3, lengths, rows=None):
+    """The masked whole-matrix formula, each step a fresh array: query rows
+    (rows, or every row) of segments of two or more rows score every row,
+    S = (x.w2)^T + (xq * w3).x^T, -inf outside the query's segment and at its
+    own row, P = exp(S - rowmax) / rowsum, out = P.x; other rows are zero."""
+    own = np.arange(len(x)) if rows is None else np.asarray(rows)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    q = np.flatnonzero(np.asarray(lengths)[segment[own]] > 1)
+    S = (x @ w2).T + (x[own[q]] * w3) @ x.T
+    S[segment[own[q]][:, None] != segment] = -np.inf
+    S[np.arange(len(q)), own[q]] = -np.inf
+    P = np.exp(S - S.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    want = np.zeros((len(own), x.shape[1]))
+    want[q] = P @ x
+    return want
+
+
+def test_self_attend_single_segment_keeps_the_bits_of_the_plain_formula():
+    # one segment, every reader call: S = (x.w2)^T + (x * w3).x^T, diagonal
+    # -inf, P = exp(S - rowmax) / rowsum, out = P.x, each step a fresh
+    # array: the in-place forward gives the same bits, also at rows
+    rng = np.random.default_rng(43)
+    store = self_attend_store(rng, 12, 6)
+    x, w2, w3 = store["x"].data, store["span/selfattn/w2"].data, store["span/selfattn/w3"].data
+    S = (x @ w2).T + (x * w3) @ x.T
+    np.fill_diagonal(S, -np.inf)
+    P = np.exp(S - S.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    assert np.array_equal(_self_attend(store, [12]).data, P @ x)
+    rows = [5, 0, 11, 5]
+    got = self_attend(store["x"], store["span/selfattn/w2"], store["span/selfattn/w3"], [12], rows).data
+    assert np.array_equal(got, _plain_attention(x, w2, w3, [12], rows))
+
+
+def test_self_attend_multi_segment_keeps_the_bits_of_the_masked_whole_matrix():
+    # several segments attend through one (queries, rows) score matrix,
+    # masked -inf outside each query's segment: the bits of the plain masked
+    # formula, with every row and at rows (the per-segment reference is
+    # test_self_attend_matches_composed_passages, within 1e-12)
     rng = np.random.default_rng(43)
     lengths = [7, 1, 12]
     store = self_attend_store(rng, sum(lengths), 6)
     x, w2, w3 = store["x"].data, store["span/selfattn/w2"].data, store["span/selfattn/w3"].data
-    want, row = np.zeros_like(x), 0
-    for n in lengths:
-        xs = x[row:row + n]
-        if n > 1:
-            S = (xs @ w2).T + (xs * w3) @ xs.T
-            np.fill_diagonal(S, -np.inf)
-            P = np.exp(S - S.max(axis=1, keepdims=True))
-            P /= P.sum(axis=1, keepdims=True)
-            want[row:row + n] = P @ xs
-        row += n
-    assert np.array_equal(_self_attend(store, lengths).data, want)
+    assert np.array_equal(_self_attend(store, lengths).data, _plain_attention(x, w2, w3, lengths))
+    rows = [19, 7, 0, 8, 8, 3]
+    got = self_attend(store["x"], store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows).data
+    assert np.array_equal(got, _plain_attention(x, w2, w3, lengths, rows))
 
 
 def test_self_attend_rejects_bad_shapes():
@@ -266,6 +296,34 @@ def test_self_attend_at_rows_grad_check():
     store.zero_grad()
     backward(build(store))
     assert np.abs(store["x"].grad[[1, 2, 4]]).min() > 0
+
+
+@pytest.mark.parametrize("rows", [READ_ROWS, []], ids=["repeats across segments", "empty"])
+def test_self_attend_at_rows_matches_composed_passages(rows):
+    # the composed per-passage attention, gathered at rows, is the
+    # reference, in values and in the gradients of x, w2 and w3: rows out of
+    # order and repeated, across several segments, the rows of length-1
+    # segments among them, and no row at all
+    rng = np.random.default_rng(46)
+    store = self_attend_store(rng, sum(ROWS_LENGTHS), 4)
+    weights = constant(rng.normal(size=(len(rows), 4)))
+    w = [store[f"span/selfattn/{name}"] for name in ("w2", "w3")]
+
+    def one(xs):
+        return attend_one(xs, store) if xs.data.shape[0] > 1 else constant(np.zeros_like(xs.data))
+
+    def run(build):
+        store.zero_grad()
+        out = build()
+        backward(sum_all(mul(out, weights)))
+        return out.data, {name: store[name].grad for name in store.names()}
+
+    got = run(lambda: self_attend(store["x"], *w, ROWS_LENGTHS, rows))
+    want = run(lambda: gather_rows(per_passage(one, store["x"], ROWS_LENGTHS), np.array(rows, dtype=np.int64)))
+    assert got[0].shape == (len(rows), 4)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    for name in store.names():
+        np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_cross_entropy_uniform_logits_is_log_n():
@@ -856,6 +914,45 @@ def test_single_sequence_layout_is_the_general_formula(reverse):
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(slots, ref_slots)
         assert (rows.dtype, slots.dtype) == (ref_rows.dtype, ref_slots.dtype)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize(
+    "reverse, bidirectional", [(False, False), (True, False), (False, True)], ids=["forward", "reversed", "bidirectional"]
+)
+def test_single_sequence_path_keeps_the_bits_of_the_padded_layout(kind, reverse, bidirectional, monkeypatch):
+    # one sequence runs without the padded batch and its fancy-index scatter
+    # and gather: the same outputs and gradients, bit for bit, as the padded
+    # layout every packed run takes, over lengths 1 to 40
+    from bridgeqa.numcore import cells, init_bidirectional
+
+    H, d = 3, 2
+    rng = np.random.default_rng(37)
+    store = ParamStore()
+    if bidirectional:
+        init_bidirectional(kind, store, "c/", d, H, rng)
+    else:
+        (init_gru if kind == "gru" else init_lstm)(store, "c/", d, H, rng)
+    for name, param in store.items():
+        if "/b" in name:
+            param.data[:] = rng.normal(scale=0.5, size=param.data.shape)
+    width = 2 * H if bidirectional else H
+
+    def run(xs, w):
+        store.zero_grad()
+        x_t = Tensor(xs.copy())
+        out = run_recurrent(kind, x_t, store, "c/", H, reverse=reverse, bidirectional=bidirectional)
+        backward(sum_all(mul(out, constant(w))))
+        return [out.data, x_t.grad] + [p.grad for _, p in store.items()]
+
+    for T in range(1, 41):
+        xs, w = rng.normal(size=(T, d)), rng.normal(size=(T, width))
+        single = run(xs, w)
+        with monkeypatch.context() as patch:
+            patch.setattr(cells, "_layout", cells._padded_layout)
+            padded = run(xs, w)
+        for got, want in zip(single, padded):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), T
 
 
 def _read_only_copy(store):

@@ -5,14 +5,30 @@ import pytest
 
 from bridgeqa.corpus import tokenize
 from bridgeqa.errors import ValidationError
-from bridgeqa.numcore import ParamStore, Tensor, backward, concat, constant, grad_check, mul, slice_rows, sum_all
+from bridgeqa.numcore import (
+    ParamStore,
+    Tensor,
+    add,
+    backward,
+    concat,
+    constant,
+    grad_check,
+    matmul,
+    mul,
+    reshape,
+    self_attend,
+    slice_rows,
+    sum_all,
+)
 from bridgeqa.span_model import (
     EncodedSeq,
+    SpanScores,
     attend,
     biattention,
     build_vocab,
     create_embedding_table,
     encode,
+    head_readout,
     init_span_model,
     init_span_params,
     load_embedding_text,
@@ -268,13 +284,121 @@ def test_self_attention_of_length_one_passages_is_identity():
             self_attention(seq, store, lengths=lengths)
 
 
+def readout_store(rng, width, k=None):
+    """Self-attention parameters, and with k a readout "V" of k columns."""
+    store = ParamStore()
+    shapes = {"span/selfattn/w2": (width, 1), "span/selfattn/w3": (width,), "span/selfattn/W_mix": (3 * width, width)}
+    if k is not None:
+        shapes["V"] = (width, k)
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(size=shape))
+    return store
+
+
+@pytest.mark.parametrize("rows", [None, [2, 0, 1, 2, 6, 7, 5]], ids=["every row", "at rows"])
+def test_identity_readout_keeps_the_bits_of_the_unfolded_formula(rows):
+    # no readout: x + (mixed.W_mix) * keep, mixed = [x, att, x*att], each
+    # step a fresh array, the rows of length-1 passages keeping x
+    rng = np.random.default_rng(23)
+    width, lengths = 4, [2, 1, 4, 1, 3]
+    store = readout_store(rng, width)
+    X = rng.normal(size=(sum(lengths), width))
+    att = self_attend(Tensor(X), store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows).data
+    x = X if rows is None else X[rows]
+    keep = np.repeat([float(n > 1) for n in lengths], lengths)[slice(None) if rows is None else rows]
+    mixed = np.concatenate([x, att, x * att], axis=1)
+    want = x + (mixed @ store["span/selfattn/W_mix"].data) * keep[:, None]
+    got = self_attention(enc_seq(X), store, lengths=lengths, rows=rows).states.data
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "lengths, rows",
+    [([9], None), ([2, 1, 4, 1, 3], None), ([2, 1, 4, 1, 3], [2, 0, 1, 2, 6, 7, 5])],
+    ids=["one passage", "packed", "packed at rows"],
+)
+def test_readout_matches_the_unfolded_formula(lengths, rows):
+    # the full states times V is the reference, in values and in the
+    # gradients of x, the readout and every self-attention parameter
+    rng = np.random.default_rng(24)
+    width = 4
+    store = readout_store(rng, width, k=2)
+    names = store.names()
+    X = rng.normal(size=(sum(lengths), width))
+    W = rng.normal(size=(sum(lengths) if rows is None else len(rows), 2))
+
+    def run(folded):
+        store.zero_grad()
+        x = Tensor(X.copy())
+        if folded:
+            out = self_attention(EncodedSeq(x), store, lengths=lengths, rows=rows, readout=store["V"]).states
+        else:
+            out = matmul(self_attention(EncodedSeq(x), store, lengths=lengths, rows=rows).states, store["V"])
+        backward(sum_all(mul(out, constant(W))))
+        return out.data, {name: store[name].grad for name in names}, x.grad
+
+    got, want = run(True), run(False)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    for name in names:
+        np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+
+
+def test_readout_gradient_check():
+    # W_mix, w2, w3, the readout and x through the folded mixing layer, at
+    # rows of packed passages, a length-1 passage among them
+    rng = np.random.default_rng(25)
+    width, lengths, rows = 3, [3, 1, 2], [0, 3, 5, 2]
+    store = readout_store(rng, width, k=2)
+    store.add("x", rng.normal(size=(sum(lengths), width)))
+    W = constant(rng.normal(size=(len(rows), 2)))
+
+    def build(s):
+        out = self_attention(EncodedSeq(s["x"]), s, lengths=lengths, rows=rows, readout=s["V"]).states
+        return sum_all(mul(out, W))
+
+    report = grad_check(build, store, eps=1e-6, tol=1e-6)
+    assert report.passed, report.summary()
+
+
+def test_span_logits_match_the_unfolded_heads():
+    # the reader's logits read through head_readout equal the full
+    # self-attention states times each head, in values and in the gradient
+    # of every parameter, with dropout drawn alike
+    m = tiny_model(seed=26, dropout=0.3)
+    q, c = tokenize("who stars"), tokenize("kiss and tell stars temple")
+
+    def run(folded):
+        m.store.zero_grad()
+        rng = np.random.default_rng(3)
+        if folded:
+            _, scores = run_span_model(m, q, c, rng=rng)
+            start, end = scores.start_logits, scores.end_logits
+        else:
+            (final,) = attend(m, [(q, [c])], rng=rng)
+            start, end = (reshape(matmul(final.states, m.store[f"span/heads/{name}_w"]), (len(c),))
+                          for name in ("start", "end"))
+        # the span NLL, and a weighted sum that reaches every start logit
+        loss = add(span_nll_loss(SpanScores(start, end), 1, 3),
+                   sum_all(mul(start, constant(np.arange(len(c), dtype=float)))))
+        backward(loss)
+        return start.data, end.data, m.store.gradients()
+
+    got, want = run(True), run(False)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    assert got[2].keys() == want[2].keys()
+    for name in want[2]:
+        np.testing.assert_allclose(got[2][name], want[2][name], rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_span_heads_zero_weights_uniform():
     store = ParamStore()
     width = 3
     store.add("span/heads/start_w", np.zeros((width, 1)))
     store.add("span/heads/end_w", np.zeros((width, 1)))
     seq = enc_seq(np.ones((4, width)))
-    scores = span_heads(seq, store)
+    scores = span_heads(matmul(seq.states, head_readout(store)))
     assert np.allclose(scores.start_logits.data, 0.0)
 
 
@@ -286,7 +410,7 @@ def test_span_heads_matches_matrix_vector_product():
     store.add("span/heads/start_w", w)
     store.add("span/heads/end_w", np.zeros((width, 1)))
     X = rng.normal(size=(4, width))
-    scores = span_heads(enc_seq(X), store)
+    scores = span_heads(matmul(enc_seq(X).states, head_readout(store)))
     assert np.allclose(scores.start_logits.data, (X @ w)[:, 0])
 
 
@@ -295,7 +419,7 @@ def test_span_nll_uniform_logits():
     width = 2
     for name in ("start", "end"):
         store.add(f"span/heads/{name}_w", np.zeros((width, 1)))
-    scores = span_heads(enc_seq(np.zeros((5, width))), store)
+    scores = span_heads(matmul(enc_seq(np.zeros((5, width))).states, head_readout(store)))
     loss = span_nll_loss(scores, 1, 3)
     assert loss.item() == pytest.approx(2 * math.log(5))
 
@@ -474,7 +598,7 @@ def test_attend_reads_each_context_as_alone():
     q = tokenize("who stars")
     contexts = [tokenize("kiss and tell stars"), ["archer"], tokenize("temple stars who")]
     (together,) = attend(m, [(q, contexts)])
-    alone = np.concatenate([run_span_model(m, q, c)[0].states.data for c in contexts])
+    alone = np.concatenate([attend(m, [(q, [c])])[0].states.data for c in contexts])
     assert np.max(np.abs(together.states.data - alone)) < 1e-12
 
 
