@@ -39,6 +39,7 @@ from .corpus import (
     load_questions,
     save_corpus,
     tokenize,
+    tokenize_many,
 )
 from .metrics import MetricReport, em_f1, hits_at_k, normalize_answer
 from .reader import (

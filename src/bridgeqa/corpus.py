@@ -3,23 +3,34 @@ and character-to-token alignment.
 
 A passage is one node of the corpus graph; its anchors point at other
 passages by title. Each record owns its tokens: a passage tokenizes its text
-and title when built, a question its text on first use, and every other
-module reads those fields instead of tokenizing again. Everything loaded
-here is immutable after construction and safe to share across threads.
+and title when built (a corpus load tokenizes them all at once and hands
+them in), a question its text on first use, and every other module reads
+those fields instead of tokenizing again. Everything loaded here is
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from .errors import AlignmentError, ValidationError
 from .manifest import read_jsonl, write_jsonl
 
 QUESTION_TYPES = ("bridge", "comparison")
+
+# texts per array pass of tokenize_many: a pass holds its block's joined
+# bytes and their per-byte arrays, so the block bounds that memory
+TOKENIZE_BLOCK = 1024
+# a bytes.translate table: an ASCII letter or digit (the ASCII characters
+# str.isalnum accepts) to its lowercase, every other byte to a space
+_FOLD_ASCII = bytes(ord(chr(b).lower()) if chr(b).isascii() and chr(b).isalnum() else 0x20 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -37,7 +48,8 @@ def tokenize(text: str) -> TokenSeq:
     """Split text into maximal runs of Unicode alphanumeric characters, lowercased.
 
     Offsets always index the original string; an empty string yields an
-    empty TokenSeq.
+    empty TokenSeq. This character walk is the definition of a token:
+    tokenize_many, which tokenizes a corpus, returns exactly its results.
     """
     tokens: list[str] = []
     offsets: list[tuple[int, int]] = []
@@ -54,6 +66,42 @@ def tokenize(text: str) -> TokenSeq:
         tokens.append(text[start:].lower())
         offsets.append((start, len(text)))
     return TokenSeq(tuple(tokens), tuple(offsets))
+
+
+def tokenize_many(texts: Sequence[str]) -> list[TokenSeq]:
+    """[tokenize(t) for t in texts], with the ASCII texts tokenized by one
+    array pass per block of TOKENIZE_BLOCK texts.
+
+    In ASCII, str.isalnum accepts the letters and digits alone, so a block's
+    ASCII texts are joined with a NUL between them, every other byte is
+    folded to a space, and the edges of the non-space runs give every
+    token's start and end at once; the texts' start positions split them
+    per text. A text that is not ASCII takes the character walk.
+    """
+    out: list[TokenSeq] = []
+    for lo in range(0, len(texts), TOKENIZE_BLOCK):
+        block = texts[lo : lo + TOKENIZE_BLOCK]
+        bulk = iter(_tokenize_ascii([t for t in block if t.isascii()]))
+        out.extend(next(bulk) if t.isascii() else tokenize(t) for t in block)
+    return out
+
+
+def _tokenize_ascii(texts: list[str]) -> list[TokenSeq]:
+    """tokenize over ASCII texts, by one pass over their joined bytes."""
+    folded = "\0".join(texts).encode("ascii").translate(_FOLD_ASCII)
+    edges = np.flatnonzero(np.diff(np.frombuffer(folded, np.uint8) != 0x20, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    # each text's first byte in the joined bytes, and its first token
+    spans = np.fromiter(map(len, texts), np.int64, len(texts)) + 1
+    text_starts = np.cumsum(spans) - spans
+    first = np.searchsorted(starts, text_starts).tolist() + [len(starts)]
+    base = np.repeat(text_starts, np.diff(first))
+    starts, ends = (starts - base).tolist(), (ends - base).tolist()
+    words = folded.decode("ascii").split()
+    return [
+        TokenSeq(tuple(words[a:b]), tuple(zip(starts[a:b], ends[a:b])))
+        for a, b in zip(first, first[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -138,7 +186,9 @@ def align_anchor(passage: Passage, mention: AnchorMention) -> AnchorMention:
     return AnchorMention(mention.target_title, mention.char_start, mention.char_end, first, last)
 
 
-def _parse_passage(obj: dict, where: str) -> Passage:
+def _parse_passage(obj: dict, where: str, tokens: TokenSeq, title_tokens: TokenSeq) -> Passage:
+    """The passage of a corpus record, its anchors aligned; tokens and
+    title_tokens are its text's and title's tokens."""
     for key in ("id", "title", "text"):
         if key not in obj or not isinstance(obj[key], str):
             raise ValidationError(f"{where}: missing or non-string field {key!r}")
@@ -155,13 +205,12 @@ def _parse_passage(obj: dict, where: str) -> Passage:
             raise ValidationError(f"{where}: malformed anchor {a!r}")
         keys.add((target, start, end))  # duplicate anchors (same target, same span) are dropped at load
     text = obj["text"]
-    tokens = tokenize(text)
     anchor_where = f"{where}: passage {obj['id']!r}"
     anchors = []
     for target, start, end in sorted(keys, key=lambda k: (k[1], k[2], k[0])):
         first, last = _token_span(tokens.char_offsets, len(text), start, end, anchor_where)
         anchors.append(AnchorMention(target, start, end, first, last))
-    return Passage(obj["id"], obj["title"], text, tuple(anchors), tokens)
+    return Passage(obj["id"], obj["title"], text, tuple(anchors), tokens, title_tokens)
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -169,14 +218,23 @@ def load_corpus(path: str | Path) -> Corpus:
 
     Anchors whose target title is absent from the corpus are kept; they are
     filtered later, at candidate-collection time, so partial corpora stay
-    loadable.
+    loadable. tokenize_many tokenizes all the texts and then all the titles
+    before any record is checked, and the records are checked in file
+    order, so a faulty file raises on its first faulty record.
     """
+    records = read_jsonl(path)
+    # a text or title that is not a string is tokenized as "": its record
+    # is rejected before its tokens are read
+    text_seqs, title_seqs = (
+        tokenize_many([value if isinstance(value := obj.get(key), str) else "" for obj in records])
+        for key in ("text", "title")
+    )
     passages: list[Passage] = []
     by_title: dict[str, Passage] = {}
     by_id: dict[str, Passage] = {}
-    for n, obj in enumerate(read_jsonl(path), start=1):
+    for n, (obj, tokens, title_tokens) in enumerate(zip(records, text_seqs, title_seqs), start=1):
         where = f"{path} record {n}"
-        passage = _parse_passage(obj, where)
+        passage = _parse_passage(obj, where, tokens, title_tokens)
         if passage.title in by_title:
             raise ValidationError(f"{where}: duplicate title {passage.title!r}")
         if passage.id in by_id:

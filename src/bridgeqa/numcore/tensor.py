@@ -279,8 +279,9 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor
     # own holds each read row's packed index, None when the reads are every
     # row of one segment (their own rows are the diagonal); q picks the query
     # rows, those of segments of two or more rows, out of xq (a slice when
-    # it is all of them); outside is True at the rows of other segments than
-    # a query's own, and None with one segment
+    # it is all of them); outside is True where a query does not look, at
+    # the rows of other segments than its own and at its own row, and None
+    # with one segment
     outside = None
     if lengths.size == 1:
         q = slice(None) if lengths[0] > 1 else np.zeros(0, dtype=np.int64)
@@ -291,6 +292,7 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor
         live = lengths[segment[own]] > 1
         q = slice(None) if live.all() else np.flatnonzero(live)
         outside = segment[own[q]][:, None] != segment
+        outside[np.arange(outside.shape[0]), own[q]] = True
     # the row terms at once: x.w2 over every row, x * w3 over the query rows
     xw2, xw3 = X @ w2.data, xq * w3.data
     # in place, one (queries, rows) array: the bits of the out-of-place formula
@@ -298,12 +300,20 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor
     P += xw2.T
     if outside is not None:
         P[outside] = -np.inf
-    if own is None:
+    elif own is None:
         np.fill_diagonal(P, -np.inf)
     else:
         P[np.arange(P.shape[0]), own[q]] = -np.inf
     P -= P.max(axis=1, keepdims=True)
-    np.exp(P, out=P)
+    if outside is None:
+        np.exp(P, out=P)
+    else:
+        # exp is slow on -inf, and most scores are masked: exponentiate the
+        # live ones alone, the same bits, and write exp(-inf) = 0 elsewhere
+        flat, scored = P.reshape(-1), np.flatnonzero(~outside)
+        kept = np.exp(flat[scored])
+        flat.fill(0.0)
+        flat[scored] = kept
     P /= P.sum(axis=1, keepdims=True)
     every = isinstance(q, slice)
     if every:

@@ -16,6 +16,7 @@ from bridgeqa.corpus import (
     save_corpus,
     save_questions,
     tokenize,
+    tokenize_many,
 )
 from bridgeqa.errors import AlignmentError, ValidationError
 
@@ -64,6 +65,46 @@ def test_tokenize_idempotent_on_joined_output():
     assert rejoined.tokens == ts.tokens
 
 
+# symbols that probe the bulk pass: ASCII letters of both cases, digits,
+# punctuation, "_" (not alphanumeric), whitespace and NUL (the byte that
+# joins a block's texts); then accented and CJK letters, a superscript digit,
+# "İ" (whose lowercase is two characters) and a lone surrogate
+ASCII_SYMBOLS = list("aZk09_ .,;:'\"-()\t\n\x00")
+OTHER_SYMBOLS = ["é", "ß", "日本", "²", "İ", "\ud800"]
+EDGE_TEXTS = ["", " ", "_ \x00 .", "\x00a\x00", "x_9"]
+
+
+def random_texts(rng, n, *, ascii_share):
+    """n seeded texts of 0-39 symbols, about ascii_share of them ASCII, the
+    first ones EDGE_TEXTS when n is larger."""
+    texts = []
+    for _ in range(n):
+        symbols = ASCII_SYMBOLS if rng.random() < ascii_share else ASCII_SYMBOLS + OTHER_SYMBOLS
+        texts.append("".join(rng.choice(symbols, size=rng.integers(0, 40))))
+    if n > len(EDGE_TEXTS):
+        texts[: len(EDGE_TEXTS)] = EDGE_TEXTS
+    return texts
+
+
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2300])
+@pytest.mark.parametrize("ascii_share", [1.0, 0.5])
+def test_tokenize_many_equals_tokenize_on_every_text(n, ascii_share):
+    # tokenize is the oracle, in tokens and offsets; the lists cross the
+    # 1,024-text block boundary once and twice
+    texts = random_texts(np.random.default_rng([n, int(ascii_share * 10)]), n, ascii_share=ascii_share)
+    got = tokenize_many(texts)
+    assert len(got) == len(texts)
+    for text, seq in zip(texts, got):
+        want = tokenize(text)
+        assert (seq.tokens, seq.char_offsets) == (want.tokens, want.char_offsets), repr(text)
+
+
+def test_tokenize_many_of_nothing_and_of_texts_without_tokens():
+    assert tokenize_many([]) == []
+    assert tokenize_many(["", "...", "\x00", "_"]) == [tokenize("")] * 4
+    assert tokenize_many(["Kiss\x00and_Tell", "İ"]) == [tokenize("Kiss\x00and_Tell"), tokenize("İ")]
+
+
 def test_passage_built_without_tokens_has_them():
     p = Passage(id="p1", title="Kiss and Tell (1945 film)", text="Shirley Temple, as Archer.")
     assert p.tokens == tokenize(p.text)
@@ -77,6 +118,33 @@ def test_loaded_passages_keep_their_tokens_through_anchor_alignment(tmp_path):
     for p in corpus.passages:
         assert p.tokens == tokenize(p.text)
         assert p.title_tokens == tokenize(p.title)
+
+
+def test_loaded_fixture_passages_hold_the_tokens_of_their_text_and_title(fixture_dir):
+    corpus = load_corpus(fixture_dir / "corpus.jsonl")
+    assert len(corpus) > 0
+    for p in corpus.passages:
+        assert p.tokens == tokenize(p.text)
+        assert p.title_tokens == tokenize(p.title)
+
+
+def test_loaded_mixed_script_passages_hold_the_tokens_of_their_text_and_title(tmp_path):
+    # ASCII and non-ASCII texts and titles side by side, past one block
+    rng = np.random.default_rng(17)
+    texts = random_texts(rng, 1100, ascii_share=0.5)
+    objs = [
+        {"id": f"p{i}", "title": f"{title} {i}", "text": text, "anchors": []}
+        for i, (text, title) in enumerate(zip(texts, reversed(texts)))
+    ]
+    objs[0]["text"] = "Café Müller by Pina Bausch"
+    objs[0]["anchors"] = [{"target": "Pina Bausch", "start": 15, "end": 26}]
+    corpus = load_corpus(write_lines(tmp_path / "c.jsonl", objs))
+    assert [p.id for p in corpus.passages] == [o["id"] for o in objs]
+    for p in corpus.passages:
+        assert p.tokens == tokenize(p.text)
+        assert p.title_tokens == tokenize(p.title)
+    anchor = corpus.by_id["p0"].anchors[0]
+    assert (anchor.token_start, anchor.token_end) == (3, 4)
 
 
 def test_question_tokens_are_tokenized_once(monkeypatch):
@@ -229,6 +297,20 @@ def test_load_corpus_refuses_an_anchor_field_of_the_wrong_type(tmp_path, field, 
     path = write_lines(tmp_path / "c.jsonl", objs)
     with pytest.raises(ValidationError, match=r"c\.jsonl record 1: malformed anchor"):
         load_corpus(path)
+
+
+def test_load_corpus_names_the_first_faulty_record(tmp_path):
+    # every text is tokenized before any record is checked: a bad anchor at
+    # record 2 is still named before the missing text of record 4
+    objs = [{"id": f"p{i}", "title": f"Page {i}", "text": f"page {i} text", "anchors": []} for i in range(5)]
+    objs[1]["anchors"] = [{"target": "Page 0", "start": 4, "end": 5}]
+    del objs[3]["text"]
+    path = write_lines(tmp_path / "c.jsonl", objs)
+    with pytest.raises(ValidationError, match=r"c\.jsonl record 2: passage 'p1': anchor span \(4, 5\) covers no token"):
+        load_corpus(path)
+    objs[1]["anchors"] = []
+    with pytest.raises(ValidationError, match=r"c\.jsonl record 4: missing or non-string field 'text'"):
+        load_corpus(write_lines(path, objs))
 
 
 def test_load_corpus_malformed_line_reports_line_number(tmp_path):

@@ -249,6 +249,22 @@ def test_self_attend_multi_segment_keeps_the_bits_of_the_masked_whole_matrix():
     assert np.array_equal(got, _plain_attention(x, w2, w3, lengths, rows))
 
 
+def test_self_attend_exponentiates_the_live_scores_to_the_bits_of_the_full_exp():
+    # several segments exponentiate their unmasked scores alone: the bits of
+    # the formula that exponentiates the whole masked matrix, over random
+    # lengths with length-1 segments and over rows with repeats
+    rng = np.random.default_rng(44)
+    for _ in range(25):
+        lengths = rng.integers(1, 9, size=rng.integers(2, 8))
+        lengths[rng.integers(len(lengths))] = 1
+        store = self_attend_store(rng, int(lengths.sum()), 5)
+        x, w2, w3 = store["x"].data, store["span/selfattn/w2"].data, store["span/selfattn/w3"].data
+        assert np.array_equal(_self_attend(store, lengths).data, _plain_attention(x, w2, w3, lengths))
+        rows = rng.integers(len(x), size=rng.integers(1, 2 * len(x)))
+        got = self_attend(store["x"], store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows).data
+        assert np.array_equal(got, _plain_attention(x, w2, w3, lengths, rows))
+
+
 def test_self_attend_rejects_bad_shapes():
     store = self_attend_store(np.random.default_rng(42), 4, 2)
     for lengths in ([3], [4, 0], [2, 3], []):
