@@ -11,6 +11,7 @@ Every stage here is also a CLI command:
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from bridgeqa.ablation import run_ablation
@@ -42,10 +43,13 @@ def main():
     print("\nablation grid on the dev split:")
     state = load_pipeline_state(cfg)
     _, _, dev = _load_ingested(cfg)
-    for mode in ("full", "no_el", "no_content_evidence", "no_context_evidence",
-                 "no_bridge_reasoner", "oracle_gold_passage", "full_support"):
-        agg = run_ablation(mode, state, dev).aggregates()["full"]
-        print(f"  {mode:>21}: em={agg['em']:.3f} f1={agg['f1']:.3f}")
+    rows = [(mode, state, mode) for mode in ("full", "no_content_evidence", "no_context_evidence",
+                                             "no_bridge_reasoner", "oracle_gold_passage", "full_support")]
+    # no EL: the same models loaded at entity_linking false, which builds no linker
+    rows.insert(1, ("full, no EL", load_pipeline_state(replace(cfg, entity_linking=False)), "full"))
+    for label, row_state, mode in rows:
+        agg = run_ablation(mode, row_state, dev).aggregates()["full"]
+        print(f"  {label:>21}: em={agg['em']:.3f} f1={agg['f1']:.3f}")
 
     print(f"\nartifacts in {out}")
 

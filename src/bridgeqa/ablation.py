@@ -7,7 +7,9 @@ pages not in their own list. A question without a ranking (a comparison,
 the no_bridge_reasoner mode, or a bridge question with no candidates) reads
 its start set, up to bridge.READER_MAX_PASSAGES passages.
 Every ablation mode reuses the same trained components with one switch
-flipped, so directional comparisons isolate a single cause.
+flipped, so directional comparisons isolate a single cause. The no-EL and
+no-multitask ablations are runs of their own, at entity_linking false (no
+linker, so linked_passages is empty) and at aux_weight 0.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class PipelineState:
     Each loaded model carries a span_model.EncodingMemo for its lifetime,
     keyed by token content. The bridge reasoner's holds the encoder states
     of each start passage and the vector of each target abstract it has
-    read, one entry per distinct text, so with no size limit. Each reader's
+    read, one entry per distinct text, so with no size limit. The reader's
     holds the encoder states of the span_model.READER_MEMO_CONTEXTS whole
     contexts it read most recently: contexts combine passages, and an
     unbounded memo raised peak RSS by 15-23% on the benchmark. A state
@@ -64,7 +66,6 @@ class PipelineState:
     cfg: PipelineConfig
     bridge: BridgeModel | None = None
     reader: SpanModel | None = None
-    reader_no_multitask: SpanModel | None = None
     linker: TitleTokenLinker | None = None
 
 
@@ -104,19 +105,6 @@ def reader_passages(
     return _plus_linked(passages, linked)
 
 
-def _reader_for_mode(state: PipelineState, mode: str) -> SpanModel:
-    if mode == "no_multitask":
-        if state.reader_no_multitask is None:
-            raise MissingPrerequisiteError(
-                "mode 'no_multitask' needs a reader trained without the auxiliary "
-                "title objective; enable train_no_multitask_reader and rerun train-reader"
-            )
-        return state.reader_no_multitask
-    if state.reader is None:
-        raise MissingPrerequisiteError("no trained reader loaded; run train-reader")
-    return state.reader
-
-
 def predict_one(
     state: PipelineState,
     record: QARecord,
@@ -127,7 +115,8 @@ def predict_one(
     cannot be applied to this question (e.g. oracle modes without labels)."""
     if mode not in ABLATION_MODES:
         raise ValidationError(f"unknown ablation mode {mode!r}")
-    reader = _reader_for_mode(state, mode)
+    if state.reader is None:
+        raise MissingPrerequisiteError("no trained reader loaded; run train-reader")
     fallback = False
     ranking: list[tuple[str, float | None]] = []
 
@@ -144,7 +133,7 @@ def predict_one(
         if not context_passages:
             return None, "no supporting title resolves in the corpus"
     else:
-        linked = [] if mode == "no_el" else linked_passages(state, record)
+        linked = linked_passages(state, record)
         starts = start_passages_for(state, record, linked)
         if record.qtype == "bridge" and mode != "no_bridge_reasoner":
             if state.bridge is None:
@@ -165,7 +154,7 @@ def predict_one(
 
     if not context_passages:
         return None, "no context passages available"
-    answer, context = read_and_decode(reader, record, context_passages, max_tokens=state.cfg.reader_context_cap)
+    answer, context = read_and_decode(state.reader, record, context_passages, max_tokens=state.cfg.reader_context_cap)
     return (
         Prediction(
             qid=record.id,

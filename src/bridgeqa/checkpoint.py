@@ -72,10 +72,15 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
         raise CheckpointError(f"checkpoint manifest {manifest_path} holds no tensor list")
     contents: dict[str, bytes] = {}
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
+    for i, entry in enumerate(manifest["tensors"]):
         lacking = [key for key in ("name", "shape", "sha256") if not isinstance(entry, dict) or key not in entry]
         if lacking:
             raise CheckpointError(f"checkpoint manifest {manifest_path} has a tensor entry that lacks {lacking}")
+        mistyped = [key for key in ("name", "sha256") if not isinstance(entry[key], str)]
+        if mistyped:
+            raise CheckpointError(f"checkpoint manifest {manifest_path} gives tensor entry {i} a non-string {mistyped}")
+        if entry["name"] in arrays:
+            raise CheckpointError(f"checkpoint manifest {manifest_path} repeats {entry['name']!r} in tensor entry {i}")
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(isinstance(n, int) and n >= 0 for n in shape):
             raise CheckpointError(f"checkpoint manifest {manifest_path} gives {entry['name']!r} the shape {shape!r}")

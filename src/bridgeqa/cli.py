@@ -46,8 +46,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["mode"] = args.mode
     if args.entity_linking is not None:
         overrides["entity_linking"] = args.entity_linking == "on"
-        if args.entity_linking == "off" and args.mode is None:
-            overrides["mode"] = "no_el"  # the run manifest records the ablation it is
     if args.k is not None:
         overrides["k"] = args.k
     if args.output is not None:

@@ -11,10 +11,8 @@ from .errors import ConfigError
 
 ABLATION_MODES = (
     "full",
-    "no_el",
     "no_context_evidence",
     "no_content_evidence",
-    "no_multitask",
     "no_bridge_reasoner",
     "oracle_gold_passage",
     "full_support",
@@ -52,7 +50,6 @@ class PipelineConfig:
     reader_context_cap: int = 512
     # run flags
     mode: str = "full"
-    train_no_multitask_reader: bool = False
 
 
 _POSITIVE_INTS = (
@@ -98,8 +95,6 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         raise ConfigError(f"config 'mode' must be one of {ABLATION_MODES}, got {cfg.mode!r}")
     if not isinstance(cfg.entity_linking, bool):
         raise ConfigError(f"config 'entity_linking' must be a boolean, got {cfg.entity_linking!r}")
-    if not isinstance(cfg.train_no_multitask_reader, bool):
-        raise ConfigError("config 'train_no_multitask_reader' must be a boolean")
     return cfg
 
 

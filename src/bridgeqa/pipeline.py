@@ -25,7 +25,7 @@ import resource
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ from .bridge import (
     train_bridge_reasoner,
 )
 from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkpoint
-from .config import PipelineConfig
+from .config import ABLATION_MODES, PipelineConfig
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
 from .manifest import append_manifest, file_sha256, iter_jsonl, read_manifest, write_json, write_jsonl
@@ -211,7 +211,8 @@ def _embedding(
     return new_vocab, np.stack(rows), dim
 
 
-def _new_bridge_model(cfg: PipelineConfig, embedding: tuple, seed_tag: int) -> BridgeModel:
+def _new_bridge_model(cfg: PipelineConfig, embedding: tuple, seed_tag: int = 0) -> BridgeModel:
+    """The reasoner train-bridge trains (seed_tag 0) or fold A's or B's (1, 2)."""
     rng = np.random.default_rng([cfg.seed, 100 + seed_tag])
     vocab, matrix, dim = embedding
     return init_bridge_model(
@@ -220,8 +221,8 @@ def _new_bridge_model(cfg: PipelineConfig, embedding: tuple, seed_tag: int) -> B
     )
 
 
-def _new_reader_model(cfg: PipelineConfig, embedding: tuple, seed_tag: int) -> SpanModel:
-    rng = np.random.default_rng([cfg.seed, 200 + seed_tag])
+def _new_reader_model(cfg: PipelineConfig, embedding: tuple) -> SpanModel:
+    rng = np.random.default_rng([cfg.seed, 200])
     vocab, matrix, dim = embedding
     return init_span_model(vocab, dim, cfg.gru_hidden, cfg.dropout, rng, frozen_embeddings=matrix)
 
@@ -231,7 +232,7 @@ def _save_model(model, directory: Path) -> str:
     return checkpoint_digest(directory)
 
 
-def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int, produced_by: str):
+def _load_model(new_model, cfg: PipelineConfig, directory: Path, produced_by: str):
     _require(directory / "manifest.json", produced_by)
     try:
         arrays, vocab = load_checkpoint(directory)
@@ -241,7 +242,7 @@ def _load_model(new_model, cfg: PipelineConfig, directory: Path, seed_tag: int, 
         if cfg.embeddings_path is not None:
             matrix = arrays["embed/matrix"]
             dim = matrix.shape[1]
-        model = new_model(cfg, (vocab, matrix, dim), seed_tag=seed_tag)
+        model = new_model(cfg, (vocab, matrix, dim))
         restore(model.store, arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{exc}; rerun {produced_by}") from exc
@@ -304,7 +305,7 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
     state, train, dev = _load_state(cfg)
     labels = _load_labels(cfg, state.corpus)
     corpus = state.corpus
-    model = _new_bridge_model(cfg, _embedding(cfg, corpus, train + dev), seed_tag=0)
+    model = _new_bridge_model(cfg, _embedding(cfg, corpus, train + dev))
     bridge_questions = [q for q in train if q.qtype == "bridge"]
     inputs = prepare_question_inputs(bridge_questions, labels, _start_sets(state, bridge_questions), corpus)
     stats = train_bridge_reasoner(model, inputs, corpus, cfg)
@@ -476,18 +477,10 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
     )
     write_jsonl(out / "reader_example_skips.jsonl", skips)
 
-    embedding = _embedding(cfg, state.corpus, train + dev)
-    model = _new_reader_model(cfg, embedding, seed_tag=0)
+    model = _new_reader_model(cfg, _embedding(cfg, state.corpus, train + dev))
     stats = train_reader(model, examples, cfg)
     digest = _save_model(model, out / "checkpoints" / "reader")
-    logs = {"reader": stats}
-
-    if cfg.train_no_multitask_reader:
-        nomt = _new_reader_model(cfg, embedding, seed_tag=1)
-        logs["reader_no_multitask"] = train_reader(nomt, examples, replace(cfg, aux_weight=0.0))
-        _save_model(nomt, out / "checkpoints" / "reader_no_multitask")
-
-    write_json(out / "reader_train_log.json", logs, indent=2)
+    write_json(out / "reader_train_log.json", {"reader": stats}, indent=2)
     return {
         "checkpoint": "checkpoints/reader",
         "checkpoint_digest": digest,
@@ -507,24 +500,16 @@ def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
     add refuse it) and caches each recurrent cell's fused weights, built on
     the cell's first run. Training stores stay writable and never cache.
     Each model also gets an empty encoding memo: the bridge reasoner an
-    unbounded one, each reader one bounded at READER_MEMO_CONTEXTS."""
+    unbounded one, the reader one bounded at READER_MEMO_CONTEXTS."""
     checkpoints = _out(cfg) / "checkpoints"
     state, _, _ = _load_state(cfg)
-    state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", 0, "train-bridge")
+    state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", "train-bridge")
     state.bridge.memo = EncodingMemo()
-    state.reader = _load_model(_new_reader_model, cfg, checkpoints / "reader", 0, "train-reader")
-    nomt_dir = checkpoints / "reader_no_multitask"
-    if (nomt_dir / "manifest.json").exists():
-        state.reader_no_multitask = _load_model(_new_reader_model, cfg, nomt_dir, 1, "train-reader")
-    for reader in _readers(state):
-        reader.memo = EncodingMemo(limit=READER_MEMO_CONTEXTS)
-    for model in (state.bridge, *_readers(state)):
+    state.reader = _load_model(_new_reader_model, cfg, checkpoints / "reader", "train-reader")
+    state.reader.memo = EncodingMemo(limit=READER_MEMO_CONTEXTS)
+    for model in (state.bridge, state.reader):
         model.store.make_read_only()
     return state
-
-
-def _readers(state: PipelineState) -> list[SpanModel]:
-    return [r for r in (state.reader, state.reader_no_multitask) if r is not None]
 
 
 def stage_predict(cfg: PipelineConfig) -> dict:
@@ -541,13 +526,14 @@ def stage_predict(cfg: PipelineConfig) -> dict:
     write_jsonl(out / "predictions.jsonl", ({"qid": q.id, "mode": cfg.mode, **rows[q.id]} for q in dev))
     return {
         "mode": cfg.mode,
+        "entity_linking": cfg.entity_linking,
         "n_predictions": len(predictions),
         "n_skipped": len(skipped),
         "n_passages_dropped": sum(p.n_passages_dropped for p in predictions),
         "bridge_encodings_computed": state.bridge.memo.computed,
         "bridge_encodings_reused": state.bridge.memo.reused,
-        "reader_encodings_computed": sum(r.memo.computed for r in _readers(state)),
-        "reader_encodings_reused": sum(r.memo.reused for r in _readers(state)),
+        "reader_encodings_computed": state.reader.memo.computed,
+        "reader_encodings_reused": state.reader.memo.reused,
         "seed": cfg.seed,
     }
 
@@ -557,8 +543,8 @@ _ROW_TYPES = {"qid": str, "mode": str, "skipped": str, "answer": str, "passages"
 
 def _read_predictions(path: Path, dev: list[QARecord], default_mode: str) -> tuple[str, list[Prediction], list[dict]]:
     """(mode, answered predictions, skipped questions) of a predictions.jsonl
-    holding one row per dev question, in dev order, all of one mode (or of
-    default_mode when there are none); anything else is refused."""
+    holding one row per dev question, in dev order, all of one of
+    ABLATION_MODES (or of default_mode when there are none); anything else is refused."""
     modes, predictions, skipped, qids = set(), [], [], []
     for line_no, row in iter_jsonl(path):
         fields = ("skipped",) if "skipped" in row else ("answer", "passages", "ranking", "fallback")
@@ -567,6 +553,8 @@ def _read_predictions(path: Path, dev: list[QARecord], default_mode: str) -> tup
             raise ValidationError(
                 f"{path} line {line_no}: missing or mistyped {', '.join(map(repr, bad))}; rerun predict"
             )
+        if row["mode"] not in ABLATION_MODES:
+            raise ValidationError(f"{path} line {line_no}: unknown mode {row['mode']!r}; rerun predict")
         modes.add(row["mode"])
         qids.append(row["qid"])
         if "skipped" in row:

@@ -172,6 +172,8 @@ def load_embedding_text(path) -> tuple[list[str], np.ndarray]:
                 vectors.append(np.array([float(v) for v in parts[1:]]))
             except ValueError as exc:
                 raise ValidationError(f"embedding line {line_no}: non-numeric value") from exc
+            if not np.isfinite(vectors[-1]).all():
+                raise ValidationError(f"embedding line {line_no}: non-finite value")
     if not tokens:
         raise ValidationError("embedding file is empty")
     return tokens, np.stack(vectors)

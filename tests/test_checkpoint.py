@@ -120,8 +120,16 @@ def test_manifest_without_vocabulary_is_refused(tmp_path):
             {k: v for k, v in manifest["tensors"][0].items() if k != "shape"}]}), "lacks \\['shape'\\]"),
         (lambda text, manifest: json.dumps({**manifest, "tensors": [
             {**manifest["tensors"][0], "shape": [-4, -3]}]}), "the shape \\[-4, -3\\]"),
+        # a later entry of the same name would replace the first one's tensor
+        (lambda text, manifest: json.dumps({**manifest, "tensors": manifest["tensors"] + [
+            {**manifest["tensors"][1], "name": manifest["tensors"][0]["name"]}]}), "repeats '.*' in tensor entry 3"),
+        (lambda text, manifest: json.dumps({**manifest, "tensors": [
+            {**manifest["tensors"][0], "name": ["enc/W"]}]}), "tensor entry 0 a non-string \\['name'\\]"),
+        (lambda text, manifest: json.dumps({**manifest, "tensors": manifest["tensors"][:1] + [
+            {**manifest["tensors"][1], "sha256": ["x"]}]}), "tensor entry 1 a non-string \\['sha256'\\]"),
     ],
-    ids=["truncated", "not-an-object", "no-tensors", "entry-without-shape", "negative-shape"],
+    ids=["truncated", "not-an-object", "no-tensors", "entry-without-shape", "negative-shape", "repeated-name",
+         "name-not-a-string", "sha256-not-a-string"],
 )
 def test_malformed_manifest_is_refused_naming_its_path(tmp_path, damage, message):
     save_checkpoint(store_fixture(), tmp_path / "ckpt", VOCAB)

@@ -1,8 +1,10 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from bridgeqa.config import PipelineConfig, load_config
+from bridgeqa.config import ABLATION_MODES, PipelineConfig, load_config
 from bridgeqa.errors import ConfigError
 
 _PATH_KEYS = ("corpus_path", "train_questions_path", "dev_questions_path", "embeddings_path")
@@ -164,3 +166,12 @@ def test_library_defaults_follow_the_config_defaults():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0.5", "5", "5"]
+
+
+def test_readme_ablation_modes_paragraph_names_exactly_the_modes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (paragraph,) = re.findall(r"^Ablation modes \(`--mode`\): (.*?)\n\n", readme, re.M | re.S)
+    # its first sentence lists the modes, in order; the rest names only modes and config keys
+    assert re.findall(r"`(\w+)`", paragraph.split(".")[0]) == list(ABLATION_MODES)
+    keys = {f.name for f in fields(PipelineConfig)}
+    assert set(re.findall(r"`(\w+)`", paragraph)) <= set(ABLATION_MODES) | keys | {"config"}

@@ -1,9 +1,7 @@
 """The answering models' encoding memos, checked against the packed path (a
 reasoner or reader without a memo) as the oracle."""
 
-import shutil
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,38 +19,30 @@ from bridgeqa.pipeline import (
     _new_bridge_model,
     _new_reader_model,
     load_pipeline_state,
-    run_stage,
 )
 from bridgeqa.reader import best_span, build_reader_context, make_reader_example, reader_losses
-from bridgeqa.span_model import EMBED_DIM, READER_MEMO_CONTEXTS, init_span_model, run_span_model
+from bridgeqa.span_model import READER_MEMO_CONTEXTS, run_span_model
 from test_bridge import corpus_of, passage, randomize_biases, tiny_bridge_model
 from test_span_model import tiny_model
 
 
 def _answering_states(cfg):
-    """(with memos, without memos), each with a no-multitask reader so that
-    every ablation mode runs; with memos, that reader has its own."""
-    states = []
-    for keep_memo in (True, False):
-        state = load_pipeline_state(cfg)
-        state.reader_no_multitask = init_span_model(
-            state.reader.table.vocab, EMBED_DIM, cfg.gru_hidden, 0.0, np.random.default_rng(0)
-        )
-        if keep_memo:
-            state.reader_no_multitask.memo = EncodingMemo(limit=READER_MEMO_CONTEXTS)
-        else:
-            state.bridge.memo = state.reader.memo = None
-        states.append(state)
-    return states
+    """(with memos, without memos)."""
+    plain = load_pipeline_state(cfg)
+    plain.bridge.memo = plain.reader.memo = None
+    return load_pipeline_state(cfg), plain
 
 
 def test_memo_gives_the_packed_answers_in_every_ablation_mode(mini_run):
     memo_state, plain_state = _answering_states(mini_run)
     _, _, dev = _load_ingested(mini_run)
     labels = gold_titles(dev, memo_state.corpus, mini_run.seed)
-    for mode in ABLATION_MODES:
-        with_memo, skipped_memo = predict_questions(memo_state, dev, mode, labels)
-        packed, skipped_packed = predict_questions(plain_state, dev, mode, labels)
+    runs = [(mode, memo_state, plain_state) for mode in ABLATION_MODES]
+    # and full with no linker, as at entity_linking false, reading the memos the other modes filled
+    runs.append(("full", replace(memo_state, linker=None), replace(plain_state, linker=None)))
+    for mode, memo_run, plain_run in runs:
+        with_memo, skipped_memo = predict_questions(memo_run, dev, mode, labels)
+        packed, skipped_packed = predict_questions(plain_run, dev, mode, labels)
         assert skipped_memo == skipped_packed
         assert len(with_memo) == len(packed) > 0
         for a, b in zip(with_memo, packed):
@@ -66,8 +56,7 @@ def test_memo_gives_the_packed_answers_in_every_ablation_mode(mini_run):
     memo = memo_state.bridge.memo
     assert memo.computed > 0 and memo.reused > 0
     assert memo.computed == len(memo.passages) + len(memo.abstracts)
-    for reader in (memo_state.reader, memo_state.reader_no_multitask):
-        assert reader.memo.computed == len(reader.memo.passages) > 0
+    assert memo_state.reader.memo.computed == len(memo_state.reader.memo.passages) > 0
     # the modes that read what full reads read it from the memo
     assert memo_state.reader.memo.reused > 0
 
@@ -284,11 +273,10 @@ def test_models_built_for_training_carry_no_memo(mini_run):
     embedding = _embedding(mini_run, *_load_ingested(mini_run)[:2])
     assert _new_bridge_model(mini_run, embedding, seed_tag=0).memo is None
     assert _new_bridge_model(mini_run, embedding, seed_tag=1).memo is None
-    assert _new_reader_model(mini_run, embedding, seed_tag=0).memo is None
-    assert _new_reader_model(mini_run, embedding, seed_tag=1).memo is None
+    assert _new_reader_model(mini_run, embedding).memo is None
     # and their stores are writable and cache nothing
     assert _new_bridge_model(mini_run, embedding, seed_tag=0).store.cache is None
-    assert _new_reader_model(mini_run, embedding, seed_tag=0).store.cache is None
+    assert _new_reader_model(mini_run, embedding).store.cache is None
     state = load_pipeline_state(mini_run)
     memo = state.bridge.memo
     assert isinstance(memo, EncodingMemo) and memo.computed == memo.reused == 0 and memo.limit is None
@@ -306,7 +294,6 @@ def test_loaded_models_are_read_only_and_answer_as_writable_ones(mini_run, monke
     predictions, skipped = predict_questions(state, dev, "full", labels)
     stores = [state.bridge.store, state.reader.store]
     assert all(store.read_only for store in stores)
-    assert state.reader_no_multitask is None
     cached = [sorted((key[0], key[1]) for key in store.cache) for store in stores]
     assert cached == [[("gru", "span/enc/"), ("lstm", "abstract/")], [("gru", "span/enc/")]]
     monkeypatch.setattr(ParamStore, "make_read_only", lambda store: None)
@@ -329,22 +316,6 @@ def test_predict_entry_counts_the_encodings_computed_and_reused(mini_run):
     assert isinstance(computed, int) and isinstance(reused, int)
     # one read per question answered
     assert computed > 0 and computed + reused == entry["n_predictions"]
-
-
-def test_a_loaded_no_multitask_reader_has_its_own_memo(mini_run, tmp_path):
-    copy = tmp_path / "run_copy"
-    shutil.copytree(mini_run.output_dir, copy)
-    shutil.copytree(copy / "checkpoints" / "reader", copy / "checkpoints" / "reader_no_multitask")
-    cfg = replace(mini_run, output_dir=str(copy), mode="no_multitask")
-    state = load_pipeline_state(cfg)
-    assert isinstance(state.reader_no_multitask.memo, EncodingMemo)
-    assert state.reader_no_multitask.memo is not state.reader.memo
-    assert state.reader_no_multitask.memo.limit == READER_MEMO_CONTEXTS
-    assert state.reader_no_multitask.store.read_only
-    entry = run_stage("predict", cfg)
-    assert entry["reader_encodings_computed"] > 0
-    assert entry["reader_encodings_computed"] + entry["reader_encodings_reused"] == entry["n_predictions"]
-    assert Path(cfg.output_dir, "predictions.jsonl").exists()
 
 
 @pytest.mark.parametrize("mode", ["no_context_evidence", "no_content_evidence"])

@@ -13,7 +13,7 @@ from bridgeqa.ablation import predict_questions, run_ablation, score_predictions
 from bridgeqa.bridge import READER_MAX_PASSAGES, gold_titles
 from bridgeqa.checkpoint import load_checkpoint
 from bridgeqa.cli import main as cli_main
-from bridgeqa.config import load_config
+from bridgeqa.config import ABLATION_MODES, load_config
 from bridgeqa.corpus import load_corpus, load_questions
 from bridgeqa.errors import CheckpointError, MissingPrerequisiteError, ValidationError
 from bridgeqa.manifest import read_manifest, verify_fold_hygiene
@@ -115,14 +115,27 @@ def test_cli_reads_an_empty_dev_questions_path_as_no_dev_set(tmp_path, fixture_d
     assert (out / "questions_dev.jsonl").read_text(encoding="utf-8") == ""
 
 
-def test_cli_entity_linking_off_records_no_el_mode(tmp_path, fixture_dir):
+def test_cli_entity_linking_off_records_linking_and_keeps_the_mode(tmp_path, fixture_dir):
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "out"
     cfg_path.write_text(json.dumps(fixture_config(fixture_dir, str(out))))
     assert cli_main(["ingest", "--config", str(cfg_path), "--entity-linking", "off"]) == 0
     entries = read_manifest(out)
     assert entries[0]["config"]["entity_linking"] is False
-    assert entries[0]["config"]["mode"] == "no_el"
+    assert entries[0]["config"]["mode"] == "full"
+
+
+def test_predict_entry_records_the_linking_it_answered_with(mini_run, tmp_path):
+    # the no-EL row is predict at linking off under mode full; only the entry tells the two apart
+    from dataclasses import asdict
+
+    cfg = _run_copy(mini_run, tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    for linking in ("on", "off"):
+        assert cli_main(["predict", "--config", str(cfg_path), "--entity-linking", linking]) == 0
+        entry = read_manifest(cfg.output_dir)[-1]
+        assert (entry["stage"], entry["mode"], entry["entity_linking"]) == ("predict", "full", linking == "on")
 
 
 def test_cli_full_stage_sequence(tmp_path, fixture_dir):
@@ -168,7 +181,7 @@ def test_train_reader_runs_one_time_loop_per_minibatch(mini_run, loop_widths):
     state, train, dev = _load_state(mini_run)
     cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
     examples, _, _ = _build_reader_examples(state, train, cross)
-    model = _new_reader_model(mini_run, _embedding(mini_run, state.corpus, train + dev), seed_tag=0)
+    model = _new_reader_model(mini_run, _embedding(mini_run, state.corpus, train + dev))
     train_reader(model, examples, replace(mini_run, reader_epochs=1, reader_early_stop_em=2.0))
     assert len(examples) == 16
     assert loop_widths == {"gru": [8, 8, 8, 8], "lstm": []}
@@ -231,7 +244,7 @@ def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
     embedding = _embedding(mini_run, state.corpus, train + dev)
     cross = {rec["qid"]: rec for rec in read_jsonl(Path(mini_run.output_dir) / "cross_predictions.jsonl")}
     examples, _, _ = _build_reader_examples(state, train, cross)
-    reader = _new_reader_model(mini_run, embedding, seed_tag=0)
+    reader = _new_reader_model(mini_run, embedding)
     batch = examples[: mini_run.reader_batch_size]
     losses = [loss for loss, _ in reader_losses(reader, batch, mini_run.aux_weight,
                                                 rng=np.random.default_rng(0))]
@@ -402,8 +415,8 @@ def test_cross_predict_fold_a_failure_terminates_fold_b(mini_run, tmp_path, monk
 def test_run_ablation_modes_execute(mini_run):
     state = load_pipeline_state(mini_run)
     _, _, dev = _load_ingested(mini_run)
-    for mode in ("full", "no_el", "no_context_evidence", "no_content_evidence",
-                 "no_bridge_reasoner", "oracle_gold_passage", "full_support"):
+    assert len(ABLATION_MODES) == 6
+    for mode in ABLATION_MODES:
         report = run_ablation(mode, state, dev)
         assert report.mode == mode
         assert not report.empty
@@ -414,31 +427,6 @@ def test_run_ablation_empty_questions_flagged(mini_run):
     report = run_ablation("full", state, [])
     assert report.empty
     assert report.aggregates()["full"] is None
-
-
-def test_no_multitask_without_trained_component_errors(mini_run):
-    state = load_pipeline_state(mini_run)
-    _, _, dev = _load_ingested(mini_run)
-    assert state.reader_no_multitask is None
-    with pytest.raises(MissingPrerequisiteError, match="no_multitask"):
-        run_ablation("no_multitask", state, dev)
-
-
-def test_no_multitask_mode_with_trained_component(mini_run):
-    import numpy as np
-
-    from bridgeqa.span_model import EMBED_DIM, init_span_model
-
-    state = load_pipeline_state(mini_run)
-    _, _, dev = _load_ingested(mini_run)
-    # a minimally trained aux-free reader is enough to exercise the mode
-    state.reader_no_multitask = init_span_model(
-        state.reader.table.vocab, EMBED_DIM, mini_run.gru_hidden, 0.0,
-        np.random.default_rng(0),
-    )
-    report = run_ablation("no_multitask", state, dev)
-    assert report.mode == "no_multitask"
-    assert not report.empty
 
 
 def _skip_in_predict(monkeypatch, qids):
@@ -764,17 +752,21 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
     assert {t for t, _ in pred.ranking} <= reachable
 
 
-@pytest.mark.parametrize("mode", ["full", "no_el", "no_context_evidence", "no_content_evidence"])
-def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini_run, mode):
+@pytest.mark.parametrize(
+    "mode, use_el",
+    [("full", True), ("full", False), ("no_context_evidence", True), ("no_content_evidence", True)],
+    ids=["full", "full-linking-off", "no_context_evidence", "no_content_evidence"],
+)
+def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini_run, mode, use_el):
     # the ranking keeps READER_MAX_PASSAGES titles; the reader reads the first
     # BRIDGE_READ_PASSAGES of them, then the linker's extras not among those
     from bridgeqa.ablation import BRIDGE_READ_PASSAGES, linked_passages, predict_one, start_passages_for
     from bridgeqa.bridge import predict_ranked_titles
     from test_bridge import linked_extras
 
-    state = load_pipeline_state(mini_run)
+    state = load_pipeline_state(replace(mini_run, entity_linking=use_el))
+    assert (state.linker is not None) == use_el
     _, _, dev = _load_ingested(mini_run)
-    use_el = mode != "no_el"
     capped = 0
     for q in (q for q in dev if q.qtype == "bridge"):
         pred, reason = predict_one(state, q, mode)
@@ -879,7 +871,7 @@ def _rewrite_predictions(cfg, edit) -> None:
 
 def test_evaluate_refuses_mixed_prediction_modes(mini_run, tmp_path):
     cfg = _run_copy(mini_run, tmp_path)
-    _rewrite_predictions(cfg, lambda rows: rows[0].update(mode="no_el"))
+    _rewrite_predictions(cfg, lambda rows: rows[0].update(mode="no_bridge_reasoner"))
     with pytest.raises(ValidationError, match="predictions.jsonl mixes"):
         run_stage("evaluate", cfg)
 
@@ -894,12 +886,17 @@ def _written_before_rows_carried_their_mode(rows):
         (lambda rows: rows[1].pop("answer"), r"predictions\.jsonl line 2: .*'answer'.*; rerun predict"),
         (lambda rows: rows[2].update(answer=None), r"predictions\.jsonl line 3: .*'answer'.*; rerun predict"),
         (lambda rows: rows[0].update(mode=["full"]), r"predictions\.jsonl line 1: .*'mode'.*; rerun predict"),
+        # no_el is not a mode: the no-EL ablation is a run at entity_linking false
+        (lambda rows: [row.update(mode="no_el") for row in rows],
+         r"predictions\.jsonl line 1: unknown mode 'no_el'; rerun predict"),
+        (lambda rows: rows[3].update(mode="fulll"), r"predictions\.jsonl line 4: unknown mode 'fulll'; rerun predict"),
         (lambda rows: rows[0].update(ranking=[["A"]]), r"predictions\.jsonl line 1: ranking .*; rerun predict"),
         (_written_before_rows_carried_their_mode, r"predictions\.jsonl line 1: .*'mode'.*; rerun predict"),
         (lambda rows: rows.pop(1), r"predictions\.jsonl .*one row per dev question.*; rerun predict"),
         (lambda rows: rows.reverse(), r"predictions\.jsonl .*in dev order; rerun predict"),
     ],
-    ids=["no-answer", "null-answer", "mode-not-a-string", "ranking-not-pairs", "written-before-rows-carried-their-mode", "row-missing", "out-of-order"],
+    ids=["no-answer", "null-answer", "mode-not-a-string", "mode-no-el", "mode-unknown", "ranking-not-pairs",
+         "written-before-rows-carried-their-mode", "row-missing", "out-of-order"],
 )
 def test_evaluate_refuses_a_malformed_predictions_file(mini_run, tmp_path, capsys, edit, expected):
     import re
@@ -946,11 +943,11 @@ def test_run_stage_appends_one_entry_per_stage(mini_run, tmp_path, monkeypatch):
     assert (Path(cfg.output_dir) / "manifest.json").read_bytes() == before
 
 
-def test_no_multitask_reader_trains_without_the_title_objective(mini_run, tmp_path, monkeypatch):
+def test_aux_weight_zero_reaches_train_reader_and_its_entry(mini_run, tmp_path, monkeypatch):
+    # the no-multitask ablation is a run at aux_weight 0: one reader, trained without the title objective
     from bridgeqa import pipeline
 
-    cfg = _run_copy(mini_run, tmp_path, train_no_multitask_reader=True)
-    given = replace(cfg)
+    cfg = _run_copy(mini_run, tmp_path, aux_weight=0.0)
     seen = []
 
     def recording(model, examples, train_cfg):
@@ -958,9 +955,12 @@ def test_no_multitask_reader_trains_without_the_title_objective(mini_run, tmp_pa
         return {"epochs_run": 0, "history": [], "train_seconds": 0.0, "n_examples": len(examples)}
 
     monkeypatch.setattr(pipeline, "train_reader", recording)
-    run_stage("train-reader", cfg)
-    assert seen == [cfg, replace(cfg, aux_weight=0.0)]
-    assert cfg == given and cfg.aux_weight == 1.0
+    entry = run_stage("train-reader", cfg)
+    assert seen == [cfg] and cfg.aux_weight == 0.0
+    assert entry["aux_weight"] == 0.0
+    assert list(json.loads((Path(cfg.output_dir) / "reader_train_log.json").read_text())) == ["reader"]
+    assert sorted(p.name for p in (Path(cfg.output_dir) / "checkpoints").iterdir()) == [
+        "bridge", "bridge_fold_a", "bridge_fold_b", "reader"]
 
 
 def _dropped_by_cap(passages, cap):
@@ -1029,7 +1029,6 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
         None,
         fixture_config(
             fixture_dir, tmp_path / "run", embeddings_path=str(path), bridge_epochs=1, reader_epochs=1,
-            train_no_multitask_reader=True,
         ),
     )
     parsed = []
@@ -1061,11 +1060,9 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
     state = load_pipeline_state(cfg)
     assert parsed == []
     out = Path(cfg.output_dir) / "checkpoints"
-    tensor_files = sorted(p for d in ("bridge", "reader", "reader_no_multitask") for p in (out / d).glob("*.bin"))
+    tensor_files = sorted(p for d in ("bridge", "reader") for p in (out / d).glob("*.bin"))
     assert sorted(p for p in reads if p.suffix == ".bin") == tensor_files
-    for model, directory in (
-        (state.bridge, "bridge"), (state.reader, "reader"), (state.reader_no_multitask, "reader_no_multitask")
-    ):
+    for model, directory in ((state.bridge, "bridge"), (state.reader, "reader")):
         assert model.table.frozen
         assert model.table.vocab == vocab
         assert list(model.table.indices([uncovered[0], covered[0]])) == [0, 1]
@@ -1328,16 +1325,16 @@ def _count_links(monkeypatch, refuse=False):
     return calls
 
 
-@pytest.mark.parametrize("mode", ["full", "no_el"])
-def test_each_answered_question_is_linked_once(mini_run, monkeypatch, mode):
+@pytest.mark.parametrize("linking", [True, False], ids=["linking-on", "linking-off"])
+def test_each_answered_question_is_linked_once(mini_run, monkeypatch, linking):
     # its start set and its reader share one link; the parent links each
     # answered bridge question twice, 19 calls for the 11 dev questions
-    state = load_pipeline_state(mini_run)
+    state = load_pipeline_state(replace(mini_run, entity_linking=linking))
     _, _, dev = _load_ingested(mini_run)
-    calls = _count_links(monkeypatch)
-    predictions, skipped = predict_questions(state, dev, mode)
+    calls = _count_links(monkeypatch, refuse=not linking)
+    predictions, skipped = predict_questions(state, dev, "full")
     assert len(predictions) == len(dev) and not skipped
-    expected = [q.question_tokens for q in dev] if mode == "full" else []
+    expected = [q.question_tokens for q in dev] if linking else []
     assert len(calls) == len(expected)
     assert calls == expected
 

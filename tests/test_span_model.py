@@ -500,6 +500,18 @@ def test_embedding_file_ragged_is_error(tmp_path):
         load_embedding_text(path)
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [("a 0.1 nan\nb 0.2 0.3\n", 1), ("a 0.1 0.2\nb inf 0.2\n", 2), ("a 0.1 0.2\nb 0.3 -Infinity\n", 2)],
+    ids=["nan", "inf", "minus-infinity"],
+)
+def test_embedding_file_non_finite_value_is_error_naming_the_line(tmp_path, text, line_no):
+    path = tmp_path / "vecs.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"embedding line {line_no}: non-finite value"):
+        load_embedding_text(path)
+
+
 def test_frozen_table_trains_only_unk_row():
     store = ParamStore()
     rng = np.random.default_rng(12)
