@@ -52,7 +52,8 @@ class PipelineState:
     components once loaded (the training stages use it without them).
 
     Each loaded model carries a span_model.EncodingMemo for its lifetime,
-    keyed by token content. The bridge reasoner's holds the encoder states
+    on the SpanModel that encodes (bridge.span.memo, reader.memo), keyed by
+    token content. The bridge reasoner's holds the encoder states
     of each start passage and the vector of each target abstract it has
     read, one entry per distinct text, so with no size limit. The reader's
     holds the encoder states of the span_model.READER_MEMO_CONTEXTS whole

@@ -3,8 +3,10 @@ fusing local context evidence (the anchor's start-token representation from
 the span model) with passage content evidence (max-pooled bi-LSTM encoding of
 the target passage's abstract), then rank candidate answer passages. The
 (n,) fusion logits score_bridges returns, one per candidate, are the scores:
-ranking and the loss both read them. As in span_model, a forward given an
-rng trains: it draws dropout from it and never reads or fills the memo.
+ranking and the loss both read them. The start passages are read through
+span_model.attend, the reader's one reading path. As in span_model, a
+forward given an rng trains: it draws dropout from it and never reads or
+fills the memo, which lives on the reasoner's SpanModel (span.memo).
 
 Supervision is distant: the gold bridge is the supporting passage whose text
 contains the answer string.
@@ -43,10 +45,8 @@ from .reader import fit
 from .retrieval import flat_layout, gather_slices
 from .span_model import (
     EmbeddingTable,
-    EncodingMemo,
     SpanModel,
     attend,
-    attend_memoized,
     biattention,  # noqa: F401 - bench/layers.py traces bridge.biattention
     encode,  # noqa: F401 - bench/layers.py traces bridge.encode
     create_embedding_table,
@@ -141,24 +141,24 @@ class BridgeModel:
     """Span model for the start passages (without span heads) plus a bi-LSTM
     abstract encoder and the score fusion layer, all in one ParamStore.
 
-    memo is None in a model built for training, and a forward given an rng
-    never reads it: it encodes a question's start passages and abstracts in
-    packed passes, through a writable store that caches nothing. A reasoner
-    loaded for answering (load_pipeline_state) is read-only: its store
-    refuses every write and caches the fused weights of its two recurrent
-    cells, the span/enc/ bi-GRU and the abstract/ bi-LSTM
-    (numcore.run_recurrent). It gets an empty EncodingMemo, which lives as
-    long as the model, since its parameters no longer change: inference
-    reads each start passage's encoder states and each abstract's vector
-    from it, keyed by token content. It holds one entry per distinct text
-    read, so it has no size limit (unlike a loaded reader's, see
+    Its memo is span.memo, the one on the SpanModel that encodes. It is None
+    in a model built for training, and a forward given an rng never reads
+    it: it encodes a question's start passages and abstracts in packed
+    passes, through a writable store that caches nothing. A reasoner loaded
+    for answering (load_pipeline_state) is read-only: its store refuses
+    every write and caches the fused weights of its two recurrent cells, the
+    span/enc/ bi-GRU and the abstract/ bi-LSTM (numcore.run_recurrent). Its
+    span gets an empty EncodingMemo, which lives as long as the model, since
+    its parameters no longer change: inference reads each start passage's
+    encoder states (through attend) and each abstract's vector from it,
+    keyed by token content. It holds one entry per distinct text read, so it
+    has no size limit (unlike a loaded reader's, see
     span_model.READER_MEMO_CONTEXTS).
     """
 
     span: SpanModel
     lstm_hidden: int
     abstract_max_tokens: int = PipelineConfig.abstract_max_tokens
-    memo: EncodingMemo | None = None
 
     @property
     def store(self) -> ParamStore:
@@ -210,19 +210,17 @@ def encode_abstracts(
     rng, dropout is drawn from it in passage order over the present abstracts.
 
     Without an rng, a model with a memo takes each abstract's vector from it
-    instead, encoding a missing one on its own (see EncodingMemo).
+    instead, encoding a missing one on its own (see EncodingMemo.rows).
     """
     present = [i for i, p in enumerate(passages) if p is not None and len(p.tokens) > 0]
     row_of = {i: j for j, i in enumerate(present)}
     token_lists = [passages[i].tokens.tokens[: model.abstract_max_tokens] for i in present]
-    memo = None if rng is not None else model.memo
+    memo = None if rng is not None else model.span.memo
     pooled = []
     if present and memo is None:
         pooled = [_pooled_abstracts(model, token_lists, rng=rng)]
     elif present:
-        vectors = [memo.get(memo.abstracts, toks, lambda toks=toks: _pooled_abstracts(model, [toks]).data)
-                   for toks in token_lists]
-        pooled = [constant(np.concatenate(vectors))]
+        pooled = [memo.rows(memo.abstracts, token_lists, lambda toks: _pooled_abstracts(model, [toks]))]
     # a missing abstract reads the sentinel, the row after the pooled ones;
     # it joins the graph only when read, so Adam leaves it alone otherwise
     sentinel = [model.store["abstract/missing"]] if len(present) < len(passages) else []
@@ -261,11 +259,8 @@ def _context_rows(
     its start passage's self-attention output, in candidate order, read
     through readout: (n, k) for a readout of k columns, (n, 8h) without one.
     Only those rows are read: self-attention queries, its residual and its
-    mixing layer run at the anchor rows alone.
-
-    Without an rng, a model with a memo reads through attend_memoized: the
-    question is encoded on its own, and each start passage's encoder states
-    come from the memo (a missing one is encoded on its own)."""
+    mixing layer run at the anchor rows alone (see attend for the rng and
+    the memo)."""
     passage_by_id = {p.id: p for p in start_passages}
     for cand in candidates:
         pid = cand.source_passage_id
@@ -277,10 +272,7 @@ def _context_rows(
     contexts = [passage_by_id[pid].tokens for pid in passage_ids]
     offsets = dict(zip(passage_ids, np.cumsum([0] + [len(c) for c in contexts])))
     rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in candidates])
-    if rng is None and model.memo is not None:
-        final = attend_memoized(model.span, model.memo, question, contexts, rows, readout)
-    else:
-        (final,) = attend(model.span, [(question, contexts)], rng=rng, rows=[rows], readout=readout)
+    (final,) = attend(model.span, [(question, contexts)], rng=rng, rows=[rows], readout=readout)
     return final.states
 
 
@@ -311,7 +303,7 @@ def score_bridges(
     candidate.
 
     With an rng, dropout is drawn from it and the memo is neither read nor
-    filled. Without one, a model memo (a reasoner loaded for answering)
+    filled. Without one, the span's memo (a reasoner loaded for answering)
     gives each start passage's encoder states and each abstract's vector,
     so only the question is encoded per call; a switched-off channel neither
     reads nor fills it.

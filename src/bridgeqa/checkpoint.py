@@ -68,6 +68,12 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
         raise CheckpointError(f"checkpoint manifest {manifest_path} is not a JSON object")
     if "vocab" not in manifest:
         raise CheckpointError(f"checkpoint manifest {manifest_path} holds no vocabulary")
+    vocab = manifest["vocab"]
+    if not isinstance(vocab, dict) or not all(isinstance(t, str) and type(row) is int for t, row in vocab.items()):
+        raise CheckpointError(
+            f"checkpoint manifest {manifest_path} holds a vocabulary that is not an object of token strings "
+            "to integer rows"
+        )
     if not isinstance(manifest.get("tensors"), list):
         raise CheckpointError(f"checkpoint manifest {manifest_path} holds no tensor list")
     contents: dict[str, bytes] = {}
@@ -100,7 +106,7 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
                 f"checkpoint tensor {entry['name']!r} truncated: {len(data)} bytes, expected {expected}"
             )
         arrays[entry["name"]] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
-    return arrays, manifest["vocab"]
+    return arrays, vocab
 
 
 def restore(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:

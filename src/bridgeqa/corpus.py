@@ -265,7 +265,8 @@ def load_questions(path: str | Path) -> list[QARecord]:
     """Load line-delimited JSON question records.
 
     Records without supporting_titles are accepted (evaluation-time data);
-    when present the list must be non-empty. Question ids are unique.
+    when present the list must be non-empty, of non-empty strings. Question
+    ids are unique.
     """
     records: list[QARecord] = []
     ids: set[str] = set()
@@ -287,7 +288,11 @@ def load_questions(path: str | Path) -> list[QARecord]:
         if titles is not None:
             if not isinstance(titles, list) or not titles:
                 raise ValidationError(f"{where}: supporting_titles must be a non-empty list when present")
-            titles = tuple(str(t) for t in titles)
+            if not all(isinstance(t, str) and t for t in titles):
+                raise ValidationError(
+                    f"{where}: supporting_titles must be non-empty strings (question {obj['id']!r})"
+                )
+            titles = tuple(titles)
         records.append(
             QARecord(
                 id=obj["id"],

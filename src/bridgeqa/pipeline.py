@@ -504,7 +504,7 @@ def load_pipeline_state(cfg: PipelineConfig) -> PipelineState:
     checkpoints = _out(cfg) / "checkpoints"
     state, _, _ = _load_state(cfg)
     state.bridge = _load_model(_new_bridge_model, cfg, checkpoints / "bridge", "train-bridge")
-    state.bridge.memo = EncodingMemo()
+    state.bridge.span.memo = EncodingMemo()
     state.reader = _load_model(_new_reader_model, cfg, checkpoints / "reader", "train-reader")
     state.reader.memo = EncodingMemo(limit=READER_MEMO_CONTEXTS)
     for model in (state.bridge, state.reader):
@@ -530,8 +530,8 @@ def stage_predict(cfg: PipelineConfig) -> dict:
         "n_predictions": len(predictions),
         "n_skipped": len(skipped),
         "n_passages_dropped": sum(p.n_passages_dropped for p in predictions),
-        "bridge_encodings_computed": state.bridge.memo.computed,
-        "bridge_encodings_reused": state.bridge.memo.reused,
+        "bridge_encodings_computed": state.bridge.span.memo.computed,
+        "bridge_encodings_reused": state.bridge.span.memo.reused,
         "reader_encodings_computed": state.reader.memo.computed,
         "reader_encodings_reused": state.reader.memo.reused,
         "seed": cfg.seed,
@@ -560,7 +560,9 @@ def _read_predictions(path: Path, dev: list[QARecord], default_mode: str) -> tup
         if "skipped" in row:
             skipped.append({"qid": row["qid"], "reason": row["skipped"]})
         else:
-            if not all(isinstance(pair, list) and len(pair) == 2 for pair in row["ranking"]):
+            # a title string and a score that is a number, not a bool, or null
+            if not all(isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                       and (pair[1] is None or type(pair[1]) in (int, float)) for pair in row["ranking"]):
                 raise ValidationError(f"{path} line {line_no}: ranking is not [title, score] pairs; rerun predict")
             ranking = [tuple(pair) for pair in row["ranking"]]
             predictions.append(Prediction(row["qid"], row["answer"], row["passages"], ranking, row["fallback"]))

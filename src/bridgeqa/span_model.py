@@ -20,33 +20,32 @@ read through its heads, an (24h, k) matmul with k <= 2 in place of an
 (24h, 8h) one, in forward and backward. Without a readout it returns the
 full states.
 
-attend() reads one or several questions, each against one or several
-contexts (a reader minibatch: one block context per question; the reasoner:
-one question and its start passages), without padding: one encoder pass over
-every question and context, one biattention per question over all of its
-context rows, whose question-to-context softmax is masked -inf outside each
-context's block, and one self-attention per question: one numcore
-self_attend node scores all of its contexts in one matrix, masked -inf
-outside each context's rows, normalises and sums, and one mixing layer,
-read through the readout, runs over all of them. attend_encoded is that
-per-group reading on its own, from encoder states however they were
-computed.
+attend() is the one reading path, in training and in answering, of the
+reader and of the bridge reasoner alike. It reads one or several questions,
+each against one or several contexts (a reader minibatch: one block context
+per question; the reasoner: one question and its start passages), without
+padding: one encoder pass over every question and context, one biattention
+per question over all of its context rows, whose question-to-context
+softmax is masked -inf outside each context's block, and one self-attention
+per question: one numcore self_attend node scores all of its contexts in one
+matrix, masked -inf outside each context's rows, normalises and sums, and
+one mixing layer, read through the readout, runs over all of them.
 
 The bridge reasoner scores each anchor by its start-token row alone, about
-one context row in ten, so it passes those rows to attend or
-attend_encoded: self-attention then forms its queries, its residual and its
-mixing layer at the anchor rows only, while keys and values still span
-every row of each context. The reader reads every row.
+one context row in ten, so it passes those rows to attend: self-attention
+then forms its queries, its residual and its mixing layer at the anchor rows
+only, while keys and values still span every row of each context. The
+reader reads every row.
 
 The encoder states of a sequence do not depend on the question, so a model
-loaded for answering keeps them in an EncodingMemo, keyed by the sequence's
-tokens, and reads a question through attend_memoized: encode on the
-question alone plus attend_encoded. The bridge reasoner keeps each start passage's (T, 2h)
-states, and the reader each whole context's: a reader memo holds the
-READER_MEMO_CONTEXTS contexts read most recently. The rng is the training
-switch: a forward without one is inference, and one with it draws dropout
-over attend's packed rows, whose states each step changes, and never reads
-or fills a memo.
+loaded for answering keeps them in an EncodingMemo on the SpanModel that
+encodes them, keyed by the sequence's tokens; attend then encodes only the
+questions in its pass and takes each context's states from the memo. The
+bridge reasoner keeps each start passage's (T, 2h) states, and the reader
+each whole context's: a reader memo holds the READER_MEMO_CONTEXTS contexts
+read most recently. The rng is the training switch: a forward without one
+is inference, and one with it draws dropout over attend's packed rows,
+whose states each step changes, and never reads or fills a memo.
 """
 
 from __future__ import annotations
@@ -395,31 +394,38 @@ class EncodingMemo:
     computed: int = 0
     reused: int = 0
 
-    def get(self, entries: dict, key: tuple[str, ...], compute) -> np.ndarray:
-        """entries[key], stored from compute() on a miss."""
-        value = entries.pop(key, None)
-        if value is None:
-            value = compute()
-            self.computed += 1
-            if self.limit is not None and len(entries) >= self.limit:
-                del entries[next(iter(entries))]
-        else:
-            self.reused += 1
-        # a dict keeps insertion order: the first key is the least recently read
-        entries[key] = value
-        return value
+    def rows(self, entries: dict, token_lists, encode) -> Tensor:
+        """The encodings of token_lists stacked in order, a constant: each
+        read from entries, keyed by its tokens, and on a miss stored from
+        encode(tokens), which encodes that one sequence on its own."""
+        stacked = []
+        for key in map(tuple, token_lists):
+            value = entries.pop(key, None)
+            if value is None:
+                value = encode(key).data
+                self.computed += 1
+                if self.limit is not None and len(entries) >= self.limit:
+                    del entries[next(iter(entries))]
+            else:
+                self.reused += 1
+            # a dict keeps insertion order: the first key is the least recently read
+            entries[key] = value
+            stacked.append(value)
+        return constant(np.concatenate(stacked))
 
 
 @dataclass
 class SpanModel:
     """Parameter bundle for one span predictor (the reader, or the local
-    context channel of the bridge reasoner).
+    context channel of the bridge reasoner), read through attend.
 
     memo is None in a model built for training, whose store is writable and
-    caches nothing; a reader loaded for answering (load_pipeline_state) gets
-    an EncodingMemo bounded at READER_MEMO_CONTEXTS, which run_span_model
-    reads without an rng (see there), and a read-only store, whose cache
-    holds the encoder bi-GRU's fused weights (numcore.run_recurrent)."""
+    caches nothing. A model loaded for answering (load_pipeline_state) gets
+    an EncodingMemo, which attend reads without an rng, and a read-only
+    store, whose cache holds the encoder bi-GRU's fused weights
+    (numcore.run_recurrent): a reader's memo is bounded at
+    READER_MEMO_CONTEXTS, the bridge reasoner's is unbounded and also holds
+    its abstract vectors (see bridge.BridgeModel)."""
 
     store: ParamStore
     table: EmbeddingTable
@@ -465,60 +471,39 @@ def attend(
     Every question and context of every group is encoded in one pass, in the
     order [q1, q1's contexts, q2, q2's contexts, ...], so dropout, drawn
     from rng when given, falls as if the groups were encoded one after
-    another. Biattention and self-attention then run once per group over all
-    of its context rows, each context attending within its own rows. Every
-    context reads as it would alone.
+    another. Without an rng, a model with a memo (one loaded for answering)
+    encodes only the questions in that pass and takes each context's encoder
+    states from memo.passages, a miss encoded on its own. Biattention and
+    self-attention then run once per group over all of its context rows,
+    each context attending within its own rows. Every context reads as it
+    would alone.
     """
-    token_lists, sizes = [], []
+    read = []
     for question_tokens, contexts in groups:
         group = [_token_list(question_tokens)] + [_token_list(c) for c in contexts]
         if not contexts or any(len(toks) == 0 for toks in group):
             raise ValidationError("attend: no context, or an empty question or context")
-        token_lists += group
-        sizes.append([len(toks) for toks in group])
-    if not sizes:
+        read.append(group)
+    if not read:
         raise ValidationError("attend: no (question, contexts) group")
-    lengths = [n for group in sizes for n in group]
-    flat = [tok for toks in token_lists for tok in toks]
-    states = encode(flat, model.table, model.store, model.hidden, lengths=lengths,
-                    dropout_rate=model.dropout, rng=rng).states
+    memo = model.memo if rng is None else None
+    packed = [toks for group in read for toks in (group if memo is None else group[:1])]
+    states = encode([tok for toks in packed for tok in toks], model.table, model.store, model.hidden,
+                    lengths=[len(toks) for toks in packed], dropout_rate=model.dropout, rng=rng).states
     finals, start = [], 0
-    for (q_len, *context_lengths), group_rows in zip(sizes, rows or [None] * len(sizes)):
-        stop = start + q_len + sum(context_lengths)
-        question = EncodedSeq(states=slice_rows(states, start, start + q_len))
-        context = EncodedSeq(states=slice_rows(states, start + q_len, stop))
-        finals.append(attend_encoded(model, question, context, context_lengths, group_rows, readout))
-        start = stop
+    for (question, *contexts), group_rows in zip(read, rows or [None] * len(read)):
+        lengths = [len(toks) for toks in contexts]
+        question_states = EncodedSeq(states=slice_rows(states, start, start + len(question)))
+        start += len(question)
+        if memo is None:
+            context = slice_rows(states, start, start + sum(lengths))
+            start += sum(lengths)
+        else:
+            context = memo.rows(memo.passages, contexts,
+                                lambda toks: encode(toks, model.table, model.store, model.hidden).states)
+        attended = biattention(EncodedSeq(states=context), question_states, model.store, lengths=lengths)
+        finals.append(self_attention(attended, model.store, lengths=lengths, rows=group_rows, readout=readout))
     return finals
-
-
-def attend_encoded(
-    model: SpanModel, question: EncodedSeq, context: EncodedSeq, lengths, rows=None, readout: Tensor | None = None
-) -> EncodedSeq:
-    """One group's reading from its encoder states: biattention of the
-    question over the contexts packed back to back in context (their lengths
-    given), then self-attention, each context within its own rows, read at
-    rows when given and through readout (see self_attention). attend runs
-    it on the rows of its one encoder pass, attend_memoized on states
-    encoded one sequence at a time."""
-    attended = biattention(context, question, model.store, lengths=lengths)
-    return self_attention(attended, model.store, lengths=lengths, rows=rows, readout=readout)
-
-
-def attend_memoized(
-    model: SpanModel, memo: EncodingMemo, question_tokens, contexts, rows=None, readout: Tensor | None = None
-) -> EncodedSeq:
-    """attend's inference reading of one group, each context's encoder
-    states taken from memo.passages (a miss encodes that context on its
-    own) and the question encoded on its own."""
-    keys = [tuple(_token_list(c)) for c in contexts]
-    states = [
-        memo.get(memo.passages, key, lambda key=key: encode(key, model.table, model.store, model.hidden).states.data)
-        for key in keys
-    ]
-    context = EncodedSeq(states=constant(np.concatenate(states)))
-    question = encode(question_tokens, model.table, model.store, model.hidden)
-    return attend_encoded(model, question, context, [len(key) for key in keys], rows, readout)
 
 
 def run_span_model(
@@ -530,14 +515,6 @@ def run_span_model(
 ) -> tuple[EncodedSeq, SpanScores]:
     """Full forward pass over one context; returns the self-attention output
     read through the span heads, (T, 2) (see head_readout), and the span
-    scores, its two columns.
-
-    Without an rng, a model with a memo (a reader loaded for answering)
-    reads through attend_memoized; with one, the memo is neither read nor
-    filled."""
-    readout = head_readout(model.store)
-    if rng is None and model.memo is not None:
-        final = attend_memoized(model, model.memo, question_tokens, [context_tokens], readout=readout)
-    else:
-        (final,) = attend(model, [(question_tokens, [context_tokens])], rng=rng, readout=readout)
+    scores, its two columns (see attend for the rng and the memo)."""
+    (final,) = attend(model, [(question_tokens, [context_tokens])], rng=rng, readout=head_readout(model.store))
     return final, span_heads(final.states)

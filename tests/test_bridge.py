@@ -205,9 +205,9 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
     # the memo; the full states (no readout), and read through a readout
     # column as the fusion reads them. The one-token start passage's anchor
     # row keeps its biattention row.
-    from bridgeqa.bridge import EncodingMemo, _context_rows
+    from bridgeqa.bridge import _context_rows
     from bridgeqa.numcore import backward, constant, gather_rows, matmul, mul, sum_all
-    from bridgeqa.span_model import attend
+    from bridgeqa.span_model import EncodingMemo, attend
 
     base = trio_corpus()
     solo = passage("p5", "Start C", "Target", anchors=[("Target Two", "Target")])
@@ -235,7 +235,7 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
             return out.data, {**model.store.gradients(), "readout": column.grad}
 
         def full(rng):
-            (final,) = attend(model.span, [(q, [p.tokens for p in starts])], rng=rng)
+            (final,) = attend(replace(model.span, memo=None), [(q, [p.tokens for p in starts])], rng=rng)
             states = gather_rows(final.states, rows)
             return states if readout is None else matmul(states, readout)
 
@@ -243,7 +243,7 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
             return _context_rows(model, q, starts, cands, readout, rng=rng)
 
         for seed, memo in ((5, None), (None, None), (None, EncodingMemo())):
-            model.memo = memo
+            model.span.memo = memo
             got, want = run(anchors, seed), run(full, seed)
             np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
             if memo is None:
@@ -253,7 +253,7 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
                         assert got[1][name] is None, name
                     else:
                         np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
-        assert len(model.memo.passages) == 3
+        assert len(model.span.memo.passages) == 3
 
 
 def test_score_bridges_match_the_unfolded_fusion():

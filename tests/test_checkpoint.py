@@ -127,9 +127,13 @@ def test_manifest_without_vocabulary_is_refused(tmp_path):
             {**manifest["tensors"][0], "name": ["enc/W"]}]}), "tensor entry 0 a non-string \\['name'\\]"),
         (lambda text, manifest: json.dumps({**manifest, "tensors": manifest["tensors"][:1] + [
             {**manifest["tensors"][1], "sha256": ["x"]}]}), "tensor entry 1 a non-string \\['sha256'\\]"),
+        # either used to load, the fault surfacing later in the embedding lookup
+        (lambda text, manifest: json.dumps({**manifest, "vocab": list(manifest["vocab"])}), "vocabulary that is not"),
+        (lambda text, manifest: json.dumps({**manifest, "vocab": {"<unk>": "zero"}}), "vocabulary that is not"),
+        (lambda text, manifest: json.dumps({**manifest, "vocab": {"<unk>": True}}), "vocabulary that is not"),
     ],
     ids=["truncated", "not-an-object", "no-tensors", "entry-without-shape", "negative-shape", "repeated-name",
-         "name-not-a-string", "sha256-not-a-string"],
+         "name-not-a-string", "sha256-not-a-string", "vocab-a-list", "vocab-row-a-string", "vocab-row-a-bool"],
 )
 def test_malformed_manifest_is_refused_naming_its_path(tmp_path, damage, message):
     save_checkpoint(store_fixture(), tmp_path / "ckpt", VOCAB)

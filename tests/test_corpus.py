@@ -410,3 +410,13 @@ def test_load_questions_empty_supporting_titles_rejected(tmp_path):
     path = write_lines(tmp_path / "q.jsonl", objs)
     with pytest.raises(ValidationError):
         load_questions(path)
+
+
+@pytest.mark.parametrize("title", [None, 5, "", ["A"]], ids=["null", "number", "empty", "list"])
+def test_load_questions_supporting_title_not_a_non_empty_string_is_named(tmp_path, title):
+    # such a title used to load as its str(), 'None' or '5'
+    objs = question_objs()
+    objs[1]["supporting_titles"] = ["A", title]
+    path = write_lines(tmp_path / "q.jsonl", objs)
+    with pytest.raises(ValidationError, match=r"q\.jsonl record 2: supporting_titles .*non-empty strings.*'q2'"):
+        load_questions(path)

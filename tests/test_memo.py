@@ -8,7 +8,7 @@ import pytest
 
 from bridgeqa import reader as reader_module
 from bridgeqa.ablation import predict_questions
-from bridgeqa.bridge import EncodingMemo, collect_candidates, gold_titles, score_bridges
+from bridgeqa.bridge import collect_candidates, gold_titles, score_bridges
 from bridgeqa.config import ABLATION_MODES
 from bridgeqa.corpus import tokenize
 from bridgeqa.manifest import read_manifest
@@ -21,7 +21,7 @@ from bridgeqa.pipeline import (
     load_pipeline_state,
 )
 from bridgeqa.reader import best_span, build_reader_context, make_reader_example, reader_losses
-from bridgeqa.span_model import READER_MEMO_CONTEXTS, run_span_model
+from bridgeqa.span_model import READER_MEMO_CONTEXTS, EncodingMemo, attend, head_readout, run_span_model
 from test_bridge import corpus_of, passage, randomize_biases, tiny_bridge_model
 from test_span_model import tiny_model
 
@@ -29,7 +29,7 @@ from test_span_model import tiny_model
 def _answering_states(cfg):
     """(with memos, without memos)."""
     plain = load_pipeline_state(cfg)
-    plain.bridge.memo = plain.reader.memo = None
+    plain.bridge.span.memo = plain.reader.memo = None
     return load_pipeline_state(cfg), plain
 
 
@@ -53,7 +53,7 @@ def test_memo_gives_the_packed_answers_in_every_ablation_mode(mini_run):
             assert [s is None for s in scores_a] == [s is None for s in scores_b]
             if None not in scores_a:
                 np.testing.assert_allclose(scores_a, scores_b, rtol=0, atol=1e-12)
-    memo = memo_state.bridge.memo
+    memo = memo_state.bridge.span.memo
     assert memo.computed > 0 and memo.reused > 0
     assert memo.computed == len(memo.passages) + len(memo.abstracts)
     assert memo_state.reader.memo.computed == len(memo_state.reader.memo.passages) > 0
@@ -133,6 +133,31 @@ def test_a_bounded_memo_evicts_the_least_recently_read_context():
     assert (model.memo.computed, model.memo.reused) == (4, 2)
 
 
+def test_attend_reads_several_groups_through_the_memo_as_alone_and_as_packed():
+    # groups sharing contexts, a one-token one among them, some read at rows:
+    # each group reads as it does alone (through a fresh memo) and as the
+    # packed path without a memo does, and each distinct context is encoded once
+    model = tiny_model(seed=19)
+    shared, solo = tokenize("kiss and tell stars"), tokenize("archer")
+    groups = [
+        (tokenize("who stars"), [shared, solo]),
+        (tokenize("archer"), [tokenize("temple stars who"), shared]),
+        (tokenize("who tell"), [solo, shared, tokenize("tell stars")]),
+    ]
+    rows = [None, np.array([4, 0, 2]), np.array([1, 5])]
+    readout = head_readout(model.store)
+    model.memo = EncodingMemo()
+    together = attend(model, groups, rows=rows, readout=readout)
+    packed = attend(replace(model, memo=None), groups, rows=rows, readout=readout)
+    for got, oracle, group, group_rows in zip(together, packed, groups, rows):
+        (alone,) = attend(replace(model, memo=EncodingMemo()), [group], rows=[group_rows], readout=readout)
+        np.testing.assert_allclose(got.states.data, alone.states.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.states.data, oracle.states.data, rtol=0, atol=1e-12)
+    distinct = {c.tokens for _, contexts in groups for c in contexts}
+    assert set(model.memo.passages) == distinct and model.memo.computed == len(distinct) == 4
+    assert model.memo.reused == sum(len(contexts) for _, contexts in groups) - len(distinct)
+
+
 def test_memo_answers_do_not_depend_on_the_questions_answered_before(mini_run, monkeypatch):
     _, _, dev = _load_ingested(mini_run)
     read = []  # (model, question tokens, start and end logits) per reader call
@@ -182,8 +207,8 @@ def test_memo_keys_by_content_so_a_swapped_corpus_gets_its_own_encodings():
     corpora = [_one_title_corpus(text) for text in ("a film by Alice Archer", "a novel by Bob Baker in Paris")]
     with_memo = tiny_bridge_model(corpus_of(corpora[0].passages + corpora[1].passages), extra_tokens=("who",))
     randomize_biases(with_memo)
-    packed = replace(with_memo, memo=None)
-    with_memo.memo = EncodingMemo()
+    packed = replace(with_memo, span=replace(with_memo.span, memo=None))
+    with_memo.span.memo = EncodingMemo()
     question = tokenize("Who is Target")
     scores = []
     for corpus in corpora:
@@ -194,8 +219,8 @@ def test_memo_keys_by_content_so_a_swapped_corpus_gets_its_own_encodings():
         np.testing.assert_allclose(memo_logits.data, packed_logits.data, rtol=0, atol=1e-12)
         scores.append(memo_logits.data[0])
     assert scores[0] != scores[1]
-    assert len(with_memo.memo.passages) == 2 and len(with_memo.memo.abstracts) == 2
-    assert (with_memo.memo.computed, with_memo.memo.reused) == (4, 0)
+    assert len(with_memo.span.memo.passages) == 2 and len(with_memo.span.memo.abstracts) == 2
+    assert (with_memo.span.memo.computed, with_memo.span.memo.reused) == (4, 0)
 
 
 def test_training_neither_reads_nor_fills_the_memo(mini_run):
@@ -212,7 +237,7 @@ def test_training_neither_reads_nor_fills_the_memo(mini_run):
     candidates = collect_candidates(starts, state.corpus)
     question = tokenize(record.question)
     model = state.bridge
-    memo = model.memo
+    memo = model.span.memo
     assert memo is not None and memo.computed == memo.reused == 0
 
     def train_logits():
@@ -271,14 +296,14 @@ def test_reader_training_neither_reads_nor_fills_the_memo(mini_run):
 
 def test_models_built_for_training_carry_no_memo(mini_run):
     embedding = _embedding(mini_run, *_load_ingested(mini_run)[:2])
-    assert _new_bridge_model(mini_run, embedding, seed_tag=0).memo is None
-    assert _new_bridge_model(mini_run, embedding, seed_tag=1).memo is None
+    assert _new_bridge_model(mini_run, embedding, seed_tag=0).span.memo is None
+    assert _new_bridge_model(mini_run, embedding, seed_tag=1).span.memo is None
     assert _new_reader_model(mini_run, embedding).memo is None
     # and their stores are writable and cache nothing
     assert _new_bridge_model(mini_run, embedding, seed_tag=0).store.cache is None
     assert _new_reader_model(mini_run, embedding).store.cache is None
     state = load_pipeline_state(mini_run)
-    memo = state.bridge.memo
+    memo = state.bridge.span.memo
     assert isinstance(memo, EncodingMemo) and memo.computed == memo.reused == 0 and memo.limit is None
     memo = state.reader.memo
     assert isinstance(memo, EncodingMemo) and memo.computed == memo.reused == 0
@@ -323,7 +348,7 @@ def test_a_switched_off_channel_encodes_nothing_for_it(mini_run, mode):
     state = load_pipeline_state(mini_run)
     _, _, dev = _load_ingested(mini_run)
     predict_questions(state, dev, mode)
-    memo = state.bridge.memo
+    memo = state.bridge.span.memo
     unused = memo.passages if mode == "no_context_evidence" else memo.abstracts
     assert unused == {}
     assert memo.computed == len(memo.passages) + len(memo.abstracts) > 0

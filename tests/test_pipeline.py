@@ -891,11 +891,16 @@ def _written_before_rows_carried_their_mode(rows):
          r"predictions\.jsonl line 1: unknown mode 'no_el'; rerun predict"),
         (lambda rows: rows[3].update(mode="fulll"), r"predictions\.jsonl line 4: unknown mode 'fulll'; rerun predict"),
         (lambda rows: rows[0].update(ranking=[["A"]]), r"predictions\.jsonl line 1: ranking .*; rerun predict"),
+        # each used to reach report.json as a silent Hits@k miss
+        (lambda rows: rows[0].update(ranking=[[1, "x"]]), r"predictions\.jsonl line 1: ranking .*; rerun predict"),
+        (lambda rows: rows[1].update(ranking=[["A", "0.5"]]), r"predictions\.jsonl line 2: ranking .*; rerun predict"),
+        (lambda rows: rows[2].update(ranking=[["A", True]]), r"predictions\.jsonl line 3: ranking .*; rerun predict"),
         (_written_before_rows_carried_their_mode, r"predictions\.jsonl line 1: .*'mode'.*; rerun predict"),
         (lambda rows: rows.pop(1), r"predictions\.jsonl .*one row per dev question.*; rerun predict"),
         (lambda rows: rows.reverse(), r"predictions\.jsonl .*in dev order; rerun predict"),
     ],
     ids=["no-answer", "null-answer", "mode-not-a-string", "mode-no-el", "mode-unknown", "ranking-not-pairs",
+         "ranking-title-not-a-string", "ranking-score-a-string", "ranking-score-a-bool",
          "written-before-rows-carried-their-mode", "row-missing", "out-of-order"],
 )
 def test_evaluate_refuses_a_malformed_predictions_file(mini_run, tmp_path, capsys, edit, expected):
