@@ -62,8 +62,7 @@ def main():
         model, inputs, corpus,
         PipelineConfig(lr=5e-3, bridge_epochs=45, seed=13, bridge_early_stop_hits1=1.0),
     )
-    print(f"\ntrained for {stats['epochs_run']} epochs "
-          f"({stats['train_seconds']:.0f}s); per-epoch Hits@1:")
+    print(f"\ntrained for {stats['epochs_run']} epochs; per-epoch Hits@1:")
     print("  " + " ".join(f"{h['train_hits1']:.2f}" for h in stats["history"]))
 
     after = predict_ranked_titles(model, q0.record, q0.start_passages, corpus, k=3)

@@ -32,8 +32,8 @@ def main():
     results = run_all(cfg)
     for stage, entry in results.items():
         keys = {k: v for k, v in entry.items()
-                if k in ("n_passages", "n_labels", "epochs_run", "final_train_hits1",
-                         "n_cross_predictions", "n_examples", "n_predictions")}
+                if k in ("n_passages", "n_documents", "n_labels", "epochs_run", "final_train_hits1",
+                         "n_cross_predictions", "held_out_hits1", "n_examples", "n_predictions")}
         print(f"  {stage:<13} {keys}")
 
     report = json.loads((out / "report.json").read_text())

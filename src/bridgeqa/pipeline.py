@@ -5,7 +5,9 @@ train-bridge, cross-predict, train-reader, predict, evaluate. Each stage
 reads only prior artifacts from the output directory, writes its own, and
 returns its manifest entry, which run_stage appends; later stages reload
 checkpoints from disk, so two runs with the same config and seed produce
-byte-identical artifacts.
+byte-identical artifacts. The index is not an artifact: every stage that
+retrieves builds it from the corpus.jsonl it loads, and build-index only
+reports its size.
 
 cross-predict trains its two fold reasoners at once: fold B in a forked
 child, on the second core when there is one, fold A in this process. The
@@ -56,6 +58,7 @@ from .config import ABLATION_MODES, PipelineConfig
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
 from .manifest import append_manifest, file_sha256, iter_jsonl, read_manifest, write_json, write_jsonl
+from .metrics import hits_at_k
 from .reader import (
     Prediction,
     ReaderExample,
@@ -64,10 +67,7 @@ from .reader import (
     two_fold_split,
 )
 from .retrieval import (
-    InvertedIndex,
     build_index,
-    index_from_dict,
-    index_to_dict,
     retrieve_start_passages,  # noqa: F401 - bench/layers.py traces pipeline.retrieve_start_passages
 )
 from .span_model import (
@@ -103,31 +103,13 @@ def _load_ingested(cfg: PipelineConfig) -> tuple[Corpus, list[QARecord], list[QA
     return corpus, train, dev
 
 
-def _load_index(cfg: PipelineConfig, corpus: Corpus) -> InvertedIndex:
-    """The built index; one that is malformed, or lists other passages than
-    the corpus, is refused."""
-    path = _require(_out(cfg) / "index.json", "build-index")
-    try:
-        index = index_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ValidationError(f"{path}: not an index ({exc!r}); rerun build-index") from exc
-    # index.json lists its passages in id order (its keys are written
-    # sorted), so its rows follow id order, not the corpus's
-    differ = sorted(set(index.ids) ^ corpus.by_id.keys())
-    if differ:
-        raise ValidationError(
-            f"{path}: its passage ids differ from corpus.jsonl's ({len(differ)} in only one of them, "
-            f"first {differ[0]!r}); rerun build-index"
-        )
-    return index
-
-
 def _load_state(cfg: PipelineConfig) -> tuple[PipelineState, list[QARecord], list[QARecord]]:
     """The corpus, index and linker as a model-less state, plus the train and
-    dev questions."""
+    dev questions. The index is built from the corpus just loaded, so it
+    always describes corpus.jsonl's texts; no stage reads an index file."""
     corpus, train, dev = _load_ingested(cfg)
     linker = TitleTokenLinker(corpus) if cfg.entity_linking else None
-    return PipelineState(corpus, _load_index(cfg, corpus), cfg, linker=linker), train, dev
+    return PipelineState(corpus, build_index(corpus), cfg, linker=linker), train, dev
 
 
 def _load_labels(cfg: PipelineConfig, corpus: Corpus) -> list[BridgeLabel]:
@@ -151,15 +133,22 @@ def _load_labels(cfg: PipelineConfig, corpus: Corpus) -> list[BridgeLabel]:
 
 
 def _load_cross_predictions(cfg: PipelineConfig, corpus: Corpus) -> dict[str, dict]:
-    """The cross-predicted rows by qid; a row that does not fit folds.json
-    and the corpus, or repeats a qid, is refused."""
+    """The cross-predicted rows by qid; a folds.json that does not map each
+    fold to a list of question ids, a row that does not fit folds.json and
+    the corpus, or a repeated qid is refused."""
     out = _out(cfg)
     path = _require(out / "cross_predictions.jsonl", "cross-predict")
     folds_path = _require(out / "folds.json", "cross-predict")
     try:
-        folds = {name: set(qids) for name, qids in json.loads(folds_path.read_text(encoding="utf-8")).items()}
-    except (ValueError, AttributeError, TypeError) as exc:
+        folds = json.loads(folds_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise ValidationError(f"{folds_path}: not a fold assignment ({exc!r}); rerun cross-predict") from exc
+    if not (isinstance(folds, dict) and all(
+        isinstance(qids, list) and all(isinstance(qid, str) for qid in qids) for qids in folds.values()
+    )):
+        raise ValidationError(f"{folds_path}: not a fold assignment (fold name -> list of question ids); "
+                              "rerun cross-predict")
+    folds = {name: set(qids) for name, qids in folds.items()}
     rows: dict[str, dict] = {}
     for line_no, row in iter_jsonl(path):
         qid, fold, titles = row.get("qid"), row.get("predicted_by_fold"), row.get("titles")
@@ -281,11 +270,12 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
 
 
 def stage_build_index(cfg: PipelineConfig) -> dict:
-    out = _out(cfg)
+    """Index the ingested corpus and record its size. It writes no file:
+    every stage that retrieves builds the same index from the corpus it
+    loads, so no later stage depends on this one."""
     corpus, _, _ = _load_ingested(cfg)
     index = build_index(corpus)
-    write_json(out / "index.json", index_to_dict(index))
-    return {"n_documents": index.N, "n_terms": len(index.body.term_id), "artifact": "index.json"}
+    return {"n_documents": index.N, "n_terms": len(index.body.term_id)}
 
 
 def stage_derive_labels(cfg: PipelineConfig) -> dict:
@@ -356,6 +346,12 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         digest_a, predictions_a, log_a = train_fold("A", "B", seed_tag=1)
         (digest_b, predictions_b, log_b), peak_rss_b = fold_b_reply()
     predictions = {**predictions_a, **predictions_b}
+    gold = {lbl.question_id: lbl.gold_title for lbl in labels}
+    held_out_hits = {
+        f"held_out_hits{k}": sum(hits_at_k(row["titles"], gold[qid], k) for qid, row in predictions.items())
+        / max(len(predictions), 1)
+        for k in (1, 3, 10)
+    }
 
     write_json(out / "folds.json", folds, indent=2)
     write_jsonl(out / "cross_predictions.jsonl", (predictions[qid] for qid in sorted(predictions)))
@@ -367,6 +363,7 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         },
         "checkpoint_digests": {"A": digest_a, "B": digest_b},
         "n_cross_predictions": len(predictions),
+        **held_out_hits,
         **{key: {"A": log_a[key], "B": log_b[key]} for key in ("fold_seconds", "n_train_questions", "n_gold_missing")},
         "fold_b_peak_rss_mb": peak_rss_b,
         "seed": cfg.seed,

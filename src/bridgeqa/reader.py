@@ -13,7 +13,6 @@ reasoner; the reader reads each minibatch in one encoder pass.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
@@ -276,16 +275,15 @@ def fit(
     step(batch, rng) runs a minibatch, the next batch_size items of the
     permutation (fewer at the epoch's end), and returns per item its loss
     and its hit. The minibatch's losses are summed and applied in one Adam
-    step. Each epoch logs its mean loss, its mean hit under `metric` and its
-    wall time under `seconds`; training stops once the mean hit reaches
-    early_stop. Without items no epoch runs.
+    step. Each epoch logs its mean loss and its mean hit under `metric`;
+    training stops once the mean hit reaches early_stop. Without items no
+    epoch runs. Nothing is timed, so the log is a pure function of the
+    inputs and the rng; each stage's manifest entry records its wall time.
     """
     if batch_size < 1:
         raise ValidationError(f"fit: batch_size must be at least 1, got {batch_size}")
     history: list[dict] = []
-    started = time.monotonic()
     for epoch in range(epochs if items else 0):
-        epoch_started = time.monotonic()
         order = rng.permutation(len(items))
         losses: list[float] = []
         hits = 0
@@ -300,21 +298,10 @@ def fit(
             adam_step(store, store.gradients(), lr=lr)
             store.zero_grad()
         score = hits / len(items)
-        history.append(
-            {
-                "epoch": epoch,
-                "mean_loss": float(np.mean(losses)),
-                metric: score,
-                "seconds": time.monotonic() - epoch_started,
-            }
-        )
+        history.append({"epoch": epoch, "mean_loss": float(np.mean(losses)), metric: score})
         if score >= early_stop:
             break
-    return {
-        "epochs_run": len(history),
-        "history": history,
-        "train_seconds": time.monotonic() - started,
-    }
+    return {"epochs_run": len(history), "history": history}
 
 
 def train_reader(model: SpanModel, examples: list[ReaderExample], cfg: PipelineConfig) -> dict:

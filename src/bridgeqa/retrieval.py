@@ -5,8 +5,8 @@ title tokens. Each field holds its postings once, laid out flat: passages
 are rows in document order, and term t's postings are the slice
 bounds[t]:bounds[t + 1] of a passage-row array and a tf array, so the
 slice's length is t's document frequency. A build counts a field's
-postings in one array pass; `index.json` is written from these arrays and
-read straight back into them, in its own term and passage order. A
+postings in one array pass. The index is a pure function of the corpus,
+built in memory and never written. A
 question is scored with a fixed number of array operations whatever its
 length: gather the slices of its terms in question order, weigh each
 gathered posting, and sum the weights per row with np.bincount. bincount adds in input order, so each passage's
@@ -112,14 +112,6 @@ def flat_layout(groups: dict[str, Collection[int]]) -> tuple[dict[str, int], np.
     return dict(zip(groups, range(len(groups)))), bounds, _read_only(rows)
 
 
-def _field_index(
-    term_id: dict[str, int], bounds: np.ndarray, rows: np.ndarray, tf: np.ndarray, lengths: list[int]
-) -> FieldIndex:
-    avg = sum(lengths) / len(lengths) if lengths else 0.0
-    length = np.array(lengths, dtype=np.float64)
-    return FieldIndex(term_id, bounds, _read_only(rows), _read_only(tf), _read_only(length), avg)
-
-
 def _tf_idf_norms(field: FieldIndex) -> np.ndarray:
     """Each row's tf-idf vector length; the squares sum in the postings'
     term order, as bincount adds in input order."""
@@ -150,7 +142,11 @@ def _build_field(texts: list[TokenSeq]) -> FieldIndex:
     keys, tf = np.unique(terms * n_rows + np.repeat(np.arange(n_rows), lengths), return_counts=True)
     bounds = _bounds(np.bincount(keys // n_rows, minlength=len(term_id)))
     rows = (keys % n_rows).astype(np.intp, copy=False)
-    return _field_index(term_id, bounds, rows, tf.astype(np.float64), lengths)
+    length = np.array(lengths, dtype=np.float64)
+    return FieldIndex(
+        term_id, bounds, _read_only(rows), _read_only(tf.astype(np.float64)), _read_only(length),
+        sum(lengths) / len(lengths),
+    )
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -237,46 +233,6 @@ def hybrid_score(
     if passage_id not in index.ids:
         raise KeyError(f"unknown passage id {passage_id!r}")
     return hybrid_scores(index, question, k1=k1, b=b, title_weight=title_weight).get(passage_id, 0.0)
-
-
-def _field_to_dict(field: FieldIndex, ids: tuple[str, ...]) -> dict:
-    bounds = field.bounds.tolist()
-    pairs = [[ids[row], tf] for row, tf in zip(field.rows.tolist(), field.tf.astype(np.intp).tolist())]
-    return {
-        "postings": {term: pairs[bounds[t] : bounds[t + 1]] for term, t in field.term_id.items()},
-        "doc_len": dict(zip(ids, field.length.astype(np.intp).tolist())),
-    }
-
-
-def _field_from_dict(d: dict, row_of: dict[str, int]) -> FieldIndex:
-    """The flat arrays read straight from the term -> [[passage id, tf], ...]
-    lists, in their term and row order; a term listing a passage twice is
-    refused."""
-    postings = d["postings"]
-    counts = list(map(len, postings.values()))
-    bounds = _bounds(counts)
-    pairs = list(chain.from_iterable(postings.values()))
-    rows = np.fromiter((row_of[pid] for pid, _ in pairs), np.intp, len(pairs))
-    keys = np.repeat(np.arange(len(counts), dtype=np.int64), counts) * len(row_of) + rows
-    if len(np.unique(keys)) != len(keys):
-        raise ValidationError("a term lists a passage twice in its postings")
-    tf = np.fromiter((int(n) for _, n in pairs), np.float64, len(pairs))
-    lengths = [int(n) for n in d["doc_len"].values()]
-    return _field_index(dict(zip(postings, range(len(postings)))), bounds, rows, tf, lengths)
-
-
-def index_to_dict(index: InvertedIndex) -> dict:
-    """The postings as term -> [[passage id, tf], ...] and the lengths as
-    passage id -> length, per field, in term order and row order."""
-    return {"body": _field_to_dict(index.body, index.ids), "title": _field_to_dict(index.title, index.ids)}
-
-
-def index_from_dict(d: dict) -> InvertedIndex:
-    ids = tuple(d["body"]["doc_len"])
-    if tuple(d["title"]["doc_len"]) != ids:
-        raise ValidationError("index fields list different passages or orders")
-    row_of = dict(zip(ids, range(len(ids))))
-    return InvertedIndex(ids, _field_from_dict(d["body"], row_of), _field_from_dict(d["title"], row_of))
 
 
 def retrieve_start_passages(

@@ -42,18 +42,6 @@ class Index:
         self.N = len(corpus.passages)
 
 
-def index_file(index: Index) -> dict:
-    """What index.json must hold for the corpus: per field, the postings as
-    term -> [[passage id, tf], ...] and the lengths, in corpus order."""
-    return {
-        name: {
-            "postings": {term: [[pid, tf] for pid, tf in per_doc.items()] for term, per_doc in field.postings.items()},
-            "doc_len": dict(field.doc_len),
-        }
-        for name, field in (("body", index.body), ("title", index.title))
-    }
-
-
 def title_norms(postings: dict[str, dict[str, int]], N: int) -> dict[str, float]:
     """passage_id -> length of its tf-idf vector, absent if the field is empty."""
     squares: dict[str, float] = {}

@@ -155,16 +155,40 @@ def test_cli_full_stage_sequence(tmp_path, fixture_dir):
 def test_mini_run_artifacts_and_manifest(mini_run):
     out = Path(mini_run.output_dir)
     for name in (
-        "corpus.jsonl", "questions_train.jsonl", "questions_dev.jsonl", "index.json",
+        "corpus.jsonl", "questions_train.jsonl", "questions_dev.jsonl",
         "bridge_labels.jsonl", "folds.json", "cross_predictions.jsonl",
         "reader_examples.jsonl", "predictions.jsonl", "report.json",
     ):
         assert (out / name).exists(), name
+    # every stage builds the index from the corpus it loads; none is written
+    assert not (out / "index.json").exists()
     stages = [e["stage"] for e in read_manifest(out)]
     assert stages == [
         "ingest", "build-index", "derive-labels", "train-bridge",
         "cross-predict", "train-reader", "predict", "evaluate",
     ]
+
+
+def test_build_index_records_the_corpus_size_and_writes_no_file(mini_run, tmp_path):
+    cfg = replace(mini_run, output_dir=str(tmp_path / "out"))
+    run_stage("ingest", cfg)
+    entry = run_stage("build-index", cfg)
+    assert sorted(p.name for p in Path(cfg.output_dir).iterdir()) == [
+        "corpus.jsonl", "manifest.json", "questions_dev.jsonl", "questions_train.jsonl"]
+    corpus = load_corpus(Path(cfg.output_dir) / "corpus.jsonl")
+    body_terms = {term for p in corpus.passages for term in p.tokens.tokens}
+    assert (entry["n_documents"], entry["n_terms"]) == (len(corpus), len(body_terms))
+
+
+def test_training_logs_hold_no_wall_time(mini_run):
+    # the stage's manifest entry times it; the logs are pure functions of
+    # the inputs and the seed, so a rerun writes them byte for byte
+    out = Path(mini_run.output_dir)
+    bridge_log = json.loads((out / "bridge_train_log.json").read_text())
+    reader_log = json.loads((out / "reader_train_log.json").read_text())["reader"]
+    for log, metric in ((bridge_log, "train_hits1"), (reader_log, "train_em")):
+        assert not [key for key in log if "seconds" in key]
+        assert [sorted(row) for row in log["history"]] == [sorted(["epoch", "mean_loss", metric])] * log["epochs_run"]
 
 
 def test_train_reader_runs_one_time_loop_per_minibatch(mini_run, loop_widths):
@@ -315,6 +339,22 @@ def test_cross_predictions_come_from_opposite_fold(mini_run):
             rec = json.loads(line)
             fold = rec["predicted_by_fold"]
             assert rec["qid"] not in folds[fold]
+
+
+def test_cross_predict_records_the_fold_reasoners_held_out_recall(mini_run):
+    # recounted from the stage's two files: each cross-predicted question's
+    # gold title among the first k titles its other fold's reasoner ranked
+    from bridgeqa.manifest import read_jsonl
+
+    out = Path(mini_run.output_dir)
+    gold = {row["qid"]: row["gold_title"] for row in read_jsonl(out / "bridge_labels.jsonl")}
+    rows = read_jsonl(out / "cross_predictions.jsonl")
+    entry = next(e for e in read_manifest(out) if e["stage"] == "cross-predict")
+    assert entry["n_cross_predictions"] == len(rows) == len(entry["folds"]["A"]) + len(entry["folds"]["B"]) > 0
+    for k in (1, 3, 10):
+        hits = sum(gold[row["qid"]] in row["titles"][:k] for row in rows)
+        assert entry[f"held_out_hits{k}"] == hits / len(rows), k
+    assert entry["held_out_hits1"] <= entry["held_out_hits3"] <= entry["held_out_hits10"]
 
 
 def test_cross_predict_matches_training_the_folds_in_sequence(mini_run, tmp_path):
@@ -957,7 +997,7 @@ def test_aux_weight_zero_reaches_train_reader_and_its_entry(mini_run, tmp_path, 
 
     def recording(model, examples, train_cfg):
         seen.append(train_cfg)
-        return {"epochs_run": 0, "history": [], "train_seconds": 0.0, "n_examples": len(examples)}
+        return {"epochs_run": 0, "history": [], "n_examples": len(examples)}
 
     monkeypatch.setattr(pipeline, "train_reader", recording)
     entry = run_stage("train-reader", cfg)
@@ -1107,18 +1147,30 @@ def _files(directory) -> dict:
     return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in Path(directory).rglob("*") if p.is_file()}
 
 
+def _edit_folds(text, edit):
+    """folds.json's text with fold A's question ids replaced by edit(them)."""
+    folds = json.loads(text)
+    return json.dumps({**folds, "A": edit(folds["A"])})
+
+
 @pytest.mark.parametrize(
     "stage, name, damage, message",
     [
         ("train-bridge", "manifest.json", lambda text: "{}", r"manifest\.json"),
         ("build-index", "manifest.json", lambda text: text[: len(text) // 2], r"manifest\.json"),
-        ("train-bridge", "index.json", lambda text: "{}", r"index\.json.*rerun build-index"),
-        ("train-bridge", "index.json", lambda text: text[: len(text) // 2], r"index\.json.*rerun build-index"),
         ("train-reader", "folds.json", lambda text: "[]", r"folds\.json.*rerun cross-predict"),
         ("train-reader", "folds.json", lambda text: text[: len(text) // 2], r"folds\.json.*rerun cross-predict"),
+        # a fold given as one qid string, not a list, would be read as a set of characters
+        ("train-reader", "folds.json", lambda text: _edit_folds(text, lambda qids: qids[0]),
+         r"folds\.json: not a fold assignment.*rerun cross-predict"),
+        ("train-reader", "folds.json", lambda text: _edit_folds(text, lambda qids: [len(qids)]),
+         r"folds\.json: not a fold assignment.*rerun cross-predict"),
+        # an object of qids would be read as the set of its keys
+        ("train-reader", "folds.json", lambda text: _edit_folds(text, lambda qids: dict.fromkeys(qids, 1)),
+         r"folds\.json: not a fold assignment.*rerun cross-predict"),
     ],
-    ids=["manifest-not-a-list", "manifest-truncated", "index-empty-object", "index-truncated", "folds-not-an-object",
-         "folds-truncated"],
+    ids=["manifest-not-a-list", "manifest-truncated", "folds-not-an-object", "folds-truncated", "fold-a-string",
+         "fold-lists-a-number", "fold-an-object"],
 )
 def test_a_malformed_run_file_is_refused_before_the_stage_writes(mini_run, tmp_path, capsys, stage, name, damage,
                                                                  message):
@@ -1135,27 +1187,52 @@ def test_a_malformed_run_file_is_refused_before_the_stage_writes(mini_run, tmp_p
     assert _files(cfg.output_dir) == before
 
 
-@pytest.mark.parametrize("stage", ["train-bridge", "predict"])
-def test_an_index_built_from_another_corpus_is_refused(mini_run, tmp_path, capsys, stage):
-    # re-ingesting a corpus with one passage dropped leaves the old index.json
-    # behind; every stage that loads the index refuses it by name
-    from dataclasses import asdict
+def test_stages_retrieve_by_a_re_ingested_passage_text(mini_run, tmp_path, monkeypatch):
+    # re-ingesting a corpus in which one passage keeps its id but gains a
+    # question's words: answering's retrieval and train-bridge's start sets
+    # rank by the new text, not by the text the run was built from
+    from bridgeqa import pipeline
+    from bridgeqa.ablation import PipelineState
+    from bridgeqa.bridge import TitleTokenLinker
+    from bridgeqa.manifest import read_jsonl
+    from bridgeqa.retrieval import build_index, retrieve_start_passages
 
-    lines = Path(mini_run.corpus_path).read_text(encoding="utf-8").splitlines(keepends=True)
-    dropped = json.loads(lines[0])["id"]
+    state, train, _ = pipeline._load_state(mini_run)
+    labeled = {row["qid"] for row in read_jsonl(Path(mini_run.output_dir) / "bridge_labels.jsonl")}
+    question = next(q for q in train if q.id in labeled)
+    old_ids = {p.id for p in pipeline._start_sets(state, [question])[question.id]}
+    rows = [json.loads(line) for line in Path(mini_run.corpus_path).read_text(encoding="utf-8").splitlines()]
+    row = next(row for row in rows if row["id"] not in old_ids)
+    row["text"] += " " + question.question  # appended, so the anchors' offsets still hold
     corpus_path = tmp_path / "corpus.jsonl"
-    corpus_path.write_text("".join(lines[1:]), encoding="utf-8")
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     cfg = _run_copy(mini_run, tmp_path, corpus_path=str(corpus_path))
     run_stage("ingest", cfg)
-    before = _files(cfg.output_dir)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(asdict(cfg)))
-    assert cli_main([stage, "--config", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert re.search(rf"index\.json: its passage ids differ from corpus\.jsonl's .*'{dropped}'.*rerun build-index", err)
-    assert _files(cfg.output_dir) == before
-    run_stage("build-index", cfg)
-    run_stage("train-bridge", replace(cfg, bridge_epochs=1))
+
+    corpus = load_corpus(corpus_path)
+    linker = TitleTokenLinker(corpus) if cfg.entity_linking else None
+    fresh = PipelineState(corpus, build_index(corpus), cfg, linker=linker)
+    want = pipeline._start_sets(fresh, [question])[question.id]
+    assert row["id"] in [p.id for p in want]
+
+    loaded = load_pipeline_state(cfg)
+    got = retrieve_start_passages(loaded.index, question.question_tokens, cfg.k)
+    assert got == retrieve_start_passages(fresh.index, question.question_tokens, cfg.k)
+    assert row["id"] in [r.passage_id for r in got]
+
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def recording(model, inputs, corpus, train_cfg):
+        seen.update((item.record.id, item.start_passages) for item in inputs)
+        raise Stop
+
+    monkeypatch.setattr(pipeline, "train_bridge_reasoner", recording)
+    with pytest.raises(Stop):
+        run_stage("train-bridge", cfg)
+    assert seen[question.id] == want
 
 
 @pytest.mark.parametrize("n_unreachable", [0, 2])

@@ -373,12 +373,13 @@ def test_fit_rejects_a_batch_size_below_one():
             train_reader(model, [example], PipelineConfig(reader_epochs=1, reader_batch_size=batch_size))
 
 
-def test_fit_logs_each_epochs_wall_time():
+def test_fit_logs_one_row_per_epoch_and_no_wall_time():
+    # the log is a pure function of the inputs and the rng, so two runs write it byte for byte
     model, example = reader_fixture()
     stats = train_reader(model, [example], PipelineConfig(reader_epochs=2, reader_early_stop_em=2.0))
     assert [row["epoch"] for row in stats["history"]] == [0, 1]
-    assert all(row["seconds"] >= 0.0 for row in stats["history"])
-    assert sum(row["seconds"] for row in stats["history"]) <= stats["train_seconds"]
+    assert [sorted(row) for row in stats["history"]] == [["epoch", "mean_loss", "train_em"]] * 2
+    assert sorted(stats) == ["epochs_run", "history", "n_examples"]
 
 
 def test_train_reader_overfits_tiny_example():

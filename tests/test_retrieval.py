@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,8 +11,6 @@ from bridgeqa.retrieval import (
     build_index,
     hybrid_score,
     hybrid_scores,
-    index_from_dict,
-    index_to_dict,
     retrieve_start_passages,
 )
 
@@ -252,20 +249,6 @@ def test_retrieve_prefix_property_randomized():
             previous = ids
 
 
-def test_index_serialization_round_trip():
-    corpus = make_corpus(["kiss and tell", "tell me more", "archer stories"])
-    index = build_index(corpus)
-    written = index_to_dict(index)
-    # the statistics are derived from the postings at load, so not written
-    assert {field: set(d) for field, d in written.items()} == {
-        "body": {"postings", "doc_len"}, "title": {"postings", "doc_len"}
-    }
-    again = index_from_dict(written)
-    q = tokenize("tell archer kiss")
-    for p in corpus.passages:
-        assert hybrid_score(again, q, p.id) == hybrid_score(index, q, p.id)
-
-
 # --- the flat-array scorer and linker against the posting-at-a-time walk ----
 #
 # reference_retrieval counts postings maps from the corpus and walks them and
@@ -305,10 +288,6 @@ def synthetic_questions(rng, count):
     ]
 
 
-def round_tripped(index):
-    return index_from_dict(json.loads(json.dumps(index_to_dict(index))))
-
-
 def assert_matches_reference(index, reference, question_texts, weights):
     for text in question_texts:
         q = tokenize(text)
@@ -329,7 +308,6 @@ def test_scores_and_rankings_equal_the_reference_walk(seed):
     index, reference = build_index(corpus), reference_retrieval.Index(corpus)
     for weights in WEIGHTS:
         assert_matches_reference(index, reference, questions, weights)
-        assert_matches_reference(round_tripped(index), reference, questions, weights)
 
 
 def test_fixture_scores_and_rankings_equal_the_reference_walk(fixture_dir):
@@ -340,36 +318,38 @@ def test_fixture_scores_and_rankings_equal_the_reference_walk(fixture_dir):
         for q in load_questions(fixture_dir / name)
     ]
     index, reference = build_index(corpus), reference_retrieval.Index(corpus)
-    for candidate in (index, round_tripped(index)):
-        for text in questions:
-            q = tokenize(text)
-            assert hybrid_scores(candidate, q) == reference_retrieval.hybrid_scores(reference, q)
-            got = retrieve_start_passages(candidate, q, 10)
-            assert [(r.passage_id, r.score) for r in got] == reference_retrieval.retrieve_start_passages(
-                reference, q, 10
-            )
+    for text in questions:
+        q = tokenize(text)
+        assert hybrid_scores(index, q) == reference_retrieval.hybrid_scores(reference, q)
+        got = retrieve_start_passages(index, q, 10)
+        assert [(r.passage_id, r.score) for r in got] == reference_retrieval.retrieve_start_passages(reference, q, 10)
 
 
-def assert_index_file_matches_corpus(corpus):
-    """index.json holds exactly the postings counted from the corpus, in term
-    and passage order, tf and lengths as integers; a loaded file writes back
-    the same bytes, in the key order the pipeline writes it."""
-    written = index_to_dict(build_index(corpus))
-    expected = reference_retrieval.index_file(reference_retrieval.Index(corpus))
-    assert written == expected
-    assert json.dumps(written) == json.dumps(expected)
-    assert json.dumps(index_to_dict(round_tripped(build_index(corpus)))) == json.dumps(expected)
-    sorted_file = json.dumps(expected, sort_keys=True)
-    assert json.dumps(index_to_dict(index_from_dict(json.loads(sorted_file))), sort_keys=True) == sorted_file
+def assert_postings_equal_the_reference(index, reference):
+    """Per field, the index holds exactly the postings and lengths counted
+    from the corpus: terms in first-occurrence order, each term's passages in
+    corpus order, every tf and length a whole number."""
+    for field, counted in ((index.body, reference.body), (index.title, reference.title)):
+        assert list(field.term_id.values()) == list(range(len(field.term_id)))
+        bounds = field.bounds.tolist()
+        postings = {
+            term: list(zip(map(index.ids.__getitem__, field.rows[bounds[t] : bounds[t + 1]].tolist()),
+                           field.tf[bounds[t] : bounds[t + 1]].tolist()))
+            for term, t in field.term_id.items()
+        }
+        assert list(postings.items()) == [(term, list(per_doc.items())) for term, per_doc in counted.postings.items()]
+        assert list(zip(index.ids, field.length.tolist())) == list(counted.doc_len.items())
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_index_file_equals_the_corpus_counted_postings(seed):
-    assert_index_file_matches_corpus(synthetic_corpus(np.random.default_rng(seed)))
+def test_index_equals_the_corpus_counted_postings(seed):
+    corpus = synthetic_corpus(np.random.default_rng(seed))
+    assert_postings_equal_the_reference(build_index(corpus), reference_retrieval.Index(corpus))
 
 
-def test_fixture_index_file_equals_the_corpus_counted_postings(fixture_dir):
-    assert_index_file_matches_corpus(load_corpus(fixture_dir / "corpus.jsonl"))
+def test_fixture_index_equals_the_corpus_counted_postings(fixture_dir):
+    corpus = load_corpus(fixture_dir / "corpus.jsonl")
+    assert_postings_equal_the_reference(build_index(corpus), reference_retrieval.Index(corpus))
 
 
 @pytest.mark.parametrize(
@@ -380,45 +360,29 @@ def test_fixture_index_file_equals_the_corpus_counted_postings(fixture_dir):
     ],
     ids=["empty-text", "term-in-every-text"],
 )
-def test_index_edges_equal_the_reference_in_both_builds(texts, the_rows):
+def test_index_edges_equal_the_reference(texts, the_rows):
     # "film" is in every title, so the title field holds a term of df N too
     corpus = make_corpus(texts, titles=["Kiss (film)", "Empty (film)", "Film", "River film"])
     reference = reference_retrieval.Index(corpus)
     questions = ["the kiss", "film", "the the tell river film", "zebra"]
-    for index in (build_index(corpus), round_tripped(build_index(corpus))):
-        assert index_to_dict(index) == reference_retrieval.index_file(reference)
-        assert index.body.length.tolist() == [len(tokenize(text)) for text in texts]
-        for field, term, rows in ((index.body, "the", the_rows), (index.title, "film", [0, 1, 2, 3])):
-            t = field.term_id[term]
-            assert field.rows[field.bounds[t] : field.bounds[t + 1]].tolist() == rows
-        for weights in WEIGHTS:
-            assert_matches_reference(index, reference, questions, weights)
-        arrays = {
-            f"{name}.{attr}": getattr(field, attr)
-            for name, field in (("body", index.body), ("title", index.title))
-            for attr in ("bounds", "rows", "tf", "length")
-        }
-        arrays.update(id_rank=index.id_rank, title_norm=index.title_norm)
-        assert {name: a.dtype for name, a in arrays.items()} == {
-            name: np.dtype(np.float64 if name.endswith(("tf", "length", "norm")) else np.intp) for name in arrays
-        }
-        assert not [name for name, a in arrays.items() if a.flags.writeable]
-
-
-def test_index_from_dict_rejects_fields_over_different_passages():
-    written = index_to_dict(build_index(make_corpus(["kiss and tell", "tell me more"])))
-    written["title"]["doc_len"] = dict(reversed(written["title"]["doc_len"].items()))
-    with pytest.raises(ValidationError, match="different passages or orders"):
-        index_from_dict(written)
-
-
-def test_index_from_dict_rejects_a_term_listing_a_passage_twice():
-    # each (term, passage) pair is one posting; a repeated one would count
-    # the passage's tf twice in every score of the term
-    written = index_to_dict(build_index(make_corpus(["kiss and tell", "tell me more"])))
-    written["body"]["postings"]["tell"].append(["p0", 1])
-    with pytest.raises(ValidationError, match="lists a passage twice"):
-        index_from_dict(written)
+    index = build_index(corpus)
+    assert_postings_equal_the_reference(index, reference)
+    assert index.body.length.tolist() == [len(tokenize(text)) for text in texts]
+    for field, term, rows in ((index.body, "the", the_rows), (index.title, "film", [0, 1, 2, 3])):
+        t = field.term_id[term]
+        assert field.rows[field.bounds[t] : field.bounds[t + 1]].tolist() == rows
+    for weights in WEIGHTS:
+        assert_matches_reference(index, reference, questions, weights)
+    arrays = {
+        f"{name}.{attr}": getattr(field, attr)
+        for name, field in (("body", index.body), ("title", index.title))
+        for attr in ("bounds", "rows", "tf", "length")
+    }
+    arrays.update(id_rank=index.id_rank, title_norm=index.title_norm)
+    assert {name: a.dtype for name, a in arrays.items()} == {
+        name: np.dtype(np.float64 if name.endswith(("tf", "length", "norm")) else np.intp) for name in arrays
+    }
+    assert not [name for name, a in arrays.items() if a.flags.writeable]
 
 
 @pytest.mark.parametrize("seed", range(8))
