@@ -14,6 +14,7 @@ contains the answer string.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,9 +382,10 @@ class TitleTokenLinker:
         rows_of: dict[str, list[int]] = {}
         distinct_counts = []
         for p in corpus.passages:
-            # the base form's tokens end before the first "(", which no token runs across
+            # the base form's tokens end before the first "(", which no token
+            # runs across: a prefix of the title's tokens, their ends ascending
             cut = p.title.find("(") if "(" in p.title else len(p.title)
-            toks = [t for t, (_, end) in zip(p.title_tokens.tokens, p.title_tokens.char_offsets) if end <= cut]
+            toks = p.title_tokens.tokens[: bisect_right(p.title_tokens.ends, cut)]
             if toks:
                 row = len(self._titles)
                 self._titles.append(p.title)

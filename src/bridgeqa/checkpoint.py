@@ -25,6 +25,8 @@ from .manifest import atomic_write, file_sha256, write_json
 from .numcore import ParamStore
 
 MANIFEST_NAME = "manifest.json"
+# the one tensor encoding a checkpoint holds, as its manifest names it
+FORMAT, DTYPE = "raw-f32-le", "f32"
 
 
 def _sha256(data: bytes) -> str:
@@ -44,8 +46,8 @@ def save_checkpoint(store: ParamStore, directory: str | Path, vocab: dict[str, i
             with atomic_write(directory / f"{digest}.bin") as fh:
                 fh.buffer.write(data)
             written.add(digest)
-        entries.append({"name": name, "shape": list(array.shape), "dtype": "f32", "sha256": digest})
-    manifest = {"format": "raw-f32-le", "tensors": entries, "vocab": vocab}
+        entries.append({"name": name, "shape": list(array.shape), "dtype": DTYPE, "sha256": digest})
+    manifest = {"format": FORMAT, "tensors": entries, "vocab": vocab}
     write_json(directory / MANIFEST_NAME, manifest, indent=2)
     for path in directory.glob("*.bin"):
         if path.stem not in written:
@@ -66,6 +68,12 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
         raise CheckpointError(f"checkpoint manifest {manifest_path} is not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"checkpoint manifest {manifest_path} is not a JSON object")
+    # every tensor is decoded as little-endian f32: a manifest naming another
+    # encoding would load as f32 without complaint
+    if manifest.get("format") != FORMAT:
+        raise CheckpointError(
+            f"checkpoint manifest {manifest_path} names the format {manifest.get('format')!r}, not {FORMAT!r}"
+        )
     if "vocab" not in manifest:
         raise CheckpointError(f"checkpoint manifest {manifest_path} holds no vocabulary")
     vocab = manifest["vocab"]
@@ -79,7 +87,7 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
     contents: dict[str, bytes] = {}
     arrays: dict[str, np.ndarray] = {}
     for i, entry in enumerate(manifest["tensors"]):
-        lacking = [key for key in ("name", "shape", "sha256") if not isinstance(entry, dict) or key not in entry]
+        lacking = [key for key in ("name", "shape", "dtype", "sha256") if not isinstance(entry, dict) or key not in entry]
         if lacking:
             raise CheckpointError(f"checkpoint manifest {manifest_path} has a tensor entry that lacks {lacking}")
         mistyped = [key for key in ("name", "sha256") if not isinstance(entry[key], str)]
@@ -87,8 +95,13 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict[
             raise CheckpointError(f"checkpoint manifest {manifest_path} gives tensor entry {i} a non-string {mistyped}")
         if entry["name"] in arrays:
             raise CheckpointError(f"checkpoint manifest {manifest_path} repeats {entry['name']!r} in tensor entry {i}")
+        if entry["dtype"] != DTYPE:
+            raise CheckpointError(
+                f"checkpoint manifest {manifest_path} gives {entry['name']!r} the dtype {entry['dtype']!r}, not {DTYPE!r}"
+            )
         shape = entry["shape"]
-        if not isinstance(shape, list) or not all(isinstance(n, int) and n >= 0 for n in shape):
+        # a dimension is a JSON integer: a bool is not one
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise CheckpointError(f"checkpoint manifest {manifest_path} gives {entry['name']!r} the shape {shape!r}")
         digest = entry["sha256"]
         if digest not in contents:

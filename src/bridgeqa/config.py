@@ -4,6 +4,7 @@ unknown-key rejection and validation before any work starts."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -61,8 +62,11 @@ _OPTIONAL_PATHS = ("corpus_path", "train_questions_path", "dev_questions_path", 
 
 
 def _real(value) -> bool:
-    """An int or a float, but not a bool (which subclasses int)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a finite float, but not a bool (which subclasses int): JSON
+    and Python both read NaN and infinity, which compare false to every bound."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def validate_config(cfg: PipelineConfig) -> PipelineConfig:
@@ -84,9 +88,9 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
     for name in _POSITIVE_FLOATS:
         value = getattr(cfg, name)
         if not _real(value) or value <= 0:
-            raise ConfigError(f"config {name!r} must be positive, got {value!r}")
+            raise ConfigError(f"config {name!r} must be a finite positive number, got {value!r}")
     if not _real(cfg.aux_weight) or cfg.aux_weight < 0:
-        raise ConfigError(f"config 'aux_weight' must be non-negative, got {cfg.aux_weight!r}")
+        raise ConfigError(f"config 'aux_weight' must be a finite non-negative number, got {cfg.aux_weight!r}")
     if not _real(cfg.dropout) or not (0.0 <= cfg.dropout < 1.0):
         raise ConfigError(f"config 'dropout' must lie in [0, 1), got {cfg.dropout!r}")
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:

@@ -5,17 +5,19 @@ A passage is one node of the corpus graph; its anchors point at other
 passages by title. Each record owns its tokens: a passage tokenizes its text
 and title when built (a corpus load tokenizes them all at once and hands
 them in), a question its text on first use, and every other module reads
-those fields instead of tokenizing again. Everything loaded here is
-immutable after construction and safe to share across threads.
+those fields instead of tokenizing again. A text's token offsets are two
+flat int arrays, so a loaded page is a dozen objects, however many tokens
+it holds. Everything loaded here is immutable after construction (nothing
+writes a TokenSeq's offset arrays) and safe to share across threads.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +37,29 @@ _FOLD_ASCII = bytes(ord(chr(b).lower()) if chr(b).isascii() and chr(b).isalnum()
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """Lowercased tokens plus their (start, end) character offsets in the source string."""
+    """Lowercased tokens plus their character offsets in the source string:
+    token i is source[starts[i]:ends[i]], lowercased.
+
+    The offsets are two flat runs of C ints, array("i"), both ascending: a
+    text's offsets are two objects, not a (start, end) tuple per token that
+    the garbage collector tracks and walks. C ints bound a text at 2**31
+    characters."""
 
     tokens: tuple[str, ...]
-    char_offsets: tuple[tuple[int, int], ...]
+    starts: array
+    ends: array
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def __hash__(self) -> int:
+        # an array is unhashable; equal sequences have equal tokens
+        return hash(self.tokens)
+
+    @property
+    def char_offsets(self) -> tuple[tuple[int, int], ...]:
+        """The (start, end) pair of every token, built on each read."""
+        return tuple(zip(self.starts, self.ends))
 
 
 def tokenize(text: str) -> TokenSeq:
@@ -52,7 +70,8 @@ def tokenize(text: str) -> TokenSeq:
     tokenize_many, which tokenizes a corpus, returns exactly its results.
     """
     tokens: list[str] = []
-    offsets: list[tuple[int, int]] = []
+    starts: list[int] = []
+    ends: list[int] = []
     start = -1
     for i, ch in enumerate(text):
         if ch.isalnum():
@@ -60,12 +79,14 @@ def tokenize(text: str) -> TokenSeq:
                 start = i
         elif start >= 0:
             tokens.append(text[start:i].lower())
-            offsets.append((start, i))
+            starts.append(start)
+            ends.append(i)
             start = -1
     if start >= 0:
         tokens.append(text[start:].lower())
-        offsets.append((start, len(text)))
-    return TokenSeq(tuple(tokens), tuple(offsets))
+        starts.append(start)
+        ends.append(len(text))
+    return TokenSeq(tuple(tokens), array("i", starts), array("i", ends))
 
 
 def tokenize_many(texts: Sequence[str]) -> list[TokenSeq]:
@@ -96,12 +117,10 @@ def _tokenize_ascii(texts: list[str]) -> list[TokenSeq]:
     text_starts = np.cumsum(spans) - spans
     first = np.searchsorted(starts, text_starts).tolist() + [len(starts)]
     base = np.repeat(text_starts, np.diff(first))
-    starts, ends = (starts - base).tolist(), (ends - base).tolist()
+    # the offsets in each text, as the C ints of two flat arrays
+    starts, ends = (array("i", (edge - base).astype(np.intc).tobytes()) for edge in (starts, ends))
     words = folded.decode("ascii").split()
-    return [
-        TokenSeq(tuple(words[a:b]), tuple(zip(starts[a:b], ends[a:b])))
-        for a, b in zip(first, first[1:])
-    ]
+    return [TokenSeq(tuple(words[a:b]), starts[a:b], ends[a:b]) for a, b in zip(first, first[1:])]
 
 
 @dataclass(frozen=True)
@@ -161,16 +180,14 @@ class Corpus:
         return title in self.by_title
 
 
-def _token_span(
-    offsets: tuple[tuple[int, int], ...], text_len: int, start: int, end: int, where: str
-) -> tuple[int, int]:
+def _token_span(tokens: TokenSeq, text_len: int, start: int, end: int, where: str) -> tuple[int, int]:
     """The first and last token overlapping the character span [start, end),
-    found by bisection: offsets are ascending and disjoint, so the tokens
+    found by bisection: the offsets are ascending and disjoint, so the tokens
     ending past start are a suffix and those starting before end a prefix."""
     if not (0 <= start < end <= text_len):
         raise ValidationError(f"{where}: anchor span ({start}, {end}) out of bounds for text of length {text_len}")
-    first = bisect_right(offsets, start, key=itemgetter(1))
-    last = bisect_left(offsets, end, key=itemgetter(0)) - 1
+    first = bisect_right(tokens.ends, start)
+    last = bisect_left(tokens.starts, end) - 1
     if first > last:
         raise AlignmentError(f"{where}: anchor span ({start}, {end}) covers no token")
     return first, last
@@ -180,7 +197,7 @@ def align_anchor(passage: Passage, mention: AnchorMention) -> AnchorMention:
     """Fill token_start/token_end with the first and last token overlapping the
     character span [char_start, char_end)."""
     first, last = _token_span(
-        passage.tokens.char_offsets, len(passage.text), mention.char_start, mention.char_end,
+        passage.tokens, len(passage.text), mention.char_start, mention.char_end,
         f"passage {passage.id!r}",
     )
     return AnchorMention(mention.target_title, mention.char_start, mention.char_end, first, last)
@@ -197,18 +214,18 @@ def _parse_passage(obj: dict, where: str, tokens: TokenSeq, title_tokens: TokenS
     raw_anchors = obj.get("anchors", [])
     if not isinstance(raw_anchors, list):
         raise ValidationError(f"{where}: anchors must be a list")
-    keys: set[tuple[str, int, int]] = set()
+    keys: set[tuple[int, int, str]] = set()
     for a in raw_anchors:
-        target, start, end = (a.get(k) for k in ("target", "start", "end")) if isinstance(a, dict) else (None,) * 3
+        target, start, end = (a.get("target"), a.get("start"), a.get("end")) if isinstance(a, dict) else (None,) * 3
         # offsets are JSON integers (a bool is not one), the target a non-empty title
         if not (isinstance(target, str) and target and type(start) is int and type(end) is int):
             raise ValidationError(f"{where}: malformed anchor {a!r}")
-        keys.add((target, start, end))  # duplicate anchors (same target, same span) are dropped at load
+        keys.add((start, end, target))  # duplicate anchors (same target, same span) are dropped at load
     text = obj["text"]
     anchor_where = f"{where}: passage {obj['id']!r}"
     anchors = []
-    for target, start, end in sorted(keys, key=lambda k: (k[1], k[2], k[0])):
-        first, last = _token_span(tokens.char_offsets, len(text), start, end, anchor_where)
+    for start, end, target in sorted(keys):
+        first, last = _token_span(tokens, len(text), start, end, anchor_where)
         anchors.append(AnchorMention(target, start, end, first, last))
     return Passage(obj["id"], obj["title"], text, tuple(anchors), tokens, title_tokens)
 

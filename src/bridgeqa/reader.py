@@ -232,11 +232,11 @@ def span_to_text(context: ReaderContext, s: int, e: int) -> str:
         first, last = s - context.starts[block], e - context.starts[block]
         n_title = len(passage.title_tokens)
         if last < n_title:
-            offsets = passage.title_tokens.char_offsets
-            return passage.title[offsets[first][0] : offsets[last][1]]
+            seq = passage.title_tokens
+            return passage.title[seq.starts[first] : seq.ends[last]]
         if first >= n_title:
-            offsets = passage.tokens.char_offsets
-            return passage.text[offsets[first - n_title][0] : offsets[last - n_title][1]]
+            seq = passage.tokens
+            return passage.text[seq.starts[first - n_title] : seq.ends[last - n_title]]
     return " ".join(context.tokens[s : e + 1])
 
 

@@ -120,6 +120,13 @@ def test_manifest_without_vocabulary_is_refused(tmp_path):
             {k: v for k, v in manifest["tensors"][0].items() if k != "shape"}]}), "lacks \\['shape'\\]"),
         (lambda text, manifest: json.dumps({**manifest, "tensors": [
             {**manifest["tensors"][0], "shape": [-4, -3]}]}), "the shape \\[-4, -3\\]"),
+        # these three used to load as f32, or to raise a TypeError naming no file
+        (lambda text, manifest: json.dumps({**manifest, "format": "raw-f16-be"}),
+         "names the format 'raw-f16-be', not 'raw-f32-le'"),
+        (lambda text, manifest: json.dumps({**manifest, "tensors": [
+            {**manifest["tensors"][0], "dtype": "f16"}]}), "the dtype 'f16', not 'f32'"),
+        (lambda text, manifest: json.dumps({**manifest, "tensors": [
+            {**manifest["tensors"][0], "shape": [True, 3]}]}), "the shape \\[True, 3\\]"),
         # a later entry of the same name would replace the first one's tensor
         (lambda text, manifest: json.dumps({**manifest, "tensors": manifest["tensors"] + [
             {**manifest["tensors"][1], "name": manifest["tensors"][0]["name"]}]}), "repeats '.*' in tensor entry 3"),
@@ -132,7 +139,8 @@ def test_manifest_without_vocabulary_is_refused(tmp_path):
         (lambda text, manifest: json.dumps({**manifest, "vocab": {"<unk>": "zero"}}), "vocabulary that is not"),
         (lambda text, manifest: json.dumps({**manifest, "vocab": {"<unk>": True}}), "vocabulary that is not"),
     ],
-    ids=["truncated", "not-an-object", "no-tensors", "entry-without-shape", "negative-shape", "repeated-name",
+    ids=["truncated", "not-an-object", "no-tensors", "entry-without-shape", "negative-shape", "format-not-f32-le",
+         "dtype-not-f32", "shape-of-a-bool", "repeated-name",
          "name-not-a-string", "sha256-not-a-string", "vocab-a-list", "vocab-row-a-string", "vocab-row-a-bool"],
 )
 def test_malformed_manifest_is_refused_naming_its_path(tmp_path, damage, message):

@@ -175,3 +175,35 @@ def test_readme_ablation_modes_paragraph_names_exactly_the_modes():
     assert re.findall(r"`(\w+)`", paragraph.split(".")[0]) == list(ABLATION_MODES)
     keys = {f.name for f in fields(PipelineConfig)}
     assert set(re.findall(r"`(\w+)`", paragraph)) <= set(ABLATION_MODES) | keys | {"config"}
+
+
+FLOAT_KEYS = [f.name for f in fields(PipelineConfig) if f.type == "float"]
+
+
+def test_the_float_keys_are_the_rates_weights_and_thresholds():
+    assert sorted(FLOAT_KEYS) == sorted(
+        ["lr", "reader_lr", "dropout", "aux_weight", "bridge_early_stop_hits1", "reader_early_stop_em"]
+    )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_float_key_refuses_a_value_that_is_not_finite(key, value):
+    # NaN compares false to every bound, so a range check alone let it
+    # through, and inf passed every lower bound
+    with pytest.raises(ConfigError, match=rf"^config '{key}' must"):
+        load_config(None, {key: value})
+
+
+def test_a_config_file_holding_nan_is_refused(tmp_path):
+    # json.loads reads the bare words NaN and Infinity as floats
+    path = tmp_path / "cfg.json"
+    path.write_text('{"lr": NaN}', encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^config 'lr' must be a finite positive number, got nan$"):
+        load_config(path)
+
+
+def test_an_early_stop_threshold_above_one_stays_valid():
+    # a threshold no run reaches turns early stopping off
+    cfg = load_config(None, {"bridge_early_stop_hits1": 2.0, "reader_early_stop_em": 2.0})
+    assert (cfg.bridge_early_stop_hits1, cfg.reader_early_stop_em) == (2.0, 2.0)

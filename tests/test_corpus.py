@@ -1,3 +1,4 @@
+import gc
 import json
 from dataclasses import replace
 
@@ -32,6 +33,13 @@ def test_tokenize_basic_offsets():
     ts = tokenize("Kiss and Tell")
     assert list(ts.tokens) == ["kiss", "and", "tell"]
     assert list(ts.char_offsets) == [(0, 4), (5, 8), (9, 13)]
+
+
+def test_token_seqs_of_equal_texts_are_equal_and_hash_alike():
+    # a TokenSeq stays a hashable value, though its offset arrays are not
+    a, b = tokenize("Kiss and Tell"), tokenize("Kiss and Tell")
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert tokenize("Kiss and  Tell") != a
 
 
 def test_tokenize_empty():
@@ -145,6 +153,27 @@ def test_loaded_mixed_script_passages_hold_the_tokens_of_their_text_and_title(tm
         assert p.title_tokens == tokenize(p.title)
     anchor = corpus.by_id["p0"].anchors[0]
     assert (anchor.token_start, anchor.token_end) == (3, 4)
+
+
+def test_a_loaded_page_leaves_few_objects_for_the_garbage_collector(tmp_path):
+    # a page's token offsets are two flat int runs per text, not a tuple
+    # per token: with the collector off, so nothing untracks in between,
+    # a 100-token page adds a handful of tracked objects, not one per token
+    words = " ".join(f"w{j}" for j in range(100))
+    objs = [{"id": f"p{i}", "title": f"Page {i}", "text": words, "anchors": []} for i in range(300)]
+    path = write_lines(tmp_path / "c.jsonl", objs)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        corpus = load_corpus(path)
+        tracked = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(corpus.passages[0].tokens) == 100
+    assert tracked < 20 * len(objs), tracked / len(objs)
 
 
 def test_question_tokens_are_tokenized_once(monkeypatch):
