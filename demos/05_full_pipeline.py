@@ -1,6 +1,8 @@
 """The complete eight-stage pipeline on the tiny wiki, end to end, plus the
 ablation grid. Uses shortened training so the whole script stays around two
-minutes; the acceptance suite runs the converged version.
+minutes; the acceptance suite runs the converged version. Most rows answer
+with the full run's models; each evidence row is a run of its own, at the
+same shortened budget, whose reasoner is trained without that channel.
 
 Every stage here is also a CLI command:
 
@@ -11,6 +13,7 @@ Every stage here is also a CLI command:
 
 import json
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,13 +46,17 @@ def main():
     print("\nablation grid on the dev split:")
     state = load_pipeline_state(cfg)
     _, _, dev = _load_ingested(cfg)
-    rows = [(mode, state, mode) for mode in ("full", "no_content_evidence", "no_context_evidence",
-                                             "no_bridge_reasoner", "oracle_gold_passage", "full_support")]
+    rows = [(mode, state, mode, "") for mode in ("full", "no_bridge_reasoner", "oracle_gold_passage", "full_support")]
     # no EL: the same models loaded at entity_linking false, which builds no linker
-    rows.insert(1, ("full, no EL", load_pipeline_state(replace(cfg, entity_linking=False)), "full"))
-    for label, row_state, mode in rows:
+    rows.insert(1, ("full, no EL", load_pipeline_state(replace(cfg, entity_linking=False)), "full", ""))
+    for mode in ("no_content_evidence", "no_context_evidence"):
+        mode_cfg = replace(cfg, mode=mode, output_dir=str(workdir / mode))
+        started = time.perf_counter()
+        run_all(mode_cfg)
+        rows.append((mode, load_pipeline_state(mode_cfg), mode, f"  (own run, {time.perf_counter() - started:.1f}s)"))
+    for label, row_state, mode, note in rows:
         agg = run_ablation(mode, row_state, dev).aggregates()["full"]
-        print(f"  {label:>21}: em={agg['em']:.3f} f1={agg['f1']:.3f}")
+        print(f"  {label:>21}: em={agg['em']:.3f} f1={agg['f1']:.3f}{note}")
 
     print(f"\nartifacts in {out}")
 

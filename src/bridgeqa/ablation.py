@@ -6,10 +6,11 @@ bridge question the reasoner ranked), each add the first TOP_N_EL linked
 pages not in their own list. A question without a ranking (a comparison,
 the no_bridge_reasoner mode, or a bridge question with no candidates) reads
 its start set, up to bridge.READER_MAX_PASSAGES passages.
-Every ablation mode reuses the same trained components with one switch
-flipped, so directional comparisons isolate a single cause. The no-EL and
-no-multitask ablations are runs of their own, at entity_linking false (no
-linker, so linked_passages is empty) and at aux_weight 0.
+The other modes change only what the reader reads, with a full run's
+models. A run at an evidence mode trains its reasoner with the one channel
+left (config.evidence_for), which predict_one checks. The no-EL and
+no-multitask ablations are runs too, at entity_linking false (no linker,
+so linked_passages is empty) and at aux_weight 0, answered in full.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .bridge import (
     rank_answer_passages,  # noqa: F401 - bench/layers.py traces ablation.rank_answer_passages
     score_bridges,  # noqa: F401 - bench/layers.py traces ablation.score_bridges
 )
-from .config import ABLATION_MODES, PipelineConfig
+from .config import ABLATION_MODES, PipelineConfig, evidence_for
 from .corpus import Corpus, Passage, QARecord
 from .errors import MissingPrerequisiteError, ValidationError
 from .metrics import MetricReport, QuestionMetrics, em_f1, hits_at_k
@@ -118,6 +119,9 @@ def predict_one(
         raise ValidationError(f"unknown ablation mode {mode!r}")
     if state.reader is None:
         raise MissingPrerequisiteError("no trained reader loaded; run train-reader")
+    if state.bridge is not None and state.bridge.evidence != evidence_for(mode):
+        raise ValidationError(f"mode {mode!r} answers with a reasoner of evidence {evidence_for(mode)}, "
+                              f"not {state.bridge.evidence}; rerun train-bridge at mode {mode!r}")
     fallback = False
     ranking: list[tuple[str, float | None]] = []
 
@@ -139,14 +143,7 @@ def predict_one(
         if record.qtype == "bridge" and mode != "no_bridge_reasoner":
             if state.bridge is None:
                 raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
-            ranking = predict_ranked_titles(
-                state.bridge,
-                record,
-                starts,
-                state.corpus,
-                use_context=mode != "no_context_evidence",
-                use_content=mode != "no_content_evidence",
-            )
+            ranking = predict_ranked_titles(state.bridge, record, starts, state.corpus)
             if not ranking:
                 log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
                 fallback = True

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import EVIDENCE, PipelineConfig
 from .corpus import AnchorMention, Corpus, Passage, QARecord, TokenSeq
 from .errors import ValidationError
 from .metrics import normalize_answer
@@ -30,7 +30,6 @@ from .numcore import (
     add,
     backward,  # noqa: F401 - bench/layers.py traces bridge.backward
     concat,
-    constant,
     cross_entropy_from_logits,
     dropout,
     gather_rows,
@@ -140,7 +139,9 @@ def collect_candidates(start_passages: list[Passage], corpus: Corpus) -> list[Br
 @dataclass
 class BridgeModel:
     """Span model for the start passages (without span heads) plus a bi-LSTM
-    abstract encoder and the score fusion layer, all in one ParamStore.
+    abstract encoder and the score fusion layer, all in one ParamStore. A
+    reasoner of one evidence channel (an evidence ablation) holds no tensor
+    of the other: no span/ or no abstract/ one, and no rows of it in fuse/w.
 
     Its memo is span.memo, the one on the SpanModel that encodes. It is None
     in a model built for training, and a forward given an rng never reads
@@ -160,6 +161,7 @@ class BridgeModel:
     span: SpanModel
     lstm_hidden: int
     abstract_max_tokens: int = PipelineConfig.abstract_max_tokens
+    evidence: tuple[str, ...] = EVIDENCE
 
     @property
     def store(self) -> ParamStore:
@@ -180,20 +182,26 @@ def init_bridge_model(
     *,
     frozen_embeddings: np.ndarray | None = None,
     abstract_max_tokens: int = PipelineConfig.abstract_max_tokens,
+    evidence: tuple[str, ...] = EVIDENCE,
 ) -> BridgeModel:
+    # every tensor is drawn in one order whatever the evidence, so the table and a
+    # kept channel's tensors start as with both; a dropped channel's go unstored
     store = ParamStore()
+    context = store if "context" in evidence else ParamStore()
+    content = store if "content" in evidence else ParamStore()
     table = create_embedding_table(store, vocab, embed_dim, rng, frozen=frozen_embeddings is not None,
                                    init_matrix=frozen_embeddings)
-    init_span_params(store, embed_dim, gru_hidden, rng)
+    init_span_params(context, embed_dim, gru_hidden, rng)
     wide = 8 * gru_hidden  # self-attention output width
     # a reader's span/heads/start_w and end_w, drawn so later tensors start as before
     glorot(rng, (wide, 1))
     glorot(rng, (wide, 1))
-    init_bidirectional("lstm", store, "abstract/", embed_dim, lstm_hidden, rng)
-    store.add("fuse/w", glorot(rng, (wide + 2 * lstm_hidden, 1)))
-    store.add("abstract/missing", rng.normal(0.0, 0.1, size=(1, 2 * lstm_hidden)))
+    init_bidirectional("lstm", content, "abstract/", embed_dim, lstm_hidden, rng)
+    fuse = glorot(rng, (wide + 2 * lstm_hidden, 1))
+    store.add("fuse/w", np.concatenate([{"context": fuse[:wide], "content": fuse[wide:]}[c] for c in evidence]))
+    content.add("abstract/missing", rng.normal(0.0, 0.1, size=(1, 2 * lstm_hidden)))
     span = SpanModel(store=store, table=table, hidden=gru_hidden, dropout=dropout_rate)
-    return BridgeModel(span=span, lstm_hidden=lstm_hidden, abstract_max_tokens=abstract_max_tokens)
+    return BridgeModel(span=span, lstm_hidden=lstm_hidden, abstract_max_tokens=abstract_max_tokens, evidence=evidence)
 
 
 def encode_abstracts(
@@ -284,13 +292,12 @@ def score_bridges(
     candidates: list[BridgeCandidate],
     corpus: Corpus,
     *,
-    use_context: bool = True,
-    use_content: bool = True,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Score every candidate in one fusion over stacked evidence rows:
     logits = [H_context, H_content] @ w, one row per candidate (a bias would
-    shift them all alike, which neither the loss's softmax nor ranking sees).
+    shift them all alike, which neither the loss's softmax nor ranking sees),
+    over model.evidence's channels alone.
 
     H_context holds each anchor's start-token representation, H_content the
     encoded abstract of its target (the trained sentinel when that is
@@ -298,31 +305,26 @@ def score_bridges(
     reads only through its first 8h weights w_context, so self-attention
     returns H_context @ w_context itself, its mixing layer read through
     w_context (see span_model.self_attention); H_content @ w_content is
-    added to it. use_context / use_content zero out the corresponding
-    channel's term (the ablation switches). Returns the (n,) logits node,
-    the candidates' scores in their order; there must be at least one
-    candidate.
+    added to it. Returns the (n,) logits node, the candidates' scores in
+    their order; there must be at least one candidate.
 
     With an rng, dropout is drawn from it and the memo is neither read nor
     filled. Without one, the span's memo (a reasoner loaded for answering)
     gives each start passage's encoder states and each abstract's vector,
-    so only the question is encoded per call; a switched-off channel neither
-    reads nor fills it.
+    so only the question is encoded per call.
     """
     if not candidates:
         raise ValidationError("score_bridges: no candidates to score")
     n, w, wide = len(candidates), model.store["fuse/w"], 8 * model.span.hidden
-    terms = []
-    if use_context:
+    rows, terms = w.data.shape[0], []  # w's content rows are its last 2 * lstm_hidden
+    if "context" in model.evidence:
         terms.append(_context_rows(model, question, start_passages, candidates, slice_rows(w, 0, wide), rng=rng))
-    if use_content:
+    if "content" in model.evidence:
         titles = sorted({c.target_title for c in candidates})
         encoded = encode_abstracts(model, [corpus.by_title.get(t) for t in titles], rng=rng)
         row_of = {t: i for i, t in enumerate(titles)}
         h_content = gather_rows(encoded, np.array([row_of[c.target_title] for c in candidates]))
-        terms.append(matmul(h_content, slice_rows(w, wide, w.data.shape[0])))
-    if not terms:  # both channels off
-        return constant(np.zeros(n))
+        terms.append(matmul(h_content, slice_rows(w, rows - 2 * model.lstm_hidden, rows)))
     return reshape(terms[0] if len(terms) == 1 else add(*terms), (n,))
 
 
@@ -506,20 +508,9 @@ def predict_ranked_titles(
     start_passages: list[Passage],
     corpus: Corpus,
     k: int = READER_MAX_PASSAGES,
-    *,
-    use_context: bool = True,
-    use_content: bool = True,
 ) -> list[tuple[str, float]]:
     candidates = collect_candidates(start_passages, corpus)
     if not candidates:
         return []
-    logits = score_bridges(
-        model,
-        question.question_tokens,
-        start_passages,
-        candidates,
-        corpus,
-        use_context=use_context,
-        use_content=use_content,
-    )
+    logits = score_bridges(model, question.question_tokens, start_passages, candidates, corpus)
     return rank_answer_passages(candidates, logits.data, k=k)

@@ -23,7 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=STAGES, help="pipeline stage to run")
     parser.add_argument("--config", default=None, help="JSON config file (empty file = defaults)")
     parser.add_argument("--seed", type=int, default=None, help="override the run seed")
-    parser.add_argument("--mode", choices=ABLATION_MODES, default=None, help="ablation mode")
+    parser.add_argument("--mode", choices=ABLATION_MODES, default=None,
+                        help="ablation mode; an evidence mode also trains the reasoner without that channel")
     parser.add_argument(
         "--entity-linking", choices=("on", "off"), default=None, help="toggle start-set expansion"
     )

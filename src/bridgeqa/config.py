@@ -18,6 +18,12 @@ ABLATION_MODES = (
     "oracle_gold_passage",
     "full_support",
 )
+EVIDENCE = ("context", "content")  # the bridge reasoner's evidence channels
+
+
+def evidence_for(mode: str) -> tuple[str, ...]:
+    """The evidence channels of the reasoner a run at mode trains and reads."""
+    return {"no_context_evidence": ("content",), "no_content_evidence": ("context",)}.get(mode, EVIDENCE)
 
 
 @dataclass

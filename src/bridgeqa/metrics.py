@@ -23,12 +23,14 @@ def normalize_answer(s: str) -> str:
 
 
 def em_f1(prediction: str, gold: str) -> tuple[int, float]:
-    """Exact match and multiset token-overlap F1 over normalized strings."""
+    """Exact match and multiset token-overlap F1 over normalized strings; F1 is
+    0 when they differ and either is "yes", "no" or "noanswer", as in HotpotQA's
+    evaluation. em_f1("", "") stays (1, 1.0): load_questions refuses an empty gold."""
     pred_norm = normalize_answer(prediction)
     gold_norm = normalize_answer(gold)
     em = int(pred_norm == gold_norm)
-    if not pred_norm or not gold_norm:
-        return em, 1.0 if em else 0.0
+    if not pred_norm or not gold_norm or (not em and {pred_norm, gold_norm} & {"yes", "no", "noanswer"}):
+        return em, float(em)
     pred_tokens = pred_norm.split()
     gold_tokens = gold_norm.split()
     common = Counter(pred_tokens) & Counter(gold_tokens)

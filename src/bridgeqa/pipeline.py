@@ -54,7 +54,7 @@ from .bridge import (
     train_bridge_reasoner,
 )
 from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkpoint
-from .config import ABLATION_MODES, PipelineConfig
+from .config import ABLATION_MODES, PipelineConfig, evidence_for
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
 from .manifest import append_manifest, file_sha256, iter_jsonl, read_manifest, write_json, write_jsonl
@@ -201,12 +201,12 @@ def _embedding(
 
 
 def _new_bridge_model(cfg: PipelineConfig, embedding: tuple, seed_tag: int = 0) -> BridgeModel:
-    """The reasoner train-bridge trains (seed_tag 0) or fold A's or B's (1, 2)."""
+    """The reasoner, of cfg.mode's evidence, that train-bridge (seed_tag 0) or fold A or B (1, 2) trains."""
     rng = np.random.default_rng([cfg.seed, 100 + seed_tag])
     vocab, matrix, dim = embedding
     return init_bridge_model(
         vocab, dim, cfg.gru_hidden, cfg.lstm_hidden, cfg.dropout, rng,
-        frozen_embeddings=matrix, abstract_max_tokens=cfg.abstract_max_tokens,
+        frozen_embeddings=matrix, abstract_max_tokens=cfg.abstract_max_tokens, evidence=evidence_for(cfg.mode)
     )
 
 
@@ -307,6 +307,7 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
         "checkpoint_digest": digest,
         "epochs_run": stats["epochs_run"],
         "final_train_hits1": stats["final_train_hits1"],
+        "evidence": list(model.evidence),
         "seed": cfg.seed,
     }
 
@@ -364,8 +365,10 @@ def stage_cross_predict(cfg: PipelineConfig) -> dict:
         "checkpoint_digests": {"A": digest_a, "B": digest_b},
         "n_cross_predictions": len(predictions),
         **held_out_hits,
-        **{key: {"A": log_a[key], "B": log_b[key]} for key in ("fold_seconds", "n_train_questions", "n_gold_missing")},
+        **{key: {"A": log_a[key], "B": log_b[key]}
+           for key in ("fold_seconds", "epochs_run", "n_train_questions", "n_gold_missing")},
         "fold_b_peak_rss_mb": peak_rss_b,
+        "evidence": list(evidence_for(cfg.mode)),
         "seed": cfg.seed,
     }
 

@@ -2,7 +2,7 @@ import multiprocessing
 
 import pytest
 
-from bridgeqa.config import load_config
+from bridgeqa.config import EVIDENCE, evidence_for, load_config
 from bridgeqa.pipeline import run_all
 from bridgeqa.tinywiki import fixture_config, write_fixture
 
@@ -34,6 +34,26 @@ def mini_run(tmp_path_factory, fixture_dir):
     cfg = load_config(None, fixture_config(fixture_dir, out, bridge_epochs=2, reader_epochs=2))
     run_all(cfg)
     return cfg
+
+
+@pytest.fixture(scope="session")
+def mini_run_for(tmp_path_factory, fixture_dir, mini_run):
+    """mode -> a mini run whose reasoner answers at that mode: mini_run for a
+    mode that reads the full run's models, a run trained at the mode (about
+    1 s) for an evidence ablation, built on first use."""
+    runs = {}
+
+    def run_for(mode):
+        if evidence_for(mode) == EVIDENCE:
+            return mini_run
+        if mode not in runs:
+            out = tmp_path_factory.mktemp(f"mini_run_{mode}")
+            cfg = load_config(None, fixture_config(fixture_dir, out, bridge_epochs=2, reader_epochs=2, mode=mode))
+            run_all(cfg)
+            runs[mode] = cfg
+        return runs[mode]
+
+    return run_for
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The heavyweight criteria
 determinism (8) performs two fresh short runs and compares bytes.
 """
 
+import copy
 import json
 import math
 import time
@@ -52,6 +53,7 @@ from bridgeqa.reader import best_span
 from bridgeqa.retrieval import build_index, hybrid_score, retrieve_start_passages
 from bridgeqa.span_model import init_span_model, run_span_model, span_nll_loss
 from bridgeqa.tinywiki import fixture_config
+from golden_record import GOLDEN, compare, record
 
 
 @contextmanager
@@ -373,6 +375,35 @@ def test_criterion_8_determinism(tmp_path_factory, fixture_dir):
         assert digests[0].keys() == digests[1].keys()
         for name in digests[0]:
             assert digests[0][name] == digests[1][name], f"{name} differs between runs"
+
+
+# --- golden record: what the trained run gives on any machine ---------------------
+
+
+def test_the_trained_run_matches_its_golden_record(trained_run):
+    # regenerate with tests/golden_record.py after a change meant to move it
+    problems = compare(json.loads(GOLDEN.read_text(encoding="utf-8")), record(trained_run["out"]))
+    assert not problems, "\n".join(problems)
+
+
+def test_the_golden_record_check_names_the_question_whose_score_moved_by_1e_6():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    moved = 0
+    for qid, row in golden["questions"].items():
+        for i, score in enumerate(row.get("ranking_scores", [])):
+            if score is None:
+                continue
+            got = copy.deepcopy(golden)
+            got["questions"][qid]["ranking_scores"][i] = score + 1e-6
+            (problem,) = compare(golden, got)
+            assert problem.startswith(f"question {qid}: ranking_scores"), problem
+            moved += 1
+    assert moved >= 40
+    # and one that moves by a part in 1e10 of itself, as a BLAS kernel may, passes
+    got = copy.deepcopy(golden)
+    for row in got["questions"].values():
+        row["ranking_scores"] = [s if s is None else s * (1 + 1e-10) for s in row.get("ranking_scores", [])]
+    assert compare(golden, got) == []
 
 
 # --- criterion 9: decode oracle -------------------------------------------------

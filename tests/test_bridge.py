@@ -18,7 +18,7 @@ from bridgeqa.bridge import (
     rank_answer_passages,
     score_bridges,
 )
-from bridgeqa.config import PipelineConfig
+from bridgeqa.config import EVIDENCE, PipelineConfig
 from bridgeqa.corpus import Corpus, Passage, QARecord, tokenize
 from bridgeqa.errors import ValidationError
 from bridgeqa.numcore import Tensor
@@ -155,24 +155,26 @@ def randomize_biases(model, seed=1):
             param.data[:] = np.random.default_rng(seed).normal(scale=0.3, size=param.data.shape)
 
 
-def fusion_oracle(model, question, starts, cand, corpus, use_context=True, use_content=True):
+# the evidence of a reasoner with both channels and of each ablated one
+EVIDENCES = [EVIDENCE, ("context",), ("content",)]
+
+
+def fusion_oracle(model, question, starts, cand, corpus):
     """w . [take_row(final, token_start); encode_abstract(target)] for one
-    candidate on its own, a switched-off channel as zeros."""
+    candidate on its own, over the reasoner's channels."""
     from bridgeqa.numcore import take_row
     from bridgeqa.span_model import biattention, encode, self_attention
 
     store, hidden = model.store, model.span.hidden
-    h_context = np.zeros(8 * hidden)
-    if use_context:
+    joint = []
+    if "context" in model.evidence:
         start = next(p for p in starts if p.id == cand.source_passage_id)
         q_enc = encode(question, model.table, store, hidden)
         final = self_attention(biattention(encode(start.tokens, model.table, store, hidden), q_enc, store), store)
-        h_context = take_row(final.states, cand.mention.token_start).data[0]
-    h_content = np.zeros(2 * model.lstm_hidden)
-    if use_content:
-        h_content = encode_abstract(model, corpus.by_title.get(cand.target_title)).data[0]
-    joint = np.concatenate([h_context, h_content])
-    return float(joint @ store["fuse/w"].data[:, 0])
+        joint.append(take_row(final.states, cand.mention.token_start).data[0])
+    if "content" in model.evidence:
+        joint.append(encode_abstract(model, corpus.by_title.get(cand.target_title)).data[0])
+    return float(np.concatenate(joint) @ store["fuse/w"].data[:, 0])
 
 
 def test_score_bridges_without_candidates_is_an_error():
@@ -182,20 +184,38 @@ def test_score_bridges_without_candidates_is_an_error():
         score_bridges(model, tokenize("which target?"), [corpus.by_id["p3"]], [], corpus)
 
 
-def test_score_bridges_hand_computed_fusion():
-    # the stacked fusion equals scoring each candidate on its own, with both
-    # channels on and with either switched off
+@pytest.mark.parametrize("evidence", EVIDENCES)
+def test_score_bridges_hand_computed_fusion(evidence):
+    # the stacked fusion equals scoring each candidate on its own, for a
+    # reasoner with both channels and for one with either alone
     corpus = trio_corpus()
-    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"), evidence=evidence)
     randomize_biases(model)
     q = tokenize("which target?")
     starts = [corpus.by_id["p1"], corpus.by_id["p2"]]
     cands = collect_candidates(starts, corpus)
-    for switches in ({}, {"use_context": False}, {"use_content": False}):
-        logits = score_bridges(model, q, starts, cands, corpus, **switches)
-        assert logits.shape == (len(cands),)
-        for c, logit in zip(cands, logits.data):
-            assert abs(logit - fusion_oracle(model, q, starts, c, corpus, **switches)) < 1e-12
+    logits = score_bridges(model, q, starts, cands, corpus)
+    assert logits.shape == (len(cands),)
+    for c, logit in zip(cands, logits.data):
+        assert abs(logit - fusion_oracle(model, q, starts, c, corpus)) < 1e-12
+
+
+@pytest.mark.parametrize("evidence", EVIDENCES[1:])
+def test_an_ablated_reasoner_holds_its_channels_tensors_as_a_full_one_draws_them(evidence):
+    # the same draws in the same order: each kept tensor equals the full
+    # reasoner's, fuse/w its rows of the kept channel; the dropped channel
+    # has no tensor
+    corpus = trio_corpus()
+    full = tiny_bridge_model(corpus, seed=5)
+    model = tiny_bridge_model(corpus, seed=5, evidence=evidence)
+    assert model.evidence == evidence
+    dropped = "abstract/" if evidence == ("context",) else "span/"
+    assert [n for n in full.store.names() if not n.startswith(dropped)] == model.store.names()
+    wide = 8 * full.span.hidden
+    rows = slice(0, wide) if evidence == ("context",) else slice(wide, None)
+    for name in model.store.names():
+        want = full.store[name].data[rows] if name == "fuse/w" else full.store[name].data
+        np.testing.assert_array_equal(model.store[name].data, want, err_msg=name)
 
 
 def test_context_rows_are_the_full_outputs_anchor_rows():
@@ -256,16 +276,17 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
         assert len(model.span.memo.passages) == 3
 
 
-def test_score_bridges_match_the_unfolded_fusion():
+@pytest.mark.parametrize("evidence", EVIDENCES)
+def test_score_bridges_match_the_unfolded_fusion(evidence):
     # the fused logits, the context channel read through fuse/w's first 8h
     # rows, equal [H_context, H_content] @ fuse/w over the full anchor
     # states, in values and in every parameter's gradient, with dropout
-    # drawn alike, with both channels on and with either switched off
+    # drawn alike, for a reasoner with both channels and with either alone
     from bridgeqa.bridge import _context_rows, encode_abstracts
     from bridgeqa.numcore import backward, concat, constant, gather_rows, matmul, mul, reshape, sum_all
 
     corpus = trio_corpus()
-    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"))
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "target"), evidence=evidence)
     randomize_biases(model)
     model.span.dropout = 0.3
     q = tokenize("which target?")
@@ -274,58 +295,62 @@ def test_score_bridges_match_the_unfolded_fusion():
     n = len(cands)
     weights = constant(np.random.default_rng(4).normal(size=n))
 
-    def unfolded(rng, use_context=True, use_content=True):
-        h_context = (_context_rows(model, q, starts, cands, rng=rng) if use_context
-                     else constant(np.zeros((n, 8 * model.span.hidden))))
-        titles = sorted({c.target_title for c in cands})
-        if use_content:
+    def unfolded(rng):
+        joint = []
+        if "context" in evidence:
+            joint.append(_context_rows(model, q, starts, cands, rng=rng))
+        if "content" in evidence:
+            titles = sorted({c.target_title for c in cands})
             encoded = encode_abstracts(model, [corpus.by_title.get(t) for t in titles], rng=rng)
-            h_content = gather_rows(encoded, np.array([titles.index(c.target_title) for c in cands]))
-        else:
-            h_content = constant(np.zeros((n, 2 * model.lstm_hidden)))
-        return reshape(matmul(concat([h_context, h_content], axis=1), model.store["fuse/w"]), (n,))
+            joint.append(gather_rows(encoded, np.array([titles.index(c.target_title) for c in cands])))
+        return reshape(matmul(concat(joint, axis=1), model.store["fuse/w"]), (n,))
 
-    def run(score, switches):
+    def run(score):
         model.store.zero_grad()
-        logits = score(np.random.default_rng(6), **switches)
+        logits = score(np.random.default_rng(6))
         backward(sum_all(mul(logits, weights)))
         return logits.data, model.store.gradients()
 
-    def folded(rng, **switches):
-        return score_bridges(model, q, starts, cands, corpus, rng=rng, **switches)
-
-    for switches in ({}, {"use_context": False}, {"use_content": False}):
-        got, want = run(folded, switches), run(unfolded, switches)
-        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
-        assert got[1].keys() == want[1].keys()
-        for name in want[1]:
-            np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
+    got = run(lambda rng: score_bridges(model, q, starts, cands, corpus, rng=rng))
+    want = run(unfolded)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    assert got[1].keys() == want[1].keys()
+    for name in want[1]:
+        np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_score_bridges_content_ablation_ignores_abstract_text():
     corpus = trio_corpus()
-    model = tiny_bridge_model(corpus)
+    model = tiny_bridge_model(corpus, evidence=("context",))
     starts = [corpus.by_id["p1"]]
     cands = collect_candidates(starts, corpus)
     q = tokenize("which?")
-    base = score_bridges(model, q, starts, cands, corpus, use_content=False).data
+    base = score_bridges(model, q, starts, cands, corpus).data
 
-    # rewrite an abstract; scores with the content channel ablated must not move
+    # rewrite an abstract; a reasoner without the content channel must not move
     changed = passage("p3", "Target One", "completely different words now live here")
     altered = corpus_of([corpus.by_id["p1"], corpus.by_id["p2"], changed, corpus.by_id["p4"]])
-    after = score_bridges(model, q, starts, cands, altered, use_content=False).data
+    after = score_bridges(model, q, starts, cands, altered).data
     assert after == pytest.approx(base)
 
 
-def test_score_bridges_context_ablation_zeroes_channel():
+def test_score_bridges_context_ablation_ignores_the_start_passages_other_words():
+    # a reasoner without the context channel scores each candidate by its
+    # target's abstract alone: rewording the start passage around the anchor,
+    # or the question, moves no score
     corpus = trio_corpus()
-    model = tiny_bridge_model(corpus)
+    model = tiny_bridge_model(corpus, extra_tokens=("which", "other", "words"), evidence=("content",))
     starts = [corpus.by_id["p1"]]
     cands = collect_candidates(starts, corpus)
-    q = tokenize("which?")
-    logits = score_bridges(model, q, starts, cands, corpus, use_context=False)
+    logits = score_bridges(model, tokenize("which?"), starts, cands, corpus)
     for c, logit in zip(cands, logits.data):
-        assert abs(logit - fusion_oracle(model, q, starts, c, corpus, use_context=False)) < 1e-12
+        assert abs(logit - fusion_oracle(model, tokenize("which?"), starts, c, corpus)) < 1e-12
+    reworded = passage("p1", "Start A", "other words, then Target One and Target Two.",
+                       anchors=[("Target One", "Target One"), ("Target Two", "Target Two")])
+    moved = collect_candidates([reworded], corpus)
+    assert [c.target_title for c in moved] == [c.target_title for c in cands]
+    after = score_bridges(model, tokenize("other words"), [reworded], moved, corpus).data
+    np.testing.assert_array_equal(after, logits.data)
 
 
 def test_score_bridges_missing_abstract_uses_sentinel():
@@ -339,10 +364,12 @@ def test_score_bridges_missing_abstract_uses_sentinel():
     # the oracle's content vector for the empty abstract is the trained sentinel
     assert np.array_equal(encode_abstract(model, empty_target).data, model.store["abstract/missing"].data)
     assert abs(logits.data[0] - fusion_oracle(model, q, [p1], cands[0], corpus)) < 1e-12
-    # a zero sentinel scores the candidate as the content channel switched off
+    # a zero sentinel scores the candidate as the reasoner without the content
+    # channel, whose tensors start as this one's, does
     model.store["abstract/missing"].data[:] = 0.0
-    switched_off = score_bridges(model, q, [p1], cands, corpus, use_content=False)
-    assert score_bridges(model, q, [p1], cands, corpus).data[0] == switched_off.data[0] != logits.data[0]
+    context_only = tiny_bridge_model(corpus, extra_tokens=("which",), evidence=("context",))
+    without_content = score_bridges(context_only, q, [p1], cands, corpus).data[0]
+    assert score_bridges(model, q, [p1], cands, corpus).data[0] == without_content != logits.data[0]
 
 
 def test_sentinel_gets_no_gradient_unless_an_abstract_is_missing():

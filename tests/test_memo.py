@@ -33,11 +33,14 @@ def _answering_states(cfg):
     return load_pipeline_state(cfg), plain
 
 
-def test_memo_gives_the_packed_answers_in_every_ablation_mode(mini_run):
+def test_memo_gives_the_packed_answers_in_every_ablation_mode(mini_run, mini_run_for):
+    # each mode answers from the run whose reasoner it reads: the full run's,
+    # or an evidence ablation's own
     memo_state, plain_state = _answering_states(mini_run)
     _, _, dev = _load_ingested(mini_run)
     labels = gold_titles(dev, memo_state.corpus, mini_run.seed)
-    runs = [(mode, memo_state, plain_state) for mode in ABLATION_MODES]
+    runs = [(mode, *((memo_state, plain_state) if mini_run_for(mode) is mini_run
+                     else _answering_states(mini_run_for(mode)))) for mode in ABLATION_MODES]
     # and full with no linker, as at entity_linking false, reading the memos the other modes filled
     runs.append(("full", replace(memo_state, linker=None), replace(plain_state, linker=None)))
     for mode, memo_run, plain_run in runs:
@@ -344,9 +347,10 @@ def test_predict_entry_counts_the_encodings_computed_and_reused(mini_run):
 
 
 @pytest.mark.parametrize("mode", ["no_context_evidence", "no_content_evidence"])
-def test_a_switched_off_channel_encodes_nothing_for_it(mini_run, mode):
-    state = load_pipeline_state(mini_run)
-    _, _, dev = _load_ingested(mini_run)
+def test_a_reasoner_without_a_channel_encodes_nothing_for_it(mini_run_for, mode):
+    cfg = mini_run_for(mode)
+    state = load_pipeline_state(cfg)
+    _, _, dev = _load_ingested(cfg)
     predict_questions(state, dev, mode)
     memo = state.bridge.span.memo
     unused = memo.passages if mode == "no_context_evidence" else memo.abstracts

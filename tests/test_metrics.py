@@ -40,6 +40,28 @@ def test_em_f1_one_empty():
     assert em_f1("something", "") == (0, 0.0)
 
 
+@pytest.mark.parametrize("prediction, gold", [
+    ("yes", "yes man"),
+    ("no", "no country for old men"),
+    ("Yes.", "yes sir yes"),
+    ("the noanswer", "noanswer here"),
+])
+def test_a_yes_no_or_noanswer_that_differs_scores_no_f1(prediction, gold):
+    # HotpotQA's evaluation script gives no partial credit against a sentinel,
+    # whichever side it is on
+    assert em_f1(prediction, gold) == (0, 0.0)
+    assert em_f1(gold, prediction) == (0, 0.0)
+
+
+def test_a_matching_yes_or_no_keeps_full_credit_and_other_answers_keep_partial_credit():
+    assert em_f1("Yes.", "yes") == (1, 1.0)
+    assert em_f1("no", "No!") == (1, 1.0)
+    assert em_f1("noanswer", "NoAnswer") == (1, 1.0)
+    # "no answer" normalizes to two tokens, not to the sentinel
+    assert em_f1("no answer", "answer") == (0, pytest.approx(2 / 3))
+    assert em_f1("yes man", "yes men") == (0, pytest.approx(0.5))
+
+
 def test_f1_symmetric():
     rng = np.random.default_rng(0)
     words = ["red", "blue", "green", "fish", "the", "protocol"]

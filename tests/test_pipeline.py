@@ -13,7 +13,7 @@ from bridgeqa.ablation import predict_questions, run_ablation, score_predictions
 from bridgeqa.bridge import READER_MAX_PASSAGES, gold_titles
 from bridgeqa.checkpoint import load_checkpoint
 from bridgeqa.cli import main as cli_main
-from bridgeqa.config import ABLATION_MODES, load_config
+from bridgeqa.config import ABLATION_MODES, evidence_for, load_config
 from bridgeqa.corpus import load_corpus, load_questions
 from bridgeqa.errors import CheckpointError, MissingPrerequisiteError, ValidationError
 from bridgeqa.manifest import read_manifest, verify_fold_hygiene
@@ -242,12 +242,13 @@ def test_fixture_bridge_step_records_at_most_150_tape_nodes(mini_run):
     assert max(counts) == 63
 
 
-def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
+@pytest.mark.parametrize("mode", ["full", "no_context_evidence", "no_content_evidence"])
+def test_every_parameter_moves_the_loss_of_one_training_step(mini_run, mode):
     # a parameter whose gradient is rounding noise can change no output (a
     # constant shift under a softmax or an argmax): one reader minibatch and
     # one bridge question, on fresh models, reach every parameter but
     # abstract/missing, the sentinel that only a target without an abstract
-    # reads
+    # reads; the reasoner is the mode's, so an ablated one's every tensor too
     import numpy as np
 
     from bridgeqa.bridge import bridge_loss, gold_mention_indices, prepare_question_inputs, score_bridges
@@ -277,7 +278,8 @@ def test_every_parameter_moves_the_loss_of_one_training_step(mini_run):
         total = add(total, extra)
     backward(total)
 
-    bridge = _new_bridge_model(mini_run, embedding, seed_tag=0)
+    bridge = _new_bridge_model(replace(mini_run, mode=mode), embedding, seed_tag=0)
+    assert bridge.evidence == evidence_for(mode)
     questions = [q for q in train if q.qtype == "bridge"]
     labels = _load_labels(mini_run, state.corpus)
     inputs = prepare_question_inputs(questions, labels, _start_sets(state, questions), state.corpus)
@@ -452,14 +454,61 @@ def test_cross_predict_fold_a_failure_terminates_fold_b(mini_run, tmp_path, monk
     _assert_cross_predict_left_nothing(cfg, manifest_before)
 
 
-def test_run_ablation_modes_execute(mini_run):
-    state = load_pipeline_state(mini_run)
-    _, _, dev = _load_ingested(mini_run)
+def test_run_ablation_modes_execute(mini_run_for):
+    # each mode answers with the reasoner of its run: an evidence ablation's
+    # own, the full run's for the rest
     assert len(ABLATION_MODES) == 6
     for mode in ABLATION_MODES:
-        report = run_ablation(mode, state, dev)
+        cfg = mini_run_for(mode)
+        _, _, dev = _load_ingested(cfg)
+        report = run_ablation(mode, load_pipeline_state(cfg), dev)
         assert report.mode == mode
         assert not report.empty
+
+
+@pytest.mark.parametrize("mode", ["no_context_evidence", "no_content_evidence"])
+def test_an_evidence_mode_refuses_a_reasoner_of_other_channels(mini_run, mini_run_for, mode):
+    # a full reasoner's answers cannot be labeled as the ablation, nor the
+    # ablated reasoner's as full
+    _, _, dev = _load_ingested(mini_run)
+    with pytest.raises(ValidationError, match=f"rerun train-bridge at mode '{mode}'"):
+        run_ablation(mode, load_pipeline_state(mini_run), dev)
+    with pytest.raises(ValidationError, match="rerun train-bridge at mode 'full'"):
+        run_ablation("full", load_pipeline_state(mini_run_for(mode)), dev)
+
+
+@pytest.mark.parametrize("mode, evidence, fuse_rows", [
+    ("full", ["context", "content"], 8 * 12 + 2 * 12),
+    ("no_content_evidence", ["context"], 8 * 12),
+    ("no_context_evidence", ["content"], 2 * 12),
+])
+def test_a_runs_reasoners_hold_the_tensors_of_its_evidence_channels_alone(mini_run_for, mode, evidence, fuse_rows):
+    # span/ tensors are the context channel's, abstract/ ones the content
+    # channel's; fuse/w holds 8h rows for context and 2 * lstm_hidden for
+    # content (h = lstm_hidden = 12 in fixture_config); the train-bridge and
+    # cross-predict entries name the channels
+    out = Path(mini_run_for(mode).output_dir)
+    for name in ("bridge", "bridge_fold_a", "bridge_fold_b"):
+        arrays, _ = load_checkpoint(out / "checkpoints" / name)
+        held = [channel for channel, prefix in (("context", "span/"), ("content", "abstract/"))
+                if any(key.startswith(prefix) for key in arrays)]
+        assert held == evidence, name
+        assert arrays["fuse/w"].shape == (fuse_rows, 1), name
+    entries = {e["stage"]: e for e in read_manifest(out)}
+    assert entries["train-bridge"]["evidence"] == entries["cross-predict"]["evidence"] == evidence
+
+
+def test_cli_predict_at_an_evidence_mode_over_a_full_run_names_the_stage_to_rerun(mini_run, tmp_path, capsys):
+    from dataclasses import asdict
+
+    cfg = _run_copy(mini_run, tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    before = read_manifest(cfg.output_dir)
+    assert cli_main(["predict", "--config", str(cfg_path), "--mode", "no_context_evidence"]) == 3
+    err = capsys.readouterr().err
+    assert "unknown ['span/" in err and err.rstrip().endswith("rerun train-bridge")
+    assert read_manifest(cfg.output_dir) == before
 
 
 def test_run_ablation_empty_questions_flagged(mini_run):
@@ -797,25 +846,23 @@ def test_bridge_questions_read_ranked_answer_passages(mini_run):
     [("full", True), ("full", False), ("no_context_evidence", True), ("no_content_evidence", True)],
     ids=["full", "full-linking-off", "no_context_evidence", "no_content_evidence"],
 )
-def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini_run, mode, use_el):
+def test_bridge_questions_read_the_top_ranked_titles_plus_the_linked_extras(mini_run_for, mode, use_el):
     # the ranking keeps READER_MAX_PASSAGES titles; the reader reads the first
     # BRIDGE_READ_PASSAGES of them, then the linker's extras not among those
     from bridgeqa.ablation import BRIDGE_READ_PASSAGES, linked_passages, predict_one, start_passages_for
     from bridgeqa.bridge import predict_ranked_titles
     from test_bridge import linked_extras
 
-    state = load_pipeline_state(replace(mini_run, entity_linking=use_el))
+    cfg = mini_run_for(mode)
+    state = load_pipeline_state(replace(cfg, entity_linking=use_el))
     assert (state.linker is not None) == use_el
-    _, _, dev = _load_ingested(mini_run)
+    _, _, dev = _load_ingested(cfg)
     capped = 0
     for q in (q for q in dev if q.qtype == "bridge"):
         pred, reason = predict_one(state, q, mode)
         assert reason is None and not pred.fallback
         starts = start_passages_for(state, q, linked_passages(state, q) if use_el else [])
-        ranked = predict_ranked_titles(
-            state.bridge, q, starts, state.corpus, k=READER_MAX_PASSAGES,
-            use_context=mode != "no_context_evidence", use_content=mode != "no_content_evidence",
-        )
+        ranked = predict_ranked_titles(state.bridge, q, starts, state.corpus, k=READER_MAX_PASSAGES)
         titles = [t for t, _ in pred.ranking]
         assert titles == [t for t, _ in ranked]
         read = [state.corpus.by_title[t] for t in titles[:BRIDGE_READ_PASSAGES]]
