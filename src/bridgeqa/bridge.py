@@ -77,9 +77,10 @@ def derive_bridge_labels(
     seed: int,
 ) -> tuple[list[BridgeLabel], list[dict]]:
     """Distant supervision: label each bridge question with the supporting
-    passage whose text contains the answer string (normalized containment).
-    Several qualifying passages -> one picked uniformly at random under the
-    seed. Questions with none are skipped with a reason."""
+    passage whose normalized text tokens hold the answer's as a contiguous
+    run ("no" is not in "Northampton"). Several qualifying passages -> one
+    picked uniformly at random under the seed. Questions with none are
+    skipped with a reason."""
     rng = np.random.default_rng(seed)
     labels: list[BridgeLabel] = []
     skipped: list[dict] = []
@@ -96,7 +97,7 @@ def derive_bridge_labels(
             passage = corpus.by_title.get(title)
             if passage is None:
                 continue
-            if answer_norm and answer_norm in normalize_answer(passage.text):
+            if answer_norm and f" {answer_norm} " in f" {normalize_answer(passage.text)} ":
                 matching.append(title)
         matching = sorted(set(matching))
         if not matching:

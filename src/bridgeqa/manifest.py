@@ -100,11 +100,26 @@ def append_manifest(output_dir: str | Path, entry: dict) -> None:
     write_json(output_dir / MANIFEST_FILE, entries, indent=2)
 
 
+def read_folds(path: str | Path) -> dict[str, set[str]]:
+    """folds.json's fold assignment: fold name -> its question ids. A file
+    that is not a JSON object of fold names to lists of question-id strings
+    raises ValidationError naming it."""
+    try:
+        folds = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not a fold assignment ({exc!r})") from exc
+    if not (isinstance(folds, dict) and all(isinstance(qids, list) for qids in folds.values())
+            and all(isinstance(qid, str) for qids in folds.values() for qid in qids)):
+        raise ValidationError(f"{path}: not a fold assignment (fold name -> list of question ids)")
+    return {name: set(qids) for name, qids in folds.items()}
+
+
 def verify_fold_hygiene(output_dir: str | Path) -> list[str]:
     """Check, from run artifacts alone, that no reader training example's
     passages were predicted by the reasoner fold trained on that example.
 
-    Returns a list of violation descriptions (empty means clean).
+    Returns a list of violation descriptions (empty means clean); a
+    malformed folds.json or example row is one, naming its file and line.
     """
     output_dir = Path(output_dir)
     folds_path = output_dir / "folds.json"
@@ -113,17 +128,20 @@ def verify_fold_hygiene(output_dir: str | Path) -> list[str]:
         return [f"missing fold assignments: {folds_path}"]
     if not examples_path.exists():
         return [f"missing reader example provenance: {examples_path}"]
-    folds = json.loads(folds_path.read_text(encoding="utf-8"))
     violations: list[str] = []
-    for rec in read_jsonl(examples_path):
-        fold = rec.get("predicted_by_fold")
-        if fold is None:
-            continue  # retriever-sourced context (comparison questions); no fold applies
-        if fold not in folds:
-            violations.append(f"example {rec['qid']}: unknown fold {fold!r}")
-        elif rec["qid"] in folds[fold]:
-            violations.append(
-                f"example {rec['qid']}: passages predicted by fold {fold!r}, "
-                f"which contained the example itself"
-            )
+    try:
+        folds = read_folds(folds_path)
+        for line_no, rec in iter_jsonl(examples_path):
+            qid, fold = rec.get("qid"), rec.get("predicted_by_fold")
+            if not isinstance(qid, str):
+                violations.append(f"{examples_path} line {line_no}: missing or mistyped 'qid'")
+            elif fold is None:
+                continue  # retriever-sourced context (comparison questions); no fold applies
+            elif not isinstance(fold, str) or fold not in folds:
+                violations.append(f"example {qid}: unknown fold {fold!r}")
+            elif qid in folds[fold]:
+                violations.append(f"example {qid}: passages predicted by fold {fold!r}, "
+                                  "which contained the example itself")
+    except ValidationError as exc:
+        violations.append(str(exc))
     return violations

@@ -20,7 +20,6 @@ the entry's own `fold_b_peak_rss_mb`.
 
 from __future__ import annotations
 
-import json
 import logging
 import multiprocessing
 import resource
@@ -57,7 +56,7 @@ from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkp
 from .config import ABLATION_MODES, PipelineConfig, evidence_for
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
-from .manifest import append_manifest, file_sha256, iter_jsonl, read_manifest, write_json, write_jsonl
+from .manifest import append_manifest, file_sha256, iter_jsonl, read_folds, read_manifest, write_json, write_jsonl
 from .metrics import hits_at_k
 from .reader import (
     Prediction,
@@ -140,15 +139,9 @@ def _load_cross_predictions(cfg: PipelineConfig, corpus: Corpus) -> dict[str, di
     path = _require(out / "cross_predictions.jsonl", "cross-predict")
     folds_path = _require(out / "folds.json", "cross-predict")
     try:
-        folds = json.loads(folds_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValidationError(f"{folds_path}: not a fold assignment ({exc!r}); rerun cross-predict") from exc
-    if not (isinstance(folds, dict) and all(
-        isinstance(qids, list) and all(isinstance(qid, str) for qid in qids) for qids in folds.values()
-    )):
-        raise ValidationError(f"{folds_path}: not a fold assignment (fold name -> list of question ids); "
-                              "rerun cross-predict")
-    folds = {name: set(qids) for name, qids in folds.items()}
+        folds = read_folds(folds_path)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}; rerun cross-predict") from exc
     rows: dict[str, dict] = {}
     for line_no, row in iter_jsonl(path):
         qid, fold, titles = row.get("qid"), row.get("predicted_by_fold"), row.get("titles")

@@ -82,6 +82,27 @@ def test_derive_labels_ambiguous_is_seed_deterministic():
     assert picks == {"A", "B"}  # both sides reachable across seeds
 
 
+@pytest.mark.parametrize(
+    "answer, near_miss",
+    [
+        ("no", "The abbey stands near Northampton."),
+        ("1990", "The first pressing sold 19901 copies."),
+    ],
+    ids=["no-in-northampton", "1990-in-19901"],
+)
+def test_derive_labels_match_the_answer_on_token_boundaries(answer, near_miss):
+    # the answer's letters inside a longer token of one page do not make it
+    # the answer page; its tokens, whole and in order, on the other page do
+    holder = passage("p1", "Holder", f"The vote ended {answer}, as recorded.")
+    lookalike = passage("p2", "Lookalike", near_miss)
+    q = QARecord("q1", "which?", answer, "bridge", ("Holder", "Lookalike"))
+    for seed in range(10):
+        labels, _ = derive_bridge_labels([q], corpus_of([holder, lookalike]), seed=seed)
+        assert labels == [BridgeLabel("q1", "Holder")]
+    labels, skipped = derive_bridge_labels([q], corpus_of([lookalike]), seed=0)
+    assert labels == [] and skipped[0]["reason"] == "answer not found in any supporting passage"
+
+
 def test_derive_labels_answer_in_neither_is_skipped():
     corpus = kiss_and_tell_corpus()
     q = QARecord("q1", "who?", "totally absent phrase", "bridge",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -29,7 +30,7 @@ def store_fixture(seed=0):
 
 def tensor_path(directory):
     manifest = json.loads((directory / "manifest.json").read_text())
-    return directory / f"{manifest['tensors'][0]['sha256']}.bin"
+    return directory / f"{manifest['sha256']}.bin"
 
 
 def test_round_trip_exact_at_f32(tmp_path):
@@ -51,26 +52,29 @@ def test_load_into_store_round_trips(tmp_path):
         assert np.array_equal(other[name].data, tensor.data.astype("<f4").astype(np.float64))
 
 
-def test_directory_holds_the_manifest_and_one_file_per_content(tmp_path, monkeypatch):
+def test_directory_holds_the_manifest_and_one_tensor_file(tmp_path, monkeypatch):
     store = store_fixture()
     store.add("enc/b2", np.zeros(3))
     store.add("head/b", np.zeros(3))
     save_checkpoint(store, tmp_path / "ckpt", VOCAB)
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    digests = {e["sha256"] for e in manifest["tensors"]}
-    assert len(manifest["tensors"]) == 5 and len(digests) == 4
+    assert [e["name"] for e in manifest["tensors"]] == sorted(store.names())
     files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
-    assert files == sorted(["manifest.json"] + [f"{d}.bin" for d in digests])
-    # a load reads each file once, the shared one too
+    assert files == [f"{manifest['sha256']}.bin", "manifest.json"]
+    # the one file is every tensor in name order, as one little-endian f32 run
+    assert tensor_path(tmp_path / "ckpt").read_bytes() == b"".join(
+        store[name].data.astype("<f4").tobytes() for name in sorted(store.names()))
+    # a load reads it once
     reads = []
     read_bytes = Path.read_bytes
     monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p.name) or read_bytes(p))
     arrays, _ = load_checkpoint(tmp_path / "ckpt")
-    assert sorted(reads) == [f for f in files if f.endswith(".bin")]
+    assert reads == [files[0]]
     assert np.array_equal(arrays["enc/b2"], arrays["head/b"])
-    # a later save removes the files its manifest no longer names
+    # a later save removes the file its manifest no longer names
     save_checkpoint(store_fixture(seed=1), tmp_path / "ckpt", VOCAB)
-    assert len(list((tmp_path / "ckpt").iterdir())) == 4
+    assert len(list((tmp_path / "ckpt").iterdir())) == 2
+    assert not (tmp_path / "ckpt" / files[0]).exists()
     load_checkpoint(tmp_path / "ckpt")
 
 
@@ -80,7 +84,15 @@ def test_truncated_file_is_corruption_error(tmp_path):
     victim = tensor_path(tmp_path / "ckpt")
     data = victim.read_bytes()
     victim.write_bytes(data[:-4])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="hash"):
+        load_checkpoint(tmp_path / "ckpt")
+    # a file that matches its hash but not the shapes: a tensor short
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["sha256"] = hashlib.sha256(data[:-4]).hexdigest()
+    victim.rename(tensor_path(tmp_path / "ckpt").with_name(f"{manifest['sha256']}.bin"))
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=f"truncated: {len(data) - 4} bytes, expected {len(data)}"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -92,6 +104,14 @@ def test_hash_mismatch_is_corruption_error(tmp_path):
     data[0] ^= 0xFF
     victim.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="hash"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_missing_tensor_file_is_corruption_error(tmp_path):
+    save_checkpoint(store_fixture(), tmp_path / "ckpt", VOCAB)
+    victim = tensor_path(tmp_path / "ckpt")
+    victim.unlink()
+    with pytest.raises(CheckpointError, match=f"checkpoint tensor file missing: {re.escape(str(victim))}"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -120,11 +140,12 @@ def test_manifest_without_vocabulary_is_refused(tmp_path):
             {k: v for k, v in manifest["tensors"][0].items() if k != "shape"}]}), "lacks \\['shape'\\]"),
         (lambda text, manifest: json.dumps({**manifest, "tensors": [
             {**manifest["tensors"][0], "shape": [-4, -3]}]}), "the shape \\[-4, -3\\]"),
-        # these three used to load as f32, or to raise a TypeError naming no file
+        # these used to load as f32, or to raise a TypeError naming no file
         (lambda text, manifest: json.dumps({**manifest, "format": "raw-f16-be"}),
-         "names the format 'raw-f16-be', not 'raw-f32-le'"),
-        (lambda text, manifest: json.dumps({**manifest, "tensors": [
-            {**manifest["tensors"][0], "dtype": "f16"}]}), "the dtype 'f16', not 'f32'"),
+         "names the format 'raw-f16-be', not 'raw-f32-le-concat'"),
+        # the earlier layout: one file per tensor content, each entry with its own dtype and sha256
+        (lambda text, manifest: json.dumps({**manifest, "format": "raw-f32-le"}),
+         "names the format 'raw-f32-le', not 'raw-f32-le-concat'"),
         (lambda text, manifest: json.dumps({**manifest, "tensors": [
             {**manifest["tensors"][0], "shape": [True, 3]}]}), "the shape \\[True, 3\\]"),
         # a later entry of the same name would replace the first one's tensor
@@ -132,15 +153,14 @@ def test_manifest_without_vocabulary_is_refused(tmp_path):
             {**manifest["tensors"][1], "name": manifest["tensors"][0]["name"]}]}), "repeats '.*' in tensor entry 3"),
         (lambda text, manifest: json.dumps({**manifest, "tensors": [
             {**manifest["tensors"][0], "name": ["enc/W"]}]}), "tensor entry 0 a non-string \\['name'\\]"),
-        (lambda text, manifest: json.dumps({**manifest, "tensors": manifest["tensors"][:1] + [
-            {**manifest["tensors"][1], "sha256": ["x"]}]}), "tensor entry 1 a non-string \\['sha256'\\]"),
+        (lambda text, manifest: json.dumps({**manifest, "sha256": ["x"]}), "holds no tensor file hash"),
         # either used to load, the fault surfacing later in the embedding lookup
         (lambda text, manifest: json.dumps({**manifest, "vocab": list(manifest["vocab"])}), "vocabulary that is not"),
         (lambda text, manifest: json.dumps({**manifest, "vocab": {"<unk>": "zero"}}), "vocabulary that is not"),
         (lambda text, manifest: json.dumps({**manifest, "vocab": {"<unk>": True}}), "vocabulary that is not"),
     ],
     ids=["truncated", "not-an-object", "no-tensors", "entry-without-shape", "negative-shape", "format-not-f32-le",
-         "dtype-not-f32", "shape-of-a-bool", "repeated-name",
+         "format-of-the-per-tensor-layout", "shape-of-a-bool", "repeated-name",
          "name-not-a-string", "sha256-not-a-string", "vocab-a-list", "vocab-row-a-string", "vocab-row-a-bool"],
 )
 def test_malformed_manifest_is_refused_naming_its_path(tmp_path, damage, message):

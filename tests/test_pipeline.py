@@ -333,6 +333,39 @@ def test_fold_hygiene_clean_and_violation_detected(mini_run, tmp_path):
     assert violations and victim in violations[0]
 
 
+def _hygiene_copy(mini_run, tmp_path):
+    """folds.json and reader_examples.jsonl of the mini run, copied."""
+    import shutil
+
+    copy = tmp_path / "hygiene"
+    copy.mkdir()
+    for name in ("folds.json", "reader_examples.jsonl"):
+        shutil.copy(Path(mini_run.output_dir) / name, copy / name)
+    return copy
+
+
+def test_fold_hygiene_reports_a_truncated_folds_file_as_a_violation(mini_run, tmp_path):
+    # it used to raise JSONDecodeError, ending a benchmark run instead of failing its check
+    copy = _hygiene_copy(mini_run, tmp_path)
+    text = (copy / "folds.json").read_text()
+    (copy / "folds.json").write_text(text[: len(text) // 2])
+    violations = verify_fold_hygiene(copy)
+    assert len(violations) == 1
+    assert violations[0].startswith(f"{copy / 'folds.json'}: not a fold assignment")
+
+
+def test_fold_hygiene_reports_an_example_row_without_qid_as_a_violation(mini_run, tmp_path):
+    # it used to raise KeyError
+    copy = _hygiene_copy(mini_run, tmp_path)
+    path = copy / "reader_examples.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert any(row["predicted_by_fold"] for row in rows[:2])
+    for row in rows[:2]:
+        del row["qid"]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert verify_fold_hygiene(copy) == [f"{path} line {n}: missing or mistyped 'qid'" for n in (1, 2)]
+
+
 def test_cross_predictions_come_from_opposite_fold(mini_run):
     out = Path(mini_run.output_dir)
     folds = json.loads((out / "folds.json").read_text())
@@ -597,10 +630,47 @@ def test_corrupt_checkpoint_is_detected(mini_run, tmp_path):
     copy = tmp_path / "ckpt_copy"
     shutil.copytree(out / "checkpoints" / "bridge", copy)
     manifest = json.loads((copy / "manifest.json").read_text())
-    victim = copy / f"{manifest['tensors'][0]['sha256']}.bin"
+    victim = copy / f"{manifest['sha256']}.bin"
     victim.write_bytes(victim.read_bytes()[:-8])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="hash mismatch"):
         load_checkpoint(copy)
+
+
+def test_every_checkpoint_directory_holds_its_manifest_and_one_tensor_file(mini_run):
+    checkpoints = Path(mini_run.output_dir) / "checkpoints"
+    directories = sorted(checkpoints.iterdir())
+    assert [d.name for d in directories] == ["bridge", "bridge_fold_a", "bridge_fold_b", "reader"]
+    for directory in directories:
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert sorted(p.name for p in directory.iterdir()) == [f"{manifest['sha256']}.bin", "manifest.json"]
+
+
+def test_predict_over_a_reasoner_checkpoint_of_the_per_tensor_layout_names_the_stage_to_rerun(
+    mini_run, tmp_path, capsys
+):
+    # the earlier layout: one <sha256>.bin per tensor content, each manifest
+    # entry with its own dtype and sha256
+    import hashlib
+    from dataclasses import asdict
+
+    cfg = _run_copy(mini_run, tmp_path)
+    directory = Path(cfg.output_dir) / "checkpoints" / "bridge"
+    arrays, vocab = load_checkpoint(directory)
+    for path in directory.iterdir():
+        path.unlink()
+    entries = []
+    for name in sorted(arrays):
+        data = arrays[name].astype("<f4").tobytes()
+        digest = hashlib.sha256(data).hexdigest()
+        (directory / f"{digest}.bin").write_bytes(data)
+        entries.append({"name": name, "shape": list(arrays[name].shape), "dtype": "f32", "sha256": digest})
+    (directory / "manifest.json").write_text(json.dumps({"format": "raw-f32-le", "tensors": entries, "vocab": vocab}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main(["predict", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "names the format 'raw-f32-le'" in err
+    assert err.rstrip().endswith("rerun train-bridge")
 
 
 def test_checkpoint_without_vocabulary_names_the_stage_to_rerun(mini_run, tmp_path):
@@ -669,7 +739,7 @@ def test_cli_runtime_failure_exit_code(mini_run, tmp_path):
     run_copy = tmp_path / "run_copy"
     shutil.copytree(mini_run.output_dir, run_copy)
     manifest = json.loads((run_copy / "checkpoints" / "bridge" / "manifest.json").read_text())
-    victim = run_copy / "checkpoints" / "bridge" / f"{manifest['tensors'][0]['sha256']}.bin"
+    victim = run_copy / "checkpoints" / "bridge" / f"{manifest['sha256']}.bin"
     victim.write_bytes(victim.read_bytes()[:-8])
     cfg_path = tmp_path / "cfg.json"
     cfg_values = asdict(mini_run)
@@ -1143,7 +1213,7 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
     assert np.array_equal(matrix[1:], [vectors[t] for t in covered])
 
     # the checkpoints carry everything; the vector file is not needed, and
-    # each tensor file is read once
+    # each model's one tensor file is read once
     path.unlink()
     parsed.clear()
     reads = []
@@ -1153,6 +1223,7 @@ def test_frozen_embeddings_pipeline(tmp_path, fixture_dir, monkeypatch):
     assert parsed == []
     out = Path(cfg.output_dir) / "checkpoints"
     tensor_files = sorted(p for d in ("bridge", "reader") for p in (out / d).glob("*.bin"))
+    assert len(tensor_files) == 2
     assert sorted(p for p in reads if p.suffix == ".bin") == tensor_files
     for model, directory in ((state.bridge, "bridge"), (state.reader, "reader")):
         assert model.table.frozen
