@@ -76,7 +76,7 @@ def main():
 
     after = predict_ranked_titles(model, q0.record, q0.start_passages, corpus, k=3)
     print("trained top-3:", [(t, round(s, 2)) for t, s in after])
-    print("clean train Hits@1:", evaluate_hits(model, inputs, corpus, k=1))
+    print("clean train Hits@1:", evaluate_hits(model, inputs, corpus))
 
     # evidence ablations: a reasoner trained with the one channel left
     print("\nevidence ablations, each trained on its own:")
@@ -86,7 +86,7 @@ def main():
         ablated_stats = train(ablated)
         ranked = predict_ranked_titles(ablated, q0.record, q0.start_passages, corpus, k=1)
         print(f"{name:>28}: {len(ablated.store)} tensors, {ablated_stats['epochs_run']} epochs, "
-              f"top-1 = {ranked[0][0]}, clean train Hits@1 = {evaluate_hits(ablated, inputs, corpus, k=1)}")
+              f"top-1 = {ranked[0][0]}, clean train Hits@1 = {evaluate_hits(ablated, inputs, corpus)}")
 
 
 if __name__ == "__main__":

@@ -487,17 +487,13 @@ def train_bridge_reasoner(
     return stats
 
 
-def evaluate_hits(
-    model: BridgeModel,
-    inputs: list[QuestionInputs],
-    corpus: Corpus,
-    k: int = 1,
-) -> float:
-    """Inference-mode Hits@k of the reasoner over every input, ranked by
-    predict_ranked_titles; a gold no candidate holds is a miss."""
+def evaluate_hits(model: BridgeModel, inputs: list[QuestionInputs], corpus: Corpus) -> float:
+    """Inference-mode Hits@1 of the reasoner over every input: the share whose
+    top title by predict_ranked_titles is the gold; a gold no candidate holds
+    is a miss."""
     hits = sum(
         any(title == qi.label.gold_title
-            for title, _ in predict_ranked_titles(model, qi.record, qi.start_passages, corpus, k=k))
+            for title, _ in predict_ranked_titles(model, qi.record, qi.start_passages, corpus, k=1))
         for qi in inputs
     )
     return hits / len(inputs) if inputs else 0.0

@@ -114,9 +114,22 @@ def read_folds(path: str | Path) -> dict[str, set[str]]:
     return {name: set(qids) for name, qids in folds.items()}
 
 
+def fold_violation(folds: dict[str, set[str]], qid: str, fold) -> str | None:
+    """Why the fold named fold may not have predicted the passages of
+    question qid, or None when it may: the fold is one of folds.json, it does
+    not hold the question, and another fold does."""
+    if not (isinstance(fold, str) and fold in folds):
+        return f"predicted_by_fold {fold!r} is not a fold of folds.json"
+    if qid in folds[fold]:
+        return f"predicted by fold {fold!r}, which trained on {qid!r}"
+    if not any(qid in qids for qids in folds.values()):
+        return f"no fold of folds.json holds {qid!r}"
+    return None
+
+
 def verify_fold_hygiene(output_dir: str | Path) -> list[str]:
-    """Check, from run artifacts alone, that no reader training example's
-    passages were predicted by the reasoner fold trained on that example.
+    """Check, from run artifacts alone, that every reader training example's
+    passages were predicted by a fold that may predict them (fold_violation).
 
     Returns a list of violation descriptions (empty means clean); a
     malformed folds.json or example row is one, naming its file and line.
@@ -135,13 +148,10 @@ def verify_fold_hygiene(output_dir: str | Path) -> list[str]:
             qid, fold = rec.get("qid"), rec.get("predicted_by_fold")
             if not isinstance(qid, str):
                 violations.append(f"{examples_path} line {line_no}: missing or mistyped 'qid'")
-            elif fold is None:
-                continue  # retriever-sourced context (comparison questions); no fold applies
-            elif not isinstance(fold, str) or fold not in folds:
-                violations.append(f"example {qid}: unknown fold {fold!r}")
-            elif qid in folds[fold]:
-                violations.append(f"example {qid}: passages predicted by fold {fold!r}, "
-                                  "which contained the example itself")
+            elif fold is not None:  # None: retriever-sourced context; no fold applies
+                problem = fold_violation(folds, qid, fold)
+                if problem is not None:
+                    violations.append(f"example {qid}: {problem}")
     except ValidationError as exc:
         violations.append(str(exc))
     return violations

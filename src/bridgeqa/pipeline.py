@@ -56,7 +56,16 @@ from .checkpoint import checkpoint_digest, load_checkpoint, restore, save_checkp
 from .config import ABLATION_MODES, PipelineConfig, evidence_for
 from .corpus import Corpus, Passage, QARecord, load_corpus, load_questions, save_corpus, save_questions
 from .errors import CheckpointError, ConfigError, MissingPrerequisiteError, ValidationError
-from .manifest import append_manifest, file_sha256, iter_jsonl, read_folds, read_manifest, write_json, write_jsonl
+from .manifest import (
+    append_manifest,
+    file_sha256,
+    fold_violation,
+    iter_jsonl,
+    read_folds,
+    read_manifest,
+    write_json,
+    write_jsonl,
+)
 from .metrics import hits_at_k
 from .reader import (
     Prediction,
@@ -94,11 +103,20 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
+def _read_ingested(cfg: PipelineConfig, name: str, load):
+    """load applied to the ingested file name; a malformed file is refused
+    naming ingest as the stage to rerun."""
+    path = _require(_out(cfg) / name, "ingest")
+    try:
+        return load(path)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}; rerun ingest") from exc
+
+
 def _load_ingested(cfg: PipelineConfig) -> tuple[Corpus, list[QARecord], list[QARecord]]:
-    out = _out(cfg)
-    corpus = load_corpus(_require(out / "corpus.jsonl", "ingest"))
-    train = load_questions(_require(out / "questions_train.jsonl", "ingest"))
-    dev = load_questions(_require(out / "questions_dev.jsonl", "ingest"))
+    corpus = _read_ingested(cfg, "corpus.jsonl", load_corpus)
+    train = _read_ingested(cfg, "questions_train.jsonl", load_questions)
+    dev = _read_ingested(cfg, "questions_dev.jsonl", load_questions)
     return corpus, train, dev
 
 
@@ -147,10 +165,8 @@ def _load_cross_predictions(cfg: PipelineConfig, corpus: Corpus) -> dict[str, di
         qid, fold, titles = row.get("qid"), row.get("predicted_by_fold"), row.get("titles")
         if not isinstance(qid, str):
             problem = "missing or mistyped 'qid'"
-        elif not (isinstance(fold, str) and fold in folds):
-            problem = f"predicted_by_fold {fold!r} is not a fold of folds.json"
-        elif qid in folds[fold]:
-            problem = f"predicted by fold {fold!r}, which trained on {qid!r}"
+        elif problem := fold_violation(folds, qid, fold):
+            pass
         elif not (isinstance(titles, list) and all(isinstance(t, str) for t in titles)):
             problem = "missing or mistyped 'titles'"
         elif not set(titles) <= corpus.by_title.keys():
@@ -292,7 +308,7 @@ def stage_train_bridge(cfg: PipelineConfig) -> dict:
     bridge_questions = [q for q in train if q.qtype == "bridge"]
     inputs = prepare_question_inputs(bridge_questions, labels, _start_sets(state, bridge_questions), corpus)
     stats = train_bridge_reasoner(model, inputs, corpus, cfg)
-    stats["final_train_hits1"] = evaluate_hits(model, inputs, corpus, k=1)
+    stats["final_train_hits1"] = evaluate_hits(model, inputs, corpus)
     digest = _save_model(model, out / "checkpoints" / "bridge")
     write_json(out / "bridge_train_log.json", stats, indent=2)
     return {
@@ -510,7 +526,7 @@ def stage_predict(cfg: PipelineConfig) -> dict:
     the format README's "File formats" gives."""
     out = _out(cfg)
     state = load_pipeline_state(cfg)
-    dev = load_questions(_require(out / "questions_dev.jsonl", "ingest"))
+    dev = _read_ingested(cfg, "questions_dev.jsonl", load_questions)
     labels = gold_titles(dev, state.corpus, cfg.seed)
     predictions, skipped = predict_questions(state, dev, cfg.mode, labels)
     rows = {p.qid: {"answer": p.answer, "passages": p.passages, "ranking": p.ranking, "fallback": p.fallback}
@@ -609,9 +625,9 @@ def run_stage(stage: str, cfg: PipelineConfig) -> dict:
     return entry
 
 
-def run_all(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> dict[str, dict]:
+def run_all(cfg: PipelineConfig) -> dict[str, dict]:
     results = {}
-    for stage in stages:
+    for stage in STAGES:
         log.info("running stage %s", stage)
         results[stage] = run_stage(stage, cfg)
     return results

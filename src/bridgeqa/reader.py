@@ -78,17 +78,14 @@ def build_reader_context(passages: list[Passage], max_tokens: int | None = None)
     return ReaderContext(tokens=tokens, passages=used, starts=starts)
 
 
-def locate_answer_span(
-    context: ReaderContext,
-    answer: str,
-    max_len: int = MAX_ANSWER_LEN,
-) -> tuple[int, int] | None:
-    """First token window whose text (span_to_text) normalizes to the
-    normalized answer; earlier (then shorter) windows win, so earlier
-    passages are preferred. A window stops growing once its normalized text
-    is longer than the answer's, which more tokens only lengthen (unless
-    punctuation fuses them into an article, as in "th-e"). A start token
-    that cannot begin the answer (_may_begin) is skipped unread."""
+def locate_answer_span(context: ReaderContext, answer: str) -> tuple[int, int] | None:
+    """First token window, of at most MAX_ANSWER_LEN tokens, whose text
+    (span_to_text) normalizes to the normalized answer; earlier (then
+    shorter) windows win, so earlier passages are preferred. A window stops
+    growing once its normalized text is longer than the answer's, which
+    more tokens only lengthen (unless punctuation fuses them into an
+    article, as in "th-e"). A start token that cannot begin the answer
+    (_may_begin) is skipped unread."""
     target = normalize_answer(answer)
     if not target:
         return None
@@ -96,7 +93,7 @@ def locate_answer_span(
     for s in range(T):
         if not _may_begin(context.tokens[s], target[0]):
             continue
-        for e in range(s, min(T, s + max_len)):
+        for e in range(s, min(T, s + MAX_ANSWER_LEN)):
             window = normalize_answer(span_to_text(context, s, e))
             if window == target:
                 return (s, e)
@@ -130,7 +127,6 @@ def make_reader_example(
     passages: list[Passage],
     *,
     max_tokens: int | None = None,
-    max_answer_len: int = MAX_ANSWER_LEN,
     predicted_by_fold: str | None = None,
 ) -> tuple[ReaderExample, str | None]:
     """Build a training example and the reason it cannot be trained on, or
@@ -143,7 +139,7 @@ def make_reader_example(
         answer=record.answer,
         predicted_by_fold=predicted_by_fold,
     )
-    span = locate_answer_span(example.context, record.answer, max_len=max_answer_len)
+    span = locate_answer_span(example.context, record.answer)
     if span is None:
         return example, "answer not found in context"
     example.answer_span = span
@@ -201,15 +197,11 @@ def reader_losses(
     return out
 
 
-def best_span(
-    start_logits: np.ndarray,
-    end_logits: np.ndarray,
-    max_len: int = MAX_ANSWER_LEN,
-) -> tuple[int, int]:
-    """Argmax of start_logit[s] + end_logit[e] over s <= e < s + max_len;
+def best_span(start_logits: np.ndarray, end_logits: np.ndarray) -> tuple[int, int]:
+    """Argmax of start_logit[s] + end_logit[e] over s <= e < s + MAX_ANSWER_LEN;
     ties by smaller s, then smaller e."""
     T = start_logits.shape[0]
-    width = min(max_len, T)
+    width = min(MAX_ANSWER_LEN, T)
     # row s, column k scores the span (s, s + k); numpy's argmax takes the
     # first maximum in row-major order, which is the tie rule
     ends = np.arange(T)[:, None] + np.arange(width)
@@ -240,17 +232,13 @@ def span_to_text(context: ReaderContext, s: int, e: int) -> str:
     return " ".join(context.tokens[s : e + 1])
 
 
-def decode_answer(
-    scores,
-    context: ReaderContext,
-    max_len: int = MAX_ANSWER_LEN,
-) -> str:
+def decode_answer(scores, context: ReaderContext) -> str:
     """Best valid span decoded to its original text (or a sentinel literal)."""
     if isinstance(scores, SpanScores):
         start, end = scores.start_logits.data, scores.end_logits.data
     else:
         start, end = scores
-    s, e = best_span(np.asarray(start, dtype=np.float64), np.asarray(end, dtype=np.float64), max_len)
+    s, e = best_span(np.asarray(start, dtype=np.float64), np.asarray(end, dtype=np.float64))
     return span_to_text(context, s, e)
 
 
@@ -353,8 +341,7 @@ def read_and_decode(
     passages: list[Passage],
     *,
     max_tokens: int | None = None,
-    max_answer_len: int = MAX_ANSWER_LEN,
 ) -> tuple[str, ReaderContext]:
     context = build_reader_context(passages, max_tokens=max_tokens)
     _, scores = run_span_model(model, record.question_tokens, context.tokens)
-    return decode_answer(scores, context, max_answer_len), context
+    return decode_answer(scores, context), context

@@ -34,7 +34,8 @@ import numpy as np
 from .corpus import Corpus, TokenSeq
 from .errors import ValidationError
 
-# BM25's saturation and length normalisation, and the title channel's weight
+# BM25's saturation and length normalisation, and the title channel's weight;
+# B must lie in (0, 1] so that 1 - B + B * len / avg stays positive
 K1 = 1.2
 B = 0.75
 TITLE_WEIGHT = 1.0
@@ -157,12 +158,9 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     return InvertedIndex(tuple(p.id for p in corpus.passages), body, title)
 
 
-def _row_scores(index: InvertedIndex, question: TokenSeq, k1: float, b: float, title_weight: float) -> np.ndarray:
+def _row_scores(index: InvertedIndex, question: TokenSeq) -> np.ndarray:
     """Every row's hybrid score, 0 where the question shares no term. The
     counts gather_slices returns are the gathered terms' dfs."""
-    if not 0.0 < b <= 1.0:
-        # 1 - b + b * len / avg must stay positive for every passage length
-        raise ValidationError(f"BM25 b must lie in (0, 1], got {b!r}")
     body = index.body
     scores = np.zeros(index.N)
     ids = [body.term_id[term] for term in question.tokens if term in body.term_id]
@@ -171,10 +169,8 @@ def _row_scores(index: InvertedIndex, question: TokenSeq, k1: float, b: float, t
         rows = body.rows[pos]
         tf = body.tf[pos]
         idf = np.repeat([bm25_idf(index.N, df) for df in counts.tolist()], counts)
-        denom = tf + k1 * (1.0 - b + b * body.length[rows] / body.avg_doc_len)
-        scores = np.bincount(rows, weights=idf * tf * (k1 + 1.0) / denom, minlength=index.N)
-    if title_weight == 0.0:
-        return scores
+        denom = tf + K1 * (1.0 - B + B * body.length[rows] / body.avg_doc_len)
+        scores = np.bincount(rows, weights=idf * tf * (K1 + 1.0) / denom, minlength=index.N)
     title = index.title
     terms = Counter(question.tokens)
     ids = [title.term_id[term] for term in terms if term in title.term_id]
@@ -196,62 +192,42 @@ def _row_scores(index: InvertedIndex, question: TokenSeq, k1: float, b: float, t
     products = np.repeat(weights, counts) * (title.tf[pos] * np.repeat(idfs, counts))
     dots = np.bincount(rows, weights=products, minlength=index.N)
     hit = np.flatnonzero(dots)
-    scores[hit] += title_weight * (dots[hit] / (math.sqrt(q_squares) * index.title_norm[hit]))
+    scores[hit] += TITLE_WEIGHT * (dots[hit] / (math.sqrt(q_squares) * index.title_norm[hit]))
     return scores
 
 
-def hybrid_scores(
-    index: InvertedIndex,
-    question: TokenSeq,
-    *,
-    k1: float = K1,
-    b: float = B,
-    title_weight: float = TITLE_WEIGHT,
-) -> dict[str, float]:
-    """BM25 over the passage body plus title_weight * tf-idf cosine over the
-    title, for every passage sharing a term with the question (others score 0).
+def hybrid_scores(index: InvertedIndex, question: TokenSeq) -> dict[str, float]:
+    """BM25 over the passage body (K1, B) plus TITLE_WEIGHT * tf-idf cosine
+    over the title, for every passage sharing a term with the question
+    (others score 0).
 
     BM25 sums over question token occurrences, in question order, with
     idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1); the title channel sums over
     distinct question terms in first-occurrence order.
     """
-    scores = _row_scores(index, question, k1, b, title_weight)
+    scores = _row_scores(index, question)
     rows = np.flatnonzero(scores > 0.0)
     return dict(zip(map(index.ids.__getitem__, rows.tolist()), scores[rows].tolist()))
 
 
-def hybrid_score(
-    index: InvertedIndex,
-    question: TokenSeq,
-    passage_id: str,
-    *,
-    k1: float = K1,
-    b: float = B,
-    title_weight: float = TITLE_WEIGHT,
-) -> float:
-    """One passage's entry of hybrid_scores."""
+def hybrid_score(index: InvertedIndex, question: TokenSeq, passage_id: str) -> float:
+    """One passage's entry of hybrid_scores, at the module's K1, B and
+    TITLE_WEIGHT."""
     if passage_id not in index.ids:
         raise KeyError(f"unknown passage id {passage_id!r}")
-    return hybrid_scores(index, question, k1=k1, b=b, title_weight=title_weight).get(passage_id, 0.0)
+    return hybrid_scores(index, question).get(passage_id, 0.0)
 
 
-def retrieve_start_passages(
-    index: InvertedIndex,
-    question: TokenSeq,
-    k: int,
-    *,
-    k1: float = K1,
-    b: float = B,
-    title_weight: float = TITLE_WEIGHT,
-) -> list[RetrievalResult]:
-    """Top-k passages by hybrid score, descending, ties broken by passage id.
+def retrieve_start_passages(index: InvertedIndex, question: TokenSeq, k: int) -> list[RetrievalResult]:
+    """Top-k passages by hybrid score (hybrid_scores), descending, ties
+    broken by passage id.
 
     Zero-score passages are never returned, so fewer than k results are
     possible on small corpora or rare-term questions.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    scores = _row_scores(index, question, k1, b, title_weight)
+    scores = _row_scores(index, question)
     rows = np.flatnonzero(scores > 0.0)
     # lexsort's last key is the primary one
     top = rows[np.lexsort((index.id_rank[rows], -scores[rows]))][:k]

@@ -763,7 +763,7 @@ def test_train_bridge_early_stops_on_the_questions_it_can_learn():
     assert (stats["n_train_questions"], stats["n_gold_missing"]) == (2, 2)
     assert stats["epochs_run"] < 50
     assert stats["history"][-1]["train_hits1"] == 1.0
-    assert evaluate_hits(model, inputs, corpus, k=1) == 0.5
+    assert evaluate_hits(model, inputs, corpus) == 0.5
 
 
 def test_train_bridge_rejects_a_batch_size_below_one():

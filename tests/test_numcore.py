@@ -1087,6 +1087,19 @@ def test_adam_deterministic_across_runs():
     assert np.array_equal(run(), run())
 
 
+def test_adam_leaves_a_parameter_without_a_gradient_entry_untouched():
+    # the bridge reasoner's abstract/missing sentinel gets no gradient entry
+    # on a step where no abstract is missing, and must not move on it
+    store = ParamStore()
+    store.add("w", np.array([1.0, -2.0]))
+    store.add("sentinel", np.array([0.25, 0.5]))
+    adam_step(store, {"w": np.array([0.5, -0.5])}, lr=0.1)
+    np.testing.assert_array_equal(store["sentinel"].data, [0.25, 0.5])
+    assert "sentinel" not in store.moments
+    adam_step(store, {"w": np.array([0.5, -0.5]), "sentinel": np.array([1.0, 1.0])}, lr=0.1)
+    assert (store.moments["w"]["t"], store.moments["sentinel"]["t"]) == (2, 1)
+
+
 def test_adam_rejects_non_finite_gradient():
     store = ParamStore()
     store.add("w", np.array([0.0]))

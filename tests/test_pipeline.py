@@ -366,6 +366,17 @@ def test_fold_hygiene_reports_an_example_row_without_qid_as_a_violation(mini_run
     assert verify_fold_hygiene(copy) == [f"{path} line {n}: missing or mistyped 'qid'" for n in (1, 2)]
 
 
+def test_fold_hygiene_reports_a_row_for_a_question_no_fold_holds(mini_run, tmp_path):
+    # it used to check only that the predicting fold did not hold the question
+    copy = _hygiene_copy(mini_run, tmp_path)
+    (copy / "reader_examples.jsonl").write_text(
+        json.dumps({"qid": "not-a-train-question", "predicted_by_fold": "A"}) + "\n"
+    )
+    assert verify_fold_hygiene(copy) == [
+        "example not-a-train-question: no fold of folds.json holds 'not-a-train-question'"
+    ]
+
+
 def test_cross_predictions_come_from_opposite_fold(mini_run):
     out = Path(mini_run.output_dir)
     folds = json.loads((out / "folds.json").read_text())
@@ -1265,6 +1276,30 @@ def _files(directory) -> dict:
     return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in Path(directory).rglob("*") if p.is_file()}
 
 
+@pytest.mark.parametrize(
+    "name, stage",
+    [("corpus.jsonl", "build-index"), ("questions_train.jsonl", "derive-labels"), ("questions_dev.jsonl", "predict")],
+)
+def test_a_malformed_ingested_file_names_ingest_as_the_stage_to_rerun(mini_run, tmp_path, capsys, name, stage):
+    # on the parent the message ended at the field, naming no stage
+    from dataclasses import asdict
+
+    from bridgeqa.manifest import read_jsonl, write_jsonl
+
+    cfg = _run_copy(mini_run, tmp_path)
+    path = Path(cfg.output_dir) / name
+    rows = read_jsonl(path)
+    del rows[3]["id"]
+    write_jsonl(path, rows)
+    before = _files(cfg.output_dir)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    assert cli_main([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(re.escape(name) + r" record 4: missing or non-string field 'id'; rerun ingest$", err.strip()), err
+    assert _files(cfg.output_dir) == before
+
+
 def _edit_folds(text, edit):
     """folds.json's text with fold A's question ids replaced by edit(them)."""
     folds = json.loads(text)
@@ -1449,13 +1484,15 @@ def test_a_malformed_labels_file_is_refused_before_the_stage_writes(mini_run, tm
         (lambda rows: rows[0].update(predicted_by_fold="Z"), r"line 1: predicted_by_fold 'Z' is not a fold of folds\.json"),
         (lambda rows: rows[1].update(predicted_by_fold={"A": "B", "B": "A"}[rows[1]["predicted_by_fold"]]),
          r"line 2: predicted by fold '[AB]', which trained on '[^']+'"),
+        (lambda rows: rows[0].update(qid="not-a-train-question", predicted_by_fold="A"),
+         r"line 1: no fold of folds\.json holds 'not-a-train-question'"),
         (lambda rows: rows[0].update(titles="Grayfield"), r"line 1: missing or mistyped 'titles'"),
         (lambda rows: rows[2].update(titles=["Grayfield", "No Such Page"]),
          r"line 3: titles \['No Such Page'\] name no corpus page"),
         (lambda rows: rows.append(dict(rows[0])), r"line \d+: repeated qid"),
     ],
-    ids=["no-qid", "qid-not-a-string", "unknown-fold", "own-fold", "titles-not-a-list", "unknown-title",
-         "repeated-qid"],
+    ids=["no-qid", "qid-not-a-string", "unknown-fold", "own-fold", "no-fold-holds-the-qid", "titles-not-a-list",
+         "unknown-title", "repeated-qid"],
 )
 def test_a_malformed_cross_predictions_file_is_refused_before_train_reader_writes(mini_run, tmp_path, capsys, edit,
                                                                                   message):

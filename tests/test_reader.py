@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import reference_reader
 
+from bridgeqa import reader
 from bridgeqa.config import PipelineConfig
 from bridgeqa.corpus import Passage, QARecord, load_corpus, tokenize
 from bridgeqa.errors import ValidationError
@@ -178,7 +179,7 @@ def loop_best_span(start_logits, end_logits, max_len=30):
 
 
 @pytest.mark.parametrize("T", [1, 2, 5, 31, 250, 500])
-def test_best_span_matches_the_loop_on_random_and_tied_logits(T):
+def test_best_span_matches_the_loop_on_random_and_tied_logits(T, monkeypatch):
     rng = np.random.default_rng(T)
     for trial in range(20):
         if trial % 2:  # integer logits in a narrow range: many tied spans
@@ -186,7 +187,8 @@ def test_best_span_matches_the_loop_on_random_and_tied_logits(T):
         else:
             start, end = rng.normal(size=T), rng.normal(size=T)
         for max_len in (1, 3, 30):
-            assert best_span(start, end, max_len) == loop_best_span(start, end, max_len)
+            monkeypatch.setattr(reader, "MAX_ANSWER_LEN", max_len)
+            assert best_span(start, end) == loop_best_span(start, end, max_len)
 
 
 def test_best_span_respects_max_length():
@@ -195,7 +197,8 @@ def test_best_span_respects_max_length():
     start[0] = 10.0
     end[39] = 10.0  # unreachable: 39 >= 0 + 30
     end[5] = 1.0
-    assert best_span(start, end, max_len=30) == (0, 5)
+    assert reader.MAX_ANSWER_LEN == 30
+    assert best_span(start, end) == (0, 5)
 
 
 def test_best_span_tie_break_smaller_start_then_end():

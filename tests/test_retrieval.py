@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import reference_retrieval
 
+from bridgeqa import retrieval
 from bridgeqa.bridge import TitleTokenLinker
 from bridgeqa.corpus import Corpus, Passage, load_corpus, load_questions, tokenize
 from bridgeqa.errors import ValidationError
@@ -13,6 +14,12 @@ from bridgeqa.retrieval import (
     hybrid_scores,
     retrieve_start_passages,
 )
+
+
+@pytest.fixture
+def bm25_only(monkeypatch):
+    """Scoring with the title channel off, so that BM25 is scored alone."""
+    monkeypatch.setattr(retrieval, "TITLE_WEIGHT", 0.0)
 
 
 def make_corpus(texts, titles=None):
@@ -110,24 +117,22 @@ def test_hybrid_score_no_overlap_is_zero():
     assert hybrid_score(index, q, "p0") == 0.0
 
 
-def test_hybrid_score_matches_reference_hand_fixture():
+def test_hybrid_score_matches_reference_hand_fixture(bm25_only):
     corpus = make_corpus(["kiss and tell", "tell me more tell", "archer stories"])
     index = build_index(corpus)
     docs = {p.id: list(p.tokens.tokens) for p in corpus.passages}
     q = tokenize("tell archer")
     ref = bm25_reference(q.tokens, docs)
     for pid in docs:
-        got = hybrid_score(index, q, pid, title_weight=0.0)
+        got = hybrid_score(index, q, pid)
         assert got == pytest.approx(ref[pid], abs=1e-9)
 
 
-def test_hybrid_score_identical_passages_tie():
+def test_hybrid_score_identical_passages_tie(bm25_only):
     corpus = make_corpus(["kiss and tell", "kiss and tell"])
     index = build_index(corpus)
     q = tokenize("kiss")
-    assert hybrid_score(index, q, "p0", title_weight=0.0) == hybrid_score(
-        index, q, "p1", title_weight=0.0
-    )
+    assert hybrid_score(index, q, "p0") == hybrid_score(index, q, "p1")
 
 
 def test_hybrid_score_unknown_passage():
@@ -137,7 +142,7 @@ def test_hybrid_score_unknown_passage():
         hybrid_score(index, tokenize("kiss"), "nope")
 
 
-def test_hybrid_score_title_channel_rewards_title_match():
+def test_hybrid_score_title_channel_rewards_title_match(monkeypatch):
     corpus = make_corpus(
         ["plot summary here", "plot summary here"],
         titles=["Kiss and Tell", "Something Else"],
@@ -146,12 +151,11 @@ def test_hybrid_score_title_channel_rewards_title_match():
     q = tokenize("kiss and tell")
     assert hybrid_score(index, q, "p0") > hybrid_score(index, q, "p1")
     # with the title channel off the two bodies tie
-    assert hybrid_score(index, q, "p0", title_weight=0.0) == hybrid_score(
-        index, q, "p1", title_weight=0.0
-    )
+    monkeypatch.setattr(retrieval, "TITLE_WEIGHT", 0.0)
+    assert hybrid_score(index, q, "p0") == hybrid_score(index, q, "p1")
 
 
-def test_bm25_reference_agreement_randomized():
+def test_bm25_reference_agreement_randomized(bm25_only):
     rng = np.random.default_rng(17)
     for _ in range(25):
         corpus = random_corpus(rng, int(rng.integers(2, 15)))
@@ -160,13 +164,12 @@ def test_bm25_reference_agreement_randomized():
         docs = {p.id: list(p.tokens.tokens) for p in corpus.passages}
         ref = bm25_reference(q.tokens, docs)
         for pid in docs:
-            assert hybrid_score(index, q, pid, title_weight=0.0) == pytest.approx(
-                ref[pid], abs=1e-9
-            )
+            assert hybrid_score(index, q, pid) == pytest.approx(ref[pid], abs=1e-9)
 
 
 @pytest.mark.parametrize("title_weight", [0.5, 1.0, 2.0])
-def test_hybrid_score_title_channel_matches_brute_force(title_weight):
+def test_hybrid_score_title_channel_matches_brute_force(title_weight, monkeypatch):
+    monkeypatch.setattr(retrieval, "TITLE_WEIGHT", title_weight)
     words = ["red", "blue", "green", "fish", "river", "stone", "lamp", "archer", "tell", "kiss"]
     rng = np.random.default_rng(29)
     for _ in range(25):
@@ -183,19 +186,19 @@ def test_hybrid_score_title_channel_matches_brute_force(title_weight):
         )
         scores = {}
         for p in corpus.passages:
-            scores[p.id] = hybrid_score(index, q, p.id, title_weight=title_weight)
+            scores[p.id] = hybrid_score(index, q, p.id)
             assert scores[p.id] == pytest.approx(bm25[p.id] + title_weight * cosine[p.id], abs=1e-9)
         ranked = sorted((item for item in scores.items() if item[1] > 0), key=lambda item: (-item[1], item[0]))
-        results = retrieve_start_passages(index, q, n_docs + 1, title_weight=title_weight)
+        results = retrieve_start_passages(index, q, n_docs + 1)
         assert [(r.passage_id, r.score) for r in results] == ranked
 
 
-def test_bm25_monotone_in_term_frequency():
+def test_bm25_monotone_in_term_frequency(bm25_only):
     # same doc length, increasing tf of the query term
     corpus = make_corpus(["kiss pad pad pad", "kiss kiss pad pad", "kiss kiss kiss pad"])
     index = build_index(corpus)
     q = tokenize("kiss")
-    scores = [hybrid_score(index, q, f"p{i}", title_weight=0.0) for i in range(3)]
+    scores = [hybrid_score(index, q, f"p{i}") for i in range(3)]
     assert scores[0] < scores[1] < scores[2]
 
 
@@ -207,10 +210,10 @@ def test_retrieve_corpus_smaller_than_k():
     assert [r.rank for r in results] == [1, 2, 3]
 
 
-def test_retrieve_order_by_term_frequency():
+def test_retrieve_order_by_term_frequency(bm25_only):
     corpus = make_corpus(["kiss pad pad pad", "kiss kiss pad pad"])
     index = build_index(corpus)
-    results = retrieve_start_passages(index, tokenize("kiss"), 2, title_weight=0.0)
+    results = retrieve_start_passages(index, tokenize("kiss"), 2)
     assert results[0].passage_id == "p1"
 
 
@@ -254,6 +257,8 @@ def test_retrieve_prefix_property_randomized():
 # reference_retrieval counts postings maps from the corpus and walks them and
 # the titles one at a time; the package scores with array operations that
 # must keep its exact bits, so every comparison here is ==, never approx.
+# The package reads its weights from the module constants at call time, so
+# each WEIGHTS set is patched onto them and passed to the reference.
 
 WORDS = ["red", "blue", "green", "fish", "river", "stone", "lamp", "archer", "tell", "kiss", "new", "york"]
 WEIGHTS = [
@@ -288,26 +293,29 @@ def synthetic_questions(rng, count):
     ]
 
 
-def assert_matches_reference(index, reference, question_texts, weights):
+def assert_matches_reference(monkeypatch, index, reference, question_texts, weights):
+    monkeypatch.setattr(retrieval, "K1", weights["k1"])
+    monkeypatch.setattr(retrieval, "B", weights["b"])
+    monkeypatch.setattr(retrieval, "TITLE_WEIGHT", weights["title_weight"])
     for text in question_texts:
         q = tokenize(text)
-        assert hybrid_scores(index, q, **weights) == reference_retrieval.hybrid_scores(reference, q, **weights)
+        assert hybrid_scores(index, q) == reference_retrieval.hybrid_scores(reference, q, **weights)
         # the reference's top k is the first k of its whole ranking
         ranked = reference_retrieval.retrieve_start_passages(reference, q, index.N, **weights)
         for k in range(1, index.N + 2):
-            got = retrieve_start_passages(index, q, k, **weights)
+            got = retrieve_start_passages(index, q, k)
             assert [(r.passage_id, r.score) for r in got] == ranked[:k]
             assert [r.rank for r in got] == list(range(1, len(got) + 1))
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_scores_and_rankings_equal_the_reference_walk(seed):
+def test_scores_and_rankings_equal_the_reference_walk(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     corpus = synthetic_corpus(rng)
     questions = synthetic_questions(rng, 8)
     index, reference = build_index(corpus), reference_retrieval.Index(corpus)
     for weights in WEIGHTS:
-        assert_matches_reference(index, reference, questions, weights)
+        assert_matches_reference(monkeypatch, index, reference, questions, weights)
 
 
 def test_fixture_scores_and_rankings_equal_the_reference_walk(fixture_dir):
@@ -360,7 +368,7 @@ def test_fixture_index_equals_the_corpus_counted_postings(fixture_dir):
     ],
     ids=["empty-text", "term-in-every-text"],
 )
-def test_index_edges_equal_the_reference(texts, the_rows):
+def test_index_edges_equal_the_reference(texts, the_rows, monkeypatch):
     # "film" is in every title, so the title field holds a term of df N too
     corpus = make_corpus(texts, titles=["Kiss (film)", "Empty (film)", "Film", "River film"])
     reference = reference_retrieval.Index(corpus)
@@ -372,7 +380,7 @@ def test_index_edges_equal_the_reference(texts, the_rows):
         t = field.term_id[term]
         assert field.rows[field.bounds[t] : field.bounds[t + 1]].tolist() == rows
     for weights in WEIGHTS:
-        assert_matches_reference(index, reference, questions, weights)
+        assert_matches_reference(monkeypatch, index, reference, questions, weights)
     arrays = {
         f"{name}.{attr}": getattr(field, attr)
         for name, field in (("body", index.body), ("title", index.title))
@@ -427,14 +435,8 @@ def test_index_and_linker_arrays_are_read_only():
             array += 0
 
 
-def test_bm25_b_above_one_is_an_error_not_a_division_by_zero():
-    # a 3-token passage against an average length of 5: 1 - b + b * 3 / 5 is
-    # -1 at b = 5, so with k1 = 1 the one-occurrence denominator is 0
-    corpus = make_corpus(["kiss pad pad", "pad pad pad pad pad pad pad"])
-    index = build_index(corpus)
-    assert index.body.avg_doc_len == 5
-    for b in (5.0, 1.5, 0.0):
-        with pytest.raises(ValidationError, match="b must lie in"):
-            retrieve_start_passages(index, tokenize("kiss"), 2, k1=1.0, b=b)
-        with pytest.raises(ValidationError, match="b must lie in"):
-            hybrid_scores(index, tokenize("kiss"), k1=1.0, b=b)
+def test_bm25_constants_keep_every_denominator_positive():
+    # 1 - B + B * len / avg stays positive for every passage length only for
+    # 0 < B <= 1, and K1 > 0 keeps a one-occurrence term's denominator above 0
+    assert 0.0 < retrieval.B <= 1.0
+    assert retrieval.K1 > 0.0
