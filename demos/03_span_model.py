@@ -10,6 +10,7 @@ heads, and the full per-token states are never formed.
 import numpy as np
 
 from bridgeqa.corpus import Passage, tokenize
+from bridgeqa.numcore import constant
 from bridgeqa.reader import build_reader_context, decode_answer
 from bridgeqa.span_model import (
     biattention,
@@ -43,8 +44,8 @@ def main():
     attended = biattention(c, q, model.store)
     print(f"after bidirectional attention: {attended.states.data.shape}  "
           "(= [h; q-aware; h*q-aware; h*summary])")
-    final = self_attention(attended, model.store)
-    print(f"after self-attention (+residual): {final.states.data.shape}")
+    final = self_attention(attended, model.store, readout=constant(np.eye(8 * model.hidden)))
+    print(f"after self-attention (+residual), read through the identity: {final.states.data.shape}")
     read = self_attention(attended, model.store, readout=head_readout(model.store))
     print(f"self-attention read through the two span heads: {read.states.data.shape}")
     scores = span_heads(read.states)

@@ -261,16 +261,15 @@ def _context_rows(
     question: TokenSeq,
     start_passages: list[Passage],
     candidates: list[BridgeCandidate],
-    readout: Tensor | None = None,
+    readout: Tensor,
     *,
     rng: np.random.Generator | None,
 ) -> Tensor:
     """Local context evidence: each candidate's anchor start-token row of
     its start passage's self-attention output, in candidate order, read
-    through readout: (n, k) for a readout of k columns, (n, 8h) without one.
-    Only those rows are read: self-attention queries, its residual and its
-    mixing layer run at the anchor rows alone (see attend for the rng and
-    the memo)."""
+    through readout: (n, k) for a readout of k columns. Only those rows are
+    read: self-attention queries, its residual and its mixing layer run at
+    the anchor rows alone (see attend for the rng and the memo)."""
     passage_by_id = {p.id: p for p in start_passages}
     for cand in candidates:
         pid = cand.source_passage_id

@@ -10,14 +10,17 @@ whose every dimension is equal or 1 on one side (a (T, 1) column against a
 attention positions are represented with -inf logits, which exp() turns
 into exact zeros.
 
-self_attend is the one fused op: a span model's self-attention over packed
-segments (scores, masked softmax and weighted sum) is one node whose
-backward is written out, where the same layer composed from the ops above
-records about 17 per segment. Every segment attends through one score
-matrix, masked -inf outside each query's own segment. Given rows, it reads
-only those: a bridge reasoner scores each anchor by its start-token row, so
-only the anchor rows query, while keys and values still span every row of
-their segment.
+biattend and self_attend are the two fused ops, a span model's two
+attention layers, each one node whose backward is written out where the
+same layer composed from the ops above records about 20 nodes. biattend is
+BiDAF's bidirectional attention of packed passages against one question,
+with the composed layer's bits forward and backward (the composed layer is
+kept as the tests' reference). self_attend is self-attention over packed
+segments, its mixing layer and residual read through a readout: every
+segment attends through one score matrix, masked -inf outside each query's
+own segment. Given rows, it reads only those: a bridge reasoner scores each
+anchor by its start-token row, so only the anchor rows query, while keys
+and values still span every row of their segment.
 """
 
 from __future__ import annotations
@@ -243,30 +246,123 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor:
-    """Bilinear self-attention within each packed segment, as one node.
+def biattend(h: Tensor, u: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, lengths) -> Tensor:
+    """BiDAF's bidirectional attention of packed contexts against one
+    question, as one node: per context row [h; c2q; h*c2q; h*q2c].
+
+    lengths pack h's rows into passages, as run_recurrent packs them, each
+    read against the question u. The similarity is trilinear,
+    S_ij = h_i.w1 + u_j.w2 + (h_i * w3).u_j. Context-to-question attention
+    is row-wise: c2q_i = softmax(S_i).u. Question-to-context attention is one
+    softmax per passage over its rows' maxima max_j S_ij, scored -inf outside
+    its block, whose weighted sum of the passage's rows is copied to each of
+    them as q2c. The forward runs the numpy steps of the same layer composed
+    from the ops above (add, matmul, mul, transpose, softmax_rows, row_max,
+    gather_rows, concat), in their order, so it gives their bits. The
+    backward is written out: each of those ops' backward in turn, each
+    gradient summed in the order the composed graph's backward sums it, so
+    it gives their bits too.
+    """
+    W = h.data.shape[1] if h.data.ndim == 2 else -1
+    if (W < 1 or u.data.ndim != 2 or u.data.shape[0] < 1 or u.data.shape[1] != W
+            or w1.data.shape != (W, 1) or w2.data.shape != (W, 1) or w3.data.shape != (W,)):
+        raise ShapeError(f"biattend: shapes h {h.data.shape}, u {u.data.shape}, w1 {w1.data.shape}, "
+                         f"w2 {w2.data.shape}, w3 {w3.data.shape}")
+    lengths = np.array([int(n) for n in lengths], dtype=np.int64)
+    H, U = h.data, u.data
+    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != H.shape[0]:
+        raise ShapeError(f"biattend: lengths {lengths.tolist()} do not pack {H.shape[0]} rows")
+    # S: a (Tc, 1) column plus a (1, Tq) row, broadcast, plus the (Tc, Tq)
+    # product term, u's transpose copied as transpose() copies it
+    hw3, UT = H * w3.data, U.T.copy()
+    S = (H @ w1.data + (U @ w2.data).T) + hw3 @ UT
+    # each row's maximum, at its first argmax: the softmax's shift and the
+    # question-to-context score
+    cols = np.arange(H.shape[0])
+    top = S.argmax(axis=1)
+    m = S[cols, top][:, None]
+    if np.any(np.isneginf(m)):
+        # a row of S entirely -inf; no passage's q2c row can be masked otherwise
+        raise ShapeError("biattend: a row is entirely -inf (fully masked)")
+    A = np.exp(S - m)
+    A = A / A.sum(axis=1, keepdims=True)
+    c2q = A @ U
+    segment = np.repeat(np.arange(lengths.size), lengths)
+    blocks = np.full((lengths.size, H.shape[0]), -np.inf)
+    blocks[segment, cols] = 0.0
+    Z = m.T + blocks
+    beta = np.exp(Z - Z.max(axis=1, keepdims=True))
+    beta = beta / beta.sum(axis=1, keepdims=True)
+    q2c = (beta @ H)[segment]
+    out = Tensor(np.concatenate([H, c2q, H * c2q, H * q2c], axis=1), (h, u, w1, w2, w3))
+
+    def bwd(g):
+        # each composed op's backward, with its operands' layouts, and each
+        # tensor's gradient summed in the order the composed graph's backward
+        # adds it up: the same bits
+        g_c2q, g_hc2q, g_hq2c = g[:, W : 2 * W], g[:, 2 * W : 3 * W], g[:, 3 * W :]
+        # question-to-context: the gather's sum over each passage's rows, the
+        # weighted sum, then the blocked softmax over the row maxima
+        g_sum = np.zeros((lengths.size, W))
+        np.add.at(g_sum, segment, g_hq2c * H)
+        g_beta = g_sum @ H.T
+        gZ = (g_beta - (g_beta * beta).sum(axis=1, keepdims=True)) * beta
+        # context-to-question, and the row maxima at their argmax
+        gc = g_c2q + g_hc2q * H
+        gA = gc @ U.T
+        gS = (gA - (gA * A).sum(axis=1, keepdims=True)) * A
+        gS[cols, top] += gZ.sum(axis=0)
+        # the three terms of S
+        g_rows, g_cols = gS.sum(axis=1, keepdims=True), gS.sum(axis=0, keepdims=True).T
+        g_hw3 = gS @ UT.T
+        accumulate(h, g[:, :W] + g_hc2q * c2q + g_hq2c * q2c + beta.T @ g_sum + g_rows @ w1.data.T
+                   + g_hw3 * w3.data)
+        accumulate(u, A.T @ gc + g_cols @ w2.data.T + (hw3.T @ gS).T)
+        accumulate(w1, H.T @ g_rows)
+        accumulate(w2, U.T @ g_cols)
+        accumulate(w3, (g_hw3 * H).sum(axis=0))
+
+    out.bwd = bwd
+    return out
+
+
+def self_attend(x: Tensor, w2: Tensor, w3: Tensor, w_mix: Tensor, v: Tensor, lengths, rows=None) -> Tensor:
+    """A span model's self-attention over packed segments, read through a
+    readout, as one node.
 
     lengths pack x's rows into segments, as run_recurrent packs them. Query
     row i scores every row j with S_ij = x_j.w2 + (x_i * w3).x_j, masked to
     -inf outside i's own segment and at j = i; P is the row softmax of S and
-    output row i is P_i.x. One (queries, rows) matrix holds the scores of
-    every segment, so a single segment, the mask being its diagonal alone,
-    runs the plain formula. A row term x_i.w1 of the trilinear form would
-    add one constant to each row of S, which the row softmax ignores, so it
-    is left out. A row of a length-1 segment has nothing to attend to: it
-    does not query, and its output row is zero. Backward keeps P.
+    att_i = P_i.x. One (queries, rows) matrix holds the scores of every
+    segment, so a single segment, the mask being its diagonal alone, runs
+    the plain formula. A row term x_i.w1 of the trilinear form would add one
+    constant to each row of S, which the row softmax ignores, so it is left
+    out. A row of a length-1 segment has nothing to attend to: it does not
+    query, and its att is zero.
+
+    The output is x.v + ([x; att; x*att].(w_mix.v)) * keep, for a readout v
+    of shape (D, k): the mixing layer w_mix (3D, D) and the residual read
+    through v, where keep is 0 at the rows of length-1 segments (they get no
+    mixing) and 1 elsewhere. With no segment of two rows, it is x.v alone,
+    and w2, w3 and w_mix get no gradient. Past the attention, forward and
+    backward run the numpy steps of the tail composed from matmul, concat,
+    mul and add, in their order, each gradient summed as the composed
+    graph's backward sums it, so both give their bits. Backward keeps P.
 
     rows, when given, are the packed row indices to read, in any order and
     repeats allowed: the output has one row per entry, the row rows[i] of
-    the full output. Only those rows query: the query-side terms (x * w3
-    and the masked own row) are formed, and differentiated, at rows alone,
-    while keys and values still span every row of each segment.
+    the full output. Only those rows query, and the mixing layer and the
+    residual run at rows alone: the query-side terms (x * w3 and the masked
+    own row) are formed, and differentiated, at rows alone, while keys and
+    values still span every row of each segment.
     """
     D = x.data.shape[1] if x.data.ndim == 2 else -1
-    if D < 1 or w2.data.shape != (D, 1) or w3.data.shape != (D,):
-        raise ShapeError(f"self_attend: shapes x {x.data.shape}, w2 {w2.data.shape}, w3 {w3.data.shape}")
+    if (D < 1 or w2.data.shape != (D, 1) or w3.data.shape != (D,) or w_mix.data.shape != (3 * D, D)
+            or v.data.ndim != 2 or v.data.shape[0] != D):
+        raise ShapeError(f"self_attend: shapes x {x.data.shape}, w2 {w2.data.shape}, w3 {w3.data.shape}, "
+                         f"w_mix {w_mix.data.shape}, v {v.data.shape}")
     lengths = np.array([int(n) for n in lengths], dtype=np.int64)
-    X = x.data
+    X, V = x.data, v.data
     if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != X.shape[0]:
         raise ShapeError(f"self_attend: lengths {lengths.tolist()} do not pack {X.shape[0]} rows")
     if rows is None:
@@ -276,6 +372,24 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor
         if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= X.shape[0])):
             raise ShapeError(f"self_attend: rows {rows} do not index {X.shape[0]} rows")
         own, xq = rows, X[rows]
+
+    def scatter(g_read):
+        # the gradient of x from that of xq, the read rows
+        if rows is None:
+            return g_read
+        gx = np.zeros_like(X)
+        np.add.at(gx, rows, g_read)
+        return gx
+
+    if lengths.max() == 1:
+        out = Tensor(xq @ V, (x, v))
+
+        def bwd_residual(g):
+            accumulate(x, scatter(g @ V.T))
+            accumulate(v, xq.T @ g)
+
+        out.bwd = bwd_residual
+        return out
     # own holds each read row's packed index, None when the reads are every
     # row of one segment (their own rows are the diagonal); q picks the query
     # rows, those of segments of two or more rows, out of xq (a slice when
@@ -284,7 +398,7 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor
     # with one segment
     outside = None
     if lengths.size == 1:
-        q = slice(None) if lengths[0] > 1 else np.zeros(0, dtype=np.int64)
+        q = slice(None)
     else:
         segment = np.repeat(np.arange(lengths.size), lengths)
         if own is None:
@@ -317,18 +431,33 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor
     P /= P.sum(axis=1, keepdims=True)
     every = isinstance(q, slice)
     if every:
-        out_data = P @ X
+        att = P @ X
     else:
-        out_data = np.zeros_like(xq)
-        out_data[q] = P @ X
-    out = Tensor(out_data, (x, w2, w3))
+        att = np.zeros_like(xq)
+        att[q] = P @ X
+    # the mixing layer read through v, and the residual
+    mixed = np.concatenate([xq, att, xq * att], axis=1)
+    mix_v = w_mix.data @ V
+    delta = mixed @ mix_v
+    keep = None
+    if lengths.min() == 1:
+        keep = np.repeat(lengths > 1, lengths).astype(np.float64)[slice(None) if rows is None else rows, None]
+        delta = delta * keep
+    out = Tensor(xq @ V + delta, (x, w2, w3, w_mix, v))
 
     def bwd(g):
+        # the tail's composed ops' backward, each tensor's gradient summed in
+        # the order the composed graph's backward adds it up: the same bits
+        gd = g if keep is None else g * keep
+        g_mix_v = mixed.T @ gd
+        g_mixed = gd @ mix_v.T
+        gxq = g @ V.T + g_mixed[:, :D] + g_mixed[:, 2 * D :] * att
+        g_att = g_mixed[:, D : 2 * D] + g_mixed[:, 2 * D :] * xq
         # the score gradient dS reaches the keys and values through P.x and
         # the (x * w3).x^T product; its column sums (d2) reach x.w2 at every
         # row, and dS.x reaches x * w3 at the query rows. A masked score has
         # P = 0, so its dS is 0.
-        gq = g[q]
+        gq = g_att[q]
         dP = gq @ X.T
         dS = (dP - (dP * P).sum(axis=1, keepdims=True)) * P
         d2 = np.zeros_like(xw2)
@@ -344,9 +473,14 @@ def self_attend(x: Tensor, w2: Tensor, w3: Tensor, lengths, rows=None) -> Tensor
             gx += dSx * w3.data
         else:
             np.add.at(gx, rows, dSx * w3.data)
-        accumulate(x, gx)
+        accumulate(x, scatter(gxq) + gx)
         accumulate(w2, X.T @ d2)
         accumulate(w3, (dSx * xq).sum(axis=0))
+        accumulate(w_mix, g_mix_v @ V.T)
+        # two terms, as the two matmuls that read v add them: several groups
+        # read one v, and its gradient sums their terms one by one
+        accumulate(v, xq.T @ g)
+        accumulate(v, w_mix.data.T @ g_mix_v)
 
     out.bwd = bwd
     return out

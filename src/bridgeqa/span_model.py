@@ -17,19 +17,20 @@ reader's two span heads (head_readout), and the reasoner's fusion weights
 over its context channel. So self_attention takes those heads as a readout
 V, (8h, k), and returns x.V + (mixed.(W_mix.V)) * keep: the mixing layer is
 read through its heads, an (24h, k) matmul with k <= 2 in place of an
-(24h, 8h) one, in forward and backward. Without a readout it returns the
-full states.
+(24h, 8h) one, in forward and backward. A readout is always given; the
+identity gives the full states.
 
 attend() is the one reading path, in training and in answering, of the
 reader and of the bridge reasoner alike. It reads one or several questions,
 each against one or several contexts (a reader minibatch: one block context
 per question; the reasoner: one question and its start passages), without
-padding: one encoder pass over every question and context, one biattention
-per question over all of its context rows, whose question-to-context
-softmax is masked -inf outside each context's block, and one self-attention
-per question: one numcore self_attend node scores all of its contexts in one
-matrix, masked -inf outside each context's rows, normalises and sums, and
-one mixing layer, read through the readout, runs over all of them.
+padding: one encoder pass over every question and context, then per
+question two numcore nodes, each with its backward written out. One
+biattend node reads the question against all of its context rows, its
+question-to-context softmax masked -inf outside each context's block. One
+self_attend node scores all of its contexts in one matrix, masked -inf
+outside each context's rows, normalises and sums, and runs one mixing
+layer and the residual, read through the readout, over all of them.
 
 The bridge reasoner scores each anchor by its start-token row alone, about
 one context row in ten, so it passes those rows to attend: self-attention
@@ -61,22 +62,18 @@ from .numcore import (
     ParamStore,
     Tensor,
     add,
+    biattend,
     concat,
     constant,
     cross_entropy_from_logits,
     dropout,
     gather_rows,
     glorot,
-    matmul,
-    mul,
     reshape,
-    row_max,
     run_bidirectional,
     self_attend,
     slice_cols,
     slice_rows,
-    softmax_rows,
-    transpose,
 )
 
 UNK_TOKEN = "<unk>"
@@ -245,7 +242,8 @@ def encode(
 
 
 def biattention(context: EncodedSeq, question: EncodedSeq, store: ParamStore, *, lengths=None) -> EncodedSeq:
-    """Question-aware context states: per position [h; u~; h*u~; h*h~].
+    """Question-aware context states: per position [h; u~; h*u~; h*h~], one
+    numcore biattend node.
 
     With lengths, context packs several passages back to back, each read
     against the same question. Context-to-question attention is row-wise, so
@@ -260,33 +258,15 @@ def biattention(context: EncodedSeq, question: EncodedSeq, store: ParamStore, *,
             f"question width {question.states.data.shape}"
         )
     lengths = [len(context)] if lengths is None else list(lengths)
-    if min(lengths) < 1 or sum(lengths) != len(context):
+    if min(lengths, default=0) < 1 or sum(lengths) != len(context):
         raise ValidationError(f"biattention: lengths {lengths} do not pack {len(context)} context rows")
-    # S_ij = w1.h_i + w2.u_j + w3.(h_i * u_j): a (Tc, 1) column plus a
-    # (1, Tq) row, broadcast, plus the (Tc, Tq) product term
-    h, u = context.states, question.states
-    S = add(
-        add(matmul(h, store["span/biattn/w1"]), transpose(matmul(u, store["span/biattn/w2"]))),
-        matmul(mul(h, store["span/biattn/w3"]), transpose(u)),
-    )
-    # context-to-question: attend over question positions per context row
-    c2q = matmul(softmax_rows(S), u)
-    # question-to-context: per passage, one (1, W) row from a distribution
-    # over its rows (their row maxima), copied to each of its positions
-    segment = np.repeat(np.arange(len(lengths)), lengths)
-    blocks = np.full((len(lengths), len(context)), -np.inf)
-    blocks[segment, np.arange(len(context))] = 0.0
-    beta = softmax_rows(add(transpose(row_max(S)), constant(blocks)))
-    q2c = gather_rows(matmul(beta, h), segment)
-    out = concat([h, c2q, mul(h, c2q), mul(h, q2c)], axis=1)
-    return EncodedSeq(states=out)
+    w = [store[f"span/biattn/{name}"] for name in ("w1", "w2", "w3")]
+    return EncodedSeq(states=biattend(context.states, question.states, *w, lengths))
 
 
-def self_attention(
-    context: EncodedSeq, store: ParamStore, *, lengths=None, rows=None, readout: Tensor | None = None
-) -> EncodedSeq:
+def self_attention(context: EncodedSeq, store: ParamStore, *, readout: Tensor, lengths=None, rows=None) -> EncodedSeq:
     """Context-to-context attention with the diagonal masked, residual added,
-    read through a readout matrix.
+    read through a readout matrix, as one numcore self_attend node.
 
     Its output states are x.V + (mixed.(W_mix.V)) * keep for a readout V of
     shape (8h, k), where x is the context's rows, mixed = [x; att; x*att]
@@ -294,14 +274,12 @@ def self_attention(
     length-1 passages (no off-diagonal mass exists, so they get no mixing)
     and 1 elsewhere. Its readers read the output only through linear heads,
     so each passes its heads as V, and the mixing layer is read through
-    them: an (24h, k) matmul, k <= 2, in place of an (24h, 8h) one. Without
-    a readout (the identity), the states are the full x + (mixed.W_mix) *
-    keep, formed by the same steps without the products by V.
+    them: an (24h, k) matmul, k <= 2, in place of an (24h, 8h) one. The
+    identity readout gives the full states.
 
     With lengths, context packs several passages back to back and each
-    attends within its own rows: one self_attend node, one masked score
-    matrix, over every row, then one mixing layer over every row. Without a
-    readout, a context of length-1 passages only is returned unchanged.
+    attends within its own rows: one masked score matrix, and one mixing
+    layer, over every row. A context of length-1 passages only reads x.V.
 
     With rows (packed row indices, any order, repeats allowed), the output is
     those rows only, one per entry: the anchor rows a bridge reasoner scores.
@@ -311,26 +289,8 @@ def self_attention(
     lengths = [len(context)] if lengths is None else list(lengths)
     if min(lengths, default=0) < 1 or sum(lengths) != len(context):
         raise ValidationError(f"self_attention: lengths {lengths} do not pack {len(context)} context rows")
-    x = context.states
-    if max(lengths) == 1:
-        if rows is None and readout is None:
-            return context
-        return EncodedSeq(states=_read(x if rows is None else gather_rows(x, rows), readout))
-    attended = self_attend(x, store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows)
-    if rows is not None:
-        x = gather_rows(x, rows)
-    mixed = concat([x, attended, mul(x, attended)], axis=1)
-    delta = matmul(mixed, _read(store["span/selfattn/W_mix"], readout))
-    if min(lengths) == 1:
-        # the rows of a length-1 passage keep x: their mixing is scaled by 0
-        keep = np.repeat([float(n > 1) for n in lengths], lengths)
-        delta = mul(delta, constant((keep if rows is None else keep[rows])[:, None]))
-    return EncodedSeq(states=add(_read(x, readout), delta))
-
-
-def _read(t: Tensor, readout: Tensor | None) -> Tensor:
-    """t.readout, and t itself for the identity readout (None)."""
-    return t if readout is None else matmul(t, readout)
+    w = [store[f"span/selfattn/{name}"] for name in ("w2", "w3", "W_mix")]
+    return EncodedSeq(states=self_attend(context.states, *w, readout, lengths, rows))
 
 
 def head_readout(store: ParamStore) -> Tensor:
@@ -456,17 +416,16 @@ def attend(
     model: SpanModel,
     groups,
     *,
+    readout: Tensor,
     rng: np.random.Generator | None = None,
     rows=None,
-    readout: Tensor | None = None,
 ) -> list[EncodedSeq]:
     """Read questions against their contexts. groups is a list of
     (question, contexts) pairs; returns, per group, the self-attention output
     of its contexts back to back in context order, read through readout:
-    (sum of lengths, k) for a readout of k columns, (sum of lengths, 8h)
-    without one. rows, when given, holds one entry per group: None, or the
-    row indices into that group's contexts back to back whose outputs alone
-    it returns (see self_attention).
+    (sum of lengths, k) for a readout of k columns. rows, when given, holds
+    one entry per group: None, or the row indices into that group's contexts
+    back to back whose outputs alone it returns (see self_attention).
 
     Every question and context of every group is encoded in one pass, in the
     order [q1, q1's contexts, q2, q2's contexts, ...], so dropout, drawn
@@ -486,12 +445,16 @@ def attend(
         read.append(group)
     if not read:
         raise ValidationError("attend: no (question, contexts) group")
+    if rows is None:
+        rows = [None] * len(read)
+    elif len(rows) != len(read):
+        raise ValidationError(f"attend: {len(rows)} entries of rows for {len(read)} groups")
     memo = model.memo if rng is None else None
     packed = [toks for group in read for toks in (group if memo is None else group[:1])]
     states = encode([tok for toks in packed for tok in toks], model.table, model.store, model.hidden,
                     lengths=[len(toks) for toks in packed], dropout_rate=model.dropout, rng=rng).states
     finals, start = [], 0
-    for (question, *contexts), group_rows in zip(read, rows or [None] * len(read)):
+    for (question, *contexts), group_rows in zip(read, rows):
         lengths = [len(toks) for toks in contexts]
         question_states = EncodedSeq(states=slice_rows(states, start, start + len(question)))
         start += len(question)

@@ -24,6 +24,7 @@ from bridgeqa.numcore import (
     ParamStore,
     Tensor,
     add,
+    biattend,
     concat,
     constant,
     cross_entropy_from_logits,
@@ -168,10 +169,17 @@ def test_criterion_1_gradient_verification():
             assert report.passed, f"{kind} reverse={reverse}: {report.summary()}"
             worst = max(worst, report.worst)
 
-        # self-attention within packed segments, a length-1 segment among them
-        worst = max(worst, _check(lambda s: self_attend(s["x"], s["w2"], s["w3"], [3, 1, 2]),
-                                  {"x": rng.normal(size=(6, 3)), "w2": rng.normal(size=(3, 1)),
+        # the two fused attention nodes over packed segments, a length-1
+        # segment among them: biattention against a 2-row question, and
+        # self-attention read through a 2-column readout
+        worst = max(worst, _check(lambda s: biattend(s["h"], s["u"], s["w1"], s["w2"], s["w3"], [3, 1, 2]),
+                                  {"h": rng.normal(size=(6, 3)), "u": rng.normal(size=(2, 3)),
+                                   "w1": rng.normal(size=(3, 1)), "w2": rng.normal(size=(3, 1)),
                                    "w3": rng.normal(size=3)}, rng))
+        worst = max(worst, _check(lambda s: self_attend(s["x"], s["w2"], s["w3"], s["w_mix"], s["v"], [3, 1, 2]),
+                                  {"x": rng.normal(size=(6, 3)), "w2": rng.normal(size=(3, 1)),
+                                   "w3": rng.normal(size=3), "w_mix": rng.normal(size=(9, 3)),
+                                   "v": rng.normal(size=(3, 2))}, rng))
 
         # the full composed span-model loss on an 8-token instance
         vocab = {"<unk>": 0}

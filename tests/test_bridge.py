@@ -183,7 +183,7 @@ EVIDENCES = [EVIDENCE, ("context",), ("content",)]
 def fusion_oracle(model, question, starts, cand, corpus):
     """w . [take_row(final, token_start); encode_abstract(target)] for one
     candidate on its own, over the reasoner's channels."""
-    from bridgeqa.numcore import take_row
+    from bridgeqa.numcore import constant, take_row
     from bridgeqa.span_model import biattention, encode, self_attention
 
     store, hidden = model.store, model.span.hidden
@@ -191,7 +191,8 @@ def fusion_oracle(model, question, starts, cand, corpus):
     if "context" in model.evidence:
         start = next(p for p in starts if p.id == cand.source_passage_id)
         q_enc = encode(question, model.table, store, hidden)
-        final = self_attention(biattention(encode(start.tokens, model.table, store, hidden), q_enc, store), store)
+        attended = biattention(encode(start.tokens, model.table, store, hidden), q_enc, store)
+        final = self_attention(attended, store, readout=constant(np.eye(8 * hidden)))
         joint.append(take_row(final.states, cand.mention.token_start).data[0])
     if "content" in model.evidence:
         joint.append(encode_abstract(model, corpus.by_title.get(cand.target_title)).data[0])
@@ -243,9 +244,9 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
     # the reference reads every row of the start passages and gathers the
     # anchor rows: given an rng, with the same dropout draws, in values and in
     # every parameter's gradient; without one, packed (no memo) and through
-    # the memo; the full states (no readout), and read through a readout
-    # column as the fusion reads them. The one-token start passage's anchor
-    # row keeps its biattention row.
+    # the memo; the full states (the identity readout), and read through a
+    # readout column as the fusion reads them. The one-token start passage's
+    # anchor row keeps its biattention row.
     from bridgeqa.bridge import _context_rows
     from bridgeqa.numcore import backward, constant, gather_rows, matmul, mul, sum_all
     from bridgeqa.span_model import EncodingMemo, attend
@@ -263,9 +264,10 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
     rows = np.array([offsets[c.source_passage_id] + c.mention.token_start for c in cands])
     wide = 8 * model.span.hidden
     column = Tensor(np.random.default_rng(3).normal(size=(wide, 1)))
+    identity = constant(np.eye(wide))
 
-    for readout in (None, column):
-        width = wide if readout is None else 1
+    for readout in (identity, column):
+        width = wide if readout is identity else 1
         weights = constant(np.random.default_rng(2).normal(size=(len(cands), width)))
 
         def run(read, seed):
@@ -276,9 +278,10 @@ def test_context_rows_are_the_full_outputs_anchor_rows():
             return out.data, {**model.store.gradients(), "readout": column.grad}
 
         def full(rng):
-            (final,) = attend(replace(model.span, memo=None), [(q, [p.tokens for p in starts])], rng=rng)
+            (final,) = attend(replace(model.span, memo=None), [(q, [p.tokens for p in starts])],
+                              readout=identity, rng=rng)
             states = gather_rows(final.states, rows)
-            return states if readout is None else matmul(states, readout)
+            return states if readout is identity else matmul(states, readout)
 
         def anchors(rng):
             return _context_rows(model, q, starts, cands, readout, rng=rng)
@@ -319,7 +322,7 @@ def test_score_bridges_match_the_unfolded_fusion(evidence):
     def unfolded(rng):
         joint = []
         if "context" in evidence:
-            joint.append(_context_rows(model, q, starts, cands, rng=rng))
+            joint.append(_context_rows(model, q, starts, cands, constant(np.eye(8 * model.span.hidden)), rng=rng))
         if "content" in evidence:
             titles = sorted({c.target_title for c in cands})
             encoded = encode_abstracts(model, [corpus.by_title.get(t) for t in titles], rng=rng)

@@ -38,7 +38,7 @@ from bridgeqa.numcore import (
     tanh,
     transpose,
 )
-from reference_attention import attend_one, per_passage
+from reference_attention import per_passage, self_attention_one
 from stepwise_cells import gru_cell, lstm_cell, recurrent_cell
 
 
@@ -161,29 +161,42 @@ def test_max_pool_lengths_must_pack_the_rows():
             max_pool_over_time(x, lengths)
 
 
+SELFATTN = ("w2", "w3", "W_mix", "V")
+
+
 def self_attend_store(rng, rows, width):
+    """x, the self-attention parameters, and a readout "V" of two columns."""
     store = ParamStore()
     store.add("x", rng.normal(size=(rows, width)))
     store.add("span/selfattn/w2", rng.normal(size=(width, 1)))
     store.add("span/selfattn/w3", rng.normal(size=width))
+    store.add("span/selfattn/W_mix", rng.normal(size=(3 * width, width)))
+    store.add("V", rng.normal(size=(width, 2)))
     return store
 
 
-def _self_attend(store, lengths):
-    w = [store[f"span/selfattn/{name}"] for name in ("w2", "w3")]
-    return self_attend(store["x"], *w, lengths)
+def _weights(store):
+    return [store[name if name == "V" else f"span/selfattn/{name}"] for name in SELFATTN]
+
+
+def _self_attend(store, lengths, rows=None):
+    return self_attend(store["x"], *_weights(store), lengths, rows)
+
+
+def _composed(store, lengths, rows=None):
+    """The composed per-passage self-attention times V, gathered at rows."""
+    out = matmul(per_passage(lambda xs: self_attention_one(xs, store), store["x"], lengths), store["V"])
+    return out if rows is None else gather_rows(out, np.array(rows, dtype=np.int64))
 
 
 def test_self_attend_matches_composed_passages():
-    # the composed per-passage attention is the reference, in values and in
-    # the gradients of x, w2 and w3; a length-1 passage attends to nothing
+    # the composed per-passage self-attention, read through V, is the
+    # reference, in values and in the gradients of x, w2, w3, W_mix and V; a
+    # length-1 passage attends to nothing and reads x.V
     rng = np.random.default_rng(40)
     lengths = [3, 1, 2, 5, 1]
     store = self_attend_store(rng, sum(lengths), 4)
-    weights = constant(rng.normal(size=(sum(lengths), 4)))
-
-    def one(xs):
-        return attend_one(xs, store) if xs.data.shape[0] > 1 else constant(np.zeros_like(xs.data))
+    weights = constant(rng.normal(size=(sum(lengths), 2)))
 
     def run(build):
         store.zero_grad()
@@ -192,9 +205,9 @@ def test_self_attend_matches_composed_passages():
         return out.data, {name: store[name].grad for name in store.names()}
 
     got = run(lambda: _self_attend(store, lengths))
-    want = run(lambda: per_passage(one, store["x"], lengths))
+    want = run(lambda: _composed(store, lengths))
     assert np.max(np.abs(got[0] - want[0])) < 1e-12
-    assert not got[0][[3, 11]].any()
+    assert np.array_equal(got[0][[3, 11]], store["x"].data[[3, 11]] @ store["V"].data)
     for name in store.names():
         assert np.max(np.abs(got[1][name] - want[1][name])) < 1e-12, name
 
@@ -217,21 +230,35 @@ def _plain_attention(x, w2, w3, lengths, rows=None):
     return want
 
 
+def _plain_self_attend(store, lengths, rows=None):
+    """The plain attention's tail, each step a fresh array: x.V + (mixed.
+    (W_mix.V)) * keep at the read rows, mixed = [x, att, x*att], keep 0 at
+    the rows of length-1 segments."""
+    x, w2, w3, W_mix, V = (t.data for t in [store["x"], *_weights(store)])
+    att = _plain_attention(x, w2, w3, lengths, rows)
+    xq = x if rows is None else x[rows]
+    keep = np.repeat([float(n > 1) for n in lengths], lengths)[slice(None) if rows is None else rows]
+    mixed = np.concatenate([xq, att, xq * att], axis=1)
+    return xq @ V + (mixed @ (W_mix @ V)) * keep[:, None]
+
+
 def test_self_attend_single_segment_keeps_the_bits_of_the_plain_formula():
     # one segment, every reader call: S = (x.w2)^T + (x * w3).x^T, diagonal
-    # -inf, P = exp(S - rowmax) / rowsum, out = P.x, each step a fresh
-    # array: the in-place forward gives the same bits, also at rows
+    # -inf, P = exp(S - rowmax) / rowsum, att = P.x, and the tail read
+    # through V, each step a fresh array: the in-place forward gives the
+    # same bits, also at rows
     rng = np.random.default_rng(43)
     store = self_attend_store(rng, 12, 6)
-    x, w2, w3 = store["x"].data, store["span/selfattn/w2"].data, store["span/selfattn/w3"].data
+    x, w2, w3, W_mix, V = (t.data for t in [store["x"], *_weights(store)])
     S = (x @ w2).T + (x * w3) @ x.T
     np.fill_diagonal(S, -np.inf)
     P = np.exp(S - S.max(axis=1, keepdims=True))
     P /= P.sum(axis=1, keepdims=True)
-    assert np.array_equal(_self_attend(store, [12]).data, P @ x)
+    att = P @ x
+    want = x @ V + np.concatenate([x, att, x * att], axis=1) @ (W_mix @ V)
+    assert np.array_equal(_self_attend(store, [12]).data, want)
     rows = [5, 0, 11, 5]
-    got = self_attend(store["x"], store["span/selfattn/w2"], store["span/selfattn/w3"], [12], rows).data
-    assert np.array_equal(got, _plain_attention(x, w2, w3, [12], rows))
+    assert np.array_equal(_self_attend(store, [12], rows).data, _plain_self_attend(store, [12], rows))
 
 
 def test_self_attend_multi_segment_keeps_the_bits_of_the_masked_whole_matrix():
@@ -242,11 +269,9 @@ def test_self_attend_multi_segment_keeps_the_bits_of_the_masked_whole_matrix():
     rng = np.random.default_rng(43)
     lengths = [7, 1, 12]
     store = self_attend_store(rng, sum(lengths), 6)
-    x, w2, w3 = store["x"].data, store["span/selfattn/w2"].data, store["span/selfattn/w3"].data
-    assert np.array_equal(_self_attend(store, lengths).data, _plain_attention(x, w2, w3, lengths))
+    assert np.array_equal(_self_attend(store, lengths).data, _plain_self_attend(store, lengths))
     rows = [19, 7, 0, 8, 8, 3]
-    got = self_attend(store["x"], store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows).data
-    assert np.array_equal(got, _plain_attention(x, w2, w3, lengths, rows))
+    assert np.array_equal(_self_attend(store, lengths, rows).data, _plain_self_attend(store, lengths, rows))
 
 
 def test_self_attend_exponentiates_the_live_scores_to_the_bits_of_the_full_exp():
@@ -258,11 +283,9 @@ def test_self_attend_exponentiates_the_live_scores_to_the_bits_of_the_full_exp()
         lengths = rng.integers(1, 9, size=rng.integers(2, 8))
         lengths[rng.integers(len(lengths))] = 1
         store = self_attend_store(rng, int(lengths.sum()), 5)
-        x, w2, w3 = store["x"].data, store["span/selfattn/w2"].data, store["span/selfattn/w3"].data
-        assert np.array_equal(_self_attend(store, lengths).data, _plain_attention(x, w2, w3, lengths))
-        rows = rng.integers(len(x), size=rng.integers(1, 2 * len(x)))
-        got = self_attend(store["x"], store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows).data
-        assert np.array_equal(got, _plain_attention(x, w2, w3, lengths, rows))
+        assert np.array_equal(_self_attend(store, lengths).data, _plain_self_attend(store, lengths))
+        rows = rng.integers(int(lengths.sum()), size=rng.integers(1, 2 * int(lengths.sum())))
+        assert np.array_equal(_self_attend(store, lengths, rows).data, _plain_self_attend(store, lengths, rows))
 
 
 def test_self_attend_rejects_bad_shapes():
@@ -270,11 +293,14 @@ def test_self_attend_rejects_bad_shapes():
     for lengths in ([3], [4, 0], [2, 3], []):
         with pytest.raises(ShapeError):
             _self_attend(store, lengths)
-    with pytest.raises(ShapeError):
-        self_attend(store["x"], store["span/selfattn/w2"], Tensor(np.zeros(3)), [4])
+    x, w2, w3, W_mix, V = store["x"], *_weights(store)
+    for bad in ([x, w2, Tensor(np.zeros(3)), W_mix, V], [x, w2, w3, Tensor(np.zeros((6, 3))), V],
+                [x, w2, w3, W_mix, Tensor(np.zeros((3, 2)))], [x, w2, w3, W_mix, Tensor(np.zeros(2))]):
+        with pytest.raises(ShapeError):
+            self_attend(*bad, [4])
     for rows in ([4], [-1], [[0, 1]]):
         with pytest.raises(ShapeError):
-            self_attend(store["x"], store["span/selfattn/w2"], store["span/selfattn/w3"], [4], rows)
+            _self_attend(store, [4], rows)
 
 
 # rows out of order, a repeated row, and rows 5 and 6, the one row of each
@@ -287,23 +313,21 @@ def test_self_attend_at_rows_gives_the_full_outputs_rows():
     rng = np.random.default_rng(44)
     store = self_attend_store(rng, sum(ROWS_LENGTHS), 6)
     full = _self_attend(store, ROWS_LENGTHS).data
-    w = [store[f"span/selfattn/{name}"] for name in ("w2", "w3")]
-    got = self_attend(store["x"], *w, ROWS_LENGTHS, np.array(READ_ROWS)).data
-    assert got.shape == (len(READ_ROWS), 6)
+    got = _self_attend(store, ROWS_LENGTHS, np.array(READ_ROWS)).data
+    assert got.shape == (len(READ_ROWS), 2)
     np.testing.assert_allclose(got, full[READ_ROWS], rtol=0, atol=1e-12)
-    assert not got[[4, 5]].any()
+    assert np.array_equal(got[[4, 5]], store["x"].data[[5, 6]] @ store["V"].data)
 
 
 def test_self_attend_at_rows_grad_check():
-    # x, w2 and w3 all reach the loss: keys and values through every row of
-    # a read segment, the query terms through the read rows alone
+    # x, w2, w3, W_mix and V all reach the loss: keys and values through
+    # every row of a read segment, the query terms through the read rows alone
     rng = np.random.default_rng(45)
     store = self_attend_store(rng, sum(ROWS_LENGTHS), 4)
-    weights = constant(rng.normal(size=(len(READ_ROWS), 4)))
+    weights = constant(rng.normal(size=(len(READ_ROWS), 2)))
 
     def build(s):
-        w = [s[f"span/selfattn/{name}"] for name in ("w2", "w3")]
-        return sum_all(mul(self_attend(s["x"], *w, ROWS_LENGTHS, READ_ROWS), weights))
+        return sum_all(mul(_self_attend(s, ROWS_LENGTHS, READ_ROWS), weights))
 
     report = grad_check(build, store, eps=1e-6, tol=1e-6)
     assert report.passed, report.summary()
@@ -316,17 +340,13 @@ def test_self_attend_at_rows_grad_check():
 
 @pytest.mark.parametrize("rows", [READ_ROWS, []], ids=["repeats across segments", "empty"])
 def test_self_attend_at_rows_matches_composed_passages(rows):
-    # the composed per-passage attention, gathered at rows, is the
-    # reference, in values and in the gradients of x, w2 and w3: rows out of
-    # order and repeated, across several segments, the rows of length-1
-    # segments among them, and no row at all
+    # the composed per-passage self-attention, read through V and gathered at
+    # rows, is the reference, in values and in the gradients of x, w2, w3,
+    # W_mix and V: rows out of order and repeated, across several segments,
+    # the rows of length-1 segments among them, and no row at all
     rng = np.random.default_rng(46)
     store = self_attend_store(rng, sum(ROWS_LENGTHS), 4)
-    weights = constant(rng.normal(size=(len(rows), 4)))
-    w = [store[f"span/selfattn/{name}"] for name in ("w2", "w3")]
-
-    def one(xs):
-        return attend_one(xs, store) if xs.data.shape[0] > 1 else constant(np.zeros_like(xs.data))
+    weights = constant(rng.normal(size=(len(rows), 2)))
 
     def run(build):
         store.zero_grad()
@@ -334,12 +354,24 @@ def test_self_attend_at_rows_matches_composed_passages(rows):
         backward(sum_all(mul(out, weights)))
         return out.data, {name: store[name].grad for name in store.names()}
 
-    got = run(lambda: self_attend(store["x"], *w, ROWS_LENGTHS, rows))
-    want = run(lambda: gather_rows(per_passage(one, store["x"], ROWS_LENGTHS), np.array(rows, dtype=np.int64)))
-    assert got[0].shape == (len(rows), 4)
+    got = run(lambda: _self_attend(store, ROWS_LENGTHS, rows))
+    want = run(lambda: _composed(store, ROWS_LENGTHS, rows))
+    assert got[0].shape == (len(rows), 2)
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     for name in store.names():
         np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_self_attend_of_length_one_segments_reads_x_through_v_alone():
+    # no segment has two rows: the output is x.V at the read rows, and only
+    # x and V get a gradient, as none of w2, w3 and W_mix is read
+    rng = np.random.default_rng(47)
+    store = self_attend_store(rng, 3, 4)
+    weights = constant(rng.normal(size=(4, 2)))
+    out = _self_attend(store, [1, 1, 1], [2, 0, 2, 1])
+    assert np.array_equal(out.data, store["x"].data[[2, 0, 2, 1]] @ store["V"].data)
+    backward(sum_all(mul(out, weights)))
+    assert sorted(store.gradients()) == ["V", "x"]
 
 
 def test_cross_entropy_uniform_logits_is_log_n():

@@ -12,11 +12,11 @@ from bridgeqa.numcore import (
     backward,
     concat,
     constant,
+    gather_rows,
     grad_check,
     matmul,
     mul,
     reshape,
-    self_attend,
     slice_rows,
     sum_all,
 )
@@ -39,6 +39,8 @@ from bridgeqa.span_model import (
 )
 
 HID = 2
+# the identity readout: self-attention's full (8h-wide) states
+FULL = constant(np.eye(8 * HID))
 VOCAB = build_vocab([["kiss", "and", "tell", "who", "stars", "archer", "temple", "yes", "no"]])
 
 
@@ -160,8 +162,8 @@ def test_self_attention_length_one_identity():
     store = ParamStore()
     init_span_params(store, 3, HID, rng)
     seq = enc_seq(rng.normal(size=(1, 8 * HID)))
-    out = self_attention(seq, store)
-    assert out is seq
+    out = self_attention(seq, store, readout=FULL)
+    assert np.array_equal(out.states.data, seq.states.data)
 
 
 def test_self_attention_zero_weights_mean_of_others():
@@ -173,7 +175,7 @@ def test_self_attention_zero_weights_mean_of_others():
     W_mix[width : 2 * width] = np.eye(width)  # pass the attended vector through
     store.add("span/selfattn/W_mix", W_mix)
     X = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 2.0]])
-    out = self_attention(enc_seq(X), store).states.data
+    out = self_attention(enc_seq(X), store, readout=constant(np.eye(width))).states.data
     attended = np.array(
         [
             (X[1] + X[2]) / 2,
@@ -196,7 +198,7 @@ def test_self_attention_gradient_through_masked_diagonal():
     def build(s):
         from bridgeqa.numcore import sum_all
 
-        return sum_all(self_attention(enc_seq(X), s).states)
+        return sum_all(self_attention(enc_seq(X), s, readout=constant(np.eye(width))).states)
 
     report = grad_check(build, store, eps=1e-5, tol=1e-4)
     assert report.passed, report.summary()
@@ -222,7 +224,7 @@ def test_packed_self_attention_matches_each_passage_alone():
         store.zero_grad()
         x = Tensor(X.copy())
         if packed:
-            out = self_attention(EncodedSeq(x), store, lengths=lengths).states
+            out = self_attention(EncodedSeq(x), store, readout=constant(np.eye(width)), lengths=lengths).states
         else:
             out = per_passage(lambda rows: self_attention_one(rows, store), x, lengths)
         backward(sum_all(mul(out, constant(W))))
@@ -241,8 +243,6 @@ def test_self_attention_at_rows_is_the_full_output_at_rows(lengths):
     # the full output gathered at rows is the reference, in values and in the
     # gradients of the rows and every self-attention parameter; rows come
     # unsorted and repeated, and rows of length-1 passages keep x
-    from bridgeqa.numcore import gather_rows
-
     rng = np.random.default_rng(22)
     width = 4
     store = ParamStore()
@@ -252,14 +252,15 @@ def test_self_attention_at_rows_is_the_full_output_at_rows(lengths):
     X = rng.normal(size=(sum(lengths), width))
     rows = np.array([2, 0, 1, 2, 6, 7, 5] if len(X) > 3 else [2, 0, 2])
     W = rng.normal(size=(len(rows), width))
+    full = constant(np.eye(width))
 
     def run(at_rows):
         store.zero_grad()
         x = Tensor(X.copy())
         if at_rows:
-            out = self_attention(EncodedSeq(x), store, lengths=lengths, rows=rows).states
+            out = self_attention(EncodedSeq(x), store, readout=full, lengths=lengths, rows=rows).states
         else:
-            out = gather_rows(self_attention(EncodedSeq(x), store, lengths=lengths).states, rows)
+            out = gather_rows(self_attention(EncodedSeq(x), store, readout=full, lengths=lengths).states, rows)
         backward(sum_all(mul(out, constant(W))))
         return out.data, {name: store[name].grad for name in names}, x.grad
 
@@ -278,10 +279,10 @@ def test_self_attention_of_length_one_passages_is_identity():
     store = ParamStore()
     init_span_params(store, 3, HID, np.random.default_rng(20))
     seq = enc_seq(np.random.default_rng(21).normal(size=(3, 8 * HID)))
-    assert self_attention(seq, store, lengths=[1, 1, 1]) is seq
+    assert np.array_equal(self_attention(seq, store, readout=FULL, lengths=[1, 1, 1]).states.data, seq.states.data)
     for lengths in ([2], [3, 0], [2, 2], []):
         with pytest.raises(ValidationError):
-            self_attention(seq, store, lengths=lengths)
+            self_attention(seq, store, readout=FULL, lengths=lengths)
 
 
 def readout_store(rng, width, k=None):
@@ -297,19 +298,22 @@ def readout_store(rng, width, k=None):
 
 @pytest.mark.parametrize("rows", [None, [2, 0, 1, 2, 6, 7, 5]], ids=["every row", "at rows"])
 def test_identity_readout_keeps_the_bits_of_the_unfolded_formula(rows):
-    # no readout: x + (mixed.W_mix) * keep, mixed = [x, att, x*att], each
-    # step a fresh array, the rows of length-1 passages keeping x
+    # the identity readout gives the full states: x + (mixed.W_mix) * keep,
+    # mixed = [x, att, x*att], each step a fresh array, att the plain masked
+    # attention, the rows of length-1 passages keeping x
+    from tests.test_numcore import _plain_attention
+
     rng = np.random.default_rng(23)
     width, lengths = 4, [2, 1, 4, 1, 3]
     store = readout_store(rng, width)
     X = rng.normal(size=(sum(lengths), width))
-    att = self_attend(Tensor(X), store["span/selfattn/w2"], store["span/selfattn/w3"], lengths, rows).data
+    att = _plain_attention(X, store["span/selfattn/w2"].data, store["span/selfattn/w3"].data, lengths, rows)
     x = X if rows is None else X[rows]
     keep = np.repeat([float(n > 1) for n in lengths], lengths)[slice(None) if rows is None else rows]
     mixed = np.concatenate([x, att, x * att], axis=1)
     want = x + (mixed @ store["span/selfattn/W_mix"].data) * keep[:, None]
-    got = self_attention(enc_seq(X), store, lengths=lengths, rows=rows).states.data
-    assert np.array_equal(got, want)
+    got = self_attention(enc_seq(X), store, readout=constant(np.eye(width)), lengths=lengths, rows=rows)
+    assert np.array_equal(got.states.data, want)
 
 
 @pytest.mark.parametrize(
@@ -318,8 +322,11 @@ def test_identity_readout_keeps_the_bits_of_the_unfolded_formula(rows):
     ids=["one passage", "packed", "packed at rows"],
 )
 def test_readout_matches_the_unfolded_formula(lengths, rows):
-    # the full states times V is the reference, in values and in the
-    # gradients of x, the readout and every self-attention parameter
+    # the composed per-passage self-attention times V, gathered at rows, is
+    # the reference, in values and in the gradients of x, the readout and
+    # every self-attention parameter; length-1 passages read x.V
+    from reference_attention import per_passage, self_attention_one
+
     rng = np.random.default_rng(24)
     width = 4
     store = readout_store(rng, width, k=2)
@@ -333,7 +340,8 @@ def test_readout_matches_the_unfolded_formula(lengths, rows):
         if folded:
             out = self_attention(EncodedSeq(x), store, lengths=lengths, rows=rows, readout=store["V"]).states
         else:
-            out = matmul(self_attention(EncodedSeq(x), store, lengths=lengths, rows=rows).states, store["V"])
+            out = matmul(per_passage(lambda xs: self_attention_one(xs, store), x, lengths), store["V"])
+            out = out if rows is None else gather_rows(out, np.array(rows))
         backward(sum_all(mul(out, constant(W))))
         return out.data, {name: store[name].grad for name in names}, x.grad
 
@@ -375,7 +383,7 @@ def test_span_logits_match_the_unfolded_heads():
             _, scores = run_span_model(m, q, c, rng=rng)
             start, end = scores.start_logits, scores.end_logits
         else:
-            (final,) = attend(m, [(q, [c])], rng=rng)
+            (final,) = attend(m, [(q, [c])], readout=FULL, rng=rng)
             start, end = (reshape(matmul(final.states, m.store[f"span/heads/{name}_w"]), (len(c),))
                           for name in ("start", "end"))
         # the span NLL, and a weighted sum that reaches every start logit
@@ -545,14 +553,25 @@ def test_attend_rejects_an_empty_sequence():
     m = tiny_model()
     for contexts in ([["kiss"], []], []):
         with pytest.raises(ValidationError):
-            attend(m, [(["who"], contexts)])
+            attend(m, [(["who"], contexts)], readout=FULL)
     with pytest.raises(ValidationError):
-        attend(m, [([], [["kiss"]])])
+        attend(m, [([], [["kiss"]])], readout=FULL)
     # an empty group in a minibatch, and no group at all
     with pytest.raises(ValidationError):
-        attend(m, [(["who"], [["kiss"]]), (["who"], [])])
+        attend(m, [(["who"], [["kiss"]]), (["who"], [])], readout=FULL)
     with pytest.raises(ValidationError):
-        attend(m, [])
+        attend(m, [], readout=FULL)
+
+
+def test_attend_rows_must_name_one_entry_per_group():
+    # rows holds one entry per group: fewer or more entries are an error,
+    # not a read of fewer groups
+    m = tiny_model()
+    groups = [(["who"], [["kiss", "and"]]), (["who"], [["tell", "stars"]])]
+    for rows in ([np.array([0])], [None, None, np.array([1])], []):
+        with pytest.raises(ValidationError, match="entries of rows"):
+            attend(m, groups, readout=FULL, rows=rows)
+    assert len(attend(m, groups, readout=FULL, rows=[None, np.array([1])])) == 2
 
 
 def biattention_store(rng, width):
@@ -600,17 +619,48 @@ def test_biattention_lengths_must_pack_the_context():
     rng = np.random.default_rng(16)
     store = biattention_store(rng, 2)
     ctx, q = enc_seq(rng.normal(size=(4, 2))), enc_seq(rng.normal(size=(2, 2)))
-    for lengths in ([3], [4, 0], [2, 3]):
+    for lengths in ([3], [4, 0], [2, 3], []):
         with pytest.raises(ValidationError):
             biattention(ctx, q, store, lengths=lengths)
+
+
+@pytest.mark.parametrize(
+    "lengths, question_rows",
+    [([7, 1, 22, 13], 5), ([7, 1, 22, 13], 1), ([22], 5)],
+    ids=["packed", "one-token question", "one passage"],
+)
+def test_biattention_matches_the_composed_layer(lengths, question_rows):
+    # the layer composed from tape ops is the reference: the fused node's
+    # forward has its bits, and so have the gradients of the context, the
+    # question and w1, w2 and w3
+    from reference_attention import biattention as composed
+
+    rng = np.random.default_rng(27)
+    width = 6
+    store = biattention_store(rng, width)
+    C = rng.normal(size=(sum(lengths), width))
+    Q = rng.normal(size=(question_rows, width))
+    W = rng.normal(size=(sum(lengths), 4 * width))
+
+    def run(layer):
+        store.zero_grad()
+        c, q = Tensor(C.copy()), Tensor(Q.copy())
+        out = layer(EncodedSeq(c), EncodedSeq(q), store, lengths=lengths).states
+        backward(sum_all(mul(out, constant(W))))
+        return out.data, {"h": c.grad, "u": q.grad, **{name: store[name].grad for name in store.names()}}
+
+    got, want = run(biattention), run(composed)
+    assert got[0].tobytes() == want[0].tobytes()
+    for name in want[1]:
+        assert got[1][name].tobytes() == want[1][name].tobytes(), name
 
 
 def test_attend_reads_each_context_as_alone():
     m = tiny_model(seed=17)
     q = tokenize("who stars")
     contexts = [tokenize("kiss and tell stars"), ["archer"], tokenize("temple stars who")]
-    (together,) = attend(m, [(q, contexts)])
-    alone = np.concatenate([attend(m, [(q, [c])])[0].states.data for c in contexts])
+    (together,) = attend(m, [(q, contexts)], readout=FULL)
+    alone = np.concatenate([attend(m, [(q, [c])], readout=FULL)[0].states.data for c in contexts])
     assert np.max(np.abs(together.states.data - alone)) < 1e-12
 
 
@@ -624,8 +674,8 @@ def test_attend_reads_each_question_group_as_alone_with_dropout():
         (["archer"], [tokenize("temple stars who")]),
         (tokenize("who tell"), [["kiss"], tokenize("tell stars")]),
     ]
-    together = attend(m, groups, rng=np.random.default_rng(6))
+    together = attend(m, groups, readout=FULL, rng=np.random.default_rng(6))
     rng = np.random.default_rng(6)
     for got, group in zip(together, groups):
-        (alone,) = attend(m, [group], rng=rng)
+        (alone,) = attend(m, [group], readout=FULL, rng=rng)
         assert np.max(np.abs(got.states.data - alone.states.data)) < 1e-12
