@@ -7,8 +7,10 @@ and title when built (a corpus load tokenizes them all at once and hands
 them in), a question its text on first use, and every other module reads
 those fields instead of tokenizing again. A text's token offsets are two
 flat int arrays, so a loaded page is a dozen objects, however many tokens
-it holds. Everything loaded here is immutable after construction (nothing
-writes a TokenSeq's offset arrays) and safe to share across threads.
+it holds, and its tokens are interned: one str object per distinct token
+across the corpus and the questions. Everything loaded here is immutable
+after construction (nothing writes a TokenSeq's offset arrays) and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from sys import intern
 
 import numpy as np
 
@@ -68,6 +71,15 @@ def tokenize(text: str) -> TokenSeq:
     Offsets always index the original string; an empty string yields an
     empty TokenSeq. This character walk is the definition of a token:
     tokenize_many, which tokenizes a corpus, returns exactly its results.
+
+    Every token is interned (sys.intern), here and in tokenize_many: equal
+    tokens of any texts, titles and questions are one str object, so a
+    corpus holds each distinct token's text once, and the dicts keyed by
+    tokens (the index's term ids, the linker's token map, the embedding
+    vocabulary, the encoding memos' keys) hash it once and match it by
+    identity. CPython 3.12 makes interned strings immortal (3.10, 3.11 and
+    3.13 keep them mortal), so there the interned tokens live as long as
+    the process: a set bounded by the distinct tokens it has seen.
     """
     tokens: list[str] = []
     starts: list[int] = []
@@ -78,12 +90,12 @@ def tokenize(text: str) -> TokenSeq:
             if start < 0:
                 start = i
         elif start >= 0:
-            tokens.append(text[start:i].lower())
+            tokens.append(intern(text[start:i].lower()))
             starts.append(start)
             ends.append(i)
             start = -1
     if start >= 0:
-        tokens.append(text[start:].lower())
+        tokens.append(intern(text[start:].lower()))
         starts.append(start)
         ends.append(len(text))
     return TokenSeq(tuple(tokens), array("i", starts), array("i", ends))
@@ -97,7 +109,8 @@ def tokenize_many(texts: Sequence[str]) -> list[TokenSeq]:
     ASCII texts are joined with a NUL between them, every other byte is
     folded to a space, and the edges of the non-space runs give every
     token's start and end at once; the texts' start positions split them
-    per text. A text that is not ASCII takes the character walk.
+    per text. A text that is not ASCII takes the character walk. Both paths
+    intern their tokens, so each token is the very object tokenize returns.
     """
     out: list[TokenSeq] = []
     for lo in range(0, len(texts), TOKENIZE_BLOCK):
@@ -108,7 +121,8 @@ def tokenize_many(texts: Sequence[str]) -> list[TokenSeq]:
 
 
 def _tokenize_ascii(texts: list[str]) -> list[TokenSeq]:
-    """tokenize over ASCII texts, by one pass over their joined bytes."""
+    """tokenize over ASCII texts, by one pass over their joined bytes; the
+    words split() returns are interned, as tokenize's tokens are."""
     folded = "\0".join(texts).encode("ascii").translate(_FOLD_ASCII)
     edges = np.flatnonzero(np.diff(np.frombuffer(folded, np.uint8) != 0x20, prepend=False, append=False))
     starts, ends = edges[0::2], edges[1::2]
@@ -119,8 +133,8 @@ def _tokenize_ascii(texts: list[str]) -> list[TokenSeq]:
     base = np.repeat(text_starts, np.diff(first))
     # the offsets in each text, as the C ints of two flat arrays
     starts, ends = (array("i", (edge - base).astype(np.intc).tobytes()) for edge in (starts, ends))
-    words = folded.decode("ascii").split()
-    return [TokenSeq(tuple(words[a:b]), starts[a:b], ends[a:b]) for a, b in zip(first, first[1:])]
+    words = tuple(map(intern, folded.decode("ascii").split()))
+    return [TokenSeq(words[a:b], starts[a:b], ends[a:b]) for a, b in zip(first, first[1:])]
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,11 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
     state, train, dev = _load_state(cfg)
     cross_preds = _load_cross_predictions(cfg, state.corpus)
     examples, skips, n_dropped = _build_reader_examples(state, train, cross_preds)
+    model = _new_reader_model(cfg, _embedding(cfg, state.corpus, train + dev))
+    stats = train_reader(model, examples, cfg)
+    digest = _save_model(model, out / "checkpoints" / "reader")
+    # the examples are written once the reader they trained is saved, so a
+    # crash in training leaves the last completed run's files
     write_jsonl(
         out / "reader_examples.jsonl",
         (
@@ -485,10 +490,6 @@ def stage_train_reader(cfg: PipelineConfig) -> dict:
         ),
     )
     write_jsonl(out / "reader_example_skips.jsonl", skips)
-
-    model = _new_reader_model(cfg, _embedding(cfg, state.corpus, train + dev))
-    stats = train_reader(model, examples, cfg)
-    digest = _save_model(model, out / "checkpoints" / "reader")
     write_json(out / "reader_train_log.json", {"reader": stats}, indent=2)
     return {
         "checkpoint": "checkpoints/reader",

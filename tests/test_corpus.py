@@ -105,6 +105,8 @@ def test_tokenize_many_equals_tokenize_on_every_text(n, ascii_share):
     for text, seq in zip(texts, got):
         want = tokenize(text)
         assert (seq.tokens, seq.char_offsets) == (want.tokens, want.char_offsets), repr(text)
+        # both intern their tokens, so an equal token is the same object
+        assert all(a is b for a, b in zip(seq.tokens, want.tokens)), repr(text)
 
 
 def test_tokenize_many_of_nothing_and_of_texts_without_tokens():
@@ -174,6 +176,22 @@ def test_a_loaded_page_leaves_few_objects_for_the_garbage_collector(tmp_path):
             gc.enable()
     assert len(corpus.passages[0].tokens) == 100
     assert tracked < 20 * len(objs), tracked / len(objs)
+
+
+def test_a_loaded_corpus_and_a_question_hold_one_object_per_distinct_token(tmp_path):
+    # ASCII texts (the bulk pass), a non-ASCII text (the character walk),
+    # titles and a question repeat words: each distinct token is one str
+    objs = [
+        {"id": "p1", "title": "Kiss and Tell", "text": "Shirley Temple played Corliss Archer.", "anchors": []},
+        {"id": "p2", "title": "Corliss Archer", "text": "Corliss Archer is played by Shirley Temple.", "anchors": []},
+        {"id": "p3", "title": "Temple and Tell", "text": "Café Müller: Shirley Temple played Archer.", "anchors": []},
+    ]
+    corpus = load_corpus(write_lines(tmp_path / "c.jsonl", objs))
+    question = tokenize("Who played Corliss Archer in Kiss and Tell?")
+    seqs = [s for p in corpus.passages for s in (p.tokens, p.title_tokens)] + [question]
+    tokens = [t for seq in seqs for t in seq.tokens]
+    assert len(tokens) > 2 * len(set(tokens))
+    assert len({id(t) for t in tokens}) == len(set(tokens))
 
 
 def test_question_tokens_are_tokenized_once(monkeypatch):

@@ -1140,6 +1140,30 @@ def test_aux_weight_zero_reaches_train_reader_and_its_entry(mini_run, tmp_path, 
         "bridge", "bridge_fold_a", "bridge_fold_b", "reader"]
 
 
+def test_a_train_reader_that_crashes_in_training_keeps_the_completed_runs_examples(mini_run, tmp_path, monkeypatch):
+    # cross-predict at another seed changes the examples train-reader would
+    # build; a crash in training must leave the files of the seed-13 reader
+    from bridgeqa import pipeline
+
+    cfg = _run_copy(mini_run, tmp_path, seed=99)
+    out = Path(cfg.output_dir)
+    names = ["reader_examples.jsonl", "reader_example_skips.jsonl", "checkpoints/reader/manifest.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+    run_stage("cross-predict", cfg)
+
+    def crashing(model, examples, train_cfg):
+        raise RuntimeError("crash in training")
+
+    monkeypatch.setattr(pipeline, "train_reader", crashing)
+    with pytest.raises(RuntimeError, match="crash in training"):
+        run_stage("train-reader", cfg)
+    assert {name: (out / name).read_bytes() for name in names} == before
+    # the seed-99 examples do differ: a completed rerun writes them
+    monkeypatch.undo()
+    run_stage("train-reader", cfg)
+    assert (out / names[0]).read_bytes() != before[names[0]]
+
+
 def _dropped_by_cap(passages, cap):
     """Brute-force recount of the reader's context cap: after the two
     sentinels, the first passage always stays; the first later passage whose
