@@ -5,12 +5,13 @@ set, and a ranked question's top BRIDGE_READ_PASSAGES answer passages (a
 bridge question the reasoner ranked), each add the first TOP_N_EL linked
 pages not in their own list. A question without a ranking (a comparison,
 the no_bridge_reasoner mode, or a bridge question with no candidates) reads
-its start set, up to bridge.READER_MAX_PASSAGES passages.
-The other modes change only what the reader reads, with a full run's
-models. A run at an evidence mode trains its reasoner with the one channel
-left (config.evidence_for), which predict_one checks. The no-EL and
-no-multitask ablations are runs too, at entity_linking false (no linker,
-so linked_passages is empty) and at aux_weight 0, answered in full.
+its start set, up to bridge.READER_MAX_PASSAGES passages. Every mode
+answers through that one flow; the oracle modes read a full run's models
+and only put gold titles first on a bridge question's ranking. A run at an
+evidence mode trains its reasoner with the one channel left
+(config.evidence_for), which predict_one checks. The no-EL and no-multitask
+ablations are runs too, at entity_linking false (no linker, so
+linked_passages is empty) and at aux_weight 0, answered in full.
 """
 
 from __future__ import annotations
@@ -113,8 +114,12 @@ def predict_one(
     mode: str = "full",
     gold_title: str | None = None,
 ) -> tuple[Prediction | None, str | None]:
-    """Answer one question under the given mode; (None, reason) when the mode
-    cannot be applied to this question (e.g. oracle modes without labels)."""
+    """Answer one question under the given mode: link it, retrieve its start
+    set, rank with the reasoner (not at no_bridge_reasoner) and read what
+    reader_passages gives for the ranking. An oracle mode puts its front first
+    on a bridge question's ranking, scored None: the gold title, then at
+    full_support the supporting titles, those in the corpus. (None, reason)
+    when the mode cannot be applied to this question (no front)."""
     if mode not in ABLATION_MODES:
         raise ValidationError(f"unknown ablation mode {mode!r}")
     if state.reader is None:
@@ -122,34 +127,28 @@ def predict_one(
     if state.bridge is not None and state.bridge.evidence != evidence_for(mode):
         raise ValidationError(f"mode {mode!r} answers with a reasoner of evidence {evidence_for(mode)}, "
                               f"not {state.bridge.evidence}; rerun train-bridge at mode {mode!r}")
+    front: list[str] = []
+    if record.qtype == "bridge" and mode in ("oracle_gold_passage", "full_support"):
+        titles = [gold_title, *(record.supporting_titles or ())] if mode == "full_support" else [gold_title]
+        front = [t for t in dict.fromkeys(titles) if t in state.corpus.by_title]
+        if not front:
+            return None, ("no distant answer-passage label available" if mode == "oracle_gold_passage" else
+                          "no supporting title resolves in the corpus" if record.supporting_titles else
+                          "no supporting titles available")
     fallback = False
     ranking: list[tuple[str, float | None]] = []
-
-    if mode == "oracle_gold_passage" and record.qtype == "bridge":
-        if gold_title is None or gold_title not in state.corpus.by_title:
-            return None, "no distant answer-passage label available"
-        context_passages = [state.corpus.by_title[gold_title]]
-    elif mode == "full_support" and record.qtype == "bridge":
-        if not record.supporting_titles:
-            return None, "no supporting titles available"
-        context_passages = [
-            state.corpus.by_title[t] for t in record.supporting_titles if t in state.corpus.by_title
-        ]
-        if not context_passages:
-            return None, "no supporting title resolves in the corpus"
-    else:
-        linked = linked_passages(state, record)
-        starts = start_passages_for(state, record, linked)
-        if record.qtype == "bridge" and mode != "no_bridge_reasoner":
-            if state.bridge is None:
-                raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
-            ranking = predict_ranked_titles(state.bridge, record, starts, state.corpus)
-            if not ranking:
-                log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
-                fallback = True
-        titles = [t for t, _ in ranking]
-        context_passages = reader_passages(state, titles, starts, linked)
-
+    linked = linked_passages(state, record)
+    starts = start_passages_for(state, record, linked)
+    if record.qtype == "bridge" and mode != "no_bridge_reasoner":
+        if state.bridge is None:
+            raise MissingPrerequisiteError("no trained bridge reasoner loaded; run train-bridge")
+        ranking = predict_ranked_titles(state.bridge, record, starts, state.corpus)
+        if front:
+            ranking = [(t, None) for t in front] + [(t, s) for t, s in ranking if t not in front]
+        elif not ranking:
+            log.warning("question %s: no bridge candidates; falling back to start passages", record.id)
+            fallback = True
+    context_passages = reader_passages(state, [t for t, _ in ranking], starts, linked)
     if not context_passages:
         return None, "no context passages available"
     answer, context = read_and_decode(state.reader, record, context_passages, max_tokens=state.cfg.reader_context_cap)

@@ -328,8 +328,9 @@ class Prediction:
     qid: str
     answer: str
     passages: list[str]  # titles fed to the reader, in order
-    # (title, score) pairs, best first; the score is None where no reasoner
-    # ranked and the oracle, the supporting titles or the start set stand in
+    # (title, score) pairs, best first; the score is None for the gold titles
+    # an oracle mode puts first, and where no reasoner ranked (the start set
+    # stands in)
     ranking: list[tuple[str, float | None]] = field(default_factory=list)
     fallback: bool = False
     n_passages_dropped: int = 0  # passages the context cap cut

@@ -6,8 +6,10 @@ test_acceptance.py checks its trained_run against it.
 It holds report.json's sha256, each training stage's epochs_run, the fold
 reasoners' held-out Hits and, per dev question, the answer, the passages
 read and the ranking's titles, all compared exactly, and the ranking's
-scores, compared within SCORE_RTOL. Output bytes other than report.json's
-depend on the BLAS kernel; these do not.
+scores, compared within SCORE_RTOL. It also holds, for each mode of
+ABLATION_ROWS, each dev question's answer and passages read (or its skip
+reason), answered from the run's checkpoints and compared exactly. Output
+bytes other than report.json's depend on the BLAS kernel; these do not.
 
 Regenerate it after a change that is meant to move the trained run, and
 report the drift:
@@ -32,6 +34,8 @@ GOLDEN = Path(__file__).with_name("golden_trained_run.json")
 # two agreed to the bit); the record's scores are at most 70.4 in magnitude,
 # so a change of 1e-6 to any of them is more than 1.4e-8 of it
 SCORE_RTOL = 2e-9
+# the ablation rows answered from the trained run's models, besides full
+ABLATION_ROWS = ("no_bridge_reasoner", "oracle_gold_passage", "full_support")
 
 
 def record(out: str | Path) -> dict:
@@ -59,7 +63,30 @@ def record(out: str | Path) -> dict:
         },
         "held_out_hits": {key: cross[key] for key in ("held_out_hits1", "held_out_hits3", "held_out_hits10")},
         "questions": questions,
+        "ablation_rows": ablation_rows(out, entries["ingest"]["config"]),
     }
+
+
+def ablation_rows(out: Path, config: dict) -> dict:
+    """mode -> dev qid -> the answer and passages read, or the skip reason, for
+    each mode of ABLATION_ROWS, answered with the checkpoints in out by the
+    run whose ingest config is config."""
+    from bridgeqa.ablation import predict_questions
+    from bridgeqa.bridge import gold_titles
+    from bridgeqa.config import load_config
+    from bridgeqa.pipeline import _load_ingested, load_pipeline_state
+
+    cfg = load_config(None, {**config, "output_dir": str(out)})
+    state = load_pipeline_state(cfg)
+    _, _, dev = _load_ingested(cfg)
+    labels = gold_titles(dev, state.corpus, cfg.seed)
+    rows = {}
+    for mode in ABLATION_ROWS:
+        predictions, skipped = predict_questions(state, dev, mode, labels)
+        by_qid = {p.qid: {"answer": p.answer, "passages": p.passages} for p in predictions}
+        by_qid.update((s["qid"], {"skipped": s["reason"]}) for s in skipped)
+        rows[mode] = {q.id: by_qid[q.id] for q in dev}
+    return rows
 
 
 def _close(a, b) -> bool:
@@ -84,6 +111,10 @@ def compare(golden: dict, got: dict) -> list[str]:
         if len(scores_a) != len(scores_b) or not all(map(_close, scores_a, scores_b)):
             problems.append(f"question {qid}: ranking_scores {scores_b}, the record holds {scores_a} "
                             f"(relative tolerance {SCORE_RTOL})")
+    for mode, rows in golden.get("ablation_rows", {}).items():
+        have = got.get("ablation_rows", {}).get(mode, {})
+        problems += [f"{mode} question {qid}: {have.get(qid)!r}, the record holds {row!r}"
+                     for qid, row in rows.items() if have.get(qid) != row]
     return problems
 
 

@@ -612,15 +612,83 @@ def test_reasoner_rankings_carry_a_float_score_per_title(mini_run):
             assert scores == [None] * len(scores) and row["ranking"][0][0] == row["passages"][0], row
     assert scored > 0
 
-    # stand-in rankings carry no score in memory either
+    # in memory, an oracle row ranks a bridge question's front titles first,
+    # unscored, then the reasoner's titles with their scores; a stand-in
+    # ranking carries no score
     state = load_pipeline_state(mini_run)
     labels = gold_titles(dev, state.corpus, mini_run.seed)
-    for mode in ("oracle_gold_passage", "full_support", "no_bridge_reasoner"):
+    by_qid = {q.id: q for q in dev}
+    for mode in ("oracle_gold_passage", "full_support"):
         predictions, _ = predict_questions(state, dev, mode, labels)
-        assert predictions and all(s is None for p in predictions for _, s in p.ranking), mode
+        scored = 0
+        for p in predictions:
+            scores = [s for _, s in p.ranking]
+            if qtype[p.qid] != "bridge":
+                assert scores == [None] * len(scores), (mode, p)
+                continue
+            front = _oracle_front(state, by_qid[p.qid], mode, labels)
+            assert p.ranking[: len(front)] == [(t, None) for t in front], (mode, p)
+            rest = scores[len(front):]
+            assert all(isinstance(s, float) for s in rest) and rest == sorted(rest, reverse=True), (mode, p)
+            scored += bool(rest)
+        assert scored > 0, mode
+    predictions, _ = predict_questions(state, dev, "no_bridge_reasoner", labels)
+    assert predictions and all(s is None for p in predictions for _, s in p.ranking)
 
 
-@pytest.mark.parametrize("mode", ["full", "oracle_gold_passage"])
+def _oracle_front(state, record, mode, labels):
+    """The titles an oracle mode reads first for a bridge question: its gold
+    title, then at full_support the other supporting titles in the corpus."""
+    titles = [labels[record.id]] + (list(record.supporting_titles) if mode == "full_support" else [])
+    return [t for t in dict.fromkeys(titles) if t in state.corpus.by_title]
+
+
+@pytest.mark.parametrize("mode", ["oracle_gold_passage", "full_support"])
+def test_an_oracle_row_reads_what_full_reads_with_its_ranking_replaced(mini_run, mode):
+    from bridgeqa import ablation
+    from bridgeqa.bridge import predict_ranked_titles
+    from bridgeqa.reader import build_reader_context
+
+    state = load_pipeline_state(mini_run)
+    _, _, dev = _load_ingested(mini_run)
+    labels = gold_titles(dev, state.corpus, mini_run.seed)
+    bridge = [q for q in dev if q.qtype == "bridge"]
+    assert bridge
+    for q in bridge:
+        pred, reason = ablation.predict_one(state, q, mode, gold_title=labels[q.id])
+        assert reason is None, (q.id, reason)
+        # full's input with only the ranking replaced: the front, then the
+        # reasoner's ranking without those titles
+        front = _oracle_front(state, q, mode, labels)
+        linked = ablation.linked_passages(state, q)
+        starts = ablation.start_passages_for(state, q, linked)
+        rest = [t for t, _ in predict_ranked_titles(state.bridge, q, starts, state.corpus) if t not in front]
+        read = ablation.reader_passages(state, front + rest, starts, linked)
+        assert pred.passages == build_reader_context(read, max_tokens=mini_run.reader_context_cap).titles, q.id
+        assert pred.passages[0] == labels[q.id]
+        assert not pred.fallback
+
+
+def test_an_oracle_row_with_no_front_is_skipped_with_its_reason(mini_run):
+    from bridgeqa.ablation import predict_one
+
+    state = load_pipeline_state(mini_run)
+    _, _, dev = _load_ingested(mini_run)
+    q = next(q for q in dev if q.qtype == "bridge")
+    # no distant label, or one naming no corpus page
+    assert predict_questions(state, [q], "oracle_gold_passage", {}) == (
+        [], [{"qid": q.id, "reason": "no distant answer-passage label available"}])
+    assert predict_one(state, q, "oracle_gold_passage", gold_title="No Such Page") == (
+        None, "no distant answer-passage label available")
+    # no label, and supporting titles that name no corpus page, or none at all
+    nowhere = replace(q, supporting_titles=("No Such Page", "Nor This One"))
+    assert predict_questions(state, [nowhere], "full_support", {}) == (
+        [], [{"qid": q.id, "reason": "no supporting title resolves in the corpus"}])
+    assert predict_one(state, replace(q, supporting_titles=None), "full_support") == (
+        None, "no supporting titles available")
+
+
+@pytest.mark.parametrize("mode", ["full", "oracle_gold_passage", "full_support", "no_bridge_reasoner"])
 def test_evaluate_reports_the_score_of_the_in_memory_predictions(mini_run, tmp_path, mode):
     from dataclasses import asdict
 
